@@ -18,8 +18,8 @@ All failures (unreadable config, parse errors, numerical blowups) exit 1
 with a one-line message on stderr; usage errors also exit 1.  Summaries are
 flat ``key = value`` lines so they diff cleanly; CSV bodies contain no
 timestamps and are byte-identical across runs.  The NDDE_THREADS environment
-variable sets the worker count for the embarrassingly parallel experiments
-(default 1).
+variable sets the worker count that spreads the coarse grid of a supremum
+scan (default 1).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ndde",
         description="Stability checks and solvers for neutral delay equations.",
-        epilog="Set NDDE_THREADS to parallelize multi-trajectory experiments.",
+        epilog="Set NDDE_THREADS to spread the coarse grid of supremum scans over threads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,14 +1,28 @@
 """Direct integration of the neutral delay equations, plus stability runs.
 
 Method of steps with classical 4-stage Runge-Kutta and cubic Hermite dense
-output.  Delayed state and delayed derivative are read from the dense
-output; when a delayed argument lands inside the step currently being
-computed (vanishing-delay overlap near t0 for proportional lags, or a
-neutral term with zero lag), the step closes with an inner fixed-point
-correction: predict the right endpoint by extrapolation, run the stages
-against the provisional panel, re-evaluate, and iterate to tolerance.
-Sustained non-convergence halves the step and restarts, a bounded number
-of times.
+output, the continuous extensions of Bellen & Zennaro, *Numerical Methods
+for Delay Differential Equations* (OUP, 2003).  Delayed state and delayed
+derivative are read from the dense output; when a delayed argument lands
+inside the step currently being computed (vanishing-delay overlap near t0
+for proportional lags, or a neutral term with zero lag), the step closes
+with an inner fixed-point correction: predict the right endpoint by
+extrapolation, run the stages against the provisional panel, re-evaluate,
+and iterate to tolerance.  Sustained non-convergence halves the step and
+restarts, a bounded number of times.
+
+One stepper advances a family of M >= 1 histories in lockstep on one grid:
+:func:`integrate` and :func:`integrate_transformed` run it with one member,
+:func:`stability_experiment` with the whole family.  At each stage time the
+right-hand side splits into a t-only row (coefficients, delayed arguments,
+and where each delayed argument lands: the stage state, the history, a
+closed panel with its Hermite weights, or the open panel), evaluated once
+and shared by every member, and a per-member combination of that row with
+the member's own state.  Each member keeps its own inner iteration, its
+own junction bootstrap, and its own step halving (only the members that
+fail to settle rerun at h/2), and takes exactly the arithmetic of a
+one-member run, so a family member is bitwise equal to its own run.  A
+family that fails raises the error of the first failure in t.
 
 The derivative at the junction t0 comes from the equation itself, solved
 by the same inner iteration (the history only supplies the predictor), so
@@ -19,12 +33,13 @@ coefficient keeps the self-reference contractive.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .concurrency import parallel_map
 from .errors import IntegrationError, ValidationError
 from .expressions import parse_expression, signed_power
 from .model import (
@@ -44,8 +59,24 @@ _FAMILY_NOTE = (
 )
 
 
-class _StepRetry(Exception):
-    """Inner fixed point failed to settle; retry the run with h/2."""
+def _hermite_weights(s: float, h: float, slope: bool) -> tuple:
+    """Cubic Hermite weights at s = (u - t_i) / h on a panel of width h.
+
+    Value: w0 x_i + w1 x'_i + w2 x_{i+1} + w3 x'_{i+1}.  Slope (w3 is
+    None): w0 (x_i - x_{i+1}) + w1 x'_i + w2 x'_{i+1}.  Both are summed
+    left to right by :func:`_hermite_eval`.
+    """
+    if slope:
+        return ((6 * s * s - 6 * s) / h, 3 * s * s - 4 * s + 1, 3 * s * s - 2 * s, None)
+    s2, s3 = s * s, s * s * s
+    return (2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h)
+
+
+def _hermite_eval(w: tuple, x0: float, d0: float, x1: float, d1: float) -> float:
+    w0, w1, w2, w3 = w
+    if w3 is None:
+        return w0 * (x0 - x1) + w1 * d0 + w2 * d1
+    return w0 * x0 + w1 * d0 + w2 * x1 + w3 * d1
 
 
 class Trajectory:
@@ -100,24 +131,22 @@ class Trajectory:
                 f"query t={t!r} outside the trajectory domain [{self.m!r}, {self.T!r}]"
             )
 
+    def _dense(self, t: float, slope: bool) -> float:
+        i = self._panel(t)
+        node = self._ds if slope else self._xs
+        if t == self._ts[i]:
+            return float(node[i])
+        if t == self._ts[i + 1]:
+            return float(node[i + 1])
+        s = min(max((t - self._ts[i]) / self.h, 0.0), 1.0)
+        w = _hermite_weights(s, self.h, slope)
+        return float(_hermite_eval(w, self._xs[i], self._ds[i], self._xs[i + 1], self._ds[i + 1]))
+
     def eval(self, t: float) -> float:
         self._guard(t)
         if t < self.t0:
             return float(self._psi(t))
-        i = self._panel(t)
-        if t == self._ts[i]:
-            return float(self._xs[i])
-        if t == self._ts[i + 1]:
-            return float(self._xs[i + 1])
-        h = self.h
-        s = min(max((t - self._ts[i]) / h, 0.0), 1.0)
-        s2, s3 = s * s, s * s * s
-        return float(
-            (2 * s3 - 3 * s2 + 1) * self._xs[i]
-            + (s3 - 2 * s2 + s) * h * self._ds[i]
-            + (-2 * s3 + 3 * s2) * self._xs[i + 1]
-            + (s3 - s2) * h * self._ds[i + 1]
-        )
+        return self._dense(t, False)
 
     __call__ = eval
 
@@ -125,18 +154,7 @@ class Trajectory:
         self._guard(t)
         if t < self.t0:
             return float(self._psi_prime(t))
-        i = self._panel(t)
-        if t == self._ts[i]:
-            return float(self._ds[i])
-        if t == self._ts[i + 1]:
-            return float(self._ds[i + 1])
-        h = self.h
-        s = min(max((t - self._ts[i]) / h, 0.0), 1.0)
-        return float(
-            (6 * s * s - 6 * s) / h * (self._xs[i] - self._xs[i + 1])
-            + (3 * s * s - 4 * s + 1) * self._ds[i]
-            + (3 * s * s - 2 * s) * self._ds[i + 1]
-        )
+        return self._dense(t, True)
 
     # ------------------------------------------------------------------
     def max_abs(self) -> float:
@@ -165,10 +183,17 @@ class Trajectory:
             fh.write("\n".join(lines) + "\n")
 
 
-# ---------------------------------------------------------------------- rhs
+# -------------------------------------------------------------------- forms
+#
+# A form is a pair (row, rhs).  ``row(t, X, Xp)`` evaluates everything that
+# depends on t alone and locates, through X(u, t) and Xp(u), the delayed
+# lookups the equation reads at t, in the order it reads them; a lookup it
+# does not read is never located.  ``rhs(co, v)`` combines the row's
+# coefficients co with one member's lookup values v (None where a lookup was
+# not read), in the operation order of the equation as written.
 
 
-def _rhs_linear(problem: ProblemSpec):
+def _form_linear(problem: ProblemSpec):
     a = problem.a.compiled()
     b = problem.b.compiled()
     c = problem.c.compiled()
@@ -181,20 +206,34 @@ def _rhs_linear(problem: ProblemSpec):
     has_b = not problem.b.is_zero()
     has_c = not problem.c.is_zero()
 
-    def rhs(t, y, X, Xp):
+    def row(t, X, Xp):
         u1 = tau1(t)
-        out = -a(t) * X(u1, t, y)
+        na = -a(t)
+        l1 = X(u1, t)
+        bv = lp1 = cv = l2 = None
         if has_b:
-            out += b(t) * Xp(u1, t)
+            bv = b(t)
+            lp1 = Xp(u1)
         if has_c:
             u2 = tau2(t)
-            out += c(t) * G(signed_power(X(u2, t, y), gamma))
+            cv = c(t)
+            l2 = X(u2, t)
+        return (na, bv, cv), (l1, lp1, l2)
+
+    def rhs(co, v):
+        na, bv, cv = co
+        x1, xp1, x2 = v
+        out = na * x1
+        if has_b:
+            out += bv * xp1
+        if has_c:
+            out += cv * G(signed_power(x2, gamma))
         return out
 
-    return rhs
+    return row, rhs
 
 
-def _rhs_general(problem: ProblemSpec):
+def _form_general(problem: ProblemSpec):
     a = problem.a.compiled()
     c = problem.c.compiled()
     d = problem.d.compiled()
@@ -209,179 +248,218 @@ def _rhs_general(problem: ProblemSpec):
     has_q = not problem.Q.is_zero()
     has_c = not problem.c.is_zero()
 
-    def rhs(t, y, X, Xp):
+    def row(t, X, Xp):
         u1 = tau1(t)
-        x1 = X(u1, t, y)
-        out = -a(t) * x1
+        l1 = X(u1, t)
+        na = -a(t)
+        lp1 = s1 = l2 = cv = None
         if has_q:
-            out += Qt(t, x1) + Qx(t, x1) * Xp(u1, t) * (1.0 - slope1(t))
+            lp1 = Xp(u1)
+            s1 = 1.0 - slope1(t)
         dv = d(t)
-        if dv != 0.0:
-            out += dv * F(x1, X(tau2(t), t, y))
+        if dv != 0.0 or has_c:
+            l2 = X(tau2(t), t)
         if has_c:
-            out += c(t) * G(signed_power(X(tau2(t), t, y), gamma))
+            cv = c(t)
+        return (t, na, s1, dv, cv), (l1, lp1, l2)
+
+    def rhs(co, v):
+        t, na, s1, dv, cv = co
+        x1, xp1, x2 = v
+        out = na * x1
+        if has_q:
+            out += Qt(t, x1) + Qx(t, x1) * xp1 * s1
+        if dv != 0.0:
+            out += dv * F(x1, x2)
+        if has_c:
+            out += cv * G(signed_power(x2, gamma))
         return out
 
-    return rhs
+    return row, rhs
 
 
-def _rhs_transformed(bound):
-    """Right-hand side of the reshaped equation z' (x = p z)."""
+def _form(problem: ProblemSpec):
+    return _form_linear(problem) if problem.form == "linear-neutral" else _form_general(problem)
+
+
+def _form_transformed(bound):
+    """The reshaped equation z' (x = p z); the state y is read as a lookup."""
     b = bound
     gamma = b.gamma
 
-    def rhs(t, y, X, Xp):
+    def row(t, X, Xp):
         u1 = b.tau1(t)
         u2 = b.tau2(t)
-        z1 = X(u1, t, y)
-        z2 = X(u2, t, y)
+        l1 = X(u1, t)
+        l2 = X(u2, t)
         p1 = b.p_of(u1)
         pt = b.p_raw(t)
-        w = p1 * z1
-        wp = (b.pp_of(u1) * z1 + p1 * Xp(u1, t)) * (1.0 - b.r1_slope(t))
-        out = -(b.pp_of(t) / pt) * y - (b.a(t) / pt) * w
-        out += (b.Qt_fn(t, w) + b.Qx_fn(t, w) * wp) / pt
+        pp1 = b.pp_of(u1)
+        lp1 = Xp(u1)
+        s1 = 1.0 - b.r1_slope(t)
+        ky = -(b.pp_of(t) / pt)
+        ka = b.a(t) / pt
         dv = b.d(t)
+        kd = p2 = None
         if dv != 0.0:
-            out += dv / pt * b.F_fn(w, b.p_of(u2) * z2)
-        out += b.c(t) / pt * b.G_fn(b.p_of(u2) ** gamma * signed_power(z2, gamma))
+            kd = dv / pt
+            p2 = b.p_of(u2)
+        kc = b.c(t) / pt
+        p2g = b.p_of(u2) ** gamma
+        co = (t, p1, pp1, s1, pt, ky, ka, kd, p2, kc, p2g)
+        return co, (X(t, t), l1, l2, lp1)
+
+    def rhs(co, v):
+        t, p1, pp1, s1, pt, ky, ka, kd, p2, kc, p2g = co
+        y, z1, z2, zp1 = v
+        w = p1 * z1
+        wp = (pp1 * z1 + p1 * zp1) * s1
+        out = ky * y - ka * w
+        out += (b.Qt_fn(t, w) + b.Qx_fn(t, w) * wp) / pt
+        if kd is not None:
+            out += kd * b.F_fn(w, p2 * z2)
+        out += kc * b.G_fn(p2g * signed_power(z2, gamma))
         return out
 
-    return rhs
+    return row, rhs
 
 
 # ------------------------------------------------------------------- stepper
 
+# Where a lookup lands at one stage time: the stage state, the junction
+# derivative being bootstrapped, the history, the left node of the open
+# panel, a closed panel, or the open (provisional) panel.  A location is
+# (kind, slope, where, weights); ``where`` is the argument of a history
+# lookup and the panel index otherwise.
+_SELF, _DSELF, _HIST, _NODE, _CLOSED, _OPEN = range(6)
+_MOVING = (_SELF, _DSELF, _OPEN)  # kinds whose value changes within a step
+_AT_SELF = (_SELF, False, None, None)
+_AT_DSELF = (_DSELF, True, None, None)
 
-class _Stepper:
-    """One fixed-step sweep; owns the dense lookups and the open panel."""
 
-    def __init__(self, rhs, history, t0, T, h, tol, m):
-        n = max(1, math.ceil((T - t0) / h - 1e-9))
+class _Lockstep:
+    """One fixed-step sweep of a family of histories on one shared grid.
+
+    Each member's nodes live in ``array('d')``; every lookup is located once
+    per stage time for the whole family.
+    """
+
+    def __init__(self, histories, t0, T, h, tol, m):
+        steps = (T - t0) / h - 1e-9
+        if not steps < sys.maxsize:
+            raise ValidationError(
+                f"step {h!r} is too small for T = {T!r}: "
+                f"{(T - t0) / h:.3g} steps do not fit an index"
+            )
+        n = max(1, math.ceil(steps))
         self.h = (T - t0) / n
         self.n = n
         self.t0 = t0
         self.m = m
         self.tol = tol
-        self.rhs = rhs
-        self.ts = t0 + self.h * np.arange(n + 1)
-        self.xs = np.empty(n + 1)
-        self.ds = np.empty(n + 1)
-        self.psi = history.psi.compiled()
-        self.psi_prime = history.derivative_expression().compiled()
+        self.ts = array("d", (t0 + self.h * i for i in range(n + 1)))
+        self.xs = [array("d", [0.0]) * (n + 1) for _ in histories]
+        self.ds = [array("d", [0.0]) * (n + 1) for _ in histories]
+        self.psi = [hist.psi.compiled() for hist in histories]
+        self.psi_prime = [hist.derivative_expression().compiled() for hist in histories]
         self.k = 0  # open panel index: [ts[k], ts[k+1]]
-        self.xr = 0.0  # provisional right endpoint of the open panel
-        self.dr = 0.0
-        self.touched = False  # some lookup read the provisional panel
         self._fuzz = 1e-12 * max(1.0, abs(T))
         self._mfuzz = 1e-9 * max(1.0, abs(m))
 
-    # dense value lookup: stage self-reference, history, closed or open panel
-    def X(self, u, t, y):
+    # ------------------------------------------------------------ locating
+    def _check_horizon(self, u):
+        if u < self.m - self._mfuzz:
+            raise ValidationError(
+                f"delayed argument {u!r} below the horizon m = {self.m!r}"
+            )
+
+    def X(self, u, t):
+        """Locate a delayed state at stage time t."""
         if abs(u - t) <= self._fuzz:
-            return y
+            return _AT_SELF
+        return self._locate(u, False)
+
+    def Xp(self, u):
+        """Locate a delayed derivative."""
+        return self._locate(u, True)
+
+    def _locate(self, u, slope):
         if u < self.t0:
-            if u < self.m - self._mfuzz:
-                raise ValidationError(
-                    f"delayed argument {u!r} below the horizon m = {self.m!r}"
-                )
-            return self.psi(u)
-        i = int((u - self.t0) / self.h)
-        if i >= self.k:
-            if u <= self.ts[self.k] + self._fuzz:
-                return self.xs[self.k]
-            self.touched = True
-            return self._panel_value(u)
-        return self._hermite(i, u)
-
-    def Xp(self, u, t):
-        if u < self.t0:
-            if u < self.m - self._mfuzz:
-                raise ValidationError(
-                    f"delayed argument {u!r} below the horizon m = {self.m!r}"
-                )
-            return self.psi_prime(u)
-        i = int((u - self.t0) / self.h)
-        if i >= self.k:
-            if u <= self.ts[self.k] + self._fuzz:
-                return self.ds[self.k]
-            self.touched = True
-            return self._panel_deriv(u)
-        return self._hermite_deriv(i, u)
-
-    def _hermite(self, i, u):
-        h = self.h
+            self._check_horizon(u)
+            return (_HIST, slope, u, None)
+        h, k = self.h, self.k
+        i = int((u - self.t0) / h)
+        if i >= k:
+            if u <= self.ts[k] + self._fuzz:
+                return (_NODE, slope, k, None)
+            s = min((u - self.ts[k]) / h, 1.0)
+            return (_OPEN, slope, k, _hermite_weights(s, h, slope))
         s = (u - self.ts[i]) / h
-        s2, s3 = s * s, s * s * s
-        return (
-            (2 * s3 - 3 * s2 + 1) * self.xs[i]
-            + (s3 - 2 * s2 + s) * h * self.ds[i]
-            + (-2 * s3 + 3 * s2) * self.xs[i + 1]
-            + (s3 - s2) * h * self.ds[i + 1]
-        )
+        return (_CLOSED, slope, i, _hermite_weights(s, h, slope))
 
-    def _hermite_deriv(self, i, u):
-        h = self.h
-        s = (u - self.ts[i]) / h
-        return (
-            (6 * s * s - 6 * s) / h * (self.xs[i] - self.xs[i + 1])
-            + (3 * s * s - 4 * s + 1) * self.ds[i]
-            + (3 * s * s - 2 * s) * self.ds[i + 1]
-        )
+    # at the junction t0 the only self-references are the start value and
+    # the derivative being solved for; everything else is history
+    def _X0(self, u, t):
+        if abs(u - self.t0) <= self._fuzz:
+            return _AT_SELF
+        self._check_horizon(u)
+        return (_HIST, False, u, None)
 
-    def _panel_value(self, u):
-        h = self.h
-        k = self.k
-        s = min((u - self.ts[k]) / h, 1.0)
-        s2, s3 = s * s, s * s * s
-        return (
-            (2 * s3 - 3 * s2 + 1) * self.xs[k]
-            + (s3 - 2 * s2 + s) * h * self.ds[k]
-            + (-2 * s3 + 3 * s2) * self.xr
-            + (s3 - s2) * h * self.dr
-        )
+    def _Xp0(self, u):
+        if abs(u - self.t0) <= self._fuzz:
+            return _AT_DSELF
+        self._check_horizon(u)
+        return (_HIST, True, u, None)
 
-    def _panel_deriv(self, u):
-        h = self.h
-        k = self.k
-        s = min((u - self.ts[k]) / h, 1.0)
-        return (
-            (6 * s * s - 6 * s) / h * (self.xs[k] - self.xr)
-            + (3 * s * s - 4 * s + 1) * self.ds[k]
-            + (3 * s * s - 2 * s) * self.dr
-        )
+    # ------------------------------------------------------------- values
+    def _step_values(self, locs, active):
+        """Per active member, the lookup values that hold for the whole step:
+        None where a lookup is not read or moves within the step."""
+        cols = []
+        for loc in locs:
+            if loc is None or loc[0] in _MOVING:
+                cols.append([None] * len(active))
+                continue
+            kind, slope, where, w = loc
+            if kind == _HIST:
+                fns = self.psi_prime if slope else self.psi
+                cols.append([fns[j](where) for j in active])
+            elif kind == _NODE:
+                nodes = self.ds if slope else self.xs
+                cols.append([nodes[j][where] for j in active])
+            else:
+                xs, ds, i = self.xs, self.ds, where
+                cols.append([
+                    _hermite_eval(w, xs[j][i], ds[j][i], xs[j][i + 1], ds[j][i + 1])
+                    for j in active
+                ])
+        return list(zip(*cols))
+
+    def _stage(self, base, moving, j, y, xr, dr):
+        """Member j's lookup values at one stage: ``base`` from
+        :meth:`_step_values` with the moving lookups filled in from the stage
+        state y and the open panel's provisional right end (xr, dr)."""
+        v = list(base)
+        for q, (kind, slope, where, w) in moving:
+            if kind == _SELF:
+                v[q] = y
+            elif kind == _DSELF:
+                v[q] = dr
+            else:
+                v[q] = _hermite_eval(w, self.xs[j][where], self.ds[j][where], xr, dr)
+        return v
 
     # ------------------------------------------------------------------
-    def _bootstrap(self):
+    def _bootstrap(self, j, co, base, moving, rhs):
         """x'(t0) from the equation itself; the history only predicts."""
-        x0 = float(self.psi(self.t0))
-        self.xs[0] = x0
-        d0 = float(self.psi_prime(self.t0))
         t0 = self.t0
-        fuzz = self._fuzz
-
-        def X0(u, t, y):
-            if abs(u - t0) <= fuzz:
-                return y
-            if u < self.m - self._mfuzz:
-                raise ValidationError(
-                    f"delayed argument {u!r} below the horizon m = {self.m!r}"
-                )
-            return self.psi(u)
-
+        x0 = float(self.psi[j](t0))
+        self.xs[j][0] = x0
+        d0 = float(self.psi_prime[j](t0))
         for _ in range(_INNER_MAX):
-            def Xp0(u, t, _d0=d0):
-                if abs(u - t0) <= fuzz:
-                    return _d0
-                if u < self.m - self._mfuzz:
-                    raise ValidationError(
-                        f"delayed argument {u!r} below the horizon m = {self.m!r}"
-                    )
-                return self.psi_prime(u)
-
-            d_new = self.rhs(t0, x0, X0, Xp0)
+            d_new = rhs(co, self._stage(base, moving, j, x0, None, d0))
             if abs(d_new - d0) <= self.tol:
-                self.ds[0] = d_new
+                self.ds[j][0] = d_new
                 return
             d0 = d_new
         raise IntegrationError(
@@ -389,60 +467,106 @@ class _Stepper:
             "junction is not contractive"
         )
 
-    def run(self):
-        self._bootstrap()
+    def run(self, form):
+        """Step every member to T; returns (xs, ds) per member, or None for a
+        member whose inner correction failed to settle at this step."""
+        row, rhs = form
+        members = range(len(self.xs))
+        co, locs = row(self.t0, self._X0, self._Xp0)
+        base = self._step_values(locs, members)
+        moving = _moving(locs)
+        for j in members:
+            self._bootstrap(j, co, base[j], moving, rhs)
         h = self.h
         half = 0.5 * h
-        rhs = self.rhs
+        h6 = h / 6.0
+        tol = self.tol
+        ts = self.ts
+        active = list(members)
         for k in range(self.n):
             self.k = k
-            t = self.ts[k]
-            tn = self.ts[k + 1]
-            xk = self.xs[k]
-            k1 = self.ds[k]
-            self.xr = xk + h * k1
-            self.dr = k1
-            settled = False
-            for _ in range(_INNER_MAX):
-                self.touched = False
-                k2 = rhs(t + half, xk + half * k1, self.X, self.Xp)
-                k3 = rhs(t + half, xk + half * k2, self.X, self.Xp)
-                k4 = rhs(tn, xk + h * k3, self.X, self.Xp)
-                x_new = xk + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                x_prev, d_prev = self.xr, self.dr
-                self.xr = x_new
-                self.dr = rhs(tn, x_new, self.X, self.Xp)
-                if not self.touched:
-                    settled = True
+            t = ts[k]
+            tn = ts[k + 1]
+            mid_co, mid = row(t + half, self.X, self.Xp)
+            end_co, end = row(tn, self.X, self.Xp)
+            mid_moving = _moving(mid)
+            end_moving = _moving(end)
+            # only a lookup on the open panel needs the inner correction
+            touched = any(loc[0] == _OPEN for _, loc in mid_moving + end_moving)
+            mid_base = self._step_values(mid, active)
+            end_base = self._step_values(end, active)
+            failed = []
+            for idx, j in enumerate(active):
+                xs, ds = self.xs[j], self.ds[j]
+                xk = xs[k]
+                k1 = ds[k]
+                # a row none of whose lookups moves has one value per step
+                if not mid_moving:
+                    k2 = k3 = rhs(mid_co, mid_base[idx])
+                if not end_moving:
+                    k4 = d_end = rhs(end_co, end_base[idx])
+                xr = xk + h * k1
+                dr = k1
+                for _ in range(_INNER_MAX):
+                    if mid_moving:
+                        v = self._stage(mid_base[idx], mid_moving, j, xk + half * k1, xr, dr)
+                        k2 = rhs(mid_co, v)
+                        v = self._stage(mid_base[idx], mid_moving, j, xk + half * k2, xr, dr)
+                        k3 = rhs(mid_co, v)
+                    if end_moving:
+                        v = self._stage(end_base[idx], end_moving, j, xk + h * k3, xr, dr)
+                        k4 = rhs(end_co, v)
+                    x_new = xk + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    x_prev, d_prev = xr, dr
+                    xr = x_new
+                    if end_moving:
+                        v = self._stage(end_base[idx], end_moving, j, x_new, xr, d_prev)
+                        dr = rhs(end_co, v)
+                    else:
+                        dr = d_end
+                    if not touched:
+                        break
+                    if max(abs(xr - x_prev), h * abs(dr - d_prev)) <= tol:
+                        break
+                else:
+                    failed.append(j)
+                    continue
+                if not (math.isfinite(xr) and math.isfinite(dr)):
+                    raise IntegrationError(f"state became non-finite near t = {tn!r}")
+                xs[k + 1] = xr
+                ds[k + 1] = dr
+            if failed:
+                active = [j for j in active if j not in failed]
+                if not active:
                     break
-                if max(abs(self.xr - x_prev), h * abs(self.dr - d_prev)) <= self.tol:
-                    settled = True
-                    break
-            if not settled:
-                raise _StepRetry
-            if not (math.isfinite(self.xr) and math.isfinite(self.dr)):
-                raise IntegrationError(
-                    f"state became non-finite near t = {float(tn)!r}"
-                )
-            self.xs[k + 1] = self.xr
-            self.ds[k + 1] = self.dr
-        return self.ts, self.xs, self.ds
+        done = set(active)
+        return [(self.xs[j], self.ds[j]) if j in done else None for j in members]
 
 
-def _drive(rhs, history, t0, T, h, tol, m) -> Trajectory:
+def _moving(locs):
+    """(index, location) of each read lookup whose value moves within a step."""
+    return [(q, loc) for q, loc in enumerate(locs) if loc is not None and loc[0] in _MOVING]
+
+
+def _drive(form, histories, t0, T, h, tol, m) -> list[Trajectory]:
+    """Integrate every history; members that fail to settle rerun at h/2."""
     if not T > t0:
         raise ValidationError("horizon T must exceed t0")
     if not h > 0:
         raise ValidationError("step h must be positive")
+    out: list[Trajectory | None] = [None] * len(histories)
+    pending = list(range(len(histories)))
     step = h
     for _ in range(_MAX_HALVINGS + 1):
-        stepper = _Stepper(rhs, history, t0, T, step, tol, m)
-        try:
-            ts, xs, ds = stepper.run()
-        except _StepRetry:
-            step *= 0.5
-            continue
-        return Trajectory(ts, xs, ds, history, m, stepper.h)
+        sweep = _Lockstep([histories[j] for j in pending], t0, T, step, tol, m)
+        runs = sweep.run(form)
+        for j, run in zip(pending, runs):
+            if run is not None:
+                out[j] = Trajectory(sweep.ts, run[0], run[1], histories[j], m, sweep.h)
+        pending = [j for j, run in zip(pending, runs) if run is None]
+        if not pending:
+            return out
+        step *= 0.5
     raise IntegrationError(
         f"inner step correction kept failing down to h = {step!r}; "
         "the delay overlap is too strong for this stepper"
@@ -460,9 +584,8 @@ def integrate(
     tol: float = _INNER_TOL,
 ) -> Trajectory:
     """Solve the equation forward from the history psi on [t0, T]."""
-    rhs = _rhs_linear(problem) if problem.form == "linear-neutral" else _rhs_general(problem)
     m = min(horizon(problem, T).m, problem.t0)
-    return _drive(rhs, psi, problem.t0, T, h, tol, m)
+    return _drive(_form(problem), [psi], problem.t0, T, h, tol, m)[0]
 
 
 def integrate_transformed(
@@ -481,8 +604,7 @@ def integrate_transformed(
     """
     prob = problem.as_general() if problem.form == "linear-neutral" else problem
     bound = bind(prob, aux, tmax=T)
-    rhs = _rhs_transformed(bound)
-    return _drive(rhs, psi, prob.t0, T, h, tol, bound.m)
+    return _drive(_form_transformed(bound), [psi], prob.t0, T, h, tol, bound.m)[0]
 
 
 @dataclass(frozen=True)
@@ -549,20 +671,18 @@ def stability_experiment(
 
     "eps-bounded" requires every trajectory to stay below eps in absolute
     value; the asymptotic verdict additionally wants small end values with
-    a decreasing last-decade trend.
+    a decreasing last-decade trend.  The family is stepped in lockstep;
+    each member is bitwise equal to its own :func:`integrate` run.
     """
     if delta <= 0:
         raise ValidationError("delta must be positive")
     t0 = problem.t0
     m = min(horizon(problem, T).m, t0)
     family = list(psi_family) if psi_family is not None else default_history_family(delta, t0, m)
+    if not family:
+        raise ValidationError("psi_family is empty: a stability run needs at least one history")
     labels = tuple(label for label, _ in family)
-
-    def one(item):
-        _, psi = item
-        return integrate(problem, psi, T, h=h, tol=tol)
-
-    runs = parallel_map(one, family)
+    runs = _drive(_form(problem), [psi for _, psi in family], t0, T, h, tol, m)
     max_abs = tuple(tr.max_abs() for tr in runs)
     end_abs = tuple(tr.end_abs() for tr in runs)
     decade = (T - t0) / 10.0

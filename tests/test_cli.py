@@ -214,6 +214,18 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_simulate_step_too_small_for_an_index_is_one_line_error(tmp_path, capsys):
+    # (T - t0) / step = 5e301 steps: rejected before any node is allocated
+    path = tmp_path / "tiny.cfg"
+    path.write_text(_cheap().replace('step = "0.001"', 'step = "1e-300"'))
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1
+    assert "1e-300" in lines[0] and "T = 50.0" in lines[0]
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

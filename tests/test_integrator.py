@@ -13,6 +13,7 @@ from ndde import (
     HistoryFunction,
     IntegrationError,
     ProblemSpec,
+    Trajectory,
     ValidationError,
     bracket_matching_a,
     convergence_order,
@@ -23,6 +24,7 @@ from ndde import (
     stability_experiment,
     transformed_history,
 )
+from ndde import integrator
 
 _G = parse_expression("sin(x)", variables=("x",))
 _ZERO = parse_expression("0*t")
@@ -285,6 +287,67 @@ def test_stability_showcase_short_run():
     assert "artifact" in rep.note
     text = rep.to_text()
     assert "verdict.eps_bounded = true" in text
+
+
+def test_stability_rejects_empty_family():
+    prob, _ = _showcase()
+    with pytest.raises(ValidationError, match="empty"):
+        stability_experiment(prob, eps=0.1, delta=0.001, T=10.0, psi_family=[])
+
+
+def _family_runs(monkeypatch, prob, **kwargs):
+    """The trajectories a stability run builds, in construction order."""
+    built = []
+
+    class Recording(Trajectory):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(self)
+
+    monkeypatch.setattr(integrator, "Trajectory", Recording)
+    stability_experiment(prob, eps=1.0, **kwargs)
+    monkeypatch.undo()
+    return built
+
+
+def _assert_same_run(member, solo):
+    assert member.h == solo.h
+    for got, want in (
+        (member.nodes, solo.nodes),
+        (member.values, solo.values),
+        (member.derivatives, solo.derivatives),
+    ):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["showcase", "general", "constant_lag"])
+def test_family_members_equal_one_member_runs_bitwise(monkeypatch, case):
+    prob, _ = _showcase()
+    if case == "general":
+        prob = prob.as_general()
+    if case == "constant_lag":
+        prob = _linear(a="0.3 + 0*t", b="0.2*cos(t)", c="0.1 + 0*t", r1="1 + 0*t", r2="0.5 + 0*t")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        members = _family_runs(monkeypatch, prob, delta=0.001, T=20.0, h=0.05)
+        assert len(members) == 4
+        for member in members:
+            _assert_same_run(member, integrate(prob, member.history, T=20.0, h=0.05))
+    if case == "constant_lag":
+        # the family is not one run re-signed: only the two constants mirror
+        # each other (the equation is odd in x); cosine and ramp differ
+        assert len({np.abs(member.values).tobytes() for member in members}) == 3
+
+
+def test_family_halves_only_the_members_that_fail_to_settle(monkeypatch):
+    # a lag shorter than the step keeps every step's lookups on the open
+    # panel; the zero history settles at once, the other needs h/4
+    prob = _linear(a="1 + 0*t", b="0.8 + 0*t", c="0.3 + 0*t", r1="0.01 + 0*t")
+    family = [("zero", _hist("0*t")), ("start", _hist("0.1 + 0*t"))]
+    members = _family_runs(monkeypatch, prob, delta=0.1, T=1.0, h=0.1, psi_family=family)
+    assert [member.h for member in members] == [0.1, 0.025]
+    for member in members:
+        _assert_same_run(member, integrate(prob, member.history, T=1.0, h=0.1))
 
 
 def test_stability_rejects_nonpositive_delta():
