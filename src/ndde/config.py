@@ -50,6 +50,7 @@ _PROBLEM_GENERAL = ("Q", "q_bound", "d", "F", "k2", "k3")
 _AUX_KEYS = ("p", "g")
 _HISTORY_KEYS = ("psi", "psi_prime")
 _RUN_KEYS = ("tmax", "grid", "eps", "T", "step", "tol")
+_MIN_GRID = 64  # fewest coarse samples sup_scan accepts
 
 _SECTIONS = ("problem", "aux", "history", "run")
 
@@ -258,8 +259,12 @@ def loads(text: str, *, validate: bool = True) -> RunConfig:
     T = _number(run["T"], "T") if "T" in run else 50.0
     step = _number(run["step"], "step") if "step" in run else 1e-3
     tol = _number(run["tol"], "tol") if "tol" in run else 1e-8
-    if grid < 2:
-        raise ConfigError("grid: need at least 2 sample points", run["grid"][1])
+    if grid < _MIN_GRID:
+        raise ConfigError(
+            f"grid: need at least {_MIN_GRID} sample points (the supremum scan's"
+            f" coarse grid), got {grid}",
+            run["grid"][1],
+        )
     for name, value in (("tmax", tmax), ("eps", eps), ("step", step), ("tol", tol)):
         if name in run and value <= 0:
             raise ConfigError(f"{name}: must be positive", run[name][1])

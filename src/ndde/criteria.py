@@ -591,14 +591,6 @@ def matched_general_form(problem: ProblemSpec, aux: AuxiliarySpec) -> ProblemSpe
     )
 
 
-def search_auxiliary_pair(problem: ProblemSpec, tmax: float = 10_000.0):
-    """Automatic (p, g) search hook.  Ships disabled."""
-    raise NotImplementedError(
-        "automatic auxiliary-pair search is reserved future work; "
-        "supply (p, g) explicitly"
-    )
-
-
 # --------------------------------------------------------------------------
 # the assembled report
 

@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import IntegrationError, ValidationError
 from .expressions import parse_expression, signed_power
+from .hermite import hermite_eval, hermite_weights
 from .model import (
     AuxiliarySpec,
     HistoryFunction,
@@ -57,26 +58,6 @@ _FAMILY_NOTE = (
     "history family is an artifact choice (constants, cosine, ramp), "
     "not part of the stability definitions"
 )
-
-
-def _hermite_weights(s: float, h: float, slope: bool) -> tuple:
-    """Cubic Hermite weights at s = (u - t_i) / h on a panel of width h.
-
-    Value: w0 x_i + w1 x'_i + w2 x_{i+1} + w3 x'_{i+1}.  Slope (w3 is
-    None): w0 (x_i - x_{i+1}) + w1 x'_i + w2 x'_{i+1}.  Both are summed
-    left to right by :func:`_hermite_eval`.
-    """
-    if slope:
-        return ((6 * s * s - 6 * s) / h, 3 * s * s - 4 * s + 1, 3 * s * s - 2 * s, None)
-    s2, s3 = s * s, s * s * s
-    return (2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h)
-
-
-def _hermite_eval(w: tuple, x0: float, d0: float, x1: float, d1: float) -> float:
-    w0, w1, w2, w3 = w
-    if w3 is None:
-        return w0 * (x0 - x1) + w1 * d0 + w2 * d1
-    return w0 * x0 + w1 * d0 + w2 * x1 + w3 * d1
 
 
 class Trajectory:
@@ -139,8 +120,8 @@ class Trajectory:
         if t == self._ts[i + 1]:
             return float(node[i + 1])
         s = min(max((t - self._ts[i]) / self.h, 0.0), 1.0)
-        w = _hermite_weights(s, self.h, slope)
-        return float(_hermite_eval(w, self._xs[i], self._ds[i], self._xs[i + 1], self._ds[i + 1]))
+        w = hermite_weights(s, self.h, slope)
+        return float(hermite_eval(w, self._xs[i], self._ds[i], self._xs[i + 1], self._ds[i + 1]))
 
     def eval(self, t: float) -> float:
         self._guard(t)
@@ -393,9 +374,9 @@ class _Lockstep:
             if u <= self.ts[k] + self._fuzz:
                 return (_NODE, slope, k, None)
             s = min((u - self.ts[k]) / h, 1.0)
-            return (_OPEN, slope, k, _hermite_weights(s, h, slope))
+            return (_OPEN, slope, k, hermite_weights(s, h, slope))
         s = (u - self.ts[i]) / h
-        return (_CLOSED, slope, i, _hermite_weights(s, h, slope))
+        return (_CLOSED, slope, i, hermite_weights(s, h, slope))
 
     # at the junction t0 the only self-references are the start value and
     # the derivative being solved for; everything else is history
@@ -430,7 +411,7 @@ class _Lockstep:
             else:
                 xs, ds, i = self.xs, self.ds, where
                 cols.append([
-                    _hermite_eval(w, xs[j][i], ds[j][i], xs[j][i + 1], ds[j][i + 1])
+                    hermite_eval(w, xs[j][i], ds[j][i], xs[j][i + 1], ds[j][i + 1])
                     for j in active
                 ])
         return list(zip(*cols))
@@ -446,7 +427,7 @@ class _Lockstep:
             elif kind == _DSELF:
                 v[q] = dr
             else:
-                v[q] = _hermite_eval(w, self.xs[j][where], self.ds[j][where], xr, dr)
+                v[q] = hermite_eval(w, self.xs[j][where], self.ds[j][where], xr, dr)
         return v
 
     # ------------------------------------------------------------------

@@ -318,8 +318,8 @@ def horizon(problem: ProblemSpec, tmax: float) -> HorizonResult:
 
     The overall m is the left end of the history interval [m, t0].
     """
-    if tmax < problem.t0:
-        raise ValueError("tmax must be >= t0")
+    if not tmax >= problem.t0:
+        raise ValidationError(f"horizon {tmax!r} lies below t0 = {problem.t0!r}")
     per: list[tuple[float, float]] = []
     for spec in (problem.r1, problem.r2):
         tau = spec.tau_fn()

@@ -226,6 +226,16 @@ def test_simulate_step_too_small_for_an_index_is_one_line_error(tmp_path, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+def test_horizon_below_t0_is_one_line_error(cheap_cfg, capsys, command):
+    assert main([command, str(cheap_cfg), "--T", "-1"]) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1
+    assert "-1.0" in lines[0] and "below t0" in lines[0]
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

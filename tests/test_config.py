@@ -155,8 +155,10 @@ def test_unknown_form_rejected():
 def test_nonpositive_run_values_rejected():
     with pytest.raises(ConfigError, match="step: must be positive"):
         loads(_MINIMAL + '\n[run]\nstep = "-0.1"\n')
-    with pytest.raises(ConfigError, match="grid: need at least 2"):
-        loads(_MINIMAL + '\n[run]\ngrid = "1"\n')
+    for grid in ("1", "10", "63"):
+        with pytest.raises(ConfigError, match=f"grid: need at least 64 .* got {grid}$"):
+            loads(_MINIMAL + f'\n[run]\ngrid = "{grid}"\n')
+    assert loads(_MINIMAL + '\n[run]\ngrid = "64"\n').grid == 64
 
 
 def test_psi_prime_is_optional_but_accepted():

@@ -18,7 +18,6 @@ from ndde.criteria import (
     K_estimate,
     linear_coefficients,
     matched_general_form,
-    search_auxiliary_pair,
     term_values_general,
     term_values_linear,
     window_lipschitz,
@@ -469,9 +468,3 @@ def test_report_flags_violation():
     assert report.delta_uniform is None
     assert json.loads(report.to_json())["delta"]["uniform"] is None
     assert "delta.uniform = none" in report.to_text()
-
-
-def test_search_hook_is_disabled():
-    prob, aux = _showcase()
-    with pytest.raises(NotImplementedError):
-        search_auxiliary_pair(prob)
