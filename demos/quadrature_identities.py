@@ -29,7 +29,7 @@ print("oriented window: forward =", fwd, " reversed =", bwd)
 
 # CumulativeExponent tabulates the running integral G(t) = int_0^t g at
 # checkpoints (unit panels, halved where g varies fast) and adds a 7-point
-# Gauss-Kronrod panel from the last one, so repeated queries along a sweep
+# Lobatto-Kronrod panel from the last one, so repeated queries along a sweep
 # stay cheap.  For the rate
 # g(s) = 0.1/(s + 0.1) the closed form is G(t) = 0.1 ln((t + 0.1)/0.1).
 g = lambda s: 0.1 / (s + 0.1)

@@ -26,7 +26,12 @@ The linear-neutral form drops ``neutral_damping`` and ``coupling_pair``
 coefficients mu/cbar/beta) and its head is |cbar(t)|.
 
 "weighted" always means the exponentially damped integral
-int_{t0}^{t} exp(-int_s^t g) (...) ds.
+int_{t0}^{t} exp(-int_s^t g) (...) ds.  Over a horizon, all weighted terms
+are swept together by one :class:`~ndde.quadrature.WeightedSweep` on the
+Lobatto 4 / Kronrod 7 nodes of the grid panels, which reads G and the
+damping weights once per node for every term; the sup scans query it
+between grid nodes.  Pointwise evaluation (:class:`TermEvaluator`)
+integrates each term in one shot by adaptive Simpson.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -73,8 +77,8 @@ LINEAR_TERMS = (
     "nonlinear_tail",
 )
 
-# per-panel sweep tolerances; the double-window integrand is itself
-# quadrature-backed, so it gets a looser budget
+# per-panel sweep tolerances of |K7 - L4|; the double-window integrand is
+# itself quadrature-backed, so it gets a looser budget
 _SWEEP_TOL = 1e-12
 _DOUBLE_TOL = 5e-10
 
@@ -95,8 +99,7 @@ class _TermSet:
         gamma = b.gamma
         k4 = b.k4
         c = b.c
-        window = lru_cache(maxsize=None)(b.drift_window)
-        self.drift_window = window
+        window = b.drift_window
 
         def tail(s: float) -> float:
             return k4 * abs(c(s) / p(s)) * p_of(tau2(s)) ** gamma
@@ -277,17 +280,23 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int) -> AlphaEstim
     for label, fn in terms.direct.items():
         arrays[label] = np.asarray([fn(t) for t in ts])
         fns[label] = fn
-    for label, integrand in terms.weighted.items():
-        tol = _DOUBLE_TOL if label == "double_window" else _SWEEP_TOL
-        sweep = WeightedSweep(integrand, bound.gexp, ts, tol=tol)
-        arrays[label] = sweep.values
-        fns[label] = sweep.at
+    # one sweep for every weighted term: shared nodes, G and damping weights
+    weighted = terms.weighted
+    sweep = WeightedSweep(
+        list(weighted.values()),
+        bound.gexp,
+        ts,
+        [_DOUBLE_TOL if label == "double_window" else _SWEEP_TOL for label in weighted],
+    )
+    for k, label in enumerate(weighted):
+        arrays[label] = sweep.values[k]
+        fns[label] = lambda t, k=k: sweep.at(t, k)
 
-    ordered = [fns[label] for label in terms.labels]
+    direct = list(terms.direct.values())
     total = np.sum([arrays[label] for label in terms.labels], axis=0)
 
     def pointwise_sum(t: float) -> float:
-        return sum(fn(t) for fn in ordered)
+        return sum(fn(t) for fn in direct) + float(sweep.at(t).sum())
 
     scan = sup_scan(pointwise_sum, t0, tmax, n=grid, samples=total)
     stats = []
@@ -314,9 +323,11 @@ def alpha_estimate(
 ) -> AlphaEstimate:
     """Sweep every criterion term over [t0, tmax] and refine the supremum.
 
-    The weighted terms advance panel-by-panel along the grid, so the whole
-    sweep costs one quadrature pass per term rather than one per grid
-    point.  ``grid`` is also the coarse sample count of the sup scan.
+    The weighted terms advance together panel by panel along the grid, so
+    the whole sweep costs one pass of fixed-node quadrature (G and the
+    damping weights read once per node, shared by every term) rather than
+    one integration per term and grid point.  ``grid`` is also the coarse
+    sample count of the sup scan.
     """
     return _alpha_from_bound(bind(problem, aux, tmax), tmax, grid)
 
@@ -746,6 +757,11 @@ def evaluate_criteria(
     asymptotic verdict additionally needs the damped coupling integral to
     decay and the cumulative rate to diverge, else it stays inconclusive.
     """
+    if not tmax > problem.t0 + 1.0:
+        raise ValidationError(
+            f"tmax = {tmax!r} must exceed t0 + 1 = {problem.t0 + 1.0!r}: the check"
+            " prices unit windows"
+        )
     bound = bind(problem, aux, tmax)
     est = _alpha_from_bound(bound, tmax, grid)
     lip_c = window_lipschitz(problem, aux, "c-term", tmax)

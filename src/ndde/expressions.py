@@ -433,20 +433,29 @@ def _codegen(node: Node, names: Mapping[str, str]) -> str:
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
+def _domain_error(
+    node: Node, variables: tuple[str, ...], err: Exception, values: tuple
+) -> DomainError:
+    """``err`` restated with the expression text and the argument values."""
+    where = ", ".join(f"{v}={x!r}" for v, x in zip(variables, values))
+    text = f"{_fmt(node, _ADD)}: {err}"
+    return DomainError(f"{text} at {where}" if where else text)
+
+
 def _compile(node: Node, variables: tuple[str, ...]) -> Callable[..., float]:
     names = {v: f"_a{i}" for i, v in enumerate(variables)}
     body = _codegen(node, names)
     args = ", ".join(names[v] for v in variables)
+    values = f"({args},)" if args else "()"
     src = (
         f"def _f({args}):\n"
         f"    try:\n"
         f"        return _chk({body})\n"
-        f"    except DomainError:\n"
-        f"        raise\n"
-        f"    except (ZeroDivisionError, ValueError, OverflowError) as e:\n"
-        f"        raise DomainError(str(e)) from None\n"
+        f"    except (DomainError, ZeroDivisionError, ValueError, OverflowError) as e:\n"
+        f"        raise _where(e, {values}) from None\n"
     )
     scope = {
+        "_where": lambda err, values: _domain_error(node, variables, err, values),
         "_chk": _check_finite,
         "_pow": _pow,
         "_sgnpow": signed_power,

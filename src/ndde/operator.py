@@ -20,19 +20,20 @@ monitored and reported, never projected.
 
 Everything about A and B that does not depend on the candidate is tabulated
 once per request from (binding, mesh, psi).  Each live mesh panel carries
-the 7 nodes of a Gauss 3 / Kronrod 7 pair (QUADPACK's qk rules); a node's
-row holds both rules' weights times the damping factor exp(G(s) - G(t_j))
-(G = int_t0 g), the coefficients of both integrands, and the mesh panel and
-Hermite weights of each delayed argument.  The drift window W(x) =
-int^x (g - p'/p) z is, on a live panel, z's four Hermite coefficients times
-the K7 (and G3) moments of the drift against the Hermite basis, tabulated
-per query point; below t0 it reads psi and is computed once.  Applying the
-tables to a candidate is a gather, scalar loops over G, Q and F, weighted
-sums, and the panel recurrence I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} +
-panel_j; the residual's panel midpoints get rows on the half panels.  A
-panel or window query whose |K7 - G3| exceeds 1e-11 is re-integrated by
-adaptive Simpson on the scalar integrand (a panel's one-point rows are kept
-for the next iteration), and a non-finite sample raises.
+the 7 nodes of the Lobatto 4 / Kronrod 7 pair of :mod:`ndde.quadrature`
+(the panel ends among them); a node's row holds both rules' weights times
+the damping factor exp(G(s) - G(t_j)) (G = int_t0 g), the coefficients of
+both integrands, and the mesh panel and Hermite weights of each delayed
+argument.  The drift window W(x) = int^x (g - p'/p) z is, on a live panel,
+z's four Hermite coefficients times the K7 (and L4) moments of the drift
+against the Hermite basis, tabulated per query point; below t0 it reads psi
+and is computed once.  Applying the tables to a candidate is a gather,
+scalar loops over G, Q and F, weighted sums, and the panel recurrence
+I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j; the residual's panel
+midpoints get rows on the half panels.  A panel or window query whose
+|K7 - L4| exceeds 1e-11 is re-integrated by adaptive Simpson on the scalar
+integrand (a panel's one-point rows are kept for the next iteration), and
+a non-finite sample raises.
 
 Linear-neutral problems are re-encoded through :meth:`ProblemSpec.as_general`
 before iterating; the re-encoding preserves the dynamics exactly, so the
@@ -53,11 +54,13 @@ from .expressions import signed_power
 from .hermite import hermite_eval, hermite_weights
 from .model import AuxiliarySpec, BoundProblem, HistoryFunction, ProblemSpec, bind, horizon
 from .quadrature import (
-    _GK_WG,
-    _GK_WK,
-    _GK_X,
+    _K7_W,
+    _L4_W,
     CumulativeExponent,
     WeightedSweep,  # noqa: F401  -- unused here; bench/tracing.py wraps this attribute
+    _advance,
+    _kronrod_nodes,
+    _map,
     adaptive_simpson,
     window_integral,
 )
@@ -281,36 +284,8 @@ def _bind_for_mesh(
 # ---------------------------------------------------------------------------
 # Candidate-independent tables of A and B
 
-# the Gauss 3 / Kronrod 7 pair on [-1, 1], one weight row per rule
-_K7_X = np.array([-_GK_X[0], _GK_X[0], -_GK_X[1], _GK_X[1], -_GK_X[2], _GK_X[2], 0.0])
-_K7_W = np.array([_GK_WK[0], _GK_WK[0], _GK_WK[1], _GK_WK[1], _GK_WK[2], _GK_WK[2], _GK_WK[3]])
-_G3_W = np.array([0.0, 0.0, _GK_WG[0], _GK_WG[0], 0.0, 0.0, _GK_WG[1]])
 _CHUNK = 256  # window points whose drift moments are formed together
 _KEPT_ROWS = 512  # one-point fallback rows kept per panel set
-
-
-def _kronrod_nodes(left: np.ndarray, right: np.ndarray):
-    """The (n, 7) Kronrod nodes on the panels [left, right], and half-widths."""
-    half = 0.5 * (right - left)
-    return (0.5 * (left + right))[:, None] + half[:, None] * _K7_X, half
-
-
-def _map(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
-    """fn applied point by point to equally long arrays of arguments."""
-    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
-
-
-def _advance(decay: np.ndarray, panels: np.ndarray) -> np.ndarray:
-    """I_j = decay_j I_{j-1} + panel_j from I_{-1} = 0, one panel at a time.
-
-    A cumulative sum of exp(G) terms instead would overflow on long horizons.
-    """
-    out = np.empty(len(panels))
-    total = 0.0
-    for j, (d, p) in enumerate(zip(decay.tolist(), panels.tolist())):
-        total = d * total + p
-        out[j] = total
-    return out
 
 
 class _State(NamedTuple):
@@ -349,7 +324,7 @@ class _Window:
     On a live panel [t_i, t_{i+1}] z is the cubic c . phi with c = (z_i, z'_i,
     z_{i+1}, z'_{i+1}), so the K7 value of int_{t_i}^x drift z is M(x) . c,
     where M(x) holds the K7 moments of the drift against the four Hermite
-    basis functions phi; the G3 moments ride along for the error estimate.
+    basis functions phi; the L4 moments ride along for the error estimate.
     Below t0, z is psi and W is read once from the tables.  ``panel`` pins
     the panel of each point (a full panel ends on the next one's start).
     """
@@ -367,7 +342,7 @@ class _Window:
 
         # moments over [t_i, x] against the basis of the panel [t_i, t_{i+1}],
         # a chunk of points at a time to keep the temporaries small
-        mesh, k7, g3 = tab.mesh, [np.empty((0, 4))], [np.empty((0, 4))]
+        mesh, k7, l4 = tab.mesh, [np.empty((0, 4))], [np.empty((0, 4))]
         for lo in range(0, len(self.x), _CHUNK):
             panel, x = self.panel[lo : lo + _CHUNK], self.x[lo : lo + _CHUNK]
             left = mesh[panel]
@@ -376,14 +351,14 @@ class _Window:
             h = (mesh[panel + 1] - left)[:, None]
             basis = hermite_weights((u - left[:, None]) / h, h, False)
             k7.append(np.stack([(drift * phi) @ _K7_W for phi in basis], axis=1) * half[:, None])
-            g3.append(np.stack([(drift * phi) @ _G3_W for phi in basis], axis=1) * half[:, None])
-        self.k7, self.g3 = np.concatenate(k7), np.concatenate(g3)
+            l4.append(np.stack([(drift * phi) @ _L4_W for phi in basis], axis=1) * half[:, None])
+        self.k7, self.l4 = np.concatenate(k7), np.concatenate(l4)
 
     def partial(self, coef: np.ndarray) -> np.ndarray:
         """int_{t_i}^x drift z from the start t_i of each live point's panel."""
         c = coef[self.panel]
         value = (self.k7 * c).sum(1)
-        error = np.abs(value - (self.g3 * c).sum(1))
+        error = np.abs(value - (self.l4 * c).sum(1))
         for k in np.flatnonzero(~(error <= _QUAD_TOL)):  # NaN too: the fallback raises
             value[k] = self._fallback(c[k], self.panel[k], self.x[k])
         return value
@@ -484,7 +459,7 @@ class _BRows:
 class _Panels:
     """Damped integrals int_left^right exp(G(s) - G(right)) f(s) ds on panels.
 
-    Each panel's Kronrod nodes carry the K7 and G3 weights times the damping
+    Each panel's pair nodes carry the K7 and L4 weights times the damping
     factor, and the A (and, with psi, B) rows; ``decay`` is exp(G(left) -
     G(right)), which carries an integral that ends at left over to right.
     With psi the B point terms at the right ends are tabulated too.
@@ -498,7 +473,7 @@ class _Panels:
         damping = np.exp(_map(G, s.ravel()).reshape(s.shape) - self.G_right[:, None])
         damping *= half[:, None]
         self.k7 = damping * _K7_W
-        self.g3 = damping * _G3_W
+        self.l4 = damping * _L4_W
         self.decay = np.exp(_map(G, left) - self.G_right)
         self.a = _ARows(tab, s.ravel()) if tab.with_a else None
         self.b = self.ends = None
@@ -509,11 +484,11 @@ class _Panels:
             self.head = tab.head * np.exp(-self.G_right)
 
     def _integrate(self, rows, st: _State) -> np.ndarray:
-        """Each panel's K7 sum; a panel whose |K7 - G3| exceeds the tolerance
+        """Each panel's K7 sum; a panel whose |K7 - L4| exceeds the tolerance
         is re-integrated by adaptive Simpson on the scalar integrand."""
         f = rows.integrand(st).reshape(self.k7.shape)
         out = (self.k7 * f).sum(1)
-        error = np.abs(out - (self.g3 * f).sum(1))
+        error = np.abs(out - (self.l4 * f).sum(1))
         for j in np.flatnonzero(~(error <= _QUAD_TOL)):  # NaN too: the fallback raises
             def sample(x, g_right=self.G_right[j]):
                 row, g_x = self._row(rows, x)
@@ -684,6 +659,8 @@ def picard_solve(
     ``cap_exceeded``.  The candidate-independent tables are built once and
     read by every iteration.
     """
+    if not T > problem.t0:  # before the precheck, which is costly
+        raise ValidationError(f"horizon {float(T)!r} lies at or below t0 = {problem.t0!r}")
     if precheck:
         est = alpha_estimate(problem, aux, tmax=max(T, problem.t0 + 1.0), grid=512)
         if est.alpha >= 1.0:

@@ -4,14 +4,20 @@ Everything here works on plain ``float -> float`` callables (compiled
 expressions or hand-written functions).  The recurring shapes are
 
 * running integrals from a fixed start (CumulativeExponent), tabulated at
-  checkpoints that a Gauss 3 / Kronrod 7 pair places (unit panels, halved
-  down to 1/16 where the pair's error estimate exceeds the tolerance); a
-  query adds one Kronrod panel from the last checkpoint, with adaptive
-  Simpson as the fallback, so exponential damping weights over long
-  horizons cost a lookup and 7 samples, not an adaptive integration;
-* exponentially weighted integrals  int_a^t exp(G(s) - G(t)) f(s) ds, both
-  one-shot and swept incrementally along a grid (WeightedSweep);
+  checkpoints that a Lobatto 4 / Kronrod 7 pair places (unit panels,
+  halved down to 1/1024 where the pair's error estimate exceeds the
+  tolerance); a query adds one Kronrod panel from the last checkpoint, with
+  adaptive Simpson as the fallback, so exponential damping weights over
+  long horizons cost a lookup and 7 samples, not an adaptive integration;
+* exponentially weighted integrals  int_a^t exp(G(s) - G(t)) f(s) ds,
+  one-shot (weighted_integral) and, for several integrands at once, swept
+  along a grid on the same pair's fixed nodes (WeightedSweep);
 * supremum scans over long windows with local refinement (sup_scan).
+
+The pair (Gander & Gautschi's Lobatto 4 / Kronrod 7) and its fixed-node
+helpers are shared with the operator's tables, so the package has one
+fixed-node rule; every use of it checks |K7 - L4| and falls back to
+adaptive Simpson.
 """
 
 from __future__ import annotations
@@ -134,36 +140,80 @@ def window_integral(
     return -adaptive_simpson(f, t2, t1, tol)
 
 
-# Gauss 3 / Kronrod 7 pair on [-1, 1]: Kronrod nodes +-_GK_X and 0; the
-# Gauss nodes are +-_GK_X[1] and 0.  The Kronrod rule is exact for degree 11,
-# the Gauss rule for degree 5, and |K7 - G3| bounds the error of G3 (so, very
-# pessimistically, of K7), as in QUADPACK's qk rules.
-_GK_X = (0.9604912687080203, 0.7745966692414834, 0.43424374934680254)
-_GK_WK = (0.10465622602646726, 0.26848808986833345, 0.40139741477596225, 0.45091653865847414)
-_GK_WG = (5.0 / 9.0, 8.0 / 9.0)
+# The Gauss-Lobatto 4 / Kronrod 7 pair on [-1, 1] (Gander & Gautschi,
+# "Adaptive quadrature -- revisited", BIT 40, 2000), nodes left to right: the
+# Lobatto rule samples +-1 and +-1/sqrt(5), its Kronrod extension adds
+# +-sqrt(2/3) and 0.  K7 is exact for degree 9, L4 for degree 5, and |K7 - L4|
+# estimates the error of L4 (so, pessimistically, of K7).  Both rules sample
+# the panel ends, so a kink close to an end cannot hide between the nodes,
+# and panels that share an end share its sample.
+_LK_X = np.array(
+    [-1.0, -math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(5.0), 0.0,
+     1.0 / math.sqrt(5.0), math.sqrt(2.0 / 3.0), 1.0]
+)
+_K7_W = np.array([77.0, 432.0, 625.0, 672.0, 625.0, 432.0, 77.0]) / 1470.0
+_L4_W = np.array([1.0, 0.0, 5.0, 0.0, 5.0, 0.0, 1.0]) / 6.0
+_LK_XS = _LK_X.tolist()
+_K7_WS = _K7_W.tolist()
+_L4_WS = _L4_W.tolist()
 
-# CumulativeExponent halves a table panel whose Kronrod estimate fails only
-# while it is longer than this; shorter ones go to adaptive Simpson.
-_FINEST_PANEL = 1.0 / 16.0
+# CumulativeExponent halves a table panel whose estimate fails only while it
+# is longer than this; shorter ones go to adaptive Simpson.
+_FINEST_PANEL = 1.0 / 1024.0
+
+# WeightedSweep halves a panel whose estimate fails at most this many times
+# (down to 1/1024 of it) before adaptive Simpson takes over.
+_HALVINGS = 10
 
 
-def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """K7 value of int_a^b f and its embedded error estimate |K7 - G3|.
+def _lobatto_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """K7 value of int_a^b f and its embedded error estimate |K7 - L4|.
 
     Samples are not checked one by one: a non-finite sample makes the
     error estimate non-finite, which callers treat as a failed estimate.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    x1, x2, x3 = _GK_X
+    x1 = h * _LK_XS[5]  # sqrt(2/3) half-widths
+    x2 = h * _LK_XS[4]  # 1/sqrt(5) half-widths
+    ends = f(a) + f(b)
+    f1 = f(c - x1) + f(c + x1)
+    f2 = f(c - x2) + f(c + x2)
     f0 = f(c)
-    f1 = f(c - h * x1) + f(c + h * x1)
-    f2 = f(c - h * x2) + f(c + h * x2)
-    f3 = f(c - h * x3) + f(c + h * x3)
-    w1, w2, w3, w0 = _GK_WK
-    kronrod = h * (w1 * f1 + w2 * f2 + w3 * f3 + w0 * f0)
-    gauss = h * (_GK_WG[0] * f2 + _GK_WG[1] * f0)
-    return kronrod, abs(kronrod - gauss)
+    we, w1, w2, w0 = _K7_WS[:4]
+    kronrod = h * (we * ends + w1 * f1 + w2 * f2 + w0 * f0)
+    lobatto = h * (ends + 5.0 * f2) / 6.0
+    return kronrod, abs(kronrod - lobatto)
+
+
+def _kronrod_nodes(left: np.ndarray, right: np.ndarray):
+    """The (n, 7) pair nodes on the panels [left, right], and half-widths.
+
+    Column 0 is ``left`` and column 6 is ``right``, exactly.
+    """
+    half = 0.5 * (right - left)
+    nodes = (0.5 * (left + right))[:, None] + half[:, None] * _LK_X
+    nodes[:, 0] = left
+    nodes[:, -1] = right
+    return nodes, half
+
+
+def _map(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
+    """fn applied point by point to equally long arrays of arguments."""
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
+def _advance(decay: np.ndarray, panels: np.ndarray) -> np.ndarray:
+    """I_j = decay_j I_{j-1} + panel_j from I_{-1} = 0, one panel at a time.
+
+    A cumulative sum of exp(G) terms instead would overflow on long horizons.
+    """
+    out = np.empty(len(panels))
+    total = 0.0
+    for j, (d, p) in enumerate(zip(decay.tolist(), panels.tolist())):
+        total = d * total + p
+        out[j] = total
+    return out
 
 
 class CumulativeExponent:
@@ -171,9 +221,9 @@ class CumulativeExponent:
 
     The table covers [start, t] for the largest t queried so far, one
     ``checkpoint``-long panel at a time.  A panel is integrated by the
-    7-point Gauss-Kronrod rule when the embedded error estimate |K7 - G3|
+    Lobatto 4 / Kronrod 7 pair when the embedded error estimate |K7 - L4|
     is at most ``tol_per_unit``; otherwise it is halved, down to panels of
-    at most 1/16 (a ``checkpoint`` at or below 1/16 is not split), where
+    at most 1/1024 (a ``checkpoint`` at or below 1/1024 is not split), where
     ``adaptive_simpson`` at that tolerance takes over (kinks, steep layers,
     non-finite samples).  Every accepted panel end becomes a checkpoint, so
     the table is finest where f is least smooth.  A query finds its
@@ -223,7 +273,7 @@ class CumulativeExponent:
                 total = values[-1]
                 while pending:  # left to right, halving where the pair fails
                     a, b = pending.pop()
-                    value, error = _gauss_kronrod(self.f, a, b)
+                    value, error = _lobatto_kronrod(self.f, a, b)
                     if not error <= self.tol_per_unit:
                         if b - a > _FINEST_PANEL:
                             m = 0.5 * (a + b)
@@ -254,7 +304,7 @@ class CumulativeExponent:
         base = nodes[i]
         if t == base:
             return self._values[i]
-        value, error = _gauss_kronrod(self.f, base, t)
+        value, error = _lobatto_kronrod(self.f, base, t)
         if not error <= self.tol_per_unit:  # NaN too: the fallback raises
             value = adaptive_simpson(self.f, base, t, self.tol_per_unit)
         return self._values[i] + value
@@ -284,56 +334,120 @@ def weighted_integral(
 
 
 class WeightedSweep:
-    """Exp-weighted running integral advanced panel-by-panel along a grid.
+    """Exp-weighted running integrals of several integrands along one grid.
 
-    Uses I(t2) = exp(G(t1) - G(t2)) I(t1) + int_{t1}^{t2} exp(G(s) - G(t2)) f,
-    so a length-N grid costs N panel integrations instead of N full ones.
-    ``at(t)`` evaluates between grid points from the nearest left node.
+    For every integrand f_k, ``values[k][i]`` is int_{grid[0]}^{grid[i]}
+    exp(G(s) - G(grid[i])) f_k(s) ds, advanced panel by panel through
+    I(t2) = exp(G(t1) - G(t2)) I(t1) + int_{t1}^{t2} exp(G(s) - G(t2)) f.
+    Each grid panel carries the 7 nodes of the Lobatto 4 / Kronrod 7 pair:
+    G and the damping weights are read there once and shared by every
+    integrand, and a grid node's G and samples serve both panels that end
+    on it.  An integrand's panel sum is K7 when |K7 - L4| is within its
+    tolerance; otherwise the panel is halved (the tolerance split by
+    width), at most ``_HALVINGS`` times, and adaptive Simpson integrates
+    what still fails.  ``at(t)`` evaluates between grid points by the same
+    rule on [grid[i], t].  ``counts[k]`` holds, per integrand, the panels
+    (grid panels and ``at`` intervals) accepted whole, the panels halved,
+    and the sub-panels handed to adaptive Simpson.
     """
 
     def __init__(
         self,
-        f: Callable[[float], float],
+        integrands: Sequence[Callable[[float], float]],
         gexp: CumulativeExponent,
         grid: Sequence[float],
-        tol: float = 1e-11,
+        tols: Sequence[float] | float = 1e-11,
     ):
-        self.f = f
+        self.fs = list(integrands)
         self.gexp = gexp
         self.grid = np.asarray(grid, dtype=float)
-        if self.grid.ndim != 1 or len(self.grid) < 1:
-            raise ValueError("grid must be a non-empty 1-d sequence")
-        self.tol = float(tol)
-        self._G = [gexp.cumulative(t) for t in self.grid]
-        vals = np.empty(len(self.grid))
-        vals[0] = 0.0
-        for i in range(1, len(self.grid)):
-            gi = self._G[i]
-            panel = adaptive_simpson(
-                lambda s: math.exp(self.gexp.cumulative(s) - gi) * self.f(s),
-                self.grid[i - 1],
-                self.grid[i],
-                self.tol,
-            )
-            vals[i] = math.exp(self._G[i - 1] - gi) * vals[i - 1] + panel
-        self.values = vals
+        if self.grid.ndim != 1 or len(self.grid) < 1 or not self.fs:
+            raise ValueError("need a non-empty 1-d grid and at least one integrand")
+        n = len(self.fs)
+        self.tols = [float(tols)] * n if np.ndim(tols) == 0 else [float(t) for t in tols]
+        if len(self.tols) != n:
+            raise ValueError("need one tolerance per integrand")
+        self.counts = np.zeros((n, 3), dtype=int)
+        self._G = _map(gexp.cumulative, self.grid)
+        self._f_grid = [_map(f, self.grid) for f in self.fs]
+        terms = list(range(n))
+        panels = np.array(
+            [
+                self._panel(i - 1, float(self.grid[i]), float(self._G[i]), terms, i)
+                for i in range(1, len(self.grid))
+            ]
+        ).reshape(-1, n)
+        decay = np.exp(self._G[:-1] - self._G[1:])
+        self.values = np.zeros((n, len(self.grid)))
+        for k in terms:
+            self.values[k, 1:] = _advance(decay, panels[:, k])
 
-    def at(self, t: float) -> float:
+    def _panel(
+        self, i: int, b: float, g_end: float, terms: list[int], j: int | None = None
+    ) -> list[float]:
+        """int_{grid[i]}^b exp(G(s) - g_end) f_k(s) ds for each k in ``terms``,
+        with g_end = G(b) and, when b is a grid node, j its index.
+
+        The pair runs on the interval and, for the integrands whose estimate
+        fails, on halves of it, down to 1/2**_HALVINGS of its width;
+        adaptive Simpson takes what still fails there.  G and the samples at
+        grid nodes are read from the tables, every other one once.
+        """
+        cumulative, fs, counts = self.gexp.cumulative, self.fs, self.counts
+        a = float(self.grid[i])
+        G = {a: float(self._G[i]), b: g_end}
+        F = {(k, a): float(self._f_grid[k][i]) for k in terms}
+        if j is not None:
+            F.update(((k, b), float(self._f_grid[k][j])) for k in terms)
+        total = dict.fromkeys(terms, 0.0)
+        stack = [(a, b, [(k, self.tols[k]) for k in terms], 0)]
+        while stack:
+            a, b, pending, depth = stack.pop()
+            c, h = 0.5 * (a + b), 0.5 * (b - a)
+            xs = [a, *(c + h * x for x in _LK_XS[1:-1]), b]
+            for x in xs:
+                if x not in G:
+                    G[x] = cumulative(x)
+            damp = [h * math.exp(G[x] - g_end) for x in xs]
+            rejected = []
+            for k, tol in pending:
+                f = fs[k]
+                wf = []
+                for w, x in zip(damp, xs):
+                    v = F.get((k, x))
+                    if v is None:
+                        v = F[k, x] = f(x)
+                    wf.append(w * v)
+                kronrod = sum(w * v for w, v in zip(_K7_WS, wf))
+                error = abs(kronrod - sum(w * v for w, v in zip(_L4_WS, wf)))
+                if depth == 0:
+                    counts[k, 0 if error <= tol else 1] += 1
+                if error <= tol:
+                    total[k] += kronrod
+                elif depth < _HALVINGS:
+                    rejected.append((k, 0.5 * tol))
+                else:  # NaN too: the fallback raises
+                    counts[k, 2] += 1
+                    total[k] += adaptive_simpson(
+                        lambda s, f=f: math.exp(cumulative(s) - g_end) * f(s), a, b, tol
+                    )
+            if rejected:
+                stack.append((c, b, rejected, depth + 1))
+                stack.append((a, c, rejected, depth + 1))
+        return [total[k] for k in terms]
+
+    def at(self, t: float, k: int | None = None):
+        """Integrand k's running integral at t, or all of them as an array."""
         if t < self.grid[0] - 1e-9 or t > self.grid[-1] + 1e-9:
             raise ValueError(f"t={t!r} outside the sweep grid")
         i = int(np.searchsorted(self.grid, t, side="right")) - 1
         i = max(0, min(i, len(self.grid) - 1))
-        ti = self.grid[i]
-        if t <= ti:
-            return float(self.values[i])
-        gt = self.gexp.cumulative(t)
-        panel = adaptive_simpson(
-            lambda s: math.exp(self.gexp.cumulative(s) - gt) * self.f(s),
-            ti,
-            t,
-            self.tol,
-        )
-        return math.exp(self._G[i] - gt) * float(self.values[i]) + panel
+        terms = list(range(len(self.fs))) if k is None else [k]
+        out = self.values[terms, i]
+        if t > self.grid[i]:
+            gt = self.gexp.cumulative(t)
+            out = math.exp(self._G[i] - gt) * out + self._panel(i, float(t), gt, terms)
+        return out if k is None else float(out[0])
 
 
 @dataclass(frozen=True)

@@ -240,3 +240,41 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "check" in out and "simulate" in out and "picard" in out and "example" in out
+
+
+def test_picard_rejects_horizon_before_the_precheck(cheap_cfg, capsys, monkeypatch):
+    import ndde.operator
+
+    def precheck(*args, **kwargs):
+        raise AssertionError("the precheck ran before T was validated")
+
+    monkeypatch.setattr(ndde.operator, "alpha_estimate", precheck)
+    assert main(["picard", str(cheap_cfg), "--T", "-1"]) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and "-1.0" in lines[0] and "below t0" in lines[0]
+    assert "Traceback" not in err
+
+
+def test_check_short_tmax_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "short.cfg"
+    path.write_text(_cheap(tmax="0.5"))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1
+    assert "tmax = 0.5" in lines[0] and "t0 + 1 = 1.0" in lines[0]
+    assert "Traceback" not in err
+
+
+def test_domain_error_names_expression_and_t(tmp_path, capsys):
+    text = _cheap(tmax="50", grid="64")
+    start = text.index('c = "')
+    path = tmp_path / "ln.cfg"
+    path.write_text(text[:start] + 'c = "ln(t - 5)"' + text[text.index("\n", start) :])
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1
+    assert "ln(t - 5): math domain error at t=" in lines[0]
+    assert "Traceback" not in err

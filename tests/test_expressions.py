@@ -214,6 +214,21 @@ def test_operator_building_matches_parsing():
     assert parse_expression(str(built)).root == built.root
 
 
+def test_domain_errors_name_expression_and_arguments():
+    with pytest.raises(DomainError, match=r"^ln\(t - 5\): math domain error at t=0\.0$"):
+        parse_expression("ln(t - 5)")(0.0)
+    with pytest.raises(DomainError, match=r"^1 / t: .*division by zero at t=0\.0$"):
+        parse_expression("1/t").compiled()(0.0)
+    with pytest.raises(DomainError, match=r"^exp\(t\): .* at t=1000000000\.0$"):
+        parse_expression("exp(t)")(1e9)
+    with pytest.raises(DomainError, match=r"^x / y: .* at x=1\.5, y=0\.0$"):
+        parse_expression("x/y", variables=("x", "y"))(1.5, 0.0)
+    with pytest.raises(DomainError, match=r"^t\^0\.5: negative base .* at t=-4\.0$"):
+        parse_expression("t^0.5")(-4.0)
+    # the happy path is unchanged
+    assert parse_expression("ln(t - 5)")(6.0) == 0.0
+
+
 def test_simplify_folds_trivialities():
     e = parse_expression("0*t + 1*t + t^1 + 0")
     assert str(e.simplified()) == "t + t"

@@ -180,6 +180,17 @@ def test_cumulative_fallback_on_kinked_partial_panel():
         assert calls[0] == 7
 
 
+def test_cumulative_sees_kinks_near_panel_ends():
+    # |t - c| with c in the first or last 1% of the unit panel [3, 4]: the
+    # pair samples the panel ends, so the kink cannot hide beyond the
+    # outermost interior node, in the table or in a partial panel
+    for c in (3.004, 3.01, 3.99, 3.996):
+        gexp = CumulativeExponent(lambda t, c=c: abs(t - c), 0.0)
+        for t in (5.0, 4.0, 3.5, 0.5 * (c + 4.0), 0.5 * (c + 3.0), 3.999):
+            exact = 0.5 * (c * c + (t - c) * abs(t - c))
+            assert abs(gexp.cumulative(t) - exact) <= 1e-11
+
+
 def test_cumulative_query_at_checkpoint_returns_table_entry():
     rng = random.Random(37)
     for checkpoint in (1.0, 0.3, 0.05):
@@ -253,13 +264,44 @@ def test_weighted_sweep_matches_direct():
     f = lambda t: math.sin(1.7 * t) + 0.4
     gexp = CumulativeExponent(g, 0.0)
     grid = np.linspace(0.0, 10.0, 41)
-    sweep = WeightedSweep(f, gexp, grid)
+    sweep = WeightedSweep([f], gexp, grid)
     for i in (1, 7, 23, 40):
         direct = weighted_integral(f, gexp, float(grid[i]), tol=1e-12)
-        assert sweep.values[i] == pytest.approx(direct, abs=1e-9)
+        assert sweep.values[0][i] == pytest.approx(direct, abs=1e-9)
     for _ in range(10):
         t = rng.uniform(0.0, 10.0)
-        assert sweep.at(t) == pytest.approx(weighted_integral(f, gexp, t, tol=1e-12), abs=1e-9)
+        assert sweep.at(t, 0) == pytest.approx(weighted_integral(f, gexp, t, tol=1e-12), abs=1e-9)
+
+
+def test_weighted_sweep_matches_one_shot_reference_on_kinks_and_layers():
+    # abs kinks (one in the last 2% of the grid panel [4.75, 5]) and a steep
+    # layer, all swept together; each term at each grid node and at points
+    # between nodes must match a one-shot adaptive weighted integral
+    g = lambda t: 0.3 + 0.2 * math.cos(t)
+    fs = [
+        lambda t: abs(t - 4.997),
+        lambda t: abs(math.sin(1.3 * t) - 0.2),
+        lambda t: 1.0 / (1.0 + ((t - 7.31) / 0.01) ** 2),
+    ]
+    gexp = CumulativeExponent(g, 0.0)
+    grid = np.linspace(0.0, 8.0, 33)
+    sweep = WeightedSweep(fs, gexp, grid, [1e-12, 1e-12, 5e-12])
+    accepted, halved, simpson = sweep.counts.T
+    assert halved[2] > 0  # the layer was resolved by halving...
+    assert simpson[0] > 0 and simpson[1] > 0  # the kinks reached adaptive Simpson
+    assert accepted[2] > 0  # and away from it took whole panels
+
+    def reference(f, t):
+        return weighted_integral(f, gexp, t, tol=1e-12)
+
+    for k, f in enumerate(fs):
+        for i, t in enumerate(grid.tolist()):
+            assert abs(sweep.values[k][i] - reference(f, t)) < 1e-10, (k, t)
+    for t in (4.9, 4.996, 4.9985, 7.305, 7.4, 7.9):
+        got = sweep.at(t)
+        for k, f in enumerate(fs):
+            assert abs(got[k] - reference(f, t)) < 1e-10, (k, t)
+            assert sweep.at(t, k) == got[k]
 
 
 def test_window_integral_antisymmetry_exact():
