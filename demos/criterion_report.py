@@ -6,7 +6,7 @@ Evaluating the boundedness criterion on the built-in benchmark
 
 import json
 
-from ndde import delta_bounds, evaluate_criteria
+from ndde import bind, delta_bounds, evaluate_criteria
 from ndde.config import loads
 from ndde.presets import preset_text
 
@@ -31,9 +31,11 @@ print("wrote criterion_report.json")
 print()
 
 # The history-size bounds can also be recomputed directly from alpha and K
-# at any target amplitude.
+# at any target amplitude; they price the history at t0, so a binding one
+# unit past t0 is enough.
+bound = bind(cfg.problem, cfg.aux, cfg.problem.t0 + 1.0)
 for eps in (0.1, 0.01):
-    bounds = delta_bounds(report.alpha, report.K, eps, cfg.aux, cfg.problem)
+    bounds = delta_bounds(report.alpha, report.K, eps, bound)
     print(f"eps = {eps}: delta_existence = {bounds.existence:.3e}  delta_uniform = {bounds.uniform:.3e}")
 print()
 

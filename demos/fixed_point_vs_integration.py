@@ -25,7 +25,7 @@ T = 20.0
 result = picard_solve(cfg.problem, cfg.aux, cfg.history, T=T, tol=1e-8)
 print("iterations =", result.iterations, " converged =", result.converged)
 print("successive-sweep ratios:", [round(r, 4) for r in result.ratios[:6]], "...")
-res = residual(result.z, cfg.problem, cfg.aux, cfg.history)
+res = residual(result)
 print("operator residual sup =", res)
 x_fixed = reconstruct_x(result.z, cfg.aux)
 

@@ -17,9 +17,7 @@ Four subcommands over one config-file format:
 All failures (unreadable config, parse errors, numerical blowups) exit 1
 with a one-line message on stderr; usage errors also exit 1.  Summaries are
 flat ``key = value`` lines so they diff cleanly; CSV bodies contain no
-timestamps and are byte-identical across runs.  The NDDE_THREADS environment
-variable sets the worker count that spreads the coarse grid of a supremum
-scan (default 1).
+timestamps and are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ndde",
         description="Stability checks and solvers for neutral delay equations.",
-        epilog="Set NDDE_THREADS to spread the coarse grid of supremum scans over threads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -139,7 +136,7 @@ def run_picard(config_path, T=None, tol=None, csv_path=None, out=None) -> int:
     T = cfg.T if T is None else T
     tol = cfg.tol if tol is None else tol
     result = picard_solve(cfg.problem, cfg.aux, cfg.history, T=T, tol=tol)
-    defect = residual(result.z, cfg.problem, cfg.aux, cfg.history)
+    defect = residual(result)
     solution = reconstruct_x(result.z, cfg.aux)
     lines = [
         "command = picard",

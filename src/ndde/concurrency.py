@@ -1,30 +1,7 @@
-"""Thread-pool helpers honoring the NDDE_THREADS cap (default: sequential)."""
+"""Worker count of the program, which runs on one thread."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
 
 def thread_count() -> int:
-    raw = os.environ.get("NDDE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    seq: Sequence[T] = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(seq) < 2:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=min(workers, len(seq))) as pool:
-        return list(pool.map(fn, seq))
+    return 1

@@ -32,6 +32,11 @@ Lobatto 4 / Kronrod 7 nodes of the grid panels, which reads G and the
 damping weights once per node for every term; the sup scans query it
 between grid nodes.  Pointwise evaluation (:class:`TermEvaluator`)
 integrates each term in one shot by adaptive Simpson.
+
+A request is bound once: :func:`evaluate_criteria` hands its one
+:class:`~ndde.model.BoundProblem` to the sweep and to every companion
+constant (``window_lipschitz``, ``K_estimate``, ``asymptotic_check``,
+``delta_bounds``), which read t0, tmax and the cumulative tables from it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import QuadratureError, ValidationError
 from .expressions import Expression
 from .model import (
     AuxiliarySpec,
@@ -352,20 +357,18 @@ class LipschitzEstimate:
 
 
 def window_lipschitz(
-    problem: ProblemSpec,
-    aux: AuxiliarySpec,
-    kind: str,
-    tmax: float = 10_000.0,
-    centers: int = 128,
+    bound: BoundProblem, kind: str, centers: int = 128
 ) -> LipschitzEstimate:
     """Empirical unit-window constant for the coupling or damping integrand.
 
     kind "c-term": integrand |c(u) p^gamma(tau2(u)) / p(u)| (the coupling
-    window bound); kind "g": integrand g (the damping window bound).
+    window bound); kind "g": integrand g (the damping window bound).  The
+    windows cover [t0, tmax] of the binding.
     """
-    if not tmax > problem.t0 + 1.0:
+    b = bound
+    t0, tmax = b.t0, b.tmax
+    if not tmax > t0 + 1.0:
         raise ValidationError("window_lipschitz needs tmax > t0 + 1")
-    b = bind(problem, aux, tmax)
     if kind == "c-term":
 
         def f(u: float) -> float:
@@ -376,14 +379,19 @@ def window_lipschitz(
     else:
         raise ValidationError(f"unknown window kind {kind!r}; use 'c-term' or 'g'")
 
-    pointwise = sup_scan(lambda u: abs(f(u)), b.t0, tmax, n=1024).sup
     widths = (1.0, 0.5, 0.25, 0.1, 0.02)
     best = 0.0
-    for t1 in np.linspace(b.t0, tmax - 1.0, centers):
-        for w in widths:
-            ratio = abs(window_integral(f, float(t1), float(t1) + w)) / w
-            if ratio > best:
-                best = ratio
+    try:
+        pointwise = sup_scan(lambda u: abs(f(u)), t0, tmax, n=1024).sup
+        for t1 in np.linspace(t0, tmax - 1.0, centers):
+            for w in widths:
+                ratio = abs(window_integral(f, float(t1), float(t1) + w)) / w
+                if ratio > best:
+                    best = ratio
+    except QuadratureError as err:
+        raise QuadratureError(
+            f"window_lipschitz {kind!r} on the horizon [{t0!r}, {tmax!r}]: {err}"
+        ) from err
     return LipschitzEstimate(kind=kind, windowed=best, pointwise=pointwise)
 
 
@@ -410,12 +418,15 @@ def K_estimate(
     Evaluated as exp of the largest prefix drop of the cumulative exponent
     on a grid of n+1 points.  Nonnegative rates give exactly 1 (attained
     on the diagonal); sign-changing rates are supported for robustness.
-    ``source`` may be an auxiliary pair, a rate expression, or a plain
-    callable.
+    ``source`` may be a binding, an auxiliary pair, a rate expression, or
+    a plain callable; a binding brings its own cumulative table of g, which
+    fixes t0, ``checkpoint`` and ``tol``.
     """
-    g = _as_rate_callable(source)
-    gexp = CumulativeExponent(g, t0, checkpoint, tol)
-    ts = np.linspace(t0, tmax, n + 1)
+    if isinstance(source, BoundProblem):
+        gexp = source.gexp
+    else:
+        gexp = CumulativeExponent(_as_rate_callable(source), t0, checkpoint, tol)
+    ts = np.linspace(gexp.start, tmax, n + 1)
     G = np.asarray([gexp.cumulative(float(t)) for t in ts])
     drop = float((np.maximum.accumulate(G) - G).max())
     if drop < 1e-12:
@@ -442,25 +453,30 @@ class AsymptoticCheck:
     g_divergent: bool
 
 
-def asymptotic_check(
-    problem: ProblemSpec,
-    aux: AuxiliarySpec,
-    tmax: float = 10_000.0,
-    tol: float = 1e-9,
-) -> AsymptoticCheck:
-    b = bind(problem, aux, tmax)
+def asymptotic_check(bound: BoundProblem, tol: float = 1e-9) -> AsymptoticCheck:
+    """Decay diagnostics over [t0, tmax] of the binding."""
+    b = bound
+    t0, tmax = b.t0, b.tmax
 
     def f(s: float) -> float:
         return abs(b.c(s) / b.p_raw(s)) * b.p_of(b.tau2(s)) ** b.gamma
 
-    a_end = weighted_integral(f, b.gexp, tmax, tol=tol)
-    a_prev = weighted_integral(f, b.gexp, b.t0 + 0.9 * (tmax - b.t0), tol=tol)
-    a_slope = (a_end - a_prev) / (0.1 * (tmax - b.t0))
+    def damped(t: float, quantity: str) -> float:
+        try:
+            return weighted_integral(f, b.gexp, t, tol=tol)
+        except QuadratureError as err:
+            raise QuadratureError(
+                f"asymptotic.{quantity} on the horizon [{t0!r}, {tmax!r}]: {err}"
+            ) from err
+
+    a_end = damped(tmax, "a_tail")
+    a_prev = damped(t0 + 0.9 * (tmax - t0), "a_slope")
+    a_slope = (a_end - a_prev) / (0.1 * (tmax - t0))
 
     g_end = b.gexp.cumulative(tmax)
-    span = tmax - b.t0
-    g_decade = b.gexp.cumulative(b.t0 + span / 10.0)
-    g_two = b.gexp.cumulative(b.t0 + span / 100.0)
+    span = tmax - t0
+    g_decade = b.gexp.cumulative(t0 + span / 10.0)
+    g_two = b.gexp.cumulative(t0 + span / 100.0)
     inc_last = g_end - g_decade
     inc_prev = g_decade - g_two
     return AsymptoticCheck(
@@ -488,13 +504,7 @@ class DeltaBounds:
     prefactor: float
 
 
-def delta_bounds(
-    alpha: float,
-    K: float,
-    eps: float,
-    aux: AuxiliarySpec,
-    problem: ProblemSpec,
-) -> DeltaBounds:
+def delta_bounds(alpha: float, K: float, eps: float, bound: BoundProblem) -> DeltaBounds:
     if not alpha < 1.0:
         raise ValidationError(f"delta bounds need alpha < 1, got {alpha!r}")
     if alpha < 0.0:
@@ -503,9 +513,8 @@ def delta_bounds(
         raise ValidationError("K >= 1 required (the diagonal already gives 1)")
     if not eps > 0.0:
         raise ValidationError("eps must be positive")
-    b = bind(problem, aux, tmax=problem.t0 + 1.0)
-    window = b.drift_window(b.t0)
-    head = b.q_bound(b.t0)
+    window = bound.drift_window(bound.t0)
+    head = bound.q_bound(bound.t0)
     prefactor = 1.0 + window + abs(head)
     existence = (1.0 - alpha) / prefactor
     uniform = min(eps, (1.0 - alpha) * eps / (2.0 * K)) * (1.0 - 1e-9)
@@ -764,18 +773,13 @@ def evaluate_criteria(
         )
     bound = bind(problem, aux, tmax)
     est = _alpha_from_bound(bound, tmax, grid)
-    lip_c = window_lipschitz(problem, aux, "c-term", tmax)
-    lip_g = window_lipschitz(problem, aux, "g", tmax)
-
-    ts = np.linspace(bound.t0, tmax, 1025)
-    G = np.asarray([bound.gexp.cumulative(float(t)) for t in ts])
-    drop = float((np.maximum.accumulate(G) - G).max())
-    K = 1.0 if drop < 1e-12 else math.exp(drop)
-
-    asym = asymptotic_check(problem, aux, tmax)
+    lip_c = window_lipschitz(bound, "c-term")
+    lip_g = window_lipschitz(bound, "g")
+    K = K_estimate(bound, tmax)
+    asym = asymptotic_check(bound)
 
     if est.alpha < 1.0:
-        deltas = delta_bounds(est.alpha, K, eps, aux, problem)
+        deltas = delta_bounds(est.alpha, K, eps, bound)
         d_exist, d_unif, d_pref = deltas.existence, deltas.uniform, deltas.prefactor
     else:
         d_exist = d_unif = d_pref = None

@@ -17,7 +17,9 @@ p is specified for t >= t0 only and extended by the constant 1 to the left of
 t0 (a warning is issued when p(t0) != 1, and every consumer then uses the
 extended values at delayed arguments).  ``bind`` compiles a problem/auxiliary
 pair into fast closures with shared cumulative-integral caches; criteria,
-operator, and integrator all work off that binding.
+operator, and integrator all work off that binding.  A request binds once:
+a criterion check hands its binding to the sweep and to every companion
+constant, and a Picard run's residual reads the binding its iteration used.
 """
 
 from __future__ import annotations

@@ -29,11 +29,12 @@ z's four Hermite coefficients times the K7 (and L4) moments of the drift
 against the Hermite basis, tabulated per query point; below t0 it reads psi
 and is computed once.  Applying the tables to a candidate is a gather,
 scalar loops over G, Q and F, weighted sums, and the panel recurrence
-I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j; the residual's panel
-midpoints get rows on the half panels.  A panel or window query whose
-|K7 - L4| exceeds 1e-11 is re-integrated by adaptive Simpson on the scalar
-integrand (a panel's one-point rows are kept for the next iteration), and
-a non-finite sample raises.
+I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j.  The Picard result
+carries its tables, so the residual reads the iteration's binding and adds
+only the rows of the half panels that end at the panel midpoints.  A panel
+or window query whose |K7 - L4| exceeds 1e-11 is re-integrated by adaptive
+Simpson on the scalar integrand (a panel's one-point rows are kept for the
+next iteration), and a non-finite sample raises.
 
 Linear-neutral problems are re-encoded through :meth:`ProblemSpec.as_general`
 before iterating; the re-encoding preserves the dynamics exactly, so the
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -276,6 +278,7 @@ def _as_general(problem: ProblemSpec) -> ProblemSpec:
 def _bind_for_mesh(
     problem: ProblemSpec, aux: AuxiliarySpec, mesh: np.ndarray
 ) -> BoundProblem:
+    """The binding over a mesh: checkpoints at the live step, within [1e-4, 1]."""
     live = mesh[_split_index(mesh, problem.t0) :]
     cp = min(1.0, max(float(live[1] - live[0]), 1e-4))
     return bind(problem, aux, tmax=float(mesh[-1]), checkpoint=cp)
@@ -561,7 +564,7 @@ class _Tables:
                 f"mesh starts at {float(mesh[0])!r} but delayed arguments reach"
                 f" down to m = {b.m!r}"
             )
-        self.live = live = mesh[split:]
+        self.live = mesh[split:]
 
         if psi_fn is not None:
             drift = b.drift
@@ -570,9 +573,8 @@ class _Tables:
             head -= window_integral(lambda u: drift(u) * psi_fn(u), u0, t0, _QUAD_TOL)
             head -= b.Q_fn(t0, b.p_of(u0) * psi_fn(u0)) / b.p_raw(t0)
             self.head = float(head)
-            cp = min(1.0, max(float(live[1] - live[0]), 1e-4))
             self.history_window = CumulativeExponent(
-                lambda u: drift(u) * psi_fn(u), float(mesh[0]), cp, _QUAD_TOL
+                lambda u: drift(u) * psi_fn(u), float(mesh[0]), b.gexp.checkpoint, _QUAD_TOL
             )
             self.node_window = np.zeros(len(mesh))
             self.node_window[: split + 1] = _map(self.history_window.cumulative, mesh[: split + 1])
@@ -631,13 +633,16 @@ def apply_B(
     return GridFunction.from_values(z.mesh, values, breaks=(tables.split,))
 
 
-class PicardResult(NamedTuple):
+@dataclass(frozen=True)
+class PicardResult:
     z: GridFunction
     iterations: int
     ratios: tuple[float, ...]
     converged: bool
     cap_exceeded: bool
     final_step: float
+    # the candidate-independent tables the iteration read; residual reuses them
+    tables: _Tables = field(repr=False, compare=False)
 
 
 def picard_solve(
@@ -675,9 +680,6 @@ def picard_solve(
         step = min(0.05, (T - t0) / 200.0)
     m = min(horizon(prob, T).m, t0)
     mesh = make_mesh(m, t0, T, step)
-    bound = bind(
-        prob, aux, tmax=T, checkpoint=min(1.0, max(step, 1e-4))
-    )
     fn = _psi_fn(psi)
     split = _split_index(mesh, t0)
 
@@ -685,7 +687,7 @@ def picard_solve(
     values[:split] = _map(fn, mesh[:split])
     values[split:] = fn(t0)
     z = GridFunction.from_values(mesh, values, breaks=(split,))
-    tables = _Tables(bound, mesh, fn)
+    tables = _Tables(_bind_for_mesh(prob, aux, mesh), mesh, fn)
     nodes = tables.node_panels()
 
     ratios: list[float] = []
@@ -725,24 +727,20 @@ def picard_solve(
         converged=converged,
         cap_exceeded=cap,
         final_step=step_norm,
+        tables=tables,
     )
 
 
-def residual(
-    z: GridFunction,
-    problem: ProblemSpec,
-    aux: AuxiliarySpec,
-    psi: HistoryFunction,
-    include_midpoints: bool = True,
-) -> float:
+def residual(result: PicardResult, include_midpoints: bool = True) -> float:
     """max |z(t) - (A z + B z)(t)| over live mesh nodes (and panel midpoints).
 
-    Midpoints probe the interpolation defect that node-only sampling cannot
-    see (at a discrete fixed point the node defect is just the iteration
-    tolerance), so mesh refinement shows the expected order there.
+    z is the final iterate of ``result``, and A and B are read from the
+    tables its iteration built.  Midpoints probe the interpolation defect
+    that node-only sampling cannot see (at a discrete fixed point the node
+    defect is just the iteration tolerance), so mesh refinement shows the
+    expected order there.
     """
-    prob = _as_general(problem)
-    tables = _Tables(_bind_for_mesh(prob, aux, z.mesh), z.mesh, _psi_fn(psi))
+    z, tables = result.z, result.tables
     st = tables.state(z)
     nodes = tables.node_panels()
     a, b = nodes.integrals(st)

@@ -31,7 +31,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .concurrency import parallel_map
 from .errors import QuadratureError
 
 __all__ = [
@@ -502,7 +501,7 @@ def sup_scan(
         raise ValueError("need at least 64 coarse samples")
     ts = np.linspace(lo, hi, n)
     if samples is None:
-        vals = np.asarray(parallel_map(h, ts), dtype=float)
+        vals = np.asarray([h(t) for t in ts], dtype=float)
     else:
         vals = np.asarray(samples, dtype=float)
         if vals.shape != ts.shape:

@@ -22,6 +22,7 @@ from ndde import (
     ProblemSpec,
     alpha_estimate,
     apply_B,
+    bind,
     delta_bounds,
     horizon,
     integrate,
@@ -188,7 +189,7 @@ def test_criterion_5_cross_method_agreement():
     problem, aux, history = _reference()
     result = picard_solve(problem, aux, history, T=50.0, tol=1e-8)
     assert result.converged
-    defect = residual(result.z, problem, aux, history)
+    defect = residual(result)
     assert defect < 1e-6
 
     solution = reconstruct_x(result.z, aux)
@@ -222,7 +223,7 @@ def test_criterion_6_stability_experiment():
     problem, aux, _ = _reference()
     # admissible size from the uniform bound at the documented contraction
     # level 0.973 (our computed alpha is smaller, so this delta is safe)
-    bounds = delta_bounds(0.973, 1.0, 0.1, aux, problem)
+    bounds = delta_bounds(0.973, 1.0, 0.1, bind(problem, aux, problem.t0 + 1.0))
     assert bounds.uniform == pytest.approx(0.00135, rel=1e-2)
 
     report = stability_experiment(problem, eps=0.1, delta=0.00135, T=2000.0, h=0.02)

@@ -267,6 +267,22 @@ def test_check_short_tmax_is_one_line_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_asymptotic_quadrature_failure_names_the_quantity(tmp_path, capsys):
+    # with g = -1 the damping weight exp(G(s) - G(t)) = exp(t - s) reaches
+    # e^50, and the damped tail integral cannot meet its absolute tolerance
+    text = _cheap(tmax="50")
+    growing = text.replace('g = "0.1/(t + 0.1)"', 'g = "-1 + 0*t"')
+    assert growing != text
+    path = tmp_path / "growing.cfg"
+    path.write_text(growing)
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1
+    assert "asymptotic.a_tail on the horizon [0.0, 50.0]: no convergence" in lines[0]
+    assert "Traceback" not in err
+
+
 def test_domain_error_names_expression_and_t(tmp_path, capsys):
     text = _cheap(tmax="50", grid="64")
     start = text.index('c = "')

@@ -22,9 +22,9 @@ from ndde.criteria import (
     term_values_linear,
     window_lipschitz,
 )
-from ndde.errors import ValidationError
+from ndde.errors import QuadratureError, ValidationError
 from ndde.expressions import Expression, parse_expression
-from ndde.model import AuxiliarySpec, DelaySpec, ProblemSpec
+from ndde.model import AuxiliarySpec, BoundProblem, DelaySpec, ProblemSpec, bind
 from ndde.quadrature import CumulativeExponent, adaptive_simpson, weighted_integral
 
 
@@ -341,48 +341,55 @@ def test_K_estimate_cases():
 
 def test_window_lipschitz_cases():
     prob, aux = _showcase()
-    coupling = window_lipschitz(prob, aux, "c-term", tmax=50.0)
+    bound = bind(prob, aux, 50.0)
+    coupling = window_lipschitz(bound, "c-term")
     # the coupling integrand collapses to 0.01/(s + 0.1), peaking at s = 0
     assert coupling.pointwise == pytest.approx(0.1, abs=1e-9)
     assert coupling.windowed <= coupling.pointwise + 1e-12
     assert coupling.windowed > 0.09
 
-    damping = window_lipschitz(prob, aux, "g", tmax=50.0)
+    damping = window_lipschitz(bound, "g")
     assert damping.pointwise == pytest.approx(1.0, abs=1e-9)
     assert damping.windowed <= 1.0 + 1e-12
 
     still = AuxiliarySpec(p=parse_expression("1/(t + 0.2)"), g=parse_expression("0"))
-    assert window_lipschitz(prob, still, "g", tmax=10.0).pointwise == 0.0
+    assert window_lipschitz(bind(prob, still, 10.0), "g").pointwise == 0.0
 
     with pytest.raises(ValidationError):
-        window_lipschitz(prob, aux, "h", tmax=10.0)
+        window_lipschitz(bind(prob, aux, 10.0), "h")
     with pytest.raises(ValidationError):
-        window_lipschitz(prob, aux, "g", tmax=0.5)
+        window_lipschitz(bind(prob, aux, 0.5), "g")
+
+    # a pole in g: the window integrals across it cannot converge
+    pole = AuxiliarySpec(p=parse_expression("1/(t + 0.2)"), g=parse_expression("1/(t - 2.5)"))
+    message = r"window_lipschitz 'g' on the horizon \[0.0, 5.0\]"
+    with pytest.raises(QuadratureError, match=message):
+        window_lipschitz(bind(prob, pole, 5.0), "g", centers=8)
 
 
 def test_asymptotic_check_cases():
     prob, aux = _showcase()
-    res = asymptotic_check(prob, aux, tmax=1000.0)
+    res = asymptotic_check(bind(prob, aux, 1000.0))
     assert res.g_end == pytest.approx(_g_cumulative_exact(1000.0), abs=1e-6)
     assert res.a_tail == pytest.approx(_tail_exact(1000.0), abs=1e-4)
     assert not res.a_term_decaying  # the damped coupling integral saturates
     assert res.g_divergent
 
     quiet, _ = _showcase(c=parse_expression("0"))
-    res = asymptotic_check(quiet, aux, tmax=200.0)
+    res = asymptotic_check(bind(quiet, aux, 200.0))
     assert res.a_tail == 0.0
     assert res.a_term_decaying
 
     fading = AuxiliarySpec(
         p=parse_expression("1/(t + 0.2)"), g=parse_expression("1/(1 + t)^2")
     )
-    res = asymptotic_check(prob, fading, tmax=1000.0)
+    res = asymptotic_check(bind(prob, fading, 1000.0))
     assert not res.g_divergent
 
 
 def test_delta_bounds_showcase_values():
     prob, aux = _showcase()
-    d = delta_bounds(0.973, 1.0, 0.1, aux, prob)
+    d = delta_bounds(0.973, 1.0, 0.1, bind(prob, aux, prob.t0 + 1.0))
     assert d.uniform == pytest.approx(0.00135, abs=2e-6)
     assert d.prefactor == pytest.approx(1.0, abs=1e-12)
     assert d.existence == pytest.approx(0.027, abs=1e-12)
@@ -403,7 +410,7 @@ def test_delta_bounds_prefactor_with_constant_lag():
         b=parse_expression("0.3*cos(t)"),
     )
     aux = AuxiliarySpec(p=parse_expression("1/(1 + t)"), g=parse_expression("0.1"))
-    d = delta_bounds(0.37, 1.0, 0.2, aux, prob)
+    d = delta_bounds(0.37, 1.0, 0.2, bind(prob, aux, prob.t0 + 1.0))
     # left of t0 the weight is extended by 1, so the window integrand is |g|
     assert d.prefactor == pytest.approx(1.4, abs=1e-9)
     assert d.prefactor * d.existence + 0.37 <= 1.0 + 1e-12
@@ -411,21 +418,21 @@ def test_delta_bounds_prefactor_with_constant_lag():
 
 def test_delta_bounds_scaling_and_rejections():
     prob, aux = _showcase()
-    one = delta_bounds(0.5, 1.0, 0.3, aux, prob)
-    two = delta_bounds(0.5, 1.0, 0.6, aux, prob)
+    bound = bind(prob, aux, prob.t0 + 1.0)
+    one = delta_bounds(0.5, 1.0, 0.3, bound)
+    two = delta_bounds(0.5, 1.0, 0.6, bound)
     assert two.uniform == pytest.approx(2.0 * one.uniform, rel=1e-12)
 
     calm, _ = _showcase(b="0", a="0.1")
-    assert delta_bounds(0.0, 1.0, 0.5, aux, calm).existence == pytest.approx(
-        1.0, abs=1e-12
-    )
+    calm_bound = bind(calm, aux, calm.t0 + 1.0)
+    assert delta_bounds(0.0, 1.0, 0.5, calm_bound).existence == pytest.approx(1.0, abs=1e-12)
 
     with pytest.raises(ValidationError):
-        delta_bounds(1.0, 1.0, 0.1, aux, prob)
+        delta_bounds(1.0, 1.0, 0.1, bound)
     with pytest.raises(ValidationError):
-        delta_bounds(0.5, 0.5, 0.1, aux, prob)
+        delta_bounds(0.5, 0.5, 0.1, bound)
     with pytest.raises(ValidationError):
-        delta_bounds(0.5, 1.0, 0.0, aux, prob)
+        delta_bounds(0.5, 1.0, 0.0, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +475,20 @@ def test_report_flags_violation():
     assert report.delta_uniform is None
     assert json.loads(report.to_json())["delta"]["uniform"] is None
     assert "delta.uniform = none" in report.to_text()
+
+
+def test_report_binds_the_request_once(monkeypatch):
+    # the sweep and every companion constant read one binding
+    forms = []
+    init = BoundProblem.__init__
+
+    def counted(self, problem, *args, **kwargs):
+        forms.append(problem.form)
+        init(self, problem, *args, **kwargs)
+
+    monkeypatch.setattr(BoundProblem, "__init__", counted)
+    prob, aux = _showcase()
+    linear = evaluate_criteria(prob, aux, tmax=50.0, grid=128, eps=0.1)
+    assert linear.delta_uniform is not None  # delta_bounds ran too
+    evaluate_criteria(matched_general_form(prob, aux), aux, tmax=50.0, grid=128, eps=0.1)
+    assert forms == ["linear-neutral", "general"]

@@ -29,6 +29,7 @@ from ndde import (
     residual,
     signed_power,
 )
+from ndde.model import BoundProblem
 from ndde.quadrature import adaptive_simpson, window_integral
 
 
@@ -406,7 +407,8 @@ def test_candidate_ball_closed_under_split_sum():
     prob, aux = _showcase()
     T = 8.0
     est = alpha_estimate(prob, aux, tmax=T, grid=256)
-    bounds = delta_bounds(est.alpha, K_estimate(aux.g, tmax=T), 0.1, aux, prob)
+    K = K_estimate(aux.g, tmax=T)
+    bounds = delta_bounds(est.alpha, K, 0.1, bind(prob, aux, prob.t0 + 1.0))
     psi = _const_history(round(0.9 * bounds.existence, 6))
     fn = psi.psi.compiled()
     mesh = make_mesh(0.0, 0.0, T, 0.1)
@@ -440,9 +442,9 @@ def test_picard_converges_on_showcase_problem():
     assert not res.cap_exceeded
     assert max(res.ratios) < 1.0
     assert res.z.eval(0.0) == pytest.approx(0.001, abs=1e-9)
-    assert residual(res.z, prob, aux, psi) < 1e-6
+    assert residual(res) < 1e-6
     # node-only defect is just the iteration tolerance
-    assert residual(res.z, prob, aux, psi, include_midpoints=False) < 1e-8
+    assert residual(res, include_midpoints=False) < 1e-8
     x = reconstruct_x(res.z, aux)
     assert x.eval(0.0) == pytest.approx(0.005, abs=1e-12)
 
@@ -463,6 +465,27 @@ def test_picard_rejects_degenerate_horizon():
         picard_solve(prob, aux, _const_history(0.001), T=0.0, precheck=False)
 
 
+def test_picard_and_residual_share_the_iteration_binding(monkeypatch):
+    # the precheck binds the problem in its own form, the iteration binds the
+    # general-form re-encoding once, and residual reads the iteration's tables
+    calls = []
+    init = BoundProblem.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BoundProblem, "__init__", counted)
+    prob, aux = _showcase()
+    psi = _const_history(0.001)
+    for precheck, bindings in ((True, 2), (False, 1)):
+        calls.clear()
+        res = picard_solve(prob, aux, psi, T=5.0, precheck=precheck)
+        assert residual(res) < 1e-6
+        assert len(calls) == bindings
+    assert "tables" not in repr(res)
+
+
 def test_residual_drops_under_mesh_refinement():
     prob, aux = _showcase()
     psi = _const_history(0.05)
@@ -472,7 +495,7 @@ def test_residual_drops_under_mesh_refinement():
             prob, aux, psi, T=8.0, tol=1e-11, max_iter=80, step=step, precheck=False
         )
         assert res.converged
-        defects.append(residual(res.z, prob, aux, psi))
+        defects.append(residual(res))
     assert defects[0] / defects[1] >= 4.0
 
 
