@@ -29,9 +29,13 @@ coefficients mu/cbar/beta) and its head is |cbar(t)|.
 int_{t0}^{t} exp(-int_s^t g) (...) ds.  Over a horizon, all weighted terms
 are swept together by one :class:`~ndde.quadrature.WeightedSweep` on the
 Lobatto 4 / Kronrod 7 nodes of the grid panels, which reads G and the
-damping weights once per node for every term; the sup scans query it
-between grid nodes.  Pointwise evaluation (:class:`TermEvaluator`)
-integrates each term in one shot by adaptive Simpson.
+damping weights once per node for every term.  Every scanned term comes
+with its exact slope: I' = f - g I for a swept term (read off the sweep),
+the chain rule for the two direct terms, and the sum of the term slopes
+for the sum.  So the sup scans polish each maximum by a root search on the
+slope and query the sweep between grid nodes only a few times per
+maximum.  Pointwise evaluation (:class:`TermEvaluator`) integrates each
+term in one shot by adaptive Simpson.
 
 A request is bound once: :func:`evaluate_criteria` hands its one
 :class:`~ndde.model.BoundProblem` to the sweep and to every companion
@@ -48,8 +52,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import QuadratureError, ValidationError
-from .expressions import Expression
+from .errors import NddeError, QuadratureError, ValidationError
+from .expressions import Expression, _piecewise_derivative
 from .model import (
     AuxiliarySpec,
     BoundProblem,
@@ -91,6 +95,10 @@ _DOUBLE_TOL = 5e-10
 _TAIL_SLOPE_TOL = 1e-9
 
 
+def _sign(v: float) -> float:
+    return float((v > 0.0) - (v < 0.0))
+
+
 class _TermSet:
     """Pointwise evaluators for every criterion term of one bound problem."""
 
@@ -105,6 +113,10 @@ class _TermSet:
         k4 = b.k4
         c = b.c
         window = b.drift_window
+        drift_abs = b.drift_cum.f
+
+        def window_slope(t: float) -> float:
+            return drift_abs(t) - drift_abs(tau1(t)) * (1.0 - b.r1_slope(t))
 
         def tail(s: float) -> float:
             return k4 * abs(c(s) / p(s)) * p_of(tau2(s)) ** gamma
@@ -117,6 +129,9 @@ class _TermSet:
 
             def head(t: float) -> float:
                 return abs(b.cbar(t))
+
+            def head_slope(t: float) -> float:
+                return _sign(b.cbar(t)) * b.cbar_prime(t)
 
             def bracket(s: float) -> float:
                 u = tau1(s)
@@ -131,10 +146,21 @@ class _TermSet:
         else:
             self.labels = GENERAL_TERMS
             q_bound = b.q_bound
+            q_bound_prime = _piecewise_derivative(b.problem.q_bound).compiled()
 
             def head(t: float) -> float:
                 u = tau1(t)
                 return abs(p_of(u) / p(t)) * q_bound(u)
+
+            def head_slope(t: float) -> float:
+                u, du = tau1(t), 1.0 - b.r1_slope(t)
+                pt = p(t)
+                ratio = p_of(u) / pt
+                ratio_prime = (pp_of(u) * du * pt - p_of(u) * pp_of(t)) / (pt * pt)
+                return (
+                    _sign(ratio) * ratio_prime * q_bound(u)
+                    + abs(ratio) * q_bound_prime(u) * du
+                )
 
             def bracket(s: float) -> float:
                 u = tau1(s)
@@ -162,6 +188,11 @@ class _TermSet:
         self.direct: Mapping[str, Callable[[float], float]] = {
             "neutral_head": head,
             "drift_window": window,
+        }
+        # exact t-derivatives of the direct terms
+        self.direct_slopes: Mapping[str, Callable[[float], float]] = {
+            "neutral_head": head_slope,
+            "drift_window": window_slope,
         }
         self.weighted: Mapping[str, Callable[[float], float]] = weighted
 
@@ -273,6 +304,17 @@ class AlphaEstimate:
         raise KeyError(label)
 
 
+def _node_slopes(slope: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
+    """slope at every node; NaN where it fails, so the scan falls back there."""
+    out = []
+    for t in ts.tolist():
+        try:
+            out.append(slope(t))
+        except (ArithmeticError, NddeError):
+            out.append(math.nan)
+    return np.asarray(out)
+
+
 def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int) -> AlphaEstimate:
     t0 = bound.t0
     if not tmax > t0:
@@ -280,11 +322,18 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int) -> AlphaEstim
     terms = _TermSet(bound)
     ts = np.linspace(t0, tmax, grid)
 
+    # per term: values and exact slopes on the grid, the scalar function
+    # and a (value, slope) function for the scan
     arrays: dict[str, np.ndarray] = {}
+    slopes: dict[str, np.ndarray] = {}
     fns: dict[str, Callable[[float], float]] = {}
+    pairs: dict[str, Callable[[float], tuple[float, float]]] = {}
     for label, fn in terms.direct.items():
+        slope = terms.direct_slopes[label]
         arrays[label] = np.asarray([fn(t) for t in ts])
+        slopes[label] = _node_slopes(slope, ts)
         fns[label] = fn
+        pairs[label] = lambda t, fn=fn, slope=slope: (fn(t), slope(t))
     # one sweep for every weighted term: shared nodes, G and damping weights
     weighted = terms.weighted
     sweep = WeightedSweep(
@@ -293,20 +342,36 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int) -> AlphaEstim
         ts,
         [_DOUBLE_TOL if label == "double_window" else _SWEEP_TOL for label in weighted],
     )
+    swept_slopes = sweep.slopes()
     for k, label in enumerate(weighted):
         arrays[label] = sweep.values[k]
+        slopes[label] = swept_slopes[k]
         fns[label] = lambda t, k=k: sweep.at(t, k)
+        pairs[label] = lambda t, k=k: sweep.at_slope(t, k)
 
     direct = list(terms.direct.values())
+    direct_slopes = list(terms.direct_slopes.values())
     total = np.sum([arrays[label] for label in terms.labels], axis=0)
+    total_slope = np.sum([slopes[label] for label in terms.labels], axis=0)
 
     def pointwise_sum(t: float) -> float:
         return sum(fn(t) for fn in direct) + float(sweep.at(t).sum())
 
-    scan = sup_scan(pointwise_sum, t0, tmax, n=grid, samples=total)
+    def sum_and_slope(t: float) -> tuple[float, float]:
+        values, swept = sweep.at_slope(t)
+        value = sum(fn(t) for fn in direct) + float(values.sum())
+        return value, sum(fn(t) for fn in direct_slopes) + float(swept.sum())
+
+    scan = sup_scan(
+        pointwise_sum, t0, tmax, n=grid, samples=total,
+        slopes=total_slope, value_slope=sum_and_slope,
+    )
     stats = []
     for label in terms.labels:
-        s = sup_scan(fns[label], t0, tmax, n=grid, samples=arrays[label])
+        s = sup_scan(
+            fns[label], t0, tmax, n=grid, samples=arrays[label],
+            slopes=slopes[label], value_slope=pairs[label],
+        )
         stats.append(TermStat(label, s.sup, s.argsup))
     return AlphaEstimate(
         form=bound.problem.form,

@@ -470,18 +470,18 @@ def _compile(node: Node, variables: tuple[str, ...]) -> Callable[..., float]:
 
 
 # ---------------------------------------------------------------------------
-# Differentiation (exact; abs and sgnpow are rejected)
+# Differentiation (exact; abs and sgnpow are rejected unless ``kinks``)
 
-def _diff(node: Node, var: str) -> Node:
+def _diff(node: Node, var: str, kinks: bool = False) -> Node:
     if isinstance(node, Const):
         return Const(0.0)
     if isinstance(node, Var):
         return Const(1.0 if node.name == var else 0.0)
     if isinstance(node, Neg):
-        return Neg(_diff(node.arg, var))
+        return Neg(_diff(node.arg, var, kinks))
     if isinstance(node, BinOp):
         u, v = node.left, node.right
-        du, dv = _diff(u, var), _diff(v, var)
+        du, dv = _diff(u, var, kinks), _diff(v, var, kinks)
         if node.op == "+":
             return BinOp("+", du, dv)
         if node.op == "-":
@@ -498,7 +498,7 @@ def _diff(node: Node, var: str) -> Node:
         logterm = BinOp("+", BinOp("*", dv, Call("ln", u)), BinOp("*", v, BinOp("/", du, u)))
         return BinOp("*", node, logterm)
     if isinstance(node, Call):
-        inner = _diff(node.arg, var)
+        inner = _diff(node.arg, var, kinks)
         if node.func == "sin":
             outer: Node = Call("cos", node.arg)
         elif node.func == "cos":
@@ -507,11 +507,19 @@ def _diff(node: Node, var: str) -> Node:
             outer = node
         elif node.func == "ln":
             outer = BinOp("/", Const(1.0), node.arg)
+        elif kinks:  # the sign of the argument
+            outer = SgnPow(node.arg, Fraction(0))
         else:
             raise NonDifferentiableError("abs is not differentiable; supply the derivative explicitly")
         return BinOp("*", outer, inner)
     if isinstance(node, SgnPow):
-        raise NonDifferentiableError("sgnpow is not differentiable; supply the derivative explicitly")
+        if not kinks:
+            raise NonDifferentiableError(
+                "sgnpow is not differentiable; supply the derivative explicitly"
+            )
+        e = node.exponent
+        outer = BinOp("*", Const(float(e)), BinOp("^", Call("abs", node.arg), Const(float(e - 1))))
+        return BinOp("*", outer, _diff(node.arg, var, kinks))
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
@@ -750,6 +758,17 @@ class Expression:
 def parse_expression(text: str, variables: Iterable[str] = ("t",)) -> Expression:
     """Parse ``text`` over the given variables; see the module grammar."""
     return Expression.parse(text, variables)
+
+
+def _piecewise_derivative(expr: Expression, var: str = "t") -> Expression:
+    """Derivative of ``expr`` that also passes through abs and sgnpow.
+
+    abs(u)' = sgnpow(u, 0) u' and sgnpow(u, e)' = e |u|^(e - 1) u': exact
+    away from u = 0, where abs gets slope 0 and sgnpow with e < 1 fails to
+    evaluate.  For callers that handle a kink themselves; the public
+    :meth:`Expression.derivative` keeps rejecting both.
+    """
+    return Expression(_simplify(_diff(expr.root, var, kinks=True)), expr.variables)
 
 
 def differentiate(expr: Expression, var: str = "t") -> Expression:

@@ -12,7 +12,12 @@ expressions or hand-written functions).  The recurring shapes are
 * exponentially weighted integrals  int_a^t exp(G(s) - G(t)) f(s) ds,
   one-shot (weighted_integral) and, for several integrands at once, swept
   along a grid on the same pair's fixed nodes (WeightedSweep);
-* supremum scans over long windows with local refinement (sup_scan).
+* supremum scans over long windows with local refinement (sup_scan):
+  given exact slopes at the coarse nodes and a value-and-slope callable, a
+  cell whose node slopes bracket a maximum is polished by a root search on
+  the slope; without them (or where the slopes fail) a cell gets a 64-point
+  sub-scan and a golden-section search.  WeightedSweep supplies the slopes
+  of its running integrals through I' = f - g I at one sample of g a node.
 
 The pair (Gander & Gautschi's Lobatto 4 / Kronrod 7) and its fixed-node
 helpers are shared with the operator's tables, so the package has one
@@ -31,7 +36,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import NddeError, QuadratureError
+from .hermite import hermite_max
 
 __all__ = [
     "adaptive_simpson",
@@ -448,6 +454,26 @@ class WeightedSweep:
             out = math.exp(self._G[i] - gt) * out + self._panel(i, float(t), gt, terms)
         return out if k is None else float(out[0])
 
+    def slopes(self) -> np.ndarray:
+        """d/dt of ``values`` at every grid node, one row per integrand.
+
+        A running integral I(t) = int exp(G(s) - G(t)) f(s) ds has
+        I' = f - g I, and the sweep holds f and I at the nodes, so the
+        slopes cost one sample of g = ``gexp.f`` per node.
+        """
+        g = _map(self.gexp.f, self.grid)
+        return np.asarray(self._f_grid) - g * self.values
+
+    def at_slope(self, t: float, k: int | None = None):
+        """(value, slope) of integrand k's running integral at t, or of all
+        of them as arrays: one ``at`` and, per integrand, one sample."""
+        value = self.at(t, k)
+        if k is None:
+            f = np.asarray([fn(t) for fn in self.fs])
+        else:
+            f = self.fs[k](t)
+        return value, f - self.gexp.f(t) * value
+
 
 @dataclass(frozen=True)
 class SupScanResult:
@@ -476,21 +502,82 @@ def _golden_max(h, a: float, b: float, iters: int = 80) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
+def _sub_scan(h, a: float, b: float) -> tuple[float, float]:
+    """(t, h(t)) of the best of 64 points on [a, b], golden-polished."""
+    sub = np.linspace(a, b, 64)
+    subvals = np.asarray([_sample(h, x) for x in sub])
+    j = int(subvals.argmax())
+    x, v = float(sub[j]), float(subvals[j])
+    ga, gb = float(sub[max(j - 1, 0)]), float(sub[min(j + 1, 63)])
+    if gb > ga:
+        gx, gv = _golden_max(h, ga, gb)
+        if gv > v:
+            x, v = gx, gv
+    return x, v
+
+
+# Illinois steps one bracketed slope polish may take
+_POLISH_ITERS = 100
+
+
+def _polish(value_slope, a: float, da: float, b: float, db: float):
+    """(t, h(t)) of the best sample of an Illinois search for h' = 0 on
+    (a, b), where h'(a) = da > 0 > db = h'(b); None on a non-finite sample.
+    """
+    tol = 1e-12 * max(1.0, abs(a) + abs(b))
+    x_best, v_best = a, -math.inf
+    side, prev = 0, a
+    for _ in range(_POLISH_ITERS):
+        x = b - db * (b - a) / (db - da)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        v, d = value_slope(x)
+        if not (math.isfinite(v) and math.isfinite(d)):
+            return None
+        if v > v_best:
+            x_best, v_best = x, v
+        if d > 0.0:
+            a, da = x, d
+            if side == 1:
+                db *= 0.5
+            side = 1
+        elif d < 0.0:
+            b, db = x, d
+            if side == -1:
+                da *= 0.5
+            side = -1
+        else:
+            break
+        if b - a <= tol or abs(x - prev) <= tol:
+            break
+        prev = x
+    return x_best, v_best
+
+
 def sup_scan(
     h: Callable[[float], float],
     lo: float,
     hi: float,
     n: int = 4096,
     samples: Sequence[float] | None = None,
+    slopes: Sequence[float] | None = None,
+    value_slope: Callable[[float], tuple[float, float]] | None = None,
 ) -> SupScanResult:
     """Estimate sup h over [lo, hi]: coarse grid, then local refinement.
 
-    The top three coarse cells each get a 64-point sub-scan followed by a
-    golden-section polish, so narrow peaks between grid points are caught.
-    The result never undercuts any sample taken.  ``tail_slope`` is the
-    secant slope of h over the last tenth of the window, the growth witness
-    used by the certification verdicts.  With ``samples`` given, they are
-    taken as h on ``linspace(lo, hi, n)`` and not recomputed.
+    The three best, mutually non-adjacent coarse nodes are refined, each
+    on the two cells beside it.  Without slopes, each such window gets a
+    64-point sub-scan followed by a golden-section polish, so narrow peaks
+    between grid points are caught.  With ``slopes`` (h' on the coarse
+    grid) and ``value_slope`` (t -> (h(t), h'(t))), a cell whose node
+    slopes go from + to - is polished by an Illinois search for h' = 0
+    instead; a cell whose slopes bracket nothing but whose cubic Hermite
+    peaks inside above both ends, or whose slopes are non-finite or fail,
+    gets the sub-scan and golden section.  The result never undercuts any
+    sample taken.  ``tail_slope`` is the secant slope of h over the last
+    tenth of the window, the growth witness used by the certification
+    verdicts.  With ``samples`` given, they are taken as h on
+    ``linspace(lo, hi, n)`` and not recomputed.
     """
     if hi < lo:
         raise ValueError("sup_scan needs lo <= hi")
@@ -499,6 +586,8 @@ def sup_scan(
         return SupScanResult(v, lo, 0.0)
     if n < 64:
         raise ValueError("need at least 64 coarse samples")
+    if (slopes is None) != (value_slope is None):
+        raise ValueError("slopes and value_slope go together")
     ts = np.linspace(lo, hi, n)
     if samples is None:
         vals = np.asarray([h(t) for t in ts], dtype=float)
@@ -509,6 +598,10 @@ def sup_scan(
     if not np.all(np.isfinite(vals)):
         bad = int(np.argmax(~np.isfinite(vals)))
         raise QuadratureError(f"non-finite scan sample at t={ts[bad]!r}")
+    if slopes is not None:
+        slopes = np.asarray(slopes, dtype=float)
+        if slopes.shape != ts.shape:
+            raise ValueError("slopes length must match n")
 
     best = float(vals.max())
     arg = float(ts[int(vals.argmax())])
@@ -522,19 +615,12 @@ def sup_scan(
         if all(abs(int(idx) - p) > 1 for p in picked):
             picked.append(int(idx))
     for idx in picked:
-        a = float(ts[max(idx - 1, 0)])
-        b = float(ts[min(idx + 1, n - 1)])
-        if b <= a:
-            continue
-        sub = np.linspace(a, b, 64)
-        subvals = np.asarray([_sample(h, x) for x in sub])
-        j = int(subvals.argmax())
-        if float(subvals[j]) > best:
-            best = float(subvals[j])
-            arg = float(sub[j])
-        ga, gb = float(sub[max(j - 1, 0)]), float(sub[min(j + 1, 63)])
-        if gb > ga:
-            x, v = _golden_max(h, ga, gb)
+        first, last = max(idx - 1, 0), min(idx + 1, n - 1)
+        if slopes is None:
+            found = [_sub_scan(h, float(ts[first]), float(ts[last]))]
+        else:
+            found = [_refine_cell(h, value_slope, ts, vals, slopes, i) for i in range(first, last)]
+        for x, v in filter(None, found):
             if v > best:
                 best = v
                 arg = x
@@ -542,3 +628,23 @@ def sup_scan(
     ta = hi - 0.1 * (hi - lo)
     slope = (float(vals[-1]) - _sample(h, ta)) / (hi - ta)
     return SupScanResult(best, arg, slope)
+
+
+def _refine_cell(h, value_slope, ts, vals, slopes, i: int):
+    """(t, h(t)) refining the coarse cell [ts[i], ts[i+1]], or None when
+    its node values and slopes show no maximum inside it."""
+    a, b = float(ts[i]), float(ts[i + 1])
+    da, db = float(slopes[i]), float(slopes[i + 1])
+    if math.isfinite(da) and math.isfinite(db):
+        if da > 0.0 > db:
+            try:
+                found = _polish(value_slope, a, da, b, db)
+            except (ArithmeticError, ValueError, NddeError):
+                found = None
+            if found is not None:
+                return found
+        else:
+            va, vb = float(vals[i]), float(vals[i + 1])
+            if not float(hermite_max(va, da, vb, db, b - a)[1]) > max(va, vb):
+                return None
+    return _sub_scan(h, a, b)

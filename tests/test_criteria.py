@@ -22,7 +22,7 @@ from ndde.criteria import (
     term_values_linear,
     window_lipschitz,
 )
-from ndde.errors import QuadratureError, ValidationError
+from ndde.errors import NonDifferentiableError, QuadratureError, ValidationError
 from ndde.expressions import Expression, parse_expression
 from ndde.model import AuxiliarySpec, BoundProblem, DelaySpec, ProblemSpec, bind
 from ndde.quadrature import CumulativeExponent, adaptive_simpson, weighted_integral
@@ -492,3 +492,95 @@ def test_report_binds_the_request_once(monkeypatch):
     assert linear.delta_uniform is not None  # delta_bounds ran too
     evaluate_criteria(matched_general_form(prob, aux), aux, tmax=50.0, grid=128, eps=0.1)
     assert forms == ["linear-neutral", "general"]
+
+
+# ---------------------------------------------------------------------------
+# exact slopes behind the sup scans
+
+
+def _certify_member():
+    """Linear member 0 of the seed-1 certify deck: lag 0.2087 t,
+    b = 1.0406 sin(1.026 t)/7 and bracket residual 0.01283/(t + 0.1)."""
+    b = "1.0406*sin(1.026*t)/7"
+    r1 = DelaySpec(parse_expression("0.2087*t"))
+    a = bracket_matching_a(
+        parse_expression(b), r1, _aux(), parse_expression("0.01283/(t + 0.1)")
+    )
+    return _showcase(b=b, a=a, r1=r1)
+
+
+def _recorded_scans(monkeypatch, prob, aux, tmax, grid):
+    """(h, coarse grid, kwargs) of every sup scan one alpha estimate makes."""
+    import ndde.criteria as criteria
+
+    calls = []
+    scan = criteria.sup_scan
+
+    def recording(h, lo, hi, **kwargs):
+        calls.append((h, np.linspace(lo, hi, kwargs["n"]), kwargs))
+        return scan(h, lo, hi, **kwargs)
+
+    monkeypatch.setattr(criteria, "sup_scan", recording)
+    est = alpha_estimate(prob, aux, tmax=tmax, grid=grid)
+    return est, calls
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["linear", "general-twin"])
+def test_scan_slopes_match_centred_differences(monkeypatch, twin):
+    prob, aux = _certify_member()
+    if twin:
+        prob = matched_general_form(prob, aux)
+    est, calls = _recorded_scans(monkeypatch, prob, aux, tmax=100.0, grid=256)
+    assert len(calls) == 1 + len(est.terms)  # the sum, then every term
+    step = 1e-4
+    for h, ts, kwargs in calls:
+        slopes = kwargs["slopes"]
+        assert np.all(np.isfinite(slopes))
+        checked = 0
+        for i in range(5, len(ts) - 1, 7):
+            t = float(ts[i])
+            left, mid, right = h(t - step), h(t), h(t + step)
+            centred = (right - left) / (2 * step)
+            # skip a node that sits within a step of a kink of the term
+            if abs((right - mid) - (mid - left)) > 1e-3 * abs(right - left) + 1e-12:
+                continue
+            assert slopes[i] == pytest.approx(centred, rel=1e-6, abs=1e-12), (i, t)
+            checked += 1
+            # between nodes, the (value, slope) callable agrees with h
+            u = 0.5 * (t + float(ts[i + 1]))
+            value, slope = kwargs["value_slope"](u)
+            assert value == h(u)
+            centred = (h(u + step) - h(u - step)) / (2 * step)
+            assert slope == pytest.approx(centred, rel=1e-6, abs=1e-12), u
+        assert checked >= 20
+
+
+def test_one_check_makes_few_sweep_queries(monkeypatch):
+    # exact node slopes let each refinement polish on the slope instead
+    # of sub-scanning its cells: the parent design made 1,231 queries here
+    from ndde.quadrature import WeightedSweep
+
+    calls = []
+    at = WeightedSweep.at
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return at(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedSweep, "at", counted)
+    prob, aux = _certify_member()
+    report = evaluate_criteria(prob, aux, tmax=200.0, grid=512, eps=0.1)
+    assert report.alpha == pytest.approx(0.7330533, abs=1e-6)
+    assert 0 < len(calls) <= 100
+
+
+def test_public_derivative_still_rejects_kinks():
+    for text in ("abs(t - 1)", "sgnpow(t, 1/3)", "2*t + abs(sin(t))"):
+        with pytest.raises(NonDifferentiableError):
+            parse_expression(text).derivative("t")
+    # the scans' own derivative passes through them away from the kink
+    from ndde.expressions import _piecewise_derivative
+
+    d = _piecewise_derivative(parse_expression("abs(t - 1) + sgnpow(t, 1/3)")).compiled()
+    assert d(2.0) == pytest.approx(1.0 + 2.0 ** (-2.0 / 3.0) / 3.0, rel=1e-14)
+    assert d(0.5) == pytest.approx(-1.0 + 0.5 ** (-2.0 / 3.0) / 3.0, rel=1e-14)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ndde.errors import QuadratureError
+from ndde.hermite import hermite_max
 from ndde.quadrature import (
     CumulativeExponent,
     SupScanResult,
@@ -356,3 +357,135 @@ def test_sup_scan_example_head_ratio():
 def test_sup_scan_rejects_non_finite():
     with pytest.raises(QuadratureError):
         sup_scan(lambda t: math.nan if t > 5 else 0.0, 0.0, 10.0, n=64)
+
+
+# -- sup scans with exact node slopes ----------------------------------------
+
+
+def _with_slopes(h, dh, lo, hi, n, slopes=None):
+    """sup_scan given exact slopes on the coarse grid and a (value, slope)
+    callable, next to the slope-less scan of the same function."""
+    ts = np.linspace(lo, hi, n)
+    node_slopes = [dh(float(t)) for t in ts] if slopes is None else slopes
+    fast = sup_scan(h, lo, hi, n=n, slopes=node_slopes, value_slope=lambda t: (h(t), dh(t)))
+    return fast, sup_scan(h, lo, hi, n=n), ts
+
+
+@pytest.mark.parametrize(
+    "h, dh, lo, hi, n",
+    [
+        (lambda t: -((t - 1.0) ** 2), lambda t: -2.0 * (t - 1.0), 0.0, 2.0, 64),
+        (
+            lambda t: math.exp(-((t - 37.3) ** 2) / 2e-4),
+            lambda t: -(t - 37.3) / 1e-4 * math.exp(-((t - 37.3) ** 2) / 2e-4),
+            0.0,
+            100.0,
+            128,
+        ),
+        (
+            lambda t: (t + 0.2) / (0.8 * t + 0.2) * abs(math.sin(t)) / 5.6,
+            lambda t: (
+                0.12 / (0.8 * t + 0.2) ** 2 * abs(math.sin(t))
+                + (t + 0.2) / (0.8 * t + 0.2) * math.copysign(1.0, math.sin(t)) * math.cos(t)
+            ) / 5.6,
+            0.0,
+            2000.0,
+            2048,
+        ),
+    ],
+    ids=["parabola", "narrow-peak", "head-ratio"],
+)
+def test_sup_scan_with_slopes_matches_slope_less_scan(h, dh, lo, hi, n):
+    fast, slow, ts = _with_slopes(h, dh, lo, hi, n)
+    assert fast.sup == pytest.approx(slow.sup, abs=1e-12)
+    assert fast.tail_slope == slow.tail_slope
+    assert fast.sup >= max(h(float(t)) for t in ts)
+
+
+def test_sup_scan_with_slopes_polishes_on_the_slope_alone():
+    # a bracketed maximum costs a few (value, slope) samples and no sub-scan
+    calls = {"h": 0, "pair": 0}
+
+    def h(t):
+        calls["h"] += 1
+        return math.sin(t)
+
+    def pair(t):
+        calls["pair"] += 1
+        return math.sin(t), math.cos(t)
+
+    ts = np.linspace(0.0, 3.0, 64)
+    res = sup_scan(
+        h, 0.0, 3.0, n=64, samples=np.sin(ts), slopes=np.cos(ts), value_slope=pair
+    )
+    assert res.sup == pytest.approx(1.0, abs=1e-15)
+    assert res.argsup == pytest.approx(math.pi / 2, abs=1e-7)
+    assert calls["h"] == 1  # the tail-slope sample
+    assert calls["pair"] <= 10
+
+
+def test_sup_scan_with_slopes_finds_abs_kink_maximum_between_nodes():
+    # the slope jumps from +1 to -1 at the peak, which sits inside a cell
+    peak = 0.123456789
+    h = lambda t: 1.0 - abs(t - peak)
+    dh = lambda t: -math.copysign(1.0, t - peak)
+    fast, slow, ts = _with_slopes(h, dh, 0.0, 1.0, 64)
+    assert fast.sup == pytest.approx(1.0, abs=1e-12)
+    assert fast.sup == pytest.approx(slow.sup, abs=1e-12)
+    assert fast.argsup == pytest.approx(peak, abs=1e-11)
+    assert fast.sup >= max(h(float(t)) for t in ts)
+
+
+def test_sup_scan_with_non_finite_or_failing_slopes_falls_back():
+    h = lambda t: -((t - 1.0) ** 2)
+    dh = lambda t: -2.0 * (t - 1.0)
+    ts = np.linspace(0.0, 2.0, 64)
+    slow = sup_scan(h, 0.0, 2.0, n=64)
+    # a NaN slope at the node beside the peak: that cell is sub-scanned
+    slopes = [dh(float(t)) for t in ts]
+    slopes[31] = math.nan
+    fast, _, _ = _with_slopes(h, dh, 0.0, 2.0, 64, slopes=slopes)
+    assert fast.sup == pytest.approx(slow.sup, abs=1e-12)
+
+    # a slope callable that raises or returns NaN inside the bracket
+    def raising(t):
+        raise ZeroDivisionError("slope undefined")
+
+    node_slopes = [dh(float(t)) for t in ts]
+    for value_slope in (lambda t: (h(t), raising(t)), lambda t: (h(t), math.nan)):
+        fast = sup_scan(h, 0.0, 2.0, n=64, slopes=node_slopes, value_slope=value_slope)
+        assert fast.sup == pytest.approx(slow.sup, abs=1e-12)
+        assert fast.sup >= max(h(float(t)) for t in ts)
+
+
+def test_sup_scan_with_slopes_never_undercuts_samples():
+    h = lambda t: math.sin(t) / (1 + 0.01 * t)
+    dh = lambda t: math.cos(t) / (1 + 0.01 * t) - 0.01 * math.sin(t) / (1 + 0.01 * t) ** 2
+    fast, slow, ts = _with_slopes(h, dh, 0.0, 50.0, 128)
+    assert fast.sup >= max(h(float(t)) for t in ts)
+    assert fast.sup == pytest.approx(slow.sup, abs=1e-12)
+
+
+def test_sup_scan_rejects_half_a_slope_pair_and_bad_lengths():
+    h = lambda t: -((t - 1.0) ** 2)
+    with pytest.raises(ValueError):
+        sup_scan(h, 0.0, 2.0, n=64, slopes=np.zeros(64))
+    with pytest.raises(ValueError):
+        sup_scan(h, 0.0, 2.0, n=64, slopes=np.zeros(63), value_slope=lambda t: (h(t), 0.0))
+
+
+def test_hermite_max_closed_form():
+    # a cubic is its own Hermite interpolant: compare with a dense sampling
+    rng = random.Random(7)
+    for _ in range(50):
+        c = [rng.uniform(-1, 1) for _ in range(4)]
+        a, b = rng.uniform(-2, 0), rng.uniform(0.1, 2)
+        f = lambda t: c[0] + c[1] * t + c[2] * t * t + c[3] * t ** 3
+        df = lambda t: c[1] + 2 * c[2] * t + 3 * c[3] * t * t
+        s, v = hermite_max(f(a), df(a), f(b), df(b), b - a)
+        dense = max(f(a + (b - a) * k / 20000) for k in range(20001))
+        assert float(v) == pytest.approx(dense, abs=1e-8)
+        assert float(v) == pytest.approx(f(a + (b - a) * float(s)), abs=1e-12)
+    # vectorised over cells; a monotone cell takes its larger end
+    s, v = hermite_max([0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, -1.0], 1.0)
+    assert list(s) == [1.0, pytest.approx(0.5)] and list(v) == [1.0, pytest.approx(0.25)]

@@ -1,0 +1,51 @@
+"""tools/compare_reports.py: the --diff mode on hand-written report files."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+_spec = importlib.util.spec_from_file_location("compare_reports", _PATH)
+compare_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_reports)
+
+_REPORT = """alpha = {alpha}
+alpha.argsup = {argsup}
+term.retarded_bracket.sup = 4e-14
+term.retarded_bracket.argsup = {bracket_argsup}
+verdict.bounded = {verdict}
+exit = 0
+"""
+
+
+def _write(root: Path, name: str, **values) -> Path:
+    fields = dict(alpha="0.5", argsup="10.0", bracket_argsup="3.0", verdict="satisfied")
+    fields.update(values)
+    root.mkdir(exist_ok=True)
+    (root / name).write_text(_REPORT.format(**fields))
+    return root
+
+
+def test_diff_reports_differences_and_argsup_shifts(tmp_path, capsys):
+    a = _write(tmp_path / "a", "x.txt")
+    b = _write(tmp_path / "b", "x.txt", alpha="0.5000000000000004", bracket_argsup="5.5")
+    assert compare_reports.main(["--diff", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "alpha: 4.441e-16 (x.txt)" in out
+    assert "non-numeric changes: 0" in out
+    assert "argsup shifts: 1" in out
+    assert "term.retarded_bracket.argsup 3.0 -> 5.5 (sup 4e-14)" in out
+
+
+def test_diff_fails_on_verdict_change_missing_file_or_tolerance(tmp_path, capsys):
+    a = _write(tmp_path / "a", "x.txt")
+    b = _write(tmp_path / "b", "x.txt", verdict="violated")
+    assert compare_reports.main(["--diff", str(a), str(b)]) == 1
+    assert "x.txt: verdict.bounded satisfied -> violated" in capsys.readouterr().out
+
+    b = _write(tmp_path / "c", "x.txt", alpha="0.6")
+    assert compare_reports.main(["--diff", str(a), str(b)]) == 1
+    assert compare_reports.main(["--diff", str(a), str(b), "--tol", "0.2"]) == 0
+
+    _write(a, "y.txt")
+    assert compare_reports.main(["--diff", str(a), str(b), "--tol", "0.2"]) == 1
+    assert "only in" in capsys.readouterr().out

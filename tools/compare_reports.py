@@ -1,0 +1,146 @@
+"""Dump and compare the reports of the benchmark decks and the presets.
+
+    python3 tools/compare_reports.py --dump DIR [--root CHECKOUT]
+    python3 tools/compare_reports.py --diff A B [--tol 1e-12]
+
+``--dump`` writes one file per request into DIR: the ``ndde check`` report
+of every certify deck request (seeds 1-10 and the held-out 1009) and of the
+three presets, and the ``ndde picard`` summary of every picard deck request
+of the same seeds.  Each file ends with an ``exit = N`` line.  The decks come
+from ``bench/workloads.py``, which is only read.  ``--root`` names the
+source checkout whose ``src/`` and ``bench/`` are imported (default: the one
+holding this script), so two commits are compared by dumping each from its
+own checkout.
+
+``--diff`` prints, for every numeric key, the largest difference between A
+and B and the file where it occurs; then every change of a non-numeric
+value (verdicts, exit codes, convergence); then, as a separate list, every
+argsup that moved, with the sup it locates (an argsup of a sup at rounding
+level is arbitrary).  It exits 1 when a file is missing on one side, a
+non-numeric value changed, or a numeric value other than an argsup differs
+by more than ``--tol``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (*range(1, 11), 1009)
+PRESETS = ("section4", "section4-boundary", "section4-bx10")
+
+
+def _requests(root: Path):
+    """(file stem, kind, config text) of every request to dump."""
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import workloads
+    from ndde.presets import preset_text
+
+    for name in PRESETS:
+        yield f"preset-{name}", "check", preset_text(name)
+    for workload in ("certify", "picard"):
+        for seed in SEEDS:
+            for request in workloads.deck(workload, seed).requests:
+                yield f"{workload}-s{seed}-{request.name}", request.kind, request.text
+
+
+def dump(out_dir: Path, root: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    requests = list(_requests(root))
+    from ndde import cli
+
+    run = {"check": cli.run_check, "picard": cli.run_picard}
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, kind, text in requests:
+            path = Path(tmp) / f"{stem}.cfg"
+            path.write_text(text, encoding="utf-8")
+            buf = io.StringIO()
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = run[kind](str(path), out=buf)
+            # the config path is a temporary name; keep the request's own
+            body = buf.getvalue().replace(str(path), stem).rstrip("\n")
+            (out_dir / f"{stem}.txt").write_text(f"{body}\nexit = {code}\n", encoding="utf-8")
+            print(f"{stem}: exit {code}", flush=True)
+    return 0
+
+
+def _read(path: Path) -> dict[str, str]:
+    out = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        key, sep, value = line.partition(" = ")
+        if sep:
+            out[key.strip()] = value.strip()
+    return out
+
+
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def diff(a_dir: Path, b_dir: Path, tol: float) -> int:
+    a_files = {p.name for p in a_dir.glob("*.txt")}
+    b_files = {p.name for p in b_dir.glob("*.txt")}
+    bad = False
+    for name in sorted(a_files ^ b_files):
+        print(f"only in {a_dir if name in a_files else b_dir}: {name}")
+        bad = True
+
+    largest: dict[str, tuple[float, str]] = {}
+    changes: list[str] = []
+    shifts: list[tuple[float, str]] = []
+    for name in sorted(a_files & b_files):
+        a, b = _read(a_dir / name), _read(b_dir / name)
+        for key in sorted(a.keys() | b.keys()):
+            va, vb = a.get(key), b.get(key)
+            xa, xb = _number(va or ""), _number(vb or "")
+            if xa is None or xb is None:
+                if va != vb:
+                    changes.append(f"{name}: {key} {va} -> {vb}")
+                continue
+            delta = abs(xa - xb)
+            if key.endswith("argsup"):
+                if delta > 0.0:
+                    sup = a.get(key[: -len("argsup")] + "sup", a.get("alpha"))
+                    shifts.append((delta, f"{name}: {key} {xa!r} -> {xb!r} (sup {sup})"))
+                continue
+            if delta >= largest.get(key, (-1.0, ""))[0]:
+                largest[key] = (delta, name)
+
+    print(f"largest difference per key ({len(a_files & b_files)} files):")
+    for key, (delta, name) in sorted(largest.items()):
+        flag = "  EXCEEDS TOL" if delta > tol else ""
+        print(f"  {key}: {delta:.3e} ({name}){flag}")
+        bad = bad or delta > tol
+    print(f"non-numeric changes: {len(changes)}")
+    for line in changes:
+        print(f"  {line}")
+    bad = bad or bool(changes)
+    print(f"argsup shifts: {len(shifts)}")
+    for delta, line in sorted(shifts, reverse=True):
+        print(f"  {delta:.3e}  {line}")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--dump", metavar="DIR", type=Path)
+    mode.add_argument("--diff", nargs=2, metavar=("A", "B"), type=Path)
+    parser.add_argument("--root", type=Path, default=ROOT, help="checkout to dump from")
+    parser.add_argument("--tol", type=float, default=1e-12, help="allowed numeric difference")
+    args = parser.parse_args(argv)
+    if args.dump is not None:
+        return dump(args.dump, args.root.resolve())
+    return diff(*args.diff, args.tol)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
