@@ -26,10 +26,14 @@ The linear-neutral form drops ``neutral_damping`` and ``coupling_pair``
 coefficients mu/cbar/beta) and its head is |cbar(t)|.
 
 "weighted" always means the exponentially damped integral
-int_{t0}^{t} exp(-int_s^t g) (...) ds.  Over a horizon, all weighted terms
-are swept together by one :class:`~ndde.quadrature.WeightedSweep` on the
-Lobatto 4 / Kronrod 7 nodes of the grid panels, which reads G and the
-damping weights once per node for every term.  Every scanned term comes
+int_{t0}^{t} exp(-int_s^t g) (...) ds.  Each term is written once, as a
+function of a coefficient set: the binding (floats) or its ``arrays``
+(numpy arrays).  Over a horizon, all weighted terms are swept together by
+one :class:`~ndde.quadrature.WeightedSweep` on the Lobatto 4 / Kronrod 7
+nodes of the grid panels, which reads G and the damping weights once per
+node for every term and samples each term on all nodes of a chunk of
+panels in one array call; the direct terms and their slopes are sampled on
+the grid the same way.  A sweep failure names the term.  Every scanned term comes
 with its exact slope: I' = f - g I for a swept term (read off the sweep),
 the chain rule for the two direct terms, and the sum of the term slopes
 for the sum.  So the sup scans polish each maximum by a root search on the
@@ -45,6 +49,7 @@ constant (``window_lipschitz``, ``K_estimate``, ``asymptotic_check``,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -53,7 +58,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import NddeError, QuadratureError, ValidationError
-from .expressions import Expression, _piecewise_derivative
+from .expressions import Expression
 from .model import (
     AuxiliarySpec,
     BoundProblem,
@@ -62,6 +67,7 @@ from .model import (
     bind,
 )
 from .quadrature import (
+    _bulk,
     CumulativeExponent,
     sup_scan,
     weighted_integral,
@@ -95,106 +101,106 @@ _DOUBLE_TOL = 5e-10
 _TAIL_SLOPE_TOL = 1e-9
 
 
-def _sign(v: float) -> float:
-    return float((v > 0.0) - (v < 0.0))
+def _signed(v, w):
+    """sign(v) * w for floats and arrays alike (a float stays a float; sign(0) = 0)."""
+    return (v > 0.0) * w - (v < 0.0) * w
+
+
+def _window(b, t):
+    return b.drift_window(t)
+
+
+def _window_slope(b, t):
+    return abs(b.drift(t)) - abs(b.drift(b.tau1(t))) * (1.0 - b.r1_slope(t))
+
+
+def _tail(b, s):
+    return b.k4 * abs(b.c(s) / b.p_raw(s)) * b.p_of(b.tau2(s)) ** b.gamma
+
+
+def _double(b, s):
+    return abs(b.g_of(s)) * b.drift_window(s)
+
+
+def _retarded(b, s):
+    """The delayed drift (g - p'/p)(tau1) (1 - r1') of both brackets."""
+    u = b.tau1(s)
+    return (b.g_of(u) - b.pp_of(u) / b.p_of(u)) * (1.0 - b.r1_slope(s))
+
+
+def _linear_head(b, t):
+    return abs(b.cbar(t))
+
+
+def _linear_head_slope(b, t):
+    return _signed(b.cbar(t), b.cbar_prime(t))
+
+
+def _linear_bracket(b, s):
+    return abs(-b.mu(s) + _retarded(b, s) - b.beta(s))
+
+
+def _general_head(b, t):
+    u = b.tau1(t)
+    return abs(b.p_of(u) / b.p_raw(t)) * b.q_bound(u)
+
+
+def _general_head_slope(b, t):
+    u, du = b.tau1(t), 1.0 - b.r1_slope(t)
+    pt = b.p_raw(t)
+    ratio = b.p_of(u) / pt
+    ratio_prime = (b.pp_of(u) * du * pt - b.p_of(u) * b.pp_of(t)) / (pt * pt)
+    return _signed(ratio, ratio_prime) * b.q_bound(u) + abs(ratio) * b.q_bound_prime(u) * du
+
+
+def _general_bracket(b, s):
+    return abs(_retarded(b, s) - b.a(s) * b.p_of(b.tau1(s)) / b.p_raw(s))
+
+
+def _damping(b, s):
+    ps = b.p_raw(s)
+    u = b.tau1(s)
+    return abs((b.g_of(s) * ps - b.pp_of(s)) / (ps * ps)) * b.p_of(u) * b.q_bound(u)
+
+
+def _coupling(b, s):
+    return abs(b.d(s) / b.p_raw(s)) * (b.k2 * b.p_of(b.tau1(s)) + b.k3 * b.p_of(b.tau2(s)))
 
 
 class _TermSet:
-    """Pointwise evaluators for every criterion term of one bound problem."""
+    """Evaluators for every criterion term of one bound problem.
+
+    Every term body above is written once over a coefficient set.  Here
+    each is bound to the binding (``direct``, ``direct_slopes``,
+    ``weighted``: floats) and to its array set (the ``*_arrays`` maps:
+    numpy arrays, for bulk sampling on grids and sweep nodes).
+    """
 
     def __init__(self, bound: BoundProblem):
         self.bound = bound
-        b = bound
-        g = b.g_of
-        p = b.p_raw
-        p_of, pp_of = b.p_of, b.pp_of
-        tau1, tau2 = b.tau1, b.tau2
-        gamma = b.gamma
-        k4 = b.k4
-        c = b.c
-        window = b.drift_window
-        drift_abs = b.drift_cum.f
-
-        def window_slope(t: float) -> float:
-            return drift_abs(t) - drift_abs(tau1(t)) * (1.0 - b.r1_slope(t))
-
-        def tail(s: float) -> float:
-            return k4 * abs(c(s) / p(s)) * p_of(tau2(s)) ** gamma
-
-        def double(s: float) -> float:
-            return abs(g(s)) * window(s)
-
-        if b.problem.form == "linear-neutral":
+        if bound.problem.form == "linear-neutral":
             self.labels = LINEAR_TERMS
-
-            def head(t: float) -> float:
-                return abs(b.cbar(t))
-
-            def head_slope(t: float) -> float:
-                return _sign(b.cbar(t)) * b.cbar_prime(t)
-
-            def bracket(s: float) -> float:
-                u = tau1(s)
-                ret = (g(u) - pp_of(u) / p_of(u)) * (1.0 - b.r1_slope(s))
-                return abs(-b.mu(s) + ret - b.beta(s))
-
-            weighted = {
-                "retarded_bracket": bracket,
-                "double_window": double,
-                "nonlinear_tail": tail,
-            }
+            head = (_linear_head, _linear_head_slope)
+            own = {"retarded_bracket": _linear_bracket}
         else:
             self.labels = GENERAL_TERMS
-            q_bound = b.q_bound
-            q_bound_prime = _piecewise_derivative(b.problem.q_bound).compiled()
+            head = (_general_head, _general_head_slope)
+            own = {"retarded_bracket": _general_bracket, "neutral_damping": _damping,
+                   "coupling_pair": _coupling}
+        own.update(double_window=_double, nonlinear_tail=_tail)
+        # the direct terms come first in the labels, the weighted ones after
+        direct = {"neutral_head": head, "drift_window": (_window, _window_slope)}
+        weighted = {label: own[label] for label in self.labels[2:]}
 
-            def head(t: float) -> float:
-                u = tau1(t)
-                return abs(p_of(u) / p(t)) * q_bound(u)
+        def array(body):  # the array set is built on first use
+            return lambda t: body(bound.arrays, t)
 
-            def head_slope(t: float) -> float:
-                u, du = tau1(t), 1.0 - b.r1_slope(t)
-                pt = p(t)
-                ratio = p_of(u) / pt
-                ratio_prime = (pp_of(u) * du * pt - p_of(u) * pp_of(t)) / (pt * pt)
-                return (
-                    _sign(ratio) * ratio_prime * q_bound(u)
-                    + abs(ratio) * q_bound_prime(u) * du
-                )
-
-            def bracket(s: float) -> float:
-                u = tau1(s)
-                ret = (g(u) - pp_of(u) / p_of(u)) * (1.0 - b.r1_slope(s))
-                return abs(ret - b.a(s) * p_of(u) / p(s))
-
-            def damping(s: float) -> float:
-                ps = p(s)
-                u = tau1(s)
-                return abs((g(s) * ps - pp_of(s)) / (ps * ps)) * p_of(u) * q_bound(u)
-
-            def coupling(s: float) -> float:
-                return abs(b.d(s) / p(s)) * (
-                    b.k2 * p_of(tau1(s)) + b.k3 * p_of(tau2(s))
-                )
-
-            weighted = {
-                "retarded_bracket": bracket,
-                "double_window": double,
-                "neutral_damping": damping,
-                "coupling_pair": coupling,
-                "nonlinear_tail": tail,
-            }
-
-        self.direct: Mapping[str, Callable[[float], float]] = {
-            "neutral_head": head,
-            "drift_window": window,
-        }
-        # exact t-derivatives of the direct terms
-        self.direct_slopes: Mapping[str, Callable[[float], float]] = {
-            "neutral_head": head_slope,
-            "drift_window": window_slope,
-        }
-        self.weighted: Mapping[str, Callable[[float], float]] = weighted
+        self.direct = {k: functools.partial(value, bound) for k, (value, _) in direct.items()}
+        self.direct_slopes = {k: functools.partial(d, bound) for k, (_, d) in direct.items()}
+        self.weighted = {k: functools.partial(body, bound) for k, body in weighted.items()}
+        self.direct_arrays = {k: array(value) for k, (value, _) in direct.items()}
+        self.slope_arrays = {k: array(d) for k, (_, d) in direct.items()}
+        self.weighted_arrays = {k: array(body) for k, body in weighted.items()}
 
     def values(self, t: float, tol: float = 1e-10) -> np.ndarray:
         b = self.bound
@@ -304,8 +310,17 @@ class AlphaEstimate:
         raise KeyError(label)
 
 
-def _node_slopes(slope: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
-    """slope at every node; NaN where it fails, so the scan falls back there."""
+def _node_slopes(
+    slope: Callable[[float], float], slope_array: Callable[[np.ndarray], np.ndarray],
+    ts: np.ndarray,
+) -> np.ndarray:
+    """slope at every node, in bulk; where the bulk call raises, node by
+    node with NaN where it fails, so the scan falls back there."""
+    try:
+        with np.errstate(all="ignore"):
+            return slope_array(ts)
+    except (ArithmeticError, NddeError):
+        pass
     out = []
     for t in ts.tolist():
         try:
@@ -330,8 +345,8 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int) -> AlphaEstim
     pairs: dict[str, Callable[[float], tuple[float, float]]] = {}
     for label, fn in terms.direct.items():
         slope = terms.direct_slopes[label]
-        arrays[label] = np.asarray([fn(t) for t in ts])
-        slopes[label] = _node_slopes(slope, ts)
+        arrays[label] = _bulk(terms.direct_arrays[label], fn, ts)
+        slopes[label] = _node_slopes(slope, terms.slope_arrays[label], ts)
         fns[label] = fn
         pairs[label] = lambda t, fn=fn, slope=slope: (fn(t), slope(t))
     # one sweep for every weighted term: shared nodes, G and damping weights
@@ -341,6 +356,8 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int) -> AlphaEstim
         bound.gexp,
         ts,
         [_DOUBLE_TOL if label == "double_window" else _SWEEP_TOL for label in weighted],
+        arrays=[terms.weighted_arrays[label] for label in weighted],
+        labels=list(weighted),
     )
     swept_slopes = sweep.slopes()
     for k, label in enumerate(weighted):
@@ -492,7 +509,7 @@ def K_estimate(
     else:
         gexp = CumulativeExponent(_as_rate_callable(source), t0, checkpoint, tol)
     ts = np.linspace(gexp.start, tmax, n + 1)
-    G = np.asarray([gexp.cumulative(float(t)) for t in ts])
+    G = gexp.cumulative(ts)
     drop = float((np.maximum.accumulate(G) - G).max())
     if drop < 1e-12:
         return 1.0

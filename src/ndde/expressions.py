@@ -22,6 +22,17 @@ accepts negative bases; any other exponent requires a positive base.
 Evaluation is total on the declared domain: division by zero, ln of a
 non-positive argument, an illegal power, or a non-finite result raise
 DomainError instead of silently producing inf/nan.
+
+An expression compiles to two targets.  ``compiled()`` is a scalar Python
+function over ``math``.  ``vectorized()`` takes numpy arrays (broadcast
+together; a constant tree broadcasts to their shape) and maps sin, cos,
+exp, ln and abs to the numpy functions and ``sgnpow`` to
+copysign(|x|^e, x) with 0 sent to 0.  It runs with floating-point warnings
+off and checks the result, and every intermediate that could turn an
+error into a finite value (a denominator, an exponential's argument, a
+power's operands), for non-finite elements.  Those elements are rerun by
+the scalar form in the arrays' order, which raises the scalar form's
+DomainError, text included, at the first one that fails.
 """
 
 from __future__ import annotations
@@ -30,6 +41,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .errors import DomainError, NonDifferentiableError, ParseError
 
@@ -207,7 +220,10 @@ class _Parser:
     def atom(self) -> Node:
         kind, val, off = self.take()
         if kind == "num":
-            return Const(float(val))
+            try:
+                return Const(float(val))
+            except ValueError:  # more than one decimal point
+                raise ParseError(f"malformed number {val!r}", off) from None
         if kind == "name":
             nxt_kind, nxt_val, _ = self.peek()
             if nxt_kind == "op" and nxt_val == "(":
@@ -405,31 +421,37 @@ def _check_finite(v: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Compilation to a plain Python callable (hot paths: quadrature, stepping)
+# and to a numpy function over arrays (bulk sampling)
 
-def _codegen(node: Node, names: Mapping[str, str]) -> str:
+def _codegen(node: Node, names: Mapping[str, str], watch=lambda src: src) -> str:
+    """Source of ``node``; the array target passes a ``watch`` that wraps
+    each operand that could turn a non-finite value, where the scalar form
+    may have raised, into a finite one (x / inf, exp(-inf), inf^-1, 1^nan,
+    sgnpow(inf, -1)), for the finiteness check."""
     if isinstance(node, Const):
         return f"({node.value!r})"
     if isinstance(node, Var):
         return names[node.name]
     if isinstance(node, Neg):
-        return f"(-{_codegen(node.arg, names)})"
+        return f"(-{_codegen(node.arg, names, watch)})"
     if isinstance(node, BinOp):
-        a = _codegen(node.left, names)
-        b = _codegen(node.right, names)
+        a = _codegen(node.left, names, watch)
+        b = _codegen(node.right, names, watch)
         if node.op == "^":
             r = node.right
             if isinstance(r, Const) and r.value == int(r.value):
-                return f"({a} ** {int(r.value)})"
-            return f"_pow({a}, {b})"
+                return f"({a if r.value > 0 else watch(a)} ** {int(r.value)})"
+            return f"_pow({watch(a)}, {watch(b)})"
+        if node.op == "/":
+            return f"({a} / {watch(b)})"
         return f"({a} {node.op} {b})"
     if isinstance(node, Call):
-        a = _codegen(node.arg, names)
-        if node.func == "abs":
-            return f"abs({a})"
-        fn = {"sin": "_sin", "cos": "_cos", "exp": "_exp", "ln": "_log"}[node.func]
-        return f"{fn}({a})"
+        a = _codegen(node.arg, names, watch)
+        return f"_{node.func}({watch(a) if node.func == 'exp' else a})"
     if isinstance(node, SgnPow):
-        return f"_sgnpow({_codegen(node.arg, names)}, {float(node.exponent)!r})"
+        e = float(node.exponent)
+        a = _codegen(node.arg, names, watch)
+        return f"_sgnpow({a if e > 0 else watch(a)}, {e!r})"
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
@@ -450,23 +472,73 @@ def _compile(node: Node, variables: tuple[str, ...]) -> Callable[..., float]:
     src = (
         f"def _f({args}):\n"
         f"    try:\n"
-        f"        return _chk({body})\n"
+        f"        _r = {body}\n"
         f"    except (DomainError, ZeroDivisionError, ValueError, OverflowError) as e:\n"
         f"        raise _where(e, {values}) from None\n"
+        f"    if _isfinite(_r):\n"
+        f"        return _r\n"
+        f"    raise _where(DomainError('non-finite result'), {values})\n"
     )
     scope = {
         "_where": lambda err, values: _domain_error(node, variables, err, values),
-        "_chk": _check_finite,
+        "_isfinite": math.isfinite,
         "_pow": _pow,
         "_sgnpow": signed_power,
         "_sin": math.sin,
         "_cos": math.cos,
         "_exp": math.exp,
-        "_log": math.log,
+        "_ln": math.log,
+        "_abs": abs,
         "DomainError": DomainError,
     }
     exec(src, scope)  # noqa: S102 - generated from a closed grammar
     return scope["_f"]
+
+
+def _array_sgnpow(x, e: float):
+    return np.where(x == 0.0, 0.0, np.copysign(np.abs(x) ** e, x))
+
+
+def _compile_array(node: Node, variables: tuple[str, ...], scalar: Callable[..., float]):
+    names = {v: f"_a{i}" for i, v in enumerate(variables)}
+    args = ", ".join(names[v] for v in variables)
+    src = (
+        f"def _body({args}):\n"
+        f"    _bad = []\n"
+        f"    def _k(x):\n"
+        f"        if not _isfinite(x).all():\n"
+        f"            _bad.append(~_isfinite(x))\n"
+        f"        return x\n"
+        f"    return {_codegen(node, names, lambda src: f'_k({src})')}, _bad\n"
+    )
+    scope = {
+        "_pow": np.power, "_sgnpow": _array_sgnpow, "_sin": np.sin, "_cos": np.cos,
+        "_exp": np.exp, "_ln": np.log, "_abs": np.abs, "_isfinite": np.isfinite,
+    }
+    exec(src, scope)  # noqa: S102 - generated from a closed grammar
+    body = scope["_body"]
+
+    def _f(*arrays):
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        try:
+            with np.errstate(all="ignore"):
+                value, flagged = body(*arrays)
+            out = np.array(np.broadcast_to(value, shape), dtype=float)
+            bad = ~np.isfinite(out)
+            for mask in flagged:
+                bad |= mask
+            if not bad.any():
+                return out
+        except (ZeroDivisionError, ValueError, OverflowError):  # a constant subtree
+            out = np.empty(shape)
+            bad = np.ones(shape, dtype=bool)
+        columns = [np.broadcast_to(a, shape) for a in arrays]
+        for i in np.flatnonzero(bad):
+            out.flat[i] = scalar(*(float(c.flat[i]) for c in columns))
+        return out
+
+    return _f
 
 
 # ---------------------------------------------------------------------------
@@ -620,12 +692,13 @@ class Expression:
     argument order of the compiled callable.
     """
 
-    __slots__ = ("root", "variables", "_fn")
+    __slots__ = ("root", "variables", "_fn", "_array_fn")
 
     def __init__(self, root: Node, variables: Iterable[str] = ("t",)):
         self.root = root
         self.variables = tuple(variables)
         self._fn: Callable[..., float] | None = None
+        self._array_fn: Callable[..., np.ndarray] | None = None
 
     # construction -----------------------------------------------------
     @staticmethod
@@ -656,6 +729,15 @@ class Expression:
         if self._fn is None:
             self._fn = _compile(self.root, self.variables)
         return self._fn
+
+    def vectorized(self) -> Callable[..., np.ndarray]:
+        """Array callable (args follow ``variables``, broadcast together);
+        see the module docstring for its finiteness check and scalar rerun."""
+        if self._array_fn is None:
+            self._array_fn = _compile_array(
+                self.root, self.variables, lambda *args: self.compiled()(*args)
+            )
+        return self._array_fn
 
     # calculus / rewriting ----------------------------------------------
     def derivative(self, var: str = "t") -> "Expression":

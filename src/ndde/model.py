@@ -24,7 +24,7 @@ constant, and a Picard run's residual reads the binding its iteration used.
 
 from __future__ import annotations
 
-import math
+import functools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonDifferentiableError, ValidationError
-from .expressions import Expression, differentiate
+from .errors import DomainError, NonDifferentiableError, ValidationError
+from .expressions import Expression, _piecewise_derivative, differentiate
 from .quadrature import CumulativeExponent, sup_scan
 
 __all__ = [
@@ -74,25 +74,53 @@ class DelaySpec:
 
     def validate(self, t0: float, tmax: float, slope_restricted: bool) -> list[str]:
         """Sampled checks; raises on hard failures, returns soft warnings."""
-        lag = self.lag_fn()
-        slope = self.slope_fn()
+        lag, lags = self.lag_fn(), self.r.vectorized()
+        slope = self.slope_expression.vectorized()
         ts = np.linspace(t0, max(tmax, t0), 512)
+        stages = [
+            (lambda t: lags(t) < 0.0,
+             lambda i: f"delay r(t) = {lag(float(ts[i]))!r} < 0 at t = {float(ts[i])!r}")
+        ]
+        if slope_restricted:
+            stages.append((
+                lambda t: abs(1.0 - slope(t)) < 1e-12,
+                lambda i: f"delay slope r'(t) = 1 at t = {float(ts[i])!r}; the neutral combination "
+                "divides by 1 - r1'(t), so r1' must stay away from 1",
+            ))
+        _check_rows(stages, ts)
         soft: list[str] = []
-        for t in ts:
-            t = float(t)
-            if lag(t) < 0.0:
-                raise ValidationError(f"delay r(t) = {lag(t)!r} < 0 at t = {t!r}")
-            if slope_restricted and abs(1.0 - slope(t)) < 1e-12:
-                raise ValidationError(
-                    f"delay slope r'(t) = 1 at t = {t!r}; the neutral combination "
-                    "divides by 1 - r1'(t), so r1' must stay away from 1"
-                )
-        taus = [float(t) - lag(float(t)) for t in ts]
-        if any(b < a - 1e-12 for a, b in zip(taus, taus[1:])):
+        taus = ts - lags(ts)
+        if (taus[1:] < taus[:-1] - 1e-12).any():
             soft.append("delayed argument t - r(t) is not nondecreasing on the sample grid")
         if taus[-1] <= taus[0] and tmax > t0:
             soft.append("t - r(t) did not grow over the horizon; completeness is doubtful")
         return soft
+
+
+def _check_rows(stages, *columns: np.ndarray) -> None:
+    """Raise the ValidationError that a row-by-row loop would raise first.
+
+    Each stage is (test, message): ``test(*columns)`` flags the failing rows
+    in bulk and ``message(i)`` words row i's failure; a row fails at its
+    first failing stage.  When a bulk test raises (a function that cannot
+    be evaluated at some row), the rows run again one at a time, stage by
+    stage, so that the error met first in row order is the one raised.
+    """
+    try:
+        masks = [np.asarray(test(*columns), dtype=bool) for test, _ in stages]
+    except DomainError:
+        for i in range(len(columns[0])):
+            row = [c[i : i + 1] for c in columns]
+            for test, message in stages:
+                if test(*row)[0]:
+                    raise ValidationError(message(i)) from None
+        raise
+    failing = np.logical_or.reduce(masks)
+    if failing.any():
+        i = int(np.argmax(failing))
+        for mask, (_, message) in zip(masks, stages):
+            if mask[i]:
+                raise ValidationError(message(i))
 
 
 @dataclass(frozen=True)
@@ -110,13 +138,12 @@ class AuxiliarySpec:
         p = self.p.compiled()
         soft: list[str] = []
         ts = np.linspace(t0, max(tmax, t0), 512)
-        vals = []
-        for t in ts:
-            v = p(float(t))
-            if v <= 0.0:
-                raise ValidationError(f"p(t) = {v!r} <= 0 at t = {float(t)!r}")
-            vals.append(v)
-        if max(vals) > 1e12:
+        ps = self.p.vectorized()
+        _check_rows(
+            [(lambda t: ps(t) <= 0.0, lambda i: f"p(t) = {p(float(ts[i]))!r} <= 0 at t = {float(ts[i])!r}")],
+            ts,
+        )
+        if ps(ts).max() > 1e12:
             soft.append("p(t) exceeds 1e12 on the sample grid; boundedness is doubtful")
         if abs(p(t0) - 1.0) > 1e-12:
             soft.append(
@@ -266,42 +293,47 @@ class ProblemSpec:
         if abs(g_fn(0.0)) > 1e-15:
             raise ValidationError(f"G(0) = {g_fn(0.0)!r} != 0")
         xs = rng.uniform(-2.0, 2.0, size=(10_000, 2))
-        for x, y in xs:
-            lhs = abs(g_fn(float(x)) - g_fn(float(y)))
-            if lhs > self.k4 * abs(x - y) * (1 + 1e-9) + 1e-14:
-                raise ValidationError(
-                    f"G violates its Lipschitz bound k4 = {self.k4} at ({x}, {y})"
-                )
+        g_arr = self.G.vectorized()
+
+        def lipschitz(f, x, y, k):
+            # evaluates f(x) before f(y), as the row-by-row loop did
+            return abs(f(x) - f(y)) > k * abs(x - y) * (1 + 1e-9) + 1e-14
+
+        _check_rows(
+            [(lambda x, y: lipschitz(g_arr, x, y, self.k4),
+              lambda i: f"G violates its Lipschitz bound k4 = {self.k4} at ({xs[i, 0]}, {xs[i, 1]})")],
+            xs[:, 0], xs[:, 1],
+        )
 
         if self.form == "general":
             f_fn = self.F.compiled()
             if abs(f_fn(0.0, 0.0)) > 1e-15:
                 raise ValidationError("F(0, 0) != 0")
             pts = rng.uniform(-2.0, 2.0, size=(5_000, 3))
-            for x, y, z in pts:
-                lhs = abs(f_fn(float(x), float(y)) - f_fn(float(z), float(y)))
-                if lhs > self.k2 * abs(x - z) * (1 + 1e-9) + 1e-14:
-                    raise ValidationError("F violates its first-slot Lipschitz bound k2")
-                lhs = abs(f_fn(float(x), float(y)) - f_fn(float(x), float(z)))
-                if lhs > self.k3 * abs(y - z) * (1 + 1e-9) + 1e-14:
-                    raise ValidationError("F violates its second-slot Lipschitz bound k3")
-            q_fn = self.Q.compiled()
-            qb_fn = self.q_bound.compiled()
+            f_arr = self.F.vectorized()
+            _check_rows(
+                [(lambda x, y, z: lipschitz(lambda u: f_arr(u, y), x, z, self.k2),
+                  lambda i: "F violates its first-slot Lipschitz bound k2"),
+                 (lambda x, y, z: lipschitz(lambda v: f_arr(x, v), y, z, self.k3),
+                  lambda i: "F violates its second-slot Lipschitz bound k3")],
+                *pts.T,
+            )
+            q_arr = self.Q.vectorized()
+            qb_arr = self.q_bound.vectorized()
             ts = rng.uniform(self.t0, max(tmax, self.t0 + 1.0), size=100)
             pairs = rng.uniform(-2.0, 2.0, size=(100, 2))
-            for t in ts:
-                t = float(t)
-                if abs(q_fn(t, 0.0)) > 1e-15:
-                    raise ValidationError(f"Q(t, 0) != 0 at t = {t!r}")
-                bound = qb_fn(t)
-                if bound < 0:
-                    raise ValidationError(f"q_bound(t) = {bound!r} < 0 at t = {t!r}")
-                for x, y in pairs:
-                    lhs = abs(q_fn(t, float(x)) - q_fn(t, float(y)))
-                    if lhs > bound * abs(x - y) * (1 + 1e-9) + 1e-14:
-                        raise ValidationError(
-                            f"Q violates its Lipschitz bound q_bound at t = {t!r}"
-                        )
+            # one row per (t, pair), t-major, the checks of t first
+            rows = (np.repeat(ts, len(pairs)), *np.tile(pairs, (len(ts), 1)).T)
+            at_t = lambda i: float(rows[0][i])  # noqa: E731
+            _check_rows(
+                [(lambda t, x, y: abs(q_arr(t, 0.0)) > 1e-15,
+                  lambda i: f"Q(t, 0) != 0 at t = {at_t(i)!r}"),
+                 (lambda t, x, y: qb_arr(t) < 0,
+                  lambda i: f"q_bound(t) = {self.q_bound.compiled()(at_t(i))!r} < 0 at t = {at_t(i)!r}"),
+                 (lambda t, x, y: lipschitz(lambda u: q_arr(t, u), x, y, qb_arr(t)),
+                  lambda i: f"Q violates its Lipschitz bound q_bound at t = {at_t(i)!r}")],
+                *rows,
+            )
         return soft
 
 
@@ -334,13 +366,55 @@ def horizon(problem: ProblemSpec, tmax: float) -> HorizonResult:
 # ---------------------------------------------------------------------------
 # Binding: compile a (problem, aux) pair once, share quadrature caches
 
-class BoundProblem:
+class _Derived:
+    """Quantities derived from a binding's coefficient functions.
+
+    Written once over attribute names that both coefficient sets share:
+    the binding itself (scalar functions) and its ``arrays`` (numpy
+    functions over arrays).
+    """
+
+    def drift(self, u):
+        """g - p'/p on the left-extended weight."""
+        return self.g_of(u) - self.pp_of(u) / self.p_of(u)
+
+    # window of |g - p'/p| over [tau1(t), t]
+    def drift_window(self, t):
+        return self.drift_cum.cumulative(t) - self.drift_cum.cumulative(self.tau1(t))
+
+    # --- linear combination coefficients (left extension applied) -------
+    def cbar(self, t):
+        """Neutral ratio p(tau1)/p * b/(1 - r1')."""
+        return self.p_of(self.tau1(t)) / self.p_raw(t) * self.q(t)
+
+    def cbar_prime(self, t):
+        """d/dt of cbar, assembled by exact chain rule on the extension."""
+        u = self.tau1(t)
+        s = 1.0 - self.r1_slope(t)
+        pt = self.p_raw(t)
+        ppt = self.pp_of(t)
+        ratio = self.p_of(u) / pt
+        ratio_prime = (self.pp_of(u) * s * pt - self.p_of(u) * ppt) / (pt * pt)
+        return self.q_prime(t) * ratio + self.q(t) * ratio_prime
+
+    def mu(self, t):
+        """Retarded mass (a p(tau1) - b p'(tau1)) / p."""
+        u = self.tau1(t)
+        return (self.a(t) * self.p_of(u) - self.b(t) * self.pp_of(u)) / self.p_raw(t)
+
+    def beta(self, t):
+        """Combination derivative g cbar + cbar'."""
+        return self.g_of(t) * self.cbar(t) + self.cbar_prime(t)
+
+
+class BoundProblem(_Derived):
     """Fast closures for one problem/auxiliary pair over [t0, tmax].
 
     ``p_of``/``pp_of`` are the left-extended weight and its slope (1 and 0
     strictly left of t0).  ``gexp`` accumulates the damping rate from t0;
     ``drift_cum`` accumulates |g - p'/p| from m, which prices every
-    drift-window term.
+    drift-window term.  ``arrays`` holds the same coefficient functions
+    over numpy arrays, built on first use.
     """
 
     def __init__(
@@ -358,19 +432,41 @@ class BoundProblem:
         hor = horizon(problem, tmax)
         self.horizon = hor
         self.m = min(hor.m, self.t0)
-
-        self.tau1 = problem.r1.tau_fn()
-        self.tau2 = problem.r2.tau_fn()
-        self.r1_slope = problem.r1.slope_fn()
-        self.a = problem.a.compiled()
-        self.c = problem.c.compiled()
-        self.G_fn = problem.G.compiled()
         self.gamma = float(problem.gamma)
         self.k4 = problem.k4
 
-        p_fn = aux.p.compiled()
-        pp_fn = aux.p_prime.compiled()
-        self.g_of = aux.g.compiled()
+        # every coefficient function, by attribute name
+        exprs = {
+            "tau1": problem.r1.tau_expression,
+            "tau2": problem.r2.tau_expression,
+            "r1_slope": problem.r1.slope_expression,
+            "a": problem.a,
+            "c": problem.c,
+            "G_fn": problem.G,
+            "g_of": aux.g,
+            "p_raw": aux.p,
+            "p_slope": aux.p_prime,
+        }
+        if problem.form == "linear-neutral":
+            one_minus = (1 - problem.r1.slope_expression).simplified()
+            q_expr = (problem.b / one_minus).simplified()
+            exprs.update(
+                q=q_expr, q_prime=q_expr.derivative("t"), b=problem.b,
+                q_bound=q_expr.apply("abs"),
+            )
+        else:
+            exprs.update(
+                q_bound=problem.q_bound, q_bound_prime=_piecewise_derivative(problem.q_bound),
+                Q_fn=problem.Q, Qt_fn=problem.Q_t, Qx_fn=problem.Q_x, d=problem.d,
+                F_fn=problem.F,
+            )
+            self.k2 = problem.k2
+            self.k3 = problem.k3
+        self._exprs = exprs
+        for name, expr in exprs.items():
+            setattr(self, name, expr.compiled())
+
+        p_fn, pp_fn = self.p_raw, self.p_slope
         t0 = self.t0
         p_t0 = p_fn(t0)
         if self.m < t0 and abs(p_t0 - 1.0) > 1e-12:
@@ -378,7 +474,6 @@ class BoundProblem:
                 f"p(t0) = {p_t0!r} != 1; using the constant-1 extension left of t0",
                 stacklevel=2,
             )
-        self.p_raw = p_fn
 
         def p_of(u: float) -> float:
             return 1.0 if u < t0 else p_fn(u)
@@ -386,63 +481,43 @@ class BoundProblem:
         def pp_of(u: float) -> float:
             return 0.0 if u < t0 else pp_fn(u)
 
-        g = self.g_of
-
-        def drift(u: float) -> float:
-            return g(u) - pp_of(u) / p_of(u)
-
         self.p_of = p_of
         self.pp_of = pp_of
-        self.drift = drift
-        self.gexp = CumulativeExponent(g, t0, checkpoint, quad_tol)
+        self.gexp = CumulativeExponent(
+            self.g_of, t0, checkpoint, quad_tol, f_array=lambda u: self.arrays.g_of(u), name="g"
+        )
         self.drift_cum = CumulativeExponent(
-            lambda u: abs(drift(u)), self.m, checkpoint, quad_tol
+            lambda u: abs(self.drift(u)), self.m, checkpoint, quad_tol,
+            f_array=lambda u: abs(self.arrays.drift(u)), name="drift",
         )
 
-        if problem.form == "linear-neutral":
-            one_minus = (1 - problem.r1.slope_expression).simplified()
-            q_expr = (problem.b / one_minus).simplified()
-            self.q = q_expr.compiled()
-            self.q_prime = q_expr.derivative("t").compiled()
-            self.b = problem.b.compiled()
-            self.q_bound = q_expr.apply("abs").compiled()
-        else:
-            self.q_bound = problem.q_bound.compiled()
-            self.Q_fn = problem.Q.compiled()
-            self.Qt_fn = problem.Q_t.compiled()
-            self.Qx_fn = problem.Q_x.compiled()
-            self.d = problem.d.compiled()
-            self.F_fn = problem.F.compiled()
-            self.k2 = problem.k2
-            self.k3 = problem.k3
+    @functools.cached_property
+    def arrays(self) -> "_ArrayCoefficients":
+        return _ArrayCoefficients(self)
 
-    # window of |g - p'/p| over [tau1(t), t]
-    def drift_window(self, t: float) -> float:
-        return self.drift_cum.cumulative(t) - self.drift_cum.cumulative(self.tau1(t))
 
-    # --- linear combination coefficients (left extension applied) -------
-    def cbar(self, t: float) -> float:
-        """Neutral ratio p(tau1)/p * b/(1 - r1')."""
-        return self.p_of(self.tau1(t)) / self.p_raw(t) * self.q(t)
+class _ArrayCoefficients(_Derived):
+    """A binding's coefficient functions over numpy arrays: each expression
+    in its array form, the left extensions as masks."""
 
-    def cbar_prime(self, t: float) -> float:
-        """d/dt of cbar, assembled by exact chain rule on the extension."""
-        u = self.tau1(t)
-        s = 1.0 - self.r1_slope(t)
-        pt = self.p_raw(t)
-        ppt = self.pp_of(t)
-        ratio = self.p_of(u) / pt
-        ratio_prime = (self.pp_of(u) * s * pt - self.p_of(u) * ppt) / (pt * pt)
-        return self.q_prime(t) * ratio + self.q(t) * ratio_prime
+    def __init__(self, bound: BoundProblem):
+        for name in ("t0", "gamma", "k4", "k2", "k3", "gexp", "drift_cum"):
+            if hasattr(bound, name):
+                setattr(self, name, getattr(bound, name))
+        for name, expr in bound._exprs.items():
+            setattr(self, name, expr.vectorized())
 
-    def mu(self, t: float) -> float:
-        """Retarded mass (a p(tau1) - b p'(tau1)) / p."""
-        u = self.tau1(t)
-        return (self.a(t) * self.p_of(u) - self.b(t) * self.pp_of(u)) / self.p_raw(t)
+    def p_of(self, u: np.ndarray) -> np.ndarray:
+        return self._extended(u, 1.0, self.p_raw)
 
-    def beta(self, t: float) -> float:
-        """Combination derivative g cbar + cbar'."""
-        return self.g_of(t) * self.cbar(t) + self.cbar_prime(t)
+    def pp_of(self, u: np.ndarray) -> np.ndarray:
+        return self._extended(u, 0.0, self.p_slope)
+
+    def _extended(self, u: np.ndarray, left: float, fn) -> np.ndarray:
+        out = np.full(np.shape(u), left)
+        inside = ~(u < self.t0)  # NaN goes to fn, as in the scalar test
+        out[inside] = fn(u[inside])
+        return out
 
 
 def bind(

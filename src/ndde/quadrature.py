@@ -1,17 +1,25 @@
 """Quadrature kernels used by the criterion and the fixed-point operator.
 
 Everything here works on plain ``float -> float`` callables (compiled
-expressions or hand-written functions).  The recurring shapes are
+expressions or hand-written functions); the bulk paths also take each
+callable's array form (``ndarray -> ndarray``), and use it for batches of
+more than ``_SMALL`` points.  Where an array call raises or gives a
+non-finite value, the scalar callable reruns the batch point by point, so
+errors and their texts are the scalar ones.  The recurring shapes are
 
 * running integrals from a fixed start (CumulativeExponent), tabulated at
   checkpoints that a Lobatto 4 / Kronrod 7 pair places (unit panels,
   halved down to 1/1024 where the pair's error estimate exceeds the
   tolerance); a query adds one Kronrod panel from the last checkpoint, with
   adaptive Simpson as the fallback, so exponential damping weights over
-  long horizons cost a lookup and 7 samples, not an adaptive integration;
+  long horizons cost a lookup and 7 samples, not an adaptive integration.
+  An array of queries is answered at once: one ``searchsorted`` and one
+  array call for all partial panels;
 * exponentially weighted integrals  int_a^t exp(G(s) - G(t)) f(s) ds,
   one-shot (weighted_integral) and, for several integrands at once, swept
-  along a grid on the same pair's fixed nodes (WeightedSweep);
+  along a grid on the same pair's fixed nodes (WeightedSweep), in bulk:
+  chunks of grid panels at a time, the failing (panel, integrand) pairs
+  halved together level by level;
 * supremum scans over long windows with local refinement (sup_scan):
   given exact slopes at the coarse nodes and a value-and-slope callable, a
   cell whose node slopes bracket a maximum is polished by a root search on
@@ -22,7 +30,8 @@ expressions or hand-written functions).  The recurring shapes are
 The pair (Gander & Gautschi's Lobatto 4 / Kronrod 7) and its fixed-node
 helpers are shared with the operator's tables, so the package has one
 fixed-node rule; every use of it checks |K7 - L4| and falls back to
-adaptive Simpson.
+adaptive Simpson.  Scalar and array panels alike go through ``_lk_nodes``
+and ``_lk_sums``.
 """
 
 from __future__ import annotations
@@ -54,6 +63,11 @@ __all__ = [
 # is below this floor; lets integrable kinks through, keeps divergences fatal.
 _DEPTH_FLOOR = 1e-9
 
+# adaptive_simpson gives up after this many panels.  Around a pole the
+# panels that fail multiply with every level long before the depth limit is
+# reached; the largest call the benchmark decks make splits ~2,500 panels.
+_MAX_PANELS = 1 << 16
+
 
 def _non_finite(v: float, x: float) -> QuadratureError:
     return QuadratureError(f"non-finite integrand sample {v!r} at t={x!r}")
@@ -75,12 +89,19 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
     isfinite = math.isfinite
     stack = [(a, fa, b, fb, m, fm, whole, tol, depth)]
     done: list[float] = []  # finished halves awaiting their sibling
+    budget, whole_a, whole_b = _MAX_PANELS, a, b
     while stack:
         panel = stack.pop()
         if panel is None:  # both halves of a split are done
             right = done.pop()
             done[-1] += right
             continue
+        budget -= 1
+        if budget < 0:
+            raise QuadratureError(
+                f"no convergence on [{whole_a!r}, {whole_b!r}] within {_MAX_PANELS}"
+                f" panels (refining [{panel[0]!r}, {panel[2]!r}])"
+            )
         a, fa, b, fb, m, fm, whole, tol, depth = panel
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
@@ -160,7 +181,6 @@ _K7_W = np.array([77.0, 432.0, 625.0, 672.0, 625.0, 432.0, 77.0]) / 1470.0
 _L4_W = np.array([1.0, 0.0, 5.0, 0.0, 5.0, 0.0, 1.0]) / 6.0
 _LK_XS = _LK_X.tolist()
 _K7_WS = _K7_W.tolist()
-_L4_WS = _L4_W.tolist()
 
 # CumulativeExponent halves a table panel whose estimate fails only while it
 # is longer than this; shorter ones go to adaptive Simpson.
@@ -170,6 +190,32 @@ _FINEST_PANEL = 1.0 / 1024.0
 # (down to 1/1024 of it) before adaptive Simpson takes over.
 _HALVINGS = 10
 
+# WeightedSweep integrates at most this many grid panels per bulk call, which
+# bounds the size of its sample arrays (and of the array expressions'
+# temporaries) on long grids.
+_CHUNK = 256
+
+
+def _lk_nodes(a, b):
+    """Half-width and the pair's nodes on [a, b], floats or arrays alike, in
+    the order a, b, c -+ sqrt(2/3) h, c -+ h/sqrt(5), c (the midpoint last)."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x1 = h * _LK_XS[5]  # sqrt(2/3) half-widths
+    x2 = h * _LK_XS[4]  # 1/sqrt(5) half-widths
+    return h, (a, b, c - x1, c + x1, c - x2, c + x2, c)
+
+
+def _lk_sums(h, fa, fb, f1m, f1p, f2m, f2p, f0):
+    """K7 value and |K7 - L4| from the samples at the ``_lk_nodes``."""
+    ends = fa + fb
+    f1 = f1m + f1p
+    f2 = f2m + f2p
+    we, w1, w2, w0 = _K7_WS[:4]
+    kronrod = h * (we * ends + w1 * f1 + w2 * f2 + w0 * f0)
+    lobatto = h * (ends + 5.0 * f2) / 6.0
+    return kronrod, abs(kronrod - lobatto)
+
 
 def _lobatto_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """K7 value of int_a^b f and its embedded error estimate |K7 - L4|.
@@ -177,18 +223,8 @@ def _lobatto_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[f
     Samples are not checked one by one: a non-finite sample makes the
     error estimate non-finite, which callers treat as a failed estimate.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x1 = h * _LK_XS[5]  # sqrt(2/3) half-widths
-    x2 = h * _LK_XS[4]  # 1/sqrt(5) half-widths
-    ends = f(a) + f(b)
-    f1 = f(c - x1) + f(c + x1)
-    f2 = f(c - x2) + f(c + x2)
-    f0 = f(c)
-    we, w1, w2, w0 = _K7_WS[:4]
-    kronrod = h * (we * ends + w1 * f1 + w2 * f2 + w0 * f0)
-    lobatto = h * (ends + 5.0 * f2) / 6.0
-    return kronrod, abs(kronrod - lobatto)
+    h, (a, b, x1m, x1p, x2m, x2p, c) = _lk_nodes(a, b)
+    return _lk_sums(h, f(a), f(b), f(x1m), f(x1p), f(x2m), f(x2p), f(c))
 
 
 def _kronrod_nodes(left: np.ndarray, right: np.ndarray):
@@ -206,6 +242,30 @@ def _kronrod_nodes(left: np.ndarray, right: np.ndarray):
 def _map(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
     """fn applied point by point to equally long arrays of arguments."""
     return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
+# An array call costs tens of microseconds before its first element (a term
+# body makes dozens of them), so batches up to this size go point by point.
+_SMALL = 64
+
+
+def _bulk(fa: Callable[[np.ndarray], np.ndarray] | None, f: Callable[[float], float], x):
+    """f over the array x, by its array form fa in one call.
+
+    Where fa is None, x has at most ``_SMALL`` elements, or fa raises or
+    gives a non-finite value, f runs point by point in x's order instead, so
+    that the scalar form's error (or value) stands.
+    """
+    x = np.asarray(x, dtype=float)
+    if fa is not None and x.size > _SMALL:
+        try:
+            with np.errstate(all="ignore"):
+                out = np.asarray(fa(x), dtype=float)
+            if np.isfinite(out).all():
+                return out
+        except (NddeError, ArithmeticError):
+            pass
+    return _map(f, x.ravel()).reshape(x.shape)
 
 
 def _advance(decay: np.ndarray, panels: np.ndarray) -> np.ndarray:
@@ -237,6 +297,16 @@ class CumulativeExponent:
     A query thus costs a lookup and 7 samples of f when f is smooth there;
     a query at a checkpoint returns the table entry.
 
+    ``cumulative`` also takes an array of queries.  It then finds every
+    checkpoint by ``searchsorted`` and samples the partial panels of all
+    queries in one call of ``f_array`` (f's array form; without it, f point
+    by point).  A query whose estimate fails takes the scalar fallback.
+    Up to ``_SMALL`` queries, or when the array call raises, or a query is
+    non-finite or below the start, the queries run one by one in order (so
+    an error is the scalar one).
+    With a ``name``, an error of the table or of a query is re-raised as a
+    QuadratureError that names it and the query t.
+
     When f is a damping rate g, ``weight(s, t) = exp(G(s) - G(t))`` is the
     damping factor over [s, t]; the class is equally used for plain running
     integrals of nonnegative windows.  Readers are thread-safe; table
@@ -249,10 +319,14 @@ class CumulativeExponent:
         start: float,
         checkpoint: float = 1.0,
         tol_per_unit: float = 1e-11,
+        f_array: Callable[[np.ndarray], np.ndarray] | None = None,
+        name: str | None = None,
     ):
         if checkpoint <= 0:
             raise ValueError("checkpoint spacing must be positive")
         self.f = f
+        self.f_array = f_array
+        self.name = name
         self.start = float(start)
         self.checkpoint = float(checkpoint)
         self.tol_per_unit = float(tol_per_unit)
@@ -295,24 +369,67 @@ class CumulativeExponent:
                 nodes.extend(ends)
                 self._panels = i + 1
 
-    def cumulative(self, t: float) -> float:
-        if t < self.start:
-            if t < self.start - 1e-9 * max(1.0, abs(self.start)):
-                raise QuadratureError(
-                    f"cumulative query at t={t!r} below start {self.start!r}"
-                )
-            t = self.start
-        nodes = self._nodes
-        if t > nodes[-1]:
-            self._extend(t)
-        i = bisect_right(nodes, t) - 1
-        base = nodes[i]
-        if t == base:
-            return self._values[i]
-        value, error = _lobatto_kronrod(self.f, base, t)
-        if not error <= self.tol_per_unit:  # NaN too: the fallback raises
-            value = adaptive_simpson(self.f, base, t, self.tol_per_unit)
-        return self._values[i] + value
+    def cumulative(self, t):
+        """G(t) for a float t, or G at every element of an array t."""
+        if isinstance(t, np.ndarray):
+            return self._cumulative_many(t)
+        try:
+            if t < self.start:
+                if t < self.start - 1e-9 * max(1.0, abs(self.start)):
+                    raise QuadratureError(
+                        f"cumulative query at t={t!r} below start {self.start!r}"
+                    )
+                t = self.start
+            nodes = self._nodes
+            if t > nodes[-1]:
+                self._extend(t)
+            i = bisect_right(nodes, t) - 1
+            base = nodes[i]
+            if t == base:
+                return self._values[i]
+            value, error = _lobatto_kronrod(self.f, base, t)
+            if not error <= self.tol_per_unit:  # NaN too: the fallback raises
+                value = adaptive_simpson(self.f, base, t, self.tol_per_unit)
+            return self._values[i] + value
+        except (NddeError, ArithmeticError) as err:
+            if self.name is None:
+                raise
+            raise QuadratureError(f"cumulative {self.name} at t={t!r}: {err}") from err
+
+    def _cumulative_many(self, ts: np.ndarray) -> np.ndarray:
+        flat = np.asarray(ts, dtype=float).ravel()
+        low = self.start - 1e-9 * max(1.0, abs(self.start))
+        if len(flat) > _SMALL and np.isfinite(flat).all() and not (flat < low).any():
+            t = np.maximum(flat, self.start)
+            # in chunks (the interior nodes of one sweep chunk) to bound
+            # the size of the sample arrays
+            size = 5 * _CHUNK
+            try:
+                pieces = [self._queries(t[i : i + size]) for i in range(0, len(t), size)]
+                return np.concatenate(pieces).reshape(ts.shape)
+            except (NddeError, ArithmeticError):
+                pass  # the scalar queries below raise the first one's error
+        return np.array([self.cumulative(t) for t in flat.tolist()]).reshape(ts.shape)
+
+    def _queries(self, t: np.ndarray) -> np.ndarray:
+        top = float(t.max())
+        if top > self._nodes[-1]:
+            self._extend(top)
+        # copies: the table may grow under another reader; values grow first
+        nodes, values = np.array(self._nodes), np.array(self._values)
+        i = np.searchsorted(nodes, t, side="right") - 1
+        out = values[i]
+        part = t > nodes[i]
+        if part.any():
+            a, b = nodes[i[part]], t[part]
+            h, xs = _lk_nodes(a, b)
+            samples = _bulk(self.f_array, self.f, np.stack(xs))
+            with np.errstate(all="ignore"):
+                value, error = _lk_sums(h, *samples)
+            for j in np.flatnonzero(~(error <= self.tol_per_unit)):
+                value[j] = adaptive_simpson(self.f, float(a[j]), float(b[j]), self.tol_per_unit)
+            out[part] += value
+        return out
 
     def weight(self, s: float, t: float) -> float:
         return math.exp(self.cumulative(s) - self.cumulative(t))
@@ -344,16 +461,22 @@ class WeightedSweep:
     For every integrand f_k, ``values[k][i]`` is int_{grid[0]}^{grid[i]}
     exp(G(s) - G(grid[i])) f_k(s) ds, advanced panel by panel through
     I(t2) = exp(G(t1) - G(t2)) I(t1) + int_{t1}^{t2} exp(G(s) - G(t2)) f.
-    Each grid panel carries the 7 nodes of the Lobatto 4 / Kronrod 7 pair:
-    G and the damping weights are read there once and shared by every
-    integrand, and a grid node's G and samples serve both panels that end
-    on it.  An integrand's panel sum is K7 when |K7 - L4| is within its
-    tolerance; otherwise the panel is halved (the tolerance split by
-    width), at most ``_HALVINGS`` times, and adaptive Simpson integrates
-    what still fails.  ``at(t)`` evaluates between grid points by the same
-    rule on [grid[i], t].  ``counts[k]`` holds, per integrand, the panels
-    (grid panels and ``at`` intervals) accepted whole, the panels halved,
-    and the sub-panels handed to adaptive Simpson.
+    Each grid panel carries the 7 nodes of the Lobatto 4 / Kronrod 7 pair.
+    The panels are integrated in bulk, in chunks of at most ``_CHUNK``
+    panels: G is read at the interior nodes of a chunk in one array query,
+    shared by every integrand, and each integrand is sampled there in one
+    call of its array form (``arrays[k]``; without one, f_k point by
+    point), a grid node's G and samples serving both panels that end on it.
+    An integrand's panel sum is K7 when |K7 - L4| is within its
+    tolerance.  The (panel, integrand) pairs that fail are halved together,
+    level by level (the tolerance split by width), at most ``_HALVINGS``
+    times, and adaptive Simpson integrates what still fails, on the scalar
+    f_k.  ``at(t)`` evaluates between grid points by the same routine on
+    the one interval [grid[i], t].  ``counts[k]`` holds, per integrand, the
+    panels (grid panels and ``at`` intervals) accepted whole, the panels
+    halved, and the sub-panels handed to adaptive Simpson.  A failure is
+    raised as a QuadratureError that names the integrand's label (and, in
+    ``at``, the t).
     """
 
     def __init__(
@@ -362,6 +485,8 @@ class WeightedSweep:
         gexp: CumulativeExponent,
         grid: Sequence[float],
         tols: Sequence[float] | float = 1e-11,
+        arrays: Sequence[Callable[[np.ndarray], np.ndarray] | None] | None = None,
+        labels: Sequence[str] | None = None,
     ):
         self.fs = list(integrands)
         self.gexp = gexp
@@ -370,76 +495,104 @@ class WeightedSweep:
             raise ValueError("need a non-empty 1-d grid and at least one integrand")
         n = len(self.fs)
         self.tols = [float(tols)] * n if np.ndim(tols) == 0 else [float(t) for t in tols]
-        if len(self.tols) != n:
-            raise ValueError("need one tolerance per integrand")
+        self.arrays = [None] * n if arrays is None else list(arrays)
+        self.labels = [f"integrand {k}" for k in range(n)] if labels is None else list(labels)
+        if not len(self.tols) == len(self.arrays) == len(self.labels) == n:
+            raise ValueError("need one tolerance, array form and label per integrand")
         self.counts = np.zeros((n, 3), dtype=int)
-        self._G = _map(gexp.cumulative, self.grid)
-        self._f_grid = [_map(f, self.grid) for f in self.fs]
         terms = list(range(n))
-        panels = np.array(
-            [
-                self._panel(i - 1, float(self.grid[i]), float(self._G[i]), terms, i)
-                for i in range(1, len(self.grid))
-            ]
-        ).reshape(-1, n)
-        decay = np.exp(self._G[:-1] - self._G[1:])
-        self.values = np.zeros((n, len(self.grid)))
+        grid, G = self.grid, gexp.cumulative(self.grid)
+        self._G = G
+        self._f_grid = np.array([self._sample(k, grid, "") for k in terms]).reshape(n, -1)
+        panels = np.zeros((n, len(grid) - 1))
+        for lo in range(0, len(grid) - 1, _CHUNK):
+            hi = min(lo + _CHUNK, len(grid) - 1)
+            f = self._f_grid
+            panels[:, lo:hi] = self._integrate(
+                grid[lo:hi], grid[lo + 1 : hi + 1], G[lo:hi], G[lo + 1 : hi + 1],
+                f[:, lo:hi], f[:, lo + 1 : hi + 1], terms, "",
+            )
+        decay = np.exp(G[:-1] - G[1:])
+        self.values = np.zeros((n, len(grid)))
         for k in terms:
-            self.values[k, 1:] = _advance(decay, panels[:, k])
+            self.values[k, 1:] = _advance(decay, panels[k])
 
-    def _panel(
-        self, i: int, b: float, g_end: float, terms: list[int], j: int | None = None
-    ) -> list[float]:
-        """int_{grid[i]}^b exp(G(s) - g_end) f_k(s) ds for each k in ``terms``,
-        with g_end = G(b) and, when b is a grid node, j its index.
+    def _sample(self, k: int, x: np.ndarray, where: str) -> np.ndarray:
+        """Integrand k at every element of x."""
+        try:
+            return _bulk(self.arrays[k], self.fs[k], x)
+        except (NddeError, ArithmeticError) as err:
+            raise QuadratureError(f"sweep of {self.labels[k]}{where}: {err}") from err
 
-        The pair runs on the interval and, for the integrands whose estimate
-        fails, on halves of it, down to 1/2**_HALVINGS of its width;
-        adaptive Simpson takes what still fails there.  G and the samples at
-        grid nodes are read from the tables, every other one once.
-        """
-        cumulative, fs, counts = self.gexp.cumulative, self.fs, self.counts
-        a = float(self.grid[i])
-        G = {a: float(self._G[i]), b: g_end}
-        F = {(k, a): float(self._f_grid[k][i]) for k in terms}
-        if j is not None:
-            F.update(((k, b), float(self._f_grid[k][j])) for k in terms)
-        total = dict.fromkeys(terms, 0.0)
-        stack = [(a, b, [(k, self.tols[k]) for k in terms], 0)]
-        while stack:
-            a, b, pending, depth = stack.pop()
-            c, h = 0.5 * (a + b), 0.5 * (b - a)
-            xs = [a, *(c + h * x for x in _LK_XS[1:-1]), b]
-            for x in xs:
-                if x not in G:
-                    G[x] = cumulative(x)
-            damp = [h * math.exp(G[x] - g_end) for x in xs]
-            rejected = []
-            for k, tol in pending:
-                f = fs[k]
-                wf = []
-                for w, x in zip(damp, xs):
-                    v = F.get((k, x))
-                    if v is None:
-                        v = F[k, x] = f(x)
-                    wf.append(w * v)
-                kronrod = sum(w * v for w, v in zip(_K7_WS, wf))
-                error = abs(kronrod - sum(w * v for w, v in zip(_L4_WS, wf)))
-                if depth == 0:
-                    counts[k, 0 if error <= tol else 1] += 1
-                if error <= tol:
-                    total[k] += kronrod
-                elif depth < _HALVINGS:
-                    rejected.append((k, 0.5 * tol))
-                else:  # NaN too: the fallback raises
-                    counts[k, 2] += 1
-                    total[k] += adaptive_simpson(
-                        lambda s, f=f: math.exp(cumulative(s) - g_end) * f(s), a, b, tol
-                    )
-            if rejected:
-                stack.append((c, b, rejected, depth + 1))
-                stack.append((a, c, rejected, depth + 1))
-        return [total[k] for k in terms]
+    def _integrate(self, a, b, ga, gb, fa, fb, terms: list[int], where: str) -> np.ndarray:
+        """int_{a_p}^{b_p} exp(G(s) - G(b_p)) f_k(s) ds, shape (len(terms), m),
+        for the m intervals [a_p, b_p], given G and (row j for terms[j]) f at
+        their ends."""
+        m, rows = len(a), len(terms)
+        # one entry per pending (interval, term) pair: panel p, term row j,
+        # ends, G and f at the ends, tolerance, and position at this depth
+        p = np.tile(np.arange(m), rows)
+        j = np.repeat(np.arange(rows), m)
+        lo, hi, g_lo, g_hi = a[p], b[p], ga[p], gb[p]
+        f_lo, f_hi = fa.ravel(), fb.ravel()
+        tol = np.asarray(self.tols)[terms][j]
+        pos = np.zeros(len(p), dtype=np.int64)
+        g_end = gb[p]
+        done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (pair id, left, value)
+        for depth in range(_HALVINGS + 1):
+            # the distinct intervals: G at their interior nodes, once for all terms
+            key = (p << depth) + pos
+            _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+            h, xs = _lk_nodes(lo[first], hi[first])
+            inner = self.gexp.cumulative(np.stack(xs[2:]))[:, inv]
+            h, inner_x = h[inv], np.stack(xs[2:])[:, inv]
+            f_in = np.empty_like(inner_x)
+            for r in np.flatnonzero(np.bincount(j)).tolist():
+                sel = j == r
+                f_in[:, sel] = self._sample(terms[r], inner_x[:, sel], where)
+            G = np.concatenate([[g_lo, g_hi], inner])
+            F = np.concatenate([[f_lo, f_hi], f_in])
+            with np.errstate(all="ignore"):
+                value, error = _lk_sums(h, *(np.exp(G - g_end) * F))
+            ok = error <= tol
+            if depth == 0:
+                k = np.asarray(terms)[j]
+                np.add.at(self.counts, (k, np.where(ok, 0, 1)), 1)
+            done.append((j[ok] * m + p[ok], lo[ok], value[ok]))
+            fail = ~ok
+            if not fail.any():
+                break
+            if depth == _HALVINGS:  # NaN too: the fallback raises
+                for i in np.lexsort((j[fail], lo[fail], p[fail])).tolist():
+                    done.append(self._simpson(
+                        terms, m, j[fail][i], p[fail][i], lo[fail][i], hi[fail][i],
+                        g_end[fail][i], tol[fail][i], where,
+                    ))
+                break
+            # halve the failed pairs: [lo, c] and [c, hi] at half the tolerance
+            c, g_c, f_c = inner_x[4][fail], inner[4][fail], f_in[4][fail]
+            p, j, g_end = np.tile(p[fail], 2), np.tile(j[fail], 2), np.tile(g_end[fail], 2)
+            lo, hi = np.concatenate([lo[fail], c]), np.concatenate([c, hi[fail]])
+            g_lo, g_hi = np.concatenate([g_lo[fail], g_c]), np.concatenate([g_c, g_hi[fail]])
+            f_lo, f_hi = np.concatenate([f_lo[fail], f_c]), np.concatenate([f_c, f_hi[fail]])
+            tol = np.tile(0.5 * tol[fail], 2)
+            pos = np.concatenate([2 * pos[fail], 2 * pos[fail] + 1])
+        # each pair's sum runs over its pieces left to right, from 0.0
+        ids, left, value = (np.concatenate(col) for col in zip(*done))
+        order = np.lexsort((left, ids))
+        return np.bincount(ids[order], value[order], minlength=rows * m).reshape(rows, m)
+
+    def _simpson(self, terms, m, j, p, a, b, g_end, tol, where):
+        k = terms[j]
+        f, cumulative = self.fs[k], self.gexp.cumulative
+        self.counts[k, 2] += 1
+        try:
+            value = adaptive_simpson(
+                lambda s: math.exp(cumulative(s) - g_end) * f(s), float(a), float(b), float(tol)
+            )
+        except (NddeError, ArithmeticError) as err:
+            raise QuadratureError(f"sweep of {self.labels[k]}{where}: {err}") from err
+        return np.array([j * m + p]), np.array([a]), np.array([value])
 
     def at(self, t: float, k: int | None = None):
         """Integrand k's running integral at t, or all of them as an array."""
@@ -451,7 +604,14 @@ class WeightedSweep:
         out = self.values[terms, i]
         if t > self.grid[i]:
             gt = self.gexp.cumulative(t)
-            out = math.exp(self._G[i] - gt) * out + self._panel(i, float(t), gt, terms)
+            where = f" at t={t!r}"
+            point = np.array([float(t)])
+            ends = np.array([self._sample(j, point, where) for j in terms])
+            panel = self._integrate(
+                self.grid[i : i + 1], point, self._G[i : i + 1], np.array([gt]),
+                self._f_grid[terms, i : i + 1], ends, terms, where,
+            )
+            out = math.exp(self._G[i] - gt) * out + panel[:, 0]
         return out if k is None else float(out[0])
 
     def slopes(self) -> np.ndarray:
@@ -461,8 +621,8 @@ class WeightedSweep:
         I' = f - g I, and the sweep holds f and I at the nodes, so the
         slopes cost one sample of g = ``gexp.f`` per node.
         """
-        g = _map(self.gexp.f, self.grid)
-        return np.asarray(self._f_grid) - g * self.values
+        g = _bulk(self.gexp.f_array, self.gexp.f, self.grid)
+        return self._f_grid - g * self.values
 
     def at_slope(self, t: float, k: int | None = None):
         """(value, slope) of integrand k's running integral at t, or of all

@@ -294,3 +294,19 @@ def test_domain_error_names_expression_and_t(tmp_path, capsys):
     assert len(lines) == 1
     assert "ln(t - 5): math domain error at t=" in lines[0]
     assert "Traceback" not in err
+
+
+def test_pole_in_a_term_is_one_line_error_naming_the_term(tmp_path, capsys):
+    # c has a pole between the grid nodes of the horizon: the sweep halves
+    # the panel around it, adaptive Simpson gives up on the last sub-panel,
+    # and the error names the criterion term that failed
+    text = _cheap(tmax="100", grid="256")
+    start = text.index('c = "')
+    path = tmp_path / "pole.cfg"
+    path.write_text(text[:start] + 'c = "0.01/(t - 50.3)"' + text[text.index("\n", start) :])
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1
+    assert lines[0].startswith("error: sweep of nonlinear_tail: no convergence on [50.")
+    assert "Traceback" not in err

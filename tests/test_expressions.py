@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ndde.errors import DomainError, NonDifferentiableError, ParseError
@@ -239,3 +240,76 @@ def test_evaluate_rejects_unbound_variable():
     e = parse_expression("x", variables=("x",))
     with pytest.raises(DomainError):
         e.evaluate(t=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the array target
+
+
+def test_array_form_matches_scalar_form_on_random_trees():
+    rng = random.Random(321)
+    checked = 0
+    for _ in range(200):
+        e = parse_expression(_random_node(rng, rng.randint(1, 4)))
+        ts, expected = [], []
+        for _ in range(16):
+            t = rng.uniform(-3.0, 5.0)
+            try:
+                expected.append(e(t))
+            except DomainError:
+                continue
+            ts.append(t)
+        got = e.vectorized()(np.array(ts))
+        assert got.shape == (len(ts),)
+        for g, x in zip(got.tolist(), expected):
+            assert g == pytest.approx(x, rel=1e-12, abs=1e-300), str(e)
+        checked += len(ts)
+    assert checked > 2000
+
+
+@pytest.mark.parametrize(
+    "text, variables, args, message",
+    [
+        ("ln(t - 5)", ("t",), ([6.0, 7.5, 0.0, -1.0],), r"^ln\(t - 5\): math domain error at t=0\.0$"),
+        ("1/t", ("t",), ([2.0, 0.0, 1.0],), r"^1 / t: .*division by zero at t=0\.0$"),
+        ("exp(t)", ("t",), ([1.0, 1e9, 2e9],), r"^exp\(t\): .* at t=1000000000\.0$"),
+        ("x/y", ("x", "y"), ([1.0, 1.5], [2.0, 0.0]), r"^x / y: .* at x=1\.5, y=0\.0$"),
+        ("t^0.5", ("t",), ([4.0, -4.0],), r"^t\^0\.5: negative base .* at t=-4\.0$"),
+    ],
+)
+def test_array_domain_errors_match_the_scalar_message(text, variables, args, message):
+    fn = parse_expression(text, variables=variables).vectorized()
+    with pytest.raises(DomainError, match=message):
+        fn(*(np.array(a) for a in args))
+
+
+def test_array_form_raises_where_the_scalar_form_would_have():
+    # an error inside the tree that a later node would turn finite
+    # (exp(-inf) = 0, 1/inf = 0) still raises, as the scalar form does
+    for text in ("exp(-1/t)", "1/(1/t)", "2^(1/t) * 0 + 1"):
+        with pytest.raises(DomainError, match="division by zero at t=0.0"):
+            parse_expression(text).vectorized()(np.array([1.0, 0.0]))
+    # overflow raises, never returns inf
+    for text, x in (("exp(t)", 800.0), ("t * 1e300 * 1e300", 1.0), ("t^400", 1e3)):
+        with pytest.raises(DomainError):
+            parse_expression(text).vectorized()(np.array([0.5, x]))
+    # a constant subtree that fails fails everywhere
+    with pytest.raises(DomainError, match="division by zero"):
+        parse_expression("t + 1/0").vectorized()(np.array([1.0]))
+
+
+def test_array_sgnpow_and_constant_trees():
+    u = np.array([-8.0, -0.0, 0.0, 0.125])
+    assert parse_expression("sgnpow(t, 0)").vectorized()(u).tolist() == [-1.0, 0.0, 0.0, 1.0]
+    cube = parse_expression("sgnpow(t, 1/3)").vectorized()(u)
+    assert cube.tolist() == pytest.approx([-2.0, 0.0, 0.0, 0.5], rel=1e-15)
+    # a constant tree broadcasts to the shape of its arguments
+    two = parse_expression("2 + 0.5", variables=("t", "x")).vectorized()
+    grid = np.zeros((2, 3))
+    assert two(grid, 1.0).shape == (2, 3)
+    assert np.all(two(grid, np.zeros(3)) == 2.5)
+    # the result is a fresh array, never an argument
+    t = np.array([1.0, 2.0])
+    same = parse_expression("t").vectorized()(t)
+    same[0] = 7.0
+    assert t[0] == 1.0

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ndde.errors import NonDifferentiableError, ValidationError
+from ndde.errors import DomainError, NonDifferentiableError, ValidationError
 from ndde.expressions import Expression, parse_expression
 from ndde.model import (
     AuxiliarySpec,
@@ -249,3 +251,50 @@ def test_transformed_history_rejects_ambiguous_case():
     hist = HistoryFunction(parse_expression("0.001"))
     with pytest.raises(ValidationError):
         transformed_history(prob, _aux(), hist, m=-1.0)
+
+
+def _lipschitz_failure_by_loop(problem):
+    """The G and F checks of ``validate`` as the row-by-row loops that the
+    bulk checks replaced: the message of the first failure, or None."""
+    rng = np.random.default_rng(0)
+    g, f = problem.G.compiled(), problem.F.compiled()
+    try:
+        for x, y in rng.uniform(-2.0, 2.0, size=(10_000, 2)):
+            if abs(g(float(x)) - g(float(y))) > problem.k4 * abs(x - y) * (1 + 1e-9) + 1e-14:
+                return f"G violates its Lipschitz bound k4 = {problem.k4} at ({x}, {y})"
+        for x, y, z in rng.uniform(-2.0, 2.0, size=(5_000, 3)):
+            x, y, z = float(x), float(y), float(z)
+            if abs(f(x, y) - f(z, y)) > problem.k2 * abs(x - z) * (1 + 1e-9) + 1e-14:
+                return "F violates its first-slot Lipschitz bound k2"
+            if abs(f(x, y) - f(x, z)) > problem.k3 * abs(y - z) * (1 + 1e-9) + 1e-14:
+                return "F violates its second-slot Lipschitz bound k3"
+    except DomainError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize(
+    "G, F",
+    [
+        ("2*x", "0*x"),  # G violates its bound at some pair
+        ("ln(x + 1.5) - ln(1.5)", "0*x"),  # G cannot be evaluated below -1.5
+        ("sin(x)", "3*y"),  # F violates its second-slot bound
+        ("sin(x)", "ln(x + 1)"),  # F cannot be evaluated at some triple
+        ("sin(x)", "2*x + ln(y + 1)"),  # a violation before the domain error
+        ("sin(x)", "ln(x + 1) + 2*y"),  # the first slot fails before the second
+    ],
+)
+def test_bulk_lipschitz_checks_fail_as_the_loop_would(G, F):
+    general = _linear_problem().as_general()
+    problem = dataclasses.replace(
+        general,
+        G=parse_expression(G, variables=("x",)),
+        F=parse_expression(F, variables=("x", "y")),
+        k2=1.0,
+        k3=1.0,
+    )
+    expected = _lipschitz_failure_by_loop(problem)
+    assert expected is not None
+    with pytest.raises((ValidationError, DomainError)) as err:
+        problem.validate(tmax=10.0)
+    assert str(err.value) == expected

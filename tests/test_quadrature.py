@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ndde.errors import QuadratureError
+from ndde.expressions import parse_expression
 from ndde.hermite import hermite_max
 from ndde.quadrature import (
     CumulativeExponent,
@@ -489,3 +490,45 @@ def test_hermite_max_closed_form():
     # vectorised over cells; a monotone cell takes its larger end
     s, v = hermite_max([0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, -1.0], 1.0)
     assert list(s) == [1.0, pytest.approx(0.5)] and list(v) == [1.0, pytest.approx(0.25)]
+
+
+def test_cumulative_array_queries_match_scalar_queries():
+    rate = lambda t: 0.5 + 0.4 * math.sin(t) + abs(t - 7.3)  # noqa: E731
+    rate_array = lambda t: 0.5 + 0.4 * np.sin(t) + np.abs(t - 7.3)  # noqa: E731
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([rng.uniform(0.0, 20.0, 300), [0.0, -1e-12, 5.0, 20.0]])
+    scalar = CumulativeExponent(rate, 0.0)
+    expected = [scalar.cumulative(float(t)) for t in ts]
+    for f_array in (rate_array, None):  # the array form, or f point by point
+        bulk = CumulativeExponent(rate, 0.0, f_array=f_array)
+        got = bulk.cumulative(ts.reshape(4, -1))
+        assert got.shape == (4, 76)
+        assert np.abs(got.ravel() - expected).max() <= 1e-14
+        # the tables are the same, and a query at a checkpoint is its entry
+        assert list(bulk._nodes) == list(scalar._nodes)
+        assert bulk.cumulative(np.array(bulk._nodes[:80]))[-1] == bulk._values[79]
+
+
+def test_cumulative_array_queries_fail_as_the_first_scalar_query():
+    gexp = CumulativeExponent(G_RATE, 0.0)
+    queries = np.linspace(0.0, 3.0, 100)
+    queries[[40, 70]] = (-0.5, math.inf)
+    with pytest.raises(QuadratureError, match=r"query at t=-0\.5 below start"):
+        gexp.cumulative(queries)
+    pole = CumulativeExponent(lambda t: 1.0 / (t - 2.5), 0.0, name="g")
+    # the table fails on its panel [2, 3], which the first query past 2 needs
+    with pytest.raises(QuadratureError, match=r"^cumulative g at t=2\.0\d*: float division by zero$"):
+        pole.cumulative(np.linspace(0.0, 5.0, 100))
+
+
+def test_sweep_and_at_failures_name_the_integrand():
+    gexp = CumulativeExponent(G_RATE, 0.0)
+    bad = lambda t: 1.0 / (t - 3.0) if t > 2.0 else 1.0  # noqa: E731
+    grid = np.linspace(0.0, 5.0, 101)  # 3.0 is a node
+    with pytest.raises(QuadratureError, match=r"^sweep of tail: "):
+        WeightedSweep([math.cos, bad], gexp, grid, labels=["head", "tail"])
+    sweep = WeightedSweep([math.cos, bad], gexp, np.linspace(0.0, 2.0, 11), labels=["h", "t"])
+    assert sweep.at(1.5, 1) == pytest.approx(weighted_integral(bad, gexp, 1.5), abs=1e-9)
+    sweep.fs[1] = parse_expression("ln(t - 1.01)").compiled()
+    with pytest.raises(QuadratureError, match=r"^sweep of t at t=1\.03: ln\(t - 1\.01\): math"):
+        sweep.at(1.03, 1)

@@ -49,3 +49,32 @@ def test_diff_fails_on_verdict_change_missing_file_or_tolerance(tmp_path, capsys
     _write(a, "y.txt")
     assert compare_reports.main(["--diff", str(a), str(b), "--tol", "0.2"]) == 1
     assert "only in" in capsys.readouterr().out
+
+
+def test_dump_writes_the_sweep_counts_of_each_request(tmp_path, monkeypatch, capsys):
+    from ndde import criteria
+    from ndde.presets import preset_text
+
+    text = preset_text("section4").replace('tmax = "10000"', 'tmax = "50"')
+    text = text.replace('grid = "4096"', 'grid = "64"')
+    monkeypatch.setattr(compare_reports, "_requests", lambda root: iter([("cheap", "check", text)]))
+    made = criteria.WeightedSweep
+    assert compare_reports.main(["--dump", str(tmp_path / "a")]) == 0
+    assert criteria.WeightedSweep is made  # the wrapper is removed again
+    lines = (tmp_path / "a" / "cheap.txt").read_text().splitlines()
+    counts = [line for line in lines if line.startswith("sweep.")]
+    # one sweep of the three linear-form weighted terms, then the exit code
+    assert [line.split(" = ")[0] for line in counts] == [f"sweep.0.counts.{k}" for k in range(3)]
+    accepted, halved, simpson = map(int, counts[0].split(" = ")[1].split())
+    assert accepted >= 63 and halved >= 0 and simpson >= 0
+    assert lines[-1] == "exit = 0"
+
+    # a changed quadrature decision fails the diff
+    b = tmp_path / "b"
+    b.mkdir()
+    changed = "sweep.0.counts.1 = 1 2 3"
+    (b / "cheap.txt").write_text("\n".join(changed if line == counts[1] else line for line in lines))
+    capsys.readouterr()
+    assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert f"cheap.txt: sweep.0.counts.1 {counts[1].split(' = ')[1]} -> 1 2 3" in out

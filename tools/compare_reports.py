@@ -6,7 +6,11 @@
 ``--dump`` writes one file per request into DIR: the ``ndde check`` report
 of every certify deck request (seeds 1-10 and the held-out 1009) and of the
 three presets, and the ``ndde picard`` summary of every picard deck request
-of the same seeds.  Each file ends with an ``exit = N`` line.  The decks come
+of the same seeds.  After it come the ``WeightedSweep.counts`` of every
+sweep the request made, one ``sweep.N.counts.K = accepted halved simpson``
+line per integrand K, caught by wrapping ``ndde.criteria.WeightedSweep``;
+``--diff`` compares them as text, so a changed quadrature decision fails
+it.  Each file ends with an ``exit = N`` line.  The decks come
 from ``bench/workloads.py``, which is only read.  ``--root`` names the
 source checkout whose ``src/`` and ``bench/`` are imported (default: the one
 holding this script), so two commits are compared by dumping each from its
@@ -52,20 +56,36 @@ def _requests(root: Path):
 def dump(out_dir: Path, root: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     requests = list(_requests(root))
-    from ndde import cli
+    from ndde import cli, criteria
+
+    sweeps = []
+    made = criteria.WeightedSweep
+
+    def recording(*args, **kwargs):
+        sweeps.append(made(*args, **kwargs))
+        return sweeps[-1]
 
     run = {"check": cli.run_check, "picard": cli.run_picard}
-    with tempfile.TemporaryDirectory() as tmp:
-        for stem, kind, text in requests:
-            path = Path(tmp) / f"{stem}.cfg"
-            path.write_text(text, encoding="utf-8")
-            buf = io.StringIO()
-            with contextlib.redirect_stderr(io.StringIO()):
-                code = run[kind](str(path), out=buf)
-            # the config path is a temporary name; keep the request's own
-            body = buf.getvalue().replace(str(path), stem).rstrip("\n")
-            (out_dir / f"{stem}.txt").write_text(f"{body}\nexit = {code}\n", encoding="utf-8")
-            print(f"{stem}: exit {code}", flush=True)
+    criteria.WeightedSweep = recording
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for stem, kind, text in requests:
+                path = Path(tmp) / f"{stem}.cfg"
+                path.write_text(text, encoding="utf-8")
+                buf = io.StringIO()
+                sweeps.clear()
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = run[kind](str(path), out=buf)
+                # the config path is a temporary name; keep the request's own
+                lines = [buf.getvalue().replace(str(path), stem).rstrip("\n")]
+                for n, sweep in enumerate(sweeps):
+                    for k, row in enumerate(sweep.counts.tolist()):
+                        lines.append(f"sweep.{n}.counts.{k} = {' '.join(map(str, row))}")
+                lines.append(f"exit = {code}")
+                (out_dir / f"{stem}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+                print(f"{stem}: exit {code}", flush=True)
+    finally:
+        criteria.WeightedSweep = made
     return 0
 
 
