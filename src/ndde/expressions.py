@@ -51,6 +51,7 @@ __all__ = [
     "parse_expression",
     "differentiate",
     "signed_power",
+    "signed_power_array",
 ]
 
 _UNARY_FUNCS = ("sin", "cos", "exp", "ln", "abs")
@@ -492,11 +493,24 @@ def _compile(node: Node, variables: tuple[str, ...]) -> Callable[..., float]:
         "DomainError": DomainError,
     }
     exec(src, scope)  # noqa: S102 - generated from a closed grammar
-    return scope["_f"]
+    # popped: a function left in its own globals is a reference cycle, which
+    # only the cyclic collector frees, so each binding's would pile up
+    return scope.pop("_f")
 
 
 def _array_sgnpow(x, e: float):
     return np.where(x == 0.0, 0.0, np.copysign(np.abs(x) ** e, x))
+
+
+def signed_power_array(x: np.ndarray, gamma: Fraction | float) -> np.ndarray:
+    """:func:`signed_power` elementwise; a non-finite element is rerun by the
+    scalar form, which raises its DomainError where that form would."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        out = _array_sgnpow(x, float(gamma))
+    for i in np.flatnonzero(~np.isfinite(out)):
+        out.flat[i] = signed_power(float(x.flat[i]), gamma)
+    return out
 
 
 def _compile_array(node: Node, variables: tuple[str, ...], scalar: Callable[..., float]):
@@ -516,7 +530,7 @@ def _compile_array(node: Node, variables: tuple[str, ...], scalar: Callable[...,
         "_exp": np.exp, "_ln": np.log, "_abs": np.abs, "_isfinite": np.isfinite,
     }
     exec(src, scope)  # noqa: S102 - generated from a closed grammar
-    body = scope["_body"]
+    body = scope.pop("_body")  # no cycle, as in _compile
 
     def _f(*arrays):
         arrays = [np.asarray(a, dtype=float) for a in arrays]
@@ -734,9 +748,7 @@ class Expression:
         """Array callable (args follow ``variables``, broadcast together);
         see the module docstring for its finiteness check and scalar rerun."""
         if self._array_fn is None:
-            self._array_fn = _compile_array(
-                self.root, self.variables, lambda *args: self.compiled()(*args)
-            )
+            self._array_fn = _compile_array(self.root, self.variables, self.compiled())
         return self._array_fn
 
     # calculus / rewriting ----------------------------------------------

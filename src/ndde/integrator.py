@@ -24,6 +24,26 @@ fail to settle rerun at h/2), and takes exactly the arithmetic of a
 one-member run, so a family member is bitwise equal to its own run.  A
 family that fails raises the error of the first failure in t.
 
+Blocks.  The equations as written (linear and general form) read x only
+at delayed arguments.  Wherever every lookup of a run of steps lands on
+the history or on a closed panel (right node at or before the step the
+run starts at), RK4's stages are values of an already-known function:
+k2 = k3 = f(mid), k4 = f(end) = the next node's derivative, and the
+nodes are a running sum of the increments, in the step loop's order.
+Such a run is stepped as one numpy block.  The rows are evaluated in
+passes of at most 1,024 steps by the forms' array halves (vectorized
+coefficients, lookups located in bulk), once per pass for the whole
+family; only the Hermite gathers and the combination are per member.
+Block boundaries are worked out from the grid and the located panels
+alone, never from the members, so a family member still takes exactly
+the arithmetic of its own run.  A lookup the step loop must see (the
+stage state itself, an argument below the horizon) or the open panel
+ends a block.  A block is written only when it raised nothing and every
+value is finite; otherwise, and where the array rows of a pass cannot be
+evaluated, the steps go through the step loop, which raises its own
+error at its own t.  The reshaped equation reads the current state, so
+it is always stepped one step at a time.
+
 The derivative at the junction t0 comes from the equation itself, solved
 by the same inner iteration (the history only supplies the predictor), so
 a neutral term with a vanishing lag at t0 is handled as long as its
@@ -36,12 +56,13 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from types import SimpleNamespace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IntegrationError, ValidationError
-from .expressions import parse_expression, signed_power
+from .errors import IntegrationError, NddeError, ValidationError
+from .expressions import parse_expression, signed_power, signed_power_array
 from .hermite import hermite_eval, hermite_weights
 from .model import (
     AuxiliarySpec,
@@ -166,21 +187,33 @@ class Trajectory:
 
 # -------------------------------------------------------------------- forms
 #
-# A form is a pair (row, rhs).  ``row(t, X, Xp)`` evaluates everything that
-# depends on t alone and locates, through X(u, t) and Xp(u), the delayed
-# lookups the equation reads at t, in the order it reads them; a lookup it
-# does not read is never located.  ``rhs(co, v)`` combines the row's
-# coefficients co with one member's lookup values v (None where a lookup was
-# not read), in the operation order of the equation as written.
+# A form is a pair (row, rhs), written once over a function set: the
+# compiled coefficients on one stage time, or their vectorized twins on an
+# array of stage times.  ``row(t, X, Xp)`` evaluates everything that depends
+# on t alone and reads, through X(u, t) and Xp(u), the delayed lookups the
+# equation reads at t, in the order it reads them; a lookup it does not
+# read is never located.  ``rhs(co, v)`` combines the row's coefficients co
+# with one member's lookup values v (None where a lookup was not read), in
+# the operation order of the equation as written.  On arrays a lookup that
+# only some of the stage times read is read at all of them, and its term
+# is multiplied by 0 where it is not.
 
 
-def _form_linear(problem: ProblemSpec):
-    a = problem.a.compiled()
-    b = problem.b.compiled()
-    c = problem.c.compiled()
-    G = problem.G.compiled()
-    tau1 = problem.r1.tau_fn()
-    tau2 = problem.r2.tau_fn()
+def _functions(problem: ProblemSpec, array: bool) -> SimpleNamespace:
+    """The problem's coefficient functions: compiled, or vectorized."""
+    exprs = {
+        "a": problem.a, "b": problem.b, "c": problem.c, "d": problem.d, "G": problem.G,
+        "Qt": problem.Q_t, "Qx": problem.Q_x, "F": problem.F,
+        "tau1": problem.r1.tau_expression, "tau2": problem.r2.tau_expression,
+        "slope1": problem.r1.slope_expression,
+    }
+    fns = {k: e.vectorized() if array else e.compiled() for k, e in exprs.items() if e is not None}
+    if array:
+        return SimpleNamespace(**fns, sgnpow=signed_power_array, any=np.any)
+    return SimpleNamespace(**fns, sgnpow=signed_power, any=bool)
+
+
+def _form_linear(problem: ProblemSpec, fx: SimpleNamespace):
     gamma = float(problem.gamma)
     # syntactically zero coefficients skip their lookups entirely, so a
     # plain ODE never touches the open panel and stays classical RK4
@@ -188,16 +221,16 @@ def _form_linear(problem: ProblemSpec):
     has_c = not problem.c.is_zero()
 
     def row(t, X, Xp):
-        u1 = tau1(t)
-        na = -a(t)
+        u1 = fx.tau1(t)
+        na = -fx.a(t)
         l1 = X(u1, t)
         bv = lp1 = cv = l2 = None
         if has_b:
-            bv = b(t)
+            bv = fx.b(t)
             lp1 = Xp(u1)
         if has_c:
-            u2 = tau2(t)
-            cv = c(t)
+            u2 = fx.tau2(t)
+            cv = fx.c(t)
             l2 = X(u2, t)
         return (na, bv, cv), (l1, lp1, l2)
 
@@ -208,40 +241,30 @@ def _form_linear(problem: ProblemSpec):
         if has_b:
             out += bv * xp1
         if has_c:
-            out += cv * G(signed_power(x2, gamma))
+            out += cv * fx.G(fx.sgnpow(x2, gamma))
         return out
 
     return row, rhs
 
 
-def _form_general(problem: ProblemSpec):
-    a = problem.a.compiled()
-    c = problem.c.compiled()
-    d = problem.d.compiled()
-    Qt = problem.Q_t.compiled()
-    Qx = problem.Q_x.compiled()
-    F = problem.F.compiled()
-    G = problem.G.compiled()
-    tau1 = problem.r1.tau_fn()
-    tau2 = problem.r2.tau_fn()
-    slope1 = problem.r1.slope_fn()
+def _form_general(problem: ProblemSpec, fx: SimpleNamespace):
     gamma = float(problem.gamma)
     has_q = not problem.Q.is_zero()
     has_c = not problem.c.is_zero()
 
     def row(t, X, Xp):
-        u1 = tau1(t)
+        u1 = fx.tau1(t)
         l1 = X(u1, t)
-        na = -a(t)
+        na = -fx.a(t)
         lp1 = s1 = l2 = cv = None
         if has_q:
             lp1 = Xp(u1)
-            s1 = 1.0 - slope1(t)
-        dv = d(t)
-        if dv != 0.0 or has_c:
-            l2 = X(tau2(t), t)
+            s1 = 1.0 - fx.slope1(t)
+        dv = fx.d(t)
+        if fx.any(dv != 0.0) or has_c:
+            l2 = X(fx.tau2(t), t)
         if has_c:
-            cv = c(t)
+            cv = fx.c(t)
         return (t, na, s1, dv, cv), (l1, lp1, l2)
 
     def rhs(co, v):
@@ -249,22 +272,25 @@ def _form_general(problem: ProblemSpec):
         x1, xp1, x2 = v
         out = na * x1
         if has_q:
-            out += Qt(t, x1) + Qx(t, x1) * xp1 * s1
-        if dv != 0.0:
-            out += dv * F(x1, x2)
+            out += fx.Qt(t, x1) + fx.Qx(t, x1) * xp1 * s1
+        if fx.any(dv != 0.0):
+            out += dv * fx.F(x1, x2)
         if has_c:
-            out += cv * G(signed_power(x2, gamma))
+            out += cv * fx.G(fx.sgnpow(x2, gamma))
         return out
 
     return row, rhs
 
 
 def _form(problem: ProblemSpec):
-    return _form_linear(problem) if problem.form == "linear-neutral" else _form_general(problem)
+    """(scalar form, array form) of the equation as written."""
+    build = _form_linear if problem.form == "linear-neutral" else _form_general
+    return build(problem, _functions(problem, False)), build(problem, _functions(problem, True))
 
 
 def _form_transformed(bound):
-    """The reshaped equation z' (x = p z); the state y is read as a lookup."""
+    """The reshaped equation z' (x = p z); the state y is read as a lookup,
+    so it has no array form."""
     b = bound
     gamma = b.gamma
 
@@ -302,7 +328,7 @@ def _form_transformed(bound):
         out += kc * b.G_fn(p2g * signed_power(z2, gamma))
         return out
 
-    return row, rhs
+    return (row, rhs), None
 
 
 # ------------------------------------------------------------------- stepper
@@ -317,12 +343,37 @@ _MOVING = (_SELF, _DSELF, _OPEN)  # kinds whose value changes within a step
 _AT_SELF = (_SELF, False, None, None)
 _AT_DSELF = (_DSELF, True, None, None)
 
+# Blocks: the rows of at most _BLOCK steps are evaluated in one array pass,
+# which bounds the memory a pass takes; a span shorter than _MIN_BLOCK is
+# stepped one by one, where a block's fixed cost (a few array calls per
+# lookup and member) would exceed the steps it saves.
+_BLOCK = 1024
+_MIN_BLOCK = 8
+_ARRAY_ERRORS = (NddeError, ArithmeticError, ValueError)
+
+
+class _Stage(NamedTuple):
+    """One stage time's array row over a pass of steps."""
+
+    co: tuple
+    locs: tuple  # index into ``looks`` per lookup, None where not read
+    looks: list  # (u, slope, history mask or None, panel, Hermite weights)
+
+
+class _Pass(NamedTuple):
+    k: int  # the pass covers steps k, k + 1, ...
+    mid: _Stage
+    end: _Stage
+    need: np.ndarray  # per step, the first step a block holding it may start at
+
 
 class _Lockstep:
     """One fixed-step sweep of a family of histories on one shared grid.
 
-    Each member's nodes live in ``array('d')``; every lookup is located once
-    per stage time for the whole family.
+    Each member's nodes live in ``array('d')`` (with numpy views for the
+    blocks); every lookup is located once per stage time for the whole
+    family.  ``counts`` records the steps taken one by one, the blocks, the
+    steps in blocks, and the block attempts abandoned.
     """
 
     def __init__(self, histories, t0, T, h, tol, m):
@@ -341,11 +392,19 @@ class _Lockstep:
         self.ts = array("d", (t0 + self.h * i for i in range(n + 1)))
         self.xs = [array("d", [0.0]) * (n + 1) for _ in histories]
         self.ds = [array("d", [0.0]) * (n + 1) for _ in histories]
-        self.psi = [hist.psi.compiled() for hist in histories]
-        self.psi_prime = [hist.derivative_expression().compiled() for hist in histories]
+        # the array forms of psi and psi' are compiled when a block first
+        # reads the history
+        self._psi_exprs = [hist.psi for hist in histories]
+        self._psi_prime_exprs = [hist.derivative_expression() for hist in histories]
+        self.psi = [psi.compiled() for psi in self._psi_exprs]
+        self.psi_prime = [prime.compiled() for prime in self._psi_prime_exprs]
+        self._tv = np.frombuffer(self.ts)
+        self._xv = [np.frombuffer(x) for x in self.xs]
+        self._dv = [np.frombuffer(d) for d in self.ds]
         self.k = 0  # open panel index: [ts[k], ts[k+1]]
         self._fuzz = 1e-12 * max(1.0, abs(T))
         self._mfuzz = 1e-9 * max(1.0, abs(m))
+        self.counts = {"steps": 0, "blocks": 0, "block_steps": 0, "abandoned": 0}
 
     # ------------------------------------------------------------ locating
     def _check_horizon(self, u):
@@ -450,78 +509,213 @@ class _Lockstep:
 
     def run(self, form):
         """Step every member to T; returns (xs, ds) per member, or None for a
-        member whose inner correction failed to settle at this step."""
-        row, rhs = form
+        member whose inner correction failed to settle at some step.
+
+        ``form`` is (scalar form, array form or None).  Each pass of up to
+        _BLOCK steps evaluates the array rows once; a span of at least
+        _MIN_BLOCK steps that reads only closed panels and the history is
+        then stepped as one block per member, and every other step, and
+        every member whose block failed, one by one.
+        """
+        (row, rhs), bulk = form
         members = range(len(self.xs))
         co, locs = row(self.t0, self._X0, self._Xp0)
         base = self._step_values(locs, members)
         moving = _moving(locs)
         for j in members:
             self._bootstrap(j, co, base[j], moving, rhs)
+        active = list(members)
+        k = 0
+        while k < self.n and active:
+            stop = min(k + _BLOCK, self.n)
+            plan = self._pass(bulk[0], k, stop) if bulk is not None else None
+            while k < stop and active:
+                span = self._span(plan, k) if plan is not None else 0
+                if span >= _MIN_BLOCK:
+                    single = self._block(plan, bulk[1], k, span, active)
+                else:
+                    span, single = 1, active
+                for step in range(k, k + span):
+                    if not single:
+                        break
+                    failed = self._step(step, single, row, rhs)
+                    if failed:
+                        active = [j for j in active if j not in failed]
+                        single = [j for j in single if j not in failed]
+                k += span
+        done = set(active)
+        return [(self.xs[j], self.ds[j]) if j in done else None for j in members]
+
+    def _step(self, k, active, row, rhs):
+        """Step k of the active members, one RK4 step with the inner
+        correction; returns the members that failed to settle."""
+        self.counts["steps"] += 1
+        self.k = k
         h = self.h
         half = 0.5 * h
         h6 = h / 6.0
-        tol = self.tol
-        ts = self.ts
-        active = list(members)
-        for k in range(self.n):
-            self.k = k
-            t = ts[k]
-            tn = ts[k + 1]
-            mid_co, mid = row(t + half, self.X, self.Xp)
-            end_co, end = row(tn, self.X, self.Xp)
-            mid_moving = _moving(mid)
-            end_moving = _moving(end)
-            # only a lookup on the open panel needs the inner correction
-            touched = any(loc[0] == _OPEN for _, loc in mid_moving + end_moving)
-            mid_base = self._step_values(mid, active)
-            end_base = self._step_values(end, active)
-            failed = []
-            for idx, j in enumerate(active):
-                xs, ds = self.xs[j], self.ds[j]
-                xk = xs[k]
-                k1 = ds[k]
-                # a row none of whose lookups moves has one value per step
-                if not mid_moving:
-                    k2 = k3 = rhs(mid_co, mid_base[idx])
-                if not end_moving:
-                    k4 = d_end = rhs(end_co, end_base[idx])
-                xr = xk + h * k1
-                dr = k1
-                for _ in range(_INNER_MAX):
-                    if mid_moving:
-                        v = self._stage(mid_base[idx], mid_moving, j, xk + half * k1, xr, dr)
-                        k2 = rhs(mid_co, v)
-                        v = self._stage(mid_base[idx], mid_moving, j, xk + half * k2, xr, dr)
-                        k3 = rhs(mid_co, v)
-                    if end_moving:
-                        v = self._stage(end_base[idx], end_moving, j, xk + h * k3, xr, dr)
-                        k4 = rhs(end_co, v)
-                    x_new = xk + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    x_prev, d_prev = xr, dr
-                    xr = x_new
-                    if end_moving:
-                        v = self._stage(end_base[idx], end_moving, j, x_new, xr, d_prev)
-                        dr = rhs(end_co, v)
-                    else:
-                        dr = d_end
-                    if not touched:
-                        break
-                    if max(abs(xr - x_prev), h * abs(dr - d_prev)) <= tol:
-                        break
+        t = self.ts[k]
+        tn = self.ts[k + 1]
+        mid_co, mid = row(t + half, self.X, self.Xp)
+        end_co, end = row(tn, self.X, self.Xp)
+        mid_moving = _moving(mid)
+        end_moving = _moving(end)
+        # only a lookup on the open panel needs the inner correction
+        touched = any(loc[0] == _OPEN for _, loc in mid_moving + end_moving)
+        mid_base = self._step_values(mid, active)
+        end_base = self._step_values(end, active)
+        failed = []
+        for idx, j in enumerate(active):
+            xs, ds = self.xs[j], self.ds[j]
+            xk = xs[k]
+            k1 = ds[k]
+            # a row none of whose lookups moves has one value per step
+            if not mid_moving:
+                k2 = k3 = rhs(mid_co, mid_base[idx])
+            if not end_moving:
+                k4 = d_end = rhs(end_co, end_base[idx])
+            xr = xk + h * k1
+            dr = k1
+            for _ in range(_INNER_MAX):
+                if mid_moving:
+                    v = self._stage(mid_base[idx], mid_moving, j, xk + half * k1, xr, dr)
+                    k2 = rhs(mid_co, v)
+                    v = self._stage(mid_base[idx], mid_moving, j, xk + half * k2, xr, dr)
+                    k3 = rhs(mid_co, v)
+                if end_moving:
+                    v = self._stage(end_base[idx], end_moving, j, xk + h * k3, xr, dr)
+                    k4 = rhs(end_co, v)
+                x_new = xk + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x_prev, d_prev = xr, dr
+                xr = x_new
+                if end_moving:
+                    v = self._stage(end_base[idx], end_moving, j, x_new, xr, d_prev)
+                    dr = rhs(end_co, v)
                 else:
-                    failed.append(j)
-                    continue
-                if not (math.isfinite(xr) and math.isfinite(dr)):
-                    raise IntegrationError(f"state became non-finite near t = {tn!r}")
-                xs[k + 1] = xr
-                ds[k + 1] = dr
-            if failed:
-                active = [j for j in active if j not in failed]
-                if not active:
+                    dr = d_end
+                if not touched:
                     break
-        done = set(active)
-        return [(self.xs[j], self.ds[j]) if j in done else None for j in members]
+                if max(abs(xr - x_prev), h * abs(dr - d_prev)) <= self.tol:
+                    break
+            else:
+                failed.append(j)
+                continue
+            if not (math.isfinite(xr) and math.isfinite(dr)):
+                raise IntegrationError(f"state became non-finite near t = {tn!r}")
+            xs[k + 1] = xr
+            ds[k + 1] = dr
+        return failed
+
+    # -------------------------------------------------------------- blocks
+    def _pass(self, row, k, stop):
+        """The array rows of steps k..stop-1, or None (counted as abandoned)
+        when they cannot be evaluated; those steps then go one by one."""
+        tv = self._tv
+        try:
+            mid, mid_need = self._stage_rows(row, tv[k:stop] + 0.5 * self.h)
+            end, end_need = self._stage_rows(row, tv[k + 1 : stop + 1])
+        except _ARRAY_ERRORS:
+            self.counts["abandoned"] += 1
+            return None
+        return _Pass(k, mid, end, np.maximum(mid_need, end_need))
+
+    def _stage_rows(self, row, t):
+        """The array row at stage times t, and per step the first step a
+        block holding it may start at."""
+        reads = []
+
+        def X(u, at):
+            reads.append((u, at, False))
+            return len(reads) - 1
+
+        def Xp(u):
+            reads.append((u, None, True))
+            return len(reads) - 1
+
+        co, locs = row(t, X, Xp)
+        looks, need = [], np.zeros(len(t))
+        for u, at, slope in reads:
+            look, first = self._locate_array(u, at, slope)
+            looks.append(look)
+            need = np.maximum(need, first)
+        return _Stage(co, locs, looks), need
+
+    def _locate_array(self, u, at, slope):
+        """A lookup over an array of stage times: its gather data, and the
+        first step at which a block may read it.  That step is 0 on the
+        history, i + 1 on panel i, and never where the step loop must see
+        the lookup (the stage state itself, an argument below the horizon),
+        so a block holds only lookups whose values are already known."""
+        u = np.asarray(u, dtype=float)
+        h = self.h
+        hist = u < self.t0
+        i = np.floor((u - self.t0) / h)
+        first = np.where(hist, 0.0, i + 1.0)
+        never = hist & (u < self.m - self._mfuzz)
+        if at is not None:
+            never |= np.abs(u - at) <= self._fuzz
+        first[never] = np.inf
+        i = np.clip(i, 0, self.n - 1).astype(np.intp)
+        w = hermite_weights((u - self._tv[i]) / h, h, slope)
+        return (u, slope, hist if hist.any() else None, i, w), first
+
+    def _span(self, plan, s):
+        """Length of the block that may start at step s: the steps from s on
+        whose lookups all need a start at or before s."""
+        late = plan.need[s - plan.k :] > s
+        return int(late.argmax()) if late.any() else len(late)
+
+    def _gather(self, look, j, sl):
+        """Member j's values of one lookup over the block slice ``sl``."""
+        u, slope, hist, i, w = look
+        i = i[sl]
+        xv, dv = self._xv[j], self._dv[j]
+        w = tuple(c if c is None else c[sl] for c in w)
+        out = hermite_eval(w, xv[i], dv[i], xv[i + 1], dv[i + 1])
+        if hist is not None:
+            past = hist[sl]
+            if past.any():
+                exprs = self._psi_prime_exprs if slope else self._psi_exprs
+                out[past] = exprs[j].vectorized()(u[sl][past])
+        return out
+
+    def _block(self, plan, rhs, s, span, active):
+        """Steps s..s+span-1 of each active member as one block: every
+        stage's lookups are known, so k2 = k3 = f(mid), k4 = f(end) and the
+        nodes are a running sum of the RK4 increments, in the step loop's
+        order.  A member's block is written only when it raised nothing and
+        every value is finite; returns the members whose block failed."""
+        sl = slice(s - plan.k, s - plan.k + span)
+        stages = []
+        for stage in (plan.mid, plan.end):
+            co = tuple(c if c is None else c[sl] for c in stage.co)
+            stages.append((co, stage.locs, stage.looks))
+        h6 = self.h / 6.0
+        single = []
+        for j in active:
+            try:
+                with np.errstate(all="ignore"):
+                    k2, d = [
+                        rhs(co, [q if q is None else self._gather(looks[q], j, sl) for q in locs])
+                        for co, locs, looks in stages
+                    ]
+                    k1 = np.concatenate(([self.ds[j][s]], d[:-1]))
+                    incr = h6 * (k1 + 2.0 * k2 + 2.0 * k2 + d)
+                    x = np.add.accumulate(np.concatenate(([self.xs[j][s]], incr)))
+            except _ARRAY_ERRORS:
+                single.append(j)
+                continue
+            if not (np.isfinite(x).all() and np.isfinite(d).all()):
+                single.append(j)
+                continue
+            self._xv[j][s + 1 : s + span + 1] = x[1:]
+            self._dv[j][s + 1 : s + span + 1] = d
+        if len(single) < len(active):
+            self.counts["blocks"] += 1
+            self.counts["block_steps"] += span
+        if single:
+            self.counts["abandoned"] += 1
+        return single
 
 
 def _moving(locs):

@@ -69,9 +69,6 @@ class DelaySpec:
     def tau_fn(self) -> Callable[[float], float]:
         return self.tau_expression.compiled()
 
-    def slope_fn(self) -> Callable[[float], float]:
-        return self.slope_expression.compiled()
-
     def validate(self, t0: float, tmax: float, slope_restricted: bool) -> list[str]:
         """Sampled checks; raises on hard failures, returns soft warnings."""
         lag, lags = self.lag_fn(), self.r.vectorized()
@@ -355,9 +352,11 @@ def horizon(problem: ProblemSpec, tmax: float) -> HorizonResult:
     if not tmax >= problem.t0:
         raise ValidationError(f"horizon {tmax!r} lies below t0 = {problem.t0!r}")
     per: list[tuple[float, float]] = []
+    ts = np.linspace(problem.t0, tmax, 1024)
     for spec in (problem.r1, problem.r2):
         tau = spec.tau_fn()
-        res = sup_scan(lambda t: -tau(t), problem.t0, tmax, n=1024)
+        samples = -spec.tau_expression.vectorized()(ts)
+        res = sup_scan(lambda t: -tau(t), problem.t0, tmax, n=1024, samples=samples)
         per.append((-res.sup, res.argsup))
     m, argmin = min(per, key=lambda pair: pair[0])
     return HorizonResult(m=m, argmin=argmin, per_delay=tuple(per))

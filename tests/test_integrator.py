@@ -10,6 +10,7 @@ import pytest
 from ndde import (
     AuxiliarySpec,
     DelaySpec,
+    DomainError,
     HistoryFunction,
     IntegrationError,
     ProblemSpec,
@@ -364,3 +365,131 @@ def test_stability_accepts_numpy_scalar_delta():
     prob, _ = _showcase()
     rep = stability_experiment(prob, eps=0.1, delta=np.float64(0.00135), T=20.0, h=0.05)
     assert "np.float64" not in rep.to_text()
+
+
+# ---------------------------------------------------------------- blocks
+
+
+def _sweeps(monkeypatch):
+    """Every stepper built while the test runs, to read its counts."""
+    made = []
+
+    class Recording(integrator._Lockstep):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+    monkeypatch.setattr(integrator, "_Lockstep", Recording)
+    return made
+
+
+def _one_by_one(monkeypatch):
+    """Make every span too short for a block: the step loop takes all steps."""
+    monkeypatch.setattr(integrator, "_MIN_BLOCK", 10**9)
+
+
+def _general_qf():
+    return ProblemSpec(
+        form="general",
+        t0=0.0,
+        gamma=Fraction(1, 3),
+        r1=DelaySpec(parse_expression("0.3*t")),
+        r2=DelaySpec(parse_expression("1 + 0*t")),
+        a=parse_expression("0.5 + 0.1*sin(t)"),
+        c=parse_expression("0.05 + 0*t"),
+        G=_G,
+        k4=1.0,
+        Q=parse_expression("0.2*cos(t)*sin(x)", variables=("t", "x")),
+        q_bound=parse_expression("0.2*abs(cos(t))"),
+        d=parse_expression("0.1 + 0*t"),
+        F=parse_expression("0.5*sin(x) - 0.3*y", variables=("x", "y")),
+        k2=0.5,
+        k3=0.3,
+    )
+
+
+def test_section4_stability_request_steps_in_blocks(monkeypatch):
+    from ndde.config import loads
+    from ndde.presets import preset_text
+
+    cfg = loads(preset_text("section4"))
+    made = _sweeps(monkeypatch)
+    stability_experiment(cfg.problem, eps=cfg.eps, delta=0.00135, T=250.0, h=0.02)
+    assert len(made) == 1
+    counts = made[0].counts
+    assert counts["steps"] + counts["block_steps"] == 12_500
+    assert counts["steps"] <= 100
+    assert counts["abandoned"] == 0
+
+
+@pytest.mark.parametrize("case", ["proportional", "history_segment", "general_qf"])
+def test_blocks_match_the_step_loop(monkeypatch, case):
+    if case == "proportional":
+        (prob, _), psi, T, h = _showcase(), _hist("0.00135 + 0*t"), 50.0, 0.02
+    elif case == "history_segment":
+        # t0 = 0 > m = -1: the first blocks read the history, not the grid
+        prob = _linear(a="0.3 + 0*t", b="0.2*cos(t)", c="0.1 + 0*t", r1="1 + 0*t", r2="0.5 + 0*t")
+        psi, T, h = _hist("0.5*cos(3*t)"), 20.0, 0.05
+    else:
+        prob, psi, T, h = _general_qf(), _hist("0.2 + 0.1*sin(t)"), 20.0, 0.05
+    made = _sweeps(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        blocks = integrate(prob, psi, T=T, h=h)
+        _one_by_one(monkeypatch)
+        loop = integrate(prob, psi, T=T, h=h)
+    assert made[0].counts["block_steps"] > 0.9 * made[0].n
+    assert made[1].counts["steps"] == made[1].n
+    if case == "history_segment":
+        assert made[0].counts["steps"] == 0
+    tol = 1e-14 * np.max(np.abs(loop.values))
+    assert np.max(np.abs(blocks.values - loop.values)) <= tol
+    assert np.max(np.abs(blocks.derivatives - loop.derivatives)) <= tol
+
+
+@pytest.mark.parametrize("case", ["overflow", "coefficient", "rhs", "horizon"])
+def test_a_failing_block_raises_the_step_loop_error(monkeypatch, case):
+    a, c, G, r1, T = "1 + 0*t", "0*t", "sin(x)", "1 + 0*t", 6.0
+    if case == "overflow":
+        a = "-1e100 + 0*t"
+    elif case == "coefficient":
+        a = "ln(3 - t)"
+    elif case == "rhs":
+        a, c, G, T = "-1 + 0*t", "1 + 0*t", "ln(2 - x)", 10.0
+    else:
+        # a lag spike narrower than the horizon scan's grid: the scan misses
+        # it, and the stage time t = 3.3 reads below the horizon
+        r1 = "0.5 + 100*exp(-1000000*(t - 3.3)^2)"
+    prob = ProblemSpec(
+        form="linear-neutral",
+        t0=0.0,
+        gamma=Fraction(1, 3),
+        r1=DelaySpec(parse_expression(r1)),
+        r2=DelaySpec(parse_expression(r1)),
+        a=parse_expression(a),
+        b=_ZERO,
+        c=parse_expression(c),
+        G=parse_expression(G, variables=("x",)),
+        k4=1.0,
+    )
+    made = _sweeps(monkeypatch)
+    errors = []
+    for _ in range(2):
+        with pytest.raises((IntegrationError, ValidationError, DomainError)) as err:
+            integrate(prob, _hist("1 + 0*t"), T=T, h=0.05)
+        errors.append((type(err.value), str(err.value)))
+        _one_by_one(monkeypatch)
+    assert errors[0] == errors[1]
+    want = {
+        "overflow": "state became non-finite near t = ",
+        "coefficient": "ln(3 - t): math domain error at t=",
+        "rhs": "ln(2 - x): math domain error at x=",
+        "horizon": "below the horizon m = ",
+    }[case]
+    assert want in errors[0][1]
+    # the step loop sees a lookup below the horizon before any block holds
+    # it; the other failures abandon one block (or, for a coefficient, the
+    # array rows of the pass), and the blocks before them are kept
+    counts = made[0].counts
+    assert counts["abandoned"] == (0 if case == "horizon" else 1)
+    assert (counts["blocks"] > 0) == (case != "coefficient")

@@ -78,3 +78,23 @@ def test_dump_writes_the_sweep_counts_of_each_request(tmp_path, monkeypatch, cap
     assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b)]) == 1
     out = capsys.readouterr().out
     assert f"cheap.txt: sweep.0.counts.1 {counts[1].split(' = ')[1]} -> 1 2 3" in out
+
+
+def test_dump_writes_stability_reports_as_the_benchmark_runs_them(tmp_path, monkeypatch):
+    from ndde.config import loads
+    from ndde.integrator import stability_experiment
+    from ndde.presets import preset_text
+
+    text = preset_text("section4").replace('T = "50"', 'T = "5"')
+    broken = text.replace('T = "5"', 'T = "-1"')
+    requests = [("stab", "stability", text, 0.00135), ("stab-bad", "stability", broken, 0.00135)]
+    monkeypatch.setattr(compare_reports, "_requests", lambda root: iter(requests))
+    assert compare_reports.main(["--dump", str(tmp_path)]) == 0
+    lines = (tmp_path / "stab.txt").read_text().splitlines()
+    cfg = loads(text)
+    report = stability_experiment(cfg.problem, eps=cfg.eps, delta=0.00135, T=cfg.T, h=0.02)
+    assert lines == [*report.to_text().splitlines(), "exit = 0"]
+    assert "stability.h = 0.02" in lines
+    # a request that fails ends in one error line and exit 1
+    bad = (tmp_path / "stab-bad.txt").read_text().splitlines()
+    assert len(bad) == 2 and bad[0].startswith("error: ") and bad[1] == "exit = 1"

@@ -5,8 +5,10 @@
 
 ``--dump`` writes one file per request into DIR: the ``ndde check`` report
 of every certify deck request (seeds 1-10 and the held-out 1009) and of the
-three presets, and the ``ndde picard`` summary of every picard deck request
-of the same seeds.  After it come the ``WeightedSweep.counts`` of every
+three presets, the ``ndde picard`` summary of every picard deck request of
+the same seeds, and the ``StabilityReport.to_text()`` of every stability
+deck request of the same seeds, run as the benchmark runs it
+(``stability_experiment`` at h = 0.02 with the request's delta).  After it come the ``WeightedSweep.counts`` of every
 sweep the request made, one ``sweep.N.counts.K = accepted halved simpson``
 line per integrand K, caught by wrapping ``ndde.criteria.WeightedSweep``;
 ``--diff`` compares them as text, so a changed quadrature decision fails
@@ -40,17 +42,39 @@ PRESETS = ("section4", "section4-boundary", "section4-bx10")
 
 
 def _requests(root: Path):
-    """(file stem, kind, config text) of every request to dump."""
+    """(file stem, kind, config text[, delta]) of every request to dump;
+    a stability request carries its history size delta."""
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
     from ndde.presets import preset_text
 
     for name in PRESETS:
         yield f"preset-{name}", "check", preset_text(name)
-    for workload in ("certify", "picard"):
+    for workload in ("certify", "picard", "stability"):
         for seed in SEEDS:
             for request in workloads.deck(workload, seed).requests:
-                yield f"{workload}-s{seed}-{request.name}", request.kind, request.text
+                stem = f"{workload}-s{seed}-{request.name}"
+                if workload == "stability":
+                    yield stem, request.kind, request.text, request.params["delta"]
+                else:
+                    yield stem, request.kind, request.text
+
+
+def _stability(path: str, delta: float, out) -> int:
+    """The benchmark's stability run of one config: its report, or one
+    ``error:`` line and exit 1."""
+    from ndde import NddeError
+    from ndde.config import load_config
+    from ndde.integrator import stability_experiment
+
+    try:
+        cfg = load_config(path)
+        report = stability_experiment(cfg.problem, eps=cfg.eps, delta=delta, T=cfg.T, h=0.02)
+    except NddeError as exc:
+        print(f"error: {exc}", file=out)
+        return 1
+    print(report.to_text(), file=out)
+    return 0
 
 
 def dump(out_dir: Path, root: Path) -> int:
@@ -65,17 +89,17 @@ def dump(out_dir: Path, root: Path) -> int:
         sweeps.append(made(*args, **kwargs))
         return sweeps[-1]
 
-    run = {"check": cli.run_check, "picard": cli.run_picard}
+    run = {"check": cli.run_check, "picard": cli.run_picard, "stability": _stability}
     criteria.WeightedSweep = recording
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            for stem, kind, text in requests:
+            for stem, kind, text, *delta in requests:
                 path = Path(tmp) / f"{stem}.cfg"
                 path.write_text(text, encoding="utf-8")
                 buf = io.StringIO()
                 sweeps.clear()
                 with contextlib.redirect_stderr(io.StringIO()):
-                    code = run[kind](str(path), out=buf)
+                    code = run[kind](str(path), *delta, out=buf)
                 # the config path is a temporary name; keep the request's own
                 lines = [buf.getvalue().replace(str(path), stem).rstrip("\n")]
                 for n, sweep in enumerate(sweeps):
