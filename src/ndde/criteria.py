@@ -45,6 +45,9 @@ A request is bound once: :func:`evaluate_criteria` hands its one
 :class:`~ndde.model.BoundProblem` to the sweep and to every companion
 constant (``window_lipschitz``, ``K_estimate``, ``asymptotic_check``,
 ``delta_bounds``), which read t0, tmax and the cumulative tables from it.
+The damped coupling integral of ``asymptotic_check`` is the sweep's
+``nonlinear_tail`` row over k4, and a damping window is two reads of the
+table of g; the coupling windows are one array call of fixed-node panels.
 """
 
 from __future__ import annotations
@@ -68,10 +71,10 @@ from .model import (
 )
 from .quadrature import (
     _bulk,
+    _kronrod_panels,
     CumulativeExponent,
     sup_scan,
     weighted_integral,
-    window_integral,
     WeightedSweep,
 )
 
@@ -114,8 +117,13 @@ def _window_slope(b, t):
     return abs(b.drift(t)) - abs(b.drift(b.tau1(t))) * (1.0 - b.r1_slope(t))
 
 
+def _coupling_weight(b, s):
+    """|c/p| p^gamma(tau2): the tail's integrand over k4, the windows' c-term."""
+    return abs(b.c(s) / b.p_raw(s)) * b.p_of(b.tau2(s)) ** b.gamma
+
+
 def _tail(b, s):
-    return b.k4 * abs(b.c(s) / b.p_raw(s)) * b.p_of(b.tau2(s)) ** b.gamma
+    return b.k4 * _coupling_weight(b, s)
 
 
 def _double(b, s):
@@ -330,7 +338,8 @@ def _node_slopes(
     return np.asarray(out)
 
 
-def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int) -> AlphaEstimate:
+def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int):
+    """(estimate, the sweep of the weighted terms behind it)."""
     t0 = bound.t0
     if not tmax > t0:
         raise ValidationError("alpha_estimate needs tmax > t0")
@@ -399,7 +408,7 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int) -> AlphaEstim
         terms=tuple(stats),
         tmax=tmax,
         grid=grid,
-    )
+    ), sweep
 
 
 def alpha_estimate(
@@ -416,7 +425,7 @@ def alpha_estimate(
     one integration per term and grid point.  ``grid`` is also the coarse
     sample count of the sup scan.
     """
-    return _alpha_from_bound(bind(problem, aux, tmax), tmax, grid)
+    return _alpha_from_bound(bind(problem, aux, tmax), tmax, grid)[0]
 
 
 # --------------------------------------------------------------------------
@@ -444,37 +453,37 @@ def window_lipschitz(
     """Empirical unit-window constant for the coupling or damping integrand.
 
     kind "c-term": integrand |c(u) p^gamma(tau2(u)) / p(u)| (the coupling
-    window bound); kind "g": integrand g (the damping window bound).  The
-    windows cover [t0, tmax] of the binding.
+    window bound), one Lobatto 4 / Kronrod 7 panel a window, all sampled in
+    one array call; kind "g": integrand g (the damping window bound), two
+    reads of the binding's table of g a window.  The windows cover [t0, tmax].
     """
     b = bound
     t0, tmax = b.t0, b.tmax
     if not tmax > t0 + 1.0:
         raise ValidationError("window_lipschitz needs tmax > t0 + 1")
     if kind == "c-term":
-
-        def f(u: float) -> float:
-            return abs(b.c(u) * b.p_of(b.tau2(u)) ** b.gamma / b.p_raw(u))
-
+        f = functools.partial(_coupling_weight, b)
+        f_array = functools.partial(_coupling_weight, b.arrays)
     elif kind == "g":
-        f = b.g_of
+        f, f_array = b.g_of, b.arrays.g_of
     else:
         raise ValidationError(f"unknown window kind {kind!r}; use 'c-term' or 'g'")
 
-    widths = (1.0, 0.5, 0.25, 0.1, 0.02)
-    best = 0.0
+    widths = np.tile((1.0, 0.5, 0.25, 0.1, 0.02), centers)
+    lo = np.repeat(np.linspace(t0, tmax - 1.0, centers), 5)
     try:
-        pointwise = sup_scan(lambda u: abs(f(u)), t0, tmax, n=1024).sup
-        for t1 in np.linspace(t0, tmax - 1.0, centers):
-            for w in widths:
-                ratio = abs(window_integral(f, float(t1), float(t1) + w)) / w
-                if ratio > best:
-                    best = ratio
+        samples = np.abs(_bulk(f_array, f, np.linspace(t0, tmax, 1024)))
+        pointwise = sup_scan(lambda u: abs(f(u)), t0, tmax, n=1024, samples=samples).sup
+        if kind == "g":
+            windows = b.gexp.cumulative(lo + widths) - b.gexp.cumulative(lo)
+        else:
+            windows = _kronrod_panels(f, f_array, lo, lo + widths, 1e-10)
     except QuadratureError as err:
         raise QuadratureError(
             f"window_lipschitz {kind!r} on the horizon [{t0!r}, {tmax!r}]: {err}"
         ) from err
-    return LipschitzEstimate(kind=kind, windowed=best, pointwise=pointwise)
+    windowed = float((np.abs(windows) / widths).max())
+    return LipschitzEstimate(kind=kind, windowed=windowed, pointwise=pointwise)
 
 
 def _as_rate_callable(source) -> Callable[[float], float]:
@@ -520,9 +529,10 @@ def K_estimate(
 class AsymptoticCheck:
     """Decay diagnostics behind the asymptotic-stability verdict.
 
-    ``a_tail`` is the damped coupling integral at Tmax and ``a_slope`` its
-    secant slope over the last tenth of the horizon; the decay condition
-    asks this integral to vanish at infinity.  ``g_divergent`` witnesses
+    ``a_tail`` is the damped coupling integral at Tmax, the sweep's
+    ``nonlinear_tail`` row over k4, and ``a_slope`` its secant slope over
+    the last tenth of the horizon; the decay condition asks this integral
+    to vanish at infinity.  ``g_divergent`` witnesses
     int g -> infinity by comparing cumulative increments across the last
     two decades of the horizon (a log-growing integral keeps equal decade
     increments, a convergent one lets them die out).
@@ -535,30 +545,23 @@ class AsymptoticCheck:
     g_divergent: bool
 
 
-def asymptotic_check(bound: BoundProblem, tol: float = 1e-9) -> AsymptoticCheck:
-    """Decay diagnostics over [t0, tmax] of the binding."""
+def asymptotic_check(bound: BoundProblem, sweep: WeightedSweep | None = None) -> AsymptoticCheck:
+    """Decay diagnostics over [t0, tmax] of the binding, read off ``sweep``
+    (a criterion sweep from t0 to tmax; by default a one-term sweep of the
+    ``nonlinear_tail`` row on 4096 nodes) at tmax and at 90% of the horizon.
+    """
     b = bound
-    t0, tmax = b.t0, b.tmax
+    t0, tmax, span = b.t0, b.tmax, b.tmax - b.t0
+    if sweep is None:
+        sweep = WeightedSweep(
+            [functools.partial(_tail, b)], b.gexp, np.linspace(t0, tmax, 4096), _SWEEP_TOL,
+            arrays=[functools.partial(_tail, b.arrays)], labels=["nonlinear_tail"],
+        )
+    k = sweep.labels.index("nonlinear_tail")
+    a_end = float(sweep.values[k, -1]) / b.k4
+    a_slope = (a_end - sweep.at(t0 + 0.9 * span, k) / b.k4) / (0.1 * span)
 
-    def f(s: float) -> float:
-        return abs(b.c(s) / b.p_raw(s)) * b.p_of(b.tau2(s)) ** b.gamma
-
-    def damped(t: float, quantity: str) -> float:
-        try:
-            return weighted_integral(f, b.gexp, t, tol=tol)
-        except QuadratureError as err:
-            raise QuadratureError(
-                f"asymptotic.{quantity} on the horizon [{t0!r}, {tmax!r}]: {err}"
-            ) from err
-
-    a_end = damped(tmax, "a_tail")
-    a_prev = damped(t0 + 0.9 * (tmax - t0), "a_slope")
-    a_slope = (a_end - a_prev) / (0.1 * (tmax - t0))
-
-    g_end = b.gexp.cumulative(tmax)
-    span = tmax - t0
-    g_decade = b.gexp.cumulative(t0 + span / 10.0)
-    g_two = b.gexp.cumulative(t0 + span / 100.0)
+    g_end, g_decade, g_two = map(b.gexp.cumulative, (tmax, t0 + span / 10, t0 + span / 100))
     inc_last = g_end - g_decade
     inc_prev = g_decade - g_two
     return AsymptoticCheck(
@@ -621,19 +624,22 @@ def bracket_matching_a(
     where the returned expression is evaluated without the left extension
     of p (vanishing lag at t0 qualifies).
     """
-    tau1 = delay.tau_expression
-    one_minus = (1 - delay.slope_expression).simplified()
-    q = (b / one_minus).simplified()
-    p, g = aux.p, aux.g
-    p_tau = p.substitute(t=tau1).simplified()
-    pp_tau = aux.p_prime.substitute(t=tau1).simplified()
-    g_tau = g.substitute(t=tau1).simplified()
-    cbar = ((p_tau / p) * q).simplified()
-    beta = (g * cbar + cbar.derivative("t")).simplified()
+    one_minus, _, p_tau, pp_tau, beta = _reduction(b, delay, aux)
+    g_tau = aux.g.substitute(t=delay.tau_expression).simplified()
     bracket = ((g_tau - pp_tau / p_tau) * one_minus - beta).simplified()
     if residual is not None:
         bracket = (bracket - residual).simplified()
-    return ((bracket * p + b * pp_tau) / p_tau).simplified()
+    return ((bracket * aux.p + b * pp_tau) / p_tau).simplified()
+
+
+def _reduction(b: Expression, delay: DelaySpec, aux: AuxiliarySpec):
+    """(1 - r1', q = b/(1 - r1'), p(tau1), p'(tau1), beta = g cbar + cbar')."""
+    one_minus = (1 - delay.slope_expression).simplified()
+    q = (b / one_minus).simplified()
+    p_tau = aux.p.substitute(t=delay.tau_expression).simplified()
+    pp_tau = aux.p_prime.substitute(t=delay.tau_expression).simplified()
+    cbar = ((p_tau / aux.p) * q).simplified()
+    return one_minus, q, p_tau, pp_tau, (aux.g * cbar + cbar.derivative("t")).simplified()
 
 
 def matched_general_form(problem: ProblemSpec, aux: AuxiliarySpec) -> ProblemSpec:
@@ -660,16 +666,9 @@ def matched_general_form(problem: ProblemSpec, aux: AuxiliarySpec) -> ProblemSpe
     theta = slope.evaluate(t=0.0)
 
     t = Expression.variable("t")
-    tau1 = problem.r1.tau_expression
-    one_minus = (1 - problem.r1.slope_expression).simplified()
-    q = (problem.b / one_minus).simplified()
-    p, g = aux.p, aux.g
-    p_tau = p.substitute(t=tau1).simplified()
-    pp_tau = aux.p_prime.substitute(t=tau1).simplified()
-    cbar = ((p_tau / p) * q).simplified()
-    beta = (g * cbar + cbar.derivative("t")).simplified()
-    mu = ((problem.a * p_tau - problem.b * pp_tau) / p).simplified()
-    a_matched = (((mu + beta) * p) / p_tau).simplified()
+    _, q, p_tau, pp_tau, beta = _reduction(problem.b, problem.r1, aux)
+    mu = ((problem.a * p_tau - problem.b * pp_tau) / aux.p).simplified()
+    a_matched = (((mu + beta) * aux.p) / p_tau).simplified()
 
     stretched = q.substitute(t=(t / (1.0 - theta))).simplified()
     x = Expression.variable("x")
@@ -854,11 +853,11 @@ def evaluate_criteria(
             " prices unit windows"
         )
     bound = bind(problem, aux, tmax)
-    est = _alpha_from_bound(bound, tmax, grid)
+    est, sweep = _alpha_from_bound(bound, tmax, grid)
     lip_c = window_lipschitz(bound, "c-term")
     lip_g = window_lipschitz(bound, "g")
     K = K_estimate(bound, tmax)
-    asym = asymptotic_check(bound)
+    asym = asymptotic_check(bound, sweep)
 
     if est.alpha < 1.0:
         deltas = delta_bounds(est.alpha, K, eps, bound)

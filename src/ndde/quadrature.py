@@ -217,16 +217,6 @@ def _lk_sums(h, fa, fb, f1m, f1p, f2m, f2p, f0):
     return kronrod, abs(kronrod - lobatto)
 
 
-def _lobatto_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """K7 value of int_a^b f and its embedded error estimate |K7 - L4|.
-
-    Samples are not checked one by one: a non-finite sample makes the
-    error estimate non-finite, which callers treat as a failed estimate.
-    """
-    h, (a, b, x1m, x1p, x2m, x2p, c) = _lk_nodes(a, b)
-    return _lk_sums(h, f(a), f(b), f(x1m), f(x1p), f(x2m), f(x2p), f(c))
-
-
 def _kronrod_nodes(left: np.ndarray, right: np.ndarray):
     """The (n, 7) pair nodes on the panels [left, right], and half-widths.
 
@@ -266,6 +256,18 @@ def _bulk(fa: Callable[[np.ndarray], np.ndarray] | None, f: Callable[[float], fl
         except (NddeError, ArithmeticError):
             pass
     return _map(f, x.ravel()).reshape(x.shape)
+
+
+def _kronrod_panels(f, f_array, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """int f over each panel [a_j, b_j]: K7 from one ``_bulk`` call at all their
+    nodes, adaptive Simpson at ``tol`` where |K7 - L4| exceeds ``tol``."""
+    h, xs = _lk_nodes(a, b)
+    samples = _bulk(f_array, f, np.stack(xs))
+    with np.errstate(all="ignore"):
+        value, error = _lk_sums(h, *samples)
+    for j in np.flatnonzero(~(error <= tol)):
+        value[j] = adaptive_simpson(f, float(a[j]), float(b[j]), tol)
+    return value
 
 
 def _advance(decay: np.ndarray, panels: np.ndarray) -> np.ndarray:
@@ -352,7 +354,8 @@ class CumulativeExponent:
                 total = values[-1]
                 while pending:  # left to right, halving where the pair fails
                     a, b = pending.pop()
-                    value, error = _lobatto_kronrod(self.f, a, b)
+                    h, xs = _lk_nodes(a, b)
+                    value, error = _lk_sums(h, *map(self.f, xs))
                     if not error <= self.tol_per_unit:
                         if b - a > _FINEST_PANEL:
                             m = 0.5 * (a + b)
@@ -387,7 +390,8 @@ class CumulativeExponent:
             base = nodes[i]
             if t == base:
                 return self._values[i]
-            value, error = _lobatto_kronrod(self.f, base, t)
+            h, xs = _lk_nodes(base, t)
+            value, error = _lk_sums(h, *map(self.f, xs))
             if not error <= self.tol_per_unit:  # NaN too: the fallback raises
                 value = adaptive_simpson(self.f, base, t, self.tol_per_unit)
             return self._values[i] + value
@@ -421,14 +425,9 @@ class CumulativeExponent:
         out = values[i]
         part = t > nodes[i]
         if part.any():
-            a, b = nodes[i[part]], t[part]
-            h, xs = _lk_nodes(a, b)
-            samples = _bulk(self.f_array, self.f, np.stack(xs))
-            with np.errstate(all="ignore"):
-                value, error = _lk_sums(h, *samples)
-            for j in np.flatnonzero(~(error <= self.tol_per_unit)):
-                value[j] = adaptive_simpson(self.f, float(a[j]), float(b[j]), self.tol_per_unit)
-            out[part] += value
+            out[part] += _kronrod_panels(
+                self.f, self.f_array, nodes[i[part]], t[part], self.tol_per_unit
+            )
         return out
 
     def weight(self, s: float, t: float) -> float:

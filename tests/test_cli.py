@@ -3,10 +3,14 @@
 import filecmp
 import io
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from ndde.cli import main, run_check, run_picard, run_simulate
+from ndde.config import loads
+from ndde.criteria import evaluate_criteria, matched_general_form
 from ndde.presets import available, preset_text
 
 # [PRESET CHEAP VARIANTS] the shipped presets sweep to tmax = 10000 with a
@@ -267,20 +271,44 @@ def test_check_short_tmax_is_one_line_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_asymptotic_quadrature_failure_names_the_quantity(tmp_path, capsys):
-    # with g = -1 the damping weight exp(G(s) - G(t)) = exp(t - s) reaches
-    # e^50, and the damped tail integral cannot meet its absolute tolerance
+def _growing_probe(tmp_path):
+    """section4 at tmax 50 with g = -1: the damping weights exp(G(s) - G(t))
+    = exp(t - s) reach e^50."""
     text = _cheap(tmax="50")
     growing = text.replace('g = "0.1/(t + 0.1)"', 'g = "-1 + 0*t"')
     assert growing != text
     path = tmp_path / "growing.cfg"
     path.write_text(growing)
-    assert main(["check", str(path)]) == 1
-    err = capsys.readouterr().err
-    lines = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(lines) == 1
-    assert "asymptotic.a_tail on the horizon [0.0, 50.0]: no convergence" in lines[0]
-    assert "Traceback" not in err
+    return path
+
+
+def test_growing_damping_weight_ends_in_a_verdict(tmp_path, capsys):
+    # the damped coupling integral is read off the criterion sweep, whose
+    # panels are damped from their own right end, so the huge weights still
+    # give a finite a_tail and a full report
+    assert main(["check", str(_growing_probe(tmp_path))]) == 2
+    captured = capsys.readouterr()
+    assert "verdict.bounded = violated" in captured.out
+    (line,) = [ln for ln in captured.out.splitlines() if ln.startswith("asymptotic.a_tail = ")]
+    assert math.isfinite(float(line.split(" = ")[1]))
+    assert not any(ln.startswith("error:") for ln in captured.err.splitlines())
+    assert "Traceback" not in captured.err
+
+
+def test_reports_follow_the_schema(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_path = Path(__file__).parents[1] / "docs" / "criteria_report.schema.json"
+    schema = json.loads(schema_path.read_text())
+    cfg = loads(_cheap(tmax="50", grid="128"))
+    linear = evaluate_criteria(cfg.problem, cfg.aux, tmax=cfg.tmax, grid=cfg.grid, eps=cfg.eps)
+    twin = evaluate_criteria(
+        matched_general_form(cfg.problem, cfg.aux), cfg.aux, tmax=cfg.tmax, grid=cfg.grid,
+        eps=cfg.eps,
+    )
+    json_path = tmp_path / "growing.json"
+    assert run_check(_growing_probe(tmp_path), json_path=json_path, out=io.StringIO()) == 2
+    for blob in (linear.to_dict(), twin.to_dict(), json.loads(json_path.read_text())):
+        jsonschema.validate(blob, schema)
 
 
 def test_domain_error_names_expression_and_t(tmp_path, capsys):

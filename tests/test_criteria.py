@@ -25,7 +25,12 @@ from ndde.criteria import (
 from ndde.errors import NonDifferentiableError, QuadratureError, ValidationError
 from ndde.expressions import Expression, parse_expression
 from ndde.model import AuxiliarySpec, BoundProblem, DelaySpec, ProblemSpec, bind
-from ndde.quadrature import CumulativeExponent, adaptive_simpson, weighted_integral
+from ndde.quadrature import (
+    CumulativeExponent,
+    adaptive_simpson,
+    weighted_integral,
+    window_integral,
+)
 
 
 def _aux():
@@ -339,6 +344,23 @@ def test_K_estimate_cases():
     )
 
 
+def _windowed_reference(bound, kind, centers=128):
+    """sup |window integral| / width by adaptive Simpson, window by window."""
+    b = bound
+    if kind == "c-term":
+
+        def f(u):
+            return abs(b.c(u) * b.p_of(b.tau2(u)) ** b.gamma / b.p_raw(u))
+
+    else:
+        f = b.g_of
+    best = 0.0
+    for t1 in np.linspace(b.t0, b.tmax - 1.0, centers):
+        for w in (1.0, 0.5, 0.25, 0.1, 0.02):
+            best = max(best, abs(window_integral(f, float(t1), float(t1) + w)) / w)
+    return best
+
+
 def test_window_lipschitz_cases():
     prob, aux = _showcase()
     bound = bind(prob, aux, 50.0)
@@ -351,6 +373,21 @@ def test_window_lipschitz_cases():
     damping = window_lipschitz(bound, "g")
     assert damping.pointwise == pytest.approx(1.0, abs=1e-9)
     assert damping.windowed <= 1.0 + 1e-12
+
+    # the windows agree with one adaptive Simpson integral per window, on
+    # both forms, a longer horizon, and a tau2 that reads p's left extension
+    member, _ = _certify_member()
+    offset, _ = _showcase(r2=DelaySpec(parse_expression("0.2*t + 0.1")))
+    with pytest.warns(UserWarning, match="constant-1 extension"):
+        offset_bound = bind(offset, aux, 40.0)
+    for b in [
+        bound, bind(matched_general_form(prob, aux), aux, 50.0), bind(member, aux, 300.0),
+        bind(matched_general_form(member, aux), aux, 300.0), offset_bound,
+    ]:
+        for kind in ("c-term", "g"):
+            assert window_lipschitz(b, kind).windowed == pytest.approx(
+                _windowed_reference(b, kind), abs=1e-12
+            )
 
     still = AuxiliarySpec(p=parse_expression("1/(t + 0.2)"), g=parse_expression("0"))
     assert window_lipschitz(bind(prob, still, 10.0), "g").pointwise == 0.0
@@ -385,6 +422,25 @@ def test_asymptotic_check_cases():
     )
     res = asymptotic_check(bind(prob, fading, 1000.0))
     assert not res.g_divergent
+
+    # the report reads the damped coupling integral off its criterion sweep;
+    # it agrees with a one-shot integration at 1e-12
+    member, _ = _certify_member()
+    for problem in (prob, member):
+        tmax = 200.0
+        b = bind(problem, aux, tmax)
+
+        def f(s, b=b):
+            return abs(b.c(s) / b.p_raw(s)) * b.p_of(b.tau2(s)) ** b.gamma
+
+        end = weighted_integral(f, b.gexp, tmax, tol=1e-12)
+        prev = weighted_integral(f, b.gexp, 0.9 * tmax, tol=1e-12)
+        report = evaluate_criteria(problem, aux, tmax=tmax, grid=256)
+        assert report.a_tail == pytest.approx(end, abs=1e-12)
+        assert report.a_tail_slope == pytest.approx((end - prev) / (0.1 * tmax), abs=1e-12)
+        standalone = asymptotic_check(b)
+        assert standalone.a_tail == pytest.approx(end, abs=1e-12)
+        assert standalone.a_slope == pytest.approx(report.a_tail_slope, abs=1e-12)
 
 
 def test_delta_bounds_showcase_values():
@@ -492,6 +548,20 @@ def test_report_binds_the_request_once(monkeypatch):
     assert linear.delta_uniform is not None  # delta_bounds ran too
     evaluate_criteria(matched_general_form(prob, aux), aux, tmax=50.0, grid=128, eps=0.1)
     assert forms == ["linear-neutral", "general"]
+
+
+def test_report_integrates_no_companion_one_shot(monkeypatch):
+    # the companion constants read the request's sweep and tables
+    import ndde.criteria as criteria
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-shot weighted integral ran")
+
+    monkeypatch.setattr(criteria, "weighted_integral", refuse)
+    prob, aux = _showcase()
+    for problem in (prob, matched_general_form(prob, aux)):
+        report = evaluate_criteria(problem, aux, tmax=50.0, grid=128, eps=0.1)
+        assert math.isfinite(report.a_tail) and math.isfinite(report.a_tail_slope)
 
 
 # ---------------------------------------------------------------------------
