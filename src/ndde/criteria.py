@@ -119,7 +119,7 @@ def _window_slope(b, t):
 
 def _coupling_weight(b, s):
     """|c/p| p^gamma(tau2): the tail's integrand over k4, the windows' c-term."""
-    return abs(b.c(s) / b.p_raw(s)) * b.p_of(b.tau2(s)) ** b.gamma
+    return abs(b.tail_scale(s)) * b.tail_weight(s)
 
 
 def _tail(b, s):
@@ -128,12 +128,6 @@ def _tail(b, s):
 
 def _double(b, s):
     return abs(b.g_of(s)) * b.drift_window(s)
-
-
-def _retarded(b, s):
-    """The delayed drift (g - p'/p)(tau1) (1 - r1') of both brackets."""
-    u = b.tau1(s)
-    return (b.g_of(u) - b.pp_of(u) / b.p_of(u)) * (1.0 - b.r1_slope(s))
 
 
 def _linear_head(b, t):
@@ -145,7 +139,7 @@ def _linear_head_slope(b, t):
 
 
 def _linear_bracket(b, s):
-    return abs(-b.mu(s) + _retarded(b, s) - b.beta(s))
+    return abs(-b.mu(s) + b.retarded(s) - b.beta(s))
 
 
 def _general_head(b, t):
@@ -162,17 +156,16 @@ def _general_head_slope(b, t):
 
 
 def _general_bracket(b, s):
-    return abs(_retarded(b, s) - b.a(s) * b.p_of(b.tau1(s)) / b.p_raw(s))
+    return abs(b.bracket(s))
 
 
 def _damping(b, s):
-    ps = b.p_raw(s)
-    u = b.tau1(s)
-    return abs((b.g_of(s) * ps - b.pp_of(s)) / (ps * ps)) * b.p_of(u) * b.q_bound(u)
+    rate, u = b.damping_rate(s), b.tau1(s)
+    return abs(rate) * b.p_of(u) * b.q_bound(u)
 
 
 def _coupling(b, s):
-    return abs(b.d(s) / b.p_raw(s)) * (b.k2 * b.p_of(b.tau1(s)) + b.k3 * b.p_of(b.tau2(s)))
+    return abs(b.pair_scale(s)) * (b.k2 * b.p_of(b.tau1(s)) + b.k3 * b.p_of(b.tau2(s)))
 
 
 class _TermSet:

@@ -292,7 +292,6 @@ def _form_transformed(bound):
     """The reshaped equation z' (x = p z); the state y is read as a lookup,
     so it has no array form."""
     b = bound
-    gamma = b.gamma
 
     def row(t, X, Xp):
         u1 = b.tau1(t)
@@ -306,14 +305,9 @@ def _form_transformed(bound):
         s1 = 1.0 - b.r1_slope(t)
         ky = -(b.pp_of(t) / pt)
         ka = b.a(t) / pt
-        dv = b.d(t)
-        kd = p2 = None
-        if dv != 0.0:
-            kd = dv / pt
-            p2 = b.p_of(u2)
-        kc = b.c(t) / pt
-        p2g = b.p_of(u2) ** gamma
-        co = (t, p1, pp1, s1, pt, ky, ka, kd, p2, kc, p2g)
+        kd = b.pair_scale(t) or None  # the F term only where d != 0
+        p2 = None if kd is None else b.p_of(u2)
+        co = (t, p1, pp1, s1, pt, ky, ka, kd, p2, b.tail_scale(t), b.tail_weight(t))
         return co, (X(t, t), l1, l2, lp1)
 
     def rhs(co, v):
@@ -325,7 +319,7 @@ def _form_transformed(bound):
         out += (b.Qt_fn(t, w) + b.Qx_fn(t, w) * wp) / pt
         if kd is not None:
             out += kd * b.F_fn(w, p2 * z2)
-        out += kc * b.G_fn(p2g * signed_power(z2, gamma))
+        out += kc * b.tail_coupling(p2g, z2)
         return out
 
     return (row, rhs), None
@@ -777,7 +771,7 @@ def integrate_transformed(
     extensions instead of the raw equation), which makes the pair a
     cross-method consistency oracle.
     """
-    prob = problem.as_general() if problem.form == "linear-neutral" else problem
+    prob = problem.as_general()
     bound = bind(prob, aux, tmax=T)
     return _drive(_form_transformed(bound), [psi], prob.t0, T, h, tol, bound.m)[0]
 

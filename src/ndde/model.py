@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import DomainError, NonDifferentiableError, ValidationError
 from .expressions import Expression, _piecewise_derivative, differentiate
+from .expressions import signed_power, signed_power_array
 from .quadrature import CumulativeExponent, sup_scan
 
 __all__ = [
@@ -405,6 +406,36 @@ class _Derived:
         """Combination derivative g cbar + cbar'."""
         return self.g_of(t) * self.cbar(t) + self.cbar_prime(t)
 
+    # --- coefficients of the reshaped equation ---------------------------
+    def retarded(self, t):
+        """The delayed drift (g - p'/p)(tau1) (1 - r1') of both brackets."""
+        return self.drift(self.tau1(t)) * (1.0 - self.r1_slope(t))
+
+    def bracket(self, t):
+        """General-form bracket (g - p'/p)(tau1) (1 - r1') - a p(tau1)/p."""
+        return self.retarded(t) - self.a(t) * self.p_of(self.tau1(t)) / self.p_raw(t)
+
+    def damping_rate(self, t):
+        """(g p - p')/p^2, the rate of the neutral damping."""
+        p = self.p_raw(t)
+        return (self.g_of(t) * p - self.pp_of(t)) / (p * p)
+
+    def tail_scale(self, t):
+        """c/p, the scale of the gamma-power coupling."""
+        return self.c(t) / self.p_raw(t)
+
+    def tail_weight(self, t):
+        """p(tau2)^gamma, the weight inside the gamma-power coupling."""
+        return self.p_of(self.tau2(t)) ** self.gamma
+
+    def tail_coupling(self, w, z):
+        """G(w z^gamma), the gamma-power coupling of z at the weight w."""
+        return self.G_fn(w * self.signed_power(z, self.gamma))
+
+    def pair_scale(self, t):
+        """d/p, the scale of the F coupling (general form)."""
+        return self.d(t) / self.p_raw(t)
+
 
 class BoundProblem(_Derived):
     """Fast closures for one problem/auxiliary pair over [t0, tmax].
@@ -433,6 +464,7 @@ class BoundProblem(_Derived):
         self.m = min(hor.m, self.t0)
         self.gamma = float(problem.gamma)
         self.k4 = problem.k4
+        self.signed_power = signed_power
 
         # every coefficient function, by attribute name
         exprs = {
@@ -505,6 +537,7 @@ class _ArrayCoefficients(_Derived):
                 setattr(self, name, getattr(bound, name))
         for name, expr in bound._exprs.items():
             setattr(self, name, expr.vectorized())
+        self.signed_power = signed_power_array
 
     def p_of(self, u: np.ndarray) -> np.ndarray:
         return self._extended(u, 1.0, self.p_raw)

@@ -22,13 +22,15 @@ Everything about A and B that does not depend on the candidate is tabulated
 once per request from (binding, mesh, psi).  Each live mesh panel carries
 the 7 nodes of the Lobatto 4 / Kronrod 7 pair of :mod:`ndde.quadrature`
 (the panel ends among them); a node's row holds both rules' weights times
-the damping factor exp(G(s) - G(t_j)) (G = int_t0 g), the coefficients of
-both integrands, and the mesh panel and Hermite weights of each delayed
-argument.  The drift window W(x) = int^x (g - p'/p) z is, on a live panel,
-z's four Hermite coefficients times the K7 (and L4) moments of the drift
-against the Hermite basis, tabulated per query point; below t0 it reads psi
-and is computed once.  Applying the tables to a candidate is a gather,
-scalar loops over G, Q and F, weighted sums, and the panel recurrence
+the damping factor exp(G(s) - G(t_j)) (G = int_t0 g, one array query),
+the binding's coefficients of both integrands (``bracket``, ``tail_scale``,
+... of :class:`~ndde.model.BoundProblem`, one call of their ``arrays`` form
+each), and the mesh panel and Hermite weights of each delayed argument.
+The drift window W(x) = int^x (g - p'/p) z is, on a live panel, z's four
+Hermite coefficients times the K7 (and L4) moments of the drift against the
+Hermite basis, tabulated per query point; below t0 it reads psi and is
+computed once.  Applying the tables to a candidate is a gather, one array
+call each of G(w z^gamma), Q and F, weighted sums, and the panel recurrence
 I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j.  The Picard result
 carries its tables, so the residual reads the iteration's binding and adds
 only the rows of the half panels that end at the panel midpoints.  A panel
@@ -43,6 +45,7 @@ fixed point is the same function.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -52,7 +55,6 @@ import numpy as np
 
 from .criteria import alpha_estimate
 from .errors import ValidationError
-from .expressions import signed_power
 from .hermite import hermite_eval, hermite_weights
 from .model import AuxiliarySpec, BoundProblem, HistoryFunction, ProblemSpec, bind, horizon
 from .quadrature import (
@@ -61,8 +63,8 @@ from .quadrature import (
     CumulativeExponent,
     WeightedSweep,  # noqa: F401  -- unused here; bench/tracing.py wraps this attribute
     _advance,
+    _bulk,
     _kronrod_nodes,
-    _map,
     adaptive_simpson,
     window_integral,
 )
@@ -186,12 +188,9 @@ class GridFunction:
         breaks=(),
     ) -> "GridFunction":
         mesh = np.asarray(mesh, dtype=float)
-        values = np.asarray([f(float(t)) for t in mesh])
-        if fprime is not None:
-            derivs = np.asarray([fprime(float(t)) for t in mesh])
-        else:
-            derivs = _fd_slopes(mesh, values, breaks)
-        return cls(mesh, values, derivs)
+        values = [f(float(t)) for t in mesh]
+        derivs = None if fprime is None else [fprime(float(t)) for t in mesh]
+        return cls.from_values(mesh, values, derivs, breaks)
 
     @classmethod
     def from_values(cls, mesh, values, derivs=None, breaks=()) -> "GridFunction":
@@ -271,17 +270,14 @@ def _split_index(mesh: np.ndarray, t0: float) -> int:
     return idx
 
 
-def _as_general(problem: ProblemSpec) -> ProblemSpec:
-    return problem.as_general() if problem.form == "linear-neutral" else problem
-
-
 def _bind_for_mesh(
     problem: ProblemSpec, aux: AuxiliarySpec, mesh: np.ndarray
 ) -> BoundProblem:
-    """The binding over a mesh: checkpoints at the live step, within [1e-4, 1]."""
+    """The binding of the general-form re-encoding over a mesh: checkpoints
+    at the live step, within [1e-4, 1]."""
     live = mesh[_split_index(mesh, problem.t0) :]
     cp = min(1.0, max(float(live[1] - live[0]), 1e-4))
-    return bind(problem, aux, tmax=float(mesh[-1]), checkpoint=cp)
+    return bind(problem.as_general(), aux, tmax=float(mesh[-1]), checkpoint=cp)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +307,7 @@ class _Gather:
         if tab.psi is not None:
             below = np.flatnonzero(u <= tab.t0)
             if len(below):
-                self.history = (below, _map(tab.psi, u[below]))
+                self.history = (below, tab.history(u[below]))
 
     def __call__(self, st: _State) -> np.ndarray:
         out = hermite_eval(self.weights, *st.coef[self.panel].T)
@@ -341,16 +337,16 @@ class _Window:
         self.panel = panel[live]
         self.x = x[live]
         self.fixed = np.zeros(len(x))
-        self.fixed[~live] = _map(tab.history_window.cumulative, x[~live])
+        self.fixed[~live] = tab.history_window.cumulative(x[~live])
 
         # moments over [t_i, x] against the basis of the panel [t_i, t_{i+1}],
         # a chunk of points at a time to keep the temporaries small
-        mesh, k7, l4 = tab.mesh, [np.empty((0, 4))], [np.empty((0, 4))]
+        b, mesh, k7, l4 = tab.bound, tab.mesh, [np.empty((0, 4))], [np.empty((0, 4))]
         for lo in range(0, len(self.x), _CHUNK):
             panel, x = self.panel[lo : lo + _CHUNK], self.x[lo : lo + _CHUNK]
             left = mesh[panel]
             u, half = _kronrod_nodes(left, x)
-            drift = _map(tab.bound.drift, u.ravel()).reshape(u.shape)
+            drift = _bulk(b.arrays.drift, b.drift, u)
             h = (mesh[panel + 1] - left)[:, None]
             basis = hermite_weights((u - left[:, None]) / h, h, False)
             k7.append(np.stack([(drift * phi) @ _K7_W for phi in basis], axis=1) * half[:, None])
@@ -390,68 +386,57 @@ class _ARows:
     """The A integrand (c/p)(s) G(p(u2)^gamma z^gamma(u2)), u2 = tau2(s), at fixed s."""
 
     def __init__(self, tab: "_Tables", s: np.ndarray):
-        b = tab.bound
-        u2 = _map(b.tau2, s)
-        self.z2 = _Gather(tab, u2)
-        self.scale = _map(lambda x: b.c(x) / b.p_raw(x), s)
-        self.weight = _map(lambda u: b.p_of(u) ** b.gamma, u2)
-        self.G, self.gamma = b.G_fn, b.gamma
+        b, arr = tab.bound, tab.bound.arrays
+        self.z2 = _Gather(tab, _bulk(arr.tau2, b.tau2, s))
+        self.scale = _bulk(arr.tail_scale, b.tail_scale, s)
+        self.weight = _bulk(arr.tail_weight, b.tail_weight, s)
+        self.coupling = arr.tail_coupling, b.tail_coupling
 
     def integrand(self, st: _State) -> np.ndarray:
-        G, gamma = self.G, self.gamma
-        coupling = _map(lambda w, z: G(w * signed_power(z, gamma)), self.weight, self.z2(st))
-        return self.scale * coupling
+        return self.scale * _bulk(*self.coupling, self.weight, self.z2(st))
 
 
 class _BRows:
     """The B integrand at fixed points s, and B's point terms there.
 
-    With u_k = tau_k(s) and x1 = p(u1) z(u1):
+    With u_k = tau_k(s), x1 = p(u1) z(u1) and the binding's ``bracket``:
 
         integrand = bracket(s) z(u1) - g(s) (W(s) - W(u1))
                     - Q(s, x1) (g p - p')(s) / p(s)^2 + (d/p)(s) F(x1, p(u2) z(u2))
         point     = W(s) - W(u1) + Q(s, x1) / p(s)
-
-    with bracket(s) = (g - p'/p)(u1) (1 - r1'(s)) - a(s) p(u1)/p(s).
     """
 
     def __init__(self, tab: "_Tables", s: np.ndarray):
-        b = tab.bound
-        u1 = _map(b.tau1, s)
+        b, arr = tab.bound, tab.bound.arrays
+        u1 = _bulk(arr.tau1, b.tau1, s)
         self.s = s
         self.z1 = _Gather(tab, u1)
-        self.p = _map(b.p_raw, s)
-        self.p1 = _map(b.p_of, u1)
-        self.bracket = _map(
-            lambda x, u, p1: (b.g_of(u) - b.pp_of(u) / p1) * (1.0 - b.r1_slope(x))
-            - b.a(x) * p1 / b.p_raw(x),
-            s,
-            u1,
-            self.p1,
-        )
-        self.g = _map(b.g_of, s)
-        self.damping = (self.g * self.p - _map(b.pp_of, s)) / (self.p * self.p)
+        self.p = _bulk(arr.p_raw, b.p_raw, s)
+        self.p1 = _bulk(arr.p_of, b.p_of, u1)
+        self.bracket = _bulk(arr.bracket, b.bracket, s)
+        self.g = _bulk(arr.g_of, b.g_of, s)
+        self.damping = _bulk(arr.damping_rate, b.damping_rate, s)
         self.window = _Window(tab, s)
         self.window_u1 = _Window(tab, u1)
-        d = _map(b.d, s) / self.p
+        d = _bulk(arr.pair_scale, b.pair_scale, s)
         self.forced = np.flatnonzero(d != 0.0)
         self.d = d[self.forced]
         if len(self.forced):
-            u2 = _map(b.tau2, s[self.forced])
+            u2 = _bulk(arr.tau2, b.tau2, s[self.forced])
             self.z2 = _Gather(tab, u2)
-            self.p2 = _map(b.p_of, u2)
-        self.Q, self.F = b.Q_fn, b.F_fn
+            self.p2 = _bulk(arr.p_of, b.p_of, u2)
+        self.Q, self.F = (arr.Q_fn, b.Q_fn), (arr.F_fn, b.F_fn)
 
     def _coupling(self, st: _State):
         z1 = self.z1(st)
         x1 = self.p1 * z1
-        return z1, x1, _map(self.Q, self.s, x1)
+        return z1, x1, _bulk(*self.Q, self.s, x1)
 
     def integrand(self, st: _State) -> np.ndarray:
         z1, x1, q = self._coupling(st)
         out = self.bracket * z1 - self.g * (self.window(st) - self.window_u1(st)) - q * self.damping
         if len(self.forced):
-            out[self.forced] += self.d * _map(self.F, x1[self.forced], self.p2 * self.z2(st))
+            out[self.forced] += self.d * _bulk(*self.F, x1[self.forced], self.p2 * self.z2(st))
         return out
 
     def point(self, st: _State) -> np.ndarray:
@@ -470,14 +455,13 @@ class _Panels:
 
     def __init__(self, tab: "_Tables", left: np.ndarray, right: np.ndarray):
         self.tab, self.left, self.right = tab, left, right
-        G = tab.bound.gexp.cumulative
         s, half = _kronrod_nodes(left, right)
-        self.G_right = _map(G, right)
-        damping = np.exp(_map(G, s.ravel()).reshape(s.shape) - self.G_right[:, None])
-        damping *= half[:, None]
+        G = tab.bound.gexp.cumulative(s)  # the panel ends are columns 0 and 6
+        self.G_right = G[:, -1]
+        damping = np.exp(G - self.G_right[:, None]) * half[:, None]
         self.k7 = damping * _K7_W
         self.l4 = damping * _L4_W
-        self.decay = np.exp(_map(G, left) - self.G_right)
+        self.decay = np.exp(G[:, 0] - self.G_right)
         self.a = _ARows(tab, s.ravel()) if tab.with_a else None
         self.b = self.ends = None
         self._rows: dict = {}
@@ -533,6 +517,11 @@ class _Panels:
         return self.head + self.ends.point(st)
 
 
+def _history_drift(coef, psi, u):
+    """The drift window's integrand (g - p'/p) psi, over a coefficient set."""
+    return coef.drift(u) * psi(u)
+
+
 class _Tables:
     """Everything about A and B on one mesh that does not depend on z.
 
@@ -547,11 +536,11 @@ class _Tables:
         self,
         bound: BoundProblem,
         mesh: np.ndarray,
-        psi_fn: Callable[[float], float] | None = None,
+        psi: HistoryFunction | None = None,
         with_a: bool = True,
     ):
         b = bound
-        self.bound, self.psi, self.with_a = b, psi_fn, with_a
+        self.bound, self.psi, self.with_a = b, psi, with_a
         self.mesh = mesh = np.asarray(mesh, dtype=float)
         self.step = _uniform_step(mesh)
         self.t0 = t0 = b.t0
@@ -566,18 +555,21 @@ class _Tables:
             )
         self.live = mesh[split:]
 
-        if psi_fn is not None:
-            drift = b.drift
+        if psi is not None:
+            fn, fa = psi.psi.compiled(), psi.psi.vectorized()
+            self.history = functools.partial(_bulk, fa, fn)  # psi at every element of an array
+            integrand = functools.partial(_history_drift, b, fn)
             u0 = b.tau1(t0)
-            head = psi_fn(t0)
-            head -= window_integral(lambda u: drift(u) * psi_fn(u), u0, t0, _QUAD_TOL)
-            head -= b.Q_fn(t0, b.p_of(u0) * psi_fn(u0)) / b.p_raw(t0)
+            head = fn(t0)
+            head -= window_integral(integrand, u0, t0, _QUAD_TOL)
+            head -= b.Q_fn(t0, b.p_of(u0) * fn(u0)) / b.p_raw(t0)
             self.head = float(head)
             self.history_window = CumulativeExponent(
-                lambda u: drift(u) * psi_fn(u), float(mesh[0]), b.gexp.checkpoint, _QUAD_TOL
+                integrand, float(mesh[0]), b.gexp.checkpoint, _QUAD_TOL,
+                f_array=functools.partial(_history_drift, b.arrays, fa),
             )
             self.node_window = np.zeros(len(mesh))
-            self.node_window[: split + 1] = _map(self.history_window.cumulative, mesh[: split + 1])
+            self.node_window[: split + 1] = self.history_window.cumulative(mesh[: split + 1])
             self.full_window = _Window(self, mesh[split + 1 :], np.arange(split, len(mesh) - 1))
 
     def node_panels(self) -> _Panels:
@@ -598,10 +590,6 @@ class _Tables:
         return _State(coef, window)
 
 
-def _psi_fn(psi: HistoryFunction) -> Callable[[float], float]:
-    return psi.psi.compiled()
-
-
 def apply_A(
     z: GridFunction, problem: ProblemSpec, aux: AuxiliarySpec
 ) -> GridFunction:
@@ -609,8 +597,7 @@ def apply_A(
 
     Zero on the history segment and at t0; same mesh as z.
     """
-    prob = _as_general(problem)
-    tables = _Tables(_bind_for_mesh(prob, aux, z.mesh), z.mesh)
+    tables = _Tables(_bind_for_mesh(problem, aux, z.mesh), z.mesh)
     values = np.zeros_like(z.values)
     values[tables.split :], _ = tables.node_panels().integrals(tables.state(z))
     return GridFunction.from_values(z.mesh, values, breaks=(tables.split,))
@@ -623,11 +610,9 @@ def apply_B(
     psi: HistoryFunction,
 ) -> GridFunction:
     """The contraction summand (seven terms); equals psi on the history."""
-    prob = _as_general(problem)
-    fn = _psi_fn(psi)
-    tables = _Tables(_bind_for_mesh(prob, aux, z.mesh), z.mesh, fn, with_a=False)
+    tables = _Tables(_bind_for_mesh(problem, aux, z.mesh), z.mesh, psi, with_a=False)
     values = np.empty_like(z.values)
-    values[: tables.split] = _map(fn, z.mesh[: tables.split])
+    values[: tables.split] = tables.history(z.mesh[: tables.split])
     nodes, st = tables.node_panels(), tables.state(z)
     values[tables.split :] = nodes.integrals(st)[1] + nodes.b_point(st)
     return GridFunction.from_values(z.mesh, values, breaks=(tables.split,))
@@ -674,20 +659,19 @@ def picard_solve(
                 "the iteration map need not contract",
                 stacklevel=2,
             )
-    prob = _as_general(problem)
-    t0 = prob.t0
+    t0 = problem.t0
     if step is None:
         step = min(0.05, (T - t0) / 200.0)
-    m = min(horizon(prob, T).m, t0)
+    m = min(horizon(problem, T).m, t0)
     mesh = make_mesh(m, t0, T, step)
-    fn = _psi_fn(psi)
-    split = _split_index(mesh, t0)
+    tables = _Tables(_bind_for_mesh(problem, aux, mesh), mesh, psi)
+    split = tables.split
 
+    # psi on the history, continued by the constant psi(t0)
     values = np.empty(len(mesh))
-    values[:split] = _map(fn, mesh[:split])
-    values[split:] = fn(t0)
+    values[: split + 1] = tables.history(mesh[: split + 1])
+    values[split:] = values[split]
     z = GridFunction.from_values(mesh, values, breaks=(split,))
-    tables = _Tables(_bind_for_mesh(prob, aux, mesh), mesh, fn)
     nodes = tables.node_panels()
 
     ratios: list[float] = []
@@ -744,18 +728,19 @@ def residual(result: PicardResult, include_midpoints: bool = True) -> float:
     st = tables.state(z)
     nodes = tables.node_panels()
     a, b = nodes.integrals(st)
-    live = tables.live
-    worst = 0.0
-    for t, value in zip(live.tolist(), (a + b + nodes.b_point(st)).tolist()):
-        worst = max(worst, abs(z.eval(t) - value))
+    points = live = tables.live
+    image = a + b + nodes.b_point(st)
     if include_midpoints:
         del nodes  # the rows of the half panels below take the place of these
         mids = 0.5 * (live[:-1] + live[1:])
         half = _Panels(tables, live[:-1], mids)
         a_mid, b_mid = half.integrals(st, carry=(a[:-1], b[:-1]))
-        for t, value in zip(mids.tolist(), (a_mid + b_mid + half.b_point(st)).tolist()):
-            worst = max(worst, abs(z.eval(t) - value))
-    return worst
+        points = np.concatenate((live, mids))
+        image = np.concatenate((image, a_mid + b_mid + half.b_point(st)))
+    panel, weights = _locate(tables.mesh, tables.step, points)
+    defect = np.abs(hermite_eval(weights, *st.coef[panel].T) - image)
+    # a NaN defect is skipped, and the result is at least 0
+    return float(np.max(defect, initial=0.0, where=~np.isnan(defect)))
 
 
 def reconstruct_x(
@@ -768,13 +753,10 @@ def reconstruct_x(
     """
     if t0 is None:
         t0 = float(z.mesh[0])
-    p = aux.p.compiled()
-    pp = aux.p_prime.compiled()
-    values = z.values.copy()
-    derivs = z.derivs.copy()
+    values, derivs = z.values.copy(), z.derivs.copy()
     live = z.mesh >= t0 - _MESH_FUZZ * max(1.0, abs(t0))
-    for i in np.flatnonzero(live):
-        t = float(z.mesh[i])
-        values[i] = p(t) * z.values[i]
-        derivs[i] = pp(t) * z.values[i] + p(t) * z.derivs[i]
+    t = z.mesh[live]
+    p, pp = aux.p.vectorized()(t), aux.p_prime.vectorized()(t)
+    values[live] = p * z.values[live]
+    derivs[live] = pp * z.values[live] + p * z.derivs[live]
     return GridFunction(z.mesh, values, derivs)

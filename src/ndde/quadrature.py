@@ -1,11 +1,11 @@
 """Quadrature kernels used by the criterion and the fixed-point operator.
 
-Everything here works on plain ``float -> float`` callables (compiled
-expressions or hand-written functions); the bulk paths also take each
-callable's array form (``ndarray -> ndarray``), and use it for batches of
-more than ``_SMALL`` points.  Where an array call raises or gives a
-non-finite value, the scalar callable reruns the batch point by point, so
-errors and their texts are the scalar ones.  The recurring shapes are
+Everything here works on plain callables of floats (compiled expressions
+or a binding's coefficient formulas); the bulk path ``_bulk`` also takes
+each callable's array form (one array per argument, an array out), and
+uses it for batches of more than ``_SMALL`` points.  Where an array call
+raises or gives a non-finite value, the scalar callable reruns the batch
+point by point, so errors and their texts are the scalar ones.  The recurring shapes are
 
 * running integrals from a fixed start (CumulativeExponent), tabulated at
   checkpoints that a Lobatto 4 / Kronrod 7 pair places (unit panels,
@@ -229,33 +229,30 @@ def _kronrod_nodes(left: np.ndarray, right: np.ndarray):
     return nodes, half
 
 
-def _map(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
-    """fn applied point by point to equally long arrays of arguments."""
-    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
-
-
 # An array call costs tens of microseconds before its first element (a term
 # body makes dozens of them), so batches up to this size go point by point.
 _SMALL = 64
 
 
-def _bulk(fa: Callable[[np.ndarray], np.ndarray] | None, f: Callable[[float], float], x):
-    """f over the array x, by its array form fa in one call.
+def _bulk(fa: Callable[..., np.ndarray] | None, f: Callable[..., float], *columns: np.ndarray):
+    """f over equally shaped arrays of arguments, by its array form fa in one call.
 
-    Where fa is None, x has at most ``_SMALL`` elements, or fa raises or
-    gives a non-finite value, f runs point by point in x's order instead, so
-    that the scalar form's error (or value) stands.
+    Where fa is None, the arrays have at most ``_SMALL`` elements, or fa
+    raises or gives a non-finite value, f runs point by point in the
+    arrays' order instead, so that the scalar form's error (or value) stands.
     """
-    x = np.asarray(x, dtype=float)
+    x = columns[0]
     if fa is not None and x.size > _SMALL:
         try:
             with np.errstate(all="ignore"):
-                out = np.asarray(fa(x), dtype=float)
+                out = np.asarray(fa(*columns), dtype=float)
             if np.isfinite(out).all():
                 return out
         except (NddeError, ArithmeticError):
             pass
-    return _map(f, x.ravel()).reshape(x.shape)
+    if x.ndim != 1:
+        return _bulk(None, f, *(c.ravel() for c in columns)).reshape(x.shape)
+    return np.fromiter(map(f, *[c.tolist() for c in columns]), float, len(x))
 
 
 def _kronrod_panels(f, f_array, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Grid functions, the A/B operator split, and Picard iteration."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -11,6 +12,7 @@ import ndde.operator
 from ndde import (
     AuxiliarySpec,
     DelaySpec,
+    DomainError,
     GridFunction,
     HistoryFunction,
     ProblemSpec,
@@ -367,6 +369,16 @@ def test_kinks_inside_panels_fall_back_and_match_reference(monkeypatch):
     assert any(a < 0.25 < b for a, b in fallbacks)
     assert any(abs(a - 0.5) < 1e-12 and 0.55 < b < 0.6 - 1e-9 for a, b in fallbacks)
     assert np.max(np.abs(Bz.values[live] - _reference(z, prob, aux, psi))) < 1e-10
+
+
+def test_row_domain_error_keeps_its_scalar_text():
+    # c = ln(5 - t) cannot be evaluated from t = 5 on; the rows are built
+    # in bulk, and the error names the first failing node in node order
+    prob, aux = _showcase()
+    prob = dataclasses.replace(prob, c=parse_expression("ln(5 - t)"))
+    with pytest.raises(DomainError) as info:
+        picard_solve(prob, aux, _const_history(0.001), T=8.0, precheck=False)
+    assert str(info.value) == "ln(5 - t): math domain error at t=5.0"
 
 
 def test_delayed_argument_below_mesh_is_an_error():
