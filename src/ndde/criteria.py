@@ -470,7 +470,7 @@ def window_lipschitz(
         if kind == "g":
             windows = b.gexp.cumulative(lo + widths) - b.gexp.cumulative(lo)
         else:
-            windows = _kronrod_panels(f, f_array, lo, lo + widths, 1e-10)
+            windows = _kronrod_panels(f, f_array, lo, lo + widths, 1e-10).totals()
     except QuadratureError as err:
         raise QuadratureError(
             f"window_lipschitz {kind!r} on the horizon [{t0!r}, {tmax!r}]: {err}"

@@ -51,6 +51,8 @@ __all__ = [
 
 _T = Expression.variable("t")
 
+_TABLE_TOL = 1e-11  # the quadrature tolerance of a binding's cumulative tables
+
 
 @dataclass(frozen=True)
 class DelaySpec:
@@ -453,7 +455,6 @@ class BoundProblem(_Derived):
         aux: AuxiliarySpec,
         tmax: float,
         checkpoint: float = 1.0,
-        quad_tol: float = 1e-11,
     ):
         self.problem = problem
         self.aux = aux
@@ -515,10 +516,10 @@ class BoundProblem(_Derived):
         self.p_of = p_of
         self.pp_of = pp_of
         self.gexp = CumulativeExponent(
-            self.g_of, t0, checkpoint, quad_tol, f_array=lambda u: self.arrays.g_of(u), name="g"
+            self.g_of, t0, checkpoint, _TABLE_TOL, f_array=lambda u: self.arrays.g_of(u), name="g"
         )
         self.drift_cum = CumulativeExponent(
-            lambda u: abs(self.drift(u)), self.m, checkpoint, quad_tol,
+            lambda u: abs(self.drift(u)), self.m, checkpoint, _TABLE_TOL,
             f_array=lambda u: abs(self.arrays.drift(u)), name="drift",
         )
 
@@ -557,9 +558,8 @@ def bind(
     aux: AuxiliarySpec,
     tmax: float,
     checkpoint: float = 1.0,
-    quad_tol: float = 1e-11,
 ) -> BoundProblem:
-    return BoundProblem(problem, aux, tmax, checkpoint, quad_tol)
+    return BoundProblem(problem, aux, tmax, checkpoint)
 
 
 def transformed_history(

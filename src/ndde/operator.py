@@ -21,8 +21,8 @@ monitored and reported, never projected.
 Everything about A and B that does not depend on the candidate is tabulated
 once per request from (binding, mesh, psi).  Each live mesh panel carries
 the 7 nodes of the Lobatto 4 / Kronrod 7 pair of :mod:`ndde.quadrature`
-(the panel ends among them); a node's row holds both rules' weights times
-the damping factor exp(G(s) - G(t_j)) (G = int_t0 g, one array query),
+(the panel ends among them); a node's row holds the damping factor
+exp(G(s) - G(t_j)) (G = int_t0 g, one array query),
 the binding's coefficients of both integrands (``bracket``, ``tail_scale``,
 ... of :class:`~ndde.model.BoundProblem`, one call of their ``arrays`` form
 each), and the mesh panel and Hermite weights of each delayed argument.
@@ -34,9 +34,9 @@ call each of G(w z^gamma), Q and F, weighted sums, and the panel recurrence
 I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j.  The Picard result
 carries its tables, so the residual reads the iteration's binding and adds
 only the rows of the half panels that end at the panel midpoints.  A panel
-or window query whose |K7 - L4| exceeds 1e-11 is re-integrated by adaptive
-Simpson on the scalar integrand (a panel's one-point rows are kept for the
-next iteration), and a non-finite sample raises.
+or window query whose |K7 - L4| exceeds 1e-11 is refined by
+``quadrature._refine``, on rows built at its sub-panels' nodes (one-point
+rows for adaptive Simpson); a non-finite sample raises.
 
 Linear-neutral problems are re-encoded through :meth:`ProblemSpec.as_general`
 before iterating; the re-encoding preserves the dynamics exactly, so the
@@ -64,7 +64,8 @@ from .quadrature import (
     WeightedSweep,  # noqa: F401  -- unused here; bench/tracing.py wraps this attribute
     _advance,
     _bulk,
-    _kronrod_nodes,
+    _lk_points,
+    _refine,
     adaptive_simpson,
     window_integral,
 )
@@ -284,7 +285,6 @@ def _bind_for_mesh(
 # Candidate-independent tables of A and B
 
 _CHUNK = 256  # window points whose drift moments are formed together
-_KEPT_ROWS = 512  # one-point fallback rows kept per panel set
 
 
 class _State(NamedTuple):
@@ -345,7 +345,7 @@ class _Window:
         for lo in range(0, len(self.x), _CHUNK):
             panel, x = self.panel[lo : lo + _CHUNK], self.x[lo : lo + _CHUNK]
             left = mesh[panel]
-            u, half = _kronrod_nodes(left, x)
+            u, half = _lk_points(left, x).T, 0.5 * (x - left)
             drift = _bulk(b.arrays.drift, b.drift, u)
             h = (mesh[panel + 1] - left)[:, None]
             basis = hermite_weights((u - left[:, None]) / h, h, False)
@@ -354,27 +354,32 @@ class _Window:
         self.k7, self.l4 = np.concatenate(k7), np.concatenate(l4)
 
     def partial(self, coef: np.ndarray) -> np.ndarray:
-        """int_{t_i}^x drift z from the start t_i of each live point's panel."""
+        """int_{t_i}^x drift z from the start t_i of each live point's panel.
+
+        Where |K7 - L4| fails, z is the cubic c . phi of the point's panel
+        for the shared refinement, and adaptive Simpson takes the scalar drift.
+        """
         c = coef[self.panel]
         value = (self.k7 * c).sum(1)
-        error = np.abs(value - (self.l4 * c).sum(1))
-        for k in np.flatnonzero(~(error <= _QUAD_TOL)):  # NaN too: the fallback raises
-            value[k] = self._fallback(c[k], self.panel[k], self.x[k])
-        return value
+        bad = np.flatnonzero(~(np.abs(value - (self.l4 * c).sum(1)) <= _QUAD_TOL))  # NaN too
+        if not len(bad):
+            return value
+        b, c, start = self.tab.bound, c[bad], self.tab.mesh[self.panel[bad]]
+        h = self.tab.mesh[self.panel[bad] + 1] - start
 
-    def _fallback(self, c: np.ndarray, panel: int, x: float) -> float:
-        """Adaptive Simpson on drift z, z the cubic c . phi of the panel."""
-        tab = self.tab
-        drift = tab.bound.drift
-        start = float(tab.mesh[panel])
-        h = float(tab.mesh[panel + 1]) - start
-        c = c.tolist()
-        return adaptive_simpson(
-            lambda u: drift(u) * hermite_eval(hermite_weights((u - start) / h, h, False), *c),
-            start,
-            float(x),
-            _QUAD_TOL,
-        )
+        def sample(u, ids, pos):
+            w = hermite_weights((u - start[ids]) / h[ids], h[ids], False)
+            return _bulk(b.arrays.drift, b.drift, u) * hermite_eval(w, *c[ids].T)
+
+        def simpson(i, lo, hi, tol):
+            s, w, coef = float(start[i]), float(h[i]), c[i].tolist()
+            return adaptive_simpson(
+                lambda u: b.drift(u) * hermite_eval(hermite_weights((u - s) / w, w, False), *coef),
+                lo, hi, tol,
+            )
+
+        value[bad] = _refine(sample, start, self.x[bad], _QUAD_TOL, simpson).totals()
+        return value
 
     def __call__(self, st: _State) -> np.ndarray:
         out = self.fixed.copy()
@@ -447,42 +452,41 @@ class _BRows:
 class _Panels:
     """Damped integrals int_left^right exp(G(s) - G(right)) f(s) ds on panels.
 
-    Each panel's pair nodes carry the K7 and L4 weights times the damping
-    factor, and the A (and, with psi, B) rows; ``decay`` is exp(G(left) -
+    Each panel's pair nodes carry the damping factor and the A (and, with
+    psi, B) rows; ``decay`` is exp(G(left) -
     G(right)), which carries an integral that ends at left over to right.
     With psi the B point terms at the right ends are tabulated too.
     """
 
     def __init__(self, tab: "_Tables", left: np.ndarray, right: np.ndarray):
         self.tab, self.left, self.right = tab, left, right
-        s, half = _kronrod_nodes(left, right)
-        G = tab.bound.gexp.cumulative(s)  # the panel ends are columns 0 and 6
-        self.G_right = G[:, -1]
-        damping = np.exp(G - self.G_right[:, None]) * half[:, None]
-        self.k7 = damping * _K7_W
-        self.l4 = damping * _L4_W
+        s = _lk_points(left, right).T
+        G = tab.bound.gexp.cumulative(s)  # the panel ends are columns 0 and 1
+        self.G_right = G[:, 1]
+        self.damping = np.exp(G - self.G_right[:, None])
         self.decay = np.exp(G[:, 0] - self.G_right)
         self.a = _ARows(tab, s.ravel()) if tab.with_a else None
         self.b = self.ends = None
-        self._rows: dict = {}
         if tab.psi is not None:
             self.b = _BRows(tab, s.ravel())
             self.ends = _BRows(tab, right)
             self.head = tab.head * np.exp(-self.G_right)
 
     def _integrate(self, rows, st: _State) -> np.ndarray:
-        """Each panel's K7 sum; a panel whose |K7 - L4| exceeds the tolerance
-        is re-integrated by adaptive Simpson on the scalar integrand."""
-        f = rows.integrand(st).reshape(self.k7.shape)
-        out = (self.k7 * f).sum(1)
-        error = np.abs(out - (self.l4 * f).sum(1))
-        for j in np.flatnonzero(~(error <= _QUAD_TOL)):  # NaN too: the fallback raises
-            def sample(x, g_right=self.G_right[j]):
-                row, g_x = self._row(rows, x)
-                return math.exp(g_x - g_right) * row.integrand(st)[0]
+        """Each panel's sum by the shared refinement: the first level from these
+        rows, deeper ones from rows built at the sub-panels' nodes."""
+        make, gexp = type(rows), self.tab.bound.gexp
 
-            out[j] = adaptive_simpson(sample, float(self.left[j]), float(self.right[j]), _QUAD_TOL)
-        return out
+        def sample(x, ids, pos=None):
+            row = make(self.tab, x.ravel()).integrand(st).reshape(x.shape)
+            return np.exp(gexp.cumulative(x) - self.G_right[ids]) * row
+
+        def simpson(i, lo, hi, tol):
+            one = np.array([i])
+            return adaptive_simpson(lambda u: sample(np.array([[u]]), one).item(), lo, hi, tol)
+
+        f = self.damping * rows.integrand(st).reshape(self.damping.shape)
+        return _refine(sample, self.left, self.right, _QUAD_TOL, simpson, f.T).totals()
 
     def integrals(self, st: _State, carry=(None, None)):
         """The damped A and B integrals up to each right end (None where not
@@ -496,21 +500,6 @@ class _Panels:
             part = self._integrate(rows, st)
             out.append(_advance(self.decay, part) if start is None else self.decay * start + part)
         return tuple(out)
-
-    def _row(self, rows, x: float):
-        """The one-point row at x, and G(x), for the fallback's integrand.
-
-        A panel that fails its estimate usually fails again in the next
-        iteration, and adaptive Simpson then samples the same points, so
-        these are kept (up to a bound) for reuse.
-        """
-        key = (type(rows), x)
-        found = self._rows.get(key)
-        if found is None:
-            found = type(rows)(self.tab, np.array([x])), self.tab.bound.gexp.cumulative(x)
-            if len(self._rows) < _KEPT_ROWS:
-                self._rows[key] = found
-        return found
 
     def b_point(self, st: _State) -> np.ndarray:
         """The damped history head plus B's point terms at the right ends."""

@@ -8,18 +8,17 @@ raises or gives a non-finite value, the scalar callable reruns the batch
 point by point, so errors and their texts are the scalar ones.  The recurring shapes are
 
 * running integrals from a fixed start (CumulativeExponent), tabulated at
-  checkpoints that a Lobatto 4 / Kronrod 7 pair places (unit panels,
-  halved down to 1/1024 where the pair's error estimate exceeds the
-  tolerance); a query adds one Kronrod panel from the last checkpoint, with
-  adaptive Simpson as the fallback, so exponential damping weights over
-  long horizons cost a lookup and 7 samples, not an adaptive integration.
-  An array of queries is answered at once: one ``searchsorted`` and one
-  array call for all partial panels;
+  checkpoints that a Lobatto 4 / Kronrod 7 pair places (checkpoint-long
+  panels, in bulk, refined by ``_refine``); a query adds one Kronrod panel
+  from the last checkpoint, refined by the same rule, so exponential damping
+  weights over long horizons cost a lookup and 7 samples, not an adaptive
+  integration.  An array of queries is answered at once: one
+  ``searchsorted`` and one array call for all partial panels;
 * exponentially weighted integrals  int_a^t exp(G(s) - G(t)) f(s) ds,
   one-shot (weighted_integral) and, for several integrands at once, swept
   along a grid on the same pair's fixed nodes (WeightedSweep), in bulk:
   chunks of grid panels at a time, the failing (panel, integrand) pairs
-  halved together level by level;
+  refined together by ``_refine``;
 * supremum scans over long windows with local refinement (sup_scan):
   given exact slopes at the coarse nodes and a value-and-slope callable, a
   cell whose node slopes bracket a maximum is polished by a root search on
@@ -29,9 +28,9 @@ point by point, so errors and their texts are the scalar ones.  The recurring sh
 
 The pair (Gander & Gautschi's Lobatto 4 / Kronrod 7) and its fixed-node
 helpers are shared with the operator's tables, so the package has one
-fixed-node rule; every use of it checks |K7 - L4| and falls back to
-adaptive Simpson.  Scalar and array panels alike go through ``_lk_nodes``
-and ``_lk_sums``.
+fixed-node rule, and one refinement (``_refine``) where |K7 - L4| fails:
+halving level by level, then adaptive Simpson.  Scalar panels go through
+``_lk_nodes``, arrays of them through ``_lk_points``, both through ``_lk_sums``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,32 +166,27 @@ def window_integral(
 
 
 # The Gauss-Lobatto 4 / Kronrod 7 pair on [-1, 1] (Gander & Gautschi,
-# "Adaptive quadrature -- revisited", BIT 40, 2000), nodes left to right: the
-# Lobatto rule samples +-1 and +-1/sqrt(5), its Kronrod extension adds
-# +-sqrt(2/3) and 0.  K7 is exact for degree 9, L4 for degree 5, and |K7 - L4|
-# estimates the error of L4 (so, pessimistically, of K7).  Both rules sample
-# the panel ends, so a kink close to an end cannot hide between the nodes,
-# and panels that share an end share its sample.
-_LK_X = np.array(
-    [-1.0, -math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(5.0), 0.0,
-     1.0 / math.sqrt(5.0), math.sqrt(2.0 / 3.0), 1.0]
-)
-_K7_W = np.array([77.0, 432.0, 625.0, 672.0, 625.0, 432.0, 77.0]) / 1470.0
-_L4_W = np.array([1.0, 0.0, 5.0, 0.0, 5.0, 0.0, 1.0]) / 6.0
+# "Adaptive quadrature -- revisited", BIT 40, 2000): the Lobatto rule samples
+# +-1 and +-1/sqrt(5), its Kronrod extension adds +-sqrt(2/3) and 0.  K7 is
+# exact for degree 9, L4 for degree 5, and |K7 - L4| estimates the error of L4
+# (so, pessimistically, of K7).  Both rules sample the panel ends, so a kink
+# close to an end cannot hide between the nodes, and panels that share an end
+# share its sample.  Nodes and weights are listed ends first and the centre
+# last, the order of ``_lk_nodes``.
+_LK_X = np.array([-1.0, 1.0, -math.sqrt(2.0 / 3.0), math.sqrt(2.0 / 3.0),
+                  -1.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0), 0.0])
+_K7_W = np.array([77.0, 77.0, 432.0, 432.0, 625.0, 625.0, 672.0]) / 1470.0
+_L4_W = np.array([1.0, 1.0, 0.0, 0.0, 5.0, 5.0, 0.0]) / 6.0
 _LK_XS = _LK_X.tolist()
-_K7_WS = _K7_W.tolist()
+_K7_WS = _K7_W[::2].tolist()
 
-# CumulativeExponent halves a table panel whose estimate fails only while it
-# is longer than this; shorter ones go to adaptive Simpson.
-_FINEST_PANEL = 1.0 / 1024.0
-
-# WeightedSweep halves a panel whose estimate fails at most this many times
+# _refine halves an interval whose estimate fails at most this many times
 # (down to 1/1024 of it) before adaptive Simpson takes over.
 _HALVINGS = 10
 
-# WeightedSweep integrates at most this many grid panels per bulk call, which
-# bounds the size of its sample arrays (and of the array expressions'
-# temporaries) on long grids.
+# WeightedSweep integrates, and CumulativeExponent tabulates, at most this
+# many panels per bulk call, which bounds the size of the sample arrays (and
+# of the array expressions' temporaries) on long grids.
 _CHUNK = 256
 
 
@@ -201,9 +195,16 @@ def _lk_nodes(a, b):
     the order a, b, c -+ sqrt(2/3) h, c -+ h/sqrt(5), c (the midpoint last)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    x1 = h * _LK_XS[5]  # sqrt(2/3) half-widths
-    x2 = h * _LK_XS[4]  # 1/sqrt(5) half-widths
+    x1 = h * _LK_XS[3]  # sqrt(2/3) half-widths
+    x2 = h * _LK_XS[5]  # 1/sqrt(5) half-widths
     return h, (a, b, c - x1, c + x1, c - x2, c + x2, c)
+
+
+def _lk_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (7, n) ``_lk_nodes`` of the intervals [a, b], in one broadcast."""
+    x = 0.5 * (a + b) + 0.5 * (b - a) * _LK_X[:, None]
+    x[0], x[1] = a, b
+    return x
 
 
 def _lk_sums(h, fa, fb, f1m, f1p, f2m, f2p, f0):
@@ -211,22 +212,10 @@ def _lk_sums(h, fa, fb, f1m, f1p, f2m, f2p, f0):
     ends = fa + fb
     f1 = f1m + f1p
     f2 = f2m + f2p
-    we, w1, w2, w0 = _K7_WS[:4]
+    we, w1, w2, w0 = _K7_WS
     kronrod = h * (we * ends + w1 * f1 + w2 * f2 + w0 * f0)
     lobatto = h * (ends + 5.0 * f2) / 6.0
     return kronrod, abs(kronrod - lobatto)
-
-
-def _kronrod_nodes(left: np.ndarray, right: np.ndarray):
-    """The (n, 7) pair nodes on the panels [left, right], and half-widths.
-
-    Column 0 is ``left`` and column 6 is ``right``, exactly.
-    """
-    half = 0.5 * (right - left)
-    nodes = (0.5 * (left + right))[:, None] + half[:, None] * _LK_X
-    nodes[:, 0] = left
-    nodes[:, -1] = right
-    return nodes, half
 
 
 # An array call costs tens of microseconds before its first element (a term
@@ -255,16 +244,76 @@ def _bulk(fa: Callable[..., np.ndarray] | None, f: Callable[..., float], *column
     return np.fromiter(map(f, *[c.tolist() for c in columns]), float, len(x))
 
 
-def _kronrod_panels(f, f_array, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """int f over each panel [a_j, b_j]: K7 from one ``_bulk`` call at all their
-    nodes, adaptive Simpson at ``tol`` where |K7 - L4| exceeds ``tol``."""
-    h, xs = _lk_nodes(a, b)
-    samples = _bulk(f_array, f, np.stack(xs))
-    with np.errstate(all="ignore"):
-        value, error = _lk_sums(h, *samples)
-    for j in np.flatnonzero(~(error <= tol)):
-        value[j] = adaptive_simpson(f, float(a[j]), float(b[j]), tol)
-    return value
+class _Pieces(NamedTuple):
+    """The pieces :func:`_refine` accepted, by interval ``ids`` and left to
+    right, and which intervals ``passed`` whole at the first level."""
+
+    ids: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    passed: np.ndarray
+
+    def totals(self) -> np.ndarray:
+        """Each interval's sum over its pieces, left to right from 0.0."""
+        n = len(self.passed)  # n pieces are one per interval, in order
+        return self.value if len(self.ids) == n else np.bincount(self.ids, self.value, minlength=n)
+
+
+def _refine(sample, a, b, tol, simpson, first=None) -> _Pieces:
+    """int over each interval [a_i, b_i] by the Lobatto 4 / Kronrod 7 pair.
+
+    ``sample(x, ids, pos)`` gives the integrand at x, an (r, n) array of
+    points of the intervals ``ids`` (one a column), ``pos`` numbering the
+    sub-intervals of each interval at this level from 0; ``first``, when
+    given, holds the samples at the intervals' seven ``_lk_nodes``.  K7 is
+    accepted where |K7 - L4| is within the interval's ``tol``.  The rest
+    are halved together, at half the tolerance, the centre sample serving
+    as an end, at most ``_HALVINGS`` times; what still fails, or has a
+    non-finite estimate, goes to ``simpson(i, lo, hi, tol)``, in the order
+    of the result.
+    """
+    n = len(a)
+    ids, pos, lo, hi = np.arange(n), np.zeros(n, dtype=np.int64), a, b
+    fa, fb, *inner = sample(_lk_points(a, b), ids, pos) if first is None else first
+    done = []  # per level: kept, ids, left, right, value (NaN: for simpson), tol
+    for depth in range(_HALVINGS + 1):
+        if depth:
+            inner = sample(_lk_points(lo, hi)[2:], ids, pos)
+        with np.errstate(all="ignore"):
+            value, error = _lk_sums(0.5 * (hi - lo), fa, fb, *inner)
+            ok = error <= tol
+            if depth == 0:
+                passed = ok
+                if ok.all():
+                    return _Pieces(ids, hi, value, passed)
+                tol = np.full(n, tol, dtype=float)
+            # NaN and inf fail both tests, and go to simpson unhalved
+            halve = (error > tol) & (error < math.inf) & (depth < _HALVINGS)
+        value[~(ok | halve)] = math.nan
+        done.append((~halve, ids, lo, hi, value, tol))
+        if not halve.any():
+            break
+        # [lo, c] and [c, hi] at half the tolerance; the centre is the last node
+        c, fc, half = 0.5 * (lo + hi)[halve], inner[4][halve], 0.5 * tol[halve]
+        ids, pos, tol = ids[halve], 2 * pos[halve], np.concatenate((half, half))
+        ids, pos = np.concatenate((ids, ids)), np.concatenate((pos, pos + 1))
+        lo, hi = np.concatenate((lo[halve], c)), np.concatenate((c, hi[halve]))
+        fa, fb = np.concatenate((fa[halve], fc)), np.concatenate((fc, fb[halve]))
+    kept, *cols = (np.concatenate(col) for col in zip(*done))
+    order = np.lexsort((cols[1][kept], cols[0][kept]))
+    ids, left, right, value, tol = (col[kept][order] for col in cols)
+    for k in np.flatnonzero(np.isnan(value)).tolist():
+        value[k] = simpson(int(ids[k]), float(left[k]), float(right[k]), float(tol[k]))
+    return _Pieces(ids, right, value, passed)
+
+
+def _kronrod_panels(f, f_array, a: np.ndarray, b: np.ndarray, tol: float) -> _Pieces:
+    """int f over each panel [a_j, b_j] by :func:`_refine`: the first level
+    from one ``_bulk`` call at all their nodes, adaptive Simpson on f."""
+    return _refine(
+        lambda x, ids, pos: _bulk(f_array, f, x), a, b, tol,
+        lambda i, lo, hi, tol: adaptive_simpson(f, lo, hi, tol),
+    )
 
 
 def _advance(decay: np.ndarray, panels: np.ndarray) -> np.ndarray:
@@ -283,23 +332,21 @@ def _advance(decay: np.ndarray, panels: np.ndarray) -> np.ndarray:
 class CumulativeExponent:
     """Running integral G(t) = int_start^t f, tabulated at checkpoints.
 
-    The table covers [start, t] for the largest t queried so far, one
-    ``checkpoint``-long panel at a time.  A panel is integrated by the
-    Lobatto 4 / Kronrod 7 pair when the embedded error estimate |K7 - L4|
-    is at most ``tol_per_unit``; otherwise it is halved, down to panels of
-    at most 1/1024 (a ``checkpoint`` at or below 1/1024 is not split), where
-    ``adaptive_simpson`` at that tolerance takes over (kinks, steep layers,
-    non-finite samples).  Every accepted panel end becomes a checkpoint, so
-    the table is finest where f is least smooth.  A query finds its
-    checkpoint by bisection and integrates the partial panel from it by the
-    same rule: one Kronrod panel, with ``adaptive_simpson`` as the fallback.
-    A query thus costs a lookup and 7 samples of f when f is smooth there;
-    a query at a checkpoint returns the table entry.
+    The table covers [start, t] for the largest t queried so far, in batches
+    of up to ``_CHUNK`` ``checkpoint``-long panels, sampled in one call of
+    ``f_array`` (f's array form; without it, f point by point).  A panel is
+    integrated by the Lobatto 4 / Kronrod 7 pair when the embedded error
+    estimate |K7 - L4| is at most ``tol_per_unit``, and refined by
+    ``_refine`` (the tolerance split by width) where it is not.  Every
+    accepted piece's end becomes a checkpoint, so the table is finest where
+    f is least smooth; a batch that fails is redone panel by panel.  A query
+    finds its checkpoint by bisection and integrates the partial panel from
+    it by the same rule, so it costs a lookup and 7 samples of f when f is
+    smooth there; a query at a checkpoint returns the table entry.
 
     ``cumulative`` also takes an array of queries.  It then finds every
     checkpoint by ``searchsorted`` and samples the partial panels of all
-    queries in one call of ``f_array`` (f's array form; without it, f point
-    by point).  A query whose estimate fails takes the scalar fallback.
+    queries in one call of ``f_array``, refining the failing ones together.
     Up to ``_SMALL`` queries, or when the array call raises, or a query is
     non-finite or below the start, the queries run one by one in order (so
     an error is the scalar one).
@@ -340,34 +387,24 @@ class CumulativeExponent:
         if math.isinf(t):  # the table would never reach it
             raise QuadratureError(f"cumulative query at t={t!r}")
         with self._lock:
-            nodes, values = self._nodes, self._values
-            while nodes[-1] < t:
+            while self._nodes[-1] < t:
                 i = self._panels
-                pending = [
-                    (self.start + i * self.checkpoint, self.start + (i + 1) * self.checkpoint)
-                ]
-                ends: list[float] = []
-                sums: list[float] = []
-                total = values[-1]
-                while pending:  # left to right, halving where the pair fails
-                    a, b = pending.pop()
-                    h, xs = _lk_nodes(a, b)
-                    value, error = _lk_sums(h, *map(self.f, xs))
-                    if not error <= self.tol_per_unit:
-                        if b - a > _FINEST_PANEL:
-                            m = 0.5 * (a + b)
-                            pending.append((m, b))
-                            pending.append((a, m))
-                            continue
-                        value = adaptive_simpson(self.f, a, b, self.tol_per_unit)
-                    total += value
-                    ends.append(b)
-                    sums.append(total)
-                # the table grows only by whole panels, so a failed panel
-                # leaves it consistent
-                values.extend(sums)
-                nodes.extend(ends)
-                self._panels = i + 1
+                n = min(_CHUNK, max(1, math.ceil((t - self.start) / self.checkpoint) - i))
+                edges = self.start + np.arange(i, i + n + 1) * self.checkpoint
+                try:
+                    self._append(edges)
+                except (NddeError, ArithmeticError):  # keep the whole panels before the failing one
+                    for k in range(n):
+                        self._append(edges[k : k + 2])
+
+    def _append(self, edges: np.ndarray) -> None:
+        """Tabulate the panels between ``edges``, or raise and change nothing."""
+        pieces = _kronrod_panels(self.f, self.f_array, edges[:-1], edges[1:], self.tol_per_unit)
+        # a running sum left to right, as one piece at a time would give it
+        sums = np.cumsum(np.concatenate(([self._values[-1]], pieces.value)))[1:]
+        self._values.extend(sums.tolist())
+        self._nodes.extend(pieces.right.tolist())
+        self._panels += len(edges) - 1
 
     def cumulative(self, t):
         """G(t) for a float t, or G at every element of an array t."""
@@ -389,8 +426,10 @@ class CumulativeExponent:
                 return self._values[i]
             h, xs = _lk_nodes(base, t)
             value, error = _lk_sums(h, *map(self.f, xs))
-            if not error <= self.tol_per_unit:  # NaN too: the fallback raises
-                value = adaptive_simpson(self.f, base, t, self.tol_per_unit)
+            if not error <= self.tol_per_unit:  # NaN too: the refinement raises
+                value = float(_kronrod_panels(
+                    self.f, self.f_array, np.array([base]), np.array([t]), self.tol_per_unit
+                ).totals()[0])
             return self._values[i] + value
         except (NddeError, ArithmeticError) as err:
             if self.name is None:
@@ -424,7 +463,7 @@ class CumulativeExponent:
         if part.any():
             out[part] += _kronrod_panels(
                 self.f, self.f_array, nodes[i[part]], t[part], self.tol_per_unit
-            )
+            ).totals()
         return out
 
     def weight(self, s: float, t: float) -> float:
@@ -464,10 +503,10 @@ class WeightedSweep:
     call of its array form (``arrays[k]``; without one, f_k point by
     point), a grid node's G and samples serving both panels that end on it.
     An integrand's panel sum is K7 when |K7 - L4| is within its
-    tolerance.  The (panel, integrand) pairs that fail are halved together,
-    level by level (the tolerance split by width), at most ``_HALVINGS``
-    times, and adaptive Simpson integrates what still fails, on the scalar
-    f_k.  ``at(t)`` evaluates between grid points by the same routine on
+    tolerance.  The (panel, integrand) pairs that fail are refined together
+    by ``_refine`` (the tolerance split by width, G read once per distinct
+    sub-panel), and adaptive Simpson integrates what still fails, on the
+    scalar f_k.  ``at(t)`` evaluates between grid points by the same routine on
     the one interval [grid[i], t].  ``counts[k]`` holds, per integrand, the
     panels (grid panels and ``at`` intervals) accepted whole, the panels
     halved, and the sub-panels handed to adaptive Simpson.  A failure is
@@ -525,70 +564,41 @@ class WeightedSweep:
         for the m intervals [a_p, b_p], given G and (row j for terms[j]) f at
         their ends."""
         m, rows = len(a), len(terms)
-        # one entry per pending (interval, term) pair: panel p, term row j,
-        # ends, G and f at the ends, tolerance, and position at this depth
-        p = np.tile(np.arange(m), rows)
-        j = np.repeat(np.arange(rows), m)
-        lo, hi, g_lo, g_hi = a[p], b[p], ga[p], gb[p]
-        f_lo, f_hi = fa.ravel(), fb.ravel()
-        tol = np.asarray(self.tols)[terms][j]
-        pos = np.zeros(len(p), dtype=np.int64)
-        g_end = gb[p]
-        done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (pair id, left, value)
-        for depth in range(_HALVINGS + 1):
-            # the distinct intervals: G at their interior nodes, once for all terms
-            key = (p << depth) + pos
-            _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-            h, xs = _lk_nodes(lo[first], hi[first])
-            inner = self.gexp.cumulative(np.stack(xs[2:]))[:, inv]
-            h, inner_x = h[inv], np.stack(xs[2:])[:, inv]
-            f_in = np.empty_like(inner_x)
-            for r in np.flatnonzero(np.bincount(j)).tolist():
-                sel = j == r
-                f_in[:, sel] = self._sample(terms[r], inner_x[:, sel], where)
-            G = np.concatenate([[g_lo, g_hi], inner])
-            F = np.concatenate([[f_lo, f_hi], f_in])
-            with np.errstate(all="ignore"):
-                value, error = _lk_sums(h, *(np.exp(G - g_end) * F))
-            ok = error <= tol
-            if depth == 0:
-                k = np.asarray(terms)[j]
-                np.add.at(self.counts, (k, np.where(ok, 0, 1)), 1)
-            done.append((j[ok] * m + p[ok], lo[ok], value[ok]))
-            fail = ~ok
-            if not fail.any():
-                break
-            if depth == _HALVINGS:  # NaN too: the fallback raises
-                for i in np.lexsort((j[fail], lo[fail], p[fail])).tolist():
-                    done.append(self._simpson(
-                        terms, m, j[fail][i], p[fail][i], lo[fail][i], hi[fail][i],
-                        g_end[fail][i], tol[fail][i], where,
-                    ))
-                break
-            # halve the failed pairs: [lo, c] and [c, hi] at half the tolerance
-            c, g_c, f_c = inner_x[4][fail], inner[4][fail], f_in[4][fail]
-            p, j, g_end = np.tile(p[fail], 2), np.tile(j[fail], 2), np.tile(g_end[fail], 2)
-            lo, hi = np.concatenate([lo[fail], c]), np.concatenate([c, hi[fail]])
-            g_lo, g_hi = np.concatenate([g_lo[fail], g_c]), np.concatenate([g_c, g_hi[fail]])
-            f_lo, f_hi = np.concatenate([f_lo[fail], f_c]), np.concatenate([f_c, f_hi[fail]])
-            tol = np.tile(0.5 * tol[fail], 2)
-            pos = np.concatenate([2 * pos[fail], 2 * pos[fail] + 1])
-        # each pair's sum runs over its pieces left to right, from 0.0
-        ids, left, value = (np.concatenate(col) for col in zip(*done))
-        order = np.lexsort((left, ids))
-        return np.bincount(ids[order], value[order], minlength=rows * m).reshape(rows, m)
+        # one interval per (panel p, term row j) pair, numbered p * rows + j
+        x = _lk_points(a, b)[2:]
+        with np.errstate(all="ignore"):
+            damping = np.exp(self.gexp.cumulative(x) - gb)  # G once for all terms
+            inner = np.stack([damping * self._sample(k, x, where) for k in terms], axis=2)
+            first = np.concatenate(((np.exp(ga - gb)[:, None] * fa.T)[None], fb.T[None], inner))
 
-    def _simpson(self, terms, m, j, p, a, b, g_end, tol, where):
-        k = terms[j]
-        f, cumulative = self.fs[k], self.gexp.cumulative
-        self.counts[k, 2] += 1
-        try:
-            value = adaptive_simpson(
-                lambda s: math.exp(cumulative(s) - g_end) * f(s), float(a), float(b), float(tol)
-            )
-        except (NddeError, ArithmeticError) as err:
-            raise QuadratureError(f"sweep of {self.labels[k]}{where}: {err}") from err
-        return np.array([j * m + p]), np.array([a]), np.array([value])
+        def sample(x, ids, pos):
+            # G at the distinct sub-intervals, once for all terms
+            p, j = np.divmod(ids, rows)
+            _, one, inv = np.unique(p << _HALVINGS | pos, return_index=True, return_inverse=True)
+            G = self.gexp.cumulative(x[:, one])[:, inv]
+            f = np.empty_like(x)
+            for r in np.flatnonzero(np.bincount(j)).tolist():
+                f[:, j == r] = self._sample(terms[r], x[:, j == r], where)
+            with np.errstate(all="ignore"):
+                return np.exp(G - gb[p]) * f
+
+        def simpson(i, lo, hi, tol):
+            k, g_end = terms[i % rows], gb[i // rows]
+            f, G = self.fs[k], self.gexp.cumulative
+            self.counts[k, 2] += 1
+            try:
+                return adaptive_simpson(lambda s: math.exp(G(s) - g_end) * f(s), lo, hi, tol)
+            except (NddeError, ArithmeticError) as err:
+                raise QuadratureError(f"sweep of {self.labels[k]}{where}: {err}") from err
+
+        pieces = _refine(
+            sample, np.repeat(a, rows), np.repeat(b, rows),
+            np.tile(np.asarray(self.tols)[terms], m), simpson, first.reshape(7, -1),
+        )
+        passed = pieces.passed.reshape(m, rows).sum(0)
+        self.counts[terms, 0] += passed
+        self.counts[terms, 1] += m - passed
+        return pieces.totals().reshape(m, rows).T
 
     def at(self, t: float, k: int | None = None):
         """Integrand k's running integral at t, or all of them as an array."""

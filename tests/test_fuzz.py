@@ -4,9 +4,8 @@ Every input must end in a verdict (exit 0, 2 or 3) or in exactly one
 ``error:`` line with exit 1, never in a Python traceback.  The mutations put
 domain errors, poles and kinks into the coefficients (so array evaluations
 fail and their scalar reruns raise), break the syntax, and drop or repeat
-lines.  Horizons are short so that the whole run stays within seconds.
-``picard`` is not driven: a diverging iteration on a mutated preset can run
-for minutes.
+lines.  Horizons are short so that the whole run stays within seconds;
+``picard`` runs at T = 2.
 """
 
 import contextlib
@@ -85,20 +84,25 @@ def _short(text: str) -> str:
     return text
 
 
+# picard cases, drawn after the check and simulate ones
+_PICARD_CASES = 40
+
+
 def test_mutated_presets_end_in_a_verdict_or_one_error_line(tmp_path, capsys):
     rng = random.Random(20261018)
     path = tmp_path / "fuzz.cfg"
     codes = []
     errors = []
-    for case in range(80):
+    for case in range(80 + _PICARD_CASES):
         text = _short(preset_text(rng.choice(available())))
         for _ in range(rng.randint(1, 2)):
             text = _mutate(rng, text)
-        command = rng.choice(("check", "simulate"))
+        command = rng.choice(("check", "simulate")) if case < 80 else "picard"
         path.write_text(text)
+        args = [command, str(path)] + (["--T", "2"] if command == "picard" else [])
         try:
             with contextlib.redirect_stdout(io.StringIO()):
-                code = main([command, str(path)])
+                code = main(args)
         except BaseException as exc:  # noqa: BLE001 - the traceback is the failure
             pytest.fail(f"case {case} ({command}) raised {exc!r} on:\n{text}")
         err = capsys.readouterr().err

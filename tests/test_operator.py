@@ -343,7 +343,9 @@ def test_kinks_inside_panels_fall_back_and_match_reference(monkeypatch):
     # z changes sign at pi/6, inside the panel [0.5, 0.6], so z^gamma has a
     # cusp there (and at its delayed images); psi has a kink at -0.25, which
     # tau1 = t - 0.5 moves inside the live panel [0.2, 0.3]; g has a kink at
-    # 0.55, inside the drift windows that end in (0.55, 0.6)
+    # 0.55, inside the drift windows that end in (0.55, 0.6).  Failing panels
+    # and windows are halved first, so adaptive Simpson only ever sees pieces
+    # of at most 1/1024 of a mesh panel, one of them holding the g kink
     prob, aux = _lagged()
     aux = AuxiliarySpec(p=aux.p, g=parse_expression("0.2 + 0.3*abs(t - 0.55)"))
     mesh = make_mesh(-0.6, 0.0, 2.0, 0.1)
@@ -362,12 +364,10 @@ def test_kinks_inside_panels_fall_back_and_match_reference(monkeypatch):
     monkeypatch.setattr(ndde.operator, "adaptive_simpson", counted)
     live = mesh >= 0.0
     Az = apply_A(z, prob, aux)
-    assert any(a < math.pi / 6 < b for a, b in fallbacks)
     assert np.max(np.abs(Az.values[live] - _reference(z, prob, aux))) < 1e-10
-    fallbacks.clear()
     Bz = apply_B(z, prob, aux, psi)
-    assert any(a < 0.25 < b for a, b in fallbacks)
-    assert any(abs(a - 0.5) < 1e-12 and 0.55 < b < 0.6 - 1e-9 for a, b in fallbacks)
+    assert any(a < 0.55 < b for a, b in fallbacks)
+    assert all(b - a <= 0.1 / 1024 * (1 + 1e-9) for a, b in fallbacks)
     assert np.max(np.abs(Bz.values[live] - _reference(z, prob, aux, psi))) < 1e-10
 
 

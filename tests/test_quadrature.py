@@ -7,6 +7,7 @@ import traceback
 import numpy as np
 import pytest
 
+from ndde import quadrature
 from ndde.errors import QuadratureError
 from ndde.expressions import parse_expression
 from ndde.hermite import hermite_max
@@ -191,6 +192,41 @@ def test_cumulative_sees_kinks_near_panel_ends():
         for t in (5.0, 4.0, 3.5, 0.5 * (c + 4.0), 0.5 * (c + 3.0), 3.999):
             exact = 0.5 * (c * c + (t - c) * abs(t - c))
             assert abs(gexp.cumulative(t) - exact) <= 1e-11
+
+
+def test_kronrod_panels_halve_kinks_before_simpson(monkeypatch):
+    # |t - c| on panels of width w that hold c, and on panels clear of it:
+    # the failing panels are halved together, so adaptive Simpson only sees
+    # the pieces that hold c, at most w/1024 wide
+    c, w = 1.0 / 3.0, 0.8
+    f = lambda t: abs(t - c)  # noqa: E731
+    f_array = lambda t: np.abs(t - c)  # noqa: E731
+    seen = []
+
+    def counted(g, a, b, tol=1e-10, max_depth=40):
+        seen.append((a, b))
+        return adaptive_simpson(g, a, b, tol, max_depth)
+
+    monkeypatch.setattr(quadrature, "adaptive_simpson", counted)
+    rng = np.random.default_rng(23)
+    a = np.concatenate([c - rng.uniform(0.05, 0.95, 12) * w, [2.0, 3.5, -4.0]])
+    b = a + w
+    got = quadrature._kronrod_panels(f, f_array, a, b, 1e-11).totals()
+    exact = 0.5 * ((b - c) * np.abs(b - c) - (a - c) * np.abs(a - c))
+    assert np.abs(got - exact).max() <= 1e-11
+    assert seen and all(lo <= c <= hi and hi - lo <= w / 1024 * (1 + 1e-12) for lo, hi in seen)
+
+    # a partial panel across c: the scalar query refines it as the array
+    # query does
+    gexp = CumulativeExponent(f, 0.0, f_array=f_array)
+    gexp.cumulative(2.0)
+    i = bisect.bisect_right(gexp._nodes, c) - 1
+    base, end = gexp._nodes[i], gexp._nodes[i + 1]
+    assert base < c < end
+    ts = rng.uniform(c, end, 100)
+    bulk = gexp.cumulative(ts)
+    for t, value in zip(ts.tolist(), bulk.tolist()):
+        assert abs(gexp.cumulative(t) - value) <= 1e-14
 
 
 def test_cumulative_query_at_checkpoint_returns_table_entry():
