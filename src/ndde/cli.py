@@ -156,9 +156,7 @@ def run_picard(config_path, T=None, tol=None, csv_path=None, out=None) -> int:
         history_x = transformed_history(cfg.problem, cfg.aux, cfg.history, m)
         trajectory = integrate(cfg.problem, history_x, T=T, h=min(cfg.step, 1e-3))
         probes = np.linspace(cfg.problem.t0, T, 801)
-        sup = max(
-            abs(solution.eval(float(t)) - trajectory.eval(float(t))) for t in probes
-        )
+        sup = np.max(np.abs(solution.eval_array(probes) - trajectory.eval_array(probes)))
         lines.append(f"crosscheck.sup_diff = {float(sup)!r}")
     else:
         lines.append("crosscheck.sup_diff = skipped (iteration did not converge)")

@@ -55,7 +55,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -292,17 +292,27 @@ class AlphaEstimate:
 
     ``alpha`` is the refined supremum of the pointwise term sum (this is
     what verdicts use); ``alpha_termwise`` sums the individual term
-    suprema, a coarser bound matching the usual hand computation.
+    suprema, a coarser bound matching the usual hand computation.  Both
+    come from per-term scans that run on the first read of ``terms``.
     """
 
     form: str
     alpha: float
     argsup: float
     tail_slope: float
-    alpha_termwise: float
-    terms: tuple[TermStat, ...]
     tmax: float
     grid: int
+    _scan_terms: Callable[[], tuple[TermStat, ...]] | None = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def terms(self) -> tuple[TermStat, ...]:
+        stats = self._scan_terms()
+        object.__setattr__(self, "_scan_terms", None)  # frees the scans' inputs
+        return stats
+
+    @property
+    def alpha_termwise(self) -> float:
+        return float(sum(st.sup for st in self.terms))
 
     def term(self, label: str) -> TermStat:
         for stat in self.terms:
@@ -385,22 +395,25 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int):
         pointwise_sum, t0, tmax, n=grid, samples=total,
         slopes=total_slope, value_slope=sum_and_slope,
     )
-    stats = []
-    for label in terms.labels:
-        s = sup_scan(
-            fns[label], t0, tmax, n=grid, samples=arrays[label],
-            slopes=slopes[label], value_slope=pairs[label],
-        )
-        stats.append(TermStat(label, s.sup, s.argsup))
+
+    def scan_terms() -> tuple[TermStat, ...]:
+        stats = []
+        for label in terms.labels:
+            s = sup_scan(
+                fns[label], t0, tmax, n=grid, samples=arrays[label],
+                slopes=slopes[label], value_slope=pairs[label],
+            )
+            stats.append(TermStat(label, s.sup, s.argsup))
+        return tuple(stats)
+
     return AlphaEstimate(
         form=bound.problem.form,
         alpha=scan.sup,
         argsup=scan.argsup,
         tail_slope=scan.tail_slope,
-        alpha_termwise=float(sum(st.sup for st in stats)),
-        terms=tuple(stats),
         tmax=tmax,
         grid=grid,
+        _scan_terms=scan_terms,
     ), sweep
 
 
@@ -847,6 +860,7 @@ def evaluate_criteria(
         )
     bound = bind(problem, aux, tmax)
     est, sweep = _alpha_from_bound(bound, tmax, grid)
+    est.terms  # scan now: the first read frees the scans' inputs before the companions run
     lip_c = window_lipschitz(bound, "c-term")
     lip_g = window_lipschitz(bound, "g")
     K = K_estimate(bound, tmax)

@@ -86,7 +86,8 @@ class Trajectory:
 
     Dense queries use cubic Hermite on the step panels, reproduce node
     values and derivatives exactly at nodes, return psi on [m, t0), and
-    reject arguments outside [m, T].  Immutable after construction.
+    reject arguments outside [m, T]; :meth:`eval` is :meth:`eval_array` on
+    one point.  Immutable after construction.
     """
 
     def __init__(self, ts, xs, ds, history: HistoryFunction, m: float, h: float):
@@ -122,33 +123,31 @@ class Trajectory:
         return self._ds
 
     # ------------------------------------------------------------------
-    def _panel(self, t: float) -> int:
-        i = int((t - self.t0) / self.h)
-        return max(0, min(i, len(self._ts) - 2))
-
     def _guard(self, t: float) -> None:
         fuzz = 1e-9 * max(1.0, abs(self.T - self.m))
-        if t < self.m - fuzz or t > self.T + fuzz:
+        if not self.m - fuzz <= t <= self.T + fuzz:  # NaN too
             raise ValidationError(
                 f"query t={t!r} outside the trajectory domain [{self.m!r}, {self.T!r}]"
             )
 
-    def _dense(self, t: float, slope: bool) -> float:
-        i = self._panel(t)
+    def _dense(self, t: np.ndarray, slope: bool) -> np.ndarray:
+        """Value (or slope) at every element of t; a node returns its own."""
+        i = np.minimum(np.maximum(((t - self.t0) / self.h).astype(np.intp), 0), len(self._ts) - 2)
         node = self._ds if slope else self._xs
-        if t == self._ts[i]:
-            return float(node[i])
-        if t == self._ts[i + 1]:
-            return float(node[i + 1])
-        s = min(max((t - self._ts[i]) / self.h, 0.0), 1.0)
+        s = np.minimum(np.maximum((t - self._ts[i]) / self.h, 0.0), 1.0)
         w = hermite_weights(s, self.h, slope)
-        return float(hermite_eval(w, self._xs[i], self._ds[i], self._xs[i + 1], self._ds[i + 1]))
+        x = hermite_eval(w, self._xs[i], self._ds[i], self._xs[i + 1], self._ds[i + 1])
+        return np.where(t == self._ts[i], node[i], np.where(t == self._ts[i + 1], node[i + 1], x))
+
+    def eval_array(self, ts: np.ndarray) -> np.ndarray:
+        self._guard(float(np.min(ts)))
+        self._guard(float(np.max(ts)))
+        out, below = self._dense(ts, False), ts < self.t0
+        out[below] = [self._psi(t) for t in ts[below].tolist()]
+        return out
 
     def eval(self, t: float) -> float:
-        self._guard(t)
-        if t < self.t0:
-            return float(self._psi(t))
-        return self._dense(t, False)
+        return float(self.eval_array(np.array([t], dtype=float))[0])
 
     __call__ = eval
 
@@ -156,7 +155,7 @@ class Trajectory:
         self._guard(t)
         if t < self.t0:
             return float(self._psi_prime(t))
-        return self._dense(t, True)
+        return float(self._dense(np.asarray(t, dtype=float), True))
 
     # ------------------------------------------------------------------
     def max_abs(self) -> float:
@@ -892,11 +891,11 @@ def convergence_order(
         raise ValidationError("need at least three step sizes")
     ref = integrate(problem, psi, T, h=min(steps) / 2.0)
     grid = np.linspace(problem.t0, T, probes)
-    errors = []
-    for h in steps:
-        tr = integrate(problem, psi, T, h=h)
-        err = max(abs(tr.eval(float(t)) - ref.eval(float(t))) for t in grid)
-        errors.append(err)
+    exact = ref.eval_array(grid)
+    errors = [
+        float(np.max(np.abs(integrate(problem, psi, T, h=h).eval_array(grid) - exact)))
+        for h in steps
+    ]
     if max(errors) < 1e-14:
         raise ValidationError(
             "errors are all at rounding level; the study is degenerate"

@@ -52,6 +52,7 @@ __all__ = [
 _T = Expression.variable("t")
 
 _TABLE_TOL = 1e-11  # the quadrature tolerance of a binding's cumulative tables
+_MAX_TABLE_PANELS = 1 << 22  # checkpoint panels over [m, tmax]; the presets need 1e4
 
 
 @dataclass(frozen=True)
@@ -463,6 +464,12 @@ class BoundProblem(_Derived):
         hor = horizon(problem, tmax)
         self.horizon = hor
         self.m = min(hor.m, self.t0)
+        if not (self.tmax - self.m) / checkpoint <= _MAX_TABLE_PANELS:  # NaN too
+            name, delay = ("r1", problem.r1) if hor.per_delay[0][0] == hor.m else ("r2", problem.r2)
+            raise ValidationError(
+                f"delay {name} = {delay.r} reaches m = {hor.m!r}: tables over [{self.m!r},"
+                f" {self.tmax!r}] need over {_MAX_TABLE_PANELS} panels of width {checkpoint!r}"
+            )
         self.gamma = float(problem.gamma)
         self.k4 = problem.k4
         self.signed_power = signed_power

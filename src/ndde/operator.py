@@ -32,11 +32,11 @@ Hermite basis, tabulated per query point; below t0 it reads psi and is
 computed once.  Applying the tables to a candidate is a gather, one array
 call each of G(w z^gamma), Q and F, weighted sums, and the panel recurrence
 I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j.  The Picard result
-carries its tables, so the residual reads the iteration's binding and adds
-only the rows of the half panels that end at the panel midpoints.  A panel
-or window query whose |K7 - L4| exceeds 1e-11 is refined by
-``quadrature._refine``, on rows built at its sub-panels' nodes (one-point
-rows for adaptive Simpson); a non-finite sample raises.
+carries its node rows, so the residual reuses them and adds only the rows
+of the half panels that end at the panel midpoints.  A panel or window
+query whose |K7 - L4| exceeds 1e-11 is refined by ``quadrature._refine``,
+on rows built at its sub-panels' nodes (one-point rows for adaptive
+Simpson); a non-finite sample raises.
 
 Linear-neutral problems are re-encoded through :meth:`ProblemSpec.as_general`
 before iterating; the re-encoding preserves the dynamics exactly, so the
@@ -202,8 +202,9 @@ class GridFunction:
         return cls(mesh, values, derivs)
 
     # ------------------------------------------------------------------
-    def _locate(self, t: float) -> int:
-        mesh = self.mesh
+    def eval(self, t: float) -> float:
+        # ``_locate`` in float arithmetic, three times faster on one point
+        mesh, v, d = self.mesh, self.values, self.derivs
         fuzz = _MESH_FUZZ * max(1.0, abs(mesh[-1] - mesh[0]))
         if not mesh[0] - fuzz <= t <= mesh[-1] + fuzz:
             raise ValidationError(
@@ -213,15 +214,16 @@ class GridFunction:
             i = int((t - mesh[0]) / self._step)
         else:
             i = int(np.searchsorted(mesh, t, side="right")) - 1
-        return max(0, min(i, len(mesh) - 2))
-
-    def eval(self, t: float) -> float:
-        i = self._locate(t)
-        h = self.mesh[i + 1] - self.mesh[i]
-        s = min(max((t - self.mesh[i]) / h, 0.0), 1.0)
-        w = hermite_weights(s, h, False)
-        v, d = self.values, self.derivs
+        i = max(0, min(i, len(mesh) - 2))
+        h = mesh[i + 1] - mesh[i]
+        w = hermite_weights(min(max((t - mesh[i]) / h, 0.0), 1.0), h, False)
         return float(hermite_eval(w, v[i], d[i], v[i + 1], d[i + 1]))
+
+    def eval_array(self, ts: np.ndarray) -> np.ndarray:
+        """:meth:`eval` at every element of ts, bit for bit, by ``_locate``."""
+        i, w = _locate(self.mesh, self._step, ts)
+        v, d = self.values, self.derivs
+        return hermite_eval(w, v[i], d[i], v[i + 1], d[i + 1])
 
     __call__ = eval
 
@@ -615,8 +617,8 @@ class PicardResult:
     converged: bool
     cap_exceeded: bool
     final_step: float
-    # the candidate-independent tables the iteration read; residual reuses them
-    tables: _Tables = field(repr=False, compare=False)
+    # the node rows the iteration read, on its tables; residual reuses them
+    nodes: _Panels = field(repr=False, compare=False)
 
 
 def picard_solve(
@@ -635,8 +637,9 @@ def picard_solve(
     divergence are reported in the result, never raised.  ``ratios`` holds
     successive step-norm quotients (> 1 sustained means the contraction
     part fails).  The candidate cap |z| <= 1 is monitored via
-    ``cap_exceeded``.  The candidate-independent tables are built once and
-    read by every iteration.
+    ``cap_exceeded``.  The candidate-independent tables and the rows of the
+    live mesh panels are built once, read by every iteration and kept in
+    the result for :func:`residual`.
     """
     if not T > problem.t0:  # before the precheck, which is costly
         raise ValidationError(f"horizon {float(T)!r} lies at or below t0 = {problem.t0!r}")
@@ -700,27 +703,25 @@ def picard_solve(
         converged=converged,
         cap_exceeded=cap,
         final_step=step_norm,
-        tables=tables,
+        nodes=nodes,
     )
 
 
 def residual(result: PicardResult, include_midpoints: bool = True) -> float:
     """max |z(t) - (A z + B z)(t)| over live mesh nodes (and panel midpoints).
 
-    z is the final iterate of ``result``, and A and B are read from the
-    tables its iteration built.  Midpoints probe the interpolation defect
-    that node-only sampling cannot see (at a discrete fixed point the node
-    defect is just the iteration tolerance), so mesh refinement shows the
-    expected order there.
+    z is the final iterate of ``result``; A and B at the nodes are read from
+    the node rows its iteration built.  Midpoints probe the interpolation
+    defect that node-only sampling cannot see (at a discrete fixed point the
+    node defect is just the iteration tolerance), so mesh refinement shows
+    the expected order there.
     """
-    z, tables = result.z, result.tables
-    st = tables.state(z)
-    nodes = tables.node_panels()
+    nodes, tables = result.nodes, result.nodes.tab
+    st = tables.state(result.z)
     a, b = nodes.integrals(st)
     points = live = tables.live
     image = a + b + nodes.b_point(st)
     if include_midpoints:
-        del nodes  # the rows of the half panels below take the place of these
         mids = 0.5 * (live[:-1] + live[1:])
         half = _Panels(tables, live[:-1], mids)
         a_mid, b_mid = half.integrals(st, carry=(a[:-1], b[:-1]))

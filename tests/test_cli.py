@@ -4,8 +4,10 @@ import filecmp
 import io
 import json
 import math
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ndde.cli import main, run_check, run_picard, run_simulate
@@ -167,6 +169,45 @@ def test_picard_summary_reports_crosscheck(cheap_cfg, tmp_path):
     assert defect < 1e-6
     header = csv.read_text().splitlines()[0]
     assert header.startswith("# gridfunction")
+
+
+def test_crosscheck_sup_equals_the_pointwise_loop(cheap_cfg, monkeypatch):
+    import ndde.cli
+
+    kept = {}
+    for name in ("reconstruct_x", "integrate"):
+        fn = getattr(ndde.cli, name)
+        monkeypatch.setattr(
+            ndde.cli, name, lambda *a, fn=fn, name=name, **k: kept.setdefault(name, fn(*a, **k))
+        )
+    out = io.StringIO()
+    assert run_picard(cheap_cfg, T=4.0, out=out) == 0
+    text = out.getvalue()
+    assert "picard.converged = true" in text
+    sup = float(text.split("crosscheck.sup_diff = ")[1].splitlines()[0])
+    solution, trajectory = kept["reconstruct_x"], kept["integrate"]
+    probes = np.linspace(0.0, 4.0, 801)
+    loop = max(abs(solution.eval(float(t)) - trajectory.eval(float(t))) for t in probes)
+    assert 0.0 < sup == loop
+
+
+def test_exponential_lag_is_one_line_error(tmp_path, capsys):
+    # by t = 20 the lag exp(2.05 t) sends the delayed argument to m ~ -6.4e17,
+    # whose cumulative tables would need ~6e17 panels
+    text = _cheap("section4-bx10", tmax="20", grid="64")
+    path = tmp_path / "lag.cfg"
+    path.write_text(text.replace('r1 = "0.2*t"', 'r1 = "(0.2*t) + exp(2.05*t)"'))
+    errors = []
+    for argv in (["check", str(path)], ["picard", str(path), "--T", "2"]):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(lines) == 1
+        errors.append(lines[0])
+    assert "delay r1" in errors[0] and "m = -6.39" in errors[0] and "[-6.39" in errors[0]
 
 
 def test_picard_divergence_reported_not_raised(tmp_path):

@@ -592,6 +592,7 @@ def _recorded_scans(monkeypatch, prob, aux, tmax, grid):
 
     monkeypatch.setattr(criteria, "sup_scan", recording)
     est = alpha_estimate(prob, aux, tmax=tmax, grid=grid)
+    est.terms  # the per-term scans run on first read, so read them while recording
     return est, calls
 
 

@@ -149,6 +149,21 @@ def test_history_queries_are_exact():
         tr.eval(3.5)
 
 
+def test_array_queries_equal_scalar_queries_bit_for_bit():
+    prob = _linear(a="0.2 + 0*t", b="0.1 + 0*t", r1="1")
+    tr = integrate(prob, HistoryFunction(parse_expression("0.01*cos(t)")), T=3.0, h=0.05)
+    rng = np.random.default_rng(5)
+    # random points on both sides of t0, every node, and both domain ends
+    ts = np.concatenate((rng.uniform(tr.m, tr.T, 500), tr.nodes, [tr.m, tr.t0, tr.T]))
+    scalar = np.array([tr.eval(float(t)) for t in ts])
+    assert tr.eval_array(ts).tobytes() == scalar.tobytes()
+    below = ts[ts < tr.t0]
+    assert len(below) > 50
+    assert tr.eval_array(below).tolist() == [0.01 * math.cos(t) for t in below.tolist()]
+    with pytest.raises(ValidationError):
+        tr.eval_array(np.array([0.5, 3.5]))
+
+
 def test_trajectory_is_immutable():
     tr = integrate(_linear(), _hist("1 + 0*t"), T=1.0, h=0.1)
     with pytest.raises(ValueError):

@@ -206,6 +206,21 @@ def test_grid_function_two_segment_mesh():
         z.eval(2.5)
 
 
+@pytest.mark.parametrize("step", [0.25, 0.3], ids=["uniform", "two-step"])
+def test_grid_function_array_queries_equal_scalar_queries(step):
+    mesh = make_mesh(-1.0, 0.0, 2.0, step)
+    z = GridFunction.from_callable(mesh, math.sin)
+    assert (z._step is None) == (step == 0.3)
+    rng = np.random.default_rng(9)
+    # random points, every node, both ends and points within the end fuzz
+    ts = np.concatenate((rng.uniform(-1.0, 2.0, 500), mesh, [-1.0 - 1e-10, 2.0 + 1e-10]))
+    scalar = np.array([z.eval(float(t)) for t in ts])
+    assert z.eval_array(ts).tobytes() == scalar.tobytes()
+    assert np.array_equal(z.eval_array(mesh), z.values)
+    with pytest.raises(ValidationError, match="t=2.5"):
+        z.eval_array(np.array([0.5, 2.5]))
+
+
 def test_grid_function_norm_and_cap():
     mesh = np.linspace(0.0, 1.0, 11)
     z = GridFunction.from_values(mesh, np.linspace(-0.5, 0.8, 11))
@@ -459,6 +474,36 @@ def test_picard_converges_on_showcase_problem():
     assert residual(res, include_midpoints=False) < 1e-8
     x = reconstruct_x(res.z, aux)
     assert x.eval(0.0) == pytest.approx(0.005, abs=1e-12)
+
+
+def test_picard_precheck_scans_only_the_sum(monkeypatch):
+    # the precheck reads alpha alone, so the per-term scans never run
+    import ndde.criteria
+
+    scans, estimates = [], []
+    scan, estimate = ndde.criteria.sup_scan, ndde.operator.alpha_estimate
+    monkeypatch.setattr(ndde.criteria, "sup_scan", lambda *a, **k: scans.append(a) or scan(*a, **k))
+    monkeypatch.setattr(
+        ndde.operator, "alpha_estimate",
+        lambda *a, **k: estimates.append(estimate(*a, **k)) or estimates[-1],
+    )
+    prob, aux = _showcase(b="10*sin(t)/7")
+    with pytest.warns(UserWarning, match="criterion sum") as caught:
+        picard_solve(prob, aux, _const_history(0.001), T=2.0, max_iter=1)
+    assert len(scans) == 1 and len(estimates) == 1
+    assert "terms" not in vars(estimates[0])
+    alpha = alpha_estimate(prob, aux, tmax=2.0, grid=512).alpha
+    assert estimates[0].alpha.hex() == alpha.hex()
+    assert f"reaches {alpha:.4g} >= 1" in str(caught[0].message)
+
+
+def test_residual_on_the_kept_rows_equals_fresh_rows():
+    prob, aux = _showcase()
+    res = picard_solve(prob, aux, _const_history(0.001), T=5.0, precheck=False)
+    fresh = dataclasses.replace(res, nodes=res.nodes.tab.node_panels())
+    assert fresh.nodes is not res.nodes
+    for mids in (True, False):
+        assert residual(res, mids).hex() == residual(fresh, mids).hex()
 
 
 def test_picard_reports_noncontraction_without_crash():
