@@ -51,6 +51,7 @@ _AUX_KEYS = ("p", "g")
 _HISTORY_KEYS = ("psi", "psi_prime")
 _RUN_KEYS = ("tmax", "grid", "eps", "T", "step", "tol")
 _MIN_GRID = 64  # fewest coarse samples sup_scan accepts
+_MAX_GRID = 1 << 20  # most coarse samples a check may ask for; the presets take 4,096
 
 _SECTIONS = ("problem", "aux", "history", "run")
 
@@ -253,40 +254,26 @@ def loads(text: str, *, validate: bool = True) -> RunConfig:
 
     run = sections.get("run", {})
     _check_keys("run", run, _RUN_KEYS)
-    tmax = _number(run["tmax"], "tmax") if "tmax" in run else 10_000.0
-    grid = _integer(run["grid"], "grid") if "grid" in run else 4096
-    eps = _number(run["eps"], "eps") if "eps" in run else 0.1
-    T = _number(run["T"], "T") if "T" in run else 50.0
-    step = _number(run["step"], "step") if "step" in run else 1e-3
-    tol = _number(run["tol"], "tol") if "tol" in run else 1e-8
-    if grid < _MIN_GRID:
+    # a key left out keeps RunConfig's default
+    params = {key: (_integer if key == "grid" else _number)(run[key], key) for key in run}
+    grid = params.get("grid", RunConfig.grid)
+    if not _MIN_GRID <= grid <= _MAX_GRID:
+        need = f"at least {_MIN_GRID}" if grid < _MIN_GRID else f"at most {_MAX_GRID}"
         raise ConfigError(
-            f"grid: need at least {_MIN_GRID} sample points (the supremum scan's"
-            f" coarse grid), got {grid}",
+            f"grid: need {need} sample points (the supremum scan's coarse grid), got {grid}",
             run["grid"][1],
         )
-    for name, value in (("tmax", tmax), ("eps", eps), ("step", step), ("tol", tol)):
-        if name in run and value <= 0:
+    for name in ("tmax", "eps", "step", "tol"):
+        if name in run and params[name] <= 0:
             raise ConfigError(f"{name}: must be positive", run[name][1])
 
     soft: tuple[str, ...] = ()
     if validate:
         # hard failures (negative lags, unit lag slope, nonpositive weight,
         # broken Lipschitz bounds) raise here with a descriptive message
-        soft = tuple(problem.validate(tmax=tmax, aux=aux))
+        soft = tuple(problem.validate(tmax=params.get("tmax", RunConfig.tmax), aux=aux))
 
-    return RunConfig(
-        problem=problem,
-        aux=aux,
-        history=history,
-        tmax=tmax,
-        grid=grid,
-        eps=eps,
-        T=T,
-        step=step,
-        tol=tol,
-        warnings=soft,
-    )
+    return RunConfig(problem=problem, aux=aux, history=history, warnings=soft, **params)
 
 
 def load_config(path: str | Path, *, validate: bool = True) -> RunConfig:

@@ -26,10 +26,14 @@ The linear-neutral form drops ``neutral_damping`` and ``coupling_pair``
 coefficients mu/cbar/beta) and its head is |cbar(t)|.
 
 "weighted" always means the exponentially damped integral
-int_{t0}^{t} exp(-int_s^t g) (...) ds.  Each term is written once, as a
-function of a coefficient set: the binding (floats) or its ``arrays``
-(numpy arrays).  Over a horizon, all weighted terms are swept together by
-one :class:`~ndde.quadrature.WeightedSweep` on the Lobatto 4 / Kronrod 7
+int_{t0}^{t} exp(-int_s^t g) (...) ds.  Each term is written once, as one
+record of its form's term table (``_LINEAR_TABLE``, ``_GENERAL_TABLE``):
+the label, the body over a coefficient set (the binding, floats, or its
+``arrays``, numpy arrays), the exact slope of a direct term and the sweep
+tolerance of a weighted term; the pointwise evaluator, the sweep and the
+label tuples all read the table.  Over a horizon, all weighted terms are
+swept together by one :class:`~ndde.quadrature.WeightedSweep` on the
+Lobatto 4 / Kronrod 7
 nodes of the grid panels, which reads G and the damping weights once per
 node for every term and samples each term on all nodes of a chunk of
 panels in one array call; the direct terms and their slopes are sampled on
@@ -48,6 +52,8 @@ constant (``window_lipschitz``, ``K_estimate``, ``asymptotic_check``,
 The damped coupling integral of ``asymptotic_check`` is the sweep's
 ``nonlinear_tail`` row over k4, and a damping window is two reads of the
 table of g; the coupling windows are one array call of fixed-node panels.
+The text report prints the leaves of the dict report, so each report key is
+written once, in :meth:`CriteriaReport.to_dict`.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -78,23 +84,6 @@ from .quadrature import (
     WeightedSweep,
 )
 
-GENERAL_TERMS = (
-    "neutral_head",
-    "drift_window",
-    "retarded_bracket",
-    "double_window",
-    "neutral_damping",
-    "coupling_pair",
-    "nonlinear_tail",
-)
-LINEAR_TERMS = (
-    "neutral_head",
-    "drift_window",
-    "retarded_bracket",
-    "double_window",
-    "nonlinear_tail",
-)
-
 # per-panel sweep tolerances of |K7 - L4|; the double-window integrand is
 # itself quadrature-backed, so it gets a looser budget
 _SWEEP_TOL = 1e-12
@@ -109,37 +98,9 @@ def _signed(v, w):
     return (v > 0.0) * w - (v < 0.0) * w
 
 
-def _window(b, t):
-    return b.drift_window(t)
-
-
-def _window_slope(b, t):
-    return abs(b.drift(t)) - abs(b.drift(b.tau1(t))) * (1.0 - b.r1_slope(t))
-
-
 def _coupling_weight(b, s):
     """|c/p| p^gamma(tau2): the tail's integrand over k4, the windows' c-term."""
     return abs(b.tail_scale(s)) * b.tail_weight(s)
-
-
-def _tail(b, s):
-    return b.k4 * _coupling_weight(b, s)
-
-
-def _double(b, s):
-    return abs(b.g_of(s)) * b.drift_window(s)
-
-
-def _linear_head(b, t):
-    return abs(b.cbar(t))
-
-
-def _linear_head_slope(b, t):
-    return _signed(b.cbar(t), b.cbar_prime(t))
-
-
-def _linear_bracket(b, s):
-    return abs(-b.mu(s) + b.retarded(s) - b.beta(s))
 
 
 def _general_head(b, t):
@@ -155,65 +116,66 @@ def _general_head_slope(b, t):
     return _signed(ratio, ratio_prime) * b.q_bound(u) + abs(ratio) * b.q_bound_prime(u) * du
 
 
-def _general_bracket(b, s):
-    return abs(b.bracket(s))
-
-
 def _damping(b, s):
     rate, u = b.damping_rate(s), b.tau1(s)
     return abs(rate) * b.p_of(u) * b.q_bound(u)
 
 
-def _coupling(b, s):
-    return abs(b.pair_scale(s)) * (b.k2 * b.p_of(b.tau1(s)) + b.k3 * b.p_of(b.tau2(s)))
+@dataclass(frozen=True)
+class _Term:
+    """One criterion term: its report label and its body over a coefficient
+    set b (the binding or its ``arrays``) at time t.  A direct term is the
+    body itself and carries its exact slope; a weighted term (``slope``
+    None) is the damped integral of the body, swept to ``tol`` per panel."""
+
+    label: str
+    body: Callable
+    slope: Callable | None = None
+    tol: float = _SWEEP_TOL
 
 
-class _TermSet:
-    """Evaluators for every criterion term of one bound problem.
+_WINDOW = _Term(
+    "drift_window", lambda b, t: b.drift_window(t),
+    lambda b, t: abs(b.drift(t)) - abs(b.drift(b.tau1(t))) * (1.0 - b.r1_slope(t)),
+)
+_DOUBLE = _Term("double_window", lambda b, s: abs(b.g_of(s)) * b.drift_window(s), tol=_DOUBLE_TOL)
+_TAIL = _Term("nonlinear_tail", lambda b, s: b.k4 * _coupling_weight(b, s))
 
-    Every term body above is written once over a coefficient set.  Here
-    each is bound to the binding (``direct``, ``direct_slopes``,
-    ``weighted``: floats) and to its array set (the ``*_arrays`` maps:
-    numpy arrays, for bulk sampling on grids and sweep nodes).
-    """
+# the term tables, in report order: the direct terms first, as the grid sums
+# and the pointwise sum of _alpha_from_bound add the terms in this order
+_LINEAR_TABLE = (
+    _Term(
+        "neutral_head", lambda b, t: abs(b.cbar(t)),
+        lambda b, t: _signed(b.cbar(t), b.cbar_prime(t)),
+    ),
+    _WINDOW,
+    _Term("retarded_bracket", lambda b, s: abs(-b.mu(s) + b.retarded(s) - b.beta(s))),
+    _DOUBLE,
+    _TAIL,
+)
+_GENERAL_TABLE = (
+    _Term("neutral_head", _general_head, _general_head_slope),
+    _WINDOW,
+    _Term("retarded_bracket", lambda b, s: abs(b.bracket(s))),
+    _DOUBLE,
+    _Term("neutral_damping", _damping),
+    _Term(
+        "coupling_pair",
+        lambda b, s: abs(b.pair_scale(s)) * (b.k2 * b.p_of(b.tau1(s)) + b.k3 * b.p_of(b.tau2(s))),
+    ),
+    _TAIL,
+)
+LINEAR_TERMS = tuple(term.label for term in _LINEAR_TABLE)
+GENERAL_TERMS = tuple(term.label for term in _GENERAL_TABLE)
 
-    def __init__(self, bound: BoundProblem):
-        self.bound = bound
-        if bound.problem.form == "linear-neutral":
-            self.labels = LINEAR_TERMS
-            head = (_linear_head, _linear_head_slope)
-            own = {"retarded_bracket": _linear_bracket}
-        else:
-            self.labels = GENERAL_TERMS
-            head = (_general_head, _general_head_slope)
-            own = {"retarded_bracket": _general_bracket, "neutral_damping": _damping,
-                   "coupling_pair": _coupling}
-        own.update(double_window=_double, nonlinear_tail=_tail)
-        # the direct terms come first in the labels, the weighted ones after
-        direct = {"neutral_head": head, "drift_window": (_window, _window_slope)}
-        weighted = {label: own[label] for label in self.labels[2:]}
 
-        def array(body):  # the array set is built on first use
-            return lambda t: body(bound.arrays, t)
+def _table(bound: BoundProblem) -> tuple[_Term, ...]:
+    return _LINEAR_TABLE if bound.problem.form == "linear-neutral" else _GENERAL_TABLE
 
-        self.direct = {k: functools.partial(value, bound) for k, (value, _) in direct.items()}
-        self.direct_slopes = {k: functools.partial(d, bound) for k, (_, d) in direct.items()}
-        self.weighted = {k: functools.partial(body, bound) for k, body in weighted.items()}
-        self.direct_arrays = {k: array(value) for k, (value, _) in direct.items()}
-        self.slope_arrays = {k: array(d) for k, (_, d) in direct.items()}
-        self.weighted_arrays = {k: array(body) for k, body in weighted.items()}
 
-    def values(self, t: float, tol: float = 1e-10) -> np.ndarray:
-        b = self.bound
-        if t < b.t0:
-            raise ValidationError(f"criterion terms need t >= t0, got t={t!r}")
-        out = []
-        for label in self.labels:
-            if label in self.direct:
-                out.append(self.direct[label](t))
-            else:
-                out.append(weighted_integral(self.weighted[label], b.gexp, t, tol=tol))
-        return np.asarray(out)
+def _on_arrays(bound: BoundProblem, body: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """body over the binding's array set, which is built on first use."""
+    return lambda t: body(bound.arrays, t)
 
 
 class TermEvaluator:
@@ -225,14 +187,21 @@ class TermEvaluator:
 
     def __init__(self, problem: ProblemSpec, aux: AuxiliarySpec, tmax: float = 100.0):
         self.bound = bind(problem, aux, tmax)
-        self._terms = _TermSet(self.bound)
+        self.table = _table(self.bound)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return self._terms.labels
+        return tuple(term.label for term in self.table)
 
     def values(self, t: float, tol: float = 1e-10) -> np.ndarray:
-        return self._terms.values(t, tol)
+        b = self.bound
+        if t < b.t0:
+            raise ValidationError(f"criterion terms need t >= t0, got t={t!r}")
+        return np.asarray([
+            term.body(b, t) if term.slope is not None
+            else weighted_integral(functools.partial(term.body, b), b.gexp, t, tol=tol)
+            for term in self.table
+        ])
 
     def total(self, t: float, tol: float = 1e-10) -> float:
         return float(self.values(t, tol).sum())
@@ -346,50 +315,43 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int):
     t0 = bound.t0
     if not tmax > t0:
         raise ValidationError("alpha_estimate needs tmax > t0")
-    terms = _TermSet(bound)
     ts = np.linspace(t0, tmax, grid)
+    table = _table(bound)
+    direct = [term for term in table if term.slope is not None]
+    weighted = [term for term in table if term.slope is None]
+    fns = [functools.partial(term.body, bound) for term in direct]
+    fn_slopes = [functools.partial(term.slope, bound) for term in direct]
 
-    # per term: values and exact slopes on the grid, the scalar function
-    # and a (value, slope) function for the scan
-    arrays: dict[str, np.ndarray] = {}
-    slopes: dict[str, np.ndarray] = {}
-    fns: dict[str, Callable[[float], float]] = {}
-    pairs: dict[str, Callable[[float], tuple[float, float]]] = {}
-    for label, fn in terms.direct.items():
-        slope = terms.direct_slopes[label]
-        arrays[label] = _bulk(terms.direct_arrays[label], fn, ts)
-        slopes[label] = _node_slopes(slope, terms.slope_arrays[label], ts)
-        fns[label] = fn
-        pairs[label] = lambda t, fn=fn, slope=slope: (fn(t), slope(t))
+    # scan inputs per term, in table order: label, the scalar function, a
+    # (value, slope) function, and the values and exact slopes on the grid
+    scans = [
+        (term.label, fn, lambda t, fn=fn, slope=slope: (fn(t), slope(t)),
+         _bulk(_on_arrays(bound, term.body), fn, ts),
+         _node_slopes(slope, _on_arrays(bound, term.slope), ts))
+        for term, fn, slope in zip(direct, fns, fn_slopes)
+    ]
     # one sweep for every weighted term: shared nodes, G and damping weights
-    weighted = terms.weighted
     sweep = WeightedSweep(
-        list(weighted.values()),
-        bound.gexp,
-        ts,
-        [_DOUBLE_TOL if label == "double_window" else _SWEEP_TOL for label in weighted],
-        arrays=[terms.weighted_arrays[label] for label in weighted],
-        labels=list(weighted),
+        [functools.partial(term.body, bound) for term in weighted], bound.gexp, ts,
+        [term.tol for term in weighted], arrays=[_on_arrays(bound, term.body) for term in weighted],
+        labels=[term.label for term in weighted],
     )
     swept_slopes = sweep.slopes()
-    for k, label in enumerate(weighted):
-        arrays[label] = sweep.values[k]
-        slopes[label] = swept_slopes[k]
-        fns[label] = lambda t, k=k: sweep.at(t, k)
-        pairs[label] = lambda t, k=k: sweep.at_slope(t, k)
-
-    direct = list(terms.direct.values())
-    direct_slopes = list(terms.direct_slopes.values())
-    total = np.sum([arrays[label] for label in terms.labels], axis=0)
-    total_slope = np.sum([slopes[label] for label in terms.labels], axis=0)
+    scans += [
+        (term.label, lambda t, k=k: sweep.at(t, k), lambda t, k=k: sweep.at_slope(t, k),
+         sweep.values[k], swept_slopes[k])
+        for k, term in enumerate(weighted)
+    ]
+    total = np.sum([values for _, _, _, values, _ in scans], axis=0)
+    total_slope = np.sum([slopes for _, _, _, _, slopes in scans], axis=0)
 
     def pointwise_sum(t: float) -> float:
-        return sum(fn(t) for fn in direct) + float(sweep.at(t).sum())
+        return sum(fn(t) for fn in fns) + float(sweep.at(t).sum())
 
     def sum_and_slope(t: float) -> tuple[float, float]:
         values, swept = sweep.at_slope(t)
-        value = sum(fn(t) for fn in direct) + float(values.sum())
-        return value, sum(fn(t) for fn in direct_slopes) + float(swept.sum())
+        value = sum(fn(t) for fn in fns) + float(values.sum())
+        return value, sum(fn(t) for fn in fn_slopes) + float(swept.sum())
 
     scan = sup_scan(
         pointwise_sum, t0, tmax, n=grid, samples=total,
@@ -398,11 +360,8 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int):
 
     def scan_terms() -> tuple[TermStat, ...]:
         stats = []
-        for label in terms.labels:
-            s = sup_scan(
-                fns[label], t0, tmax, n=grid, samples=arrays[label],
-                slopes=slopes[label], value_slope=pairs[label],
-            )
+        for label, fn, pair, values, slopes in scans:
+            s = sup_scan(fn, t0, tmax, n=grid, samples=values, slopes=slopes, value_slope=pair)
             stats.append(TermStat(label, s.sup, s.argsup))
         return tuple(stats)
 
@@ -560,10 +519,10 @@ def asymptotic_check(bound: BoundProblem, sweep: WeightedSweep | None = None) ->
     t0, tmax, span = b.t0, b.tmax, b.tmax - b.t0
     if sweep is None:
         sweep = WeightedSweep(
-            [functools.partial(_tail, b)], b.gexp, np.linspace(t0, tmax, 4096), _SWEEP_TOL,
-            arrays=[functools.partial(_tail, b.arrays)], labels=["nonlinear_tail"],
+            [functools.partial(_TAIL.body, b)], b.gexp, np.linspace(t0, tmax, 4096), _TAIL.tol,
+            arrays=[functools.partial(_TAIL.body, b.arrays)], labels=[_TAIL.label],
         )
-    k = sweep.labels.index("nonlinear_tail")
+    k = sweep.labels.index(_TAIL.label)
     a_end = float(sweep.values[k, -1]) / b.k4
     a_slope = (a_end - sweep.at(t0 + 0.9 * span, k) / b.k4) / (0.1 * span)
 
@@ -702,6 +661,10 @@ def matched_general_form(problem: ProblemSpec, aux: AuxiliarySpec) -> ProblemSpe
 # the assembled report
 
 
+# the text report's names for keys of the dict report
+_TEXT_NAMES = {"value": "", "terms": "term", "verdicts": "verdict"}
+
+
 @dataclass(frozen=True)
 class CriteriaReport:
     form: str
@@ -792,6 +755,8 @@ class CriteriaReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
+        """One ``key = value`` line per leaf of :meth:`to_dict`, in order,
+        the keys renamed by ``_TEXT_NAMES`` and joined by dots."""
         def fmt(v) -> str:
             if v is None:
                 return "none"
@@ -801,41 +766,15 @@ class CriteriaReport:
                 return repr(float(v))
             return str(v)
 
-        lines = [
-            ("form", self.form),
-            ("gamma", self.gamma),
-            ("t0", self.t0),
-            ("tmax", self.tmax),
-            ("grid", self.grid),
-            ("alpha", self.alpha),
-            ("alpha.argsup", self.alpha_argsup),
-            ("alpha.tail_slope", self.alpha_tail_slope),
-            ("alpha.termwise", self.alpha_termwise),
-        ]
-        for s in self.terms:
-            lines.append((f"term.{s.label}.sup", s.sup))
-            lines.append((f"term.{s.label}.argsup", s.argsup))
-        lines += [
-            ("lipschitz.coupling.windowed", self.lipschitz_coupling.windowed),
-            ("lipschitz.coupling.pointwise", self.lipschitz_coupling.pointwise),
-            ("lipschitz.damping.windowed", self.lipschitz_damping.windowed),
-            ("lipschitz.damping.pointwise", self.lipschitz_damping.pointwise),
-            ("K", self.K),
-            ("delta.eps", self.eps),
-            ("delta.existence", self.delta_existence),
-            ("delta.uniform", self.delta_uniform),
-            ("delta.prefactor", self.delta_prefactor),
-            ("asymptotic.a_tail", self.a_tail),
-            ("asymptotic.a_slope", self.a_tail_slope),
-            ("asymptotic.g_end", self.g_end),
-            ("asymptotic.a_term_decaying", self.a_term_decaying),
-            ("asymptotic.g_divergent", self.g_divergent),
-            ("verdict.bounded", self.verdict_bounded),
-            ("verdict.uniform", self.verdict_uniform),
-            ("verdict.asymptotic", self.verdict_asymptotic),
-            ("certification", self.certification),
-        ]
-        return "\n".join(f"{k} = {fmt(v)}" for k, v in lines) + "\n"
+        def leaves(node: dict, path: tuple[str, ...] = ()):
+            for key, v in node.items():
+                here = (*path, _TEXT_NAMES.get(key, key))
+                if isinstance(v, dict):
+                    yield from leaves(v, here)
+                else:
+                    yield ".".join(filter(None, here)), v
+
+        return "".join(f"{k} = {fmt(v)}\n" for k, v in leaves(self.to_dict()))
 
 
 def evaluate_criteria(

@@ -53,7 +53,6 @@ coefficient keeps the self-reference contractive.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -342,6 +341,9 @@ _AT_DSELF = (_DSELF, True, None, None)
 # lookup and member) would exceed the steps it saves.
 _BLOCK = 1024
 _MIN_BLOCK = 8
+# most steps one sweep takes (24 bytes of nodes a step and history); the
+# presets take 5e4 at their default step
+_MAX_STEPS = 1 << 23
 _ARRAY_ERRORS = (NddeError, ArithmeticError, ValueError)
 
 
@@ -371,10 +373,10 @@ class _Lockstep:
 
     def __init__(self, histories, t0, T, h, tol, m):
         steps = (T - t0) / h - 1e-9
-        if not steps < sys.maxsize:
+        if not steps <= _MAX_STEPS:  # NaN too
             raise ValidationError(
-                f"step {h!r} is too small for T = {T!r}: "
-                f"{(T - t0) / h:.3g} steps do not fit an index"
+                f"step {h!r} is too small for T = {T!r}: {(T - t0) / h:.3g} steps,"
+                f" over the budget of {_MAX_STEPS}"
             )
         n = max(1, math.ceil(steps))
         self.h = (T - t0) / n

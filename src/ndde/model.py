@@ -465,10 +465,15 @@ class BoundProblem(_Derived):
         self.horizon = hor
         self.m = min(hor.m, self.t0)
         if not (self.tmax - self.m) / checkpoint <= _MAX_TABLE_PANELS:  # NaN too
-            name, delay = ("r1", problem.r1) if hor.per_delay[0][0] == hor.m else ("r2", problem.r2)
+            # blame the delay only when its reach below t0 makes most of the span
+            if not self.t0 - self.m <= self.tmax - self.t0:
+                name, delay = ("r1", problem.r1) if hor.per_delay[0][0] == hor.m else ("r2", problem.r2)
+                cause = f"delay {name} = {delay.r} reaches m = {hor.m!r}"
+            else:
+                cause = f"the horizon tmax = {self.tmax!r} is too long"
             raise ValidationError(
-                f"delay {name} = {delay.r} reaches m = {hor.m!r}: tables over [{self.m!r},"
-                f" {self.tmax!r}] need over {_MAX_TABLE_PANELS} panels of width {checkpoint!r}"
+                f"{cause}: tables over [{self.m!r}, {self.tmax!r}] need over"
+                f" {_MAX_TABLE_PANELS} panels of width {checkpoint!r}"
             )
         self.gamma = float(problem.gamma)
         self.k4 = problem.k4

@@ -4,6 +4,9 @@ import filecmp
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -208,6 +211,60 @@ def test_exponential_lag_is_one_line_error(tmp_path, capsys):
         assert len(lines) == 1
         errors.append(lines[0])
     assert "delay r1" in errors[0] and "m = -6.39" in errors[0] and "[-6.39" in errors[0]
+
+
+def test_long_horizon_error_names_tmax(tmp_path, capsys):
+    # section4's lags never reach below t0, so the span of the tables is the
+    # horizon's alone and the message must not blame a delay
+    path = tmp_path / "long.cfg"
+    path.write_text(_cheap())
+    assert main(["picard", str(path), "--T", "1e12"]) == 1
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+    assert "tmax = 1000000000000.0" in line and "delay" not in line
+    assert "Traceback" not in err
+
+
+def _capped_cli(cwd, *argv, cap=1 << 30, timeout=60):
+    """Run the CLI in a child process whose address space is capped, so that
+    an oversized allocation fails at once instead of taking the host's memory."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    script = "import sys; from ndde.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)], cwd=cwd, env=env,
+        preexec_fn=limit, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, run, message",
+    [
+        (["check"], 'grid = "1000000000000"', "grid: need at most"),
+        (["simulate", "--T", "1e13"], "", "1e+16 steps, over the budget"),
+        # picard's cross-check integrates at min(step, 1e-3)
+        (["picard", "--T", "2"], 'step = "1e-10"', "2e+10 steps, over the budget"),
+    ],
+    ids=["grid", "simulate-steps", "picard-crosscheck-steps"],
+)
+def test_oversized_inputs_are_one_line_errors(tmp_path, argv, run, message):
+    text = _cheap(tmax="50", grid="64")
+    if run:
+        key = run.split(" = ")[0]
+        start = text.index(f"{key} = ")
+        text = text[:start] + run + text[text.index("\n", start):]
+    path = tmp_path / "big.cfg"
+    path.write_text(text)
+    done = _capped_cli(tmp_path, argv[0], path, *argv[1:])
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    (line,) = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert message in line
 
 
 def test_picard_divergence_reported_not_raised(tmp_path):

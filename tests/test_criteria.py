@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,6 +532,59 @@ def test_report_flags_violation():
     assert report.delta_uniform is None
     assert json.loads(report.to_json())["delta"]["uniform"] is None
     assert "delta.uniform = none" in report.to_text()
+
+
+def _text_key(key):
+    """The text report's name for a dotted key of the dict report."""
+    if key == "alpha.value":
+        return "alpha"
+    for old, new in (("terms.", "term."), ("verdicts.", "verdict.")):
+        if key.startswith(old):
+            return new + key[len(old) :]
+    return key
+
+
+def _dotted_leaves(node, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _dotted_leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def test_text_report_lines_are_the_dict_leaves():
+    prob, aux = _showcase()
+    for problem, labels in ((prob, LINEAR_TERMS), (matched_general_form(prob, aux), GENERAL_TERMS)):
+        report = evaluate_criteria(problem, aux, tmax=50.0, grid=128, eps=0.1)
+        lines = report.to_text().splitlines()
+        leaves = list(_dotted_leaves(report.to_dict()))
+        assert [line.split(" = ")[0] for line in lines] == [_text_key(k) for k, _ in leaves]
+        assert sum(line.startswith("term.") for line in lines) == 2 * len(labels)
+        for line, (_, value) in zip(lines, leaves):
+            text = line.split(" = ", 1)[1]
+            if value is None or isinstance(value, bool):
+                assert text == {None: "none", True: "true", False: "false"}[value]
+            elif isinstance(value, float):
+                assert float(text) == value
+            else:
+                assert text == str(value)
+
+
+def test_schema_term_names_are_the_term_labels():
+    schema_path = Path(__file__).parents[1] / "docs" / "criteria_report.schema.json"
+    schema = json.loads(schema_path.read_text())
+    names = schema["properties"]["terms"]["propertyNames"]["enum"]
+    assert tuple(names) == GENERAL_TERMS
+    assert set(LINEAR_TERMS) <= set(names)
+
+
+def test_term_tables_put_the_direct_terms_first():
+    # the grid sums and the pointwise sum add the direct terms, then the swept ones
+    from ndde.criteria import _GENERAL_TABLE, _LINEAR_TABLE
+
+    for table in (_LINEAR_TABLE, _GENERAL_TABLE):
+        direct = [term.slope is not None for term in table]
+        assert direct == sorted(direct, reverse=True) and direct[:2] == [True, True]
 
 
 def test_report_binds_the_request_once(monkeypatch):
