@@ -15,9 +15,11 @@ Four subcommands over one config-file format:
                       directory.
 
 All failures (unreadable config, parse errors, numerical blowups) exit 1
-with a one-line message on stderr; usage errors also exit 1.  Summaries are
-flat ``key = value`` lines so they diff cleanly; CSV bodies contain no
-timestamps and are byte-identical across runs.
+with a one-line message on stderr; usage errors also exit 1, among them an
+override (``--tmax``, ``--T``, ``--step``, ``--tol``) that the config file's
+``[run]`` rule refuses.  Summaries are flat ``key = value`` lines so they
+diff cleanly; CSV bodies contain no timestamps and are byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, run_value
 from .criteria import evaluate_criteria
-from .errors import NddeError
+from .errors import ConfigError, NddeError
 from .integrator import integrate
 from .model import horizon, transformed_history
 from .operator import picard_solve, reconstruct_x, residual
@@ -46,6 +48,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _override(key: str):
+    """The argparse ``type`` of the flag that overrides the ``[run]`` key
+    ``key``: the config file's rule, so that ``--T nan`` or ``--step 0`` is
+    a usage error naming the flag."""
+
+    def read(raw: str):
+        try:
+            return run_value(key, raw)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ndde",
@@ -55,21 +71,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate the contraction criterion")
     p.add_argument("config", help="run configuration file")
-    p.add_argument("--tmax", type=float, default=None, help="override the sweep horizon")
+    p.add_argument("--tmax", type=_override("tmax"), default=None, help="override the sweep horizon")
     p.add_argument("--json", default=None, metavar="PATH", help="also write the report as JSON")
     p.set_defaults(func=lambda ns: run_check(ns.config, tmax=ns.tmax, json_path=ns.json))
 
     p = sub.add_parser("simulate", help="integrate the equation directly")
     p.add_argument("config", help="run configuration file")
-    p.add_argument("--T", type=float, default=None, help="override the horizon")
-    p.add_argument("--step", type=float, default=None, help="override the step size")
+    p.add_argument("--T", type=_override("T"), default=None, help="override the horizon")
+    p.add_argument("--step", type=_override("step"), default=None, help="override the step size")
     p.add_argument("--csv", default=None, metavar="PATH", help="write the trajectory as CSV")
     p.set_defaults(func=lambda ns: run_simulate(ns.config, T=ns.T, step=ns.step, csv_path=ns.csv))
 
     p = sub.add_parser("picard", help="solve by fixed-point iteration and cross-check")
     p.add_argument("config", help="run configuration file")
-    p.add_argument("--T", type=float, default=None, help="override the horizon")
-    p.add_argument("--tol", type=float, default=None, help="override the iteration tolerance")
+    p.add_argument("--T", type=_override("T"), default=None, help="override the horizon")
+    p.add_argument("--tol", type=_override("tol"), default=None, help="override the iteration tolerance")
     p.add_argument("--csv", default=None, metavar="PATH", help="write the reconstructed solution as CSV")
     p.set_defaults(func=lambda ns: run_picard(ns.config, T=ns.T, tol=ns.tol, csv_path=ns.csv))
 

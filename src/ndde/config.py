@@ -26,6 +26,12 @@ is either an expression over the listed variables or a number.  Example::
     [run]
     T = "50"
 
+``_KEYS`` lists every key of every section and how its value is read; the
+``[problem]`` keys are the common ones followed by each form's own.  A
+number must be finite, and the ``[run]`` values obey one rule besides
+(``tmax``, ``eps``, ``step`` and ``tol`` positive, ``grid`` in 64..2^20),
+which :func:`run_value` also applies to the command-line overrides.
+
 Unknown sections and keys are rejected rather than ignored: a typo in a
 coefficient name must not silently zero that coefficient.  Every error the
 parser raises carries the offending line number.
@@ -33,27 +39,40 @@ parser raises carries the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError, NddeError
-from .expressions import Expression, parse_expression
+from .expressions import parse_expression
 from .model import AuxiliarySpec, DelaySpec, HistoryFunction, ProblemSpec
 
-__all__ = ["RunConfig", "load_config", "loads"]
+__all__ = ["RunConfig", "load_config", "loads", "run_value"]
 
 
-_PROBLEM_COMMON = ("form", "t0", "gamma", "r1", "r2", "a", "c", "G", "k4")
-_PROBLEM_LINEAR = ("b",)
-_PROBLEM_GENERAL = ("Q", "q_bound", "d", "F", "k2", "k3")
-_AUX_KEYS = ("p", "g")
-_HISTORY_KEYS = ("psi", "psi_prime")
-_RUN_KEYS = ("tmax", "grid", "eps", "T", "step", "tol")
+# how a key's value is read: a tuple names the variables of an expression,
+# a type converts the text (str, float, int or Fraction)
+_T = ("t",)
+_PROBLEM = {
+    "form": str, "t0": float, "gamma": Fraction, "r1": _T, "r2": _T,
+    "a": _T, "c": _T, "G": ("x",), "k4": float,
+}
+_FORMS = {
+    "linear-neutral": {"b": _T},
+    "general": {"Q": ("t", "x"), "q_bound": _T, "d": _T, "F": ("x", "y"), "k2": float, "k3": float},
+}
+_KEYS = {
+    "problem": {**_PROBLEM, **_FORMS["linear-neutral"], **_FORMS["general"]},
+    "aux": {"p": _T, "g": _T},
+    "history": {"psi": _T, "psi_prime": _T},
+    "run": {"tmax": float, "grid": int, "eps": float, "T": float, "step": float, "tol": float},
+}
+_OPTIONAL = ("psi_prime", *_KEYS["run"])  # a [run] key left out keeps RunConfig's default
+_NOUNS = {float: "a number", int: "an integer", Fraction: "a fraction"}
+_POSITIVE = ("tmax", "eps", "step", "tol")
 _MIN_GRID = 64  # fewest coarse samples sup_scan accepts
 _MAX_GRID = 1 << 20  # most coarse samples a check may ask for; the presets take 4,096
-
-_SECTIONS = ("problem", "aux", "history", "run")
 
 
 @dataclass(frozen=True)
@@ -97,10 +116,10 @@ def _split_sections(text: str) -> tuple[dict[str, dict[str, _Entry]], dict[str, 
             if not line.endswith("]"):
                 raise ConfigError("malformed section header (missing ']')", lineno)
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in _KEYS:
                 raise ConfigError(
                     f"unknown section [{name}]; expected one of "
-                    + ", ".join(f"[{s}]" for s in _SECTIONS),
+                    + ", ".join(f"[{s}]" for s in _KEYS),
                     lineno,
                 )
             if name in sections:
@@ -147,36 +166,47 @@ def _require(section: str, entries: dict[str, _Entry], key: str, header_line: in
     return entries[key]
 
 
-def _expr(entry: _Entry, key: str, variables: tuple[str, ...]) -> Expression:
-    raw, lineno = entry
+def _read(key: str, raw: str, line: int | None, how):
+    """One value read as ``how`` says; a number must be finite, and a
+    ``[run]`` value must also pass the run rule."""
+    if isinstance(how, tuple):
+        try:
+            return parse_expression(raw, how)
+        except NddeError as exc:
+            raise ConfigError(f"{key}: {exc}", line) from exc
     try:
-        return parse_expression(raw, variables)
-    except NddeError as exc:
-        raise ConfigError(f"{key}: {exc}", lineno) from exc
-
-
-def _number(entry: _Entry, key: str) -> float:
-    raw, lineno = entry
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {raw!r} is not a number", lineno) from exc
-
-
-def _integer(entry: _Entry, key: str) -> int:
-    raw, lineno = entry
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {raw!r} is not an integer", lineno) from exc
-
-
-def _fraction(entry: _Entry, key: str) -> Fraction:
-    raw, lineno = entry
-    try:
-        return Fraction(raw)
+        value = how(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{key}: {raw!r} is not a fraction", lineno) from exc
+        raise ConfigError(f"{key}: {raw!r} is not {_NOUNS[how]}", line) from exc
+    if how is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: {raw!r} is not a finite number", line)
+    if key == "grid" and not _MIN_GRID <= value <= _MAX_GRID:
+        need = f"at least {_MIN_GRID}" if value < _MIN_GRID else f"at most {_MAX_GRID}"
+        raise ConfigError(
+            f"grid: need {need} sample points (the supremum scan's coarse grid), got {value}",
+            line,
+        )
+    if key in _POSITIVE and value <= 0:
+        raise ConfigError(f"{key}: must be positive", line)
+    return value
+
+
+def run_value(key: str, raw: str):
+    """A ``[run]`` value given outside a file (a command-line override),
+    read by the same rule as in a file; raises ConfigError without a line."""
+    return _read(key, raw, None, _KEYS["run"][key])
+
+
+def _section(
+    sections: dict[str, dict[str, _Entry]], headers: dict[str, int], name: str, table: dict
+) -> dict:
+    """The values of one section, checked against and read by ``table``."""
+    entries = sections.get(name, {})
+    _check_keys(name, entries, tuple(table))
+    for key in table:
+        if key not in _OPTIONAL:
+            _require(name, entries, key, headers[name])
+    return {key: _read(key, *entries[key], how) for key, how in table.items() if key in entries}
 
 
 # --------------------------------------------------------------------------
@@ -191,81 +221,27 @@ def loads(text: str, *, validate: bool = True) -> RunConfig:
             raise ConfigError(f"missing [{name}] section")
 
     prob = sections["problem"]
-    _check_keys("problem", prob, _PROBLEM_COMMON + _PROBLEM_LINEAR + _PROBLEM_GENERAL)
-    form_raw, form_line = _require("problem", prob, "form", headers["problem"])
-    if form_raw == "linear-neutral":
-        allowed = _PROBLEM_COMMON + _PROBLEM_LINEAR
-    elif form_raw == "general":
-        allowed = _PROBLEM_COMMON + _PROBLEM_GENERAL
-    else:
+    _check_keys("problem", prob, tuple(_KEYS["problem"]))
+    form, form_line = _require("problem", prob, "form", headers["problem"])
+    if form not in _FORMS:
         raise ConfigError(
-            f"form: {form_raw!r} is neither 'linear-neutral' nor 'general'", form_line
+            f"form: {form!r} is neither 'linear-neutral' nor 'general'", form_line
         )
-    _check_keys("problem", prob, allowed)
-    for key in allowed:
-        _require("problem", prob, key, headers["problem"])
-
-    kwargs = dict(
-        form=form_raw,
-        t0=_number(prob["t0"], "t0"),
-        gamma=_fraction(prob["gamma"], "gamma"),
-        r1=DelaySpec(_expr(prob["r1"], "r1", ("t",))),
-        r2=DelaySpec(_expr(prob["r2"], "r2", ("t",))),
-        a=_expr(prob["a"], "a", ("t",)),
-        c=_expr(prob["c"], "c", ("t",)),
-        G=_expr(prob["G"], "G", ("x",)),
-        k4=_number(prob["k4"], "k4"),
-    )
-    if form_raw == "linear-neutral":
-        kwargs["b"] = _expr(prob["b"], "b", ("t",))
-    else:
-        kwargs["Q"] = _expr(prob["Q"], "Q", ("t", "x"))
-        kwargs["q_bound"] = _expr(prob["q_bound"], "q_bound", ("t",))
-        kwargs["d"] = _expr(prob["d"], "d", ("t",))
-        kwargs["F"] = _expr(prob["F"], "F", ("x", "y"))
-        kwargs["k2"] = _number(prob["k2"], "k2")
-        kwargs["k3"] = _number(prob["k3"], "k3")
+    values = _section(sections, headers, "problem", {**_PROBLEM, **_FORMS[form]})
+    values["r1"], values["r2"] = DelaySpec(values["r1"]), DelaySpec(values["r2"])
     try:
-        problem = ProblemSpec(**kwargs)
+        problem = ProblemSpec(**values)
     except NddeError as exc:
         raise ConfigError(f"[problem]: {exc}", headers["problem"]) from exc
 
-    aux_sec = sections["aux"]
-    _check_keys("aux", aux_sec, _AUX_KEYS)
-    for key in _AUX_KEYS:
-        _require("aux", aux_sec, key, headers["aux"])
+    values = _section(sections, headers, "aux", _KEYS["aux"])
     try:
-        aux = AuxiliarySpec(
-            p=_expr(aux_sec["p"], "p", ("t",)),
-            g=_expr(aux_sec["g"], "g", ("t",)),
-        )
+        aux = AuxiliarySpec(**values)
     except NddeError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"[aux]: {exc}", headers["aux"]) from exc
 
-    hist = sections["history"]
-    _check_keys("history", hist, _HISTORY_KEYS)
-    psi = _expr(_require("history", hist, "psi", headers["history"]), "psi", ("t",))
-    psi_prime = (
-        _expr(hist["psi_prime"], "psi_prime", ("t",)) if "psi_prime" in hist else None
-    )
-    history = HistoryFunction(psi, psi_prime)
-
-    run = sections.get("run", {})
-    _check_keys("run", run, _RUN_KEYS)
-    # a key left out keeps RunConfig's default
-    params = {key: (_integer if key == "grid" else _number)(run[key], key) for key in run}
-    grid = params.get("grid", RunConfig.grid)
-    if not _MIN_GRID <= grid <= _MAX_GRID:
-        need = f"at least {_MIN_GRID}" if grid < _MIN_GRID else f"at most {_MAX_GRID}"
-        raise ConfigError(
-            f"grid: need {need} sample points (the supremum scan's coarse grid), got {grid}",
-            run["grid"][1],
-        )
-    for name in ("tmax", "eps", "step", "tol"):
-        if name in run and params[name] <= 0:
-            raise ConfigError(f"{name}: must be positive", run[name][1])
+    history = HistoryFunction(**_section(sections, headers, "history", _KEYS["history"]))
+    params = _section(sections, headers, "run", _KEYS["run"])
 
     soft: tuple[str, ...] = ()
     if validate:
@@ -280,9 +256,9 @@ def load_config(path: str | Path, *, validate: bool = True) -> RunConfig:
     """Read and validate a run configuration file.
 
     Raises ConfigError on syntax problems, unknown or missing keys, and
-    unparsable values, always citing the offending line; structural
-    rejections (for instance a lag whose slope hits 1, which the neutral
-    combination cannot tolerate) surface with the validator's message.
+    unparsable or non-finite values, always citing the offending line;
+    structural rejections (for instance a lag whose slope hits 1, which the
+    neutral combination cannot tolerate) surface with the validator's message.
     """
     path = Path(path)
     try:

@@ -7,12 +7,17 @@ symbolically so that the delayed bracket term of the contraction criterion is
 pinned exactly (to zero, or to a decaying residual for the boundary variant),
 then rendered back to expression text.
 
-* ``section4``          the reference problem; criterion sum lands near 0.57.
+* ``section4``          the reference problem; criterion sum
+                        alpha = 0.6919659355560066 over tmax = 10^4.
 * ``section4-boundary`` bracket pinned to 0.015/(t + 0.1) instead of zero, so
                         the criterion sum sits closer to 1 while staying under.
 * ``section4-bx10``     neutral coefficient scaled by ten; the criterion sum
-                        blows past 1 and the fixed-point iteration diverges.
-                        Useful for exercising the failure paths.
+                        blows past 1, so nothing is certified.  The
+                        fixed-point iteration still converges (T = 8, tol
+                        1e-8: 32 iterations, step ratios up to 2.25) but
+                        leaves the |z| <= 1 ball (sup |z| about 10.9), which
+                        ``PicardResult.cap_exceeded`` reports.  Useful for
+                        exercising the failure paths.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -436,3 +437,34 @@ def test_pole_in_a_term_is_one_line_error_naming_the_term(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: sweep of nonlinear_tail: no convergence on [50.")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command, flag in [
+            ("check", "--tmax"), ("simulate", "--T"), ("simulate", "--step"),
+            ("picard", "--T"), ("picard", "--tol"),
+        ]
+        for value in ("nan", "inf", "-inf") + (("0", "-1") if flag != "--T" else ())
+    ],
+)
+def test_refused_override_is_a_usage_error_naming_the_flag(cheap_cfg, capsys, command, flag, value):
+    # the flags obey the [run] rule of the config file; T alone may be
+    # negative here, since it is checked against t0 where it is used
+    argv = [command, str(cheap_cfg), f"{flag}={value}"] + (["--T", "2"] if flag == "--tol" else [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: {flag[2:]}: " in captured.err
+    assert "Traceback" not in captured.err and not caught
+
+
+def test_picard_infinite_tol_does_not_converge_in_one_step(cheap_cfg, capsys):
+    assert main(["picard", str(cheap_cfg), "--T", "2", "--tol", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert "picard.converged" not in captured.out
+    assert "tol: 'inf' is not a finite number" in captured.err

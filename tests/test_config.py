@@ -179,3 +179,34 @@ def test_load_config_reads_file_and_prefixes_path(tmp_path):
 
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")
+
+
+_GENERAL_RUN = _MINIMAL.replace('form = "linear-neutral"', 'form = "general"').replace(
+    'b = "0*t"',
+    'Q = "0*t + 0*x"\nq_bound = "0*t"\nd = "0*t"\nF = "0*x + 0*y"\nk2 = "0"\nk3 = "0"',
+) + '\n[run]\ntmax = "100"\neps = "0.1"\nT = "5"\nstep = "0.01"\ntol = "1e-8"\n'
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["t0", "k2", "k3", "k4", "tmax", "eps", "T", "step", "tol"])
+def test_non_finite_number_names_key_and_line(key, value):
+    lines = _GENERAL_RUN.splitlines()
+    (lineno,) = [n for n, line in enumerate(lines, 1) if line.startswith(f"{key} = ")]
+    lines[lineno - 1] = f'{key} = "{value}"'
+    with pytest.raises(ConfigError, match=f"^line {lineno}: {key}: '{value}' is not a finite number$"):
+        loads("\n".join(lines))
+
+
+def test_run_rule_reads_command_line_values():
+    from ndde.config import run_value
+
+    assert run_value("T", "-1") == -1.0  # checked against t0 where it is used
+    assert run_value("grid", "64") == 64
+    for key, raw, message in [
+        ("tmax", "0", "tmax: must be positive"),
+        ("tol", "nan", "tol: 'nan' is not a finite number"),
+        ("step", "1e400", "step: '1e400' is not a finite number"),
+        ("grid", "63", "grid: need at least 64"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            run_value(key, raw)

@@ -576,3 +576,18 @@ def test_reconstruct_leaves_history_alone():
     assert x.eval(-0.75) == pytest.approx(0.4, abs=1e-15)
     assert x.eval(0.0) == pytest.approx(2.0, abs=1e-12)
     assert x.eval(1.75) == pytest.approx(0.4 / 1.95, abs=1e-12)
+
+
+def test_cap_exceeded_is_reported_for_the_tenfold_preset():
+    # section4-bx10 converges at T = 8 although its criterion sum on [0, 8] is 2.56,
+    # leaving the |z| <= 1 candidate ball on the way (section4 stays inside:
+    # test_picard_converges_on_showcase_problem)
+    from ndde.config import loads
+    from ndde.presets import preset_text
+
+    cfg = loads(preset_text("section4-bx10"))
+    with pytest.warns(UserWarning, match="criterion sum"):
+        res = picard_solve(cfg.problem, cfg.aux, cfg.history, T=8.0, tol=1e-8)
+    assert res.converged and res.iterations == 32
+    assert res.cap_exceeded and res.z.sup_norm > 10.0
+    assert max(res.ratios) > 2.0
