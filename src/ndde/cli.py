@@ -49,9 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _override(key: str):
-    """The argparse ``type`` of the flag that overrides the ``[run]`` key
-    ``key``: the config file's rule, so that ``--T nan`` or ``--step 0`` is
-    a usage error naming the flag."""
+    """The argparse ``type`` of the flag overriding ``[run]`` key ``key``: the file's rule."""
 
     def read(raw: str):
         try:

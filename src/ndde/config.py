@@ -26,11 +26,10 @@ is either an expression over the listed variables or a number.  Example::
     [run]
     T = "50"
 
-``_KEYS`` lists every key of every section and how its value is read; the
-``[problem]`` keys are the common ones followed by each form's own.  A
-number must be finite, and the ``[run]`` values obey one rule besides
-(``tmax``, ``eps``, ``step`` and ``tol`` positive, ``grid`` in 64..2^20),
-which :func:`run_value` also applies to the command-line overrides.
+``_KEYS`` lists every key of every section and how its value is read, the
+``[problem]`` keys as the common ones and then each form's own.  A number
+must be finite, and ``_run_rule`` adds the ``[run]`` ranges, which
+:func:`run_value` also applies to the command-line overrides.
 
 Unknown sections and keys are rejected rather than ignored: a typo in a
 coefficient name must not silently zero that coefficient.  Every error the
@@ -132,9 +131,7 @@ def _split_sections(text: str) -> tuple[dict[str, dict[str, _Entry]], dict[str, 
             raise ConfigError(f'expected key = "value", got {line!r}', lineno)
         if current is None:
             raise ConfigError("key assignment before any section header", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
         if not key:
             raise ConfigError("empty key name", lineno)
         if len(value) < 2 or value[0] != '"' or value[-1] != '"':
@@ -167,8 +164,7 @@ def _require(section: str, entries: dict[str, _Entry], key: str, header_line: in
 
 
 def _read(key: str, raw: str, line: int | None, how):
-    """One value read as ``how`` says; a number must be finite, and a
-    ``[run]`` value must also pass the run rule."""
+    """One value read as ``how`` says; a number must be finite."""
     if isinstance(how, tuple):
         try:
             return parse_expression(raw, how)
@@ -180,21 +176,28 @@ def _read(key: str, raw: str, line: int | None, how):
         raise ConfigError(f"{key}: {raw!r} is not {_NOUNS[how]}", line) from exc
     if how is float and not math.isfinite(value):
         raise ConfigError(f"{key}: {raw!r} is not a finite number", line)
-    if key == "grid" and not _MIN_GRID <= value <= _MAX_GRID:
-        need = f"at least {_MIN_GRID}" if value < _MIN_GRID else f"at most {_MAX_GRID}"
-        raise ConfigError(
-            f"grid: need {need} sample points (the supremum scan's coarse grid), got {value}",
-            line,
-        )
-    if key in _POSITIVE and value <= 0:
-        raise ConfigError(f"{key}: must be positive", line)
     return value
+
+
+def _run_rule(values: dict, lines: dict[str, int]) -> dict:
+    """The run rule: ``grid`` in 64..2^20; ``tmax``, ``eps``, ``step``, ``tol`` positive."""
+    grid = values.get("grid", RunConfig.grid)
+    if not _MIN_GRID <= grid <= _MAX_GRID:
+        need = f"at least {_MIN_GRID}" if grid < _MIN_GRID else f"at most {_MAX_GRID}"
+        raise ConfigError(
+            f"grid: need {need} sample points (the supremum scan's coarse grid), got {grid}",
+            lines.get("grid"),
+        )
+    for key in _POSITIVE:
+        if key in values and values[key] <= 0:
+            raise ConfigError(f"{key}: must be positive", lines.get(key))
+    return values
 
 
 def run_value(key: str, raw: str):
     """A ``[run]`` value given outside a file (a command-line override),
     read by the same rule as in a file; raises ConfigError without a line."""
-    return _read(key, raw, None, _KEYS["run"][key])
+    return _run_rule({key: _read(key, raw, None, _KEYS["run"][key])}, {})[key]
 
 
 def _section(
@@ -241,7 +244,8 @@ def loads(text: str, *, validate: bool = True) -> RunConfig:
         raise ConfigError(f"[aux]: {exc}", headers["aux"]) from exc
 
     history = HistoryFunction(**_section(sections, headers, "history", _KEYS["history"]))
-    params = _section(sections, headers, "run", _KEYS["run"])
+    run_lines = {key: line for key, (_, line) in sections.get("run", {}).items()}
+    params = _run_rule(_section(sections, headers, "run", _KEYS["run"]), run_lines)
 
     soft: tuple[str, ...] = ()
     if validate:

@@ -7,8 +7,7 @@ symbolically so that the delayed bracket term of the contraction criterion is
 pinned exactly (to zero, or to a decaying residual for the boundary variant),
 then rendered back to expression text.
 
-* ``section4``          the reference problem; criterion sum
-                        alpha = 0.6919659355560066 over tmax = 10^4.
+* ``section4``          the reference problem; criterion sum 0.6919659355560066.
 * ``section4-boundary`` bracket pinned to 0.015/(t + 0.1) instead of zero, so
                         the criterion sum sits closer to 1 while staying under.
 * ``section4-bx10``     neutral coefficient scaled by ten; the criterion sum
