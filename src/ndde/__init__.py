@@ -38,6 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .expressions import Expression, differentiate, parse_expression, signed_power
+from .hermite import GridFunction
 from .integrator import (
     StabilityReport,
     Trajectory,
@@ -57,7 +58,6 @@ from .model import (
     transformed_history,
 )
 from .operator import (
-    GridFunction,
     PicardResult,
     apply_A,
     apply_B,

@@ -62,13 +62,14 @@ import numpy as np
 
 from .errors import IntegrationError, NddeError, ValidationError
 from .expressions import parse_expression, signed_power, signed_power_array
-from .hermite import hermite_eval, hermite_weights
+from .hermite import GridFunction, hermite_eval, hermite_weights
 from .model import (
     AuxiliarySpec,
     HistoryFunction,
     ProblemSpec,
     bind,
     horizon,
+    require_after_t0,
 )
 
 _INNER_TOL = 1e-12
@@ -83,104 +84,60 @@ _FAMILY_NOTE = (
 class Trajectory:
     """A completed run: nodes (t, x, x'), dense output, and the history.
 
-    Dense queries use cubic Hermite on the step panels, reproduce node
-    values and derivatives exactly at nodes, return psi on [m, t0), and
-    reject arguments outside [m, T]; :meth:`eval` is :meth:`eval_array` on
-    one point.  Immutable after construction.
+    The dense output is one :class:`~ndde.hermite.GridFunction` over the
+    step nodes, queried over the trajectory's domain [m, T]: cubic Hermite
+    on the step panels, exact at the nodes, and psi (psi') below t0.
+    Immutable after construction.
     """
 
     def __init__(self, ts, xs, ds, history: HistoryFunction, m: float, h: float):
-        self._ts = np.asarray(ts, dtype=float)
-        self._xs = np.asarray(xs, dtype=float)
-        self._ds = np.asarray(ds, dtype=float)
-        for arr in (self._ts, self._xs, self._ds):
+        self.m, self.h = float(m), float(h)
+        self.curve = c = GridFunction(ts, xs, ds, domain=(self.m, float(ts[-1])))
+        for arr in (c.mesh, c.values, c.derivs):
             arr.setflags(write=False)
+        self.nodes, self.values, self.derivatives = c.mesh, c.values, c.derivs
+        self.t0, self.T = float(c.mesh[0]), float(c.mesh[-1])
         self.history = history
-        self.m = float(m)
-        self.h = float(h)
         self._psi = history.psi.compiled()
         self._psi_prime = history.derivative_expression().compiled()
 
-    @property
-    def t0(self) -> float:
-        return float(self._ts[0])
-
-    @property
-    def T(self) -> float:
-        return float(self._ts[-1])
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._ts
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._xs
-
-    @property
-    def derivatives(self) -> np.ndarray:
-        return self._ds
-
     # ------------------------------------------------------------------
-    def _guard(self, t: float) -> None:
-        fuzz = 1e-9 * max(1.0, abs(self.T - self.m))
-        if not self.m - fuzz <= t <= self.T + fuzz:  # NaN too
-            raise ValidationError(
-                f"query t={t!r} outside the trajectory domain [{self.m!r}, {self.T!r}]"
-            )
-
-    def _dense(self, t: np.ndarray, slope: bool) -> np.ndarray:
-        """Value (or slope) at every element of t; a node returns its own."""
-        i = np.minimum(np.maximum(((t - self.t0) / self.h).astype(np.intp), 0), len(self._ts) - 2)
-        node = self._ds if slope else self._xs
-        s = np.minimum(np.maximum((t - self._ts[i]) / self.h, 0.0), 1.0)
-        w = hermite_weights(s, self.h, slope)
-        x = hermite_eval(w, self._xs[i], self._ds[i], self._xs[i + 1], self._ds[i + 1])
-        return np.where(t == self._ts[i], node[i], np.where(t == self._ts[i + 1], node[i + 1], x))
-
-    def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        self._guard(float(np.min(ts)))
-        self._guard(float(np.max(ts)))
-        out, below = self._dense(ts, False), ts < self.t0
-        out[below] = [self._psi(t) for t in ts[below].tolist()]
-        return out
-
     def eval(self, t: float) -> float:
-        return float(self.eval_array(np.array([t], dtype=float))[0])
+        x = self.curve.eval(t)
+        return float(self._psi(float(t))) if t < self.t0 else x
 
     __call__ = eval
 
     def deriv(self, t: float) -> float:
-        self._guard(t)
-        if t < self.t0:
-            return float(self._psi_prime(t))
-        return float(self._dense(np.asarray(t, dtype=float), True))
+        x = self.curve.eval(t, True)
+        return float(self._psi_prime(float(t))) if t < self.t0 else x
+
+    def eval_array(self, ts) -> np.ndarray:
+        """:meth:`eval` at every element of a 1-D array-like, bit for bit."""
+        ts = np.asarray(ts, dtype=float)
+        out, below = self.curve.eval_array(ts), ts < self.t0
+        out[below] = [self._psi(t) for t in ts[below].tolist()]
+        return out
 
     # ------------------------------------------------------------------
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self._xs)))
+        return self.curve.sup_norm
 
     def end_abs(self) -> float:
-        return float(abs(self._xs[-1]))
+        return float(abs(self.values[-1]))
 
     def window_max(self, lo: float, hi: float) -> float:
-        mask = (self._ts >= lo) & (self._ts <= hi)
-        if not np.any(mask):
-            return 0.0
-        return float(np.max(np.abs(self._xs[mask])))
+        """Largest |x| over the nodes in [lo, hi]; 0 when none lies there."""
+        mask = (self.nodes >= lo) & (self.nodes <= hi)
+        return float(np.max(np.abs(self.values), initial=0.0, where=mask))
 
     def to_csv(self, path) -> None:
-        lines = [
-            f"# trajectory nodes={len(self._ts)} t0={self.t0!r} T={self.T!r}"
+        self.curve.to_csv(
+            path,
+            f"trajectory nodes={len(self.nodes)} t0={self.t0!r} T={self.T!r}"
             f" h={self.h!r} m={self.m!r}",
-            "t,x,xprime",
-        ]
-        lines += [
-            f"{float(t)!r},{float(x)!r},{float(d)!r}"
-            for t, x, d in zip(self._ts, self._xs, self._ds)
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            slopes=True,
+        )
 
 
 # -------------------------------------------------------------------- forms
@@ -720,8 +677,7 @@ def _moving(locs):
 
 def _drive(form, histories, t0, T, h, tol, m) -> list[Trajectory]:
     """Integrate every history; members that fail to settle rerun at h/2."""
-    if not T > t0:
-        raise ValidationError("horizon T must exceed t0")
+    require_after_t0(T, t0)
     if not h > 0:
         raise ValidationError("step h must be positive")
     out: list[Trajectory | None] = [None] * len(histories)

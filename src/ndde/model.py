@@ -348,6 +348,12 @@ class HorizonResult:
     per_delay: tuple[tuple[float, float], ...]  # (inf, arginf) per delay
 
 
+def require_after_t0(T: float, t0: float) -> None:
+    """Raise unless the horizon T lies after t0 (NaN fails too)."""
+    if not T > t0:
+        raise ValidationError(f"horizon {float(T)!r} lies at or below t0 = {t0!r}")
+
+
 def horizon(problem: ProblemSpec, tmax: float) -> HorizonResult:
     """inf over [t0, tmax] of each delayed argument, and their minimum.
 

@@ -14,9 +14,10 @@ contraction (the gamma-power has unbounded slope at 0) but B is whenever the
 criterion sum without the tail term stays below 1, which makes plain Picard
 iteration z_{n+1} = A z_n + B z_n a practical solver on finite horizons.
 
-Candidates live in X_psi: piecewise-cubic grid functions on [m(t0), T] that
-equal psi on the history segment.  The |z| <= 1 cap of the candidate space is
-monitored and reported, never projected.
+Candidates live in X_psi: piecewise-cubic grid functions on [m(t0), T]
+(:class:`ndde.hermite.GridFunction`) that equal psi on the history segment.
+The |z| <= 1 cap of the candidate space is monitored and reported, never
+projected.
 
 Everything about A and B that does not depend on the candidate is tabulated
 once per request from (binding, mesh, psi).  Each live mesh panel carries
@@ -49,14 +50,16 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .criteria import alpha_estimate
 from .errors import ValidationError
-from .hermite import hermite_eval, hermite_weights
-from .model import AuxiliarySpec, BoundProblem, HistoryFunction, ProblemSpec, bind, horizon
+from .hermite import GridFunction, hermite_eval, hermite_weights, locate, uniform_step
+from .model import (
+    AuxiliarySpec, BoundProblem, HistoryFunction, ProblemSpec, bind, horizon, require_after_t0,
+)
 from .quadrature import (
     _K7_W,
     _L4_W,
@@ -72,188 +75,11 @@ from .quadrature import (
 
 _MESH_FUZZ = 1e-9
 _QUAD_TOL = 1e-11
-_CAP_SLACK = 1e-12
-
-# slopes from node values: 4th-order stencils on each uniform run
-_EDGE_STENCILS_5 = (
-    (-25.0, 48.0, -36.0, 16.0, -3.0),
-    (-3.0, -10.0, 18.0, -6.0, 1.0),
-)
-
-
-def _run_slopes(values: np.ndarray, h: float) -> np.ndarray:
-    n = len(values)
-    out = np.empty(n)
-    if n == 2:
-        out[:] = (values[1] - values[0]) / h
-    elif n == 3:
-        out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-        out[1] = (values[2] - values[0]) / (2.0 * h)
-        out[2] = (values[0] - 4.0 * values[1] + 3.0 * values[2]) / (2.0 * h)
-    elif n == 4:
-        v = values
-        out[0] = (-11.0 * v[0] + 18.0 * v[1] - 9.0 * v[2] + 2.0 * v[3]) / (6.0 * h)
-        out[1] = (-2.0 * v[0] - 3.0 * v[1] + 6.0 * v[2] - v[3]) / (6.0 * h)
-        out[2] = (v[0] - 6.0 * v[1] + 3.0 * v[2] + 2.0 * v[3]) / (6.0 * h)
-        out[3] = (-2.0 * v[0] + 9.0 * v[1] - 18.0 * v[2] + 11.0 * v[3]) / (6.0 * h)
-    else:
-        out[2:-2] = (
-            values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]
-        ) / (12.0 * h)
-        for row, idx in zip(_EDGE_STENCILS_5, (0, 1)):
-            out[idx] = sum(c * values[k] for k, c in enumerate(row)) / (12.0 * h)
-            out[n - 1 - idx] = -sum(
-                c * values[n - 1 - k] for k, c in enumerate(row)
-            ) / (12.0 * h)
-    return out
-
-
-def _fd_slopes(mesh: np.ndarray, values: np.ndarray, breaks=()) -> np.ndarray:
-    """Per-node slope estimates, stencilled within each uniform run.
-
-    ``breaks`` lists node indices where the function has a corner (e.g. the
-    junction of history and live segments); stencils never straddle them.
-    A break node keeps its right-sided slope.
-    """
-    d = np.diff(mesh)
-    forced = {int(k) for k in breaks if 0 < int(k) < len(mesh) - 1}
-    out = np.empty(len(mesh))
-    start = 0
-    for i in range(1, len(d) + 1):
-        if i == len(d) or i in forced or not math.isclose(d[i], d[start], rel_tol=1e-9):
-            out[start : i + 1] = _run_slopes(values[start : i + 1], d[start])
-            start = i
-    return out
-
-
-def _uniform_step(mesh: np.ndarray) -> float | None:
-    """The common width of a uniform mesh, None for any other mesh."""
-    d = np.diff(mesh)
-    return float(d[0]) if np.max(np.abs(d - d[0])) <= 1e-9 * d[0] else None
-
-
-def _locate(mesh: np.ndarray, step: float | None, u: np.ndarray):
-    """Panel indices and Hermite value weights at an array of points u.
-
-    ``step`` is the width of a uniform mesh (None otherwise).  Panels and
-    clamping follow :meth:`GridFunction.eval`.
-    """
-    fuzz = _MESH_FUZZ * max(1.0, abs(mesh[-1] - mesh[0]))
-    inside = (u >= mesh[0] - fuzz) & (u <= mesh[-1] + fuzz)
-    if not inside.all():
-        bad = float(u[~inside][0])
-        raise ValidationError(
-            f"point t={bad!r} outside the mesh [{float(mesh[0])!r}, {float(mesh[-1])!r}]"
-        )
-    if step is not None:
-        i = ((u - mesh[0]) / step).astype(np.intp)
-    else:
-        i = np.searchsorted(mesh, u, side="right") - 1
-    i = np.minimum(np.maximum(i, 0), len(mesh) - 2)
-    h = mesh[i + 1] - mesh[i]
-    s = np.minimum(np.maximum((u - mesh[i]) / h, 0.0), 1.0)
-    return i, hermite_weights(s, h, False)
-
-
-class GridFunction:
-    """Piecewise-cubic (Hermite) function on a strictly increasing mesh.
-
-    Node values and node slopes; interpolation reproduces node values
-    exactly.  The sup-norm is taken over the mesh nodes.
-    """
-
-    __slots__ = ("mesh", "values", "derivs", "_step")
-
-    def __init__(self, mesh, values, derivs):
-        mesh = np.asarray(mesh, dtype=float)
-        values = np.asarray(values, dtype=float)
-        derivs = np.asarray(derivs, dtype=float)
-        if mesh.ndim != 1 or len(mesh) < 2:
-            raise ValidationError("mesh must hold at least two nodes")
-        if values.shape != mesh.shape or derivs.shape != mesh.shape:
-            raise ValidationError("values and derivs must match the mesh shape")
-        if not np.all(np.isfinite(mesh)) or not np.all(np.diff(mesh) > 0):
-            raise ValidationError("mesh must be finite and strictly increasing")
-        self.mesh = mesh
-        self.values = values
-        self.derivs = derivs
-        self._step = _uniform_step(mesh)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_callable(
-        cls,
-        mesh,
-        f: Callable[[float], float],
-        fprime: Callable[[float], float] | None = None,
-        breaks=(),
-    ) -> "GridFunction":
-        mesh = np.asarray(mesh, dtype=float)
-        values = [f(float(t)) for t in mesh]
-        derivs = None if fprime is None else [fprime(float(t)) for t in mesh]
-        return cls.from_values(mesh, values, derivs, breaks)
-
-    @classmethod
-    def from_values(cls, mesh, values, derivs=None, breaks=()) -> "GridFunction":
-        mesh = np.asarray(mesh, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if derivs is None:
-            derivs = _fd_slopes(mesh, values, breaks)
-        return cls(mesh, values, derivs)
-
-    # ------------------------------------------------------------------
-    def eval(self, t: float) -> float:
-        # ``_locate`` in float arithmetic, three times faster on one point
-        mesh, v, d = self.mesh, self.values, self.derivs
-        fuzz = _MESH_FUZZ * max(1.0, abs(mesh[-1] - mesh[0]))
-        if not mesh[0] - fuzz <= t <= mesh[-1] + fuzz:
-            raise ValidationError(
-                f"point t={t!r} outside the mesh [{float(mesh[0])!r}, {float(mesh[-1])!r}]"
-            )
-        if self._step is not None:
-            i = int((t - mesh[0]) / self._step)
-        else:
-            i = int(np.searchsorted(mesh, t, side="right")) - 1
-        i = max(0, min(i, len(mesh) - 2))
-        h = mesh[i + 1] - mesh[i]
-        w = hermite_weights(min(max((t - mesh[i]) / h, 0.0), 1.0), h, False)
-        return float(hermite_eval(w, v[i], d[i], v[i + 1], d[i + 1]))
-
-    def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        """:meth:`eval` at every element of ts, bit for bit, by ``_locate``."""
-        i, w = _locate(self.mesh, self._step, ts)
-        v, d = self.values, self.derivs
-        return hermite_eval(w, v[i], d[i], v[i + 1], d[i + 1])
-
-    __call__ = eval
-
-    # ------------------------------------------------------------------
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    @property
-    def exceeds_unit_cap(self) -> bool:
-        """True when some node value leaves the candidate ball |z| <= 1."""
-        return bool(self.sup_norm > 1.0 + _CAP_SLACK)
-
-    def to_csv(self, path) -> None:
-        """Two-column CSV (t, value) with a mesh-metadata header comment."""
-        lines = [
-            f"# gridfunction nodes={len(self.mesh)}"
-            f" start={float(self.mesh[0])!r} end={float(self.mesh[-1])!r}"
-            f" uniform={'true' if self._step is not None else 'false'}",
-            "t,value",
-        ]
-        lines += [f"{float(t)!r},{float(v)!r}" for t, v in zip(self.mesh, self.values)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def make_mesh(m: float, t0: float, T: float, step: float) -> np.ndarray:
     """History + live mesh over [m, T], uniform per segment, t0 a node."""
-    if not T > t0:
-        raise ValidationError("mesh horizon T must exceed t0")
+    require_after_t0(T, t0)
     if not step > 0:
         raise ValidationError("mesh step must be positive")
     live_n = max(4, math.ceil((T - t0) / step - 1e-9))
@@ -304,7 +130,7 @@ class _Gather:
     """
 
     def __init__(self, tab: "_Tables", u: np.ndarray):
-        self.panel, self.weights = _locate(tab.mesh, tab.step, u)
+        self.panel, self.weights = locate(tab.mesh, tab.step, u)
         self.history = None
         if tab.psi is not None:
             below = np.flatnonzero(u <= tab.t0)
@@ -333,7 +159,7 @@ class _Window:
     def __init__(self, tab: "_Tables", x: np.ndarray, panel: np.ndarray | None = None):
         self.tab = tab
         if panel is None:
-            panel, _ = _locate(tab.mesh, tab.step, x)
+            panel, _ = locate(tab.mesh, tab.step, x)
         live = panel >= tab.split
         self.live = np.flatnonzero(live)
         self.panel = panel[live]
@@ -533,7 +359,7 @@ class _Tables:
         b = bound
         self.bound, self.psi, self.with_a = b, psi, with_a
         self.mesh = mesh = np.asarray(mesh, dtype=float)
-        self.step = _uniform_step(mesh)
+        self.step = uniform_step(mesh)
         self.t0 = t0 = b.t0
         self.split = split = _split_index(mesh, t0)
         span = float(mesh[-1] - mesh[0])
@@ -641,8 +467,7 @@ def picard_solve(
     live mesh panels are built once, read by every iteration and kept in
     the result for :func:`residual`.
     """
-    if not T > problem.t0:  # before the precheck, which is costly
-        raise ValidationError(f"horizon {float(T)!r} lies at or below t0 = {problem.t0!r}")
+    require_after_t0(T, problem.t0)  # before the precheck, which is costly
     if precheck:
         est = alpha_estimate(problem, aux, tmax=max(T, problem.t0 + 1.0), grid=512)
         if est.alpha >= 1.0:
@@ -727,8 +552,7 @@ def residual(result: PicardResult, include_midpoints: bool = True) -> float:
         a_mid, b_mid = half.integrals(st, carry=(a[:-1], b[:-1]))
         points = np.concatenate((live, mids))
         image = np.concatenate((image, a_mid + b_mid + half.b_point(st)))
-    panel, weights = _locate(tables.mesh, tables.step, points)
-    defect = np.abs(hermite_eval(weights, *st.coef[panel].T) - image)
+    defect = np.abs(result.z.eval_array(points) - image)
     # a NaN defect is skipped, and the result is at least 0
     return float(np.max(defect, initial=0.0, where=~np.isnan(defect)))
 

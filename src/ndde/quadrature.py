@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NddeError, QuadratureError
-from .hermite import hermite_max
+from .hermite import GridFunction
 
 __all__ = [
     "adaptive_simpson",
@@ -765,9 +765,9 @@ def sup_scan(
         bad = int(np.argmax(~np.isfinite(vals)))
         raise QuadratureError(f"non-finite scan sample at t={ts[bad]!r}")
     if slopes is not None:
-        slopes = np.asarray(slopes, dtype=float)
-        if slopes.shape != ts.shape:
+        if np.shape(slopes) != ts.shape:
             raise ValueError("slopes length must match n")
+        cells = GridFunction(ts, vals, slopes)
 
     best = float(vals.max())
     arg = float(ts[int(vals.argmax())])
@@ -785,7 +785,7 @@ def sup_scan(
         if slopes is None:
             found = [_sub_scan(h, float(ts[first]), float(ts[last]))]
         else:
-            found = [_refine_cell(h, value_slope, ts, vals, slopes, i) for i in range(first, last)]
+            found = [_refine_cell(h, value_slope, cells, i) for i in range(first, last)]
         for x, v in filter(None, found):
             if v > best:
                 best = v
@@ -796,11 +796,12 @@ def sup_scan(
     return SupScanResult(best, arg, slope)
 
 
-def _refine_cell(h, value_slope, ts, vals, slopes, i: int):
-    """(t, h(t)) refining the coarse cell [ts[i], ts[i+1]], or None when
-    its node values and slopes show no maximum inside it."""
-    a, b = float(ts[i]), float(ts[i + 1])
-    da, db = float(slopes[i]), float(slopes[i + 1])
+def _refine_cell(h, value_slope, cells: GridFunction, i: int):
+    """(t, h(t)) refining cell i of ``cells``, the scan's coarse nodes with
+    their samples and slopes, or None when the cell's cubic Hermite shows no
+    maximum inside it."""
+    a, b = float(cells.mesh[i]), float(cells.mesh[i + 1])
+    da, db = float(cells.derivs[i]), float(cells.derivs[i + 1])
     if math.isfinite(da) and math.isfinite(db):
         if da > 0.0 > db:
             try:
@@ -809,8 +810,6 @@ def _refine_cell(h, value_slope, ts, vals, slopes, i: int):
                 found = None
             if found is not None:
                 return found
-        else:
-            va, vb = float(vals[i]), float(vals[i + 1])
-            if not float(hermite_max(va, da, vb, db, b - a)[1]) > max(va, vb):
-                return None
+        elif not float(cells.cell_max(i)[1]) > max(cells.values[i], cells.values[i + 1]):
+            return None
     return _sub_scan(h, a, b)

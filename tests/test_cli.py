@@ -339,6 +339,15 @@ def test_horizon_below_t0_is_one_line_error(cheap_cfg, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+def test_horizon_at_t0_is_one_line_error_naming_both(cheap_cfg, capsys, command):
+    assert main([command, str(cheap_cfg), "--T", "0"]) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert lines == ["error: horizon 0.0 lies at or below t0 = 0.0"]
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

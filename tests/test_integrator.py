@@ -11,6 +11,7 @@ from ndde import (
     AuxiliarySpec,
     DelaySpec,
     DomainError,
+    GridFunction,
     HistoryFunction,
     IntegrationError,
     ProblemSpec,
@@ -123,6 +124,29 @@ def test_dense_output_reproduces_nodes():
     for i in (0, 11, 40):
         assert tr.eval(tr.nodes[i]) == tr.values[i]
         assert tr.deriv(tr.nodes[i]) == tr.derivatives[i]
+
+
+def test_dense_output_returns_every_node_bit_for_bit_on_an_inexact_grid():
+    # t0 + h i is inexact for t0 = 0.3 and h = 0.05, so node queries land
+    # on either neighbouring cell; both give the stored node exactly
+    prob = _linear(a="0.5 + 0.1*cos(t)", b="0.2 + 0*t", r1="0.2*t + 0.06", t0=0.3)
+    tr = integrate(prob, _hist("1 + 0.5*t"), T=2.3, h=0.05)
+    assert len(tr.nodes) == 41 and np.all(tr.values != 0.0) and np.all(tr.derivatives != 0.0)
+    assert tr.eval_array(tr.nodes).tobytes() == tr.values.tobytes()
+    slopes = np.array([tr.deriv(t) for t in tr.nodes])
+    assert slopes.tobytes() == tr.derivatives.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["grid-function", "trajectory"])
+def test_array_queries_take_any_1d_array_like(kind):
+    if kind == "trajectory":
+        f = integrate(_linear(), _hist("1 + 0*t"), T=1.0, h=0.1)
+    else:
+        f = GridFunction.from_callable(np.linspace(0.0, 1.0, 11), math.sin)
+    empty = f.eval_array(np.array([]))
+    assert empty.dtype == float and empty.shape == (0,)
+    assert f.eval_array([]).shape == (0,)
+    assert f.eval_array([0.25, 1]).tolist() == [f.eval(0.25), f.eval(1.0)]
 
 
 def test_dense_output_continuous_at_step_boundaries():

@@ -221,6 +221,25 @@ def test_grid_function_array_queries_equal_scalar_queries(step):
         z.eval_array(np.array([0.5, 2.5]))
 
 
+def test_grid_function_slopes_and_cell_maxima():
+    mesh = make_mesh(-1.0, 0.0, 2.0, 0.3)
+    z = GridFunction.from_callable(mesh, math.sin, math.cos)
+    ts = np.concatenate((np.random.default_rng(3).uniform(-1.0, 2.0, 300), mesh))
+    slopes = z.eval_array(ts, slope=True)
+    assert slopes.tobytes() == np.array([z.eval(float(t), True) for t in ts]).tobytes()
+    assert np.max(np.abs(slopes - np.cos(ts))) < 1e-3
+    assert np.array_equal(z.eval_array(mesh, slope=True), z.derivs)
+    # each cell's maximum tops a dense sampling of the cell, by less than
+    # the sampling misses a smooth peak by (width 1.5e-4: about 3e-9)
+    s, peak = z.cell_max()
+    for i in range(len(mesh) - 1):
+        dense = z.eval_array(np.linspace(mesh[i], mesh[i + 1], 2001))
+        assert 0.0 <= peak[i] - dense.max() < 1e-8
+        assert peak[i] >= max(z.values[i], z.values[i + 1])
+        assert z.eval(mesh[i] + s[i] * (mesh[i + 1] - mesh[i])) == pytest.approx(peak[i], abs=1e-15)
+    assert z.cell_max(4)[1] == peak[4]
+
+
 def test_grid_function_norm_and_cap():
     mesh = np.linspace(0.0, 1.0, 11)
     z = GridFunction.from_values(mesh, np.linspace(-0.5, 0.8, 11))
@@ -249,6 +268,11 @@ def test_grid_function_csv(tmp_path):
     t, v = lines[5].split(",")
     assert float(t) == mesh[3]
     assert float(v) == z.values[3]
+
+
+def test_make_mesh_names_a_horizon_at_t0():
+    with pytest.raises(ValidationError, match=r"^horizon 0\.5 lies at or below t0 = 0\.5$"):
+        make_mesh(0.0, 0.5, 0.5, 0.1)
 
 
 def test_make_mesh_bounds():

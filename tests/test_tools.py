@@ -1,6 +1,7 @@
 """tools/compare_reports.py: the --diff mode on hand-written report files."""
 
 import importlib.util
+import io
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
@@ -98,3 +99,32 @@ def test_dump_writes_stability_reports_as_the_benchmark_runs_them(tmp_path, monk
     # a request that fails ends in one error line and exit 1
     bad = (tmp_path / "stab-bad.txt").read_text().splitlines()
     assert len(bad) == 2 and bad[0].startswith("error: ") and bad[1] == "exit = 1"
+
+
+def test_dump_writes_the_csv_bodies_of_simulate_and_picard(tmp_path, monkeypatch):
+    from ndde.cli import run_picard, run_simulate
+    from ndde.presets import preset_text
+
+    text = preset_text("section4").replace('T = "50"', 'T = "2"').replace('step = "0.001"', 'step = "0.05"')
+    kinds = ("simulate-csv", "picard-csv")
+    monkeypatch.setattr(compare_reports, "_requests", lambda root: iter((k, k, text) for k in kinds))
+    assert compare_reports.main(["--dump", str(tmp_path / "a")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    for kind, command in zip(kinds, (run_simulate, run_picard)):
+        csv = tmp_path / f"{kind}.csv"
+        assert command(str(cfg), csv_path=str(csv), out=io.StringIO()) == 0
+        lines = (tmp_path / "a" / f"{kind}.txt").read_text().splitlines()
+        body = [line.partition(" = ")[2] for line in lines if line.startswith("csv.")]
+        assert body == csv.read_text().splitlines() and len(body) > 10
+        assert f"csv = {kind}.csv" in lines and lines[-1] == "exit = 0"
+
+    # one changed digit in a CSV row fails the diff even at a loose tolerance
+    b = tmp_path / "b"
+    b.mkdir()
+    lines = (tmp_path / "a" / "simulate-csv.txt").read_text().splitlines()
+    row = next(k for k, line in enumerate(lines) if line.startswith("csv.5 = "))
+    lines[row] = lines[row][:-1] + ("1" if lines[row][-1] != "1" else "2")
+    (b / "simulate-csv.txt").write_text("\n".join(lines) + "\n")
+    (b / "picard-csv.txt").write_text((tmp_path / "a" / "picard-csv.txt").read_text())
+    assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b), "--tol", "1"]) == 1

@@ -8,7 +8,11 @@ of every certify deck request (seeds 1-10 and the held-out 1009) and of the
 three presets, the ``ndde picard`` summary of every picard deck request of
 the same seeds, and the ``StabilityReport.to_text()`` of every stability
 deck request of the same seeds, run as the benchmark runs it
-(``stability_experiment`` at h = 0.02 with the request's delta).  After it come the ``WeightedSweep.counts`` of every
+(``stability_experiment`` at h = 0.02 with the request's delta), and the
+``ndde simulate --csv`` and ``ndde picard --csv`` runs of the ``section4``
+preset: their summaries, then every line of the CSV body as one
+``csv.N = LINE`` line, which ``--diff`` compares as text, so any changed
+byte fails it.  After it come the ``WeightedSweep.counts`` of every
 sweep the request made, one ``sweep.N.counts.K = accepted halved simpson``
 line per integrand K, caught by wrapping ``ndde.criteria.WeightedSweep``;
 ``--diff`` compares them as text, so a changed quadrature decision fails
@@ -50,6 +54,8 @@ def _requests(root: Path):
 
     for name in PRESETS:
         yield f"preset-{name}", "check", preset_text(name)
+    for kind in ("simulate", "picard"):
+        yield f"preset-section4-{kind}-csv", f"{kind}-csv", preset_text("section4")
     for workload in ("certify", "picard", "stability"):
         for seed in SEEDS:
             for request in workloads.deck(workload, seed).requests:
@@ -77,6 +83,22 @@ def _stability(path: str, delta: float, out) -> int:
     return 0
 
 
+def _with_csv(command):
+    """A CLI command run with ``--csv``: its summary, then each CSV line as
+    ``csv.N = LINE``.  The CSV lands beside the config, so the config path
+    replaced in the summary leaves the request's own name."""
+
+    def run(path: str, out) -> int:
+        csv = Path(f"{path}.csv")
+        code = command(path, csv_path=str(csv), out=out)
+        if csv.exists():
+            for n, line in enumerate(csv.read_text(encoding="utf-8").splitlines()):
+                print(f"csv.{n} = {line}", file=out)
+        return code
+
+    return run
+
+
 def dump(out_dir: Path, root: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     requests = list(_requests(root))
@@ -89,7 +111,13 @@ def dump(out_dir: Path, root: Path) -> int:
         sweeps.append(made(*args, **kwargs))
         return sweeps[-1]
 
-    run = {"check": cli.run_check, "picard": cli.run_picard, "stability": _stability}
+    run = {
+        "check": cli.run_check,
+        "picard": cli.run_picard,
+        "stability": _stability,
+        "simulate-csv": _with_csv(cli.run_simulate),
+        "picard-csv": _with_csv(cli.run_picard),
+    }
     criteria.WeightedSweep = recording
     try:
         with tempfile.TemporaryDirectory() as tmp:
