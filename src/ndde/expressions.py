@@ -32,7 +32,8 @@ off and checks the result, and every intermediate that could turn an
 error into a finite value (a denominator, an exponential's argument, a
 power's operands), for non-finite elements.  Those elements are rerun by
 the scalar form in the arrays' order, which raises the scalar form's
-DomainError, text included, at the first one that fails.
+DomainError, text included, at the first one that fails.  Both targets
+compute each repeated subexpression once (see ``_codegen``).
 """
 
 from __future__ import annotations
@@ -425,35 +426,78 @@ def _check_finite(v: float) -> float:
 # and to a numpy function over arrays (bulk sampling)
 
 def _codegen(node: Node, names: Mapping[str, str], watch=lambda src: src) -> str:
-    """Source of ``node``; the array target passes a ``watch`` that wraps
-    each operand that could turn a non-finite value, where the scalar form
-    may have raised, into a finite one (x / inf, exp(-inf), inf^-1, 1^nan,
-    sgnpow(inf, -1)), for the finiteness check."""
-    if isinstance(node, Const):
-        return f"({node.value!r})"
-    if isinstance(node, Var):
-        return names[node.name]
-    if isinstance(node, Neg):
-        return f"(-{_codegen(node.arg, names, watch)})"
-    if isinstance(node, BinOp):
-        a = _codegen(node.left, names, watch)
-        b = _codegen(node.right, names, watch)
-        if node.op == "^":
+    """Source of ``node`` as one expression.  The array target passes a
+    ``watch`` that wraps each operand that could turn a non-finite value,
+    where the scalar form may have raised, into a finite one (x / inf,
+    exp(-inf), inf^-1, 1^nan, sgnpow(inf, -1)), for the finiteness check.
+
+    A compound subtree evaluated more than once is computed once: its first
+    evaluation binds a local, ``(_cN := ...)``, which later occurrences
+    read.  The operands keep the nested form's evaluation order, so the
+    first error raised is the nested form's.  Subtrees match by their
+    nested source text, so -0.0 and 0.0 never merge; a subtree evaluated
+    once stays nested, and its array temporaries are freed as it is used.
+    """
+
+    def source(node: Node, sub) -> str:  # node's code, its operands by ``sub``
+        if isinstance(node, Const):
+            return f"({node.value!r})"
+        if isinstance(node, Var):
+            return names[node.name]
+        if isinstance(node, Neg):
+            return f"(-{sub(node.arg)})"
+        if isinstance(node, BinOp):
+            a = sub(node.left)
             r = node.right
-            if isinstance(r, Const) and r.value == int(r.value):
+            if node.op == "^" and isinstance(r, Const) and r.value == int(r.value):
                 return f"({a if r.value > 0 else watch(a)} ** {int(r.value)})"
-            return f"_pow({watch(a)}, {watch(b)})"
-        if node.op == "/":
-            return f"({a} / {watch(b)})"
-        return f"({a} {node.op} {b})"
-    if isinstance(node, Call):
-        a = _codegen(node.arg, names, watch)
-        return f"_{node.func}({watch(a) if node.func == 'exp' else a})"
-    if isinstance(node, SgnPow):
-        e = float(node.exponent)
-        a = _codegen(node.arg, names, watch)
-        return f"_sgnpow({a if e > 0 else watch(a)}, {e!r})"
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+            b = sub(r)
+            if node.op == "^":
+                return f"_pow({watch(a)}, {watch(b)})"
+            if node.op == "/":
+                return f"({a} / {watch(b)})"
+            return f"({a} {node.op} {b})"
+        if isinstance(node, Call):
+            a = sub(node.arg)
+            return f"_{node.func}({watch(a) if node.func == 'exp' else a})"
+        if isinstance(node, SgnPow):
+            e = float(node.exponent)
+            a = sub(node.arg)
+            return f"_sgnpow({a if e > 0 else watch(a)}, {e!r})"
+        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+    texts: dict[int, str] = {}  # id(node) -> nested source
+
+    def text(node: Node) -> str:
+        if id(node) not in texts:
+            texts[id(node)] = source(node, text)
+        return texts[id(node)]
+
+    evals: dict[str, int] = {}  # per compound subtree
+
+    def count(node: Node) -> str:  # ``source`` visits operands in evaluation order
+        key = text(node)
+        if not isinstance(node, (Const, Var)):
+            evals[key] = evals.get(key, 0) + 1
+            if evals[key] > 1:
+                return key  # a repeat reads the local: its operands do not run
+        source(node, count)
+        return key
+
+    count(node)
+    bound: dict[str, str] = {}
+
+    def emit(node: Node) -> str:
+        if isinstance(node, (Const, Var)) or evals[text(node)] < 2:
+            return source(node, emit)
+        key = text(node)
+        if key not in bound:
+            code = source(node, emit)
+            bound[key] = f"_c{len(bound)}"
+            return f"({bound[key]} := {code})"
+        return bound[key]
+
+    return emit(node)
 
 
 def _domain_error(
@@ -538,7 +582,11 @@ def _compile_array(node: Node, variables: tuple[str, ...], scalar: Callable[...,
         try:
             with np.errstate(all="ignore"):
                 value, flagged = body(*arrays)
-            out = np.array(np.broadcast_to(value, shape), dtype=float)
+            out = value
+            # a constant, an argument or a narrower array is copied out to a
+            # new array of the full shape
+            if not isinstance(out, np.ndarray) or out.shape != shape or any(out is a for a in arrays):
+                out = np.array(np.broadcast_to(value, shape), dtype=float)
             bad = ~np.isfinite(out)
             for mask in flagged:
                 bad |= mask

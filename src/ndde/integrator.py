@@ -33,14 +33,18 @@ nodes are a running sum of the increments, in the step loop's order.
 Such a run is stepped as one numpy block.  The rows are evaluated in
 passes of at most 1,024 steps by the forms' array halves (vectorized
 coefficients, lookups located in bulk), once per pass for the whole
-family; only the Hermite gathers and the combination are per member.
-Block boundaries are worked out from the grid and the located panels
-alone, never from the members, so a family member still takes exactly
-the arithmetic of its own run.  A lookup the step loop must see (the
-stage state itself, an argument below the horizon) or the open panel
-ends a block.  A block is written only when it raised nothing and every
-value is finite; otherwise, and where the array rows of a pass cannot be
-evaluated, the steps go through the step loop, which raises its own
+family.  The family's nodes are one (members x steps) array for x and
+one for x', so a block gathers each lookup for every member at once and
+combines the whole family in one array call per stage; each element
+takes the arithmetic it takes in a one-member block.  A block that
+raises is redone member by member.  Block boundaries are worked out
+from the grid and the located panels alone, never from the members, so
+a family member still takes exactly the arithmetic of its own run.  A
+lookup the step loop must see (the stage state itself, an argument
+below the horizon) or the open panel ends a block.  A member's block is
+written only when it raised nothing on its own and every value is
+finite; otherwise, and where the array rows of a pass cannot be
+evaluated, its steps go through the step loop, which raises its own
 error at its own t.  The reshaped equation reads the current state, so
 it is always stepped one step at a time.
 
@@ -53,7 +57,6 @@ coefficient keeps the self-reference contractive.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
@@ -70,6 +73,7 @@ from .model import (
     bind,
     horizon,
     require_after_t0,
+    require_number,
 )
 
 _INNER_TOL = 1e-12
@@ -148,7 +152,8 @@ class Trajectory:
 # on t alone and reads, through X(u, t) and Xp(u), the delayed lookups the
 # equation reads at t, in the order it reads them; a lookup it does not
 # read is never located.  ``rhs(co, v)`` combines the row's coefficients co
-# with one member's lookup values v (None where a lookup was not read), in
+# with one member's lookup values v (None where a lookup was not read; on
+# arrays, one row per member, which the coefficients broadcast over), in
 # the operation order of the equation as written.  On arrays a lookup that
 # only some of the stage times read is read at all of them, and its term
 # is multiplied by 0 where it is not.
@@ -322,10 +327,12 @@ class _Pass(NamedTuple):
 class _Lockstep:
     """One fixed-step sweep of a family of histories on one shared grid.
 
-    Each member's nodes live in ``array('d')`` (with numpy views for the
-    blocks); every lookup is located once per stage time for the whole
-    family.  ``counts`` records the steps taken one by one, the blocks, the
-    steps in blocks, and the block attempts abandoned.
+    The family's nodes are one (members x nodes) array for x and one for
+    x', which the blocks gather from for all members at once; the step
+    loop reads and writes them through per-member float views.  Every
+    lookup is located once per stage time for the whole family.
+    ``counts`` records the steps taken one by one, the blocks, the steps in
+    blocks, and the block attempts abandoned.
     """
 
     def __init__(self, histories, t0, T, h, tol, m):
@@ -341,18 +348,19 @@ class _Lockstep:
         self.t0 = t0
         self.m = m
         self.tol = tol
-        self.ts = array("d", (t0 + self.h * i for i in range(n + 1)))
-        self.xs = [array("d", [0.0]) * (n + 1) for _ in histories]
-        self.ds = [array("d", [0.0]) * (n + 1) for _ in histories]
+        self.grid = t0 + self.h * np.arange(n + 1.0)  # t0 + h * i, bit for bit
+        self._X = np.zeros((len(histories), n + 1))
+        self._D = np.zeros((len(histories), n + 1))
+        # float views: indexing them gives Python floats, as the step loop wants
+        self.ts = memoryview(self.grid)
+        self.xs = [memoryview(row) for row in self._X]
+        self.ds = [memoryview(row) for row in self._D]
         # the array forms of psi and psi' are compiled when a block first
         # reads the history
         self._psi_exprs = [hist.psi for hist in histories]
         self._psi_prime_exprs = [hist.derivative_expression() for hist in histories]
         self.psi = [psi.compiled() for psi in self._psi_exprs]
         self.psi_prime = [prime.compiled() for prime in self._psi_prime_exprs]
-        self._tv = np.frombuffer(self.ts)
-        self._xv = [np.frombuffer(x) for x in self.xs]
-        self._dv = [np.frombuffer(d) for d in self.ds]
         self.k = 0  # open panel index: [ts[k], ts[k+1]]
         self._fuzz = 1e-12 * max(1.0, abs(T))
         self._mfuzz = 1e-9 * max(1.0, abs(m))
@@ -466,8 +474,8 @@ class _Lockstep:
         ``form`` is (scalar form, array form or None).  Each pass of up to
         _BLOCK steps evaluates the array rows once; a span of at least
         _MIN_BLOCK steps that reads only closed panels and the history is
-        then stepped as one block per member, and every other step, and
-        every member whose block failed, one by one.
+        then stepped as one block for the whole family, and every other
+        step, and every member whose block failed, one by one.
         """
         (row, rhs), bulk = form
         members = range(len(self.xs))
@@ -496,7 +504,7 @@ class _Lockstep:
                         single = [j for j in single if j not in failed]
                 k += span
         done = set(active)
-        return [(self.xs[j], self.ds[j]) if j in done else None for j in members]
+        return [(self._X[j], self._D[j]) if j in done else None for j in members]
 
     def _step(self, k, active, row, rhs):
         """Step k of the active members, one RK4 step with the inner
@@ -562,10 +570,10 @@ class _Lockstep:
     def _pass(self, row, k, stop):
         """The array rows of steps k..stop-1, or None (counted as abandoned)
         when they cannot be evaluated; those steps then go one by one."""
-        tv = self._tv
+        grid = self.grid
         try:
-            mid, mid_need = self._stage_rows(row, tv[k:stop] + 0.5 * self.h)
-            end, end_need = self._stage_rows(row, tv[k + 1 : stop + 1])
+            mid, mid_need = self._stage_rows(row, grid[k:stop] + 0.5 * self.h)
+            end, end_need = self._stage_rows(row, grid[k + 1 : stop + 1])
         except _ARRAY_ERRORS:
             self.counts["abandoned"] += 1
             return None
@@ -608,7 +616,7 @@ class _Lockstep:
             never |= np.abs(u - at) <= self._fuzz
         first[never] = np.inf
         i = np.clip(i, 0, self.n - 1).astype(np.intp)
-        w = hermite_weights((u - self._tv[i]) / h, h, slope)
+        w = hermite_weights((u - self.grid[i]) / h, h, slope)
         return (u, slope, hist if hist.any() else None, i, w), first
 
     def _span(self, plan, s):
@@ -617,51 +625,44 @@ class _Lockstep:
         late = plan.need[s - plan.k :] > s
         return int(late.argmax()) if late.any() else len(late)
 
-    def _gather(self, look, j, sl):
-        """Member j's values of one lookup over the block slice ``sl``."""
+    def _gather(self, look, nodes, rows, sl):
+        """One lookup's values over the block slice ``sl``: a row for each
+        member in ``rows``, whose x and x' nodes are ``nodes``."""
         u, slope, hist, i, w = look
         i = i[sl]
-        xv, dv = self._xv[j], self._dv[j]
+        X, D = nodes
         w = tuple(c if c is None else c[sl] for c in w)
-        out = hermite_eval(w, xv[i], dv[i], xv[i + 1], dv[i + 1])
+        out = hermite_eval(
+            w, X.take(i, axis=1), D.take(i, axis=1), X.take(i + 1, axis=1), D.take(i + 1, axis=1)
+        )
         if hist is not None:
             past = hist[sl]
             if past.any():
                 exprs = self._psi_prime_exprs if slope else self._psi_exprs
-                out[past] = exprs[j].vectorized()(u[sl][past])
+                at = u[sl][past]
+                for q, j in enumerate(rows):
+                    out[q, past] = exprs[j].vectorized()(at)
         return out
 
     def _block(self, plan, rhs, s, span, active):
-        """Steps s..s+span-1 of each active member as one block: every
+        """Steps s..s+span-1 of the active members as one block: every
         stage's lookups are known, so k2 = k3 = f(mid), k4 = f(end) and the
         nodes are a running sum of the RK4 increments, in the step loop's
-        order.  A member's block is written only when it raised nothing and
-        every value is finite; returns the members whose block failed."""
+        order.  The whole family takes one array call per stage; when that
+        raises, each member is redone alone.  A member's block is written
+        only when it raised nothing and every value is finite; returns the
+        members whose block failed."""
         sl = slice(s - plan.k, s - plan.k + span)
         stages = []
         for stage in (plan.mid, plan.end):
             co = tuple(c if c is None else c[sl] for c in stage.co)
             stages.append((co, stage.locs, stage.looks))
-        h6 = self.h / 6.0
-        single = []
-        for j in active:
-            try:
-                with np.errstate(all="ignore"):
-                    k2, d = [
-                        rhs(co, [q if q is None else self._gather(looks[q], j, sl) for q in locs])
-                        for co, locs, looks in stages
-                    ]
-                    k1 = np.concatenate(([self.ds[j][s]], d[:-1]))
-                    incr = h6 * (k1 + 2.0 * k2 + 2.0 * k2 + d)
-                    x = np.add.accumulate(np.concatenate(([self.xs[j][s]], incr)))
-            except _ARRAY_ERRORS:
-                single.append(j)
-                continue
-            if not (np.isfinite(x).all() and np.isfinite(d).all()):
-                single.append(j)
-                continue
-            self._xv[j][s + 1 : s + span + 1] = x[1:]
-            self._dv[j][s + 1 : s + span + 1] = d
+        single = self._advance(stages, rhs, s, sl, active)
+        if single is None:
+            single = []
+            for j in active:
+                alone = self._advance(stages, rhs, s, sl, [j]) if len(active) > 1 else None
+                single += [j] if alone is None else alone
         if len(single) < len(active):
             self.counts["blocks"] += 1
             self.counts["block_steps"] += span
@@ -669,17 +670,48 @@ class _Lockstep:
             self.counts["abandoned"] += 1
         return single
 
+    def _advance(self, stages, rhs, s, sl, members):
+        """The block of the given members in one array call per stage;
+        writes the members whose values are all finite and returns the
+        others, or None when the calls raise."""
+        rows = np.array(members, dtype=np.intp)
+        X, D = self._X, self._D
+        # a block of the whole family gathers from the node arrays themselves
+        nodes = (X, D) if len(rows) == len(X) else (X[rows], D[rows])
+        try:
+            with np.errstate(all="ignore"):
+                k2, d = [
+                    rhs(co, [None if q is None else self._gather(looks[q], nodes, members, sl)
+                             for q in locs])
+                    for co, locs, looks in stages
+                ]
+                k1 = np.concatenate((D[rows, s, None], d[:, :-1]), axis=1)
+                incr = self.h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k2 + d)
+                x = np.add.accumulate(np.concatenate((X[rows, s, None], incr), axis=1), axis=1)
+        except _ARRAY_ERRORS:
+            return None
+        ok = np.isfinite(x).all(axis=1) & np.isfinite(d).all(axis=1)
+        steps = slice(s + 1, s + d.shape[1] + 1)
+        X[rows[ok], steps] = x[ok, 1:]
+        D[rows[ok], steps] = d[ok]
+        return rows[~ok].tolist()
+
 
 def _moving(locs):
     """(index, location) of each read lookup whose value moves within a step."""
     return [(q, loc) for q, loc in enumerate(locs) if loc is not None and loc[0] in _MOVING]
 
 
+def _require_run(T, h, tol) -> None:
+    """The numeric arguments every run checks on entry."""
+    require_number("horizon T", T)
+    require_number("step h", h, positive=True)
+    require_number("tol", tol)
+
+
 def _drive(form, histories, t0, T, h, tol, m) -> list[Trajectory]:
     """Integrate every history; members that fail to settle rerun at h/2."""
     require_after_t0(T, t0)
-    if not h > 0:
-        raise ValidationError("step h must be positive")
     out: list[Trajectory | None] = [None] * len(histories)
     pending = list(range(len(histories)))
     step = h
@@ -688,7 +720,7 @@ def _drive(form, histories, t0, T, h, tol, m) -> list[Trajectory]:
         runs = sweep.run(form)
         for j, run in zip(pending, runs):
             if run is not None:
-                out[j] = Trajectory(sweep.ts, run[0], run[1], histories[j], m, sweep.h)
+                out[j] = Trajectory(sweep.grid, run[0], run[1], histories[j], m, sweep.h)
         pending = [j for j, run in zip(pending, runs) if run is None]
         if not pending:
             return out
@@ -710,6 +742,7 @@ def integrate(
     tol: float = _INNER_TOL,
 ) -> Trajectory:
     """Solve the equation forward from the history psi on [t0, T]."""
+    _require_run(T, h, tol)
     m = min(horizon(problem, T).m, problem.t0)
     return _drive(_form(problem), [psi], problem.t0, T, h, tol, m)[0]
 
@@ -728,6 +761,7 @@ def integrate_transformed(
     extensions instead of the raw equation), which makes the pair a
     cross-method consistency oracle.
     """
+    _require_run(T, h, tol)
     prob = problem.as_general()
     bound = bind(prob, aux, tmax=T)
     return _drive(_form_transformed(bound), [psi], prob.t0, T, h, tol, bound.m)[0]
@@ -800,8 +834,9 @@ def stability_experiment(
     a decreasing last-decade trend.  The family is stepped in lockstep;
     each member is bitwise equal to its own :func:`integrate` run.
     """
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    _require_run(T, h, tol)
+    require_number("eps", eps, positive=True)
+    require_number("delta", delta, positive=True)
     t0 = problem.t0
     m = min(horizon(problem, T).m, t0)
     family = list(psi_family) if psi_family is not None else default_history_family(delta, t0, m)

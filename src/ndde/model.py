@@ -25,6 +25,7 @@ constant, and a Picard run's residual reads the binding its iteration used.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -346,6 +347,19 @@ class HorizonResult:
     m: float
     argmin: float
     per_delay: tuple[tuple[float, float], ...]  # (inf, arginf) per delay
+
+
+def require_number(name: str, value, positive: bool = False) -> None:
+    """Raise unless ``value`` is a finite number, and above 0 where
+    ``positive``; the error names the argument and its value."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be finite, got {x!r}")
+    if positive and not x > 0:
+        raise ValidationError(f"{name} must be positive, got {x!r}")
 
 
 def require_after_t0(T: float, t0: float) -> None:

@@ -313,3 +313,71 @@ def test_array_sgnpow_and_constant_trees():
     same = parse_expression("t").vectorized()(t)
     same[0] = 7.0
     assert t[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# repeated subtrees: computed once, same values and errors
+
+
+def _without_sgnpow(rng: random.Random, depth: int) -> str:
+    while True:
+        text = _random_node(rng, depth)
+        if "sgnpow" not in text:
+            return text
+
+
+def test_repeated_subtree_is_computed_once_with_the_same_values(monkeypatch):
+    from ndde import expressions
+
+    calls = []
+    scalar, array = expressions.signed_power, expressions._array_sgnpow
+    monkeypatch.setattr(expressions, "signed_power", lambda x, e: calls.append(0) or scalar(x, e))
+    monkeypatch.setattr(expressions, "_array_sgnpow", lambda x, e: calls.append(1) or array(x, e))
+    rng = random.Random(2026)
+    checked = 0
+    for _ in range(100):
+        shared = f"sgnpow({_without_sgnpow(rng, rng.randint(1, 3))}, 1/3)"
+        a, b = _without_sgnpow(rng, 2), _without_sgnpow(rng, 2)
+        e = parse_expression(f"({shared} + {a}) * sin({shared}) - {b} / ({shared} + 4)")
+        ts, expected = [], []
+        for _ in range(12):
+            t = rng.uniform(-3.0, 5.0)
+            try:
+                want = e.evaluate(t=t)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    e(t)
+                continue
+            calls.clear()
+            got = e(t)
+            assert calls == [0]  # evaluate computes the subtree three times
+            assert got.hex() == want.hex(), str(e)
+            ts.append(t)
+            expected.append(got)
+        calls.clear()
+        values = e.vectorized()(np.array(ts))
+        assert calls == [1]
+        for g, x in zip(values.tolist(), expected):
+            assert g == pytest.approx(x, rel=1e-12, abs=1e-300), str(e)
+        checked += len(ts)
+    assert checked > 900
+
+
+def test_signed_zero_constants_are_not_merged():
+    # at t = -0.0 the two factors are 0.0 and -0.0, so the product is -0.0
+    e = parse_expression("(t + 0) * (t + -0)")
+    assert math.copysign(1.0, e(-0.0)) == -1.0
+    assert math.copysign(1.0, e.vectorized()(np.array([-0.0]))[0]) == -1.0
+
+
+def test_domain_error_in_a_repeated_subtree_keeps_the_scalar_message():
+    rng = random.Random(99)
+    for _ in range(30):
+        a, b = _random_node(rng, 2), _random_node(rng, 2)
+        e = parse_expression(f"ln(t - 2) * ({a}) + sin(ln(t - 2)) - {b} / (ln(t - 2) + 4)")
+        with pytest.raises(DomainError) as scalar:
+            e(1.5)
+        assert str(scalar.value) == f"{e}: math domain error at t=1.5"
+        with pytest.raises(DomainError) as vector:
+            e.vectorized()(np.array([3.0, 2.5, 1.5, 1.0]))
+        assert str(vector.value) == str(scalar.value)

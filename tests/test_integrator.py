@@ -1,6 +1,7 @@
 """Direct integration: oracles, dense output, transform and stability runs."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -532,3 +533,71 @@ def test_a_failing_block_raises_the_step_loop_error(monkeypatch, case):
     counts = made[0].counts
     assert counts["abandoned"] == (0 if case == "horizon" else 1)
     assert (counts["blocks"] > 0) == (case != "coefficient")
+
+
+# ---------------------------------------------------------------- grid and arguments
+
+
+@pytest.mark.parametrize(
+    "t0, T, h",
+    [(0.0, 250.0, 0.02), (0.0, 20.0, 1e-3), (0.5, 7.3, 0.013), (-1.25, 3.0, 0.1), (2.0, 2.07, 0.007)],
+)
+def test_grid_is_t0_plus_h_times_i_bitwise(t0, T, h):
+    sweep = integrator._Lockstep([_hist("1 + 0*t")], t0, T, h, 1e-12, t0)
+    want = [t0 + sweep.h * i for i in range(sweep.n + 1)]
+    assert sweep.grid.tobytes() == np.array(want).tobytes()
+    # the step loop reads the grid and the nodes as Python floats
+    assert type(sweep.ts[sweep.n]) is float and type(sweep.xs[0][0]) is float
+
+
+def _run(run, **args):
+    prob, aux = _showcase()
+    psi = _hist("0.001 + 0*t")
+    if run == "integrate":
+        return integrate(prob, psi, **args)
+    if run == "integrate_transformed":
+        return integrate_transformed(prob, aux, psi, **args)
+    return stability_experiment(prob, **{"eps": 0.1, "delta": 0.001, **args})
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("run", ["integrate", "integrate_transformed", "stability_experiment"])
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("T", _NAN, "horizon T must be finite, got nan"),
+        ("T", _INF, "horizon T must be finite, got inf"),
+        ("h", _INF, "step h must be finite, got inf"),
+        ("h", _NAN, "step h must be finite, got nan"),
+        ("h", 0.0, "step h must be positive, got 0.0"),
+        ("h", -0.5, "step h must be positive, got -0.5"),
+        ("tol", _NAN, "tol must be finite, got nan"),
+        ("tol", -_INF, "tol must be finite, got -inf"),
+    ],
+)
+def test_run_arguments_are_checked_on_entry(run, name, value, message):
+    args = {"T": 2.0, "h": 0.05, "tol": 1e-12, name: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            _run(run, **args)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("eps", _NAN, "eps must be finite, got nan"),
+        ("eps", -1.0, "eps must be positive, got -1.0"),
+        ("eps", 0.0, "eps must be positive, got 0.0"),
+        ("delta", _NAN, "delta must be finite, got nan"),
+        ("delta", _INF, "delta must be finite, got inf"),
+        ("delta", -0.5, "delta must be positive, got -0.5"),
+    ],
+)
+def test_stability_checks_eps_and_delta_on_entry(name, value, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            _run("stability_experiment", T=2.0, h=0.05, **{name: value})

@@ -128,3 +128,42 @@ def test_dump_writes_the_csv_bodies_of_simulate_and_picard(tmp_path, monkeypatch
     (b / "simulate-csv.txt").write_text("\n".join(lines) + "\n")
     (b / "picard-csv.txt").write_text((tmp_path / "a" / "picard-csv.txt").read_text())
     assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b), "--tol", "1"]) == 1
+
+
+def test_dump_writes_a_trajectory_digest_per_family_member(tmp_path, monkeypatch, capsys):
+    import hashlib
+
+    from ndde import integrator
+    from ndde.config import loads
+    from ndde.model import horizon
+    from ndde.presets import preset_text
+
+    text = preset_text("section4").replace('T = "50"', 'T = "5"')
+    broken = text.replace('T = "5"', 'T = "-1"')
+    requests = [("stab", "stability", text, 0.00135), ("stab-bad", "stability", broken, 0.00135)]
+    monkeypatch.setattr(compare_reports, "_requests", lambda root: iter(requests))
+    drive = integrator._drive
+    assert compare_reports.main(["--dump", str(tmp_path / "a")]) == 0
+    assert integrator._drive is drive  # the wrapper is removed again
+    lines = (tmp_path / "a" / "stab.trajectories.txt").read_text().splitlines()
+    cfg = loads(text)
+    m = min(horizon(cfg.problem, cfg.T).m, cfg.problem.t0)
+    want = []
+    for label, psi in integrator.default_history_family(0.00135, cfg.problem.t0, m):
+        run = integrator.integrate(cfg.problem, psi, T=cfg.T, h=0.02)
+        digest = hashlib.sha256(run.nodes.tobytes() + run.values.tobytes() + run.derivatives.tobytes())
+        want.append(f"trajectory.{label}.sha256 = {digest.hexdigest()}")
+    assert lines == want
+    # a failed request has no members to hash
+    assert (tmp_path / "a" / "stab-bad.trajectories.txt").read_text() == ""
+
+    # one changed trajectory byte fails the diff at any tolerance
+    b = tmp_path / "b"
+    b.mkdir()
+    for path in (tmp_path / "a").iterdir():
+        (b / path.name).write_text(path.read_text())
+    first = lines[0][:-1] + ("0" if lines[0][-1] != "0" else "1")
+    (b / "stab.trajectories.txt").write_text("\n".join([first, *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b), "--tol", "1e300"]) == 1
+    assert f"stab.trajectories.txt: {lines[0].split(' = ')[0]} " in capsys.readouterr().out

@@ -16,11 +16,15 @@ byte fails it.  After it come the ``WeightedSweep.counts`` of every
 sweep the request made, one ``sweep.N.counts.K = accepted halved simpson``
 line per integrand K, caught by wrapping ``ndde.criteria.WeightedSweep``;
 ``--diff`` compares them as text, so a changed quadrature decision fails
-it.  Each file ends with an ``exit = N`` line.  The decks come
-from ``bench/workloads.py``, which is only read.  ``--root`` names the
-source checkout whose ``src/`` and ``bench/`` are imported (default: the one
-holding this script), so two commits are compared by dumping each from its
-own checkout.
+it.  Each file ends with an ``exit = N`` line.  A stability request also
+writes ``STEM.trajectories.txt``: one ``trajectory.LABEL.sha256 = HEX``
+line per family member, the SHA-256 of the bytes of its nodes, values
+and derivatives, caught by wrapping ``ndde.integrator._drive``;
+``--diff`` compares them as text, so any changed trajectory byte fails
+it.  The decks come from ``bench/workloads.py``, which is only read.
+``--root`` names the source checkout whose ``src/`` and ``bench/`` are
+imported (default: the one holding this script), so two commits are
+compared by dumping each from its own checkout.
 
 ``--diff`` prints, for every numeric key, the largest difference between A
 and B and the file where it occurs; then every change of a non-numeric
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import sys
 import tempfile
@@ -66,21 +71,41 @@ def _requests(root: Path):
                     yield stem, request.kind, request.text
 
 
-def _stability(path: str, delta: float, out) -> int:
+def _stability(path: str, delta: float, out, side: Path) -> int:
     """The benchmark's stability run of one config: its report, or one
-    ``error:`` line and exit 1."""
-    from ndde import NddeError
+    ``error:`` line and exit 1.  Writes to ``side`` one
+    ``trajectory.LABEL.sha256`` line per family member, over the bytes of
+    its nodes, values and derivatives (none when the run fails)."""
+    from ndde import NddeError, integrator
     from ndde.config import load_config
-    from ndde.integrator import stability_experiment
 
+    runs, lines = [], []
+    drive = integrator._drive
+
+    def recording(*args, **kwargs):
+        runs[:] = drive(*args, **kwargs)
+        return runs
+
+    integrator._drive = recording
+    code = 1
     try:
         cfg = load_config(path)
-        report = stability_experiment(cfg.problem, eps=cfg.eps, delta=delta, T=cfg.T, h=0.02)
+        report = integrator.stability_experiment(
+            cfg.problem, eps=cfg.eps, delta=delta, T=cfg.T, h=0.02
+        )
+        print(report.to_text(), file=out)
+        for label, run in zip(report.labels, runs):
+            digest = hashlib.sha256()
+            for arr in (run.nodes, run.values, run.derivatives):
+                digest.update(arr.tobytes())
+            lines.append(f"trajectory.{label}.sha256 = {digest.hexdigest()}\n")
+        code = 0
     except NddeError as exc:
         print(f"error: {exc}", file=out)
-        return 1
-    print(report.to_text(), file=out)
-    return 0
+    finally:
+        integrator._drive = drive
+        side.write_text("".join(lines), encoding="utf-8")
+    return code
 
 
 def _with_csv(command):
@@ -114,7 +139,9 @@ def dump(out_dir: Path, root: Path) -> int:
     run = {
         "check": cli.run_check,
         "picard": cli.run_picard,
-        "stability": _stability,
+        "stability": lambda path, delta, out: _stability(
+            path, delta, out, out_dir / f"{Path(path).stem}.trajectories.txt"
+        ),
         "simulate-csv": _with_csv(cli.run_simulate),
         "picard-csv": _with_csv(cli.run_picard),
     }
@@ -173,7 +200,7 @@ def diff(a_dir: Path, b_dir: Path, tol: float) -> int:
         for key in sorted(a.keys() | b.keys()):
             va, vb = a.get(key), b.get(key)
             xa, xb = _number(va or ""), _number(vb or "")
-            if xa is None or xb is None:
+            if xa is None or xb is None or key.endswith(".sha256"):
                 if va != vb:
                     changes.append(f"{name}: {key} {va} -> {vb}")
                 continue
