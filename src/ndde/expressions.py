@@ -300,7 +300,7 @@ def _precedence(node: Node) -> int:
 
 
 def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if float(v).is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -383,7 +383,7 @@ def _eval(node: Node, env: Mapping[str, float]) -> float:
 
 
 def _pow(base: float, exponent: float) -> float:
-    if exponent == int(exponent):
+    if float(exponent).is_integer():
         n = int(exponent)
         if base == 0.0 and n < 0:
             raise DomainError("zero base with negative exponent")
@@ -429,7 +429,8 @@ def _codegen(node: Node, names: Mapping[str, str], watch=lambda src: src) -> str
     """Source of ``node`` as one expression.  The array target passes a
     ``watch`` that wraps each operand that could turn a non-finite value,
     where the scalar form may have raised, into a finite one (x / inf,
-    exp(-inf), inf^-1, 1^nan, sgnpow(inf, -1)), for the finiteness check.
+    exp(-inf), inf^-1, 1^nan, sgnpow(inf, -1)), for the finiteness check;
+    a finite literal operand is never watched.
 
     A compound subtree evaluated more than once is computed once: its first
     evaluation binds a local, ``(_cN := ...)``, which later occurrences
@@ -439,9 +440,14 @@ def _codegen(node: Node, names: Mapping[str, str], watch=lambda src: src) -> str
     once stays nested, and its array temporaries are freed as it is used.
     """
 
+    def guard(operand: Node, src: str) -> str:  # a finite literal needs no watch
+        if isinstance(operand, Const) and math.isfinite(operand.value):
+            return src
+        return watch(src)
+
     def source(node: Node, sub) -> str:  # node's code, its operands by ``sub``
-        if isinstance(node, Const):
-            return f"({node.value!r})"
+        if isinstance(node, Const):  # repr(inf) is no Python literal
+            return f"({node.value!r})" if math.isfinite(node.value) else f"float('{node.value!r}')"
         if isinstance(node, Var):
             return names[node.name]
         if isinstance(node, Neg):
@@ -449,21 +455,21 @@ def _codegen(node: Node, names: Mapping[str, str], watch=lambda src: src) -> str
         if isinstance(node, BinOp):
             a = sub(node.left)
             r = node.right
-            if node.op == "^" and isinstance(r, Const) and r.value == int(r.value):
-                return f"({a if r.value > 0 else watch(a)} ** {int(r.value)})"
+            if node.op == "^" and isinstance(r, Const) and float(r.value).is_integer():
+                return f"({a if r.value > 0 else guard(node.left, a)} ** {int(r.value)})"
             b = sub(r)
             if node.op == "^":
-                return f"_pow({watch(a)}, {watch(b)})"
+                return f"_pow({guard(node.left, a)}, {guard(r, b)})"
             if node.op == "/":
-                return f"({a} / {watch(b)})"
+                return f"({a} / {guard(r, b)})"
             return f"({a} {node.op} {b})"
         if isinstance(node, Call):
             a = sub(node.arg)
-            return f"_{node.func}({watch(a) if node.func == 'exp' else a})"
+            return f"_{node.func}({guard(node.arg, a) if node.func == 'exp' else a})"
         if isinstance(node, SgnPow):
             e = float(node.exponent)
             a = sub(node.arg)
-            return f"_sgnpow({a if e > 0 else watch(a)}, {e!r})"
+            return f"_sgnpow({a if e > 0 else guard(node.arg, a)}, {e!r})"
         raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
     texts: dict[int, str] = {}  # id(node) -> nested source

@@ -30,14 +30,14 @@ each), and the mesh panel and Hermite weights of each delayed argument.
 The drift window W(x) = int^x (g - p'/p) z is, on a live panel, z's four
 Hermite coefficients times the K7 (and L4) moments of the drift against the
 Hermite basis, tabulated per query point; below t0 it reads psi and is
-computed once.  Applying the tables to a candidate is a gather, one array
+computed once, from a cumulative table that also gives the history head's
+window.  Applying the tables to a candidate is a gather, one array
 call each of G(w z^gamma), Q and F, weighted sums, and the panel recurrence
 I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j.  The Picard result
 carries its node rows, so the residual reuses them and adds only the rows
 of the half panels that end at the panel midpoints.  A panel or window
 query whose |K7 - L4| exceeds 1e-11 is refined by ``quadrature._refine``,
-on rows built at its sub-panels' nodes (one-point rows for adaptive
-Simpson); a non-finite sample raises.
+on rows built at its sub-panels' nodes; a non-finite sample raises.
 
 Linear-neutral problems are re-encoded through :meth:`ProblemSpec.as_general`
 before iterating; the re-encoding preserves the dynamics exactly, so the
@@ -59,6 +59,7 @@ from .errors import ValidationError
 from .hermite import GridFunction, hermite_eval, hermite_weights, locate, uniform_step
 from .model import (
     AuxiliarySpec, BoundProblem, HistoryFunction, ProblemSpec, bind, horizon, require_after_t0,
+    require_number,
 )
 from .quadrature import (
     _K7_W,
@@ -69,8 +70,6 @@ from .quadrature import (
     _bulk,
     _lk_points,
     _refine,
-    adaptive_simpson,
-    window_integral,
 )
 
 _MESH_FUZZ = 1e-9
@@ -80,8 +79,7 @@ _QUAD_TOL = 1e-11
 def make_mesh(m: float, t0: float, T: float, step: float) -> np.ndarray:
     """History + live mesh over [m, T], uniform per segment, t0 a node."""
     require_after_t0(T, t0)
-    if not step > 0:
-        raise ValidationError("mesh step must be positive")
+    require_number("mesh step", step, positive=True)
     live_n = max(4, math.ceil((T - t0) / step - 1e-9))
     live = np.linspace(t0, T, live_n + 1)
     if t0 - m <= 1e-12:
@@ -185,7 +183,7 @@ class _Window:
         """int_{t_i}^x drift z from the start t_i of each live point's panel.
 
         Where |K7 - L4| fails, z is the cubic c . phi of the point's panel
-        for the shared refinement, and adaptive Simpson takes the scalar drift.
+        for the shared refinement.
         """
         c = coef[self.panel]
         value = (self.k7 * c).sum(1)
@@ -199,14 +197,7 @@ class _Window:
             w = hermite_weights((u - start[ids]) / h[ids], h[ids], False)
             return _bulk(b.arrays.drift, b.drift, u) * hermite_eval(w, *c[ids].T)
 
-        def simpson(i, lo, hi, tol):
-            s, w, coef = float(start[i]), float(h[i]), c[i].tolist()
-            return adaptive_simpson(
-                lambda u: b.drift(u) * hermite_eval(hermite_weights((u - s) / w, w, False), *coef),
-                lo, hi, tol,
-            )
-
-        value[bad] = _refine(sample, start, self.x[bad], _QUAD_TOL, simpson).totals()
+        value[bad] = _refine(sample, start, self.x[bad], _QUAD_TOL).totals()
         return value
 
     def __call__(self, st: _State) -> np.ndarray:
@@ -305,16 +296,12 @@ class _Panels:
         rows, deeper ones from rows built at the sub-panels' nodes."""
         make, gexp = type(rows), self.tab.bound.gexp
 
-        def sample(x, ids, pos=None):
+        def sample(x, ids, pos):
             row = make(self.tab, x.ravel()).integrand(st).reshape(x.shape)
             return np.exp(gexp.cumulative(x) - self.G_right[ids]) * row
 
-        def simpson(i, lo, hi, tol):
-            one = np.array([i])
-            return adaptive_simpson(lambda u: sample(np.array([[u]]), one).item(), lo, hi, tol)
-
         f = self.damping * rows.integrand(st).reshape(self.damping.shape)
-        return _refine(sample, self.left, self.right, _QUAD_TOL, simpson, f.T).totals()
+        return _refine(sample, self.left, self.right, _QUAD_TOL, f.T).totals()
 
     def integrals(self, st: _State, carry=(None, None)):
         """The damped A and B integrals up to each right end (None where not
@@ -375,16 +362,13 @@ class _Tables:
         if psi is not None:
             fn, fa = psi.psi.compiled(), psi.psi.vectorized()
             self.history = functools.partial(_bulk, fa, fn)  # psi at every element of an array
-            integrand = functools.partial(_history_drift, b, fn)
-            u0 = b.tau1(t0)
-            head = fn(t0)
-            head -= window_integral(integrand, u0, t0, _QUAD_TOL)
-            head -= b.Q_fn(t0, b.p_of(u0) * fn(u0)) / b.p_raw(t0)
-            self.head = float(head)
-            self.history_window = CumulativeExponent(
-                integrand, float(mesh[0]), b.gexp.checkpoint, _QUAD_TOL,
-                f_array=functools.partial(_history_drift, b.arrays, fa),
+            self.history_window = window = CumulativeExponent(
+                functools.partial(_history_drift, b, fn), float(mesh[0]), b.gexp.checkpoint,
+                _QUAD_TOL, f_array=functools.partial(_history_drift, b.arrays, fa),
             )
+            u0 = b.tau1(t0)
+            coupling = b.Q_fn(t0, b.p_of(u0) * fn(u0)) / b.p_raw(t0)
+            self.head = float(fn(t0) - (window.cumulative(t0) - window.cumulative(u0)) - coupling)
             self.node_window = np.zeros(len(mesh))
             self.node_window[: split + 1] = self.history_window.cumulative(mesh[: split + 1])
             self.full_window = _Window(self, mesh[split + 1 :], np.arange(split, len(mesh) - 1))
@@ -467,7 +451,12 @@ def picard_solve(
     live mesh panels are built once, read by every iteration and kept in
     the result for :func:`residual`.
     """
-    require_after_t0(T, problem.t0)  # before the precheck, which is costly
+    # the arguments are checked before the precheck, which is costly
+    require_number("horizon T", T)
+    require_number("tol", tol)
+    if step is not None:
+        require_number("step", step, positive=True)
+    require_after_t0(T, problem.t0)
     if precheck:
         est = alpha_estimate(problem, aux, tmax=max(T, problem.t0 + 1.0), grid=512)
         if est.alpha >= 1.0:

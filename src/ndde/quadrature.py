@@ -29,8 +29,10 @@ point by point, so errors and their texts are the scalar ones.  The recurring sh
 The pair (Gander & Gautschi's Lobatto 4 / Kronrod 7) and its fixed-node
 helpers are shared with the operator's tables, so the package has one
 fixed-node rule, and one refinement (``_refine``) where |K7 - L4| fails:
-halving level by level, then adaptive Simpson.  Scalar panels go through
+halving level by level down to the depth floor.  Scalar panels go through
 ``_lk_nodes``, arrays of them through ``_lk_points``, both through ``_lk_sums``.
+Adaptive Simpson serves the one-shot ``weighted_integral`` only, on no
+request path.
 """
 
 from __future__ import annotations
@@ -58,13 +60,17 @@ __all__ = [
     "SupScanResult",
 ]
 
-# At max recursion depth a panel is still accepted if its Richardson defect
+# At max refinement depth a piece is still accepted if its error estimate
 # is below this floor; lets integrable kinks through, keeps divergences fatal.
 _DEPTH_FLOOR = 1e-9
 
-# adaptive_simpson gives up after this many panels.  Around a pole the
-# panels that fail multiply with every level long before the depth limit is
-# reached; the largest call the benchmark decks make splits ~2,500 panels.
+# |K7 - L4| within this multiple of a piece's K7 sum of |f| is rounding
+# noise, which halving cannot lower: the piece is accepted (QUADPACK's 50 eps)
+_ROUNDING = 50.0 * np.finfo(float).eps
+
+# _refine and adaptive_simpson give up beyond this many panels.  Around a
+# pole the panels that fail multiply with every level long before the depth
+# limit is reached.
 _MAX_PANELS = 1 << 16
 
 
@@ -83,8 +89,7 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
     # Depth-first refinement on an explicit stack: the left half is finished
     # before the right one is sampled and each split returns left + right,
     # exactly as the recursive form did.  A loop keeps the cost independent
-    # of how deep the caller's stack already is, which matters because
-    # CumulativeExponent queries run nested inside other integrands.
+    # of how deep the caller's stack already is.
     isfinite = math.isfinite
     stack = [(a, fa, b, fb, m, fm, whole, tol, depth)]
     done: list[float] = []  # finished halves awaiting their sibling
@@ -181,13 +186,14 @@ _LK_XS = _LK_X.tolist()
 _K7_WS = _K7_W[::2].tolist()
 
 # _refine halves an interval whose estimate fails at most this many times
-# (down to 1/1024 of it) before adaptive Simpson takes over.
-_HALVINGS = 10
+# (down to 2^-50 of it); the depth floor then decides.
+_HALVINGS = 50
 
 # WeightedSweep integrates, and CumulativeExponent tabulates, at most this
 # many panels per bulk call, which bounds the size of the sample arrays (and
 # of the array expressions' temporaries) on long grids.
 _CHUNK = 256
+assert (_CHUNK - 1) << _HALVINGS < 1 << 63  # WeightedSweep's sub-interval key fits int64
 
 
 def _lk_nodes(a, b):
@@ -246,12 +252,13 @@ def _bulk(fa: Callable[..., np.ndarray] | None, f: Callable[..., float], *column
 
 class _Pieces(NamedTuple):
     """The pieces :func:`_refine` accepted, by interval ``ids`` and left to
-    right, and which intervals ``passed`` whole at the first level."""
+    right, which intervals ``passed`` whole, which pieces at the ``floor``."""
 
     ids: np.ndarray
     right: np.ndarray
     value: np.ndarray
     passed: np.ndarray
+    floor: np.ndarray
 
     def totals(self) -> np.ndarray:
         """Each interval's sum over its pieces, left to right from 0.0."""
@@ -259,61 +266,103 @@ class _Pieces(NamedTuple):
         return self.value if len(self.ids) == n else np.bincount(self.ids, self.value, minlength=n)
 
 
-def _refine(sample, a, b, tol, simpson, first=None) -> _Pieces:
+class _RefineError(QuadratureError):
+    """A failure of :func:`_refine` on its interval number ``interval``."""
+
+    def __init__(self, message: str, interval: int):
+        super().__init__(message)
+        self.interval = interval
+
+
+def _sampled(sample, x, ids, pos) -> np.ndarray:
+    """sample(x, ids, pos), raising at its first non-finite value (the lowest
+    interval's, at the smallest t)."""
+    try:
+        y = sample(x, ids, pos)
+    except _RefineError as err:  # a nested refinement's failure is not this one's
+        raise QuadratureError(str(err)) from err
+    if not np.isfinite(y).all():
+        row, col = np.nonzero(~np.isfinite(y))
+        k = np.lexsort((x[row, col], ids[col]))[0]
+        v, t = float(y[row[k], col[k]]), float(x[row[k], col[k]])
+        raise _RefineError(str(_non_finite(v, t)), int(ids[col[k]]))
+    return y
+
+
+def _refine(sample, a, b, tol, first=None) -> _Pieces:
     """int over each interval [a_i, b_i] by the Lobatto 4 / Kronrod 7 pair.
 
     ``sample(x, ids, pos)`` gives the integrand at x, an (r, n) array of
     points of the intervals ``ids`` (one a column), ``pos`` numbering the
     sub-intervals of each interval at this level from 0; ``first``, when
     given, holds the samples at the intervals' seven ``_lk_nodes``.  K7 is
-    accepted where |K7 - L4| is within the interval's ``tol``.  The rest
-    are halved together, at half the tolerance, the centre sample serving
-    as an end, at most ``_HALVINGS`` times; what still fails, or has a
-    non-finite estimate, goes to ``simpson(i, lo, hi, tol)``, in the order
-    of the result.
+    accepted where |K7 - L4| is within the interval's ``tol``, or within
+    the piece's rounding noise (``_ROUNDING`` times its K7 sum of |f|).  The
+    rest are halved together, at half the tolerance, the centre sample
+    serving as an end, at most ``_HALVINGS`` times, and at the last level
+    accepted (as ``floor`` pieces) where |K7 - L4| is within
+    ``_DEPTH_FLOOR``.  A non-finite sample, a piece over the floor, or more
+    than ``_MAX_PANELS`` pieces to halve raise a QuadratureError that
+    carries the number of the interval (the lowest; its leftmost piece, or
+    over the budget its piece of largest |K7 - L4|, speaks).
     """
     n = len(a)
     ids, pos, lo, hi = np.arange(n), np.zeros(n, dtype=np.int64), a, b
-    fa, fb, *inner = sample(_lk_points(a, b), ids, pos) if first is None else first
-    done = []  # per level: kept, ids, left, right, value (NaN: for simpson), tol
+    if first is None:
+        first = _sampled(sample, _lk_points(a, b), ids, pos)
+    fa, fb, *inner = first
+    done = []  # per level: ids, left, right, value, floor of the accepted pieces
     for depth in range(_HALVINGS + 1):
         if depth:
-            inner = sample(_lk_points(lo, hi)[2:], ids, pos)
+            inner = _sampled(sample, _lk_points(lo, hi)[2:], ids, pos)
         with np.errstate(all="ignore"):
             value, error = _lk_sums(0.5 * (hi - lo), fa, fb, *inner)
-            ok = error <= tol
-            if depth == 0:
-                passed = ok
-                if ok.all():
-                    return _Pieces(ids, hi, value, passed)
-                tol = np.full(n, tol, dtype=float)
-            # NaN and inf fail both tests, and go to simpson unhalved
-            halve = (error > tol) & (error < math.inf) & (depth < _HALVINGS)
-        value[~(ok | halve)] = math.nan
-        done.append((~halve, ids, lo, hi, value, tol))
-        if not halve.any():
+            halve = ~(error <= tol)
+            if halve.any():  # rounding noise, which halving cannot lower, passes too
+                k = np.flatnonzero(halve)
+                noise = _lk_sums(0.5 * (hi[k] - lo[k]), *(np.abs(f[k]) for f in (fa, fb, *inner)))[0]
+                halve[k] = ~(error[k] <= _ROUNDING * noise)
+        if depth == 0:
+            passed = ~halve
+            if passed.all():
+                return _Pieces(ids, hi, value, passed, halve)
+            if not np.isfinite(error).all():  # raises at a non-finite given sample
+                _sampled(lambda *_: first, _lk_points(a, b), ids, pos)
+            tol = np.full(n, tol, dtype=float)
+        stuck = np.flatnonzero((depth == _HALVINGS) & ~(error <= _DEPTH_FLOOR))
+        if len(stuck):  # a NaN estimate (overflow) fails the floor too
+            k = stuck[np.lexsort((lo[stuck], ids[stuck]))[0]]
+            raise _RefineError(
+                f"no convergence on [{float(lo[k])!r}, {float(hi[k])!r}] after max refinement"
+                f" depth (defect {float(error[k]):.3e})", int(ids[k]),
+            )
+        keep = ~halve | (depth == _HALVINGS)  # at the last level all passed the floor
+        done.append((ids[keep], lo[keep], hi[keep], value[keep], halve[keep]))
+        if keep.all():
             break
+        if 2 * np.count_nonzero(halve) > _MAX_PANELS:  # name its worst piece too
+            i = int(ids[halve].min())
+            k = np.flatnonzero(halve & (ids == i))
+            k = k[np.argmax(error[k])]
+            raise _RefineError(
+                f"no convergence on [{float(a[i])!r}, {float(b[i])!r}] within {_MAX_PANELS}"
+                f" panels (refining [{float(lo[k])!r}, {float(hi[k])!r}])", i,
+            )
         # [lo, c] and [c, hi] at half the tolerance; the centre is the last node
         c, fc, half = 0.5 * (lo + hi)[halve], inner[4][halve], 0.5 * tol[halve]
         ids, pos, tol = ids[halve], 2 * pos[halve], np.concatenate((half, half))
         ids, pos = np.concatenate((ids, ids)), np.concatenate((pos, pos + 1))
         lo, hi = np.concatenate((lo[halve], c)), np.concatenate((c, hi[halve]))
         fa, fb = np.concatenate((fa[halve], fc)), np.concatenate((fc, fb[halve]))
-    kept, *cols = (np.concatenate(col) for col in zip(*done))
-    order = np.lexsort((cols[1][kept], cols[0][kept]))
-    ids, left, right, value, tol = (col[kept][order] for col in cols)
-    for k in np.flatnonzero(np.isnan(value)).tolist():
-        value[k] = simpson(int(ids[k]), float(left[k]), float(right[k]), float(tol[k]))
-    return _Pieces(ids, right, value, passed)
+    ids, left, right, value, floor = (np.concatenate(col) for col in zip(*done))
+    order = np.lexsort((left, ids))
+    return _Pieces(ids[order], right[order], value[order], passed, floor[order])
 
 
 def _kronrod_panels(f, f_array, a: np.ndarray, b: np.ndarray, tol: float) -> _Pieces:
-    """int f over each panel [a_j, b_j] by :func:`_refine`: the first level
-    from one ``_bulk`` call at all their nodes, adaptive Simpson on f."""
-    return _refine(
-        lambda x, ids, pos: _bulk(f_array, f, x), a, b, tol,
-        lambda i, lo, hi, tol: adaptive_simpson(f, lo, hi, tol),
-    )
+    """int f over each panel [a_j, b_j] by :func:`_refine`, every level
+    sampled by one ``_bulk`` call."""
+    return _refine(lambda x, ids, pos: _bulk(f_array, f, x), a, b, tol)
 
 
 def _advance(decay: np.ndarray, panels: np.ndarray) -> np.ndarray:
@@ -505,11 +554,10 @@ class WeightedSweep:
     An integrand's panel sum is K7 when |K7 - L4| is within its
     tolerance.  The (panel, integrand) pairs that fail are refined together
     by ``_refine`` (the tolerance split by width, G read once per distinct
-    sub-panel), and adaptive Simpson integrates what still fails, on the
-    scalar f_k.  ``at(t)`` evaluates between grid points by the same routine on
-    the one interval [grid[i], t].  ``counts[k]`` holds, per integrand, the
-    panels (grid panels and ``at`` intervals) accepted whole, the panels
-    halved, and the sub-panels handed to adaptive Simpson.  A failure is
+    sub-panel).  ``at(t)`` evaluates between grid points by the same routine
+    on the one interval [grid[i], t].  ``counts[k]`` holds, per integrand,
+    the panels (grid panels and ``at`` intervals) accepted whole, the panels
+    halved, and the pieces accepted at the depth floor.  A failure is
     raised as a QuadratureError that names the integrand's label (and, in
     ``at``, the t).
     """
@@ -582,22 +630,18 @@ class WeightedSweep:
             with np.errstate(all="ignore"):
                 return np.exp(G - gb[p]) * f
 
-        def simpson(i, lo, hi, tol):
-            k, g_end = terms[i % rows], gb[i // rows]
-            f, G = self.fs[k], self.gexp.cumulative
-            self.counts[k, 2] += 1
-            try:
-                return adaptive_simpson(lambda s: math.exp(G(s) - g_end) * f(s), lo, hi, tol)
-            except (NddeError, ArithmeticError) as err:
-                raise QuadratureError(f"sweep of {self.labels[k]}{where}: {err}") from err
-
-        pieces = _refine(
-            sample, np.repeat(a, rows), np.repeat(b, rows),
-            np.tile(np.asarray(self.tols)[terms], m), simpson, first.reshape(7, -1),
-        )
+        try:
+            pieces = _refine(
+                sample, np.repeat(a, rows), np.repeat(b, rows),
+                np.tile(np.asarray(self.tols)[terms], m), first.reshape(7, -1),
+            )
+        except _RefineError as err:
+            label = self.labels[terms[err.interval % rows]]
+            raise QuadratureError(f"sweep of {label}{where}: {err}") from err
         passed = pieces.passed.reshape(m, rows).sum(0)
         self.counts[terms, 0] += passed
         self.counts[terms, 1] += m - passed
+        self.counts[terms, 2] += np.bincount(pieces.ids[pieces.floor] % rows, minlength=rows)
         return pieces.totals().reshape(m, rows).T
 
     def at(self, t: float, k: int | None = None):

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, summaries, artifacts, determinism."""
 
 import filecmp
+import importlib.util
 import io
 import json
 import math
@@ -282,6 +283,43 @@ def test_picard_divergence_reported_not_raised(tmp_path):
     assert "crosscheck.sup_diff = skipped" in text
     ratio = float(text.split("picard.ratio.max = ")[1].splitlines()[0])
     assert ratio > 1.0
+
+
+def _bench_module(name):
+    """A module of the benchmark's sources, loaded by path and only read."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_request_path_calls_adaptive_simpson(tmp_path, monkeypatch):
+    # the criterion sweep, the cumulative tables and the operator refine
+    # by halving alone: the certify twin whose kinked neutral_damping
+    # panels, and the tenfold Picard run whose cusps, were once handed to
+    # adaptive Simpson, run without it, as do a preset and a stability run
+    import ndde.quadrature
+    from ndde.integrator import stability_experiment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive Simpson called on a request path")
+
+    twin = next(r for r in _bench_module("workloads").certify_deck(1).requests if r.name == "twin0")
+    monkeypatch.setattr(ndde.quadrature, "adaptive_simpson", refuse)
+    for name, text in (("twin0", twin.text), ("section4", preset_text("section4"))):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        assert run_check(path, out=io.StringIO()) in (0, 2, 3)
+    path = tmp_path / "bx10.cfg"
+    path.write_text(preset_text("section4-bx10"))
+    out = io.StringIO()
+    with pytest.warns(UserWarning, match="criterion sum"):
+        assert run_picard(path, T=8.0, tol=0.0, out=out) == 0
+    assert "picard.converged = false" in out.getvalue()
+    cfg = loads(preset_text("section4"))
+    report = stability_experiment(cfg.problem, eps=cfg.eps, delta=0.00135, T=cfg.T, h=0.02)
+    assert report.to_text()
 
 
 def test_main_wires_subcommands(cheap_cfg, capsys, tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -739,3 +741,29 @@ def test_sweep_samples_the_weighted_terms_in_bulk(monkeypatch, twin):
         prob = matched_general_form(prob, aux)
     evaluate_criteria(prob, aux, tmax=200.0, grid=512, eps=0.1)
     assert 0 < calls[0] <= (8_000 if twin else 2_000)
+
+
+@pytest.mark.parametrize(
+    "run, args, message",
+    [
+        ("evaluate_criteria", {"tmax": math.inf}, "tmax must be finite, got inf"),
+        ("evaluate_criteria", {"tmax": math.nan}, "tmax must be finite, got nan"),
+        ("evaluate_criteria", {"eps": math.nan}, "eps must be finite, got nan"),
+        ("evaluate_criteria", {"eps": 0.0}, "eps must be positive, got 0.0"),
+        ("alpha_estimate", {"tmax": math.inf}, "tmax must be finite, got inf"),
+        ("alpha_estimate", {"tmax": -math.inf}, "tmax must be finite, got -inf"),
+    ],
+)
+def test_criteria_arguments_are_checked_on_entry(run, args, message):
+    # before the binding and the sweep: no numpy warning on the way
+    prob, aux = _showcase()
+    fn = {"evaluate_criteria": evaluate_criteria, "alpha_estimate": alpha_estimate}[run]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            fn(prob, aux, **{"tmax": 50.0, **args})
+    # the horizon texts stand
+    with pytest.raises(ValidationError, match=r"^tmax = 0\.5 must exceed t0 \+ 1 = 1\.0"):
+        evaluate_criteria(prob, aux, tmax=0.5)
+    with pytest.raises(ValidationError, match=r"^horizon -1\.0 lies below t0 = 0\.0$"):
+        alpha_estimate(prob, aux, tmax=-1.0)

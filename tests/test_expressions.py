@@ -1,12 +1,15 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ndde.errors import DomainError, NonDifferentiableError, ParseError
-from ndde.expressions import Expression, differentiate, parse_expression, signed_power
+from ndde.config import loads
+from ndde.expressions import Expression, _codegen, differentiate, parse_expression, signed_power
+from ndde.presets import preset_text
 
 
 def test_parse_basic_values():
@@ -281,6 +284,25 @@ def test_array_domain_errors_match_the_scalar_message(text, variables, args, mes
     fn = parse_expression(text, variables=variables).vectorized()
     with pytest.raises(DomainError, match=message):
         fn(*(np.array(a) for a in args))
+
+
+def test_array_form_watches_no_finite_literal():
+    # section4's a divides by the literals 7, 0.8, 49 and 0.64; a finite
+    # literal can never be non-finite, so the array target checks none
+    a = loads(preset_text("section4")).problem.a
+    source = _codegen(a.root, {"t": "_a0"}, lambda src: f"_k({src})")
+    assert "/ (7.0)" in source and "/ (0.6400000000000001)" in source
+    assert not re.search(r"_k\(\(-?\d", source)
+    # on literal-only operands the array form is IEEE arithmetic, bitwise
+    # the tree walk's; a non-finite literal keeps its watch
+    ts = np.linspace(-3.0, 40.0, 301)
+    for text in ("(t - 0.2*t + 0.1) / 7 / 0.8 - t^2 / 49 * 0.64 + 2^-3 * t", "t / 1e999 + 1"):
+        e = parse_expression(text)
+        want = [e.evaluate(t=t).hex() for t in ts.tolist()]
+        assert [v.hex() for v in e.vectorized()(ts).tolist()] == want, text
+    assert "_k(float('inf'))" in _codegen(
+        parse_expression("t / 1e999").root, {"t": "_a0"}, lambda src: f"_k({src})"
+    )
 
 
 def test_array_form_raises_where_the_scalar_form_would_have():

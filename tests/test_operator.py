@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -33,6 +34,10 @@ from ndde import (
 )
 from ndde.model import BoundProblem
 from ndde.quadrature import adaptive_simpson, window_integral
+
+
+def _refuse_simpson(*args, **kwargs):
+    raise AssertionError("adaptive Simpson called")
 
 
 def _aux():
@@ -275,6 +280,28 @@ def test_make_mesh_names_a_horizon_at_t0():
         make_mesh(0.0, 0.5, 0.5, 0.1)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ({"T": math.nan}, "horizon T must be finite, got nan"),
+        ({"T": math.inf}, "horizon T must be finite, got inf"),
+        ({"tol": math.nan}, "tol must be finite, got nan"),
+        ({"tol": -math.inf}, "tol must be finite, got -inf"),
+        ({"step": math.nan}, "step must be finite, got nan"),
+        ({"step": 0.0}, "step must be positive, got 0.0"),
+    ],
+)
+def test_picard_arguments_are_checked_on_entry(args, message):
+    # before the precheck and the tables: no warning, no iteration
+    prob, aux = _showcase()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            picard_solve(prob, aux, _const_history(0.001), **{"T": 2.0, **args})
+    with pytest.raises(ValidationError, match=r"^mesh step must be finite, got nan$"):
+        make_mesh(0.0, 0.0, 1.0, math.nan)
+
+
 def test_make_mesh_bounds():
     with pytest.raises(ValidationError):
         make_mesh(0.0, 0.0, 0.0, 0.1)
@@ -383,8 +410,8 @@ def test_kinks_inside_panels_fall_back_and_match_reference(monkeypatch):
     # cusp there (and at its delayed images); psi has a kink at -0.25, which
     # tau1 = t - 0.5 moves inside the live panel [0.2, 0.3]; g has a kink at
     # 0.55, inside the drift windows that end in (0.55, 0.6).  Failing panels
-    # and windows are halved first, so adaptive Simpson only ever sees pieces
-    # of at most 1/1024 of a mesh panel, one of them holding the g kink
+    # and windows are halved, and the halving alone resolves every kink:
+    # adaptive Simpson is never called
     prob, aux = _lagged()
     aux = AuxiliarySpec(p=aux.p, g=parse_expression("0.2 + 0.3*abs(t - 0.55)"))
     mesh = make_mesh(-0.6, 0.0, 2.0, 0.1)
@@ -394,19 +421,12 @@ def test_kinks_inside_panels_fall_back_and_match_reference(monkeypatch):
     z = GridFunction.from_callable(
         mesh, lambda t: fn(t) if t < 0.0 else fn(0.0) * math.cos(3.0 * t), breaks=(split,)
     )
-    fallbacks = []
-
-    def counted(f, a, b, tol=1e-10, max_depth=40):
-        fallbacks.append((a, b))
-        return adaptive_simpson(f, a, b, tol, max_depth)
-
-    monkeypatch.setattr(ndde.operator, "adaptive_simpson", counted)
     live = mesh >= 0.0
-    Az = apply_A(z, prob, aux)
+    with monkeypatch.context() as patch:
+        patch.setattr(ndde.quadrature, "adaptive_simpson", _refuse_simpson)
+        Az = apply_A(z, prob, aux)
+        Bz = apply_B(z, prob, aux, psi)
     assert np.max(np.abs(Az.values[live] - _reference(z, prob, aux))) < 1e-10
-    Bz = apply_B(z, prob, aux, psi)
-    assert any(a < 0.55 < b for a, b in fallbacks)
-    assert all(b - a <= 0.1 / 1024 * (1 + 1e-9) for a, b in fallbacks)
     assert np.max(np.abs(Bz.values[live] - _reference(z, prob, aux, psi))) < 1e-10
 
 

@@ -27,6 +27,10 @@ G_RATE = lambda t: 0.1 / (t + 0.1)
 G_EXACT = lambda t: 0.1 * math.log((t + 0.1) / 0.1)
 
 
+def _refuse_simpson(*args, **kwargs):
+    raise AssertionError("adaptive Simpson called")
+
+
 def test_simpson_polynomials_near_exact():
     assert adaptive_simpson(lambda t: t**3, 0.0, 2.0, 1e-12) == pytest.approx(4.0, abs=1e-12)
     assert adaptive_simpson(lambda t: 3 * t**2 - t, 0.0, 1.0, 1e-12) == pytest.approx(0.5, abs=1e-13)
@@ -176,7 +180,9 @@ def test_cumulative_fallback_on_kinked_partial_panel():
         t = c + rng.uniform(0.2, 0.8) * (end - c)
         calls[0] = 0
         assert gexp.cumulative(t) == pytest.approx(exact(t), abs=1e-11)
-        assert calls[0] > 7  # the Kronrod estimate rejected the kink
+        # the table halved far below 1/1024 around the kink, so the partial
+        # panel across it is narrow enough for its 7 samples
+        assert base < c < end and end - base < 2.0**-20 and calls[0] == 7
         calls[0] = 0
         smooth = c - rng.uniform(1.0, 2.5)
         assert gexp.cumulative(smooth) == pytest.approx(exact(smooth), abs=1e-11)
@@ -196,25 +202,27 @@ def test_cumulative_sees_kinks_near_panel_ends():
 
 def test_kronrod_panels_halve_kinks_before_simpson(monkeypatch):
     # |t - c| on panels of width w that hold c, and on panels clear of it:
-    # the failing panels are halved together, so adaptive Simpson only sees
-    # the pieces that hold c, at most w/1024 wide
+    # the failing panels are halved together, only the pieces beside c are
+    # halved again, and they go far below the 1/1024 of a panel where
+    # adaptive Simpson used to take over, without it
     c, w = 1.0 / 3.0, 0.8
     f = lambda t: abs(t - c)  # noqa: E731
     f_array = lambda t: np.abs(t - c)  # noqa: E731
-    seen = []
-
-    def counted(g, a, b, tol=1e-10, max_depth=40):
-        seen.append((a, b))
-        return adaptive_simpson(g, a, b, tol, max_depth)
-
-    monkeypatch.setattr(quadrature, "adaptive_simpson", counted)
+    monkeypatch.setattr(quadrature, "adaptive_simpson", _refuse_simpson)
     rng = np.random.default_rng(23)
     a = np.concatenate([c - rng.uniform(0.05, 0.95, 12) * w, [2.0, 3.5, -4.0]])
     b = a + w
-    got = quadrature._kronrod_panels(f, f_array, a, b, 1e-11).totals()
+    pieces = quadrature._kronrod_panels(f, f_array, a, b, 1e-11)
+    got = pieces.totals()
     exact = 0.5 * ((b - c) * np.abs(b - c) - (a - c) * np.abs(a - c))
     assert np.abs(got - exact).max() <= 1e-11
-    assert seen and all(lo <= c <= hi and hi - lo <= w / 1024 * (1 + 1e-12) for lo, hi in seen)
+    starts = np.r_[True, pieces.ids[1:] != pieces.ids[:-1]]
+    left = np.where(starts, a[pieces.ids], np.r_[0.0, pieces.right[:-1]])
+    width = pieces.right - left
+    gap = np.maximum(np.maximum(left - c, c - pieces.right), 0.0)
+    halved = width < 0.75 * w
+    assert pieces.passed[-3:].all() and (gap[halved] <= width[halved]).all()
+    assert width.min() < w / 2**20 and not pieces.floor.any()
 
     # a partial panel across c: the scalar query refines it as the array
     # query does
@@ -227,6 +235,48 @@ def test_kronrod_panels_halve_kinks_before_simpson(monkeypatch):
     bulk = gexp.cumulative(ts)
     for t, value in zip(ts.tolist(), bulk.tolist()):
         assert abs(gexp.cumulative(t) - value) <= 1e-14
+
+
+def test_refinement_floor_depth_budget_and_non_finite_samples():
+    def panels(f, a, b, tol=1e-11):
+        return quadrature._kronrod_panels(f, f, np.asarray(a), np.asarray(b), tol)
+
+    # sqrt(|t - c|) outruns the halved tolerance at c: the pieces there are
+    # accepted at the depth floor, and counted
+    c = 1.0 / 3.0
+    pieces = panels(lambda t: abs(t - c) ** 0.5, [0.0, 1.0], [1.0, 2.0])
+    exact = 2.0 / 3.0 * (c**1.5 + (1.0 - c) ** 1.5)
+    assert pieces.totals()[0] == pytest.approx(exact, abs=1e-9)
+    floor = pieces.ids[pieces.floor]
+    assert len(floor) and (floor == 0).all()
+    # a jump of 1e7 still fails the floor on its last piece, 2^-50 wide
+    with pytest.raises(QuadratureError) as info:
+        panels(lambda t: 1e7 * (t >= c), [0.0], [1.0])
+    text = str(info.value)
+    assert text.startswith("no convergence on [0.33333333333333") and "after max refinement depth" in text
+    # a pole multiplies the failing pieces: the budget names the first
+    # interval, and the piece next to the pole it was refining
+    with pytest.raises(QuadratureError) as info:
+        panels(lambda t: 1.0 / (t - 1.3), [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+    text = str(info.value)
+    assert text.startswith("no convergence on [1.0, 2.0] within 65536 panels (refining [")
+    lo, hi = map(float, text.split("(refining [")[1].rstrip("])").split(", "))
+    assert lo <= 1.3 <= hi and hi - lo < 1e-3
+    # a non-finite sample fails at once, named at its t (the first interval's)
+    blow = lambda t: np.where(t > 2.5, math.inf, np.where(t > 1.5, math.nan, 1.0))  # noqa: E731
+    with pytest.raises(QuadratureError, match=r"^non-finite integrand sample nan at t=1\.7236"):
+        panels(blow, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def test_large_integrands_stop_at_rounding_noise():
+    # |K7 - L4| of a rate near 1e6 sits at the rounding of its sums, above
+    # the tables' 1e-11 a unit: halving cannot lower it, so the pieces are
+    # accepted there instead of being halved into the piece budget
+    rate = lambda t: 1e6 * (1.0 + 0.5 * np.sin(t))  # noqa: E731
+    gexp = CumulativeExponent(rate, 0.0, f_array=rate)
+    ts = np.linspace(0.0, 200.0, 1000)
+    exact = 1e6 * (ts + 0.5 * (1.0 - np.cos(ts)))
+    assert np.abs(gexp.cumulative(ts) - exact).max() <= 1e-14 * exact.max()
 
 
 def test_cumulative_query_at_checkpoint_returns_table_entry():
@@ -324,9 +374,9 @@ def test_weighted_sweep_matches_one_shot_reference_on_kinks_and_layers():
     gexp = CumulativeExponent(g, 0.0)
     grid = np.linspace(0.0, 8.0, 33)
     sweep = WeightedSweep(fs, gexp, grid, [1e-12, 1e-12, 5e-12])
-    accepted, halved, simpson = sweep.counts.T
+    accepted, halved, floor = sweep.counts.T
     assert halved[2] > 0  # the layer was resolved by halving...
-    assert simpson[0] > 0 and simpson[1] > 0  # the kinks reached adaptive Simpson
+    assert halved[0] > 0 and halved[1] > 0 and not floor.any()  # so were the kinks
     assert accepted[2] > 0  # and away from it took whole panels
 
     def reference(f, t):

@@ -66,8 +66,8 @@ def test_dump_writes_the_sweep_counts_of_each_request(tmp_path, monkeypatch, cap
     counts = [line for line in lines if line.startswith("sweep.")]
     # one sweep of the three linear-form weighted terms, then the exit code
     assert [line.split(" = ")[0] for line in counts] == [f"sweep.0.counts.{k}" for k in range(3)]
-    accepted, halved, simpson = map(int, counts[0].split(" = ")[1].split())
-    assert accepted >= 63 and halved >= 0 and simpson >= 0
+    accepted, halved, floor = map(int, counts[0].split(" = ")[1].split())
+    assert accepted >= 63 and halved >= 0 and floor >= 0
     assert lines[-1] == "exit = 0"
 
     # a changed quadrature decision fails the diff

@@ -13,8 +13,9 @@ deck request of the same seeds, run as the benchmark runs it
 preset: their summaries, then every line of the CSV body as one
 ``csv.N = LINE`` line, which ``--diff`` compares as text, so any changed
 byte fails it.  After it come the ``WeightedSweep.counts`` of every
-sweep the request made, one ``sweep.N.counts.K = accepted halved simpson``
-line per integrand K, caught by wrapping ``ndde.criteria.WeightedSweep``;
+sweep the request made, one ``sweep.N.counts.K = accepted halved floor``
+line per integrand K (panels accepted whole, panels halved, pieces
+accepted at the depth floor), caught by wrapping ``ndde.criteria.WeightedSweep``;
 ``--diff`` compares them as text, so a changed quadrature decision fails
 it.  Each file ends with an ``exit = N`` line.  A stability request also
 writes ``STEM.trajectories.txt``: one ``trajectory.LABEL.sha256 = HEX``
