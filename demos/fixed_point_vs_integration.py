@@ -27,7 +27,7 @@ print("iterations =", result.iterations, " converged =", result.converged)
 print("successive-sweep ratios:", [round(r, 4) for r in result.ratios[:6]], "...")
 res = residual(result)
 print("operator residual sup =", res)
-x_fixed = reconstruct_x(result.z, cfg.aux)
+x_fixed = reconstruct_x(result.z, cfg.aux, cfg.problem.t0)
 
 # Route two: integrate the equation for x directly from the matching
 # history on the lag horizon.

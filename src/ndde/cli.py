@@ -151,7 +151,7 @@ def run_picard(config_path, T=None, tol=None, csv_path=None, out=None) -> int:
     tol = cfg.tol if tol is None else tol
     result = picard_solve(cfg.problem, cfg.aux, cfg.history, T=T, tol=tol)
     defect = residual(result)
-    solution = reconstruct_x(result.z, cfg.aux)
+    solution = reconstruct_x(result.z, cfg.aux, cfg.problem.t0)
     lines = [
         "command = picard",
         f"config = {config_path}",

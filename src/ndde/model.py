@@ -224,6 +224,8 @@ class ProblemSpec:
         if self.form not in ("linear-neutral", "general"):
             raise ValidationError(f"unknown form {self.form!r}")
         object.__setattr__(self, "gamma", _check_gamma(self.gamma))
+        for name in ("t0", "k2", "k3", "k4"):
+            require_number(name, getattr(self, name))
         if self.k4 <= 0:
             raise ValidationError("k4 must be positive (Lipschitz constant of G)")
         if self.form == "linear-neutral":

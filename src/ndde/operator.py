@@ -20,11 +20,12 @@ The |z| <= 1 cap of the candidate space is monitored and reported, never
 projected.
 
 Everything about A and B that does not depend on the candidate is tabulated
-once per request from (binding, mesh, psi).  Each live mesh panel carries
-the 7 nodes of the Lobatto 4 / Kronrod 7 pair of :mod:`ndde.quadrature`
-(the panel ends among them); a node's row holds the damping factor
-exp(G(s) - G(t_j)) (G = int_t0 g, one array query),
-the binding's coefficients of both integrands (``bracket``, ``tail_scale``,
+once per request from (problem, aux, mesh, psi); the tables bind the
+general-form re-encoding themselves, with checkpoints at the live step.
+Each live mesh panel carries the 7 nodes of the Lobatto 4 / Kronrod 7 pair
+of :mod:`ndde.quadrature` (the panel ends among them); a node's row holds
+the damping factor exp(G(s) - G(t_j)) (G = int_t0 g, one array query), the
+binding's coefficients of both integrands (``bracket``, ``tail_scale``,
 ... of :class:`~ndde.model.BoundProblem`, one call of their ``arrays`` form
 each), and the mesh panel and Hermite weights of each delayed argument.
 The drift window W(x) = int^x (g - p'/p) z is, on a live panel, z's four
@@ -33,7 +34,9 @@ Hermite basis, tabulated per query point; below t0 it reads psi and is
 computed once, from a cumulative table that also gives the history head's
 window.  Applying the tables to a candidate is a gather, one array
 call each of G(w z^gamma), Q and F, weighted sums, and the panel recurrence
-I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j.  The Picard result
+I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j.  B's point terms at a
+panel's right end come from the same node rows (the right end is one of the
+nodes), so one read of the rows gives the whole image.  The Picard result
 carries its node rows, so the residual reuses them and adds only the rows
 of the half panels that end at the panel midpoints.  A panel or window
 query whose |K7 - L4| exceeds 1e-11 is refined by ``quadrature._refine``,
@@ -58,8 +61,7 @@ from .criteria import alpha_estimate
 from .errors import ValidationError
 from .hermite import GridFunction, hermite_eval, hermite_weights, locate, uniform_step
 from .model import (
-    AuxiliarySpec, BoundProblem, HistoryFunction, ProblemSpec, bind, horizon, require_after_t0,
-    require_number,
+    AuxiliarySpec, HistoryFunction, ProblemSpec, bind, horizon, require_after_t0, require_number,
 )
 from .quadrature import (
     _K7_W,
@@ -95,16 +97,6 @@ def _split_index(mesh: np.ndarray, t0: float) -> int:
     if idx >= len(mesh) or abs(mesh[idx] - t0) > _MESH_FUZZ * max(1.0, abs(t0)):
         raise ValidationError("mesh must contain t0 as a node")
     return idx
-
-
-def _bind_for_mesh(
-    problem: ProblemSpec, aux: AuxiliarySpec, mesh: np.ndarray
-) -> BoundProblem:
-    """The binding of the general-form re-encoding over a mesh: checkpoints
-    at the live step, within [1e-4, 1]."""
-    live = mesh[_split_index(mesh, problem.t0) :]
-    cp = min(1.0, max(float(live[1] - live[0]), 1e-4))
-    return bind(problem.as_general(), aux, tmax=float(mesh[-1]), checkpoint=cp)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +213,8 @@ class _ARows:
 
 
 class _BRows:
-    """The B integrand at fixed points s, and B's point terms there.
+    """The B integrand at fixed points s and B's point terms there, from one
+    read of z(u1) and of each window.
 
     With u_k = tau_k(s), x1 = p(u1) z(u1) and the binding's ``bracket``:
 
@@ -251,30 +244,28 @@ class _BRows:
             self.p2 = _bulk(arr.p_of, b.p_of, u2)
         self.Q, self.F = (arr.Q_fn, b.Q_fn), (arr.F_fn, b.F_fn)
 
-    def _coupling(self, st: _State):
+    def terms(self, st: _State) -> tuple[np.ndarray, np.ndarray]:
+        """The integrand and the point terms."""
         z1 = self.z1(st)
         x1 = self.p1 * z1
-        return z1, x1, _bulk(*self.Q, self.s, x1)
-
-    def integrand(self, st: _State) -> np.ndarray:
-        z1, x1, q = self._coupling(st)
-        out = self.bracket * z1 - self.g * (self.window(st) - self.window_u1(st)) - q * self.damping
+        q = _bulk(*self.Q, self.s, x1)
+        window = self.window(st) - self.window_u1(st)
+        out = self.bracket * z1 - self.g * window - q * self.damping
         if len(self.forced):
             out[self.forced] += self.d * _bulk(*self.F, x1[self.forced], self.p2 * self.z2(st))
-        return out
+        return out, window + q / self.p
 
-    def point(self, st: _State) -> np.ndarray:
-        _, _, q = self._coupling(st)
-        return self.window(st) - self.window_u1(st) + q / self.p
+    def integrand(self, st: _State) -> np.ndarray:
+        return self.terms(st)[0]
 
 
 class _Panels:
     """Damped integrals int_left^right exp(G(s) - G(right)) f(s) ds on panels.
 
     Each panel's pair nodes carry the damping factor and the A (and, with
-    psi, B) rows; ``decay`` is exp(G(left) -
-    G(right)), which carries an integral that ends at left over to right.
-    With psi the B point terms at the right ends are tabulated too.
+    psi, B) rows; ``decay`` is exp(G(left) - G(right)), which carries an
+    integral that ends at left over to right.  The right end is the nodes'
+    column 1, so B's point terms there are read from the same rows.
     """
 
     def __init__(self, tab: "_Tables", left: np.ndarray, right: np.ndarray):
@@ -285,40 +276,39 @@ class _Panels:
         self.damping = np.exp(G - self.G_right[:, None])
         self.decay = np.exp(G[:, 0] - self.G_right)
         self.a = _ARows(tab, s.ravel()) if tab.with_a else None
-        self.b = self.ends = None
+        self.b = None
         if tab.psi is not None:
             self.b = _BRows(tab, s.ravel())
-            self.ends = _BRows(tab, right)
             self.head = tab.head * np.exp(-self.G_right)
 
-    def _integrate(self, rows, st: _State) -> np.ndarray:
-        """Each panel's sum by the shared refinement: the first level from these
-        rows, deeper ones from rows built at the sub-panels' nodes."""
-        make, gexp = type(rows), self.tab.bound.gexp
+    def _integrate(self, make, values: np.ndarray, st: _State, start) -> np.ndarray:
+        """The damped integrals up to each right end of the integrand whose
+        node ``values`` the rows gave: each panel's sum by the shared
+        refinement, deeper levels from ``make`` rows at the sub-panels'
+        nodes, carried over from ``start``, the integrals up to each left
+        end, or without it advanced panel by panel from 0."""
+        gexp = self.tab.bound.gexp
 
         def sample(x, ids, pos):
             row = make(self.tab, x.ravel()).integrand(st).reshape(x.shape)
             return np.exp(gexp.cumulative(x) - self.G_right[ids]) * row
 
-        f = self.damping * rows.integrand(st).reshape(self.damping.shape)
-        return _refine(sample, self.left, self.right, _QUAD_TOL, f.T).totals()
+        f = self.damping * values.reshape(self.damping.shape)
+        part = _refine(sample, self.left, self.right, _QUAD_TOL, f.T).totals()
+        return _advance(self.decay, part) if start is None else self.decay * start + part
 
     def integrals(self, st: _State, carry=(None, None)):
-        """The damped A and B integrals up to each right end (None where not
-        tabulated): carried over from ``carry``, the integrals up to each
-        left end, or without it advanced panel by panel from 0."""
-        out = []
-        for rows, start in zip((self.a, self.b), carry):
-            if rows is None:
-                out.append(None)
-                continue
-            part = self._integrate(rows, st)
-            out.append(_advance(self.decay, part) if start is None else self.decay * start + part)
-        return tuple(out)
-
-    def b_point(self, st: _State) -> np.ndarray:
-        """The damped history head plus B's point terms at the right ends."""
-        return self.head + self.ends.point(st)
+        """The damped A and B integrals up to each right end, and the damped
+        history head plus B's point terms there (None where not tabulated);
+        ``carry`` holds the A and B integrals up to each left end, if known."""
+        a = b = point = None
+        if self.a is not None:
+            a = self._integrate(_ARows, self.a.integrand(st), st, carry[0])
+        if self.b is not None:
+            f, terms = self.b.terms(st)
+            b = self._integrate(_BRows, f, st, carry[1])
+            point = self.head + terms.reshape(self.damping.shape)[:, 1]
+        return a, b, point
 
 
 def _history_drift(coef, psi, u):
@@ -329,35 +319,36 @@ def _history_drift(coef, psi, u):
 class _Tables:
     """Everything about A and B on one mesh that does not depend on z.
 
-    Built once from the binding, the mesh and psi; the rows of a set of
-    panels live in a :class:`_Panels` on these tables, and :meth:`state`
-    reads one candidate.  B is tabulated when psi is given, A when
-    ``with_a`` is set; without psi, candidates are read through their own
-    interpolant on the history segment too.
+    Built once from the problem, aux, the mesh and psi; the tables bind
+    the general-form re-encoding over the mesh themselves, with checkpoints
+    at the live step within [1e-4, 1].  The rows of a set of panels live in
+    a :class:`_Panels` on these tables, and :meth:`state` reads one
+    candidate.  B is tabulated when psi is given, A when ``with_a`` is set;
+    without psi, candidates are read through their own interpolant on the
+    history segment too.
     """
 
     def __init__(
         self,
-        bound: BoundProblem,
+        problem: ProblemSpec,
+        aux: AuxiliarySpec,
         mesh: np.ndarray,
         psi: HistoryFunction | None = None,
         with_a: bool = True,
     ):
-        b = bound
-        self.bound, self.psi, self.with_a = b, psi, with_a
+        self.psi, self.with_a = psi, with_a
         self.mesh = mesh = np.asarray(mesh, dtype=float)
-        self.step = uniform_step(mesh)
-        self.t0 = t0 = b.t0
+        self.t0 = t0 = problem.t0
         self.split = split = _split_index(mesh, t0)
-        span = float(mesh[-1] - mesh[0])
-        if b.tmax < mesh[-1] - _MESH_FUZZ * max(1.0, span):
-            raise ValidationError("bound horizon is shorter than the mesh")
+        self.live = live = mesh[split:]
+        cp = min(1.0, max(float(live[1] - live[0]), 1e-4))
+        self.bound = b = bind(problem.as_general(), aux, tmax=float(mesh[-1]), checkpoint=cp)
+        self.step = uniform_step(mesh)
         if mesh[0] > b.m + _MESH_FUZZ * max(1.0, abs(b.m)):
             raise ValidationError(
                 f"mesh starts at {float(mesh[0])!r} but delayed arguments reach"
                 f" down to m = {b.m!r}"
             )
-        self.live = mesh[split:]
 
         if psi is not None:
             fn, fa = psi.psi.compiled(), psi.psi.vectorized()
@@ -398,9 +389,9 @@ def apply_A(
 
     Zero on the history segment and at t0; same mesh as z.
     """
-    tables = _Tables(_bind_for_mesh(problem, aux, z.mesh), z.mesh)
+    tables = _Tables(problem, aux, z.mesh)
     values = np.zeros_like(z.values)
-    values[tables.split :], _ = tables.node_panels().integrals(tables.state(z))
+    values[tables.split :] = tables.node_panels().integrals(tables.state(z))[0]
     return GridFunction.from_values(z.mesh, values, breaks=(tables.split,))
 
 
@@ -411,11 +402,11 @@ def apply_B(
     psi: HistoryFunction,
 ) -> GridFunction:
     """The contraction summand (seven terms); equals psi on the history."""
-    tables = _Tables(_bind_for_mesh(problem, aux, z.mesh), z.mesh, psi, with_a=False)
+    tables = _Tables(problem, aux, z.mesh, psi, with_a=False)
     values = np.empty_like(z.values)
     values[: tables.split] = tables.history(z.mesh[: tables.split])
-    nodes, st = tables.node_panels(), tables.state(z)
-    values[tables.split :] = nodes.integrals(st)[1] + nodes.b_point(st)
+    _, b, point = tables.node_panels().integrals(tables.state(z))
+    values[tables.split :] = b + point
     return GridFunction.from_values(z.mesh, values, breaks=(tables.split,))
 
 
@@ -470,7 +461,7 @@ def picard_solve(
         step = min(0.05, (T - t0) / 200.0)
     m = min(horizon(problem, T).m, t0)
     mesh = make_mesh(m, t0, T, step)
-    tables = _Tables(_bind_for_mesh(problem, aux, mesh), mesh, psi)
+    tables = _Tables(problem, aux, mesh, psi)
     split = tables.split
 
     # psi on the history, continued by the constant psi(t0)
@@ -489,10 +480,9 @@ def picard_solve(
     step_norm = math.inf
 
     for iterations in range(1, max_iter + 1):
-        st = tables.state(z)
-        a, b = nodes.integrals(st)
+        a, b, point = nodes.integrals(tables.state(z))
         new_values = values.copy()
-        new_values[split:] = a + b + nodes.b_point(st)
+        new_values[split:] = a + b + point
         if not np.all(np.isfinite(new_values)):
             step_norm = math.inf
             break
@@ -532,15 +522,14 @@ def residual(result: PicardResult, include_midpoints: bool = True) -> float:
     """
     nodes, tables = result.nodes, result.nodes.tab
     st = tables.state(result.z)
-    a, b = nodes.integrals(st)
+    a, b, point = nodes.integrals(st)
     points = live = tables.live
-    image = a + b + nodes.b_point(st)
+    image = a + b + point
     if include_midpoints:
         mids = 0.5 * (live[:-1] + live[1:])
-        half = _Panels(tables, live[:-1], mids)
-        a_mid, b_mid = half.integrals(st, carry=(a[:-1], b[:-1]))
+        a_mid, b_mid, point_mid = _Panels(tables, live[:-1], mids).integrals(st, (a[:-1], b[:-1]))
         points = np.concatenate((live, mids))
-        image = np.concatenate((image, a_mid + b_mid + half.b_point(st)))
+        image = np.concatenate((image, a_mid + b_mid + point_mid))
     defect = np.abs(result.z.eval_array(points) - image)
     # a NaN defect is skipped, and the result is at least 0
     return float(np.max(defect, initial=0.0, where=~np.isnan(defect)))

@@ -176,6 +176,44 @@ def test_picard_summary_reports_crosscheck(cheap_cfg, tmp_path):
     assert header.startswith("# gridfunction")
 
 
+_CONSTANT_LAG = """
+[problem]
+form = "linear-neutral"
+t0 = "0"
+gamma = "1/3"
+r1 = "1"
+r2 = "0.5"
+a = "0.5/(t + 1)"
+b = "0.05*sin(t)"
+c = "0.01/(t + 1)"
+G = "sin(x)"
+k4 = "1"
+
+[aux]
+p = "2/(t + 2)"
+g = "0.1/(t + 2)"
+
+[history]
+psi = "0.001 + 0*t"
+
+[run]
+T = "5"
+"""
+
+
+def test_picard_csv_holds_psi_below_t0(tmp_path):
+    # m = -1 < t0 = 0, and p = 2 on the history: x is psi there, not p psi
+    path, csv = tmp_path / "lag.cfg", tmp_path / "fp.csv"
+    path.write_text(_CONSTANT_LAG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the precheck's criterion sum exceeds 1
+        assert run_picard(path, csv_path=csv, out=io.StringIO()) == 0
+    rows = [tuple(map(float, line.split(","))) for line in csv.read_text().splitlines()[2:]]
+    history = [x for t, x in rows if t < 0.0]
+    assert rows[0][0] == -1.0 and len(history) == 40
+    assert history == [0.001] * 40
+
+
 def test_crosscheck_sup_equals_the_pointwise_loop(cheap_cfg, monkeypatch):
     import ndde.cli
 

@@ -88,6 +88,13 @@ def test_form_requirements():
         _linear_problem(k4=0.0)
 
 
+@pytest.mark.parametrize("name", ["t0", "k2", "k3", "k4"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_problem_spec_refuses_non_finite_numbers(name, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be finite, got {value!r}$"):
+        _linear_problem(**{name: value})
+
+
 def test_validate_rejects_unit_delay_slope():
     prob = _linear_problem(r1=DelaySpec(parse_expression("t + 1")))
     with pytest.raises(ValidationError) as err:

@@ -167,3 +167,22 @@ def test_dump_writes_a_trajectory_digest_per_family_member(tmp_path, monkeypatch
     capsys.readouterr()
     assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b), "--tol", "1e300"]) == 1
     assert f"stab.trajectories.txt: {lines[0].split(' = ')[0]} " in capsys.readouterr().out
+
+
+def test_dump_runs_the_literal_configs_through_every_run(monkeypatch):
+    import sys
+
+    from ndde.config import loads
+    from ndde.model import horizon
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # _requests puts the checkout first
+    requests = {stem: rest for stem, *rest in compare_reports._requests(_PATH.parent.parent)}
+    for name, text in compare_reports.LITERALS.items():
+        for kind in ("check", "picard-csv", "simulate-csv"):
+            assert requests[f"{name}-{kind}"] == [kind, text]
+        assert requests[f"{name}-stability"] == ["stability", text, compare_reports.LITERAL_DELTA]
+        # each has a history segment before t0, which no deck has
+        cfg = loads(text)
+        assert horizon(cfg.problem, cfg.T).m < cfg.problem.t0
+    general = loads(compare_reports.LITERALS["general-qf"]).problem
+    assert general.form == "general" and not general.d.is_zero()

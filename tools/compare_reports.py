@@ -12,7 +12,10 @@ deck request of the same seeds, run as the benchmark runs it
 ``ndde simulate --csv`` and ``ndde picard --csv`` runs of the ``section4``
 preset: their summaries, then every line of the CSV body as one
 ``csv.N = LINE`` line, which ``--diff`` compares as text, so any changed
-byte fails it.  After it come the ``WeightedSweep.counts`` of every
+byte fails it.  The two ``LITERALS`` configs, which reach what no deck
+does (a history segment before t0, the general form with its d F term),
+run through all four: ``check``, ``picard --csv``, ``simulate --csv`` and
+the stability run.  After it come the ``WeightedSweep.counts`` of every
 sweep the request made, one ``sweep.N.counts.K = accepted halved floor``
 line per integrand K (panels accepted whole, panels halved, pieces
 accepted at the depth floor), caught by wrapping ``ndde.criteria.WeightedSweep``;
@@ -50,6 +53,53 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (*range(1, 11), 1009)
 PRESETS = ("section4", "section4-boundary", "section4-bx10")
 
+# constant lags give m = -1 < t0 = 0; the general form has d F != 0 and a
+# history segment too
+_AUX_HISTORY_RUN = """
+[aux]
+p = "2/(t + 2)"
+g = "0.1/(t + 2)"
+
+[history]
+psi = "0.001 + 0*t"
+
+[run]
+tmax = "200"
+T = "5"
+"""
+LITERALS = {
+    "constant-lag": """[problem]
+form = "linear-neutral"
+t0 = "0"
+gamma = "1/3"
+r1 = "1"
+r2 = "0.5"
+a = "0.5/(t + 1)"
+b = "0.05*sin(t)"
+c = "0.01/(t + 1)"
+G = "sin(x)"
+k4 = "1"
+""" + _AUX_HISTORY_RUN,
+    "general-qf": """[problem]
+form = "general"
+t0 = "0"
+gamma = "1/3"
+r1 = "0.3*t"
+r2 = "1 + 0*t"
+a = "0.5 + 0.1*sin(t)"
+c = "0.05 + 0*t"
+G = "sin(x)"
+k4 = "1"
+Q = "0.2*cos(t)*sin(x)"
+q_bound = "0.2*abs(cos(t))"
+d = "0.1 + 0*t"
+F = "0.5*sin(x) - 0.3*y"
+k2 = "0.5"
+k3 = "0.3"
+""" + _AUX_HISTORY_RUN,
+}
+LITERAL_DELTA = 0.001  # the history size of the literals' stability runs
+
 
 def _requests(root: Path):
     """(file stem, kind, config text[, delta]) of every request to dump;
@@ -62,6 +112,10 @@ def _requests(root: Path):
         yield f"preset-{name}", "check", preset_text(name)
     for kind in ("simulate", "picard"):
         yield f"preset-section4-{kind}-csv", f"{kind}-csv", preset_text("section4")
+    for name, text in LITERALS.items():
+        for kind in ("check", "picard-csv", "simulate-csv"):
+            yield f"{name}-{kind}", kind, text
+        yield f"{name}-stability", "stability", text, LITERAL_DELTA
     for workload in ("certify", "picard", "stability"):
         for seed in SEEDS:
             for request in workloads.deck(workload, seed).requests:
