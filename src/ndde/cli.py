@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, load_config, run_value
 from .criteria import evaluate_criteria
-from .errors import ConfigError, NddeError
+from .errors import ConfigError, NddeError, ValidationError
 from .integrator import integrate
 from .model import horizon, transformed_history
 from .operator import picard_solve, reconstruct_x, residual
@@ -163,22 +164,31 @@ def run_picard(config_path, T=None, tol=None, csv_path=None, out=None) -> int:
         f"picard.final_step = {float(result.final_step)!r}",
         f"picard.residual.sup = {float(defect)!r}",
     ]
+    crosscheck = "skipped (iteration did not converge)"
     if result.converged:
-        # cross-method check: map the fixed point back through the weight and
-        # compare with a direct integration started from the matching history
-        m = horizon(cfg.problem, T).m
-        history_x = transformed_history(cfg.problem, cfg.aux, cfg.history, m)
-        trajectory = integrate(cfg.problem, history_x, T=T, h=min(cfg.step, 1e-3))
-        probes = np.linspace(cfg.problem.t0, T, 801)
-        sup = np.max(np.abs(solution.eval_array(probes) - trajectory.eval_array(probes)))
-        lines.append(f"crosscheck.sup_diff = {float(sup)!r}")
-    else:
-        lines.append("crosscheck.sup_diff = skipped (iteration did not converge)")
+        crosscheck = _crosscheck(cfg, T, solution)
+    lines.append(f"crosscheck.sup_diff = {crosscheck}")
     if csv_path is not None:
         solution.to_csv(csv_path)
         lines.append(f"csv = {csv_path}")
     print("\n".join(lines), file=out)
     return 0
+
+
+def _crosscheck(cfg, T, solution) -> str:
+    """Cross-method check: map the fixed point back through the weight and
+    compare with a direct integration started from the matching history.
+    Returns the sup difference, or why it was skipped when no history
+    matches."""
+    m = horizon(cfg.problem, T).m
+    try:
+        history_x = transformed_history(cfg.problem, cfg.aux, cfg.history, m)
+    except ValidationError as exc:
+        return f"skipped ({exc})"
+    trajectory = integrate(cfg.problem, history_x, T=T, h=min(cfg.step, 1e-3))
+    probes = np.linspace(cfg.problem.t0, T, 801)
+    sup = np.max(np.abs(solution.eval_array(probes) - trajectory.eval_array(probes)))
+    return repr(float(sup))
 
 
 def run_example(name, directory=".", out=None) -> int:
@@ -194,14 +204,16 @@ def main(argv=None) -> int:
         namespace = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    try:
-        return namespace.func(namespace)
-    except NddeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # library warnings read like config warnings: one line, no source location
+        warnings.showwarning = lambda message, *_, **__: print(
+            f"warning: {message}", file=sys.stderr
+        )
+        try:
+            return namespace.func(namespace)
+        except (NddeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -17,11 +17,13 @@ One stepper advances a family of M >= 1 histories in lockstep on one grid:
 right-hand side splits into a t-only row (coefficients, delayed arguments,
 and where each delayed argument lands: the stage state, the history, a
 closed panel with its Hermite weights, or the open panel), evaluated once
-and shared by every member, and a per-member combination of that row with
-the member's own state.  Each member keeps its own inner iteration, its
-own junction bootstrap, and its own step halving (only the members that
-fail to settle rerun at h/2), and takes exactly the arithmetic of a
-one-member run, so a family member is bitwise equal to its own run.  A
+for the whole family, and a per-member combination of that row with the
+member's own state.  The members share only the coefficients and the
+located lookups: a step values each lookup where a stage reads it, by one
+rule for every kind of location.  Each member keeps its own inner
+iteration, its own junction bootstrap, and its own step halving (only the
+members that fail to settle rerun at h/2), and takes exactly the arithmetic
+of a one-member run, so a family member is bitwise equal to its own run.  A
 family that fails raises the error of the first failure in t.
 
 Blocks.  The equations as written (linear and general form) read x only
@@ -330,7 +332,9 @@ class _Lockstep:
     The family's nodes are one (members x nodes) array for x and one for
     x', which the blocks gather from for all members at once; the step
     loop reads and writes them through per-member float views.  Every
-    lookup is located once per stage time for the whole family.
+    lookup is located once per stage time for the whole family; the
+    members share only the coefficients and the located lookups, and the
+    step loop values each lookup for each member where a stage reads it.
     ``counts`` records the steps taken one by one, the blocks, the steps in
     blocks, and the block attempts abandoned.
     """
@@ -412,52 +416,37 @@ class _Lockstep:
         return (_HIST, True, u, None)
 
     # ------------------------------------------------------------- values
-    def _step_values(self, locs, active):
-        """Per active member, the lookup values that hold for the whole step:
-        None where a lookup is not read or moves within the step."""
-        cols = []
+    def _values(self, j, locs, y, xr, dr):
+        """Member j's value of each located lookup (None where not read), at
+        stage state y with the open panel's provisional right end (xr, dr)."""
+        xs, ds = self.xs[j], self.ds[j]
+        out = []
         for loc in locs:
-            if loc is None or loc[0] in _MOVING:
-                cols.append([None] * len(active))
-                continue
-            kind, slope, where, w = loc
-            if kind == _HIST:
-                fns = self.psi_prime if slope else self.psi
-                cols.append([fns[j](where) for j in active])
-            elif kind == _NODE:
-                nodes = self.ds if slope else self.xs
-                cols.append([nodes[j][where] for j in active])
-            else:
-                xs, ds, i = self.xs, self.ds, where
-                cols.append([
-                    hermite_eval(w, xs[j][i], ds[j][i], xs[j][i + 1], ds[j][i + 1])
-                    for j in active
-                ])
-        return list(zip(*cols))
-
-    def _stage(self, base, moving, j, y, xr, dr):
-        """Member j's lookup values at one stage: ``base`` from
-        :meth:`_step_values` with the moving lookups filled in from the stage
-        state y and the open panel's provisional right end (xr, dr)."""
-        v = list(base)
-        for q, (kind, slope, where, w) in moving:
-            if kind == _SELF:
-                v[q] = y
-            elif kind == _DSELF:
-                v[q] = dr
-            else:
-                v[q] = hermite_eval(w, self.xs[j][where], self.ds[j][where], xr, dr)
-        return v
+            v = None
+            if loc is not None:
+                kind, slope, where, w = loc
+                if kind == _CLOSED:
+                    v = hermite_eval(w, xs[where], ds[where], xs[where + 1], ds[where + 1])
+                elif kind == _OPEN:
+                    v = hermite_eval(w, xs[where], ds[where], xr, dr)
+                elif kind == _HIST:
+                    v = (self.psi_prime if slope else self.psi)[j](where)
+                elif kind == _NODE:
+                    v = (ds if slope else xs)[where]
+                else:
+                    v = y if kind == _SELF else dr
+            out.append(v)
+        return out
 
     # ------------------------------------------------------------------
-    def _bootstrap(self, j, co, base, moving, rhs):
+    def _bootstrap(self, j, co, locs, rhs):
         """x'(t0) from the equation itself; the history only predicts."""
         t0 = self.t0
         x0 = float(self.psi[j](t0))
         self.xs[j][0] = x0
         d0 = float(self.psi_prime[j](t0))
         for _ in range(_INNER_MAX):
-            d_new = rhs(co, self._stage(base, moving, j, x0, None, d0))
+            d_new = rhs(co, self._values(j, locs, x0, None, d0))
             if abs(d_new - d0) <= self.tol:
                 self.ds[j][0] = d_new
                 return
@@ -480,10 +469,8 @@ class _Lockstep:
         (row, rhs), bulk = form
         members = range(len(self.xs))
         co, locs = row(self.t0, self._X0, self._Xp0)
-        base = self._step_values(locs, members)
-        moving = _moving(locs)
         for j in members:
-            self._bootstrap(j, co, base[j], moving, rhs)
+            self._bootstrap(j, co, locs, rhs)
         active = list(members)
         k = 0
         while k < self.n and active:
@@ -508,62 +495,47 @@ class _Lockstep:
 
     def _step(self, k, active, row, rhs):
         """Step k of the active members, one RK4 step with the inner
-        correction; returns the members that failed to settle."""
+        correction, each member valuing every lookup where a stage reads it;
+        returns the members that failed to settle."""
         self.counts["steps"] += 1
         self.k = k
         h = self.h
         half = 0.5 * h
         h6 = h / 6.0
-        t = self.ts[k]
         tn = self.ts[k + 1]
-        mid_co, mid = row(t + half, self.X, self.Xp)
+        mid_co, mid = row(self.ts[k] + half, self.X, self.Xp)
         end_co, end = row(tn, self.X, self.Xp)
-        mid_moving = _moving(mid)
-        end_moving = _moving(end)
-        # only a lookup on the open panel needs the inner correction
-        touched = any(loc[0] == _OPEN for _, loc in mid_moving + end_moving)
-        mid_base = self._step_values(mid, active)
-        end_base = self._step_values(end, active)
+        mid_kinds, end_kinds = ({loc[0] for loc in locs if loc is not None} for locs in (mid, end))
+        # k2 and k3 differ only through the stage state, so k3 = k2 for a mid
+        # row that does not read it, which is valued once a step if none of
+        # its lookups moves; an end row none of whose lookups moves gives
+        # x'(t_{k+1}) = k4.  Only the open panel needs the inner correction.
+        mid_moves = not mid_kinds.isdisjoint(_MOVING)
+        mid_reads_y = _SELF in mid_kinds
+        end_moves = not end_kinds.isdisjoint(_MOVING)
+        touched = _OPEN in mid_kinds or _OPEN in end_kinds
+        values = self._values
         failed = []
-        for idx, j in enumerate(active):
-            xs, ds = self.xs[j], self.ds[j]
-            xk = xs[k]
-            k1 = ds[k]
-            # a row none of whose lookups moves has one value per step
-            if not mid_moving:
-                k2 = k3 = rhs(mid_co, mid_base[idx])
-            if not end_moving:
-                k4 = d_end = rhs(end_co, end_base[idx])
-            xr = xk + h * k1
-            dr = k1
-            for _ in range(_INNER_MAX):
-                if mid_moving:
-                    v = self._stage(mid_base[idx], mid_moving, j, xk + half * k1, xr, dr)
-                    k2 = rhs(mid_co, v)
-                    v = self._stage(mid_base[idx], mid_moving, j, xk + half * k2, xr, dr)
-                    k3 = rhs(mid_co, v)
-                if end_moving:
-                    v = self._stage(end_base[idx], end_moving, j, xk + h * k3, xr, dr)
-                    k4 = rhs(end_co, v)
-                x_new = xk + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for j in active:
+            xk, k1 = self.xs[j][k], self.ds[j][k]
+            xr, dr = xk + h * k1, k1
+            for it in range(_INNER_MAX):
+                if it == 0 or mid_moves:
+                    k2 = rhs(mid_co, values(j, mid, xk + half * k1, xr, dr))
+                    k3 = rhs(mid_co, values(j, mid, xk + half * k2, xr, dr)) if mid_reads_y else k2
+                k4 = rhs(end_co, values(j, end, xk + h * k3, xr, dr))
                 x_prev, d_prev = xr, dr
-                xr = x_new
-                if end_moving:
-                    v = self._stage(end_base[idx], end_moving, j, x_new, xr, d_prev)
-                    dr = rhs(end_co, v)
-                else:
-                    dr = d_end
-                if not touched:
-                    break
-                if max(abs(xr - x_prev), h * abs(dr - d_prev)) <= self.tol:
+                xr = xk + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                dr = rhs(end_co, values(j, end, xr, xr, d_prev)) if end_moves else k4
+                if not touched or max(abs(xr - x_prev), h * abs(dr - d_prev)) <= self.tol:
                     break
             else:
                 failed.append(j)
                 continue
             if not (math.isfinite(xr) and math.isfinite(dr)):
                 raise IntegrationError(f"state became non-finite near t = {tn!r}")
-            xs[k + 1] = xr
-            ds[k + 1] = dr
+            self.xs[j][k + 1] = xr
+            self.ds[j][k + 1] = dr
         return failed
 
     # -------------------------------------------------------------- blocks
@@ -697,11 +669,6 @@ class _Lockstep:
         return rows[~ok].tolist()
 
 
-def _moving(locs):
-    """(index, location) of each read lookup whose value moves within a step."""
-    return [(q, loc) for q, loc in enumerate(locs) if loc is not None and loc[0] in _MOVING]
-
-
 def _require_run(T, h, tol) -> None:
     """The numeric arguments every run checks on entry."""
     require_number("horizon T", T)
@@ -726,7 +693,7 @@ def _drive(form, histories, t0, T, h, tol, m) -> list[Trajectory]:
             return out
         step *= 0.5
     raise IntegrationError(
-        f"inner step correction kept failing down to h = {step!r}; "
+        f"inner step correction kept failing down to h = {sweep.h!r}; "
         "the delay overlap is too strong for this stepper"
     )
 

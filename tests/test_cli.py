@@ -214,6 +214,23 @@ def test_picard_csv_holds_psi_below_t0(tmp_path):
     assert history == [0.001] * 40
 
 
+def test_picard_keeps_its_summary_when_no_history_matches(tmp_path):
+    # p(t0) = 0.5 on a history segment: the fixed point has no direct-run
+    # history to compare with, so the cross-check is skipped, not an error
+    path = tmp_path / "lag.cfg"
+    path.write_text(_CONSTANT_LAG.replace('p = "2/(t + 2)"', 'p = "1/(t + 2)"'))
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p(t0) != 1 and the precheck's criterion sum
+        assert run_picard(path, out=out) == 0
+    text = out.getvalue()
+    assert "picard.converged = true" in text
+    assert (
+        "crosscheck.sup_diff = skipped (transform matching needs p(t0) = 1"
+        " or a degenerate history interval)"
+    ) in text.splitlines()
+
+
 def test_crosscheck_sup_equals_the_pointwise_loop(cheap_cfg, monkeypatch):
     import ndde.cli
 
@@ -305,6 +322,17 @@ def test_oversized_inputs_are_one_line_errors(tmp_path, argv, run, message):
     assert "Traceback" not in done.stderr
     (line,) = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert message in line
+
+
+def test_cli_prints_library_warnings_as_one_line(tmp_path):
+    path = tmp_path / "bx10.cfg"
+    path.write_text(_cheap("section4-bx10"))
+    done = _capped_cli(tmp_path, "picard", path, "--T", "8")
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert any("criterion sum reaches" in line for line in lines)
+    for line in lines:
+        assert line.startswith("warning: ") and ".py:" not in line
 
 
 def test_picard_divergence_reported_not_raised(tmp_path):

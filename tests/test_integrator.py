@@ -238,6 +238,15 @@ def test_noncontractive_neutral_junction_fails_fast():
         integrate(prob, _hist("0.1 + 0*t"), T=1.0, h=0.01)
 
 
+def test_exhausted_halvings_name_the_last_step_tried():
+    # a lag far shorter than the step with |b| > 1 on the open panel never
+    # settles; the sweeps run at 0.1 / 2^0 .. 0.1 / 2^6, and the error names
+    # the last of them
+    prob = _linear(a="1 + 0*t", b="2 + 0*t", c="0.3 + 0*t", r1="0.0001 + 0*t", r2="0.2*t")
+    with pytest.raises(IntegrationError, match=r"kept failing down to h = 0\.0015625;"):
+        integrate(prob, _hist("0.1 + 0*t"), T=1.0, h=0.1)
+
+
 def test_rejects_bad_horizon_and_step():
     prob = _linear()
     with pytest.raises(ValidationError):
@@ -361,16 +370,20 @@ def _assert_same_run(member, solo):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case", ["showcase", "general", "constant_lag"])
+@pytest.mark.parametrize("case", ["showcase", "general", "constant_lag", "step_loop"])
 def test_family_members_equal_one_member_runs_bitwise(monkeypatch, case):
     prob, _ = _showcase()
-    if case == "general":
+    if case in ("general", "step_loop"):
         prob = prob.as_general()
     if case == "constant_lag":
         prob = _linear(a="0.3 + 0*t", b="0.2*cos(t)", c="0.1 + 0*t", r1="1 + 0*t", r2="0.5 + 0*t")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        if case == "step_loop":
+            _one_by_one(monkeypatch)
         members = _family_runs(monkeypatch, prob, delta=0.001, T=20.0, h=0.05)
+        if case == "step_loop":
+            _one_by_one(monkeypatch)  # _family_runs undid the first patch
         assert len(members) == 4
         for member in members:
             _assert_same_run(member, integrate(prob, member.history, T=20.0, h=0.05))
