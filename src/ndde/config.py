@@ -28,7 +28,8 @@ is either an expression over the listed variables or a number.  Example::
 
 ``_KEYS`` lists every key of every section and how its value is read, the
 ``[problem]`` keys as the common ones and then each form's own.  A number
-must be finite, and ``_run_rule`` adds the ``[run]`` ranges, which
+must be finite and obey the API's rule of its name (``model.ARGUMENT_RULES``;
+a file also refuses ``tmax`` and ``tol`` at or below zero), which
 :func:`run_value` also applies to the command-line overrides.
 
 Unknown sections and keys are rejected rather than ignored: a typo in a
@@ -45,7 +46,7 @@ from pathlib import Path
 
 from .errors import ConfigError, NddeError
 from .expressions import parse_expression
-from .model import AuxiliarySpec, DelaySpec, HistoryFunction, ProblemSpec
+from .model import ARGUMENT_RULES, AuxiliarySpec, DelaySpec, HistoryFunction, ProblemSpec, argument_fault
 
 __all__ = ["RunConfig", "load_config", "loads", "run_value"]
 
@@ -69,9 +70,7 @@ _KEYS = {
 }
 _OPTIONAL = ("psi_prime", *_KEYS["run"])  # a [run] key left out keeps RunConfig's default
 _NOUNS = {float: "a number", int: "an integer", Fraction: "a fraction"}
-_POSITIVE = ("tmax", "eps", "step", "tol")
-_MIN_GRID = 64  # fewest coarse samples sup_scan accepts
-_MAX_GRID = 1 << 20  # most coarse samples a check may ask for; the presets take 4,096
+_RULES = {**ARGUMENT_RULES, "tmax": "positive", "tol": "positive"}  # stricter in a file than in the API
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def _require(section: str, entries: dict[str, _Entry], key: str, header_line: in
 
 
 def _read(key: str, raw: str, line: int | None, how):
-    """One value read as ``how`` says; a number must be finite."""
+    """One value read as ``how`` says; a number must be finite and obey its rule."""
     if isinstance(how, tuple):
         try:
             return parse_expression(raw, how)
@@ -176,28 +175,16 @@ def _read(key: str, raw: str, line: int | None, how):
         raise ConfigError(f"{key}: {raw!r} is not {_NOUNS[how]}", line) from exc
     if how is float and not math.isfinite(value):
         raise ConfigError(f"{key}: {raw!r} is not a finite number", line)
+    fault = key in _RULES and argument_fault(value, _RULES[key])
+    if fault:  # an out-of-range whole number is named; a sign refusal has its line
+        raise ConfigError(f"{key}: {fault}" + (f", got {value}" if how is int else ""), line)
     return value
-
-
-def _run_rule(values: dict, lines: dict[str, int]) -> dict:
-    """The run rule: ``grid`` in 64..2^20; ``tmax``, ``eps``, ``step``, ``tol`` positive."""
-    grid = values.get("grid", RunConfig.grid)
-    if not _MIN_GRID <= grid <= _MAX_GRID:
-        need = f"at least {_MIN_GRID}" if grid < _MIN_GRID else f"at most {_MAX_GRID}"
-        raise ConfigError(
-            f"grid: need {need} sample points (the supremum scan's coarse grid), got {grid}",
-            lines.get("grid"),
-        )
-    for key in _POSITIVE:
-        if key in values and values[key] <= 0:
-            raise ConfigError(f"{key}: must be positive", lines.get(key))
-    return values
 
 
 def run_value(key: str, raw: str):
     """A ``[run]`` value given outside a file (a command-line override),
     read by the same rule as in a file; raises ConfigError without a line."""
-    return _run_rule({key: _read(key, raw, None, _KEYS["run"][key])}, {})[key]
+    return _read(key, raw, None, _KEYS["run"][key])
 
 
 def _section(
@@ -244,8 +231,7 @@ def loads(text: str, *, validate: bool = True) -> RunConfig:
         raise ConfigError(f"[aux]: {exc}", headers["aux"]) from exc
 
     history = HistoryFunction(**_section(sections, headers, "history", _KEYS["history"]))
-    run_lines = {key: line for key, (_, line) in sections.get("run", {}).items()}
-    params = _run_rule(_section(sections, headers, "run", _KEYS["run"]), run_lines)
+    params = _section(sections, headers, "run", _KEYS["run"])
 
     soft: tuple[str, ...] = ()
     if validate:

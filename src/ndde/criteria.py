@@ -74,7 +74,7 @@ from .model import (
     DelaySpec,
     ProblemSpec,
     bind,
-    require_number,
+    require,
 )
 from .quadrature import (
     _bulk,
@@ -391,7 +391,7 @@ def alpha_estimate(
     one integration per term and grid point.  ``grid`` is also the coarse
     sample count of the sup scan.
     """
-    require_number("tmax", tmax)
+    require(tmax=tmax, grid=grid)
     return _alpha_from_bound(bind(problem, aux, tmax), tmax, grid)[0]
 
 
@@ -557,13 +557,11 @@ class DeltaBounds:
 
 
 def delta_bounds(alpha: float, K: float, eps: float, bound: BoundProblem) -> DeltaBounds:
+    require(alpha=alpha, K=K, eps=eps)
     if not alpha < 1.0:
         raise ValidationError(f"delta bounds need alpha < 1, got {alpha!r}")
-    if alpha < 0.0:
-        raise ValidationError("alpha must be nonnegative")
     if not K >= 1.0:
         raise ValidationError("K >= 1 required (the diagonal already gives 1)")
-    require_number("eps", eps, positive=True)
     window = bound.drift_window(bound.t0)
     head = bound.q_bound(bound.t0)
     prefactor = 1.0 + window + abs(head)
@@ -793,8 +791,7 @@ def evaluate_criteria(
     asymptotic verdict additionally needs the damped coupling integral to
     decay and the cumulative rate to diverge, else it stays inconclusive.
     """
-    require_number("tmax", tmax)
-    require_number("eps", eps, positive=True)
+    require(tmax=tmax, grid=grid, eps=eps)
     if not tmax > problem.t0 + 1.0:
         raise ValidationError(
             f"tmax = {tmax!r} must exceed t0 + 1 = {problem.t0 + 1.0!r}: the check"

@@ -8,9 +8,10 @@ plain arithmetic, so they work on floats and, elementwise, on arrays.
 Locate rule: a point lies in the cell of the last node at or before it,
 int((u - t_0) / step) on a uniform mesh (widths within 1e-9 relative) and
 by ``searchsorted`` otherwise; the cell is clamped to the mesh and the
-fraction s to [0, 1].  :func:`locate` does this on arrays and
-:meth:`GridFunction.eval` in floats, bit for bit alike.  A node reads its
-own value and slope exactly from either cell: the weights there are 0 and 1.
+fraction s to [0, 1].  :func:`locate` is the only implementation: a
+:class:`GridFunction` query at one point runs it on a numpy scalar.
+A node reads its own value and slope exactly from either cell: the weights
+there are 0 and 1.
 
 Fuzz rule: a query may leave its domain [lo, hi] (the mesh, or a
 trajectory's [m, T]) by 1e-9 max(1, hi - lo); farther out it raises
@@ -172,7 +173,7 @@ class GridFunction:
     mesh by default).  The sup-norm is taken over the mesh nodes.
     """
 
-    __slots__ = ("mesh", "values", "derivs", "_step", "domain", "_accept")
+    __slots__ = ("mesh", "values", "derivs", "_step", "domain")
 
     def __init__(self, mesh, values, derivs, domain=None):
         mesh = np.asarray(mesh, dtype=float)
@@ -188,9 +189,7 @@ class GridFunction:
         self.values = values
         self.derivs = derivs
         self._step = uniform_step(mesh)
-        self.domain = lo, hi = (mesh[0], mesh[-1]) if domain is None else domain
-        fuzz = _FUZZ * max(1.0, abs(hi - lo))
-        self._accept = (lo - fuzz, hi + fuzz)
+        self.domain = (mesh[0], mesh[-1]) if domain is None else domain
 
     # ------------------------------------------------------------------
     @classmethod
@@ -216,26 +215,17 @@ class GridFunction:
 
     # ------------------------------------------------------------------
     def eval(self, t: float, slope: bool = False) -> float:
-        """Value (or slope) at one point: :func:`locate` in float
-        arithmetic, three times faster on one point."""
-        lo, hi = self._accept
-        if not lo <= t <= hi:  # NaN too
-            raise _outside(t, self.domain)
-        mesh, v, d = self.mesh, self.values, self.derivs
-        if self._step is not None:
-            i = int((t - mesh[0]) / self._step)
-        else:
-            i = int(np.searchsorted(mesh, t, side="right")) - 1
-        i = max(0, min(i, len(mesh) - 2))
-        h = mesh[i + 1] - mesh[i]
-        w = hermite_weights(min(max((t - mesh[i]) / h, 0.0), 1.0), h, slope)
-        return float(hermite_eval(w, v[i], d[i], v[i + 1], d[i + 1]))
+        """Value (or slope) at one point: :meth:`eval_array`'s arithmetic on
+        a numpy scalar, which costs less than on a one-element array."""
+        return float(self._at(np.float64(t), slope))
 
     def eval_array(self, ts, slope: bool = False) -> np.ndarray:
-        """:meth:`eval` at every element of a 1-D array-like, bit for bit."""
-        i, w = locate(self.mesh, self._step, np.asarray(ts, dtype=float), slope, self.domain)
-        v, d = self.values, self.derivs
-        return hermite_eval(w, v[i], d[i], v[i + 1], d[i + 1])
+        """Values (or slopes) at every element of a 1-D array-like."""
+        return self._at(np.asarray(ts, dtype=float), slope)
+
+    def _at(self, u, slope: bool):
+        i, w = locate(self.mesh, self._step, u, slope, self.domain)
+        return hermite_eval(w, self.values[i], self.derivs[i], self.values[i + 1], self.derivs[i + 1])
 
     __call__ = eval
 

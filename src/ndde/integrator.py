@@ -74,8 +74,8 @@ from .model import (
     ProblemSpec,
     bind,
     horizon,
+    require,
     require_after_t0,
-    require_number,
 )
 
 _INNER_TOL = 1e-12
@@ -669,19 +669,12 @@ class _Lockstep:
         return rows[~ok].tolist()
 
 
-def _require_run(T, h, tol) -> None:
-    """The numeric arguments every run checks on entry."""
-    require_number("horizon T", T)
-    require_number("step h", h, positive=True)
-    require_number("tol", tol)
-
-
 def _drive(form, histories, t0, T, h, tol, m) -> list[Trajectory]:
     """Integrate every history; members that fail to settle rerun at h/2."""
     require_after_t0(T, t0)
     out: list[Trajectory | None] = [None] * len(histories)
     pending = list(range(len(histories)))
-    step = h
+    step = min(h, T - t0)  # a longer step is one sweep of T - t0, which halving must shorten
     for _ in range(_MAX_HALVINGS + 1):
         sweep = _Lockstep([histories[j] for j in pending], t0, T, step, tol, m)
         runs = sweep.run(form)
@@ -709,7 +702,7 @@ def integrate(
     tol: float = _INNER_TOL,
 ) -> Trajectory:
     """Solve the equation forward from the history psi on [t0, T]."""
-    _require_run(T, h, tol)
+    require(**{"horizon T": T, "step h": h}, tol=tol)
     m = min(horizon(problem, T).m, problem.t0)
     return _drive(_form(problem), [psi], problem.t0, T, h, tol, m)[0]
 
@@ -728,7 +721,7 @@ def integrate_transformed(
     extensions instead of the raw equation), which makes the pair a
     cross-method consistency oracle.
     """
-    _require_run(T, h, tol)
+    require(**{"horizon T": T, "step h": h}, tol=tol)
     prob = problem.as_general()
     bound = bind(prob, aux, tmax=T)
     return _drive(_form_transformed(bound), [psi], prob.t0, T, h, tol, bound.m)[0]
@@ -801,9 +794,7 @@ def stability_experiment(
     a decreasing last-decade trend.  The family is stepped in lockstep;
     each member is bitwise equal to its own :func:`integrate` run.
     """
-    _require_run(T, h, tol)
-    require_number("eps", eps, positive=True)
-    require_number("delta", delta, positive=True)
+    require(**{"horizon T": T, "step h": h}, tol=tol, eps=eps, delta=delta)
     t0 = problem.t0
     m = min(horizon(problem, T).m, t0)
     family = list(psi_family) if psi_family is not None else default_history_family(delta, t0, m)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import DomainError, NonDifferentiableError, ValidationError
 from .expressions import Expression, _piecewise_derivative, differentiate
 from .expressions import signed_power, signed_power_array
-from .quadrature import CumulativeExponent, sup_scan
+from .quadrature import _MAX_TABLE_PANELS, CumulativeExponent, sup_scan
 
 __all__ = [
     "DelaySpec",
@@ -53,7 +54,6 @@ __all__ = [
 _T = Expression.variable("t")
 
 _TABLE_TOL = 1e-11  # the quadrature tolerance of a binding's cumulative tables
-_MAX_TABLE_PANELS = 1 << 22  # checkpoint panels over [m, tmax]; the presets need 1e4
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,7 @@ class ProblemSpec:
         if self.form not in ("linear-neutral", "general"):
             raise ValidationError(f"unknown form {self.form!r}")
         object.__setattr__(self, "gamma", _check_gamma(self.gamma))
-        for name in ("t0", "k2", "k3", "k4"):
-            require_number(name, getattr(self, name))
-        if self.k4 <= 0:
-            raise ValidationError("k4 must be positive (Lipschitz constant of G)")
+        require(t0=self.t0, k2=self.k2, k3=self.k3, k4=self.k4)
         if self.form == "linear-neutral":
             if self.b is None:
                 raise ValidationError("linear-neutral form requires b")
@@ -241,8 +238,6 @@ class ProblemSpec:
                 object.__setattr__(self, "Q_x", self.Q.derivative("x"))
             if not self.F.is_zero() and (self.k2 <= 0 or self.k3 <= 0):
                 raise ValidationError("k2 and k3 must be positive when F is not zero")
-            if self.k2 < 0 or self.k3 < 0:
-                raise ValidationError("k2 and k3 must be nonnegative")
 
     # ------------------------------------------------------------------
     def as_general(self) -> "ProblemSpec":
@@ -351,17 +346,43 @@ class HorizonResult:
     per_delay: tuple[tuple[float, float], ...]  # (inf, arginf) per delay
 
 
-def require_number(name: str, value, positive: bool = False) -> None:
-    """Raise unless ``value`` is a finite number, and above 0 where
-    ``positive``; the error names the argument and its value."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise ValidationError(f"{name} must be finite, got {x!r}")
-    if positive and not x > 0:
-        raise ValidationError(f"{name} must be positive, got {x!r}")
+# The rule of each numeric argument of the API and the config file, by name: a finite
+# number, positive or nonnegative, or a whole number in lo..hi of what it counts.
+ARGUMENT_RULES = {
+    "t0": "finite", "m": "finite", "T": "finite", "tmax": "finite", "K": "finite",
+    "k2": "nonnegative", "k3": "nonnegative", "alpha": "nonnegative", "tol": "nonnegative",
+    "k4": "positive", "eps": "positive", "delta": "positive", "step": "positive", "h": "positive",
+    "grid": (64, 1 << 20, "sample points (the supremum scan's coarse grid)"),  # the presets take 4,096
+    "max_iter": (1, 1 << 16, "iterations"),
+}
+
+
+def argument_fault(value, rule) -> str | None:
+    """What ``rule``, an entry of ``ARGUMENT_RULES``, finds wrong with ``value``; None if nothing."""
+    if isinstance(rule, tuple):
+        lo, hi, unit = rule
+        if not isinstance(value, numbers.Integral):
+            return "must be a whole number"
+        if value < lo:
+            return f"need at least {lo} {unit}"
+        return f"need at most {hi} {unit}" if value > hi else None
+    if not isinstance(value, numbers.Real):
+        return "must be a number"
+    if not math.isfinite(value):
+        return "must be finite"
+    if rule == "positive" and not value > 0 or rule == "nonnegative" and not value >= 0:
+        return f"must be {rule}"
+    return None
+
+
+def require(**args) -> None:
+    """Raise unless every argument obeys ``ARGUMENT_RULES``; a name may put a
+    noun before the argument's ("horizon T"), and the rule is the last word's."""
+    for name, value in args.items():
+        fault = argument_fault(value, ARGUMENT_RULES[name.split()[-1]])
+        if fault:
+            shown = float(value) if isinstance(value, float) else value  # a numpy float too
+            raise ValidationError(f"{name} {fault}, got {shown!r}")
 
 
 def require_after_t0(T: float, t0: float) -> None:

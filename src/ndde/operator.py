@@ -60,8 +60,9 @@ import numpy as np
 from .criteria import alpha_estimate
 from .errors import ValidationError
 from .hermite import GridFunction, hermite_eval, hermite_weights, locate, uniform_step
+from .integrator import _MAX_STEPS
 from .model import (
-    AuxiliarySpec, HistoryFunction, ProblemSpec, bind, horizon, require_after_t0, require_number,
+    AuxiliarySpec, HistoryFunction, ProblemSpec, bind, horizon, require, require_after_t0,
 )
 from .quadrature import (
     _K7_W,
@@ -80,8 +81,12 @@ _QUAD_TOL = 1e-11
 
 def make_mesh(m: float, t0: float, T: float, step: float) -> np.ndarray:
     """History + live mesh over [m, T], uniform per segment, t0 a node."""
+    require(m=m, t0=t0, **{"horizon T": T, "mesh step": step})
     require_after_t0(T, t0)
-    require_number("mesh step", step, positive=True)
+    panels = (T - min(m, t0)) / step
+    if not panels <= _MAX_STEPS:  # the stepper's budget; an overflow to inf fails too
+        raise ValidationError(f"mesh step {step!r} is too small for T = {T!r} from m = {m!r}:"
+                              f" {panels:.3g} panels, over the budget of {_MAX_STEPS}")
     live_n = max(4, math.ceil((T - t0) / step - 1e-9))
     live = np.linspace(t0, T, live_n + 1)
     if t0 - m <= 1e-12:
@@ -443,10 +448,7 @@ def picard_solve(
     the result for :func:`residual`.
     """
     # the arguments are checked before the precheck, which is costly
-    require_number("horizon T", T)
-    require_number("tol", tol)
-    if step is not None:
-        require_number("step", step, positive=True)
+    require(**{"horizon T": T}, tol=tol, max_iter=max_iter, **({} if step is None else {"step": step}))
     require_after_t0(T, problem.t0)
     if precheck:
         est = alpha_estimate(problem, aux, tmax=max(T, problem.t0 + 1.0), grid=512)

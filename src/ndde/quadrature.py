@@ -378,6 +378,9 @@ def _advance(decay: np.ndarray, panels: np.ndarray) -> np.ndarray:
     return out
 
 
+_MAX_TABLE_PANELS = 1 << 22  # checkpoint-long panels a cumulative table may span; the presets need 1e4
+
+
 class CumulativeExponent:
     """Running integral G(t) = int_start^t f, tabulated at checkpoints.
 
@@ -400,7 +403,9 @@ class CumulativeExponent:
     non-finite or below the start, the queries run one by one in order (so
     an error is the scalar one).
     With a ``name``, an error of the table or of a query is re-raised as a
-    QuadratureError that names it and the query t.
+    QuadratureError that names it and the query t.  A query that would
+    stretch the table past ``_MAX_TABLE_PANELS`` checkpoint panels is
+    refused before any of it is tabulated.
 
     When f is a damping rate g, ``weight(s, t) = exp(G(s) - G(t))`` is the
     damping factor over [s, t]; the class is equally used for plain running
@@ -430,11 +435,15 @@ class CumulativeExponent:
         self._nodes = array("d", [self.start])
         self._values = array("d", [0.0])
         self._panels = 0  # checkpoint-long panels tabulated
+        self._end = self.start + _MAX_TABLE_PANELS * self.checkpoint  # the farthest it may reach
         self._lock = threading.Lock()
 
     def _extend(self, t: float) -> None:
-        if math.isinf(t):  # the table would never reach it
-            raise QuadratureError(f"cumulative query at t={t!r}")
+        if not t <= self._end:
+            raise QuadratureError(
+                f"the table over [{self.start!r}, {t!r}] needs over {_MAX_TABLE_PANELS}"
+                f" panels of width {self.checkpoint!r}"
+            )
         with self._lock:
             while self._nodes[-1] < t:
                 i = self._panels
@@ -488,7 +497,10 @@ class CumulativeExponent:
     def _cumulative_many(self, ts: np.ndarray) -> np.ndarray:
         flat = np.asarray(ts, dtype=float).ravel()
         low = self.start - 1e-9 * max(1.0, abs(self.start))
-        if len(flat) > _SMALL and np.isfinite(flat).all() and not (flat < low).any():
+        outside = (flat < low) | (flat > self._end)
+        if outside.any() and flat[outside.argmax()] > self._end:  # refused before any is tabulated
+            return self.cumulative(float(flat[outside.argmax()]))
+        if len(flat) > _SMALL and np.isfinite(flat).all() and not outside.any():
             t = np.maximum(flat, self.start)
             # in chunks (the interior nodes of one sweep chunk) to bound
             # the size of the sample arrays

@@ -614,3 +614,13 @@ def test_stability_checks_eps_and_delta_on_entry(name, value, message):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             _run("stability_experiment", T=2.0, h=0.05, **{name: value})
+
+
+def test_a_step_longer_than_the_run_is_halved_from_the_run():
+    # h = 1e300 is one sweep of T - t0 = 50, as h = 50 is; its halvings
+    # must shorten that sweep, so both runs settle at h = 12.5, byte for byte
+    prob, _ = _showcase()
+    long, run = (integrate(prob, _hist("0.001 + 0*t"), T=50.0, h=h) for h in (1e300, 50.0))
+    assert long.h == run.h == 12.5
+    for a, b in zip((long.nodes, long.values, long.derivatives), (run.nodes, run.values, run.derivatives)):
+        assert a.tobytes() == b.tobytes()

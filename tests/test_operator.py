@@ -635,3 +635,32 @@ def test_cap_exceeded_is_reported_for_the_tenfold_preset():
     assert res.converged and res.iterations < 50  # 32 today, within the 60-iteration budget
     assert res.cap_exceeded and res.z.sup_norm > 10.0
     assert max(res.ratios) > 1.0
+
+
+def test_mesh_is_refused_beyond_the_stepper_budget(capped_python):
+    # each mesh would take gigabytes or more; the budget refuses it at once
+    done = capped_python("""
+from ndde.config import loads
+from ndde.errors import ValidationError
+from ndde.operator import make_mesh, picard_solve
+from ndde.presets import preset_text
+
+cfg = loads(preset_text("section4"))
+for kwargs in ({"T": 20.0, "step": 1e-12}, {"T": 10**9}, {"T": 1e300}):
+    try:
+        picard_solve(cfg.problem, cfg.aux, cfg.history, precheck=False, **kwargs)
+    except ValidationError as exc:
+        print(exc)
+try:
+    make_mesh(-1e300, 0.0, 2.0, 0.05)
+except ValidationError as exc:
+    print(exc)
+""")
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "mesh step 1e-12 is too small for T = 20.0 from m = 0.0: 2e+13 panels, over the budget of 8388608",
+        "mesh step 0.05 is too small for T = 1000000000 from m = 0.0: 2e+10 panels, over the budget of 8388608",
+        "mesh step 0.05 is too small for T = 1e+300 from m = 0.0: 2e+301 panels, over the budget of 8388608",
+        "mesh step 0.05 is too small for T = 2.0 from m = -1e+300: 2e+301 panels, over the budget of 8388608",
+    ]
+    assert ndde.operator._MAX_STEPS == ndde.integrator._MAX_STEPS  # the stepper's budget

@@ -618,3 +618,39 @@ def test_sweep_and_at_failures_name_the_integrand():
     sweep.fs[1] = parse_expression("ln(t - 1.01)").compiled()
     with pytest.raises(QuadratureError, match=r"^sweep of t at t=1\.03: ln\(t - 1\.01\): math"):
         sweep.at(1.03, 1)
+
+
+def test_every_cumulative_table_has_the_binding_budget(capped_python):
+    # an unbound table grew without bound: K_estimate to tmax = 1e7 took
+    # seconds and hundreds of MB, and tmax = 1e9 ran out of memory
+    done = capped_python("""
+import time
+from ndde.config import loads
+from ndde.criteria import K_estimate
+from ndde.errors import QuadratureError
+from ndde.presets import preset_text
+from ndde.quadrature import CumulativeExponent
+
+aux = loads(preset_text("section4")).aux
+start = time.perf_counter()
+for tmax in (1e9, 1e7):
+    try:
+        K_estimate(aux, tmax=tmax)
+    except QuadratureError as exc:
+        print(exc)
+try:
+    CumulativeExponent(lambda t: 0.1, 0.0, 0.5, name="g").cumulative(3e6)
+except QuadratureError as exc:
+    print(exc)
+print(time.perf_counter() - start < 5.0)
+""", timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    budget = quadrature._MAX_TABLE_PANELS
+    first, second, named, fast = done.stdout.splitlines()
+    # an array of queries is refused at the first query past the budget
+    assert first.startswith("the table over [0.0, 4882812.5] needs over") and second.startswith(
+        "the table over [0.0, 4199218.75] needs over"
+    )
+    assert named == f"cumulative g at t=3000000.0: the table over [0.0, 3000000.0] needs over {budget} panels of width 0.5"
+    assert fast == "True"
+    assert budget == 1 << 22

@@ -186,3 +186,29 @@ def test_dump_runs_the_literal_configs_through_every_run(monkeypatch):
         assert horizon(cfg.problem, cfg.T).m < cfg.problem.t0
     general = loads(compare_reports.LITERALS["general-qf"]).problem
     assert general.form == "general" and not general.d.is_zero()
+
+
+def test_dump_writes_the_error_line_of_each_refused_request(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(compare_reports, "_requests", lambda root: compare_reports._refusals())
+    assert compare_reports.main(["--dump", str(tmp_path / "a")]) == 0
+    files = {p.stem: p.read_text().splitlines() for p in (tmp_path / "a").glob("*.txt")}
+    assert sorted(files) == sorted(f"refused-{name}" for name, *_ in compare_reports.REFUSED)
+    for lines in files.values():
+        assert len([line for line in lines if line.startswith("stderr.")]) == 1
+        assert lines[-1] == "exit = 1"
+    # the config path is replaced by the request's name; usage errors name the flag
+    assert files["refused-grid-63"][0] == (
+        "stderr.0 = error: refused-grid-63: line 25: grid: need at least 64 sample points"
+        " (the supremum scan's coarse grid), got 63"
+    )
+    assert files["refused-picard-tol-0"][0] == "stderr.0 = ndde picard: error: argument --tol: tol: must be positive"
+    assert "reaches m = -6.39" in files["refused-lag-reach"][0]
+
+    # a changed refusal text fails the diff at any tolerance
+    b = tmp_path / "b"
+    b.mkdir()
+    for path in (tmp_path / "a").iterdir():
+        (b / path.name).write_text(path.read_text().replace("got 63", "got 62"))
+    capsys.readouterr()
+    assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b), "--tol", "1e300"]) == 1
+    assert "refused-grid-63.txt: stderr.0 " in capsys.readouterr().out

@@ -25,7 +25,11 @@ writes ``STEM.trajectories.txt``: one ``trajectory.LABEL.sha256 = HEX``
 line per family member, the SHA-256 of the bytes of its nodes, values
 and derivatives, caught by wrapping ``ndde.integrator._drive``;
 ``--diff`` compares them as text, so any changed trajectory byte fails
-it.  The decks come from ``bench/workloads.py``, which is only read.
+it.  Last come the ``REFUSED`` requests, each run through ``cli.main``
+on the ``section4`` preset (tmax 20, grid 64) with one line replaced:
+their file holds one ``stderr.N = LINE`` line per ``error:`` line (the
+config path replaced by the request's name), compared as text, and the
+exit code.  The decks come from ``bench/workloads.py``, which is only read.
 ``--root`` names the source checkout whose ``src/`` and ``bench/`` are
 imported (default: the one holding this script), so two commits are
 compared by dumping each from its own checkout.
@@ -45,6 +49,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -100,6 +105,35 @@ k3 = "0.3"
 }
 LITERAL_DELTA = 0.001  # the history size of the literals' stability runs
 
+# requests the CLI refuses: (name, command and flags, replaced config line)
+REFUSED = (
+    ("grid-63", ["check"], 'grid = "63"'),
+    ("grid-over", ["check"], f'grid = "{(1 << 20) + 1}"'),
+    ("tmax-0", ["check"], 'tmax = "0"'),
+    ("step-negative", ["simulate"], 'step = "-0.1"'),
+    ("picard-tol-0", ["picard", "--tol", "0"], None),
+    ("picard-tol-nan", ["picard", "--tol", "nan"], None),
+    ("T-at-t0", ["simulate", "--T", "0"], None),
+    ("simulate-step-budget", ["simulate", "--T", "1e13"], None),
+    ("picard-step-budget", ["picard", "--T", "2"], 'step = "1e-10"'),
+    # by t = 20 the lag sends the delayed argument to m ~ -6.4e17
+    ("lag-reach", ["check"], 'r1 = "(0.2*t) + exp(2.05*t)"'),
+)
+
+
+def _refusals():
+    """The ``REFUSED`` requests as (file stem, kind, config text, argv)."""
+    from ndde.presets import preset_text
+
+    base = preset_text("section4").replace('tmax = "10000"', 'tmax = "20"')
+    base = base.replace('grid = "4096"', 'grid = "64"')
+    for name, argv, line in REFUSED:
+        text = base
+        if line:
+            key = re.escape(line.split(" = ")[0])
+            text = re.sub(rf'^{key} = ".*"$', line, text, count=1, flags=re.M)
+        yield f"refused-{name}", "refused", text, argv
+
 
 def _requests(root: Path):
     """(file stem, kind, config text[, delta]) of every request to dump;
@@ -124,6 +158,7 @@ def _requests(root: Path):
                     yield stem, request.kind, request.text, request.params["delta"]
                 else:
                     yield stem, request.kind, request.text
+    yield from _refusals()
 
 
 def _stability(path: str, delta: float, out, side: Path) -> int:
@@ -163,6 +198,20 @@ def _stability(path: str, delta: float, out, side: Path) -> int:
     return code
 
 
+def _refused(path: str, argv: list[str], out) -> int:
+    """``cli.main`` on the config with ``argv``: each ``error:`` line of
+    stderr as ``stderr.N = LINE``; returns the exit code."""
+    from ndde import cli
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([argv[0], path, *argv[1:]])
+    lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+    for n, line in enumerate(lines):
+        print(f"stderr.{n} = {line}", file=out)
+    return code
+
+
 def _with_csv(command):
     """A CLI command run with ``--csv``: its summary, then each CSV line as
     ``csv.N = LINE``.  The CSV lands beside the config, so the config path
@@ -199,6 +248,7 @@ def dump(out_dir: Path, root: Path) -> int:
         ),
         "simulate-csv": _with_csv(cli.run_simulate),
         "picard-csv": _with_csv(cli.run_picard),
+        "refused": _refused,
     }
     criteria.WeightedSweep = recording
     try:
