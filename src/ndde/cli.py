@@ -34,7 +34,7 @@ import numpy as np
 from .config import RunConfig, load_config, run_value
 from .criteria import evaluate_criteria
 from .errors import ConfigError, NddeError, ValidationError
-from .integrator import integrate
+from .integrator import _step_count, integrate
 from .model import horizon, transformed_history
 from .operator import picard_solve, reconstruct_x, residual
 from .presets import available, write_preset
@@ -178,14 +178,16 @@ def run_picard(config_path, T=None, tol=None, csv_path=None, out=None) -> int:
 def _crosscheck(cfg, T, solution) -> str:
     """Cross-method check: map the fixed point back through the weight and
     compare with a direct integration started from the matching history.
-    Returns the sup difference, or why it was skipped when no history
-    matches."""
+    Returns the sup difference, or why it was skipped: no history matches,
+    or the integration would take more steps than the stepper's budget."""
     m = horizon(cfg.problem, T).m
+    h = min(cfg.step, 1e-3)
     try:
         history_x = transformed_history(cfg.problem, cfg.aux, cfg.history, m)
+        _step_count(cfg.problem.t0, T, h)
     except ValidationError as exc:
         return f"skipped ({exc})"
-    trajectory = integrate(cfg.problem, history_x, T=T, h=min(cfg.step, 1e-3))
+    trajectory = integrate(cfg.problem, history_x, T=T, h=h)
     probes = np.linspace(cfg.problem.t0, T, 801)
     sup = np.max(np.abs(solution.eval_array(probes) - trajectory.eval_array(probes)))
     return repr(float(sup))

@@ -79,7 +79,6 @@ from .model import (
 from .quadrature import (
     _bulk,
     _kronrod_panels,
-    CumulativeExponent,
     sup_scan,
     weighted_integral,
     WeightedSweep,
@@ -92,6 +91,7 @@ _DOUBLE_TOL = 5e-10
 
 # a tail slope this small still counts as "not growing"
 _TAIL_SLOPE_TOL = 1e-9
+_WINDOW_CENTERS = 128  # the window starts of window_lipschitz, over [t0, tmax - 1]
 
 
 def _signed(v, w):
@@ -212,6 +212,7 @@ def term_values_linear(
     problem: ProblemSpec, aux: AuxiliarySpec, t: float, tol: float = 1e-10
 ) -> np.ndarray:
     """The five linear-neutral criterion addends at time t (one-shot)."""
+    require(t=t, tol=tol)
     if problem.form != "linear-neutral":
         raise ValidationError("term_values_linear needs a linear-neutral problem")
     return TermEvaluator(problem, aux, tmax=max(t, problem.t0 + 1.0)).values(t, tol)
@@ -225,6 +226,7 @@ def term_values_general(
     Seven entries: the coupling integral is split into its d-part and its
     c-part (``coupling_pair`` and ``nonlinear_tail``).
     """
+    require(t=t, tol=tol)
     if problem.form != "general":
         raise ValidationError("term_values_general needs a general-form problem")
     return TermEvaluator(problem, aux, tmax=max(t, problem.t0 + 1.0)).values(t, tol)
@@ -239,6 +241,7 @@ def linear_coefficients(
     ratio p(tau1)/p * b/(1 - r1'), and beta = g cbar + cbar' with cbar'
     assembled by exact symbolic/chain-rule differentiation.
     """
+    require(s=s)
     if problem.form != "linear-neutral":
         raise ValidationError("linear_coefficients needs a linear-neutral problem")
     b = bind(problem, aux, tmax=max(s, problem.t0 + 1.0))
@@ -414,9 +417,7 @@ class LipschitzEstimate:
     pointwise: float
 
 
-def window_lipschitz(
-    bound: BoundProblem, kind: str, centers: int = 128
-) -> LipschitzEstimate:
+def window_lipschitz(bound: BoundProblem, kind: str) -> LipschitzEstimate:
     """Empirical unit-window constant for the coupling or damping integrand.
 
     kind "c-term": integrand |c(u) p^gamma(tau2(u)) / p(u)| (the coupling
@@ -436,8 +437,8 @@ def window_lipschitz(
     else:
         raise ValidationError(f"unknown window kind {kind!r}; use 'c-term' or 'g'")
 
-    widths = np.tile((1.0, 0.5, 0.25, 0.1, 0.02), centers)
-    lo = np.repeat(np.linspace(t0, tmax - 1.0, centers), 5)
+    widths = np.tile((1.0, 0.5, 0.25, 0.1, 0.02), _WINDOW_CENTERS)
+    lo = np.repeat(np.linspace(t0, tmax - 1.0, _WINDOW_CENTERS), 5)
     try:
         samples = np.abs(_bulk(f_array, f, np.linspace(t0, tmax, 1024)))
         pointwise = sup_scan(lambda u: abs(f(u)), t0, tmax, n=1024, samples=samples).sup
@@ -453,39 +454,15 @@ def window_lipschitz(
     return LipschitzEstimate(kind=kind, windowed=windowed, pointwise=pointwise)
 
 
-def _as_rate_callable(source) -> Callable[[float], float]:
-    if isinstance(source, AuxiliarySpec):
-        return source.g.compiled()
-    if isinstance(source, Expression):
-        return source.compiled()
-    if callable(source):
-        return source
-    raise ValidationError("expected an AuxiliarySpec, an Expression, or a callable")
-
-
-def K_estimate(
-    source,
-    tmax: float,
-    t0: float = 0.0,
-    n: int = 1024,
-    checkpoint: float = 1.0,
-    tol: float = 1e-11,
-) -> float:
+def K_estimate(bound: BoundProblem) -> float:
     """sup over t0 <= t1 <= t2 <= tmax of exp(-int_{t1}^{t2} g).
 
-    Evaluated as exp of the largest prefix drop of the cumulative exponent
-    on a grid of n+1 points.  Nonnegative rates give exactly 1 (attained
-    on the diagonal); sign-changing rates are supported for robustness.
-    ``source`` may be a binding, an auxiliary pair, a rate expression, or
-    a plain callable; a binding brings its own cumulative table of g, which
-    fixes t0, ``checkpoint`` and ``tol``.
+    Evaluated as exp of the largest prefix drop of the binding's cumulative
+    table of g on 1,025 points of [t0, tmax].  Nonnegative rates give
+    exactly 1 (attained on the diagonal); sign-changing rates are supported
+    for robustness.
     """
-    if isinstance(source, BoundProblem):
-        gexp = source.gexp
-    else:
-        gexp = CumulativeExponent(_as_rate_callable(source), t0, checkpoint, tol)
-    ts = np.linspace(gexp.start, tmax, n + 1)
-    G = gexp.cumulative(ts)
+    G = bound.gexp.cumulative(np.linspace(bound.t0, bound.tmax, 1025))
     drop = float((np.maximum.accumulate(G) - G).max())
     if drop < 1e-12:
         return 1.0
@@ -691,7 +668,7 @@ class CriteriaReport:
     verdict_bounded: str
     verdict_uniform: str
     verdict_asymptotic: str
-    certification: str = "grid-certified"
+    certification = "grid-certified"  # a class constant, not a field
 
     def term(self, label: str) -> TermStat:
         for stat in self.terms:
@@ -802,7 +779,7 @@ def evaluate_criteria(
     est.terms  # scan now: the first read frees the scans' inputs before the companions run
     lip_c = window_lipschitz(bound, "c-term")
     lip_g = window_lipschitz(bound, "g")
-    K = K_estimate(bound, tmax)
+    K = K_estimate(bound)
     asym = asymptotic_check(bound, sweep)
 
     if est.alpha < 1.0:

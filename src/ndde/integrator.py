@@ -81,10 +81,7 @@ from .model import (
 _INNER_TOL = 1e-12
 _INNER_MAX = 25
 _MAX_HALVINGS = 6
-_FAMILY_NOTE = (
-    "history family is an artifact choice (constants, cosine, ramp), "
-    "not part of the stability definitions"
-)
+_PROBES = 101  # the probe grid of convergence_order
 
 
 class Trajectory:
@@ -133,9 +130,11 @@ class Trajectory:
         return float(abs(self.values[-1]))
 
     def window_max(self, lo: float, hi: float) -> float:
-        """Largest |x| over the nodes in [lo, hi]; 0 when none lies there."""
+        """Largest |x| over the nodes in [lo, hi]; where no node lies there,
+        the larger of |x(lo)| and |x(hi)| from the dense output."""
         mask = (self.nodes >= lo) & (self.nodes <= hi)
-        return float(np.max(np.abs(self.values), initial=0.0, where=mask))
+        inside = self.values[mask] if mask.any() else self.eval_array((lo, hi))
+        return float(np.abs(inside).max())
 
     def to_csv(self, path) -> None:
         self.curve.to_csv(
@@ -311,6 +310,17 @@ _MAX_STEPS = 1 << 23
 _ARRAY_ERRORS = (NddeError, ArithmeticError, ValueError)
 
 
+def _step_count(t0: float, T: float, h: float) -> int:
+    """The steps of a sweep of [t0, T] at most h long; more than the budget is refused."""
+    steps = (T - t0) / h - 1e-9
+    if not steps <= _MAX_STEPS:  # NaN too
+        raise ValidationError(
+            f"step {h!r} is too small for T = {T!r}: {(T - t0) / h:.3g} steps,"
+            f" over the budget of {_MAX_STEPS}"
+        )
+    return max(1, math.ceil(steps))
+
+
 class _Stage(NamedTuple):
     """One stage time's array row over a pass of steps."""
 
@@ -340,15 +350,8 @@ class _Lockstep:
     """
 
     def __init__(self, histories, t0, T, h, tol, m):
-        steps = (T - t0) / h - 1e-9
-        if not steps <= _MAX_STEPS:  # NaN too
-            raise ValidationError(
-                f"step {h!r} is too small for T = {T!r}: {(T - t0) / h:.3g} steps,"
-                f" over the budget of {_MAX_STEPS}"
-            )
-        n = max(1, math.ceil(steps))
+        self.n = n = _step_count(t0, T, h)
         self.h = (T - t0) / n
-        self.n = n
         self.t0 = t0
         self.m = m
         self.tol = tol
@@ -741,7 +744,10 @@ class StabilityReport:
     trend_decreasing: tuple[bool, ...]
     stable: bool
     asymptotic: bool
-    note: str = _FAMILY_NOTE
+    note = (  # a class constant, not a field
+        "history family is an artifact choice (constants, cosine, ramp), "
+        "not part of the stability definitions"
+    )
 
     def to_text(self) -> str:
         rows = [
@@ -767,6 +773,7 @@ def default_history_family(
 ) -> list[tuple[str, HistoryFunction]]:
     """Constants of both signs, a cosine arch, and a ramp, all of size delta."""
     # plain floats only: the reprs below are parsed back as expression text
+    require(delta=delta, t0=t0, m=m)
     delta, t0 = float(delta), float(t0)
     span = max(1.0, t0 - float(m))
     mk = parse_expression
@@ -830,18 +837,20 @@ def convergence_order(
     psi: HistoryFunction,
     T: float,
     steps: Sequence[float],
-    probes: int = 101,
 ) -> float:
     """Self-convergence slope: least squares of log error against log h.
 
-    Errors are sup-differences on a fixed probe grid against a reference
-    run at half the finest step.
+    Errors are sup-differences on a fixed probe grid of 101 points against
+    a reference run at half the finest step.
     """
+    require(**{"horizon T": T})
+    for h in steps:
+        require(**{"step h": h})
     steps = sorted(float(h) for h in steps)
     if len(steps) < 3:
         raise ValidationError("need at least three step sizes")
     ref = integrate(problem, psi, T, h=min(steps) / 2.0)
-    grid = np.linspace(problem.t0, T, probes)
+    grid = np.linspace(problem.t0, T, _PROBES)
     exact = ref.eval_array(grid)
     errors = [
         float(np.max(np.abs(integrate(problem, psi, T, h=h).eval_array(grid) - exact)))

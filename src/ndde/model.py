@@ -54,6 +54,7 @@ __all__ = [
 _T = Expression.variable("t")
 
 _TABLE_TOL = 1e-11  # the quadrature tolerance of a binding's cumulative tables
+_VALIDATE_SEED = 0  # the seed of ProblemSpec.validate's sample points
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,7 @@ class ProblemSpec:
         )
 
     # ------------------------------------------------------------------
-    def validate(self, tmax: float, aux: AuxiliarySpec | None = None, seed: int = 0) -> list[str]:
+    def validate(self, tmax: float, aux: AuxiliarySpec | None = None) -> list[str]:
         """Structural and sampled checks.
 
         Raises ValidationError on hard failures (negative lags, r1' = 1,
@@ -286,7 +287,7 @@ class ProblemSpec:
         soft += self.r2.validate(self.t0, tmax, slope_restricted=False)
         if aux is not None:
             soft += aux.validate(self.t0, tmax)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_VALIDATE_SEED)
 
         g_fn = self.G.compiled()
         if abs(g_fn(0.0)) > 1e-15:
@@ -349,9 +350,10 @@ class HorizonResult:
 # The rule of each numeric argument of the API and the config file, by name: a finite
 # number, positive or nonnegative, or a whole number in lo..hi of what it counts.
 ARGUMENT_RULES = {
-    "t0": "finite", "m": "finite", "T": "finite", "tmax": "finite", "K": "finite",
+    "t0": "finite", "m": "finite", "T": "finite", "tmax": "finite", "K": "finite", "t": "finite", "s": "finite",
     "k2": "nonnegative", "k3": "nonnegative", "alpha": "nonnegative", "tol": "nonnegative",
     "k4": "positive", "eps": "positive", "delta": "positive", "step": "positive", "h": "positive",
+    "checkpoint": "positive",
     "grid": (64, 1 << 20, "sample points (the supremum scan's coarse grid)"),  # the presets take 4,096
     "max_iter": (1, 1 << 16, "iterations"),
 }
@@ -396,6 +398,7 @@ def horizon(problem: ProblemSpec, tmax: float) -> HorizonResult:
 
     The overall m is the left end of the history interval [m, t0].
     """
+    require(tmax=tmax)
     if not tmax >= problem.t0:
         raise ValidationError(f"horizon {tmax!r} lies below t0 = {problem.t0!r}")
     per: list[tuple[float, float]] = []
@@ -614,6 +617,7 @@ def bind(
     tmax: float,
     checkpoint: float = 1.0,
 ) -> BoundProblem:
+    require(tmax=tmax, checkpoint=checkpoint)
     return BoundProblem(problem, aux, tmax, checkpoint)
 
 
@@ -628,6 +632,7 @@ def transformed_history(
     degenerate) the product p * psi is the correct start.  Anything else has
     no expression-level representation, so it is rejected.
     """
+    require(m=m)
     p_t0 = aux.p.evaluate(t=problem.t0)
     if abs(p_t0 - 1.0) <= 1e-12:
         return history

@@ -435,7 +435,6 @@ def picard_solve(
     tol: float = 1e-8,
     max_iter: int = 60,
     step: float | None = None,
-    precheck: bool = True,
 ) -> PicardResult:
     """Iterate z -> A z + B z from the constant extension of psi(t0).
 
@@ -443,21 +442,21 @@ def picard_solve(
     divergence are reported in the result, never raised.  ``ratios`` holds
     successive step-norm quotients (> 1 sustained means the contraction
     part fails).  The candidate cap |z| <= 1 is monitored via
-    ``cap_exceeded``.  The candidate-independent tables and the rows of the
-    live mesh panels are built once, read by every iteration and kept in
-    the result for :func:`residual`.
+    ``cap_exceeded``, and a precheck warns when the criterion sum on 512
+    points of [t0, max(T, t0 + 1)] reaches 1.  The candidate-independent
+    tables and the rows of the live mesh panels are built once, read by
+    every iteration and kept in the result for :func:`residual`.
     """
     # the arguments are checked before the precheck, which is costly
     require(**{"horizon T": T}, tol=tol, max_iter=max_iter, **({} if step is None else {"step": step}))
     require_after_t0(T, problem.t0)
-    if precheck:
-        est = alpha_estimate(problem, aux, tmax=max(T, problem.t0 + 1.0), grid=512)
-        if est.alpha >= 1.0:
-            warnings.warn(
-                f"criterion sum reaches {est.alpha:.4g} >= 1 on [t0, {T:g}]; "
-                "the iteration map need not contract",
-                stacklevel=2,
-            )
+    est = alpha_estimate(problem, aux, tmax=max(T, problem.t0 + 1.0), grid=512)
+    if est.alpha >= 1.0:
+        warnings.warn(
+            f"criterion sum reaches {est.alpha:.4g} >= 1 on [t0, {T:g}]; "
+            "the iteration map need not contract",
+            stacklevel=2,
+        )
     t0 = problem.t0
     if step is None:
         step = min(0.05, (T - t0) / 200.0)
@@ -513,8 +512,8 @@ def picard_solve(
     )
 
 
-def residual(result: PicardResult, include_midpoints: bool = True) -> float:
-    """max |z(t) - (A z + B z)(t)| over live mesh nodes (and panel midpoints).
+def residual(result: PicardResult) -> float:
+    """max |z(t) - (A z + B z)(t)| over the live mesh nodes and panel midpoints.
 
     z is the final iterate of ``result``; A and B at the nodes are read from
     the node rows its iteration built.  Midpoints probe the interpolation
@@ -525,28 +524,23 @@ def residual(result: PicardResult, include_midpoints: bool = True) -> float:
     nodes, tables = result.nodes, result.nodes.tab
     st = tables.state(result.z)
     a, b, point = nodes.integrals(st)
-    points = live = tables.live
-    image = a + b + point
-    if include_midpoints:
-        mids = 0.5 * (live[:-1] + live[1:])
-        a_mid, b_mid, point_mid = _Panels(tables, live[:-1], mids).integrals(st, (a[:-1], b[:-1]))
-        points = np.concatenate((live, mids))
-        image = np.concatenate((image, a_mid + b_mid + point_mid))
+    live = tables.live
+    mids = 0.5 * (live[:-1] + live[1:])
+    a_mid, b_mid, point_mid = _Panels(tables, live[:-1], mids).integrals(st, (a[:-1], b[:-1]))
+    points = np.concatenate((live, mids))
+    image = np.concatenate((a + b + point, a_mid + b_mid + point_mid))
     defect = np.abs(result.z.eval_array(points) - image)
     # a NaN defect is skipped, and the result is at least 0
     return float(np.max(defect, initial=0.0, where=~np.isnan(defect)))
 
 
-def reconstruct_x(
-    z: GridFunction, aux: AuxiliarySpec, t0: float | None = None
-) -> GridFunction:
+def reconstruct_x(z: GridFunction, aux: AuxiliarySpec, t0: float) -> GridFunction:
     """Map the reshaped unknown back: x = p z for t >= t0, x = z before.
 
     At t0 itself the user's p applies (the benchmark weight has p(t0) != 1,
     and the reshaped start is p(t0) psi(t0)).
     """
-    if t0 is None:
-        t0 = float(z.mesh[0])
+    require(t0=t0)
     values, derivs = z.values.copy(), z.derivs.copy()
     live = z.mesh >= t0 - _MESH_FUZZ * max(1.0, abs(t0))
     t = z.mesh[live]

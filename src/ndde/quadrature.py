@@ -52,7 +52,6 @@ from .hermite import GridFunction
 __all__ = [
     "adaptive_simpson",
     "CumulativeExponent",
-    "damping_weight",
     "weighted_integral",
     "WeightedSweep",
     "window_integral",
@@ -93,7 +92,7 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
     isfinite = math.isfinite
     stack = [(a, fa, b, fb, m, fm, whole, tol, depth)]
     done: list[float] = []  # finished halves awaiting their sibling
-    budget, whole_a, whole_b = _MAX_PANELS, a, b
+    budget, whole_a, whole_b, whole_tol = _MAX_PANELS, a, b, tol
     while stack:
         panel = stack.pop()
         if panel is None:  # both halves of a split are done
@@ -103,7 +102,7 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
         budget -= 1
         if budget < 0:
             raise QuadratureError(
-                f"no convergence on [{whole_a!r}, {whole_b!r}] within {_MAX_PANELS}"
+                f"no convergence on [{whole_a!r}, {whole_b!r}] to tol = {whole_tol!r} within {_MAX_PANELS}"
                 f" panels (refining [{panel[0]!r}, {panel[2]!r}])"
             )
         a, fa, b, fb, m, fm, whole, tol, depth = panel
@@ -529,11 +528,6 @@ class CumulativeExponent:
 
     def weight(self, s: float, t: float) -> float:
         return math.exp(self.cumulative(s) - self.cumulative(t))
-
-
-def damping_weight(gexp: CumulativeExponent, s: float, t: float) -> float:
-    """exp(-int_s^t g) via the cumulative table of g."""
-    return gexp.weight(s, t)
 
 
 def weighted_integral(

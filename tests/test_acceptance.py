@@ -192,7 +192,7 @@ def test_criterion_5_cross_method_agreement():
     defect = residual(result)
     assert defect < 1e-6
 
-    solution = reconstruct_x(result.z, aux)
+    solution = reconstruct_x(result.z, aux, problem.t0)
     m = horizon(problem, 50.0).m
     direct = integrate(problem, transformed_history(problem, aux, history, m), T=50.0, h=1e-3)
     probes = np.linspace(0.0, 50.0, 1001)

@@ -304,10 +304,10 @@ def _capped_cli(cwd, *argv, cap=1 << 30, timeout=60):
     [
         (["check"], 'grid = "1000000000000"', "grid: need at most"),
         (["simulate", "--T", "1e13"], "", "1e+16 steps, over the budget"),
-        # picard's cross-check integrates at min(step, 1e-3)
-        (["picard", "--T", "2"], 'step = "1e-10"', "2e+10 steps, over the budget"),
+        # picard's precheck binds [t0, T] before the iteration's mesh is asked for
+        (["picard", "--T", "1e7"], "", "need over 4194304 panels of width 1.0"),
     ],
-    ids=["grid", "simulate-steps", "picard-crosscheck-steps"],
+    ids=["grid", "simulate-steps", "picard-tables"],
 )
 def test_oversized_inputs_are_one_line_errors(tmp_path, argv, run, message):
     text = _cheap(tmax="50", grid="64")
@@ -322,6 +322,21 @@ def test_oversized_inputs_are_one_line_errors(tmp_path, argv, run, message):
     assert "Traceback" not in done.stderr
     (line,) = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert message in line
+
+
+def test_crosscheck_over_the_step_budget_is_skipped(tmp_path):
+    # picard's cross-check integrates at min(step, 1e-3): 2e10 steps here,
+    # over the stepper's budget; the converged iteration keeps its summary
+    path = tmp_path / "fine.cfg"
+    text = _cheap(tmax="50", grid="64")
+    assert 'step = "0.001"' in text
+    path.write_text(text.replace('step = "0.001"', 'step = "1e-10"'))
+    done = _capped_cli(tmp_path, "picard", path, "--T", "2")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "picard.converged = true" in lines
+    assert "crosscheck.sup_diff = skipped (step 1e-10 is too small for T = 2.0:" \
+        " 2e+10 steps, over the budget of 8388608)" in lines
 
 
 def test_cli_prints_library_warnings_as_one_line(tmp_path):

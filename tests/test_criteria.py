@@ -336,15 +336,14 @@ def test_alpha_monotone_in_lipschitz_constants():
 
 
 def test_K_estimate_cases():
-    assert K_estimate(_aux(), tmax=50.0) == 1.0
-    assert K_estimate(parse_expression("0"), tmax=10.0) == 1.0
-
-    def dip(u):
-        return -0.1 if u < 1.0 else 0.0
-
-    assert K_estimate(dip, tmax=2.0, n=256) == pytest.approx(
-        math.exp(0.1), abs=1e-6
-    )
+    prob, aux = _showcase()
+    assert K_estimate(bind(prob, aux, 50.0)) == 1.0
+    still = AuxiliarySpec(p=aux.p, g=parse_expression("0"))
+    assert K_estimate(bind(prob, still, 10.0)) == 1.0
+    # a sign-changing rate: G = 0.1 sin t falls from 0.1 at pi/2 to -0.1 at
+    # 3 pi/2; K samples G on 1,025 points, each extremum within 0.1 (h/2)^2 / 2
+    swing = AuxiliarySpec(p=aux.p, g=parse_expression("0.1*cos(t)"))
+    assert K_estimate(bind(prob, swing, 10.0)) == pytest.approx(math.exp(0.2), abs=5e-6)
 
 
 def _windowed_reference(bound, kind, centers=128):
@@ -404,7 +403,7 @@ def test_window_lipschitz_cases():
     pole = AuxiliarySpec(p=parse_expression("1/(t + 0.2)"), g=parse_expression("1/(t - 2.5)"))
     message = r"window_lipschitz 'g' on the horizon \[0.0, 5.0\]"
     with pytest.raises(QuadratureError, match=message):
-        window_lipschitz(bind(prob, pole, 5.0), "g", centers=8)
+        window_lipschitz(bind(prob, pole, 5.0), "g")
 
 
 def test_asymptotic_check_cases():

@@ -339,6 +339,22 @@ def test_stability_showcase_short_run():
     assert "verdict.eps_bounded = true" in text
 
 
+def test_stability_trend_reads_a_decade_without_nodes_from_the_dense_output():
+    # h = 0.3 runs at 0.25 over [0, 1]: the decade [0.8, 0.9] holds no node,
+    # so it is priced by |x| at its ends, not by 0
+    from ndde.config import loads
+    from ndde.presets import preset_text
+
+    prob = loads(preset_text("section4")).problem
+    for h in (0.1, 0.3):
+        rep = stability_experiment(prob, eps=0.1, delta=0.001, T=1.0, h=h)
+        assert rep.trend_decreasing == (True,) * 4, h
+    run = integrate(prob, HistoryFunction(parse_expression("0.001 + 0*t")), T=1.0, h=0.3)
+    assert run.h == 0.25
+    assert run.window_max(0.8, 0.9) == max(abs(run.eval(0.8)), abs(run.eval(0.9))) > 0.0
+    assert run.window_max(0.7, 0.8) == abs(run.values[3])  # the node 0.75 alone
+
+
 def test_stability_rejects_empty_family():
     prob, _ = _showcase()
     with pytest.raises(ValidationError, match="empty"):

@@ -435,8 +435,9 @@ def test_row_domain_error_keeps_its_scalar_text():
     # in bulk, and the error names the first failing node in node order
     prob, aux = _showcase()
     prob = dataclasses.replace(prob, c=parse_expression("ln(5 - t)"))
+    mesh = make_mesh(0.0, 0.0, 8.0, 0.04)  # picard_solve's mesh at T = 8
     with pytest.raises(DomainError) as info:
-        picard_solve(prob, aux, _const_history(0.001), T=8.0, precheck=False)
+        apply_A(GridFunction.from_values(mesh, np.full(len(mesh), 0.001)), prob, aux)
     assert str(info.value) == "ln(5 - t): math domain error at t=5.0"
 
 
@@ -478,7 +479,7 @@ def test_candidate_ball_closed_under_split_sum():
     prob, aux = _showcase()
     T = 8.0
     est = alpha_estimate(prob, aux, tmax=T, grid=256)
-    K = K_estimate(aux.g, tmax=T)
+    K = K_estimate(bind(prob, aux, T))
     bounds = delta_bounds(est.alpha, K, 0.1, bind(prob, aux, prob.t0 + 1.0))
     psi = _const_history(round(0.9 * bounds.existence, 6))
     fn = psi.psi.compiled()
@@ -497,7 +498,7 @@ def test_candidate_ball_closed_under_split_sum():
 
 def test_picard_zero_history_converges_immediately():
     prob, aux = _showcase()
-    res = picard_solve(prob, aux, _const_history(0.0), T=5.0, precheck=False)
+    res = picard_solve(prob, aux, _const_history(0.0), T=5.0)
     assert res.converged
     assert res.iterations == 1
     assert res.z.sup_norm == 0.0
@@ -515,8 +516,10 @@ def test_picard_converges_on_showcase_problem():
     assert res.z.eval(0.0) == pytest.approx(0.001, abs=1e-9)
     assert residual(res) < 1e-6
     # node-only defect is just the iteration tolerance
-    assert residual(res, include_midpoints=False) < 1e-8
-    x = reconstruct_x(res.z, aux)
+    live = res.z.mesh >= 0.0
+    image = apply_A(res.z, prob, aux).values + apply_B(res.z, prob, aux, psi).values
+    assert np.max(np.abs(res.z.values - image)[live]) < 1e-8
+    x = reconstruct_x(res.z, aux, 0.0)
     assert x.eval(0.0) == pytest.approx(0.005, abs=1e-12)
 
 
@@ -543,11 +546,10 @@ def test_picard_precheck_scans_only_the_sum(monkeypatch):
 
 def test_residual_on_the_kept_rows_equals_fresh_rows():
     prob, aux = _showcase()
-    res = picard_solve(prob, aux, _const_history(0.001), T=5.0, precheck=False)
+    res = picard_solve(prob, aux, _const_history(0.001), T=5.0)
     fresh = dataclasses.replace(res, nodes=res.nodes.tab.node_panels())
     assert fresh.nodes is not res.nodes
-    for mids in (True, False):
-        assert residual(res, mids).hex() == residual(fresh, mids).hex()
+    assert residual(res).hex() == residual(fresh).hex()
 
 
 def test_picard_reports_noncontraction_without_crash():
@@ -563,7 +565,7 @@ def test_picard_reports_noncontraction_without_crash():
 def test_picard_rejects_degenerate_horizon():
     prob, aux = _showcase()
     with pytest.raises(ValidationError):
-        picard_solve(prob, aux, _const_history(0.001), T=0.0, precheck=False)
+        picard_solve(prob, aux, _const_history(0.001), T=0.0)
 
 
 def test_picard_and_residual_share_the_iteration_binding(monkeypatch):
@@ -579,11 +581,9 @@ def test_picard_and_residual_share_the_iteration_binding(monkeypatch):
     monkeypatch.setattr(BoundProblem, "__init__", counted)
     prob, aux = _showcase()
     psi = _const_history(0.001)
-    for precheck, bindings in ((True, 2), (False, 1)):
-        calls.clear()
-        res = picard_solve(prob, aux, psi, T=5.0, precheck=precheck)
-        assert residual(res) < 1e-6
-        assert len(calls) == bindings
+    res = picard_solve(prob, aux, psi, T=5.0)
+    assert residual(res) < 1e-6
+    assert len(calls) == 2
     assert "tables" not in repr(res)
 
 
@@ -593,7 +593,7 @@ def test_residual_drops_under_mesh_refinement():
     defects = []
     for step in (0.1, 0.05):
         res = picard_solve(
-            prob, aux, psi, T=8.0, tol=1e-11, max_iter=80, step=step, precheck=False
+            prob, aux, psi, T=8.0, tol=1e-11, max_iter=80, step=step
         )
         assert res.converged
         defects.append(residual(res))
@@ -607,7 +607,7 @@ def test_reconstruct_scales_by_weight():
     aux = _aux()
     mesh = make_mesh(0.0, 0.0, 10.0, 0.1)
     z = GridFunction.from_values(mesh, np.ones(len(mesh)))
-    x = reconstruct_x(z, aux)
+    x = reconstruct_x(z, aux, 0.0)
     assert x.eval(0.0) == pytest.approx(5.0, abs=1e-12)
     assert x.eval(9.8) == pytest.approx(0.1, abs=1e-12)
 
@@ -638,7 +638,9 @@ def test_cap_exceeded_is_reported_for_the_tenfold_preset():
 
 
 def test_mesh_is_refused_beyond_the_stepper_budget(capped_python):
-    # each mesh would take gigabytes or more; the budget refuses it at once
+    # each mesh would take gigabytes or more; the budget refuses it at once.
+    # picard_solve's precheck binds [t0, T] first, and its table budget
+    # refuses the two long horizons before their mesh is asked for
     done = capped_python("""
 from ndde.config import loads
 from ndde.errors import ValidationError
@@ -648,17 +650,21 @@ from ndde.presets import preset_text
 cfg = loads(preset_text("section4"))
 for kwargs in ({"T": 20.0, "step": 1e-12}, {"T": 10**9}, {"T": 1e300}):
     try:
-        picard_solve(cfg.problem, cfg.aux, cfg.history, precheck=False, **kwargs)
+        picard_solve(cfg.problem, cfg.aux, cfg.history, **kwargs)
     except ValidationError as exc:
         print(exc)
-try:
-    make_mesh(-1e300, 0.0, 2.0, 0.05)
-except ValidationError as exc:
-    print(exc)
+for args in ((0.0, 0.0, 10**9, 0.05), (0.0, 0.0, 1e300, 0.05), (-1e300, 0.0, 2.0, 0.05)):
+    try:
+        make_mesh(*args)
+    except ValidationError as exc:
+        print(exc)
 """)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.splitlines() == [
         "mesh step 1e-12 is too small for T = 20.0 from m = 0.0: 2e+13 panels, over the budget of 8388608",
+        "the horizon tmax = 1000000000.0 is too long: tables over [0.0, 1000000000.0] need over"
+        " 4194304 panels of width 1.0",
+        "the horizon tmax = 1e+300 is too long: tables over [0.0, 1e+300] need over 4194304 panels of width 1.0",
         "mesh step 0.05 is too small for T = 1000000000 from m = 0.0: 2e+10 panels, over the budget of 8388608",
         "mesh step 0.05 is too small for T = 1e+300 from m = 0.0: 2e+301 panels, over the budget of 8388608",
         "mesh step 0.05 is too small for T = 2.0 from m = -1e+300: 2e+301 panels, over the budget of 8388608",
