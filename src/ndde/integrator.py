@@ -26,6 +26,19 @@ members that fail to settle rerun at h/2), and takes exactly the arithmetic
 of a one-member run, so a family member is bitwise equal to its own run.  A
 family that fails raises the error of the first failure in t.
 
+Rows.  After the junction bootstrap, members whose (x(t0), x'(t0)) are
+bitwise equal (0.0 and -0.0 apart) share one row: the step loop and the
+blocks step it for the first of them, and its nodes are copied to the rest
+at the end, who share its outcome (a failure to settle and the rerun at h/2
+too).  Until a lookup lands on the history, a member's arithmetic reads
+nothing but its own nodes, so the row is each member's own run.  Where a
+lookup lands does not depend on the member, so the stepper records whether
+any lookup after the bootstrap was located on the history; from the first
+one on, a member whose psi or psi' differs from its row's lead (same tree,
+every constant to the bit) takes its own row, a copy of the shared one so
+far.  Where the lags vanish at t0 (m = t0), the default family is thus two
+rows, one per sign of psi(t0).  A one-member run skips the grouping.
+
 Blocks.  The equations as written (linear and general form) read x only
 at delayed arguments.  Wherever every lookup of a run of steps lands on
 the history or on a closed panel (right node at or before the step the
@@ -336,6 +349,12 @@ class _Pass(NamedTuple):
     need: np.ndarray  # per step, the first step a block holding it may start at
 
 
+def _same_code(a, b) -> bool:
+    """Whether two expressions compile to the same code: the same tree with
+    every constant to the bit (their printed text merges 0.0 and -0.0)."""
+    return a is b or (a.variables == b.variables and repr(a.root) == repr(b.root))
+
+
 class _Lockstep:
     """One fixed-step sweep of a family of histories on one shared grid.
 
@@ -346,7 +365,8 @@ class _Lockstep:
     members share only the coefficients and the located lookups, and the
     step loop values each lookup for each member where a stage reads it.
     ``counts`` records the steps taken one by one, the blocks, the steps in
-    blocks, and the block attempts abandoned.
+    blocks, the block attempts abandoned, and the rows stepped (members
+    that start alike share a row; see "Rows" in the module docstring).
     """
 
     def __init__(self, histories, t0, T, h, tol, m):
@@ -371,7 +391,12 @@ class _Lockstep:
         self.k = 0  # open panel index: [ts[k], ts[k+1]]
         self._fuzz = 1e-12 * max(1.0, abs(T))
         self._mfuzz = 1e-9 * max(1.0, abs(m))
-        self.counts = {"steps": 0, "blocks": 0, "block_steps": 0, "abandoned": 0}
+        self._lead = list(range(len(histories)))  # the member whose row each member reads
+        self._unsafe = []  # followers whose history differs from their lead's
+        self._read_history = False  # a lookup after the bootstrap landed on the history
+        self._failed = set()  # leads whose inner correction failed to settle
+        self.counts = {"steps": 0, "blocks": 0, "block_steps": 0, "abandoned": 0,
+                       "rows": len(histories)}
 
     # ------------------------------------------------------------ locating
     def _check_horizon(self, u):
@@ -393,6 +418,7 @@ class _Lockstep:
     def _locate(self, u, slope):
         if u < self.t0:
             self._check_horizon(u)
+            self._read_history = True
             return (_HIST, slope, u, None)
         h, k = self.h, self.k
         i = int((u - self.t0) / h)
@@ -466,20 +492,21 @@ class _Lockstep:
         ``form`` is (scalar form, array form or None).  Each pass of up to
         _BLOCK steps evaluates the array rows once; a span of at least
         _MIN_BLOCK steps that reads only closed panels and the history is
-        then stepped as one block for the whole family, and every other
-        step, and every member whose block failed, one by one.
+        then stepped as one block for every row, and every other step, and
+        every row whose block failed, one by one.
         """
         (row, rhs), bulk = form
-        members = range(len(self.xs))
         co, locs = row(self.t0, self._X0, self._Xp0)
-        for j in members:
+        for j in range(len(self.xs)):
             self._bootstrap(j, co, locs, rhs)
-        active = list(members)
+        if len(self.xs) > 1:
+            self._share()
         k = 0
-        while k < self.n and active:
+        while k < self.n and self._active():
             stop = min(k + _BLOCK, self.n)
             plan = self._pass(bulk[0], k, stop) if bulk is not None else None
-            while k < stop and active:
+            self._split(())  # the pass may have located the history first
+            while k < stop and (active := self._active()):
                 span = self._span(plan, k) if plan is not None else 0
                 if span >= _MIN_BLOCK:
                     single = self._block(plan, bulk[1], k, span, active)
@@ -488,18 +515,59 @@ class _Lockstep:
                 for step in range(k, k + span):
                     if not single:
                         break
-                    failed = self._step(step, single, row, rhs)
-                    if failed:
-                        active = [j for j in active if j not in failed]
-                        single = [j for j in single if j not in failed]
+                    single = self._step(step, single, row, rhs)
                 k += span
-        done = set(active)
-        return [(self._X[j], self._D[j]) if j in done else None for j in members]
+        out = []
+        for j, lead in enumerate(self._lead):
+            if lead in self._failed:
+                out.append(None)
+                continue
+            if lead != j:
+                self._X[j], self._D[j] = self._X[lead], self._D[lead]
+            out.append((self._X[j], self._D[j]))
+        return out
 
-    def _step(self, k, active, row, rhs):
-        """Step k of the active members, one RK4 step with the inner
+    # ------------------------------------------------------------- sharing
+    def _share(self):
+        """Lead each set of members with bitwise equal (x(t0), x'(t0)) by
+        its first; 0.0 and -0.0 stay apart.  Until a lookup lands on the
+        history they take the same arithmetic, so one row serves them all."""
+        leads = {}
+        psi, prime = self._psi_exprs, self._psi_prime_exprs
+        for j, start in enumerate(np.stack((self._X[:, 0], self._D[:, 0]), axis=1)):
+            lead = self._lead[j] = leads.setdefault(start.tobytes(), j)
+            if not (_same_code(psi[j], psi[lead]) and _same_code(prime[j], prime[lead])):
+                self._unsafe.append(j)
+        self.counts["rows"] = len(leads)
+
+    def _split(self, members):
+        """Once the history has been read, give each follower whose history
+        differs from its lead's a copy of the lead's row, bit for bit its own
+        so far, and step it on its own; returns those whose lead is among
+        ``members``."""
+        if not (self._unsafe and self._read_history):
+            return []
+        joined = []
+        for j in self._unsafe:
+            lead, self._lead[j] = self._lead[j], j
+            self._X[j], self._D[j] = self._X[lead], self._D[lead]
+            if lead in self._failed:
+                self._failed.add(j)
+            elif lead in members:
+                joined.append(j)
+        self.counts["rows"] += len(self._unsafe)
+        self._unsafe = []
+        return joined
+
+    def _active(self):
+        """The members stepped now: the leads that have not failed."""
+        return [j for j, lead in enumerate(self._lead) if lead == j and j not in self._failed]
+
+    # ---------------------------------------------------------------- steps
+    def _step(self, k, members, row, rhs):
+        """Step k of the given members, one RK4 step with the inner
         correction, each member valuing every lookup where a stage reads it;
-        returns the members that failed to settle."""
+        returns the members that settled."""
         self.counts["steps"] += 1
         self.k = k
         h = self.h
@@ -508,6 +576,7 @@ class _Lockstep:
         tn = self.ts[k + 1]
         mid_co, mid = row(self.ts[k] + half, self.X, self.Xp)
         end_co, end = row(tn, self.X, self.Xp)
+        members = members + self._split(members)
         mid_kinds, end_kinds = ({loc[0] for loc in locs if loc is not None} for locs in (mid, end))
         # k2 and k3 differ only through the stage state, so k3 = k2 for a mid
         # row that does not read it, which is valued once a step if none of
@@ -518,8 +587,8 @@ class _Lockstep:
         end_moves = not end_kinds.isdisjoint(_MOVING)
         touched = _OPEN in mid_kinds or _OPEN in end_kinds
         values = self._values
-        failed = []
-        for j in active:
+        settled = []
+        for j in members:
             xk, k1 = self.xs[j][k], self.ds[j][k]
             xr, dr = xk + h * k1, k1
             for it in range(_INNER_MAX):
@@ -533,13 +602,14 @@ class _Lockstep:
                 if not touched or max(abs(xr - x_prev), h * abs(dr - d_prev)) <= self.tol:
                     break
             else:
-                failed.append(j)
+                self._failed.add(j)
                 continue
             if not (math.isfinite(xr) and math.isfinite(dr)):
                 raise IntegrationError(f"state became non-finite near t = {tn!r}")
             self.xs[j][k + 1] = xr
             self.ds[j][k + 1] = dr
-        return failed
+            settled.append(j)
+        return settled
 
     # -------------------------------------------------------------- blocks
     def _pass(self, row, k, stop):
@@ -592,7 +662,9 @@ class _Lockstep:
         first[never] = np.inf
         i = np.clip(i, 0, self.n - 1).astype(np.intp)
         w = hermite_weights((u - self.grid[i]) / h, h, slope)
-        return (u, slope, hist if hist.any() else None, i, w), first
+        hist = hist if hist.any() else None
+        self._read_history |= hist is not None
+        return (u, slope, hist, i, w), first
 
     def _span(self, plan, s):
         """Length of the block that may start at step s: the steps from s on
@@ -799,7 +871,11 @@ def stability_experiment(
     "eps-bounded" requires every trajectory to stay below eps in absolute
     value; the asymptotic verdict additionally wants small end values with
     a decreasing last-decade trend.  The family is stepped in lockstep;
-    each member is bitwise equal to its own :func:`integrate` run.
+    each member is bitwise equal to its own :func:`integrate` run.  Members
+    that start alike (bitwise equal x(t0) and x'(t0)) share one stepped
+    row until the run reads the history below t0; from then on a member
+    whose history differs from its row's lead is stepped on its own.  With
+    the lags vanishing at t0, the default family is two rows.
     """
     require(**{"horizon T": T, "step h": h}, tol=tol, eps=eps, delta=delta)
     t0 = problem.t0

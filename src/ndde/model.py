@@ -163,6 +163,11 @@ class HistoryFunction:
     psi_prime: Expression | None = None
 
     def derivative_expression(self) -> Expression:
+        """psi', one expression per history, so its compiled form is shared."""
+        return self._derivative
+
+    @functools.cached_property
+    def _derivative(self) -> Expression:
         if self.psi_prime is not None:
             return self.psi_prime
         try:

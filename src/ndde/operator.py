@@ -447,21 +447,22 @@ def picard_solve(
     tables and the rows of the live mesh panels are built once, read by
     every iteration and kept in the result for :func:`residual`.
     """
-    # the arguments are checked before the precheck, which is costly
+    # the arguments and the mesh's budget are checked before the precheck,
+    # which is costly
     require(**{"horizon T": T}, tol=tol, max_iter=max_iter, **({} if step is None else {"step": step}))
-    require_after_t0(T, problem.t0)
-    est = alpha_estimate(problem, aux, tmax=max(T, problem.t0 + 1.0), grid=512)
+    t0 = problem.t0
+    require_after_t0(T, t0)
+    if step is None:
+        step = min(0.05, (T - t0) / 200.0)
+    m = min(horizon(problem, T).m, t0)
+    mesh = make_mesh(m, t0, T, step)
+    est = alpha_estimate(problem, aux, tmax=max(T, t0 + 1.0), grid=512)
     if est.alpha >= 1.0:
         warnings.warn(
             f"criterion sum reaches {est.alpha:.4g} >= 1 on [t0, {T:g}]; "
             "the iteration map need not contract",
             stacklevel=2,
         )
-    t0 = problem.t0
-    if step is None:
-        step = min(0.05, (T - t0) / 200.0)
-    m = min(horizon(problem, T).m, t0)
-    mesh = make_mesh(m, t0, T, step)
     tables = _Tables(problem, aux, mesh, psi)
     split = tables.split
 

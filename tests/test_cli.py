@@ -272,10 +272,11 @@ def test_exponential_lag_is_one_line_error(tmp_path, capsys):
 
 def test_long_horizon_error_names_tmax(tmp_path, capsys):
     # section4's lags never reach below t0, so the span of the tables is the
-    # horizon's alone and the message must not blame a delay
+    # horizon's alone and the message must not blame a delay (picard's mesh
+    # budget refuses such a T before any table is bound)
     path = tmp_path / "long.cfg"
     path.write_text(_cheap())
-    assert main(["picard", str(path), "--T", "1e12"]) == 1
+    assert main(["check", str(path), "--tmax", "1e12"]) == 1
     err = capsys.readouterr().err
     (line,) = [line for line in err.splitlines() if line.startswith("error:")]
     assert "tmax = 1000000000000.0" in line and "delay" not in line
@@ -304,10 +305,11 @@ def _capped_cli(cwd, *argv, cap=1 << 30, timeout=60):
     [
         (["check"], 'grid = "1000000000000"', "grid: need at most"),
         (["simulate", "--T", "1e13"], "", "1e+16 steps, over the budget"),
-        # picard's precheck binds [t0, T] before the iteration's mesh is asked for
-        (["picard", "--T", "1e7"], "", "need over 4194304 panels of width 1.0"),
+        # picard asks for its mesh before the precheck binds [t0, T]
+        (["picard", "--T", "1e7"], "", "mesh step 0.05 is too small for T = 10000000.0"),
+        (["check", "--tmax", "1e7"], "", "need over 4194304 panels of width 1.0"),
     ],
-    ids=["grid", "simulate-steps", "picard-tables"],
+    ids=["grid", "simulate-steps", "picard-mesh", "check-tables"],
 )
 def test_oversized_inputs_are_one_line_errors(tmp_path, argv, run, message):
     text = _cheap(tmax="50", grid="64")

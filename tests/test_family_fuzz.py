@@ -8,7 +8,10 @@ that each equal their own ``integrate`` run byte for byte, or raise one
 exception and no numpy warning.  The mutations put domain errors, poles,
 overflow and kinks into the coefficients, the lags and the histories;
 lags that reach below t0 make the blocks read the histories, and a
-history with a gap in its domain fails one member's blocks alone.
+history with a gap in its domain fails one member's blocks alone.  Each
+family also holds members that start alike: one history twice, one text
+parsed twice, and a history that starts where another does but differs
+below t0, so members share rows and, where a lag reads the history, part.
 """
 
 import random
@@ -51,7 +54,7 @@ def _mutate(rng: random.Random, value: str, lo: float, hi: float) -> str:
 
 
 def _case(rng: random.Random):
-    """A mutated section4 problem and a four-member history family."""
+    """A mutated section4 problem and a seven-member history family."""
     lines = preset_text("section4").split("\n")
     keyed = [n for n, line in enumerate(lines) if line.split(" = ")[0] in ("a", "b", "c")]
     for n in rng.sample(keyed, rng.randint(0, 2)):
@@ -61,7 +64,7 @@ def _case(rng: random.Random):
     if rng.random() < 0.8:
         lag = rng.choice(_LAGS).format(y=repr(y), x=repr(round(rng.uniform(0.0, _T), 3)))
         lines = [f'{line[:2]} = "{lag}"' if line[:5] in ("r1 = ", "r2 = ") else line for line in lines]
-    family = []
+    family, texts = [], []
     for label, psi in (
         ("plus", "0.001 + 0*t"),
         ("minus", "-0.001 + 0*t"),
@@ -77,6 +80,12 @@ def _case(rng: random.Random):
             z = round(x + rng.uniform(0.02, min(0.3, -0.05 - x)), 3)
             psi = f"{psi} + 0.001 * ((t - {x!r}) * (t - {z!r}))^0.5"
         family.append((label, HistoryFunction(parse_expression(psi))))
+        texts.append(psi)
+    family += [
+        ("plus_again", family[0][1]),
+        ("cosine_again", HistoryFunction(parse_expression(texts[2]))),
+        ("plus_start", HistoryFunction(parse_expression("0.001 * cos(2*t)"))),
+    ]
     return "\n".join(lines), family
 
 
@@ -89,7 +98,7 @@ def _own(problem, psi):
 
 
 def test_family_runs_equal_member_runs_or_raise_a_member_error(monkeypatch):
-    built, calls, redone = [], [], 0
+    built, calls, redone, shared, split = [], [], 0, 0, 0
 
     class Recording(integrator.Trajectory):
         def __init__(self, *args, **kw):
@@ -97,14 +106,27 @@ def test_family_runs_equal_member_runs_or_raise_a_member_error(monkeypatch):
             built.append(self)
 
     advance = integrator._Lockstep._advance
+    share, unshare = integrator._Lockstep._share, integrator._Lockstep._split
 
     def logged(self, stages, rhs, s, sl, members):
         single = advance(self, stages, rhs, s, sl, members)
         calls.append((s, list(members), single is None))
         return single
 
+    def shares(self):
+        nonlocal shared
+        share(self)
+        shared += self.counts["rows"] < len(self.xs)
+
+    def splits(self, members):
+        nonlocal split
+        split += bool(self._unsafe and self._read_history)
+        return unshare(self, members)
+
     monkeypatch.setattr(integrator, "Trajectory", Recording)
     monkeypatch.setattr(integrator._Lockstep, "_advance", logged)
+    monkeypatch.setattr(integrator._Lockstep, "_share", shares)
+    monkeypatch.setattr(integrator._Lockstep, "_split", splits)
     rng = random.Random(20261019)
     outcomes = []
     for case in range(60):
@@ -154,3 +176,6 @@ def test_family_runs_equal_member_runs_or_raise_a_member_error(monkeypatch):
     # both outcomes occur, and some blocks were redone member by member
     assert len(outcomes) > 40 and any(outcomes) and not all(outcomes)
     assert redone >= 5
+    # the duplicates share rows in every family; a lag y t with y > 1 reads
+    # the history from the first step, so a case parts its rows there
+    assert shared >= 40 and split >= 1

@@ -397,7 +397,11 @@ def test_family_members_equal_one_member_runs_bitwise(monkeypatch, case):
         warnings.simplefilter("ignore")
         if case == "step_loop":
             _one_by_one(monkeypatch)
+        made = _sweeps(monkeypatch)
         members = _family_runs(monkeypatch, prob, delta=0.001, T=20.0, h=0.05)
+        # the lag 0.2 t vanishes at t0, so only the sign of psi(t0) tells the
+        # members apart; a constant lag reads each member's own history
+        assert [sweep.counts["rows"] for sweep in made] == [4 if case == "constant_lag" else 2]
         if case == "step_loop":
             _one_by_one(monkeypatch)  # _family_runs undid the first patch
         assert len(members) == 4
@@ -489,6 +493,74 @@ def test_section4_stability_request_steps_in_blocks(monkeypatch):
     assert counts["steps"] + counts["block_steps"] == 12_500
     assert counts["steps"] <= 100
     assert counts["abandoned"] == 0
+    assert counts["rows"] == 2  # psi(t0) = +delta or -delta; nothing else is read
+
+
+def test_a_proportional_family_steps_one_row_per_start(monkeypatch):
+    from ndde.config import loads
+    from ndde.presets import preset_text
+
+    prob = loads(preset_text("section4")).problem
+    made = _sweeps(monkeypatch)
+    members = _family_runs(monkeypatch, prob, delta=0.00135, T=50.0, h=0.02)
+    assert len(made) == 1 and made[0].counts["rows"] == 2
+    assert [member.history for member in members] == [
+        psi for _, psi in default_history_family(0.00135, 0.0, 0.0)
+    ]
+    for member in members:
+        _assert_same_run(member, integrate(prob, member.history, T=50.0, h=0.02))
+
+
+def test_starts_are_compared_by_their_bits(monkeypatch):
+    # x(t0) = 0.0 and -0.0 are equal numbers but start different runs (the
+    # node x(t0) keeps its sign); the two texts of -0 share one row
+    prob, _ = _showcase()
+    family = [("zero", _hist("0*t")), ("minus", _hist("-0*t")), ("flipped", _hist("0*t*-1"))]
+    made = _sweeps(monkeypatch)
+    members = _family_runs(monkeypatch, prob, delta=0.001, T=2.0, h=0.05, psi_family=family)
+    assert made[0].counts["rows"] == 2
+    assert [math.copysign(1.0, member.values[0]) for member in members] == [1.0, -1.0, -1.0]
+    for member in members:
+        _assert_same_run(member, integrate(prob, member.history, T=2.0, h=0.05))
+
+
+@pytest.mark.parametrize("case", ["passes", "step_loop"])
+def test_a_history_first_read_after_the_junction_unshares_the_family(monkeypatch, case):
+    # the lag 0.5 t^2 vanishes at t0 = 0, so the junction reads no history
+    # and the four members start as two rows; t - 0.5 t^2 first falls below
+    # t0 at t = 2, so from there cosine and ramp read their own histories
+    prob = _linear(a="1 + 0*t", c="0.1 + 0*t", r1="0.5*t^2", r2="0.2*t")
+    T, h = 4.0, 0.001
+    made, started, split = _sweeps(monkeypatch), [], []
+    share, unshare = integrator._Lockstep._share, integrator._Lockstep._split
+
+    def shared(self):
+        share(self)
+        started.append(self.counts["rows"])
+
+    def unshared(self, members):
+        if self._unsafe and self._read_history:
+            split.append((self.counts["steps"] + self.counts["block_steps"], self.counts["block_steps"]))
+        return unshare(self, members)
+
+    monkeypatch.setattr(integrator._Lockstep, "_share", shared)
+    monkeypatch.setattr(integrator._Lockstep, "_split", unshared)
+    if case == "step_loop":
+        # no array rows: the step loop locates the first history lookup
+        monkeypatch.setattr(integrator._Lockstep, "_pass", lambda self, row, k, stop: None)
+    members = _family_runs(monkeypatch, prob, delta=0.001, T=T, h=h)
+    if case == "step_loop":
+        monkeypatch.setattr(integrator._Lockstep, "_pass", lambda self, row, k, stop: None)
+    assert started == [2] and made[0].counts["rows"] == 4
+    assert len(split) == 1
+    taken, block_steps = split[0]  # the steps counted when the rows split
+    if case == "passes":  # before the second pass of 1,024 steps, which holds t = 2
+        assert taken == integrator._BLOCK and block_steps > 0
+    else:  # in step 2000, whose mid stage t = 2.0005 reads the history first
+        assert taken == 2001 and block_steps == 0
+    assert len({member.values.tobytes() for member in members}) == 4
+    for member in members:
+        _assert_same_run(member, integrate(prob, member.history, T=T, h=h))
 
 
 @pytest.mark.parametrize("case", ["proportional", "history_segment", "general_qf"])

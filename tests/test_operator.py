@@ -638,9 +638,8 @@ def test_cap_exceeded_is_reported_for_the_tenfold_preset():
 
 
 def test_mesh_is_refused_beyond_the_stepper_budget(capped_python):
-    # each mesh would take gigabytes or more; the budget refuses it at once.
-    # picard_solve's precheck binds [t0, T] first, and its table budget
-    # refuses the two long horizons before their mesh is asked for
+    # each mesh would take gigabytes or more; the budget refuses it at once,
+    # and picard_solve asks for its mesh before the precheck binds [t0, T]
     done = capped_python("""
 from ndde.config import loads
 from ndde.errors import ValidationError
@@ -662,11 +661,32 @@ for args in ((0.0, 0.0, 10**9, 0.05), (0.0, 0.0, 1e300, 0.05), (-1e300, 0.0, 2.0
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.splitlines() == [
         "mesh step 1e-12 is too small for T = 20.0 from m = 0.0: 2e+13 panels, over the budget of 8388608",
-        "the horizon tmax = 1000000000.0 is too long: tables over [0.0, 1000000000.0] need over"
-        " 4194304 panels of width 1.0",
-        "the horizon tmax = 1e+300 is too long: tables over [0.0, 1e+300] need over 4194304 panels of width 1.0",
+        "mesh step 0.05 is too small for T = 1000000000 from m = 0.0: 2e+10 panels, over the budget of 8388608",
+        "mesh step 0.05 is too small for T = 1e+300 from m = 0.0: 2e+301 panels, over the budget of 8388608",
         "mesh step 0.05 is too small for T = 1000000000 from m = 0.0: 2e+10 panels, over the budget of 8388608",
         "mesh step 0.05 is too small for T = 1e+300 from m = 0.0: 2e+301 panels, over the budget of 8388608",
         "mesh step 0.05 is too small for T = 2.0 from m = -1e+300: 2e+301 panels, over the budget of 8388608",
     ]
     assert ndde.operator._MAX_STEPS == ndde.integrator._MAX_STEPS  # the stepper's budget
+
+
+def test_mesh_budget_is_checked_before_the_precheck(monkeypatch):
+    # T = 5e5 needs 1e7 mesh panels at step 0.05; the refusal must not wait
+    # for the precheck's sweep of [t0, T]
+    from ndde.config import loads
+    from ndde.presets import preset_text
+
+    cfg = loads(preset_text("section4"))
+    calls = []
+    estimate = ndde.operator.alpha_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(ndde.operator, "alpha_estimate", counted)
+    with pytest.raises(ValidationError, match=r"^mesh step 0\.05 is too small for T = 500000\.0 from m = 0\.0"):
+        picard_solve(cfg.problem, cfg.aux, cfg.history, T=5e5)
+    assert calls == []
+    picard_solve(cfg.problem, cfg.aux, cfg.history, T=2.0)
+    assert len(calls) == 1
