@@ -29,9 +29,11 @@ coefficients mu/cbar/beta) and its head is |cbar(t)|.
 int_{t0}^{t} exp(-int_s^t g) (...) ds.  Each term is written once, as one
 record of its form's term table (``_LINEAR_TABLE``, ``_GENERAL_TABLE``):
 the label, the body over a coefficient set (the binding, floats, or its
-``arrays``, numpy arrays), the exact slope of a direct term and the sweep
-tolerance of a weighted term; the pointwise evaluator, the sweep and the
-label tuples all read the table.  Over a horizon, all weighted terms are
+``arrays``, numpy arrays), the exact slope of a direct term, and the sweep
+tolerance and kink arguments of a weighted term; the pointwise evaluator,
+the sweep and the label tuples all read the table.  The sweep breaks its
+panels where a kink argument changes sign (see
+:class:`~ndde.quadrature.WeightedSweep`).  Over a horizon, all weighted terms are
 swept together by one :class:`~ndde.quadrature.WeightedSweep` on the
 Lobatto 4 / Kronrod 7
 nodes of the grid panels, which reads G and the damping weights once per
@@ -122,25 +124,40 @@ def _damping(b, s):
     return abs(rate) * b.p_of(u) * b.q_bound(u)
 
 
+def _linear_bracket(b, s):
+    return -b.mu(s) + b.retarded(s) - b.beta(s)
+
+
 @dataclass(frozen=True)
 class _Term:
     """One criterion term: its report label and its body over a coefficient
     set b (the binding or its ``arrays``) at time t.  A direct term is the
     body itself and carries its exact slope; a weighted term (``slope``
-    None) is the damped integral of the body, swept to ``tol`` per panel."""
+    None) is the damped integral of the body, swept to ``tol`` per panel.
+    A weighted term's ``kinks`` gives, over the same sets, the argument of
+    the abs in its body and the kink arguments inside the coefficients it
+    reads, each at the time the body reads the coefficient: where one
+    changes sign, the sweep breaks its panel."""
 
     label: str
     body: Callable
     slope: Callable | None = None
     tol: float = _SWEEP_TOL
+    kinks: Callable | None = None
 
 
 _WINDOW = _Term(
     "drift_window", lambda b, t: b.drift_window(t),
     lambda b, t: abs(b.drift(t)) - abs(b.drift(b.tau1(t))) * (1.0 - b.r1_slope(t)),
 )
-_DOUBLE = _Term("double_window", lambda b, s: abs(b.g_of(s)) * b.drift_window(s), tol=_DOUBLE_TOL)
-_TAIL = _Term("nonlinear_tail", lambda b, s: b.k4 * _coupling_weight(b, s))
+_DOUBLE = _Term(
+    "double_window", lambda b, s: abs(b.g_of(s)) * b.drift_window(s), tol=_DOUBLE_TOL,
+    kinks=lambda b, s: (b.g_of(s), *b.inner_kinks("g_of", s)),
+)
+_TAIL = _Term(
+    "nonlinear_tail", lambda b, s: b.k4 * _coupling_weight(b, s),
+    kinks=lambda b, s: (b.tail_scale(s), *b.inner_kinks("c", s)),
+)
 
 # the term tables, in report order: the direct terms first, as the grid sums
 # and the pointwise sum of _alpha_from_bound add the terms in this order
@@ -150,19 +167,34 @@ _LINEAR_TABLE = (
         lambda b, t: _signed(b.cbar(t), b.cbar_prime(t)),
     ),
     _WINDOW,
-    _Term("retarded_bracket", lambda b, s: abs(-b.mu(s) + b.retarded(s) - b.beta(s))),
+    _Term(
+        "retarded_bracket", lambda b, s: abs(_linear_bracket(b, s)),
+        kinks=lambda b, s: (
+            _linear_bracket(b, s), *b.inner_kinks("a", s), *b.inner_kinks("g_of", s),
+            *b.inner_kinks("g_of", s, b.tau1),
+        ),
+    ),
     _DOUBLE,
     _TAIL,
 )
 _GENERAL_TABLE = (
     _Term("neutral_head", _general_head, _general_head_slope),
     _WINDOW,
-    _Term("retarded_bracket", lambda b, s: abs(b.bracket(s))),
+    _Term(
+        "retarded_bracket", lambda b, s: abs(b.bracket(s)),
+        kinks=lambda b, s: (b.bracket(s), *b.inner_kinks("a", s), *b.inner_kinks("g_of", s, b.tau1)),
+    ),
     _DOUBLE,
-    _Term("neutral_damping", _damping),
+    _Term(
+        "neutral_damping", _damping,
+        kinks=lambda b, s: (
+            b.damping_rate(s), *b.inner_kinks("g_of", s), *b.inner_kinks("q_bound", s, b.tau1),
+        ),
+    ),
     _Term(
         "coupling_pair",
         lambda b, s: abs(b.pair_scale(s)) * (b.k2 * b.p_of(b.tau1(s)) + b.k3 * b.p_of(b.tau2(s))),
+        kinks=lambda b, s: (b.pair_scale(s), *b.inner_kinks("d", s)),
     ),
     _TAIL,
 )
@@ -339,6 +371,7 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int):
         [functools.partial(term.body, bound) for term in weighted], bound.gexp, ts,
         [term.tol for term in weighted], arrays=[_on_arrays(bound, term.body) for term in weighted],
         labels=[term.label for term in weighted],
+        kinks=[_on_arrays(bound, term.kinks) for term in weighted],
     )
     swept_slopes = sweep.slopes()
     scans += [
@@ -500,6 +533,7 @@ def asymptotic_check(bound: BoundProblem, sweep: WeightedSweep | None = None) ->
         sweep = WeightedSweep(
             [functools.partial(_TAIL.body, b)], b.gexp, np.linspace(t0, tmax, 4096), _TAIL.tol,
             arrays=[functools.partial(_TAIL.body, b.arrays)], labels=[_TAIL.label],
+            kinks=[functools.partial(_TAIL.kinks, b.arrays)],
         )
     k = sweep.labels.index(_TAIL.label)
     a_end = float(sweep.values[k, -1]) / b.k4

@@ -750,6 +750,24 @@ def _collect_vars(node: Node, out: list[str]) -> None:
         _collect_vars(node.arg, out)
 
 
+def _collect_kinks(node: Node, out: list[Node]) -> None:
+    """Append, once each and outermost first, the arguments of node's abs
+    calls and of its signed powers other than odd integer ones, which are
+    plain powers; a constant argument is left out."""
+    if isinstance(node, Neg):
+        _collect_kinks(node.arg, out)
+    elif isinstance(node, BinOp):
+        _collect_kinks(node.left, out)
+        _collect_kinks(node.right, out)
+    elif isinstance(node, (Call, SgnPow)):
+        kinked = node.func == "abs" if isinstance(node, Call) else not (
+            node.exponent.denominator == 1 and node.exponent.numerator % 2
+        )
+        if kinked and not isinstance(node.arg, Const) and node.arg not in out:
+            out.append(node.arg)
+        _collect_kinks(node.arg, out)
+
+
 # ---------------------------------------------------------------------------
 # Public wrapper
 
@@ -831,6 +849,14 @@ class Expression:
     def is_zero(self) -> bool:
         r = _simplify(self.root)
         return isinstance(r, Const) and r.value == 0.0
+
+    def kink_arguments(self) -> tuple["Expression", ...]:
+        """The arguments u of every abs(u) and sgnpow(u, e) in the tree (e not
+        an odd integer), over this expression's variables: where one changes
+        sign, the expression may have a kink (or, for sgnpow, a cusp)."""
+        found: list[Node] = []
+        _collect_kinks(self.root, found)
+        return tuple(Expression(node, self.variables) for node in found)
 
     # operators ----------------------------------------------------------
     def _merge_vars(self, other: "Expression") -> tuple[str, ...]:

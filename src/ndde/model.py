@@ -490,6 +490,16 @@ class _Derived:
         """d/p, the scale of the F coupling (general form)."""
         return self.d(t) / self.p_raw(t)
 
+    def inner_kinks(self, name, t, delay=None):
+        """The kink arguments inside coefficient ``name`` (see
+        :meth:`~ndde.expressions.Expression.kink_arguments`) at t, or at
+        delay(t) when a delay such as ``tau1`` is given: where one changes
+        sign, the coefficient may have a kink."""
+        kinks = self._kinks[name]
+        if kinks and delay is not None:
+            t = delay(t)
+        return [self._target(e)(t) for e in kinks]
+
 
 class BoundProblem(_Derived):
     """Fast closures for one problem/auxiliary pair over [t0, tmax].
@@ -500,6 +510,8 @@ class BoundProblem(_Derived):
     drift-window term.  ``arrays`` holds the same coefficient functions
     over numpy arrays, built on first use.
     """
+
+    _target = staticmethod(Expression.compiled)  # the form of inner_kinks' functions
 
     def __init__(
         self,
@@ -558,6 +570,7 @@ class BoundProblem(_Derived):
             self.k2 = problem.k2
             self.k3 = problem.k3
         self._exprs = exprs
+        self._kinks = {name: expr.kink_arguments() for name, expr in exprs.items()}
         for name, expr in exprs.items():
             setattr(self, name, expr.compiled())
 
@@ -595,8 +608,10 @@ class _ArrayCoefficients(_Derived):
     """A binding's coefficient functions over numpy arrays: each expression
     in its array form, the left extensions as masks."""
 
+    _target = staticmethod(Expression.vectorized)
+
     def __init__(self, bound: BoundProblem):
-        for name in ("t0", "gamma", "k4", "k2", "k3", "gexp", "drift_cum"):
+        for name in ("t0", "gamma", "k4", "k2", "k3", "gexp", "drift_cum", "_kinks"):
             if hasattr(bound, name):
                 setattr(self, name, getattr(bound, name))
         for name, expr in bound._exprs.items():

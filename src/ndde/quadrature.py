@@ -17,19 +17,25 @@ point by point, so errors and their texts are the scalar ones.  The recurring sh
 * exponentially weighted integrals  int_a^t exp(G(s) - G(t)) f(s) ds,
   one-shot (weighted_integral) and, for several integrands at once, swept
   along a grid on the same pair's fixed nodes (WeightedSweep), in bulk:
-  chunks of grid panels at a time, the failing (panel, integrand) pairs
-  refined together by ``_refine``;
+  chunks of grid panels at a time, each panel first broken at the kinks
+  of an integrand's |.| that its nodes bracket (the roots of the kink
+  arguments, polished together by ``_roots``) where the kink can move
+  the panel's integral by more than its tolerance, the failing (panel,
+  integrand) pairs and pieces refined together by ``_refine``;
 * supremum scans over long windows with local refinement (sup_scan):
   given exact slopes at the coarse nodes and a value-and-slope callable, a
   cell whose node slopes bracket a maximum is polished by a root search on
-  the slope; without them (or where the slopes fail) a cell gets a 64-point
-  sub-scan and a golden-section search.  WeightedSweep supplies the slopes
-  of its running integrals through I' = f - g I at one sample of g a node.
+  the slope, which stops at its root (see ``_polish``); without them (or
+  where the slopes fail) a cell gets a 64-point sub-scan and a
+  golden-section search.  WeightedSweep supplies the slopes of its
+  running integrals through I' = f - g I at one sample of g a node.
 
 The pair (Gander & Gautschi's Lobatto 4 / Kronrod 7) and its fixed-node
 helpers are shared with the operator's tables, so the package has one
 fixed-node rule, and one refinement (``_refine``) where |K7 - L4| fails:
-halving level by level down to the depth floor.  Scalar panels go through
+halving level by level down to the depth floor.  Break points at kinks
+serve the criterion sweep only; the cumulative tables and the operator's
+panels halve into their kinks.  Scalar panels go through
 ``_lk_nodes``, arrays of them through ``_lk_points``, both through ``_lk_sums``.
 Adaptive Simpson serves the one-shot ``weighted_integral`` only, on no
 request path.
@@ -192,7 +198,9 @@ _HALVINGS = 50
 # many panels per bulk call, which bounds the size of the sample arrays (and
 # of the array expressions' temporaries) on long grids.
 _CHUNK = 256
-assert (_CHUNK - 1) << _HALVINGS < 1 << 63  # WeightedSweep's sub-interval key fits int64
+
+# the rows of ``_lk_points`` in the order of their points, left to right
+_LEFT_TO_RIGHT = [0, 2, 4, 6, 5, 3, 1]
 
 
 def _lk_nodes(a, b):
@@ -545,6 +553,63 @@ def weighted_integral(
     )
 
 
+_NO_BREAKS = (np.zeros(0, dtype=np.intp), np.zeros(0))
+
+# Illinois steps one break point's polish may take
+_ROOT_ITERS = 60
+
+
+def _roots(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """A root of f in each bracket [a_i, b_i], where f takes the values fa_i
+    and fb_i of opposite sign (a zero counts as positive), by Illinois
+    steps on all brackets at once.
+
+    ``f(x, live)`` gives f at the points x of the brackets numbered
+    ``live``.  A bracket is done where f vanishes, where the secant step
+    rounds onto one of its ends (the root is that end to rounding), or
+    where the bracket or the step shrinks to 1e-12 of max(1, |a| + |b|),
+    the tolerance of ``_polish``: a break point that close to a kink leaves
+    the pair a kink it integrates to rounding.  A non-finite value of f
+    makes the root NaN.
+    """
+    a, fa, b, fb = (np.array(v, dtype=float) for v in (a, fa, b, fb))
+    root = 0.5 * (a + b)
+    tol = 1e-12 * np.maximum(1.0, np.abs(a) + np.abs(b))
+    side = np.zeros(len(a), dtype=np.int8)  # which end the last step moved: -1 a, +1 b
+    live = np.flatnonzero(np.isfinite(root))
+    for _ in range(_ROOT_ITERS):
+        if not len(live):
+            break
+        al, bl, wa, wb, prev = a[live], b[live], fa[live], fb[live], root[live]
+        with np.errstate(all="ignore"):
+            x = bl - wb * (bl - al) / (wb - wa)
+        landed = (x == al) | (x == bl)  # on an end: that end is the root to rounding
+        root[live[landed]] = x[landed]
+        live, x, al, bl, wa, prev = (v[~landed] for v in (live, x, al, bl, wa, prev))
+        off = ~((al < x) & (x < bl))
+        x[off] = 0.5 * (al + bl)[off]
+        with np.errstate(all="ignore"):
+            fx = np.asarray(f(x, live), dtype=float)
+        root[live] = x
+        bad = ~np.isfinite(fx)
+        root[live[bad]] = math.nan
+        move_a = ((fx < 0.0) == (wa < 0.0)) & ~bad
+        ia, ib = live[move_a], live[~move_a & ~bad]
+        a[ia], fa[ia] = x[move_a], fx[move_a]
+        b[ib], fb[ib] = x[~move_a & ~bad], fx[~move_a & ~bad]
+        fb[ia[side[ia] == -1]] *= 0.5  # Illinois: the end that stayed twice weighs half
+        fa[ib[side[ib] == 1]] *= 0.5
+        side[ia], side[ib] = -1, 1
+        done = bad | (fx == 0.0) | (b[live] - a[live] <= tol[live]) | (np.abs(x - prev) <= tol[live])
+        live = live[~done]
+    return root
+
+
+def _stacked(kinks, x: np.ndarray) -> np.ndarray:
+    """The kink arguments ``kinks(x)`` as one array, a leading axis over them."""
+    return np.stack(np.broadcast_arrays(*kinks(x)))
+
+
 class WeightedSweep:
     """Exp-weighted running integrals of several integrands along one grid.
 
@@ -557,15 +622,33 @@ class WeightedSweep:
     shared by every integrand, and each integrand is sampled there in one
     call of its array form (``arrays[k]``; without one, f_k point by
     point), a grid node's G and samples serving both panels that end on it.
-    An integrand's panel sum is K7 when |K7 - L4| is within its
+
+    Break points: ``kinks[k]``, when given, maps an array of times to the
+    kink arguments of f_k there (a sequence of arrays).  In each chunk they
+    are read at the 7 nodes of every panel in one call; a sign change
+    between neighbouring nodes gives a root, polished with the chunk's
+    other roots by ``_roots``.  A panel is searched only where the kink
+    can move its integral by more than its tolerance, that is where the
+    panel's width times its largest |sample| exceeds it (a bracket pinned
+    to zero up to rounding never breaks), and where its samples dip: where
+    the smallest |sample| is at most half the largest.  A kink of |u| in a
+    term |u| w pulls the samples beside it toward zero; samples that all
+    exceed half their maximum hide a root of u only in a feature narrower
+    than the nodes resolve.  The pieces are integrated as first-level
+    intervals, each with the panel's tolerance split by width; halving
+    stays the safety net for kinks the search misses.
+
+    An integrand's panel (or piece) sum is K7 when |K7 - L4| is within its
     tolerance.  The (panel, integrand) pairs that fail are refined together
     by ``_refine`` (the tolerance split by width, G read once per distinct
     sub-panel).  ``at(t)`` evaluates between grid points by the same routine
-    on the one interval [grid[i], t].  ``counts[k]`` holds, per integrand,
-    the panels (grid panels and ``at`` intervals) accepted whole, the panels
-    halved, and the pieces accepted at the depth floor.  A failure is
-    raised as a QuadratureError that names the integrand's label (and, in
-    ``at``, the t).
+    on the one interval [grid[i], t], broken at the sweep's break points in
+    it.  ``counts[k]`` holds, per integrand, the panels (grid panels and
+    ``at`` intervals) accepted whole, the panels halved, and the pieces
+    accepted at the depth floor; a broken panel counts as accepted whole
+    when each of its pieces passes at its first level, as halved
+    otherwise.  A failure is raised as a QuadratureError that names the
+    integrand's label (and, in ``at``, the t).
     """
 
     def __init__(
@@ -576,6 +659,7 @@ class WeightedSweep:
         tols: Sequence[float] | float = 1e-11,
         arrays: Sequence[Callable[[np.ndarray], np.ndarray] | None] | None = None,
         labels: Sequence[str] | None = None,
+        kinks: Sequence[Callable[[np.ndarray], Sequence[np.ndarray]] | None] | None = None,
     ):
         self.fs = list(integrands)
         self.gexp = gexp
@@ -586,21 +670,27 @@ class WeightedSweep:
         self.tols = [float(tols)] * n if np.ndim(tols) == 0 else [float(t) for t in tols]
         self.arrays = [None] * n if arrays is None else list(arrays)
         self.labels = [f"integrand {k}" for k in range(n)] if labels is None else list(labels)
-        if not len(self.tols) == len(self.arrays) == len(self.labels) == n:
-            raise ValueError("need one tolerance, array form and label per integrand")
+        self.kinks = [None] * n if kinks is None else list(kinks)
+        if not len(self.tols) == len(self.arrays) == len(self.labels) == len(self.kinks) == n:
+            raise ValueError("need one tolerance, array form, label and kink map per integrand")
         self.counts = np.zeros((n, 3), dtype=int)
         terms = list(range(n))
         grid, G = self.grid, gexp.cumulative(self.grid)
         self._G = G
         self._f_grid = np.array([self._sample(k, grid, "") for k in terms]).reshape(n, -1)
         panels = np.zeros((n, len(grid) - 1))
+        found = []  # per chunk: the integrand and the t of each break point
         for lo in range(0, len(grid) - 1, _CHUNK):
             hi = min(lo + _CHUNK, len(grid) - 1)
             f = self._f_grid
-            panels[:, lo:hi] = self._integrate(
+            panels[:, lo:hi], (ids, roots) = self._integrate(
                 grid[lo:hi], grid[lo + 1 : hi + 1], G[lo:hi], G[lo + 1 : hi + 1],
                 f[:, lo:hi], f[:, lo + 1 : hi + 1], terms, "",
             )
+            found.append((ids % n, roots))
+        # each integrand's break points in increasing t, for ``at``
+        ks, roots = (np.concatenate(col) for col in zip(*found)) if found else _NO_BREAKS
+        self._breaks = [np.sort(roots[ks == k]) for k in terms]
         decay = np.exp(G[:-1] - G[1:])
         self.values = np.zeros((n, len(grid)))
         for k in terms:
@@ -613,23 +703,96 @@ class WeightedSweep:
         except (NddeError, ArithmeticError) as err:
             raise QuadratureError(f"sweep of {self.labels[k]}{where}: {err}") from err
 
-    def _integrate(self, a, b, ga, gb, fa, fb, terms: list[int], where: str) -> np.ndarray:
-        """int_{a_p}^{b_p} exp(G(s) - G(b_p)) f_k(s) ds, shape (len(terms), m),
-        for the m intervals [a_p, b_p], given G and (row j for terms[j]) f at
-        their ends."""
+    def _find_breaks(self, nodes: np.ndarray, first: np.ndarray, tol: np.ndarray, terms: list[int]):
+        """(intervals, roots): the break points of the (panel p, term row j)
+        intervals, numbered p * len(terms) + j, unsorted.
+
+        ``nodes`` are the panels' ``_lk_points`` and ``first`` the weighted
+        samples there, one column an interval.  A kink map that raises, or
+        a root whose polish meets a non-finite value, gives no break point.
+        """
+        m, rows = nodes.shape[1], len(terms)
+        xs = nodes[_LEFT_TO_RIGHT]
+        size = np.abs(first)
+        top = size.max(axis=0)
+        with np.errstate(all="ignore"):
+            reach = (nodes[1] - nodes[0])[:, None] * top.reshape(m, rows)
+        worth = (reach > tol.reshape(m, rows)) & (size.min(axis=0) <= 0.5 * top).reshape(m, rows)
+        found = [_NO_BREAKS]
+        for j, k in enumerate(terms):
+            cols, kinks = np.flatnonzero(worth[:, j]), self.kinks[k]
+            if kinks is None or not len(cols):
+                continue
+            try:
+                with np.errstate(all="ignore"):
+                    u = _stacked(kinks, xs[:, cols])  # (kink, node, panel)
+                finite = np.isfinite(u[:, :-1]) & np.isfinite(u[:, 1:])
+                q, g, c = np.nonzero(((u[:, :-1] < 0.0) != (u[:, 1:] < 0.0)) & finite)
+                if not len(q):
+                    continue
+                p = cols[c]
+                roots = _roots(
+                    lambda x, live, q=q, kinks=kinks: _stacked(kinks, x)[q[live], np.arange(len(live))],
+                    xs[g, p], u[q, g, c], xs[g + 1, p], u[q, g + 1, c],
+                )
+            except (NddeError, ArithmeticError):
+                continue
+            inside = (xs[0, p] < roots) & (roots < xs[-1, p])  # NaN fails too
+            found.append((p[inside] * rows + j, roots[inside]))
+        return tuple(np.concatenate(col) for col in zip(*found))
+
+    def _integrate(self, a, b, ga, gb, fa, fb, terms: list[int], where: str, breaks=None):
+        """(values, breaks): int_{a_p}^{b_p} exp(G(s) - G(b_p)) f_k(s) ds,
+        shape (len(terms), m), for the m intervals [a_p, b_p], given G and
+        (row j for terms[j]) f at their ends; and the break points
+        (``_find_breaks``' intervals and roots) the intervals were broken
+        at: ``breaks``, or where None, the ones ``_find_breaks`` finds."""
         m, rows = len(a), len(terms)
+        n = m * rows
         # one interval per (panel p, term row j) pair, numbered p * rows + j
-        x = _lk_points(a, b)[2:]
+        nodes = _lk_points(a, b)
+        x = nodes[2:]
         with np.errstate(all="ignore"):
             damping = np.exp(self.gexp.cumulative(x) - gb)  # G once for all terms
             inner = np.stack([damping * self._sample(k, x, where) for k in terms], axis=2)
             first = np.concatenate(((np.exp(ga - gb)[:, None] * fa.T)[None], fb.T[None], inner))
+        first = first.reshape(7, -1)
+        lo, hi = np.repeat(a, rows), np.repeat(b, rows)
+        tol = np.tile(np.asarray(self.tols)[terms], m)
+        if breaks is None:  # a non-finite sample raises below, as without break points
+            breaks = self._find_breaks(nodes, first, tol, terms) if np.isfinite(first).all() else _NO_BREAKS
+        # per interval _refine integrates: its (panel, term) pair, and its
+        # group, the same for the intervals over the same [lo, hi]
+        owner, group = np.arange(n), np.repeat(np.arange(m), rows)
+        cut, roots = breaks
+        if len(cut):
+            is_cut = np.zeros(n, dtype=bool)
+            is_cut[cut] = True
+            broken, whole = np.flatnonzero(is_cut), np.flatnonzero(~is_cut)
+            # the pieces of the broken pairs, pair by pair and left to right
+            # (a break point found twice gives a piece of width 0, which adds 0)
+            p_owner = np.concatenate((broken, cut))
+            p_lo = np.concatenate((lo[broken], roots))
+            order = np.lexsort((p_lo, p_owner))
+            p_owner, p_lo = p_owner[order], p_lo[order]
+            last = np.append(p_owner[1:] != p_owner[:-1], True)
+            p_hi = np.append(p_lo[1:], 0.0)
+            p_hi[last] = hi[p_owner[last]]
+            p_tol = tol[p_owner] * ((p_hi - p_lo) / (hi - lo)[p_owner])
+            owner = np.concatenate((whole, p_owner))
+            group = np.concatenate((group[whole], m + np.arange(len(p_owner))))
+            lo, hi = np.concatenate((lo[whole], p_lo)), np.concatenate((hi[whole], p_hi))
+            tol = np.concatenate((tol[whole], p_tol))
 
         def sample(x, ids, pos):
             # G at the distinct sub-intervals, once for all terms
-            p, j = np.divmod(ids, rows)
-            _, one, inv = np.unique(p << _HALVINGS | pos, return_index=True, return_inverse=True)
-            G = self.gexp.cumulative(x[:, one])[:, inv]
+            p, j = np.divmod(owner[ids], rows)
+            key, order = group[ids], np.lexsort((pos, group[ids]))
+            new = np.ones(len(order), dtype=bool)
+            new[1:] = (key[order][1:] != key[order][:-1]) | (pos[order][1:] != pos[order][:-1])
+            inv = np.empty(len(order), dtype=np.intp)
+            inv[order] = np.cumsum(new) - 1
+            G = self.gexp.cumulative(x[:, order[new]])[:, inv]
             f = np.empty_like(x)
             for r in np.flatnonzero(np.bincount(j)).tolist():
                 f[:, j == r] = self._sample(terms[r], x[:, j == r], where)
@@ -637,18 +800,22 @@ class WeightedSweep:
                 return np.exp(G - gb[p]) * f
 
         try:
-            pieces = _refine(
-                sample, np.repeat(a, rows), np.repeat(b, rows),
-                np.tile(np.asarray(self.tols)[terms], m), first.reshape(7, -1),
-            )
+            if len(cut):
+                fresh = np.arange(len(whole), len(owner))
+                pieces = _sampled(sample, _lk_points(lo[fresh], hi[fresh]), fresh, np.zeros(len(fresh), dtype=np.int64))
+                first = np.concatenate((first[:, whole], pieces), axis=1)
+            pieces = _refine(sample, lo, hi, tol, first)
         except _RefineError as err:
-            label = self.labels[terms[err.interval % rows]]
+            label = self.labels[terms[owner[err.interval] % rows]]
             raise QuadratureError(f"sweep of {label}{where}: {err}") from err
-        passed = pieces.passed.reshape(m, rows).sum(0)
+        totals, halved = pieces.totals(), ~pieces.passed
+        if len(owner) > n:  # a pair's sum over its pieces, left to right
+            totals, halved = np.bincount(owner, totals, minlength=n), np.bincount(owner, halved, minlength=n) > 0
+        passed = (~halved).reshape(m, rows).sum(0)
         self.counts[terms, 0] += passed
         self.counts[terms, 1] += m - passed
-        self.counts[terms, 2] += np.bincount(pieces.ids[pieces.floor] % rows, minlength=rows)
-        return pieces.totals().reshape(m, rows).T
+        self.counts[terms, 2] += np.bincount(owner[pieces.ids[pieces.floor]] % rows, minlength=rows)
+        return totals.reshape(m, rows).T, breaks
 
     def at(self, t: float, k: int | None = None):
         """Integrand k's running integral at t, or all of them as an array."""
@@ -663,9 +830,13 @@ class WeightedSweep:
             where = f" at t={t!r}"
             point = np.array([float(t)])
             ends = np.array([self._sample(j, point, where) for j in terms])
-            panel = self._integrate(
+            # the sweep's break points in (grid[i], t), interval j for terms[j]
+            inside = [r[np.searchsorted(r, self.grid[i], "right") : np.searchsorted(r, t)]
+                      for r in (self._breaks[j] for j in terms)]
+            breaks = (np.repeat(np.arange(len(terms)), [len(r) for r in inside]), np.concatenate(inside))
+            panel, _ = self._integrate(
                 self.grid[i : i + 1], point, self._G[i : i + 1], np.array([gt]),
-                self._f_grid[terms, i : i + 1], ends, terms, where,
+                self._f_grid[terms, i : i + 1], ends, terms, where, breaks,
             )
             out = math.exp(self._G[i] - gt) * out + panel[:, 0]
         return out if k is None else float(out[0])
@@ -739,13 +910,22 @@ _POLISH_ITERS = 100
 def _polish(value_slope, a: float, da: float, b: float, db: float):
     """(t, h(t)) of the best sample of an Illinois search for h' = 0 on
     (a, b), where h'(a) = da > 0 > db = h'(b); None on a non-finite sample.
+
+    The search stops at its root: where the secant step rounds onto an end
+    it has sampled itself (that end is the root to rounding), or where the
+    most the bracket can still add, min(h'(a), -h'(b)) (b - a), is within
+    four ulps of the best value.
     """
     tol = 1e-12 * max(1.0, abs(a) + abs(b))
     x_best, v_best = a, -math.inf
     side, prev = 0, a
+    wa, wb = da, db  # the ends' slopes as the secant weighs them (Illinois halves one)
+    a_own = b_own = False  # whether this search sampled the end a, b itself
     for _ in range(_POLISH_ITERS):
-        x = b - db * (b - a) / (db - da)
+        x = b - wb * (b - a) / (wb - wa)
         if not a < x < b:
+            if x == a and a_own or x == b and b_own:
+                break
             x = 0.5 * (a + b)
         v, d = value_slope(x)
         if not (math.isfinite(v) and math.isfinite(d)):
@@ -753,18 +933,18 @@ def _polish(value_slope, a: float, da: float, b: float, db: float):
         if v > v_best:
             x_best, v_best = x, v
         if d > 0.0:
-            a, da = x, d
+            a, da, wa, a_own = x, d, d, True
             if side == 1:
-                db *= 0.5
+                wb *= 0.5
             side = 1
         elif d < 0.0:
-            b, db = x, d
+            b, db, wb, b_own = x, d, d, True
             if side == -1:
-                da *= 0.5
+                wa *= 0.5
             side = -1
         else:
             break
-        if b - a <= tol or abs(x - prev) <= tol:
+        if b - a <= tol or abs(x - prev) <= tol or min(da, -db) * (b - a) <= 4.0 * math.ulp(v_best):
             break
         prev = x
     return x_best, v_best

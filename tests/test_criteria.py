@@ -623,15 +623,35 @@ def test_report_integrates_no_companion_one_shot(monkeypatch):
 # exact slopes behind the sup scans
 
 
-def _certify_member():
-    """Linear member 0 of the seed-1 certify deck: lag 0.2087 t,
-    b = 1.0406 sin(1.026 t)/7 and bracket residual 0.01283/(t + 0.1)."""
-    b = "1.0406*sin(1.026*t)/7"
-    r1 = DelaySpec(parse_expression("0.2087*t"))
+def _certify_member(theta="0.2087", amp="1.0406", freq="1.026", rho="0.01283"):
+    """A linear member of the certify decks, by default member 0 of seed 1:
+    lag theta t, b = amp sin(freq t)/7 and bracket residual rho/(t + 0.1)."""
+    b = f"{amp}*sin({freq}*t)/7"
+    r1 = DelaySpec(parse_expression(f"{theta}*t"))
     a = bracket_matching_a(
-        parse_expression(b), r1, _aux(), parse_expression("0.01283/(t + 0.1)")
+        parse_expression(b), r1, _aux(), parse_expression(f"{rho}/(t + 0.1)")
     )
     return _showcase(b=b, a=a, r1=r1)
+
+
+def test_twin_damping_sup_matches_a_reference_split_at_its_kinks():
+    # member 0 of the seed-8 certify deck in its general form: the body of
+    # neutral_damping has a kink at every root k pi / 1.0373 of
+    # q_bound(tau1(s)), where the sweep breaks its panels.  Halving alone
+    # accepted two pieces whose |K7 - L4| was about 1e-15 but whose errors
+    # were 1e-11 and 5e-12, and the sup came out 1.47e-11 high.
+    from ndde.criteria import _damping
+
+    prob, aux = _certify_member("0.2046", "1.0441", "1.0373", "0.01261")
+    twin = matched_general_form(prob, aux)
+    stat = alpha_estimate(twin, aux, tmax=200.0, grid=512).term("neutral_damping")
+    bound = bind(twin, aux, 200.0)
+    end = bound.gexp.cumulative(stat.argsup)
+    body = lambda s: math.exp(bound.gexp.cumulative(s) - end) * _damping(bound, s)  # noqa: E731
+    kinks = [k * math.pi / 1.0373 for k in range(1, 100) if k * math.pi / 1.0373 < stat.argsup]
+    cuts = [0.0, *kinks, stat.argsup]
+    reference = sum(adaptive_simpson(body, a, b, 1e-15) for a, b in zip(cuts, cuts[1:]))
+    assert abs(stat.sup - reference) <= 1e-13
 
 
 def _recorded_scans(monkeypatch, prob, aux, tmax, grid):

@@ -35,6 +35,9 @@ _HOSTILE = (
 )
 # both lags; constant ones most often: they read the history on [-y, 0]
 _LAGS = ("{y} + 0*t", "{y} + 0*t", "{y} + 0.1*sin(t)", "0.2*t", "{y}*t", "(t - {x})^2")
+# lags that vanish at t0 and send the delayed time below t0 later: rows
+# shared at the junction part where the history is read again
+_PARTING_LAGS = ("{y}*t^2", "{y}*t^2 + 0.1*t", "{y}*t^3")
 _T, _H = 4.0, 0.04
 
 
@@ -84,6 +87,30 @@ def _case(rng: random.Random):
     family += [
         ("plus_again", family[0][1]),
         ("cosine_again", HistoryFunction(parse_expression(texts[2]))),
+        ("plus_start", HistoryFunction(parse_expression("0.001 * cos(2*t)"))),
+    ]
+    return "\n".join(lines), family
+
+
+def _parting_case(rng: random.Random):
+    """A section4 problem, one of its a, b, c mutated half the time, both
+    lags one of ``_PARTING_LAGS``, and the seven-member family of ``_case``
+    without domain gaps (a parting lag reads the whole history interval)."""
+    lines = preset_text("section4").split("\n")
+    if rng.random() < 0.5:
+        n = rng.choice([n for n, line in enumerate(lines) if line.split(" = ")[0] in ("a", "b", "c")])
+        key, _, quoted = lines[n].partition(" = ")
+        lines[n] = f'{key} = "{_mutate(rng, quoted.strip(chr(34)), -1.0, _T + 0.5)}"'
+    lag = rng.choice(_PARTING_LAGS).format(y=repr(round(rng.uniform(0.3, 1.5), 3)))
+    lines = [f'{line[:2]} = "{lag}"' if line[:5] in ("r1 = ", "r2 = ") else line for line in lines]
+    psis = ("0.001 + 0*t", "-0.001 + 0*t", "0.001 * cos(t)", "0.001 * (1 + t)")
+    family = [
+        (label, HistoryFunction(parse_expression(psi)))
+        for label, psi in zip(("plus", "minus", "cosine", "ramp"), psis)
+    ]
+    family += [
+        ("plus_again", family[0][1]),
+        ("cosine_again", HistoryFunction(parse_expression(psis[2]))),
         ("plus_start", HistoryFunction(parse_expression("0.001 * cos(2*t)"))),
     ]
     return "\n".join(lines), family
@@ -179,3 +206,61 @@ def test_family_runs_equal_member_runs_or_raise_a_member_error(monkeypatch):
     # the duplicates share rows in every family; a lag y t with y > 1 reads
     # the history from the first step, so a case parts its rows there
     assert shared >= 40 and split >= 1
+
+
+def test_families_whose_rows_part_equal_member_runs(monkeypatch):
+    # a case set of its own seed, every lag vanishing at t0 and reaching
+    # below t0 later, so that members sharing a row at the junction part
+    # when the history is read again, and some of those families succeed
+    built, runs = [], []
+
+    class Recording(integrator.Trajectory):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(self)
+
+    share = integrator._Lockstep._share
+
+    def shares(self):
+        share(self)
+        runs.append((self, self.counts["rows"]))
+
+    monkeypatch.setattr(integrator, "Trajectory", Recording)
+    monkeypatch.setattr(integrator._Lockstep, "_share", shares)
+    rng = random.Random(20261020)
+    parted_and_passed = 0
+    for case in range(24):
+        text, family = _parting_case(rng)
+        try:
+            problem = loads(text).problem
+        except NddeError:
+            continue
+        built.clear()
+        runs.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                integrator.stability_experiment(
+                    problem, eps=1.0, delta=0.001, T=_T, psi_family=family, h=_H
+                )
+                error = None
+            except NddeError as exc:
+                error = exc
+            members = list(built)
+            own = [_own(problem, psi) for _, psi in family]
+        if error is not None:
+            errors = [(type(e), str(e)) for e in own if isinstance(e, NddeError)]
+            assert (type(error), str(error)) in errors, (case, error, errors)
+            continue
+        assert len(members) == len(family), case
+        for member in members:
+            solo = own[next(j for j, (_, psi) in enumerate(family) if psi is member.history)]
+            assert isinstance(solo, integrator.Trajectory), (case, solo)
+            for got, want in (
+                (member.nodes, solo.nodes),
+                (member.values, solo.values),
+                (member.derivatives, solo.derivatives),
+            ):
+                assert got.tobytes() == want.tobytes(), case
+        parted_and_passed += any(run.counts["rows"] > rows for run, rows in runs)
+    assert parted_and_passed >= 10  # 19 of the 24 cases here

@@ -391,6 +391,89 @@ def test_weighted_sweep_matches_one_shot_reference_on_kinks_and_layers():
             assert sweep.at(t, k) == got[k]
 
 
+# Where |K7 - L4| of |x - k| on [-1, 1] vanishes: at these kinks the pair's
+# estimate is zero while K7 is off by 0.0168 (inner) and 0.0099 (outer)
+# times the squared half-width.
+_NULL_KINKS = (-0.6997216778817332, -0.24881438791427704, 0.24881438791427704, 0.6997216778817332)
+
+
+def _abs_integral(k, t):
+    """int_0^t |s - k| ds for 0 <= k."""
+    return 0.5 * (k * k + (t - k) * abs(t - k))
+
+
+def test_sweep_breaks_panels_at_kinks_the_pair_cannot_see():
+    # one kink a unit panel, each where the pair's estimate vanishes; with
+    # g = 0 the sweep's values are the plain integrals of |s - k|
+    grid = np.linspace(0.0, 4.0, 5)
+    kinks = [p + 0.5 + 0.5 * r for p, r in enumerate(_NULL_KINKS)]
+    fs = [lambda t, k=k: abs(t - k) for k in kinks]
+    flat = CumulativeExponent(lambda t: 0.0, 0.0)
+
+    blind = WeightedSweep(fs, flat, grid)
+    assert (blind.counts == [4, 0, 0]).all()  # every kinked panel passed whole...
+    errors = [abs(blind.values[j][-1] - _abs_integral(k, 4.0)) for j, k in enumerate(kinks)]
+    assert min(errors) > 2e-3  # ...with an error of 0.0025 to 0.0042
+
+    maps = [lambda x, k=k: (x - k,) for k in kinks]
+    sweep = WeightedSweep(fs, flat, grid, kinks=maps)
+    assert (sweep.counts == [4, 0, 0]).all()  # broken panels whose pieces pass count as accepted
+    for j, k in enumerate(kinks):
+        for i, t in enumerate(grid.tolist()):
+            assert abs(sweep.values[j][i] - _abs_integral(k, t)) < 1e-14, (j, t)
+        # between nodes, at() breaks its interval at the sweep's break point
+        for t in (k - 0.01, k + 0.01, math.floor(k) + 0.99):
+            assert abs(sweep.at(t, j) - _abs_integral(k, t)) < 1e-14, (j, t)
+    assert [len(r) for r in sweep._breaks] == [1, 1, 1, 1]
+
+
+def test_sweep_adds_no_break_point_on_rounding_noise():
+    # a bracket pinned to zero up to rounding changes sign all along the
+    # grid, but |bracket| times a weight cannot move a panel's integral by
+    # its tolerance; a real kink beside it still breaks its panels
+    g = lambda t: 0.3 + 0.2 * math.cos(t)
+    gexp = CumulativeExponent(g, 0.0)
+    noise = lambda t: 1.2e-15 * math.sin(37.0 * t) * math.cos(t)
+    fs = [
+        lambda t: abs(noise(t)),
+        lambda t: abs(noise(t)) * (1.0 + math.sin(t) ** 2),
+        lambda t: abs(math.sin(t)) * (1.0 + math.sin(t) ** 2),
+    ]
+    maps = [lambda x: (1.2e-15 * np.sin(37.0 * x) * np.cos(x),)] * 2 + [lambda x: (np.sin(x),)]
+    grid = np.linspace(0.0, 200.0, 512)
+    plain = WeightedSweep(fs[:2], gexp, grid, 1e-12)
+    broken = WeightedSweep(fs, gexp, grid, 1e-12, kinks=maps)
+    assert [len(r) for r in broken._breaks] == [0, 0, 63]  # the roots k pi of sin in (0, 200)
+    assert np.abs(broken._breaks[2] - math.pi * np.arange(1, 64)).max() < 1e-12
+    assert (broken.counts[:2] == plain.counts).all()
+    assert broken.values[:2].tobytes() == plain.values.tobytes()
+    assert (broken.at(123.456)[:2] == plain.at(123.456)).all()
+
+    # a panel whose samples do not dip is not searched: the map is never read
+    read = []
+    WeightedSweep([lambda t: 2.0 + math.sin(t)], gexp, grid, 1e-12, kinks=[lambda x: read.append(x) or (x,)])
+    assert read == []
+
+
+def test_break_point_polish_finds_every_root_at_once():
+    a = np.array([0.0, 3.0, 1.0, -1.0])
+    b = np.array([2.0, 4.0, 1.5, 1.0])
+    target = np.array([math.sqrt(2.0), math.pi, 1.2, 0.0])
+    calls = []
+
+    def f(x, live):
+        calls.append(len(live))
+        return np.exp(x) - np.exp(target[live])
+
+    fa, fb = np.exp(a) - np.exp(target), np.exp(b) - np.exp(target)
+    roots = quadrature._roots(f, a, fa, b, fb)
+    assert (np.abs(roots - target) <= 1e-12 * np.maximum(1.0, np.abs(a) + np.abs(b))).all()
+    assert len(calls) <= 12 and calls[0] == 4
+    # a non-finite value leaves that bracket without a root
+    roots = quadrature._roots(lambda x, live: np.where(live == 1, np.nan, f(x, live)), a, fa, b, fb)
+    assert np.isnan(roots[1]) and np.isfinite(roots[[0, 2, 3]]).all()
+
+
 def test_window_integral_antisymmetry_exact():
     f = lambda t: math.cos(3 * t) + t
     rng = random.Random(23)
@@ -508,6 +591,31 @@ def test_sup_scan_with_slopes_polishes_on_the_slope_alone():
     assert res.argsup == pytest.approx(math.pi / 2, abs=1e-7)
     assert calls["h"] == 1  # the tail-slope sample
     assert calls["pair"] <= 10
+
+
+def test_sup_scan_polish_stops_at_its_root():
+    # the best cell's secant lands on an end the polish sampled once the
+    # slope there is at rounding level; the parent design then bisected
+    # down to its width tolerance (50 calls here)
+    k = 2.593
+    h = lambda t: math.sin(k * t) / (1 + 0.01 * t)
+    dh = lambda t: k * math.cos(k * t) / (1 + 0.01 * t) - 0.01 * math.sin(k * t) / (1 + 0.01 * t) ** 2
+    calls = []
+
+    def pair(t):
+        calls.append(t)
+        return h(t), dh(t)
+
+    ts = np.linspace(0.0, 50.0, 128)
+    res = sup_scan(h, 0.0, 50.0, n=128, slopes=[dh(float(t)) for t in ts], value_slope=pair)
+    assert len(calls) <= 20
+    # the maximum of the cell it found, by bisection on h'
+    lo, hi = res.argsup - 0.2, res.argsup + 0.2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if dh(mid) > 0.0 else (lo, mid)
+    assert abs(res.sup - h(lo)) <= 1e-15
+    assert res.sup >= max(h(float(t)) for t in ts)
 
 
 def test_sup_scan_with_slopes_finds_abs_kink_maximum_between_nodes():

@@ -115,7 +115,8 @@ REFUSED = (
     ("picard-tol-nan", ["picard", "--tol", "nan"], None),
     ("T-at-t0", ["simulate", "--T", "0"], None),
     ("simulate-step-budget", ["simulate", "--T", "1e13"], None),
-    ("picard-table-budget", ["picard", "--T", "1e7"], None),
+    ("picard-mesh-budget", ["picard", "--T", "1e7"], None),
+    ("check-table-budget", ["check", "--tmax", "1e7"], None),
     # by t = 20 the lag sends the delayed argument to m ~ -6.4e17
     ("lag-reach", ["check"], 'r1 = "(0.2*t) + exp(2.05*t)"'),
 )
