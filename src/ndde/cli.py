@@ -9,8 +9,9 @@ Four subcommands over one config-file format:
                       optionally writes the trajectory as CSV.
 * ``picard <cfg>``    fixed-point iteration on the reshaped unknown,
                       residual check, and a cross-method comparison
-                      against direct integration; optionally writes the
-                      reconstructed solution as CSV.
+                      against direct integration, at the step a Richardson
+                      pair certifies, with that run's error estimate;
+                      optionally writes the reconstructed solution as CSV.
 * ``example <name>``  materialize a shipped preset config in the current
                       directory.
 
@@ -35,7 +36,10 @@ from .config import RunConfig, load_config, run_value
 from .criteria import evaluate_criteria
 from .errors import ConfigError, NddeError, ValidationError
 from .integrator import _step_count, integrate
-from .model import horizon, transformed_history
+from .model import (
+    horizon,  # noqa: F401  -- unused here; bench/tracing.py wraps this attribute
+    transformed_history,
+)
 from .operator import picard_solve, reconstruct_x, residual
 from .presets import available, write_preset
 
@@ -164,10 +168,14 @@ def run_picard(config_path, T=None, tol=None, csv_path=None, out=None) -> int:
         f"picard.final_step = {float(result.final_step)!r}",
         f"picard.residual.sup = {float(defect)!r}",
     ]
-    crosscheck = "skipped (iteration did not converge)"
+    sup_diff, step, estimate = "skipped (iteration did not converge)", "none", "none"
     if result.converged:
-        crosscheck = _crosscheck(cfg, T, solution)
-    lines.append(f"crosscheck.sup_diff = {crosscheck}")
+        sup_diff, step, estimate = _crosscheck(cfg, T, solution)
+    lines += [
+        f"crosscheck.sup_diff = {sup_diff}",
+        f"crosscheck.step = {step}",
+        f"crosscheck.error_estimate = {estimate}",
+    ]
     if csv_path is not None:
         solution.to_csv(csv_path)
         lines.append(f"csv = {csv_path}")
@@ -175,22 +183,62 @@ def run_picard(config_path, T=None, tol=None, csv_path=None, out=None) -> int:
     return 0
 
 
-def _crosscheck(cfg, T, solution) -> str:
+# The cross-check's Richardson pair runs at 2 h1 and h1 on nested grids, h1
+# a tenth of the Picard mesh step (or the floor step min(step, 1e-3), if
+# larger); it is accepted when its estimate reads at most sup_diff / 100.
+_PAIR_MESH_PARTS = 10
+_PAIR_MARGIN = 100
+_PROBES = 801
+
+
+def _crosscheck(cfg, T, solution) -> tuple[str, str, str]:
     """Cross-method check: map the fixed point back through the weight and
     compare with a direct integration started from the matching history.
-    Returns the sup difference, or why it was skipped: no history matches,
-    or the integration would take more steps than the stepper's budget."""
-    m = horizon(cfg.problem, T).m
-    h = min(cfg.step, 1e-3)
+
+    Returns sup_diff, the step of the run it was read from, and that run's
+    error estimate, all as maxima over 801 probes.  The pair is accepted
+    when both runs kept the step they were asked for (a halved run is no
+    pair) and max |x_h1 - x_2h1| is at most sup_diff / 100; otherwise the
+    floor run decides, with max |x_floor - x_h1| as its estimate (where the
+    floor run is the h1 run, the pair's own estimate).  The estimate reads
+    ``none`` when no run kept its step to compare with.  The cross-check is
+    skipped, saying why, when no history matches or the floor run would
+    take more steps than the stepper's budget."""
+    problem, t0 = cfg.problem, cfg.problem.t0
+    floor = min(cfg.step, 1e-3)
     try:
-        history_x = transformed_history(cfg.problem, cfg.aux, cfg.history, m)
-        _step_count(cfg.problem.t0, T, h)
+        history_x = transformed_history(problem, cfg.aux, cfg.history, float(solution.mesh[0]))
+        floor_steps = _step_count(t0, T, floor)
     except ValidationError as exc:
-        return f"skipped ({exc})"
-    trajectory = integrate(cfg.problem, history_x, T=T, h=h)
-    probes = np.linspace(cfg.problem.t0, T, 801)
-    sup = np.max(np.abs(solution.eval_array(probes) - trajectory.eval_array(probes)))
-    return repr(float(sup))
+        return f"skipped ({exc})", "none", "none"
+    probes = np.linspace(t0, T, _PROBES)
+    x = solution.eval_array(probes)
+
+    def run(h):
+        trajectory = integrate(problem, history_x, T=T, h=h)
+        return trajectory.h, trajectory.eval_array(probes)
+
+    def gap(a, b):
+        return float(np.max(np.abs(a - b)))
+
+    mesh_step = (T - t0) / np.count_nonzero(solution.mesh > t0)
+    k = _step_count(t0, T, 2.0 * max(mesh_step / _PAIR_MESH_PARTS, floor))
+    h1 = (T - t0) / (2 * k)
+    try:
+        (h_coarse, coarse), (h_fine, fine) = run(2.0 * h1), run(h1)
+    except NddeError:  # a pair run that fails is no pair; the floor run decides
+        h_coarse = h_fine = None
+    estimate = None
+    if h_fine == h1 and h_coarse == 2.0 * h1:
+        sup, estimate = gap(x, fine), gap(fine, coarse)
+        if estimate <= sup / _PAIR_MARGIN:
+            return repr(sup), repr(h_fine), repr(estimate)
+    if h_fine is not None and floor_steps == 2 * k:
+        step, direct = h_fine, fine  # integrate at the floor step would repeat this run
+    else:
+        step, direct = run(floor)
+        estimate = gap(direct, fine) if h_fine == h1 else None
+    return repr(gap(x, direct)), repr(step), "none" if estimate is None else repr(estimate)
 
 
 def run_example(name, directory=".", out=None) -> int:

@@ -78,7 +78,10 @@ class RunConfig:
     """A fully validated problem plus the run parameters that drive it.
 
     ``tmax``/``grid``/``eps`` feed the criterion check, ``T``/``step`` the
-    direct integration, ``T``/``tol`` the fixed-point iteration.  Soft
+    direct integration, ``T``/``tol`` the fixed-point iteration.  In
+    ``picard``'s cross-check, ``step`` only sets a floor: its direct runs
+    take min(step, 1e-3) or a coarser step that a Richardson pair
+    certifies (see ``cli._crosscheck``).  Soft
     warnings from the structural validation (monotonicity of the delayed
     arguments and the like) ride along without blocking the load.
     """
@@ -218,7 +221,9 @@ def loads(text: str, *, validate: bool = True) -> RunConfig:
             f"form: {form!r} is neither 'linear-neutral' nor 'general'", form_line
         )
     values = _section(sections, headers, "problem", {**_PROBLEM, **_FORMS[form]})
-    values["r1"], values["r2"] = DelaySpec(values["r1"]), DelaySpec(values["r2"])
+    # equal lags share one DelaySpec, so that its lag, slope and tau compile once
+    r1 = values["r1"] = DelaySpec(values["r1"])
+    values["r2"] = r1 if r1.r.same_code(values["r2"]) else DelaySpec(values["r2"])
     try:
         problem = ProblemSpec(**values)
     except NddeError as exc:

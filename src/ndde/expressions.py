@@ -846,6 +846,13 @@ class Expression:
     def simplified(self) -> "Expression":
         return Expression(_simplify(self.root), self.variables)
 
+    def same_code(self, other: "Expression") -> bool:
+        """Whether the two compile to the same code: the same tree with every
+        constant to the bit (their printed text merges 0.0 and -0.0)."""
+        if self is other:
+            return True
+        return self.variables == other.variables and repr(self.root) == repr(other.root)
+
     def is_zero(self) -> bool:
         r = _simplify(self.root)
         return isinstance(r, Const) and r.value == 0.0

@@ -349,12 +349,6 @@ class _Pass(NamedTuple):
     need: np.ndarray  # per step, the first step a block holding it may start at
 
 
-def _same_code(a, b) -> bool:
-    """Whether two expressions compile to the same code: the same tree with
-    every constant to the bit (their printed text merges 0.0 and -0.0)."""
-    return a is b or (a.variables == b.variables and repr(a.root) == repr(b.root))
-
-
 class _Lockstep:
     """One fixed-step sweep of a family of histories on one shared grid.
 
@@ -536,7 +530,7 @@ class _Lockstep:
         psi, prime = self._psi_exprs, self._psi_prime_exprs
         for j, start in enumerate(np.stack((self._X[:, 0], self._D[:, 0]), axis=1)):
             lead = self._lead[j] = leads.setdefault(start.tobytes(), j)
-            if not (_same_code(psi[j], psi[lead]) and _same_code(prime[j], prime[lead])):
+            if not (psi[j].same_code(psi[lead]) and prime[j].same_code(prime[lead])):
                 self._unsafe.append(j)
         self.counts["rows"] = len(leads)
 

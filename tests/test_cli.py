@@ -18,6 +18,7 @@ import pytest
 from ndde.cli import main, run_check, run_picard, run_simulate
 from ndde.config import loads
 from ndde.criteria import evaluate_criteria, matched_general_form
+from ndde.integrator import integrate
 from ndde.presets import available, preset_text
 
 # [PRESET CHEAP VARIANTS] the shipped presets sweep to tmax = 10000 with a
@@ -170,6 +171,9 @@ def test_picard_summary_reports_crosscheck(cheap_cfg, tmp_path):
     assert "picard.converged = true" in text
     sup = float(text.split("crosscheck.sup_diff = ")[1].splitlines()[0])
     assert sup < 1e-3
+    keys = [line.partition(" = ")[0] for line in text.splitlines()]
+    at = keys.index("crosscheck.sup_diff")
+    assert keys[at : at + 3] == ["crosscheck.sup_diff", "crosscheck.step", "crosscheck.error_estimate"]
     defect = float(text.split("picard.residual.sup = ")[1].splitlines()[0])
     assert defect < 1e-6
     header = csv.read_text().splitlines()[0]
@@ -229,26 +233,122 @@ def test_picard_keeps_its_summary_when_no_history_matches(tmp_path):
         "crosscheck.sup_diff = skipped (transform matching needs p(t0) = 1"
         " or a degenerate history interval)"
     ) in text.splitlines()
+    assert {"crosscheck.step = none", "crosscheck.error_estimate = none"} <= set(text.splitlines())
+
+
+def _recording(monkeypatch, *names):
+    """Wrap ``ndde.cli`` functions so that every call's result is kept, in call order."""
+    import ndde.cli
+
+    kept = {name: [] for name in names}
+    for name in names:
+        fn = getattr(ndde.cli, name)
+
+        def record(*a, fn=fn, name=name, **k):
+            kept[name].append(fn(*a, **k))
+            return kept[name][-1]
+
+        monkeypatch.setattr(ndde.cli, name, record)
+    return kept
+
+
+def _crosscheck_lines(text):
+    return {key: value for key, _, value in (line.partition(" = ") for line in text.splitlines())
+            if key.startswith("crosscheck.")}
 
 
 def test_crosscheck_sup_equals_the_pointwise_loop(cheap_cfg, monkeypatch):
-    import ndde.cli
-
-    kept = {}
-    for name in ("reconstruct_x", "integrate"):
-        fn = getattr(ndde.cli, name)
-        monkeypatch.setattr(
-            ndde.cli, name, lambda *a, fn=fn, name=name, **k: kept.setdefault(name, fn(*a, **k))
-        )
+    kept = _recording(monkeypatch, "reconstruct_x", "integrate")
     out = io.StringIO()
     assert run_picard(cheap_cfg, T=4.0, out=out) == 0
     text = out.getvalue()
     assert "picard.converged = true" in text
-    sup = float(text.split("crosscheck.sup_diff = ")[1].splitlines()[0])
-    solution, trajectory = kept["reconstruct_x"], kept["integrate"]
+    lines = _crosscheck_lines(text)
+    sup, step = float(lines["crosscheck.sup_diff"]), float(lines["crosscheck.step"])
+    # the Richardson pair at 2 h1 and h1, h1 = a tenth of the mesh step 0.02
+    (solution,), runs = kept["reconstruct_x"], kept["integrate"]
+    assert [run.h for run in runs] == [0.004, 0.002] and step == 0.002
     probes = np.linspace(0.0, 4.0, 801)
-    loop = max(abs(solution.eval(float(t)) - trajectory.eval(float(t))) for t in probes)
+    loop = max(abs(solution.eval(float(t)) - runs[1].eval(float(t))) for t in probes)
     assert 0.0 < sup == loop
+    gap = max(abs(runs[1].eval(float(t)) - runs[0].eval(float(t))) for t in probes)
+    assert 0.0 < float(lines["crosscheck.error_estimate"]) == gap <= sup / 100
+
+
+def test_crosscheck_falls_back_to_the_floor_step_when_a_pair_run_halves(cheap_cfg, monkeypatch):
+    # the coarse run of the pair is made to halve its step, as _drive does
+    # when an inner correction fails to settle: its estimate against the
+    # fine run would read 0, so the pair is refused and the floor run decides
+    import ndde.cli
+
+    integrate = ndde.cli.integrate
+    monkeypatch.setattr(
+        ndde.cli, "integrate", lambda *a, h, **k: integrate(*a, h=h / 2 if h == 0.004 else h, **k)
+    )
+    kept = _recording(monkeypatch, "reconstruct_x", "integrate")
+    out = io.StringIO()
+    assert run_picard(cheap_cfg, T=4.0, out=out) == 0
+    lines = _crosscheck_lines(out.getvalue())
+    (solution,), runs = kept["reconstruct_x"], kept["integrate"]
+    assert [run.h for run in runs] == [0.002, 0.002, 0.001]
+    assert lines["crosscheck.step"] == "0.001"
+    probes = np.linspace(0.0, 4.0, 801)
+    floor, fine = runs[2].eval_array(probes), runs[1].eval_array(probes)
+    assert float(lines["crosscheck.sup_diff"]) == np.max(np.abs(solution.eval_array(probes) - floor))
+    assert float(lines["crosscheck.error_estimate"]) == np.max(np.abs(floor - fine)) > 0.0
+
+
+def test_crosscheck_falls_back_to_the_floor_step_when_a_pair_run_fails(tmp_path, monkeypatch):
+    # x' = -400 x: RK4 at the pair's coarse step 0.01 is unstable (h a = 4)
+    # and raises, while the floor run at 0.001 integrates; the fixed point
+    # keeps its cross-check, with no estimate to report
+    text = _cheap(tmax="50", grid="64")
+    for key, value in (("a", "400 + 0*t"), ("g", "400 + 0*t"), ("r1", "0*t"), ("b", "0*t")):
+        start = text.index(f"\n{key} = ") + 1
+        text = text[:start] + f'{key} = "{value}"' + text[text.index("\n", start):]
+    path = tmp_path / "stiff.cfg"
+    path.write_text(text)
+    kept = _recording(monkeypatch, "integrate")
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_picard(path, T=10.0, out=out) == 0
+    lines = _crosscheck_lines(out.getvalue())
+    assert [run.h for run in kept["integrate"]] == [0.001]
+    assert lines["crosscheck.step"] == "0.001" and lines["crosscheck.error_estimate"] == "none"
+    assert float(lines["crosscheck.sup_diff"]) > 0.0
+
+
+def _literals():
+    """The literal configs of ``tools/compare_reports.py``, which reach a history segment."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("_compare_reports", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LITERALS
+
+
+@pytest.mark.parametrize("name", ["constant-lag", "general-qf"])
+def test_crosscheck_estimate_bounds_the_error_of_its_run(tmp_path, monkeypatch, name):
+    # the reported run against one at an eighth of its step; constant-lag's
+    # pair is refused (its neutral term carries the jumps of x', so it
+    # converges at first order) and its floor run decides
+    path = tmp_path / "lit.cfg"
+    path.write_text(_literals()[name])
+    kept = _recording(monkeypatch, "integrate")
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the literals' precheck sums exceed 1
+        assert run_picard(path, out=out) == 0
+    lines = _crosscheck_lines(out.getvalue())
+    step, estimate = float(lines["crosscheck.step"]), float(lines["crosscheck.error_estimate"])
+    assert step == {"constant-lag": 0.001, "general-qf": 0.0025}[name]
+    run = next(run for run in kept["integrate"] if run.h == step)
+    cfg = loads(path.read_text())
+    reference = integrate(cfg.problem, run.history, T=cfg.T, h=step / 8)
+    probes = np.linspace(cfg.problem.t0, cfg.T, 801)
+    error = np.max(np.abs(run.eval_array(probes) - reference.eval_array(probes)))
+    assert 0.0 < error <= estimate
 
 
 def test_exponential_lag_is_one_line_error(tmp_path, capsys):

@@ -61,6 +61,21 @@ def test_every_preset_loads_and_validates():
         assert cfg.aux.p.evaluate(t=0.0) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize(
+    "r1, r2, shared",
+    [
+        ("0.5*t", "0.5*t", True),
+        ("0*t + 0.5*t", "-0*t + 0.5*t", False),  # equal text, constants apart by the sign bit
+        ("0.5*t", "t/2", False),
+    ],
+)
+def test_equal_lags_share_one_delay_spec(r1, r2, shared):
+    # one object, so its lag, slope and tau compile once
+    text = _MINIMAL.replace('r1 = "0.5*t"', f'r1 = "{r1}"').replace('r2 = "0.5*t"', f'r2 = "{r2}"')
+    problem = loads(text).problem
+    assert (problem.r1 is problem.r2) is shared
+
+
 def test_general_form_config_loads():
     text = _MINIMAL.replace('form = "linear-neutral"', 'form = "general"')
     text = text.replace(

@@ -279,6 +279,29 @@ def test_convergence_order_showcase():
     assert order >= 3.0
 
 
+@pytest.mark.parametrize(
+    "make, psi, T, steps",
+    [
+        (_linear, "1 + 0*t", 2.0, [0.05, 0.025, 0.0125]),
+        (lambda: _linear(r1="0.2*t"), "1 + 0*t", 2.0, [0.05, 0.025, 0.0125]),
+        (lambda: _showcase()[0], "0.01 + 0*t", 3.0, [0.08, 0.04, 0.02]),
+    ],
+    ids=["smooth_ode", "pantograph", "showcase"],
+)
+def test_step_doubling_estimate_bounds_the_error(make, psi, T, steps):
+    # the estimate picard's cross-check reports, max |x_h - x_2h| over 801
+    # probes, unscaled: it must bound the error of x_h against an h/8 run
+    prob = make()
+    probes = np.linspace(prob.t0, T, 801)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for h in steps:
+            coarse, fine, ref = (
+                integrate(prob, _hist(psi), T=T, h=s).eval_array(probes) for s in (2 * h, h, h / 8)
+            )
+            assert 0.0 < np.max(np.abs(fine - ref)) <= np.max(np.abs(fine - coarse))
+
+
 def test_convergence_order_degenerate_errors():
     prob = _linear(a="0*t")  # x' = 0: every step size is exact
     with pytest.raises(ValidationError, match="degenerate"):

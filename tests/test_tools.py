@@ -52,6 +52,22 @@ def test_diff_fails_on_verdict_change_missing_file_or_tolerance(tmp_path, capsys
     assert "only in" in capsys.readouterr().out
 
 
+def test_diff_lists_a_key_held_on_one_side_once(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for name in ("x.txt", "y.txt"):
+        _write(a, name)
+        _write(b, name)
+        (b / name).write_text((b / name).read_text() + "crosscheck.step = 0.005\n")
+    (a / "x.txt").write_text((a / "x.txt").read_text() + "old.key = 1\n")
+    assert compare_reports.main(["--diff", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "non-numeric changes: 0" in out
+    assert "keys on one side only: 2" in out
+    assert f"  only in {a}: old.key (1 files)" in out
+    assert f"  only in {b}: crosscheck.step (2 files)" in out
+    assert "None" not in out  # no per-file "None -> value" lines
+
+
 def test_dump_writes_the_sweep_counts_of_each_request(tmp_path, monkeypatch, capsys):
     from ndde import criteria
     from ndde.presets import preset_text

@@ -36,11 +36,13 @@ compared by dumping each from its own checkout.
 
 ``--diff`` prints, for every numeric key, the largest difference between A
 and B and the file where it occurs; then every change of a non-numeric
-value (verdicts, exit codes, convergence); then, as a separate list, every
-argsup that moved, with the sup it locates (an argsup of a sup at rounding
-level is arbitrary).  It exits 1 when a file is missing on one side, a
-non-numeric value changed, or a numeric value other than an argsup differs
-by more than ``--tol``.
+value (verdicts, exit codes, convergence); then every key that only one
+side's files hold, once per key with the number of files; then, as a
+separate list, every argsup that moved, with the sup it locates (an argsup
+of a sup at rounding level is arbitrary).  It exits 1 when a file is
+missing on one side, a key is held on one side only, a non-numeric value
+changed, or a numeric value other than an argsup differs by more than
+``--tol``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import io
 import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -301,11 +304,13 @@ def diff(a_dir: Path, b_dir: Path, tol: float) -> int:
     largest: dict[str, tuple[float, str]] = {}
     changes: list[str] = []
     shifts: list[tuple[float, str]] = []
+    one_sided: Counter[tuple[Path, str]] = Counter()  # (side, key): files holding it there only
     for name in sorted(a_files & b_files):
         a, b = _read(a_dir / name), _read(b_dir / name)
-        for key in sorted(a.keys() | b.keys()):
-            va, vb = a.get(key), b.get(key)
-            xa, xb = _number(va or ""), _number(vb or "")
+        one_sided.update((a_dir if key in a else b_dir, key) for key in a.keys() ^ b.keys())
+        for key in sorted(a.keys() & b.keys()):
+            va, vb = a[key], b[key]
+            xa, xb = _number(va), _number(vb)
             if xa is None or xb is None or key.endswith(".sha256"):
                 if va != vb:
                     changes.append(f"{name}: {key} {va} -> {vb}")
@@ -328,6 +333,10 @@ def diff(a_dir: Path, b_dir: Path, tol: float) -> int:
     for line in changes:
         print(f"  {line}")
     bad = bad or bool(changes)
+    print(f"keys on one side only: {len(one_sided)}")
+    for (side, key), files in sorted(one_sided.items()):
+        print(f"  only in {side}: {key} ({files} files)")
+    bad = bad or bool(one_sided)
     print(f"argsup shifts: {len(shifts)}")
     for delta, line in sorted(shifts, reverse=True):
         print(f"  {delta:.3e}  {line}")
