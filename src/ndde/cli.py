@@ -10,7 +10,9 @@ Four subcommands over one config-file format:
 * ``picard <cfg>``    fixed-point iteration on the reshaped unknown,
                       residual check, and a cross-method comparison
                       against direct integration, at the step a Richardson
-                      pair certifies, with that run's error estimate;
+                      pair certifies, with that run's error estimate (on a
+                      horizon too short for the pair to pay, at
+                      min(step, 1e-3), with none);
                       optionally writes the reconstructed solution as CSV.
 * ``example <name>``  materialize a shipped preset config in the current
                       directory.
@@ -184,9 +186,12 @@ def run_picard(config_path, T=None, tol=None, csv_path=None, out=None) -> int:
 
 
 # The cross-check's Richardson pair runs at 2 h1 and h1 on nested grids, h1
-# a tenth of the Picard mesh step (or the floor step min(step, 1e-3), if
-# larger); it is accepted when its estimate reads at most sup_diff / 100.
+# about a tenth of the Picard mesh step, where the floor run would take at
+# least _PAIR_SAVING times the pair's steps: each run also has a cost of its
+# own (the horizon scan, the start-up steps), which the pair pays twice.  It
+# is accepted when its estimate reads at most sup_diff / 100.
 _PAIR_MESH_PARTS = 10
+_PAIR_SAVING = 2
 _PAIR_MARGIN = 100
 _PROBES = 801
 
@@ -196,14 +201,16 @@ def _crosscheck(cfg, T, solution) -> tuple[str, str, str]:
     compare with a direct integration started from the matching history.
 
     Returns sup_diff, the step of the run it was read from, and that run's
-    error estimate, all as maxima over 801 probes.  The pair is accepted
-    when both runs kept the step they were asked for (a halved run is no
-    pair) and max |x_h1 - x_2h1| is at most sup_diff / 100; otherwise the
-    floor run decides, with max |x_floor - x_h1| as its estimate (where the
-    floor run is the h1 run, the pair's own estimate).  The estimate reads
-    ``none`` when no run kept its step to compare with.  The cross-check is
-    skipped, saying why, when no history matches or the floor run would
-    take more steps than the stepper's budget."""
+    error estimate, all as maxima over 801 probes.  The pair runs only when
+    its 3 k steps (k at 2 h1, 2 k at h1) are at most half the floor run's at
+    min(step, 1e-3), so h1 is then above that floor.  It is accepted when
+    both runs kept the step they were asked for (a halved run is no pair)
+    and max |x_h1 - x_2h1| is at most sup_diff / 100; otherwise the floor
+    run decides, with max |x_floor - x_h1| as its estimate.  The estimate
+    reads ``none`` when no pair run kept its step to compare with, as on a
+    horizon too short for the pair.  The cross-check is skipped, saying why,
+    when no history matches or the floor run would take more steps than the
+    stepper's budget."""
     problem, t0 = cfg.problem, cfg.problem.t0
     floor = min(cfg.step, 1e-3)
     try:
@@ -224,21 +231,19 @@ def _crosscheck(cfg, T, solution) -> tuple[str, str, str]:
     mesh_step = (T - t0) / np.count_nonzero(solution.mesh > t0)
     k = _step_count(t0, T, 2.0 * max(mesh_step / _PAIR_MESH_PARTS, floor))
     h1 = (T - t0) / (2 * k)
-    try:
-        (h_coarse, coarse), (h_fine, fine) = run(2.0 * h1), run(h1)
-    except NddeError:  # a pair run that fails is no pair; the floor run decides
-        h_coarse = h_fine = None
-    estimate = None
+    h_coarse = h_fine = None
+    if _PAIR_SAVING * 3 * k <= floor_steps:
+        try:
+            (h_coarse, coarse), (h_fine, fine) = run(2.0 * h1), run(h1)
+        except NddeError:  # a pair run that fails is no pair; the floor run decides
+            h_coarse = h_fine = None
     if h_fine == h1 and h_coarse == 2.0 * h1:
         sup, estimate = gap(x, fine), gap(fine, coarse)
         if estimate <= sup / _PAIR_MARGIN:
             return repr(sup), repr(h_fine), repr(estimate)
-    if h_fine is not None and floor_steps == 2 * k:
-        step, direct = h_fine, fine  # integrate at the floor step would repeat this run
-    else:
-        step, direct = run(floor)
-        estimate = gap(direct, fine) if h_fine == h1 else None
-    return repr(gap(x, direct)), repr(step), "none" if estimate is None else repr(estimate)
+    step, direct = run(floor)
+    estimate = repr(gap(direct, fine)) if h_fine == h1 else "none"
+    return repr(gap(x, direct)), repr(step), estimate
 
 
 def run_example(name, directory=".", out=None) -> int:

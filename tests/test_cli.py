@@ -260,42 +260,69 @@ def _crosscheck_lines(text):
 def test_crosscheck_sup_equals_the_pointwise_loop(cheap_cfg, monkeypatch):
     kept = _recording(monkeypatch, "reconstruct_x", "integrate")
     out = io.StringIO()
-    assert run_picard(cheap_cfg, T=4.0, out=out) == 0
+    assert run_picard(cheap_cfg, T=8.0, out=out) == 0
     text = out.getvalue()
     assert "picard.converged = true" in text
     lines = _crosscheck_lines(text)
     sup, step = float(lines["crosscheck.sup_diff"]), float(lines["crosscheck.step"])
-    # the Richardson pair at 2 h1 and h1, h1 = a tenth of the mesh step 0.02
+    # the Richardson pair at 2 h1 and h1, h1 = a tenth of the mesh step 0.04
     (solution,), runs = kept["reconstruct_x"], kept["integrate"]
-    assert [run.h for run in runs] == [0.004, 0.002] and step == 0.002
-    probes = np.linspace(0.0, 4.0, 801)
+    assert [run.h for run in runs] == [0.008, 0.004] and step == 0.004
+    probes = np.linspace(0.0, 8.0, 801)
     loop = max(abs(solution.eval(float(t)) - runs[1].eval(float(t))) for t in probes)
     assert 0.0 < sup == loop
     gap = max(abs(runs[1].eval(float(t)) - runs[0].eval(float(t))) for t in probes)
     assert 0.0 < float(lines["crosscheck.error_estimate"]) == gap <= sup / 100
 
 
-def test_crosscheck_falls_back_to_the_floor_step_when_a_pair_run_halves(cheap_cfg, monkeypatch):
-    # the coarse run of the pair is made to halve its step, as _drive does
-    # when an inner correction fails to settle: its estimate against the
-    # fine run would read 0, so the pair is refused and the floor run decides
+@pytest.mark.parametrize("T, halved", [(8.0, 0), (7.9995, 1)])
+def test_crosscheck_falls_back_to_the_floor_step_when_a_pair_run_halves(cheap_cfg, monkeypatch, T, halved):
+    # one run of the pair is made to halve its step, as _drive does when an
+    # inner correction fails to settle: a halved coarse run's estimate would
+    # read 0, so the pair is refused and the floor run decides; after the
+    # fine run halves (on T = 7.9995, to a step off the floor run's) no run
+    # of the pair is left to estimate with, and the floor run is run anew
     import ndde.cli
 
-    integrate = ndde.cli.integrate
-    monkeypatch.setattr(
-        ndde.cli, "integrate", lambda *a, h, **k: integrate(*a, h=h / 2 if h == 0.004 else h, **k)
-    )
+    integrate, calls = ndde.cli.integrate, []
+
+    def halving(*a, h, **k):
+        calls.append(h)
+        return integrate(*a, h=h / 2 if len(calls) == halved + 1 else h, **k)
+
+    monkeypatch.setattr(ndde.cli, "integrate", halving)
     kept = _recording(monkeypatch, "reconstruct_x", "integrate")
     out = io.StringIO()
-    assert run_picard(cheap_cfg, T=4.0, out=out) == 0
+    assert run_picard(cheap_cfg, T=T, out=out) == 0
     lines = _crosscheck_lines(out.getvalue())
     (solution,), runs = kept["reconstruct_x"], kept["integrate"]
-    assert [run.h for run in runs] == [0.002, 0.002, 0.001]
-    assert lines["crosscheck.step"] == "0.001"
-    probes = np.linspace(0.0, 4.0, 801)
+    h1 = T / 2000
+    assert calls == [2 * h1, h1, 0.001]
+    assert runs[halved].h == calls[halved] / 2 and runs[2].h == T / 8000
+    assert lines["crosscheck.step"] == repr(runs[2].h)
+    probes = np.linspace(0.0, T, 801)
     floor, fine = runs[2].eval_array(probes), runs[1].eval_array(probes)
     assert float(lines["crosscheck.sup_diff"]) == np.max(np.abs(solution.eval_array(probes) - floor))
-    assert float(lines["crosscheck.error_estimate"]) == np.max(np.abs(floor - fine)) > 0.0
+    if halved:
+        assert lines["crosscheck.error_estimate"] == "none"
+    else:
+        assert float(lines["crosscheck.error_estimate"]) == np.max(np.abs(floor - fine)) > 0.0
+
+
+@pytest.mark.parametrize("T", [2.0, 3.0, 5.0])
+def test_crosscheck_on_a_short_horizon_runs_only_the_floor_step(cheap_cfg, monkeypatch, T):
+    # T < 6 at the default step: the pair at a tenth of the mesh step T / 200
+    # would take 3,000 steps, more than half the one run's at 0.001, so that
+    # run alone decides and carries no estimate
+    kept = _recording(monkeypatch, "reconstruct_x", "integrate")
+    out = io.StringIO()
+    assert run_picard(cheap_cfg, T=T, out=out) == 0
+    lines = _crosscheck_lines(out.getvalue())
+    (solution,), (run,) = kept["reconstruct_x"], kept["integrate"]
+    assert run.h == 0.001 and lines["crosscheck.step"] == "0.001"
+    assert lines["crosscheck.error_estimate"] == "none"
+    probes = np.linspace(0.0, T, 801)
+    assert float(lines["crosscheck.sup_diff"]) == np.max(np.abs(solution.eval_array(probes) - run.eval_array(probes)))
 
 
 def test_crosscheck_falls_back_to_the_floor_step_when_a_pair_run_fails(tmp_path, monkeypatch):
@@ -330,23 +357,24 @@ def _literals():
 
 @pytest.mark.parametrize("name", ["constant-lag", "general-qf"])
 def test_crosscheck_estimate_bounds_the_error_of_its_run(tmp_path, monkeypatch, name):
-    # the reported run against one at an eighth of its step; constant-lag's
-    # pair is refused (its neutral term carries the jumps of x', so it
-    # converges at first order) and its floor run decides
+    # the reported run against one at an eighth of its step, at T = 8 (at
+    # the literals' own T = 5 the pair does not run); constant-lag's pair is
+    # refused (its neutral term carries the jumps of x', so it converges at
+    # first order) and its floor run decides
     path = tmp_path / "lit.cfg"
     path.write_text(_literals()[name])
     kept = _recording(monkeypatch, "integrate")
     out = io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the literals' precheck sums exceed 1
-        assert run_picard(path, out=out) == 0
+        assert run_picard(path, T=8.0, out=out) == 0
     lines = _crosscheck_lines(out.getvalue())
     step, estimate = float(lines["crosscheck.step"]), float(lines["crosscheck.error_estimate"])
-    assert step == {"constant-lag": 0.001, "general-qf": 0.0025}[name]
+    assert step == {"constant-lag": 0.001, "general-qf": 0.004}[name]
     run = next(run for run in kept["integrate"] if run.h == step)
     cfg = loads(path.read_text())
-    reference = integrate(cfg.problem, run.history, T=cfg.T, h=step / 8)
-    probes = np.linspace(cfg.problem.t0, cfg.T, 801)
+    reference = integrate(cfg.problem, run.history, T=8.0, h=step / 8)
+    probes = np.linspace(cfg.problem.t0, 8.0, 801)
     error = np.max(np.abs(run.eval_array(probes) - reference.eval_array(probes)))
     assert 0.0 < error <= estimate
 
