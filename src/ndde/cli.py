@@ -209,8 +209,8 @@ def _crosscheck(cfg, T, solution) -> tuple[str, str, str]:
     run decides, with max |x_floor - x_h1| as its estimate.  The estimate
     reads ``none`` when no pair run kept its step to compare with, as on a
     horizon too short for the pair.  The cross-check is skipped, saying why,
-    when no history matches or the floor run would take more steps than the
-    stepper's budget."""
+    when no history matches, the floor run would take more steps than the
+    stepper's budget, or the floor run fails."""
     problem, t0 = cfg.problem, cfg.problem.t0
     floor = min(cfg.step, 1e-3)
     try:
@@ -241,7 +241,10 @@ def _crosscheck(cfg, T, solution) -> tuple[str, str, str]:
         sup, estimate = gap(x, fine), gap(fine, coarse)
         if estimate <= sup / _PAIR_MARGIN:
             return repr(sup), repr(h_fine), repr(estimate)
-    step, direct = run(floor)
+    try:
+        step, direct = run(floor)
+    except NddeError as exc:  # the fixed point stands; the direct run could not check it
+        return f"skipped ({exc})", "none", "none"
     estimate = repr(gap(direct, fine)) if h_fine == h1 else "none"
     return repr(gap(x, direct)), repr(step), estimate
 

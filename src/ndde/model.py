@@ -55,6 +55,7 @@ _T = Expression.variable("t")
 
 _TABLE_TOL = 1e-11  # the quadrature tolerance of a binding's cumulative tables
 _VALIDATE_SEED = 0  # the seed of ProblemSpec.validate's sample points
+_INF_MEMO = 16  # scanned intervals a DelaySpec keeps; a full memo starts over
 
 
 @dataclass(frozen=True)
@@ -68,12 +69,28 @@ class DelaySpec:
     def __post_init__(self):
         object.__setattr__(self, "slope_expression", differentiate(self.r))
         object.__setattr__(self, "tau_expression", (_T - self.r).simplified())
+        # (inf, arginf) of t - r(t) by scanned interval (t0, tmax); not a
+        # field, so equality and hashing stay those of r
+        object.__setattr__(self, "_infs", {})
 
     def lag_fn(self) -> Callable[[float], float]:
         return self.r.compiled()
 
     def tau_fn(self) -> Callable[[float], float]:
         return self.tau_expression.compiled()
+
+    def _inf_tau(self, t0: float, tmax: float) -> tuple[float, float]:
+        """inf over [t0, tmax] of t - r(t) and where it is reached, scanned
+        once per interval: a Picard request asks for the same one four times."""
+        key = (t0, tmax)
+        if key not in self._infs:
+            tau = self.tau_fn()
+            samples = -self.tau_expression.vectorized()(np.linspace(t0, tmax, 1024))
+            res = sup_scan(lambda t: -tau(t), t0, tmax, n=1024, samples=samples)
+            if len(self._infs) >= _INF_MEMO:
+                self._infs.clear()
+            self._infs[key] = (-res.sup, res.argsup)
+        return self._infs[key]
 
     def validate(self, t0: float, tmax: float, slope_restricted: bool) -> list[str]:
         """Sampled checks; raises on hard failures, returns soft warnings."""
@@ -401,18 +418,13 @@ def require_after_t0(T: float, t0: float) -> None:
 def horizon(problem: ProblemSpec, tmax: float) -> HorizonResult:
     """inf over [t0, tmax] of each delayed argument, and their minimum.
 
-    The overall m is the left end of the history interval [m, t0].
+    The overall m is the left end of the history interval [m, t0].  Each
+    lag's scan is kept on its DelaySpec, so a repeated call scans nothing.
     """
     require(tmax=tmax)
     if not tmax >= problem.t0:
         raise ValidationError(f"horizon {tmax!r} lies below t0 = {problem.t0!r}")
-    per: list[tuple[float, float]] = []
-    ts = np.linspace(problem.t0, tmax, 1024)
-    for spec in (problem.r1, problem.r2):
-        tau = spec.tau_fn()
-        samples = -spec.tau_expression.vectorized()(ts)
-        res = sup_scan(lambda t: -tau(t), problem.t0, tmax, n=1024, samples=samples)
-        per.append((-res.sup, res.argsup))
+    per = [spec._inf_tau(problem.t0, tmax) for spec in (problem.r1, problem.r2)]
     m, argmin = min(per, key=lambda pair: pair[0])
     return HorizonResult(m=m, argmin=argmin, per_delay=tuple(per))
 

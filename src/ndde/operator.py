@@ -38,9 +38,13 @@ I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j.  B's point terms at a
 panel's right end come from the same node rows (the right end is one of the
 nodes), so one read of the rows gives the whole image.  The Picard result
 carries its node rows, so the residual reuses them and adds only the rows
-of the half panels that end at the panel midpoints.  A panel or window
-query whose |K7 - L4| exceeds 1e-11 is refined by ``quadrature._refine``,
-on rows built at its sub-panels' nodes; a non-finite sample raises.
+of the half panels that end at the panel midpoints.  A panel whose
+|K7 - L4| exceeds 1e-11 is refined by ``quadrature._refine``, on rows
+built at its sub-panels' nodes, which its panels keep by node for the
+next candidate.  A window point whose product estimate exceeds a quarter
+of that has its four drift moments refined once, for every later
+candidate; only a candidate too large for the refined moments' tolerance
+is refined by itself.  A non-finite sample raises.
 
 Linear-neutral problems are re-encoded through :meth:`ProblemSpec.as_general`
 before iterating; the re-encoding preserves the dynamics exactly, so the
@@ -58,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .criteria import alpha_estimate
-from .errors import ValidationError
+from .errors import NddeError, ValidationError
 from .hermite import GridFunction, hermite_eval, hermite_weights, locate, uniform_step
 from .integrator import _MAX_STEPS
 from .model import (
@@ -107,7 +111,24 @@ def _split_index(mesh: np.ndarray, t0: float) -> int:
 # ---------------------------------------------------------------------------
 # Candidate-independent tables of A and B
 
-_CHUNK = 256  # window points whose drift moments are formed together
+# Window points whose drift moments are formed together.  The temporaries
+# of a chunk take about 1 KB a point; on the 2,807 node-row points of a T =
+# 20 request at mesh step 0.05 (2-vCPU Xeon), chunks of 1,024 built the node
+# rows 25% faster than chunks of 256 and 5-10% faster than one chunk of them
+# all, at +1.0 MB peak against +0.5 MB and +1.6 MB.
+_CHUNK = 1024
+
+# A window point whose product estimate |K7 - L4| exceeds this quarter of
+# the tolerance has its four drift moments refined once, each to within it:
+# early, so that a slowly moving iterate that fails there later finds them
+# ready.  A candidate whose coefficients there sum to at most 4 in size
+# meets the tolerance on the refined moments; a larger one is refined by
+# itself.
+_MOMENT_TOL = _QUAD_TOL / 4
+
+# Sub-panel row sets a _Panels keeps; a full cache starts over, which bounds
+# a long run whose candidates keep refining new sub-panels
+_SUB_ROWS = 64
 
 
 class _State(NamedTuple):
@@ -147,8 +168,12 @@ class _Window:
     z_{i+1}, z'_{i+1}), so the K7 value of int_{t_i}^x drift z is M(x) . c,
     where M(x) holds the K7 moments of the drift against the four Hermite
     basis functions phi; the L4 moments ride along for the error estimate.
-    Below t0, z is psi and W is read once from the tables.  ``panel`` pins
-    the panel of each point (a full panel ends on the next one's start).
+    The first time a point's product estimate |K7 - L4| exceeds
+    ``_MOMENT_TOL``, its four moments are refined and kept (``fine``, each
+    within ``fine_tol``, NaN until then); a candidate whose product fails
+    there reads them.  Below t0, z is psi and W is read once from the
+    tables.  ``panel`` pins the panel of each point (a full panel ends on
+    the next one's start).
     """
 
     def __init__(self, tab: "_Tables", x: np.ndarray, panel: np.ndarray | None = None):
@@ -175,19 +200,59 @@ class _Window:
             k7.append(np.stack([(drift * phi) @ _K7_W for phi in basis], axis=1) * half[:, None])
             l4.append(np.stack([(drift * phi) @ _L4_W for phi in basis], axis=1) * half[:, None])
         self.k7, self.l4 = np.concatenate(k7), np.concatenate(l4)
+        self.fine = np.full_like(self.k7, np.nan)
+        self.fine_tol = np.full(len(self.x), np.nan)
+
+    def _refine_moments(self, rows: np.ndarray) -> None:
+        """Refine the four moments of each of ``rows`` to ``_MOMENT_TOL``,
+        the drift sampled once a node for all four.  A row with a piece at
+        the depth floor, or every row where the refinement fails, gets an
+        infinite tolerance, so a candidate that fails there is refined by
+        itself (and raises its own error)."""
+        b, n = self.tab.bound, len(rows)
+        start = self.tab.mesh[self.panel[rows]]
+        h = self.tab.mesh[self.panel[rows] + 1] - start
+
+        def sample(u, ids, pos):  # interval k n + r: moment k of row r
+            r, k = ids % n, ids // n
+            nodes, where = np.unique(u, return_inverse=True)
+            drift = _bulk(b.arrays.drift, b.drift, nodes)[where].reshape(u.shape)
+            return drift * np.choose(k, hermite_weights((u - start[r]) / h[r], h[r], False))
+
+        self.fine_tol[rows] = math.inf
+        try:
+            pieces = _refine(sample, np.tile(start, 4), np.tile(self.x[rows], 4), _MOMENT_TOL)
+        except NddeError:
+            return
+        ok = np.ones(n, dtype=bool)
+        ok[pieces.ids[pieces.floor] % n] = False
+        self.fine[rows[ok]] = pieces.totals().reshape(4, n).T[ok]
+        self.fine_tol[rows[ok]] = _MOMENT_TOL
 
     def partial(self, coef: np.ndarray) -> np.ndarray:
         """int_{t_i}^x drift z from the start t_i of each live point's panel.
 
-        Where |K7 - L4| fails, z is the cubic c . phi of the point's panel
+        Where |K7 - L4| fails, the refined moments serve a candidate whose
+        coefficients c there have sum_k |c_k| fine_tol within the
+        tolerance; elsewhere z is the cubic c . phi of the point's panel
         for the shared refinement.
         """
         c = coef[self.panel]
         value = (self.k7 * c).sum(1)
-        bad = np.flatnonzero(~(np.abs(value - (self.l4 * c).sum(1)) <= _QUAD_TOL))  # NaN too
+        error = np.abs(value - (self.l4 * c).sum(1))
+        new = np.flatnonzero(~(error <= _MOMENT_TOL) & np.isnan(self.fine_tol))  # NaN too
+        if len(new):
+            self._refine_moments(new)
+        bad = np.flatnonzero(~(error <= _QUAD_TOL))
         if not len(bad):
             return value
-        b, c, start = self.tab.bound, c[bad], self.tab.mesh[self.panel[bad]]
+        c = c[bad]
+        fine = np.abs(c).sum(1) * self.fine_tol[bad] <= _QUAD_TOL
+        value[bad[fine]] = (self.fine[bad[fine]] * c[fine]).sum(1)
+        if fine.all():
+            return value
+        bad, c = bad[~fine], c[~fine]
+        b, start = self.tab.bound, self.tab.mesh[self.panel[bad]]
         h = self.tab.mesh[self.panel[bad] + 1] - start
 
         def sample(u, ids, pos):
@@ -270,11 +335,15 @@ class _Panels:
     Each panel's pair nodes carry the damping factor and the A (and, with
     psi, B) rows; ``decay`` is exp(G(left) - G(right)), which carries an
     integral that ends at left over to right.  The right end is the nodes'
-    column 1, so B's point terms there are read from the same rows.
+    column 1, so B's point terms there are read from the same rows.  Rows
+    built at refined sub-panels' nodes are kept, with their damping
+    factors, by their nodes (``sub_rows``): the candidates of one request
+    refine the same few panels alike.
     """
 
     def __init__(self, tab: "_Tables", left: np.ndarray, right: np.ndarray):
         self.tab, self.left, self.right = tab, left, right
+        self.sub_rows: dict = {}
         s = _lk_points(left, right).T
         G = tab.bound.gexp.cumulative(s)  # the panel ends are columns 0 and 1
         self.G_right = G[:, 1]
@@ -295,8 +364,14 @@ class _Panels:
         gexp = self.tab.bound.gexp
 
         def sample(x, ids, pos):
-            row = make(self.tab, x.ravel()).integrand(st).reshape(x.shape)
-            return np.exp(gexp.cumulative(x) - self.G_right[ids]) * row
+            key = (make, x.tobytes(), ids.tobytes())
+            if key not in self.sub_rows:
+                if len(self.sub_rows) >= _SUB_ROWS:
+                    self.sub_rows.clear()
+                damping = np.exp(gexp.cumulative(x) - self.G_right[ids])
+                self.sub_rows[key] = make(self.tab, x.ravel()), damping
+            rows, damping = self.sub_rows[key]
+            return damping * rows.integrand(st).reshape(x.shape)
 
         f = self.damping * values.reshape(self.damping.shape)
         part = _refine(sample, self.left, self.right, _QUAD_TOL, f.T).totals()
@@ -443,9 +518,14 @@ def picard_solve(
     successive step-norm quotients (> 1 sustained means the contraction
     part fails).  The candidate cap |z| <= 1 is monitored via
     ``cap_exceeded``, and a precheck warns when the criterion sum on 512
-    points of [t0, max(T, t0 + 1)] reaches 1.  The candidate-independent
-    tables and the rows of the live mesh panels are built once, read by
-    every iteration and kept in the result for :func:`residual`.
+    points of [t0, max(T, t0 + 1)] reaches 1.  The precheck sweeps the
+    problem's own form, not the general re-encoding the iteration reads:
+    the criterion sum of the re-encoding is a different, larger number
+    (1.45-1.60 against 0.55-0.60 on the benchmark's picard requests).
+    The candidate-independent tables, the rows of the live mesh panels and
+    of their refined sub-panels, and the refined drift moments are built
+    once, read by every iteration and kept in the result for
+    :func:`residual`.
     """
     # the arguments and the mesh's budget are checked before the precheck,
     # which is costly

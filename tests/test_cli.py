@@ -346,6 +346,26 @@ def test_crosscheck_falls_back_to_the_floor_step_when_a_pair_run_fails(tmp_path,
     assert float(lines["crosscheck.sup_diff"]) > 0.0
 
 
+def test_picard_keeps_its_summary_when_the_floor_run_fails(tmp_path, capsys):
+    # x' = -400 x(t - 0.001 t): the iteration converges, but every direct
+    # run blows up, the floor run at 0.001 too; the cross-check is skipped
+    # with the run's error, and the command still succeeds
+    text = _cheap(tmax="50", grid="64")
+    for key, value in (("a", "400 + 0*t"), ("g", "400 + 0*t"), ("r1", "0.001*t"), ("b", "0*t")):
+        start = text.index(f"\n{key} = ") + 1
+        text = text[:start] + f'{key} = "{value}"' + text[text.index("\n", start):]
+    path = tmp_path / "blowup.cfg"
+    path.write_text(text)
+    assert main(["picard", str(path), "--T", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "picard.converged = true" in lines
+    assert _crosscheck_lines("\n".join(lines)) == {
+        "crosscheck.sup_diff": "skipped (state became non-finite near t = 16.503)",
+        "crosscheck.step": "none",
+        "crosscheck.error_estimate": "none",
+    }
+
+
 def _literals():
     """The literal configs of ``tools/compare_reports.py``, which reach a history segment."""
     path = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"

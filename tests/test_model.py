@@ -55,6 +55,36 @@ def test_horizon_examples():
     assert res.m == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_horizon_scans_each_lag_once_per_interval(monkeypatch):
+    import ndde.model
+
+    scans = []
+    scan = ndde.model.sup_scan
+    monkeypatch.setattr(ndde.model, "sup_scan", lambda *a, **k: scans.append(a[1:3]) or scan(*a, **k))
+    r1 = DelaySpec(parse_expression("0.2*t"))
+    r2 = DelaySpec(parse_expression("0.3 + 0.1*sin(t)"))
+    prob = _linear_problem(r1=r1, r2=r2)
+    first = horizon(prob, 20.0)
+    assert scans == [(0.0, 20.0), (0.0, 20.0)]
+    assert first.m == pytest.approx(-0.3, abs=1e-12)
+    # the same interval again, on the re-encoding, or on another problem
+    # with the same lags: no scan
+    assert horizon(prob, 20.0) == first
+    assert horizon(prob.as_general(), 20.0) == first
+    assert horizon(_linear_problem(r1=r1, r2=r2, a=parse_expression("0.2")), 20.0) == first
+    assert len(scans) == 2
+    # another tmax, or another t0, scans both lags again
+    horizon(prob, 30.0)
+    horizon(_linear_problem(r1=r1, r2=r2, t0=1.0), 20.0)
+    assert scans[2:] == [(0.0, 30.0), (0.0, 30.0), (1.0, 20.0), (1.0, 20.0)]
+
+    # equality and hashing stay those of the lag, whatever a spec has scanned
+    twin = DelaySpec(parse_expression("0.2*t"))
+    assert twin == r1 and hash(twin) == hash(r1)
+    assert twin != r2
+    assert [f.name for f in dataclasses.fields(DelaySpec)] == ["r", "slope_expression", "tau_expression"]
+
+
 def test_gamma_validation():
     _linear_problem(gamma=Fraction(1, 3))
     _linear_problem(gamma=Fraction(3, 5))

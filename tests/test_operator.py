@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -550,6 +551,78 @@ def test_residual_on_the_kept_rows_equals_fresh_rows():
     fresh = dataclasses.replace(res, nodes=res.nodes.tab.node_panels())
     assert fresh.nodes is not res.nodes
     assert residual(res).hex() == residual(fresh).hex()
+
+
+def _refine_callers(monkeypatch):
+    """Wrap ``ndde.operator._refine``: each call's (caller, iteration), the
+    iteration counted by the candidates the tables read."""
+    calls, read = [], [0]
+    state, refine_ = ndde.operator._Tables.state, ndde.operator._refine
+
+    def counted(self, z):
+        read[0] += 1
+        return state(self, z)
+
+    def refine(*args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, read[0]))
+        return refine_(*args, **kwargs)
+
+    monkeypatch.setattr(ndde.operator._Tables, "state", counted)
+    monkeypatch.setattr(ndde.operator, "_refine", refine)
+    return calls
+
+
+def test_window_moments_are_refined_once_per_request(monkeypatch):
+    # the benchmark's picard requests in shape: T = 20 at mesh step 0.05,
+    # where the drift's pole at -0.1 makes the windows near t0 fail K7/L4
+    calls = _refine_callers(monkeypatch)
+    prob, aux = _showcase()
+    res = picard_solve(prob, aux, _const_history(0.001), T=20.0)
+    assert res.converged and res.iterations > 5
+    windows = [(caller, it) for caller, it in calls if caller in ("partial", "_refine_moments")]
+    # the moments are refined while the first candidate is read, and no
+    # candidate after it is refined by itself
+    assert windows and all(it == 1 for _, it in windows)
+    assert ("partial", 1) not in windows
+    refined = [w for w in (res.nodes.b.window, res.nodes.b.window_u1, res.nodes.tab.full_window)
+               if np.isfinite(w.fine_tol).any()]
+    assert len(refined) == 3
+
+
+def test_panels_reuse_their_sub_panel_rows_bit_for_bit():
+    prob, aux = _showcase()
+    res = picard_solve(prob, aux, _const_history(0.001), T=20.0)
+    kept, tables = res.nodes, res.nodes.tab
+    st = tables.state(res.z)
+    assert kept.sub_rows  # failing panels were refined on rows at their sub-panels
+    built = set(kept.sub_rows)
+    again = kept.integrals(st)
+    assert set(kept.sub_rows) == built  # every sub-panel row was read from the cache
+    fresh = tables.node_panels()
+    assert not fresh.sub_rows
+    anew = fresh.integrals(st)
+    assert fresh.sub_rows and set(fresh.sub_rows) <= built
+    for x, y in zip(again, anew):
+        assert x.tobytes() == y.tobytes()
+
+
+def test_window_refines_a_large_candidate_by_itself(monkeypatch):
+    # refined moments hold within _MOMENT_TOL each: a candidate 1000 times
+    # the fixed point has sum_k |c_k| _MOMENT_TOL over the tolerance where
+    # K7/L4 fails, so it is refined by itself, and the window stays linear
+    prob, aux = _showcase()
+    res = picard_solve(prob, aux, _const_history(0.001), T=20.0)
+    window, coef = res.nodes.tab.full_window, res.nodes.tab.state(res.z).coef
+    fine = np.flatnonzero(np.isfinite(window.fine_tol))
+    assert len(fine)
+    c = 1e3 * coef[window.panel[fine]]
+    assert (np.abs(c).sum(1) * window.fine_tol[fine] > 1e-11).any()
+    base = window.partial(coef)
+    calls = _refine_callers(monkeypatch)
+    big = window.partial(1e3 * coef)
+    # (more points now fail K7/L4 and have their moments refined first)
+    assert [caller for caller, _ in calls][-1] == "partial"
+    assert np.max(np.abs(big - 1e3 * base)) < 1e-8
 
 
 def test_picard_reports_noncontraction_without_crash():

@@ -4,6 +4,8 @@ import importlib.util
 import io
 from pathlib import Path
 
+import numpy as np
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
 _spec = importlib.util.spec_from_file_location("compare_reports", _PATH)
 compare_reports = importlib.util.module_from_spec(_spec)
@@ -95,6 +97,47 @@ def test_dump_writes_the_sweep_counts_of_each_request(tmp_path, monkeypatch, cap
     assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b)]) == 1
     out = capsys.readouterr().out
     assert f"cheap.txt: sweep.0.counts.1 {counts[1].split(' = ')[1]} -> 1 2 3" in out
+
+
+def test_dump_writes_the_operator_refinements_of_each_picard_run(tmp_path, monkeypatch, capsys):
+    from ndde import operator
+    from ndde.cli import run_picard
+    from ndde.presets import preset_text
+
+    # at T = 20 (mesh step 0.05) the panels and windows near t0 fail K7/L4
+    text = preset_text("section4").replace('T = "50"', 'T = "20"')
+    monkeypatch.setattr(compare_reports, "_requests", lambda root: iter([("fp", "picard", text)]))
+    refine = operator._refine
+    assert compare_reports.main(["--dump", str(tmp_path / "a")]) == 0
+    assert operator._refine is refine  # the wrapper is removed again
+    lines = (tmp_path / "a" / "fp.txt").read_text().splitlines()
+    counts = [line for line in lines if line.startswith("operator.refine.")]
+    assert lines[-1] == "exit = 0" and lines[-1 - len(counts) : -1] == counts  # after the sweeps
+
+    # one line per call, in call order: intervals that failed the first
+    # level, and pieces accepted
+    calls = []
+
+    def recording(sample, a, b, tol, first=None):
+        pieces = refine(sample, a, b, tol, first)
+        calls.append((len(a), int(np.count_nonzero(~pieces.passed)), len(pieces.ids)))
+        return pieces
+
+    monkeypatch.setattr(operator, "_refine", recording)
+    cfg = tmp_path / "fp.cfg"
+    cfg.write_text(text)
+    assert run_picard(str(cfg), out=io.StringIO()) == 0
+    assert counts == [f"operator.refine.{n} = {failed} {pieces}" for n, (_, failed, pieces) in enumerate(calls)]
+    assert any(failed for _, failed, _ in calls)  # some panel or window was refined
+    assert all(failed <= n <= pieces for n, failed, pieces in calls)
+
+    # a changed refinement fails the diff at any tolerance
+    b = tmp_path / "b"
+    b.mkdir()
+    (b / "fp.txt").write_text("\n".join(line + ("0" if line == counts[0] else "") for line in lines))
+    capsys.readouterr()
+    assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b), "--tol", "1e300"]) == 1
+    assert f"fp.txt: operator.refine.0 {counts[0].split(' = ')[1]} -> " in capsys.readouterr().out
 
 
 def test_dump_writes_stability_reports_as_the_benchmark_runs_them(tmp_path, monkeypatch):

@@ -20,7 +20,12 @@ sweep the request made, one ``sweep.N.counts.K = accepted halved floor``
 line per integrand K (panels accepted whole, panels halved, pieces
 accepted at the depth floor), caught by wrapping ``ndde.criteria.WeightedSweep``;
 ``--diff`` compares them as text, so a changed quadrature decision fails
-it.  Each file ends with an ``exit = N`` line.  A stability request also
+it.  Then come the quadrature decisions of the operator: one
+``operator.refine.N = failed pieces`` line per call of its shared
+refinement (intervals that failed the first level, pieces accepted),
+caught by wrapping ``ndde.operator._refine`` and compared as text, so a
+changed refinement of a panel or a drift window fails ``--diff``.  Each
+file ends with an ``exit = N`` line.  A stability request also
 writes ``STEM.trajectories.txt``: one ``trajectory.LABEL.sha256 = HEX``
 line per family member, the SHA-256 of the bytes of its nodes, values
 and derivatives, caught by wrapping ``ndde.integrator._drive``;
@@ -235,14 +240,19 @@ def _with_csv(command):
 def dump(out_dir: Path, root: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     requests = list(_requests(root))
-    from ndde import cli, criteria
+    from ndde import cli, criteria, operator
 
-    sweeps = []
-    made = criteria.WeightedSweep
+    sweeps, refines = [], []
+    made, refine = criteria.WeightedSweep, operator._refine
 
     def recording(*args, **kwargs):
         sweeps.append(made(*args, **kwargs))
         return sweeps[-1]
+
+    def refining(*args, **kwargs):
+        pieces = refine(*args, **kwargs)
+        refines.append(f"{len(pieces.passed) - pieces.passed.sum()} {len(pieces.ids)}")
+        return pieces
 
     run = {
         "check": cli.run_check,
@@ -254,7 +264,7 @@ def dump(out_dir: Path, root: Path) -> int:
         "picard-csv": _with_csv(cli.run_picard),
         "refused": _refused,
     }
-    criteria.WeightedSweep = recording
+    criteria.WeightedSweep, operator._refine = recording, refining
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for stem, kind, text, *delta in requests:
@@ -262,6 +272,7 @@ def dump(out_dir: Path, root: Path) -> int:
                 path.write_text(text, encoding="utf-8")
                 buf = io.StringIO()
                 sweeps.clear()
+                refines.clear()
                 with contextlib.redirect_stderr(io.StringIO()):
                     code = run[kind](str(path), *delta, out=buf)
                 # the config path is a temporary name; keep the request's own
@@ -269,11 +280,12 @@ def dump(out_dir: Path, root: Path) -> int:
                 for n, sweep in enumerate(sweeps):
                     for k, row in enumerate(sweep.counts.tolist()):
                         lines.append(f"sweep.{n}.counts.{k} = {' '.join(map(str, row))}")
+                lines += (f"operator.refine.{n} = {counts}" for n, counts in enumerate(refines))
                 lines.append(f"exit = {code}")
                 (out_dir / f"{stem}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
                 print(f"{stem}: exit {code}", flush=True)
     finally:
-        criteria.WeightedSweep = made
+        criteria.WeightedSweep, operator._refine = made, refine
     return 0
 
 
