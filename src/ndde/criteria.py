@@ -63,7 +63,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -297,8 +297,7 @@ class AlphaEstimate:
 
     ``alpha`` is the refined supremum of the pointwise term sum (this is
     what verdicts use); ``alpha_termwise`` sums the individual term
-    suprema, a coarser bound matching the usual hand computation.  Both
-    come from per-term scans that run on the first read of ``terms``.
+    suprema, a coarser bound matching the usual hand computation.
     """
 
     form: str
@@ -307,13 +306,7 @@ class AlphaEstimate:
     tail_slope: float
     tmax: float
     grid: int
-    _scan_terms: Callable[[], tuple[TermStat, ...]] | None = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def terms(self) -> tuple[TermStat, ...]:
-        stats = self._scan_terms()
-        object.__setattr__(self, "_scan_terms", None)  # frees the scans' inputs
-        return stats
+    terms: tuple[TermStat, ...]
 
     @property
     def alpha_termwise(self) -> float:
@@ -395,12 +388,10 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int):
         slopes=total_slope, value_slope=sum_and_slope,
     )
 
-    def scan_terms() -> tuple[TermStat, ...]:
-        stats = []
-        for label, fn, pair, values, slopes in scans:
-            s = sup_scan(fn, t0, tmax, n=grid, samples=values, slopes=slopes, value_slope=pair)
-            stats.append(TermStat(label, s.sup, s.argsup))
-        return tuple(stats)
+    stats = []
+    for label, fn, pair, values, slopes in scans:
+        s = sup_scan(fn, t0, tmax, n=grid, samples=values, slopes=slopes, value_slope=pair)
+        stats.append(TermStat(label, s.sup, s.argsup))
 
     return AlphaEstimate(
         form=bound.problem.form,
@@ -409,7 +400,7 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int):
         tail_slope=scan.tail_slope,
         tmax=tmax,
         grid=grid,
-        _scan_terms=scan_terms,
+        terms=tuple(stats),
     ), sweep
 
 
@@ -810,7 +801,6 @@ def evaluate_criteria(
         )
     bound = bind(problem, aux, tmax)
     est, sweep = _alpha_from_bound(bound, tmax, grid)
-    est.terms  # scan now: the first read frees the scans' inputs before the companions run
     lip_c = window_lipschitz(bound, "c-term")
     lip_g = window_lipschitz(bound, "g")
     K = K_estimate(bound)

@@ -55,13 +55,12 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import alpha_estimate
+from .criteria import alpha_estimate  # noqa: F401  -- unused here; bench/tracing.py wraps this attribute
 from .errors import NddeError, ValidationError
 from .hermite import GridFunction, hermite_eval, hermite_weights, locate, uniform_step
 from .integrator import _MAX_STEPS
@@ -517,18 +516,13 @@ def picard_solve(
     divergence are reported in the result, never raised.  ``ratios`` holds
     successive step-norm quotients (> 1 sustained means the contraction
     part fails).  The candidate cap |z| <= 1 is monitored via
-    ``cap_exceeded``, and a precheck warns when the criterion sum on 512
-    points of [t0, max(T, t0 + 1)] reaches 1.  The precheck sweeps the
-    problem's own form, not the general re-encoding the iteration reads:
-    the criterion sum of the re-encoding is a different, larger number
-    (1.45-1.60 against 0.55-0.60 on the benchmark's picard requests).
-    The candidate-independent tables, the rows of the live mesh panels and
+    ``cap_exceeded``.  The criterion sum is not evaluated here:
+    :func:`ndde.criteria.evaluate_criteria` certifies it.  The
+    candidate-independent tables, the rows of the live mesh panels and
     of their refined sub-panels, and the refined drift moments are built
     once, read by every iteration and kept in the result for
     :func:`residual`.
     """
-    # the arguments and the mesh's budget are checked before the precheck,
-    # which is costly
     require(**{"horizon T": T}, tol=tol, max_iter=max_iter, **({} if step is None else {"step": step}))
     t0 = problem.t0
     require_after_t0(T, t0)
@@ -536,13 +530,6 @@ def picard_solve(
         step = min(0.05, (T - t0) / 200.0)
     m = min(horizon(problem, T).m, t0)
     mesh = make_mesh(m, t0, T, step)
-    est = alpha_estimate(problem, aux, tmax=max(T, t0 + 1.0), grid=512)
-    if est.alpha >= 1.0:
-        warnings.warn(
-            f"criterion sum reaches {est.alpha:.4g} >= 1 on [t0, {T:g}]; "
-            "the iteration map need not contract",
-            stacklevel=2,
-        )
     tables = _Tables(problem, aux, mesh, psi)
     split = tables.split
 
@@ -610,9 +597,7 @@ def residual(result: PicardResult) -> float:
     a_mid, b_mid, point_mid = _Panels(tables, live[:-1], mids).integrals(st, (a[:-1], b[:-1]))
     points = np.concatenate((live, mids))
     image = np.concatenate((a + b + point, a_mid + b_mid + point_mid))
-    defect = np.abs(result.z.eval_array(points) - image)
-    # a NaN defect is skipped, and the result is at least 0
-    return float(np.max(defect, initial=0.0, where=~np.isnan(defect)))
+    return float(np.max(np.abs(result.z.eval_array(points) - image)))
 
 
 def reconstruct_x(z: GridFunction, aux: AuxiliarySpec, t0: float) -> GridFunction:

@@ -209,9 +209,7 @@ def test_picard_csv_holds_psi_below_t0(tmp_path):
     # m = -1 < t0 = 0, and p = 2 on the history: x is psi there, not p psi
     path, csv = tmp_path / "lag.cfg", tmp_path / "fp.csv"
     path.write_text(_CONSTANT_LAG)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the precheck's criterion sum exceeds 1
-        assert run_picard(path, csv_path=csv, out=io.StringIO()) == 0
+    assert run_picard(path, csv_path=csv, out=io.StringIO()) == 0
     rows = [tuple(map(float, line.split(","))) for line in csv.read_text().splitlines()[2:]]
     history = [x for t, x in rows if t < 0.0]
     assert rows[0][0] == -1.0 and len(history) == 40
@@ -225,7 +223,7 @@ def test_picard_keeps_its_summary_when_no_history_matches(tmp_path):
     path.write_text(_CONSTANT_LAG.replace('p = "2/(t + 2)"', 'p = "1/(t + 2)"'))
     out = io.StringIO()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # p(t0) != 1 and the precheck's criterion sum
+        warnings.simplefilter("ignore")  # p(t0) != 1: the constant-1 extension left of t0
         assert run_picard(path, out=out) == 0
     text = out.getvalue()
     assert "picard.converged = true" in text
@@ -337,9 +335,7 @@ def test_crosscheck_falls_back_to_the_floor_step_when_a_pair_run_fails(tmp_path,
     path.write_text(text)
     kept = _recording(monkeypatch, "integrate")
     out = io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert run_picard(path, T=10.0, out=out) == 0
+    assert run_picard(path, T=10.0, out=out) == 0
     lines = _crosscheck_lines(out.getvalue())
     assert [run.h for run in kept["integrate"]] == [0.001]
     assert lines["crosscheck.step"] == "0.001" and lines["crosscheck.error_estimate"] == "none"
@@ -385,9 +381,7 @@ def test_crosscheck_estimate_bounds_the_error_of_its_run(tmp_path, monkeypatch, 
     path.write_text(_literals()[name])
     kept = _recording(monkeypatch, "integrate")
     out = io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the literals' precheck sums exceed 1
-        assert run_picard(path, T=8.0, out=out) == 0
+    assert run_picard(path, T=8.0, out=out) == 0
     lines = _crosscheck_lines(out.getvalue())
     step, estimate = float(lines["crosscheck.step"]), float(lines["crosscheck.error_estimate"])
     assert step == {"constant-lag": 0.001, "general-qf": 0.004}[name]
@@ -453,7 +447,7 @@ def _capped_cli(cwd, *argv, cap=1 << 30, timeout=60):
     [
         (["check"], 'grid = "1000000000000"', "grid: need at most"),
         (["simulate", "--T", "1e13"], "", "1e+16 steps, over the budget"),
-        # picard asks for its mesh before the precheck binds [t0, T]
+        # picard asks for its mesh before it binds [t0, T]
         (["picard", "--T", "1e7"], "", "mesh step 0.05 is too small for T = 10000000.0"),
         (["check", "--tmax", "1e7"], "", "need over 4194304 panels of width 1.0"),
     ],
@@ -490,12 +484,15 @@ def test_crosscheck_over_the_step_budget_is_skipped(tmp_path):
 
 
 def test_cli_prints_library_warnings_as_one_line(tmp_path):
-    path = tmp_path / "bx10.cfg"
-    path.write_text(_cheap("section4-bx10"))
-    done = _capped_cli(tmp_path, "picard", path, "--T", "8")
-    assert done.returncode == 0, done.stderr
+    # a constant lag 0.05 reaches below t0 = 0, where p (p(t0) = 5) is
+    # extended by 1: the binding warns, and the check still ends in its verdict
+    path = tmp_path / "lag.cfg"
+    path.write_text(_cheap(tmax="20", grid="64").replace('r1 = "0.2*t"', 'r1 = "0.05 + 0*t"'))
+    done = _capped_cli(tmp_path, "check", path)
+    assert done.returncode == 2, done.stderr
     lines = done.stderr.splitlines()
-    assert any("criterion sum reaches" in line for line in lines)
+    text = "p(t0) = 5.0 != 1; using the constant-1 extension left of t0"
+    assert sum(text in line for line in lines) == 1
     for line in lines:
         assert line.startswith("warning: ") and ".py:" not in line
 
@@ -506,9 +503,7 @@ def test_picard_divergence_reported_not_raised(tmp_path):
     path = tmp_path / "big.cfg"
     path.write_text(_cheap("section4-bx10"))
     out = io.StringIO()
-    with pytest.warns(UserWarning, match="criterion sum"):
-        code = run_picard(path, T=8.0, tol=0.0, out=out)
-    assert code == 0
+    assert run_picard(path, T=8.0, tol=0.0, out=out) == 0
     text = out.getvalue()
     assert "picard.converged = false" in text
     assert "crosscheck.sup_diff = skipped" in text
@@ -545,8 +540,7 @@ def test_no_request_path_calls_adaptive_simpson(tmp_path, monkeypatch):
     path = tmp_path / "bx10.cfg"
     path.write_text(preset_text("section4-bx10"))
     out = io.StringIO()
-    with pytest.warns(UserWarning, match="criterion sum"):
-        assert run_picard(path, T=8.0, tol=0.0, out=out) == 0
+    assert run_picard(path, T=8.0, tol=0.0, out=out) == 0
     assert "picard.converged = false" in out.getvalue()
     cfg = loads(preset_text("section4"))
     report = stability_experiment(cfg.problem, eps=cfg.eps, delta=0.00135, T=cfg.T, h=0.02)
@@ -623,13 +617,7 @@ def test_help_exits_zero(capsys):
     assert "check" in out and "simulate" in out and "picard" in out and "example" in out
 
 
-def test_picard_rejects_horizon_before_the_precheck(cheap_cfg, capsys, monkeypatch):
-    import ndde.operator
-
-    def precheck(*args, **kwargs):
-        raise AssertionError("the precheck ran before T was validated")
-
-    monkeypatch.setattr(ndde.operator, "alpha_estimate", precheck)
+def test_picard_horizon_below_t0_is_one_line_error(cheap_cfg, capsys):
     assert main(["picard", str(cheap_cfg), "--T", "-1"]) == 1
     err = capsys.readouterr().err
     lines = [line for line in err.splitlines() if line.startswith("error:")]

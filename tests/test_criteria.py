@@ -667,8 +667,24 @@ def _recorded_scans(monkeypatch, prob, aux, tmax, grid):
 
     monkeypatch.setattr(criteria, "sup_scan", recording)
     est = alpha_estimate(prob, aux, tmax=tmax, grid=grid)
-    est.terms  # the per-term scans run on first read, so read them while recording
     return est, calls
+
+
+def test_alpha_estimate_scans_every_term_before_it_returns(monkeypatch):
+    # terms is a plain field: the sum and all per-term scans run inside
+    # alpha_estimate, and reading terms afterwards scans nothing
+    from ndde.criteria import AlphaEstimate
+
+    prob, aux = _certify_member()
+    est, calls = _recorded_scans(monkeypatch, prob, aux, tmax=50.0, grid=128)
+    assert len(calls) == 1 + len(est.terms) == 1 + len(LINEAR_TERMS)
+    assert [t.label for t in est.terms] == list(LINEAR_TERMS)
+    est.terms
+    assert len(calls) == 1 + len(est.terms)
+    names = [f.name for f in dataclasses.fields(AlphaEstimate)]
+    assert "terms" in names and "_scan_terms" not in names
+    # equal problems give equal estimates, terms included
+    assert est == alpha_estimate(prob, aux, tmax=50.0, grid=128)
 
 
 @pytest.mark.parametrize("twin", [False, True], ids=["linear", "general-twin"])

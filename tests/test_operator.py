@@ -293,7 +293,7 @@ def test_make_mesh_names_a_horizon_at_t0():
     ],
 )
 def test_picard_arguments_are_checked_on_entry(args, message):
-    # before the precheck and the tables: no warning, no iteration
+    # before the tables: no warning, no iteration
     prob, aux = _showcase()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -524,27 +524,6 @@ def test_picard_converges_on_showcase_problem():
     assert x.eval(0.0) == pytest.approx(0.005, abs=1e-12)
 
 
-def test_picard_precheck_scans_only_the_sum(monkeypatch):
-    # the precheck reads alpha alone, so the per-term scans never run
-    import ndde.criteria
-
-    scans, estimates = [], []
-    scan, estimate = ndde.criteria.sup_scan, ndde.operator.alpha_estimate
-    monkeypatch.setattr(ndde.criteria, "sup_scan", lambda *a, **k: scans.append(a) or scan(*a, **k))
-    monkeypatch.setattr(
-        ndde.operator, "alpha_estimate",
-        lambda *a, **k: estimates.append(estimate(*a, **k)) or estimates[-1],
-    )
-    prob, aux = _showcase(b="10*sin(t)/7")
-    with pytest.warns(UserWarning, match="criterion sum") as caught:
-        picard_solve(prob, aux, _const_history(0.001), T=2.0, max_iter=1)
-    assert len(scans) == 1 and len(estimates) == 1
-    assert "terms" not in vars(estimates[0])
-    alpha = alpha_estimate(prob, aux, tmax=2.0, grid=512).alpha
-    assert estimates[0].alpha.hex() == alpha.hex()
-    assert f"reaches {alpha:.4g} >= 1" in str(caught[0].message)
-
-
 def test_residual_on_the_kept_rows_equals_fresh_rows():
     prob, aux = _showcase()
     res = picard_solve(prob, aux, _const_history(0.001), T=5.0)
@@ -628,8 +607,7 @@ def test_window_refines_a_large_candidate_by_itself(monkeypatch):
 def test_picard_reports_noncontraction_without_crash():
     prob, aux = _showcase(b="10*sin(t)/7")
     psi = _const_history(0.001)
-    with pytest.warns(UserWarning, match="criterion sum"):
-        res = picard_solve(prob, aux, psi, T=10.0, tol=1e-10, max_iter=10)
+    res = picard_solve(prob, aux, psi, T=10.0, tol=1e-10, max_iter=10)
     assert not res.converged
     assert max(res.ratios) > 1.0
     assert np.all(np.isfinite(res.z.values))
@@ -642,21 +620,24 @@ def test_picard_rejects_degenerate_horizon():
 
 
 def test_picard_and_residual_share_the_iteration_binding(monkeypatch):
-    # the precheck binds the problem in its own form, the iteration binds the
-    # general-form re-encoding once, and residual reads the iteration's tables
-    calls = []
-    init = BoundProblem.__init__
+    # the iteration binds the general-form re-encoding once, residual reads
+    # the iteration's tables, and neither sweeps a criterion term
+    import ndde.criteria
+
+    calls, sweeps = [], []
+    init, sweep = BoundProblem.__init__, ndde.criteria.WeightedSweep
 
     def counted(self, *args, **kwargs):
         calls.append(1)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(BoundProblem, "__init__", counted)
+    monkeypatch.setattr(ndde.criteria, "WeightedSweep", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
     prob, aux = _showcase()
     psi = _const_history(0.001)
     res = picard_solve(prob, aux, psi, T=5.0)
     assert residual(res) < 1e-6
-    assert len(calls) == 2
+    assert len(calls) == 1 and sweeps == []
     assert "tables" not in repr(res)
 
 
@@ -703,8 +684,7 @@ def test_cap_exceeded_is_reported_for_the_tenfold_preset():
     from ndde.presets import preset_text
 
     cfg = loads(preset_text("section4-bx10"))
-    with pytest.warns(UserWarning, match="criterion sum"):
-        res = picard_solve(cfg.problem, cfg.aux, cfg.history, T=8.0, tol=1e-8)
+    res = picard_solve(cfg.problem, cfg.aux, cfg.history, T=8.0, tol=1e-8)
     assert res.converged and res.iterations < 50  # 32 today, within the 60-iteration budget
     assert res.cap_exceeded and res.z.sup_norm > 10.0
     assert max(res.ratios) > 1.0
@@ -712,7 +692,7 @@ def test_cap_exceeded_is_reported_for_the_tenfold_preset():
 
 def test_mesh_is_refused_beyond_the_stepper_budget(capped_python):
     # each mesh would take gigabytes or more; the budget refuses it at once,
-    # and picard_solve asks for its mesh before the precheck binds [t0, T]
+    # and picard_solve asks for its mesh before it binds [t0, T]
     done = capped_python("""
 from ndde.config import loads
 from ndde.errors import ValidationError
@@ -743,23 +723,11 @@ for args in ((0.0, 0.0, 10**9, 0.05), (0.0, 0.0, 1e300, 0.05), (-1e300, 0.0, 2.0
     assert ndde.operator._MAX_STEPS == ndde.integrator._MAX_STEPS  # the stepper's budget
 
 
-def test_mesh_budget_is_checked_before_the_precheck(monkeypatch):
-    # T = 5e5 needs 1e7 mesh panels at step 0.05; the refusal must not wait
-    # for the precheck's sweep of [t0, T]
+def test_mesh_budget_refuses_a_long_horizon():
+    # T = 5e5 needs 1e7 mesh panels at step 0.05
     from ndde.config import loads
     from ndde.presets import preset_text
 
     cfg = loads(preset_text("section4"))
-    calls = []
-    estimate = ndde.operator.alpha_estimate
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return estimate(*args, **kwargs)
-
-    monkeypatch.setattr(ndde.operator, "alpha_estimate", counted)
     with pytest.raises(ValidationError, match=r"^mesh step 0\.05 is too small for T = 500000\.0 from m = 0\.0"):
         picard_solve(cfg.problem, cfg.aux, cfg.history, T=5e5)
-    assert calls == []
-    picard_solve(cfg.problem, cfg.aux, cfg.history, T=2.0)
-    assert len(calls) == 1
