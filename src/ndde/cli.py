@@ -101,8 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_noted: list[str] = []  # the last config's warnings, not printed again by main
+
+
 def _load(config_path) -> RunConfig:
     cfg = load_config(config_path)
+    _noted[:] = cfg.warnings
     for note in cfg.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return cfg
@@ -256,6 +260,13 @@ def run_example(name, directory=".", out=None) -> int:
     return 0
 
 
+def _show_warning(message, *_, **__) -> None:
+    # library warnings read like config warnings: one line, no source
+    # location, and none that repeats a config warning
+    if str(message) not in _noted:
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -263,10 +274,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     with warnings.catch_warnings():
-        # library warnings read like config warnings: one line, no source location
-        warnings.showwarning = lambda message, *_, **__: print(
-            f"warning: {message}", file=sys.stderr
-        )
+        warnings.showwarning = _show_warning
         try:
             return namespace.func(namespace)
         except (NddeError, OSError) as exc:

@@ -32,8 +32,17 @@ off and checks the result, and every intermediate that could turn an
 error into a finite value (a denominator, an exponential's argument, a
 power's operands), for non-finite elements.  Those elements are rerun by
 the scalar form in the arrays' order, which raises the scalar form's
-DomainError, text included, at the first one that fails.  Both targets
-compute each repeated subexpression once (see ``_codegen``).
+DomainError, text included, at the first one that fails; the scalar form
+is compiled only when such a rerun needs it.  Both targets compute each
+repeated subexpression once (see ``_codegen``).
+
+Compiled code is kept in one process-wide cache, as ``re`` keeps compiled
+patterns, so equal trees share code across bindings and requests.  Its key
+is the target, ``repr`` of the tree (each constant to the bit: -0.0 and 0.0
+never share code) and the variables, as ``Expression.same_code`` compares.
+It is cleared when it holds ``_CODE_LIMIT`` entries.  Under the GIL each
+lookup and store is atomic and no lock is taken: threads that miss together
+compile a tree twice, and may pass the bound by an entry each until a miss.
 """
 
 from __future__ import annotations
@@ -563,7 +572,7 @@ def signed_power_array(x: np.ndarray, gamma: Fraction | float) -> np.ndarray:
     return out
 
 
-def _compile_array(node: Node, variables: tuple[str, ...], scalar: Callable[..., float]):
+def _compile_array(node: Node, variables: tuple[str, ...]):
     names = {v: f"_a{i}" for i, v in enumerate(variables)}
     args = ", ".join(names[v] for v in variables)
     src = (
@@ -601,12 +610,32 @@ def _compile_array(node: Node, variables: tuple[str, ...], scalar: Callable[...,
         except (ZeroDivisionError, ValueError, OverflowError):  # a constant subtree
             out = np.empty(shape)
             bad = np.ones(shape, dtype=bool)
+        scalar = _code("scalar", node, variables)
         columns = [np.broadcast_to(a, shape) for a in arrays]
         for i in np.flatnonzero(bad):
             out.flat[i] = scalar(*(float(c.flat[i]) for c in columns))
         return out
 
     return _f
+
+
+_CODE_LIMIT = 1024
+_codes: dict[tuple, Callable] = {}  # (target, *_code_key) -> code
+
+
+def _code_key(node: Node, variables: tuple[str, ...]) -> tuple:
+    return repr(node), variables
+
+
+def _code(target: str, node: Node, variables: tuple[str, ...]) -> Callable:
+    """The cached "scalar" or "array" code of ``node``, compiled on a miss."""
+    key = (target, *_code_key(node, variables))
+    fn = _codes.get(key)
+    if fn is None:
+        if len(_codes) >= _CODE_LIMIT:
+            _codes.clear()
+        fn = _codes[key] = (_compile if target == "scalar" else _compile_array)(node, variables)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -806,21 +835,21 @@ class Expression:
         return _check_finite(_eval(self.root, env))
 
     def __call__(self, *args: float) -> float:
-        if self._fn is None:
-            self._fn = _compile(self.root, self.variables)
+        if self._fn is None:  # not via compiled(): a tracer counts calls of both
+            self._fn = _code("scalar", self.root, self.variables)
         return self._fn(*args)
 
     def compiled(self) -> Callable[..., float]:
         """Fast positional-argument callable (args follow ``variables``)."""
         if self._fn is None:
-            self._fn = _compile(self.root, self.variables)
+            self._fn = _code("scalar", self.root, self.variables)
         return self._fn
 
     def vectorized(self) -> Callable[..., np.ndarray]:
         """Array callable (args follow ``variables``, broadcast together);
         see the module docstring for its finiteness check and scalar rerun."""
         if self._array_fn is None:
-            self._array_fn = _compile_array(self.root, self.variables, self.compiled())
+            self._array_fn = _code("array", self.root, self.variables)
         return self._array_fn
 
     # calculus / rewriting ----------------------------------------------
@@ -849,9 +878,9 @@ class Expression:
     def same_code(self, other: "Expression") -> bool:
         """Whether the two compile to the same code: the same tree with every
         constant to the bit (their printed text merges 0.0 and -0.0)."""
-        if self is other:
-            return True
-        return self.variables == other.variables and repr(self.root) == repr(other.root)
+        return self is other or (
+            _code_key(self.root, self.variables) == _code_key(other.root, other.variables)
+        )
 
     def is_zero(self) -> bool:
         r = _simplify(self.root)

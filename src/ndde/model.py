@@ -56,6 +56,9 @@ _T = Expression.variable("t")
 _TABLE_TOL = 1e-11  # the quadrature tolerance of a binding's cumulative tables
 _VALIDATE_SEED = 0  # the seed of ProblemSpec.validate's sample points
 _INF_MEMO = 16  # scanned intervals a DelaySpec keeps; a full memo starts over
+# the config check's and the binding's one wording, for where a lag reaches
+# below t0: the only place the left extension of p is used
+_EXTENSION_NOTE = "p(t0) = {!r} != 1; using the constant-1 extension left of t0"
 
 
 @dataclass(frozen=True)
@@ -165,10 +168,6 @@ class AuxiliarySpec:
         )
         if ps(ts).max() > 1e12:
             soft.append("p(t) exceeds 1e12 on the sample grid; boundedness is doubtful")
-        if abs(p(t0) - 1.0) > 1e-12:
-            soft.append(
-                f"p(t0) = {p(t0)!r} != 1; the constant-1 left extension will be used"
-            )
         return soft
 
 
@@ -356,6 +355,11 @@ class ProblemSpec:
                   lambda i: f"Q violates its Lipschitz bound q_bound at t = {at_t(i)!r}")],
                 *rows,
             )
+        p_t0 = 1.0 if aux is None else aux.p.compiled()(self.t0)
+        if abs(p_t0 - 1.0) > 1e-12:  # checked last, so that hard failures come first
+            ts = np.linspace(self.t0, max(tmax, self.t0), 512)
+            if min(d.tau_expression.vectorized()(ts).min() for d in (self.r1, self.r2)) < self.t0:
+                soft.append(_EXTENSION_NOTE.format(p_t0))  # a lag reaches below t0 on the grid
         return soft
 
 
@@ -590,10 +594,7 @@ class BoundProblem(_Derived):
         t0 = self.t0
         p_t0 = p_fn(t0)
         if self.m < t0 and abs(p_t0 - 1.0) > 1e-12:
-            warnings.warn(
-                f"p(t0) = {p_t0!r} != 1; using the constant-1 extension left of t0",
-                stacklevel=2,
-            )
+            warnings.warn(_EXTENSION_NOTE.format(p_t0), stacklevel=2)
 
         def p_of(u: float) -> float:
             return 1.0 if u < t0 else p_fn(u)

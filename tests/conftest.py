@@ -28,3 +28,13 @@ def capped_python():
         )
 
     return run
+
+
+@pytest.fixture(autouse=True)
+def _empty_code_cache(monkeypatch):
+    """Each test starts from an empty process-wide expression code cache and
+    leaves the process's own untouched, so no count of compiles, here or in
+    ``bench/``, depends on which tests ran before."""
+    from ndde import expressions
+
+    monkeypatch.setattr(expressions, "_codes", {})

@@ -483,18 +483,36 @@ def test_crosscheck_over_the_step_budget_is_skipped(tmp_path):
         " 2e+10 steps, over the budget of 8388608)" in lines
 
 
-def test_cli_prints_library_warnings_as_one_line(tmp_path):
+@pytest.mark.parametrize(
+    "argv, code", [(["check"], 2), (["picard", "--T", "2"], 0), (["simulate", "--T", "2"], 0)]
+)
+def test_cli_prints_library_warnings_as_one_line(tmp_path, argv, code):
     # a constant lag 0.05 reaches below t0 = 0, where p (p(t0) = 5) is
-    # extended by 1: the binding warns, and the check still ends in its verdict
+    # extended by 1: the config check and the binding both say so, the CLI
+    # prints it once, and the run still ends in its verdict
     path = tmp_path / "lag.cfg"
     path.write_text(_cheap(tmax="20", grid="64").replace('r1 = "0.2*t"', 'r1 = "0.05 + 0*t"'))
-    done = _capped_cli(tmp_path, "check", path)
-    assert done.returncode == 2, done.stderr
+    done = _capped_cli(tmp_path, *argv, path)
+    assert done.returncode == code, done.stderr
     lines = done.stderr.splitlines()
-    text = "p(t0) = 5.0 != 1; using the constant-1 extension left of t0"
-    assert sum(text in line for line in lines) == 1
+    assert [line for line in lines if "p(t0) = 5.0" in line] == [
+        "warning: p(t0) = 5.0 != 1; using the constant-1 extension left of t0"
+    ]
     for line in lines:
         assert line.startswith("warning: ") and ".py:" not in line
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["check"], 3), (["picard", "--T", "2"], 0), (["simulate", "--T", "2"], 0)]
+)
+def test_cli_says_nothing_of_p_at_t0_where_no_lag_reaches_below_it(tmp_path, argv, code):
+    # r1 = r2 = 0.2*t keep every delayed argument at or above t0 = 0, so
+    # p(t0) = 5 meets no left extension
+    path = tmp_path / "run.cfg"
+    path.write_text(_cheap(tmax="20", grid="64"))
+    done = _capped_cli(tmp_path, *argv, path)
+    assert done.returncode == code, done.stderr
+    assert "p(t0)" not in done.stderr
 
 
 def test_picard_divergence_reported_not_raised(tmp_path):

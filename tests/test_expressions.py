@@ -403,3 +403,95 @@ def test_domain_error_in_a_repeated_subtree_keeps_the_scalar_message():
         with pytest.raises(DomainError) as vector:
             e.vectorized()(np.array([3.0, 2.5, 1.5, 1.0]))
         assert str(vector.value) == str(scalar.value)
+
+
+# ---------------------------------------------------------------------------
+# the process-wide code cache
+
+
+@pytest.fixture()
+def compiles(monkeypatch):
+    """(target, repr of the tree, variables) of every compile, in order;
+    each test starts from an empty code cache (see conftest)."""
+    from ndde import expressions
+
+    made = []
+    for target, name in (("scalar", "_compile"), ("array", "_compile_array")):
+        def counted(node, variables, compile_=getattr(expressions, name), target=target):
+            made.append((target, repr(node), variables))
+            return compile_(node, variables)
+
+        monkeypatch.setattr(expressions, name, counted)
+    return made
+
+
+def test_a_second_parse_of_the_same_text_compiles_nothing(compiles):
+    first = parse_expression("cos(t) * 7.375 + 0.0625")
+    assert first(0.0) == 7.4375
+    assert first.vectorized()(np.array([0.0])).tolist() == [7.4375]
+    assert [target for target, *_ in compiles] == ["scalar", "array"]
+    second = parse_expression("cos(t) * 7.375 + 0.0625")
+    assert second(0.0) == 7.4375
+    assert second.compiled() is first.compiled() and second.vectorized() is first.vectorized()
+    assert len(compiles) == 2
+
+
+def test_signed_zeros_do_not_share_code(compiles):
+    plus, minus = parse_expression("0*t"), parse_expression("-0*t")
+    assert not plus.same_code(minus)
+    assert math.copysign(1.0, plus(3.0)) == 1.0 and math.copysign(1.0, minus(3.0)) == -1.0
+    signs = [math.copysign(1.0, e.vectorized()(np.array([3.0]))[0]) for e in (plus, minus)]
+    assert signs == [1.0, -1.0]
+    assert len(compiles) == 4
+
+
+def test_cached_code_raises_the_fresh_code_error(compiles):
+    fresh, cached = parse_expression("ln(t - 1.875) * 3"), parse_expression("ln(t - 1.875) * 3")
+    for t in (1.5, 0.25):
+        with pytest.raises(DomainError) as first:
+            fresh(t)
+        with pytest.raises(DomainError) as second:
+            cached(t)
+        assert str(second.value) == str(first.value) == f"ln(t - 1.875) * 3: math domain error at t={t!r}"
+    assert len(compiles) == 1
+
+
+def test_the_cache_stays_within_its_bound(compiles):
+    from ndde import expressions
+
+    for k in range(expressions._CODE_LIMIT + 5):
+        assert Expression.constant(k + 0.5)() == k + 0.5
+        assert len(expressions._codes) <= expressions._CODE_LIMIT
+    assert len(compiles) == expressions._CODE_LIMIT + 5
+
+
+def test_two_variable_orders_of_one_tree_compile_apart(compiles):
+    xy = parse_expression("x - 2.5*y", variables=("x", "y"))
+    yx = parse_expression("x - 2.5*y", variables=("y", "x"))
+    assert not xy.same_code(yx)
+    assert (xy(1.0, 2.0), yx(1.0, 2.0)) == (-4.0, 2.0 - 2.5)
+    assert [v for *_, v in compiles] == [("x", "y"), ("y", "x")]
+
+
+def test_array_code_compiles_its_scalar_form_only_for_a_rerun(compiles):
+    e = parse_expression("ln(t - 0.625) + 4.5")
+    f = e.vectorized()
+    assert f(np.array([1.625, 2.625])).tolist() == [4.5, 4.5 + math.log(2.0)]
+    assert [target for target, *_ in compiles] == ["array"]
+    with pytest.raises(DomainError) as vector:
+        f(np.array([1.625, 0.5, 0.25]))  # ln of a negative value: nan, rerun by the scalar form
+    assert [target for target, *_ in compiles] == ["array", "scalar"]
+    with pytest.raises(DomainError) as scalar:
+        e(0.5)
+    assert str(vector.value) == str(scalar.value) == "ln(t - 0.625) + 4.5: math domain error at t=0.5"
+    assert len(compiles) == 2
+
+
+def test_a_stability_request_compiles_each_tree_once_per_target(compiles):
+    # the stability deck's fixed section4 request, at the preset's own T
+    from ndde.integrator import stability_experiment
+
+    cfg = loads(preset_text("section4"))
+    report = stability_experiment(cfg.problem, eps=cfg.eps, delta=0.00135, T=cfg.T, h=0.02)
+    assert report.stable
+    assert compiles and len(set(compiles)) == len(compiles)

@@ -155,9 +155,12 @@ def test_validate_rejects_nonpositive_p():
         prob.validate(tmax=10.0, aux=aux)
 
 
-def test_validate_warns_on_p_not_one_at_t0():
-    soft = _linear_problem().validate(tmax=10.0, aux=_aux())
-    assert any("p(t0)" in s for s in soft)
+def test_validate_warns_on_p_not_one_at_t0_where_a_lag_reaches_below_it():
+    lag = DelaySpec(parse_expression("1"))
+    soft = _linear_problem(r1=lag, r2=lag).validate(tmax=10.0, aux=_aux())
+    assert "p(t0) = 5.0 != 1; using the constant-1 extension left of t0" in soft
+    # 0.2*t keeps t - r(t) >= t0: the left extension is never read
+    assert not any("p(t0)" in s for s in _linear_problem().validate(tmax=10.0, aux=_aux()))
 
 
 def test_as_general_reencoding():
