@@ -46,7 +46,7 @@ run starts at), RK4's stages are values of an already-known function:
 k2 = k3 = f(mid), k4 = f(end) = the next node's derivative, and the
 nodes are a running sum of the increments, in the step loop's order.
 Such a run is stepped as one numpy block.  The rows are evaluated in
-passes of at most 1,024 steps by the forms' array halves (vectorized
+passes of at most 4,096 steps by the forms' array halves (vectorized
 coefficients, lookups located in bulk), once per pass for the whole
 family.  The family's nodes are one (members x steps) array for x and
 one for x', so a block gathers each lookup for every member at once and
@@ -315,7 +315,7 @@ _AT_DSELF = (_DSELF, True, None, None)
 # which bounds the memory a pass takes; a span shorter than _MIN_BLOCK is
 # stepped one by one, where a block's fixed cost (a few array calls per
 # lookup and member) would exceed the steps it saves.
-_BLOCK = 1024
+_BLOCK = 4096
 _MIN_BLOCK = 8
 # most steps one sweep takes (24 bytes of nodes a step and history); the
 # presets take 5e4 at their default step

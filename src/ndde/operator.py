@@ -212,7 +212,7 @@ class _Window:
         start = self.tab.mesh[self.panel[rows]]
         h = self.tab.mesh[self.panel[rows] + 1] - start
 
-        def sample(u, ids, pos):  # interval k n + r: moment k of row r
+        def sample(u, ids):  # interval k n + r: moment k of row r
             r, k = ids % n, ids // n
             nodes, where = np.unique(u, return_inverse=True)
             drift = _bulk(b.arrays.drift, b.drift, nodes)[where].reshape(u.shape)
@@ -254,7 +254,7 @@ class _Window:
         b, start = self.tab.bound, self.tab.mesh[self.panel[bad]]
         h = self.tab.mesh[self.panel[bad] + 1] - start
 
-        def sample(u, ids, pos):
+        def sample(u, ids):
             w = hermite_weights((u - start[ids]) / h[ids], h[ids], False)
             return _bulk(b.arrays.drift, b.drift, u) * hermite_eval(w, *c[ids].T)
 
@@ -362,7 +362,7 @@ class _Panels:
         end, or without it advanced panel by panel from 0."""
         gexp = self.tab.bound.gexp
 
-        def sample(x, ids, pos):
+        def sample(x, ids):
             key = (make, x.tobytes(), ids.tobytes())
             if key not in self.sub_rows:
                 if len(self.sub_rows) >= _SUB_ROWS:

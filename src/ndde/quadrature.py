@@ -33,9 +33,10 @@ point by point, so errors and their texts are the scalar ones.  The recurring sh
 The pair (Gander & Gautschi's Lobatto 4 / Kronrod 7) and its fixed-node
 helpers are shared with the operator's tables, so the package has one
 fixed-node rule, and one refinement (``_refine``) where |K7 - L4| fails:
-halving level by level down to the depth floor.  Break points at kinks
-serve the criterion sweep only; the cumulative tables and the operator's
-panels halve into their kinks.  Scalar panels go through
+level by level, each failing piece split into the 2^d pieces its estimate
+predicts, down to the depth floor.  Break points at kinks serve the
+criterion sweep only; the cumulative tables and the operator's panels
+refine into their kinks.  Scalar panels go through
 ``_lk_nodes``, arrays of them through ``_lk_points``, both through ``_lk_sums``.
 Adaptive Simpson serves the one-shot ``weighted_integral`` only, on no
 request path.
@@ -194,6 +195,12 @@ _K7_WS = _K7_W[::2].tolist()
 # (down to 2^-50 of it); the depth floor then decides.
 _HALVINGS = 50
 
+# _refine splits a failing piece into at most 2^this pieces at once.  On the
+# seed-1 certify deck a cap of 8 takes 33/44 sampling calls a request (linear
+# member/twin), this cap 32/43, and one of 32 32/44 with 0.5% more points;
+# their raw request times were within 3% of each other (2-vCPU Xeon).
+_MAX_SPLIT = 4
+
 # WeightedSweep integrates, and CumulativeExponent tabulates, at most this
 # many panels per bulk call, which bounds the size of the sample arrays (and
 # of the array expressions' temporaries) on long grids.
@@ -281,86 +288,122 @@ class _RefineError(QuadratureError):
         self.interval = interval
 
 
-def _sampled(sample, x, ids, pos) -> np.ndarray:
-    """sample(x, ids, pos), raising at its first non-finite value (the lowest
+def _sampled(sample, x, ids) -> np.ndarray:
+    """sample(x, ids) at the points x of the intervals ids (one a column of
+    x, or one a point), raising at its first non-finite value (the lowest
     interval's, at the smallest t)."""
+    flat, ids = x.ravel(), np.broadcast_to(ids, x.shape).ravel()
     try:
-        y = sample(x, ids, pos)
+        y = sample(flat, ids)
     except _RefineError as err:  # a nested refinement's failure is not this one's
         raise QuadratureError(str(err)) from err
     if not np.isfinite(y).all():
-        row, col = np.nonzero(~np.isfinite(y))
-        k = np.lexsort((x[row, col], ids[col]))[0]
-        v, t = float(y[row[k], col[k]]), float(x[row[k], col[k]])
-        raise _RefineError(str(_non_finite(v, t)), int(ids[col[k]]))
-    return y
+        bad = np.flatnonzero(~np.isfinite(y))
+        k = bad[np.lexsort((flat[bad], ids[bad]))[0]]
+        raise _RefineError(str(_non_finite(float(y[k]), float(flat[k]))), int(ids[k]))
+    return y.reshape(x.shape)
 
 
 def _refine(sample, a, b, tol, first=None) -> _Pieces:
     """int over each interval [a_i, b_i] by the Lobatto 4 / Kronrod 7 pair.
 
-    ``sample(x, ids, pos)`` gives the integrand at x, an (r, n) array of
-    points of the intervals ``ids`` (one a column), ``pos`` numbering the
-    sub-intervals of each interval at this level from 0; ``first``, when
-    given, holds the samples at the intervals' seven ``_lk_nodes``.  K7 is
-    accepted where |K7 - L4| is within the interval's ``tol``, or within
-    the piece's rounding noise (``_ROUNDING`` times its K7 sum of |f|).  The
-    rest are halved together, at half the tolerance, the centre sample
-    serving as an end, at most ``_HALVINGS`` times, and at the last level
-    accepted (as ``floor`` pieces) where |K7 - L4| is within
-    ``_DEPTH_FLOOR``.  A non-finite sample, a piece over the floor, or more
-    than ``_MAX_PANELS`` pieces to halve raise a QuadratureError that
-    carries the number of the interval (the lowest; its leftmost piece, or
-    over the budget its piece of largest |K7 - L4|, speaks).
+    ``sample(x, ids)`` gives the integrand at the points x, a 1-d array, of
+    the intervals ``ids`` (one a point); ``first``, when given, holds the
+    samples at the intervals' seven ``_lk_nodes``.  K7 is accepted where
+    |K7 - L4| is within the interval's ``tol``, or within the piece's
+    rounding noise (``_ROUNDING`` times its K7 sum of |f|).  The rest are
+    split together into 2^d equal pieces each, the tolerance split by
+    width.  L4's error falls like h^7 while each halving halves the
+    tolerance, so a piece whose estimate is r times its tolerance takes
+    d = ceil(log2(r) / 6) halvings, at least 1 and at most ``_MAX_SPLIT``
+    (1 where r is not finite).  The boundaries come from repeated halving,
+    so a split of 2 is a plain halving: the centre sample serves as an end,
+    and the m - 2 new boundaries of a split of m are sampled in the same
+    call as the pieces' inner nodes, one call a level.  A piece is halved
+    at most ``_HALVINGS`` times (a split of 2^d counting d), and after the
+    last accepted (as a ``floor`` piece) where |K7 - L4| is within
+    ``_DEPTH_FLOOR``.  Where a level's splits would make more than
+    ``_MAX_PANELS`` pieces, every failing piece is halved instead.  A
+    non-finite sample, a piece over the floor, or more than ``_MAX_PANELS``
+    pieces to halve raise a QuadratureError that carries the number of the
+    interval (the lowest; its leftmost piece, or over the budget its piece
+    of largest |K7 - L4|, speaks).
     """
     n = len(a)
-    ids, pos, lo, hi = np.arange(n), np.zeros(n, dtype=np.int64), a, b
+    ids, lo, hi, depth = np.arange(n), a, b, np.zeros(n, dtype=np.int64)
     if first is None:
-        first = _sampled(sample, _lk_points(a, b), ids, pos)
+        first = _sampled(sample, _lk_points(a, b), ids)
     fa, fb, *inner = first
     done = []  # per level: ids, left, right, value, floor of the accepted pieces
-    for depth in range(_HALVINGS + 1):
-        if depth:
-            inner = _sampled(sample, _lk_points(lo, hi)[2:], ids, pos)
+    for level in range(_HALVINGS + 1):
+        if level:  # the pieces' inner nodes, then their new ends
+            x = _lk_points(lo, hi)[2:]
+            y = _sampled(sample, np.concatenate([x.ravel(), *new]), np.concatenate([np.tile(ids, 5), *new_ids]))
+            inner, ends = y[: x.size].reshape(x.shape), np.concatenate((ends, y[x.size :]))
+            fa, fb = ends[ia], ends[ib]
         with np.errstate(all="ignore"):
             value, error = _lk_sums(0.5 * (hi - lo), fa, fb, *inner)
-            halve = ~(error <= tol)
-            if halve.any():  # rounding noise, which halving cannot lower, passes too
-                k = np.flatnonzero(halve)
+            fails = ~(error <= tol)
+            if fails.any():  # rounding noise, which halving cannot lower, passes too
+                k = np.flatnonzero(fails)
                 noise = _lk_sums(0.5 * (hi[k] - lo[k]), *(np.abs(f[k]) for f in (fa, fb, *inner)))[0]
-                halve[k] = ~(error[k] <= _ROUNDING * noise)
-        if depth == 0:
-            passed = ~halve
+                fails[k] = ~(error[k] <= _ROUNDING * noise)
+        if level == 0:
+            passed = ~fails
             if passed.all():
-                return _Pieces(ids, hi, value, passed, halve)
+                return _Pieces(ids, hi, value, passed, fails)
             if not np.isfinite(error).all():  # raises at a non-finite given sample
-                _sampled(lambda *_: first, _lk_points(a, b), ids, pos)
+                _sampled(lambda *_: first.ravel(), _lk_points(a, b), ids)
             tol = np.full(n, tol, dtype=float)
-        stuck = np.flatnonzero((depth == _HALVINGS) & ~(error <= _DEPTH_FLOOR))
+        last = depth == _HALVINGS
+        stuck = np.flatnonzero(last & ~(error <= _DEPTH_FLOOR))
         if len(stuck):  # a NaN estimate (overflow) fails the floor too
             k = stuck[np.lexsort((lo[stuck], ids[stuck]))[0]]
             raise _RefineError(
                 f"no convergence on [{float(lo[k])!r}, {float(hi[k])!r}] after max refinement"
                 f" depth (defect {float(error[k]):.3e})", int(ids[k]),
             )
-        keep = ~halve | (depth == _HALVINGS)  # at the last level all passed the floor
-        done.append((ids[keep], lo[keep], hi[keep], value[keep], halve[keep]))
+        keep = ~fails | last  # at the last halving all passed the floor
+        done.append((ids[keep], lo[keep], hi[keep], value[keep], fails[keep]))
         if keep.all():
             break
-        if 2 * np.count_nonzero(halve) > _MAX_PANELS:  # name its worst piece too
-            i = int(ids[halve].min())
-            k = np.flatnonzero(halve & (ids == i))
+        k = np.flatnonzero(~keep)
+        if 2 * len(k) > _MAX_PANELS:  # name its worst piece too
+            i = int(ids[k].min())
+            k = k[ids[k] == i]
             k = k[np.argmax(error[k])]
             raise _RefineError(
                 f"no convergence on [{float(a[i])!r}, {float(b[i])!r}] within {_MAX_PANELS}"
                 f" panels (refining [{float(lo[k])!r}, {float(hi[k])!r}])", i,
             )
-        # [lo, c] and [c, hi] at half the tolerance; the centre is the last node
-        c, fc, half = 0.5 * (lo + hi)[halve], inner[4][halve], 0.5 * tol[halve]
-        ids, pos, tol = ids[halve], 2 * pos[halve], np.concatenate((half, half))
-        ids, pos = np.concatenate((ids, ids)), np.concatenate((pos, pos + 1))
-        lo, hi = np.concatenate((lo[halve], c)), np.concatenate((c, hi[halve]))
-        fa, fb = np.concatenate((fa[halve], fc)), np.concatenate((fc, fb[halve]))
+        with np.errstate(all="ignore"):
+            d = np.ceil(np.log2(error[k] / tol[k]) / 6.0)
+        d = np.where(np.isfinite(d), np.clip(d, 1, _MAX_SPLIT), 1)
+        d = np.minimum(d, _HALVINGS - depth[k]).astype(np.int64)
+        if np.sum(1 << d) > _MAX_PANELS:
+            d[:] = 1
+        # halve each piece k d times.  A halving lists the pieces it leaves
+        # whole, then the left halves, then the right ones.  The first cuts
+        # at the centre (the last node), the later ones at new points, whose
+        # samples extend ``ends`` (the end samples ia, ib and mid index)
+        # next level
+        m = len(k)
+        ends, new, new_ids = np.concatenate((fa[k], fb[k], inner[4][k])), [], []
+        ia, ib, mid = np.arange(m), np.arange(m, 2 * m), np.arange(2 * m, 3 * m)
+        ids, lo, hi, depth, tol = ids[k], lo[k], hi[k], depth[k], tol[k]
+        for times in range(int(d.max())):
+            s = np.flatnonzero(d > times)
+            c = 0.5 * (lo + hi)[s]
+            if times:
+                mid = len(ends) + sum(map(len, new)) + np.arange(len(s))
+                new.append(c)
+                new_ids.append(ids[s])
+            src = np.concatenate((np.flatnonzero(d <= times), s, s))
+            ids, d, lo, hi, ia, ib, depth, tol = (v[src] for v in (ids, d, lo, hi, ia, ib, depth, tol))
+            left, right = slice(-2 * len(s), -len(s)), slice(-len(s), None)
+            hi[left], ib[left], lo[right], ia[right] = c, mid, c, mid
+            depth[-2 * len(s) :] += 1
+            tol[-2 * len(s) :] *= 0.5
     ids, left, right, value, floor = (np.concatenate(col) for col in zip(*done))
     order = np.lexsort((left, ids))
     return _Pieces(ids[order], right[order], value[order], passed, floor[order])
@@ -369,7 +412,7 @@ def _refine(sample, a, b, tol, first=None) -> _Pieces:
 def _kronrod_panels(f, f_array, a: np.ndarray, b: np.ndarray, tol: float) -> _Pieces:
     """int f over each panel [a_j, b_j] by :func:`_refine`, every level
     sampled by one ``_bulk`` call."""
-    return _refine(lambda x, ids, pos: _bulk(f_array, f, x), a, b, tol)
+    return _refine(lambda x, ids: _bulk(f_array, f, x), a, b, tol)
 
 
 def _advance(decay: np.ndarray, panels: np.ndarray) -> np.ndarray:
@@ -396,7 +439,8 @@ class CumulativeExponent:
     ``f_array`` (f's array form; without it, f point by point).  A panel is
     integrated by the Lobatto 4 / Kronrod 7 pair when the embedded error
     estimate |K7 - L4| is at most ``tol_per_unit``, and refined by
-    ``_refine`` (the tolerance split by width) where it is not.  Every
+    ``_refine`` where it is not: split into the 2^d equal pieces its
+    estimate predicts, a level at a time, the tolerance split by width.  Every
     accepted piece's end becomes a checkpoint, so the table is finest where
     f is least smooth; a batch that fails is redone panel by panel.  A query
     finds its checkpoint by bisection and integrates the partial panel from
@@ -635,18 +679,18 @@ class WeightedSweep:
     term |u| w pulls the samples beside it toward zero; samples that all
     exceed half their maximum hide a root of u only in a feature narrower
     than the nodes resolve.  The pieces are integrated as first-level
-    intervals, each with the panel's tolerance split by width; halving
-    stays the safety net for kinks the search misses.
+    intervals, each with the panel's tolerance split by width; the
+    refinement stays the safety net for kinks the search misses.
 
     An integrand's panel (or piece) sum is K7 when |K7 - L4| is within its
     tolerance.  The (panel, integrand) pairs that fail are refined together
     by ``_refine`` (the tolerance split by width, G read once per distinct
-    sub-panel).  ``at(t)`` evaluates between grid points by the same routine
+    point).  ``at(t)`` evaluates between grid points by the same routine
     on the one interval [grid[i], t], broken at the sweep's break points in
     it.  ``counts[k]`` holds, per integrand, the panels (grid panels and
-    ``at`` intervals) accepted whole, the panels halved, and the pieces
+    ``at`` intervals) accepted whole, the panels refined, and the pieces
     accepted at the depth floor; a broken panel counts as accepted whole
-    when each of its pieces passes at its first level, as halved
+    when each of its pieces passes at its first level, as refined
     otherwise.  A failure is raised as a QuadratureError that names the
     integrand's label (and, in ``at``, the t).
     """
@@ -761,9 +805,7 @@ class WeightedSweep:
         tol = np.tile(np.asarray(self.tols)[terms], m)
         if breaks is None:  # a non-finite sample raises below, as without break points
             breaks = self._find_breaks(nodes, first, tol, terms) if np.isfinite(first).all() else _NO_BREAKS
-        # per interval _refine integrates: its (panel, term) pair, and its
-        # group, the same for the intervals over the same [lo, hi]
-        owner, group = np.arange(n), np.repeat(np.arange(m), rows)
+        owner = np.arange(n)  # per interval _refine integrates: its (panel, term) pair
         cut, roots = breaks
         if len(cut):
             is_cut = np.zeros(n, dtype=bool)
@@ -780,29 +822,24 @@ class WeightedSweep:
             p_hi[last] = hi[p_owner[last]]
             p_tol = tol[p_owner] * ((p_hi - p_lo) / (hi - lo)[p_owner])
             owner = np.concatenate((whole, p_owner))
-            group = np.concatenate((group[whole], m + np.arange(len(p_owner))))
             lo, hi = np.concatenate((lo[whole], p_lo)), np.concatenate((hi[whole], p_hi))
             tol = np.concatenate((tol[whole], p_tol))
 
-        def sample(x, ids, pos):
-            # G at the distinct sub-intervals, once for all terms
+        def sample(x, ids):
+            # G once a distinct point, for all terms
+            nodes, inverse = np.unique(x, return_inverse=True)
+            G = self.gexp.cumulative(nodes)[inverse]
             p, j = np.divmod(owner[ids], rows)
-            key, order = group[ids], np.lexsort((pos, group[ids]))
-            new = np.ones(len(order), dtype=bool)
-            new[1:] = (key[order][1:] != key[order][:-1]) | (pos[order][1:] != pos[order][:-1])
-            inv = np.empty(len(order), dtype=np.intp)
-            inv[order] = np.cumsum(new) - 1
-            G = self.gexp.cumulative(x[:, order[new]])[:, inv]
             f = np.empty_like(x)
             for r in np.flatnonzero(np.bincount(j)).tolist():
-                f[:, j == r] = self._sample(terms[r], x[:, j == r], where)
+                f[j == r] = self._sample(terms[r], x[j == r], where)
             with np.errstate(all="ignore"):
                 return np.exp(G - gb[p]) * f
 
         try:
             if len(cut):
                 fresh = np.arange(len(whole), len(owner))
-                pieces = _sampled(sample, _lk_points(lo[fresh], hi[fresh]), fresh, np.zeros(len(fresh), dtype=np.int64))
+                pieces = _sampled(sample, _lk_points(lo[fresh], hi[fresh]), fresh)
                 first = np.concatenate((first[:, whole], pieces), axis=1)
             pieces = _refine(sample, lo, hi, tol, first)
         except _RefineError as err:

@@ -723,6 +723,29 @@ def test_pole_in_a_term_is_one_line_error_naming_the_term(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("b, code", [("sin(30*t)/7", 2), ("sin(100*t)/7", 1)])
+def test_oscillating_bracket_ends_in_a_verdict_or_one_error_line(tmp_path, capsys, b, code):
+    # the sweep refines an oscillating bracket's panels deeply: sin(30 t)
+    # still converges (its verdict: violated), sin(100 t) passes the piece
+    # budget of one sweep chunk and ends at once in one line naming the term
+    text = _cheap(tmax="200", grid="512")
+    start = text.index('b = "')
+    path = tmp_path / "osc.cfg"
+    path.write_text(text[:start] + f'b = "{b}"' + text[text.index("\n", start) :])
+    begin = time.perf_counter()
+    assert main(["check", str(path)]) == code
+    elapsed = time.perf_counter() - begin
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    if code == 1:
+        assert len(lines) == 1 and elapsed < 2.0
+        assert lines[0].startswith("error: sweep of retarded_bracket: no convergence on [")
+        assert "within 65536 panels" in lines[0]
+    else:
+        assert lines == []
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

@@ -553,7 +553,7 @@ def test_a_history_first_read_after_the_junction_unshares_the_family(monkeypatch
     # and the four members start as two rows; t - 0.5 t^2 first falls below
     # t0 at t = 2, so from there cosine and ramp read their own histories
     prob = _linear(a="1 + 0*t", c="0.1 + 0*t", r1="0.5*t^2", r2="0.2*t")
-    T, h = 4.0, 0.001
+    T, h = 4.0, 4e-4
     made, started, split = _sweeps(monkeypatch), [], []
     share, unshare = integrator._Lockstep._share, integrator._Lockstep._split
 
@@ -577,10 +577,10 @@ def test_a_history_first_read_after_the_junction_unshares_the_family(monkeypatch
     assert started == [2] and made[0].counts["rows"] == 4
     assert len(split) == 1
     taken, block_steps = split[0]  # the steps counted when the rows split
-    if case == "passes":  # before the second pass of 1,024 steps, which holds t = 2
+    if case == "passes":  # before the second pass of 4,096 steps, which holds t = 2
         assert taken == integrator._BLOCK and block_steps > 0
-    else:  # in step 2000, whose mid stage t = 2.0005 reads the history first
-        assert taken == 2001 and block_steps == 0
+    else:  # in step 5000, whose mid stage t = 2.0002 reads the history first
+        assert taken == 5001 and block_steps == 0
     assert len({member.values.tobytes() for member in members}) == 4
     for member in members:
         _assert_same_run(member, integrate(prob, member.history, T=T, h=h))

@@ -201,9 +201,11 @@ def test_cumulative_sees_kinks_near_panel_ends():
 
 def test_kronrod_panels_halve_kinks_before_simpson(monkeypatch):
     # |t - c| on panels of width w that hold c, and on panels clear of it:
-    # the failing panels are halved together, only the pieces beside c are
-    # halved again, and they go far below the 1/1024 of a panel where
-    # adaptive Simpson used to take over, without it
+    # the failing panels are split together, only the pieces beside c are
+    # split again, and they go far below the 1/1024 of a panel where
+    # adaptive Simpson used to take over, without it.  A split makes at
+    # most 2^4 pieces, so a piece split off lies within 2^4 of its own
+    # widths of the piece holding c
     c, w = 1.0 / 3.0, 0.8
     f = lambda t: abs(t - c)  # noqa: E731
     f_array = lambda t: np.abs(t - c)  # noqa: E731
@@ -219,8 +221,8 @@ def test_kronrod_panels_halve_kinks_before_simpson(monkeypatch):
     left = np.where(starts, a[pieces.ids], np.r_[0.0, pieces.right[:-1]])
     width = pieces.right - left
     gap = np.maximum(np.maximum(left - c, c - pieces.right), 0.0)
-    halved = width < 0.75 * w
-    assert pieces.passed[-3:].all() and (gap[halved] <= width[halved]).all()
+    split = width < 0.75 * w
+    assert pieces.passed[-3:].all() and (gap[split] <= 2**4 * width[split]).all()
     assert width.min() < w / 2**20 and not pieces.floor.any()
 
     # a partial panel across c: the scalar query refines it as the array
@@ -265,6 +267,107 @@ def test_refinement_floor_depth_budget_and_non_finite_samples():
     blow = lambda t: np.where(t > 2.5, math.inf, np.where(t > 1.5, math.nan, 1.0))  # noqa: E731
     with pytest.raises(QuadratureError, match=r"^non-finite integrand sample nan at t=1\.7236"):
         panels(blow, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def _refined(monkeypatch, f, a, b, tol, split=quadrature._MAX_SPLIT):
+    """``_refine`` of the array integrand f over [a_i, b_i] with at most
+    2^split pieces a split (1: plain halving), and its sampling calls."""
+    monkeypatch.setattr(quadrature, "_MAX_SPLIT", split)
+    calls = []
+
+    def sample(x, ids):
+        calls.append(len(x))
+        return f(x)
+
+    return quadrature._refine(sample, np.asarray(a, float), np.asarray(b, float), tol), calls
+
+
+def _piece_lefts(pieces, a):
+    starts = np.r_[True, pieces.ids[1:] != pieces.ids[:-1]]
+    return np.where(starts, a[pieces.ids], np.r_[0.0, pieces.right[:-1]])
+
+
+def test_refinement_splits_to_the_depth_its_estimate_predicts(monkeypatch):
+    # 1/(t + 0.1) is nearly singular left of 0: its first unit panel fails
+    # by far more than 64 times, so it is split into up to 16 pieces a
+    # level, in fewer sampling calls than halving takes
+    a, tol = np.arange(10.0), 1e-11
+    f = lambda t: 1.0 / (t + 0.1)  # noqa: E731
+    exact = np.log((a + 1.1) / (a + 0.1))
+    pieces, calls = _refined(monkeypatch, f, a, a + 1.0, tol)
+    halved, halving = _refined(monkeypatch, f, a, a + 1.0, tol, split=1)
+    assert np.abs(pieces.totals() - exact).max() <= 1e-11
+    assert np.abs(halved.totals() - exact).max() <= 1e-11
+    assert len(calls) == 4 and len(halving) == 10
+    assert (pieces.passed == halved.passed).all() and not pieces.floor.any()
+
+    # failing by less than 64 times, a piece is halved: the pieces are
+    # those of halving, bit for bit, at the same calls
+    a = np.array([0.0, 1.0])
+    errors = [quadrature._lk_sums(h, *np.exp(x))[1] for h, x in (quadrature._lk_nodes(u, u + 1.0) for u in a)]
+    tol = max(errors) / 40.0
+    pieces, calls = _refined(monkeypatch, np.exp, a, a + 1.0, tol)
+    halved, halving = _refined(monkeypatch, np.exp, a, a + 1.0, tol, split=1)
+    assert not pieces.passed.any() and len(pieces.ids) == 4
+    assert calls == halving and all(x.tobytes() == y.tobytes() for x, y in zip(pieces, halved))
+
+
+@pytest.mark.parametrize("case", ["pole", "exp", "kink"])
+def test_every_accepted_piece_is_within_its_tolerance(monkeypatch, case):
+    # the true error of each accepted piece, against the closed form, is
+    # within its share of the tolerance (split by width)
+    c = 1.0 / 3.0
+    f, F = {
+        "pole": (lambda t: 1.0 / (t + 0.1), lambda t: np.log(t + 0.1)),
+        "exp": (np.exp, np.exp),
+        "kink": (lambda t: np.abs(t - c), lambda t: 0.5 * (t - c) * np.abs(t - c)),
+    }[case]
+    a, tol = np.arange(-0.5 if case == "kink" else 0.0, 6.0, 0.8), 1e-11
+    b = a + 0.8
+    pieces, _ = _refined(monkeypatch, f, a, b, tol)
+    left = _piece_lefts(pieces, a)
+    share = tol * (pieces.right - left) / (b - a)[pieces.ids]
+    error = np.abs(pieces.value - (F(pieces.right) - F(left)))
+    assert len(pieces.ids) > len(a) and (error <= share + 1e-15).all()
+
+
+def test_refinement_budget_on_an_oscillating_integrand():
+    # sin(1e4 t) at 1e-11 still converges on [0, 1] within the piece budget
+    f = lambda t: np.sin(1e4 * t)  # noqa: E731
+    pieces = quadrature._kronrod_panels(f, f, np.array([0.0]), np.array([1.0]), 1e-11)
+    assert len(pieces.ids) <= 65536
+    assert pieces.totals()[0] == pytest.approx((1.0 - math.cos(1e4)) / 1e4, abs=1e-11)
+    # the budget counts the pieces of a whole batch: ten such unit panels
+    # together pass it
+    with pytest.raises(QuadratureError, match=r"^no convergence on \[0\.0, 1\.0\] within 65536 panels"):
+        quadrature._kronrod_panels(f, f, np.arange(10.0), np.arange(10.0) + 1.0, 1e-11)
+
+
+def test_sweep_reads_g_once_a_point_across_depths(monkeypatch):
+    # on one panel, exp(t) fails by less than 64 times and is halved, while
+    # 1/(t + 0.01) is split into 16 pieces a level: the terms' pieces sit at
+    # different depths, and swept together each term gives its own sweep's
+    # values and counts, bit for bit
+    refine, made = quadrature._refine, []
+
+    def recording(*args, **kwargs):
+        made.append(refine(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(quadrature, "_refine", recording)
+    gexp = CumulativeExponent(lambda t: 0.5 + 0.1 * t, 0.0)
+    fs = [math.exp, lambda t: 1.0 / (t + 0.01)]
+    grid, tols = np.array([0.0, 1.0]), [1e-6, 1e-11]
+    gexp.cumulative(1.0)  # the table first, so that the sweep's refinement is the last
+    both = WeightedSweep(fs, gexp, grid, tols)
+    pieces = made[-1]
+    widths = [np.diff(np.r_[0.0, pieces.right[pieces.ids == k]]) for k in (0, 1)]
+    assert (widths[0] == 0.5).all() and widths[1].max() <= 1.0 / 16.0
+    for k, f in enumerate(fs):
+        alone = WeightedSweep([f], gexp, grid, tols[k])
+        assert both.values[k].tobytes() == alone.values[0].tobytes()
+        assert (both.counts[k] == alone.counts[0]).all()
+        assert both.at(0.7, k) == alone.at(0.7, 0)
 
 
 def test_large_integrands_stop_at_rounding_noise():

@@ -84,8 +84,8 @@ def test_dump_writes_the_sweep_counts_of_each_request(tmp_path, monkeypatch, cap
     counts = [line for line in lines if line.startswith("sweep.")]
     # one sweep of the three linear-form weighted terms, then the exit code
     assert [line.split(" = ")[0] for line in counts] == [f"sweep.0.counts.{k}" for k in range(3)]
-    accepted, halved, floor = map(int, counts[0].split(" = ")[1].split())
-    assert accepted >= 63 and halved >= 0 and floor >= 0
+    accepted, refined, floor = map(int, counts[0].split(" = ")[1].split())
+    assert accepted >= 63 and refined >= 0 and floor >= 0
     assert lines[-1] == "exit = 0"
 
     # a changed quadrature decision fails the diff
@@ -95,8 +95,14 @@ def test_dump_writes_the_sweep_counts_of_each_request(tmp_path, monkeypatch, cap
     (b / "cheap.txt").write_text("\n".join(changed if line == counts[1] else line for line in lines))
     capsys.readouterr()
     assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b)]) == 1
+    # summed over the file's sweep lines, apart from the other non-numeric changes
+    rows = [[int(v) for v in line.split(" = ")[1].split()] for line in counts]
+    before = [sum(col) for col in zip(*rows)]
+    after = [x - y + z for x, y, z in zip(before, rows[1], (1, 2, 3))]
     out = capsys.readouterr().out
-    assert f"cheap.txt: sweep.0.counts.1 {counts[1].split(' = ')[1]} -> 1 2 3" in out
+    assert "non-numeric changes: 0" in out
+    assert (f"cheap.txt: sweep counts accepted {before[0]} -> {after[0]}, refined {before[1]} -> {after[1]},"
+            f" floor {before[2]} -> {after[2]} (1 of 3 lines)") in out
 
 
 def test_dump_writes_the_operator_refinements_of_each_picard_run(tmp_path, monkeypatch, capsys):
@@ -137,7 +143,13 @@ def test_dump_writes_the_operator_refinements_of_each_picard_run(tmp_path, monke
     (b / "fp.txt").write_text("\n".join(line + ("0" if line == counts[0] else "") for line in lines))
     capsys.readouterr()
     assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b), "--tol", "1e300"]) == 1
-    assert f"fp.txt: operator.refine.0 {counts[0].split(' = ')[1]} -> " in capsys.readouterr().out
+    # ...and is summed per file, apart from the other non-numeric changes
+    failed, total = (sum(int(line.split(" = ")[1].split()[i]) for line in counts) for i in (0, 1))
+    first = int(counts[0].split()[-1])  # the pieces of the changed line, 10 times over in B
+    out = capsys.readouterr().out
+    assert "non-numeric changes: 0" in out and "quadrature decisions changed: 1" in out
+    assert (f"fp.txt: operator.refine failed {failed} -> {failed}, pieces {total} -> {total + 9 * first}"
+            f" (1 of {len(counts)} lines)") in out
 
 
 def test_dump_writes_stability_reports_as_the_benchmark_runs_them(tmp_path, monkeypatch):

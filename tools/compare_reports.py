@@ -16,8 +16,8 @@ byte fails it.  The two ``LITERALS`` configs, which reach what no deck
 does (a history segment before t0, the general form with its d F term),
 run through all four: ``check``, ``picard --csv``, ``simulate --csv`` and
 the stability run.  After it come the ``WeightedSweep.counts`` of every
-sweep the request made, one ``sweep.N.counts.K = accepted halved floor``
-line per integrand K (panels accepted whole, panels halved, pieces
+sweep the request made, one ``sweep.N.counts.K = accepted refined floor``
+line per integrand K (panels accepted whole, panels refined, pieces
 accepted at the depth floor), caught by wrapping ``ndde.criteria.WeightedSweep``;
 ``--diff`` compares them as text, so a changed quadrature decision fails
 it.  Then come the quadrature decisions of the operator: one
@@ -41,13 +41,16 @@ compared by dumping each from its own checkout.
 
 ``--diff`` prints, for every numeric key, the largest difference between A
 and B and the file where it occurs; then every change of a non-numeric
-value (verdicts, exit codes, convergence); then every key that only one
-side's files hold, once per key with the number of files; then, as a
-separate list, every argsup that moved, with the sup it locates (an argsup
-of a sup at rounding level is arbitrary).  It exits 1 when a file is
-missing on one side, a key is held on one side only, a non-numeric value
-changed, or a numeric value other than an argsup differs by more than
-``--tol``.
+value (verdicts, exit codes, convergence) but the quadrature decisions;
+then, per file whose ``sweep.*.counts`` or ``operator.refine.*`` lines
+changed, their sums before and after (accepted, refined and floor panels;
+failed intervals and pieces); then every key that only one side's files
+hold, once per key with the number of files; then, as a separate list,
+every argsup that moved, with the sup it locates (an argsup of a sup at
+rounding level is arbitrary).  It exits 1 when a file is missing on one
+side, a key is held on one side only, a non-numeric value or a quadrature
+decision changed, or a numeric value other than an argsup differs by more
+than ``--tol``.
 """
 
 from __future__ import annotations
@@ -305,6 +308,28 @@ def _number(text: str) -> float | None:
         return None
 
 
+# the quadrature decisions, summed per file by ``--diff``: the names of
+# their fields, by the key pattern of their lines
+_DECISIONS = (
+    (re.compile(r"sweep\.\d+\.counts\.\d+"), "sweep counts", ("accepted", "refined", "floor")),
+    (re.compile(r"operator\.refine\.\d+"), "operator.refine", ("failed", "pieces")),
+)
+
+
+def _decisions(name: str, a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """One line per kind of quadrature decision whose lines differ in a
+    file: the sum of each field over its lines in A and in B."""
+    out = []
+    for pattern, label, fields in _DECISIONS:
+        keys = [key for key in a.keys() & b.keys() if pattern.fullmatch(key)]
+        changed = sum(a[key] != b[key] for key in keys)
+        if changed:
+            sums = [[sum(int(side[key].split()[i]) for key in keys) for side in (a, b)] for i in range(len(fields))]
+            text = ", ".join(f"{field} {x} -> {y}" for field, (x, y) in zip(fields, sums))
+            out.append(f"{name}: {label} {text} ({changed} of {len(keys)} lines)")
+    return out
+
+
 def diff(a_dir: Path, b_dir: Path, tol: float) -> int:
     a_files = {p.name for p in a_dir.glob("*.txt")}
     b_files = {p.name for p in b_dir.glob("*.txt")}
@@ -315,13 +340,17 @@ def diff(a_dir: Path, b_dir: Path, tol: float) -> int:
 
     largest: dict[str, tuple[float, str]] = {}
     changes: list[str] = []
+    decisions: list[str] = []
     shifts: list[tuple[float, str]] = []
     one_sided: Counter[tuple[Path, str]] = Counter()  # (side, key): files holding it there only
     for name in sorted(a_files & b_files):
         a, b = _read(a_dir / name), _read(b_dir / name)
         one_sided.update((a_dir if key in a else b_dir, key) for key in a.keys() ^ b.keys())
+        decisions += _decisions(name, a, b)
         for key in sorted(a.keys() & b.keys()):
             va, vb = a[key], b[key]
+            if any(pattern.fullmatch(key) for pattern, *_ in _DECISIONS):
+                continue
             xa, xb = _number(va), _number(vb)
             if xa is None or xb is None or key.endswith(".sha256"):
                 if va != vb:
@@ -345,6 +374,10 @@ def diff(a_dir: Path, b_dir: Path, tol: float) -> int:
     for line in changes:
         print(f"  {line}")
     bad = bad or bool(changes)
+    print(f"quadrature decisions changed: {len(decisions)}")
+    for line in decisions:
+        print(f"  {line}")
+    bad = bad or bool(decisions)
     print(f"keys on one side only: {len(one_sided)}")
     for (side, key), files in sorted(one_sided.items()):
         print(f"  only in {side}: {key} ({files} files)")
