@@ -20,7 +20,6 @@ trajectory's [m, T]) by 1e-9 max(1, hi - lo); farther out it raises
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -152,16 +151,22 @@ def _fd_slopes(mesh: np.ndarray, values: np.ndarray, breaks=()) -> np.ndarray:
 
     ``breaks`` lists node indices where the function has a corner (e.g. the
     junction of history and live segments); stencils never straddle them.
-    A break node keeps its right-sided slope.
+    A break node keeps its right-sided slope.  A run ends before the first
+    width that differs from its first one by more than 1e-9 relative
+    (``math.isclose``'s rule on finite widths), found by one array
+    comparison a run.
     """
     d = np.diff(mesh)
-    forced = {int(k) for k in breaks if 0 < int(k) < len(mesh) - 1}
+    stops = sorted({int(k) for k in breaks if 0 < int(k) < len(mesh) - 1} | {len(d)})
     out = np.empty(len(mesh))
     start = 0
-    for i in range(1, len(d) + 1):
-        if i == len(d) or i in forced or not math.isclose(d[i], d[start], rel_tol=1e-9):
-            out[start : i + 1] = _run_slopes(values[start : i + 1], d[start])
-            start = i
+    while start < len(d):
+        stop = next(k for k in stops if k > start)
+        rest = d[start + 1 : stop]
+        same = np.abs(rest - d[start]) <= 1e-9 * np.maximum(np.abs(rest), abs(d[start]))
+        i = start + 1 + (len(rest) if same.all() else int(same.argmin()))
+        out[start : i + 1] = _run_slopes(values[start : i + 1], d[start])
+        start = i
     return out
 
 

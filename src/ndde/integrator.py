@@ -48,10 +48,14 @@ nodes are a running sum of the increments, in the step loop's order.
 Such a run is stepped as one numpy block.  The rows are evaluated in
 passes of at most 4,096 steps by the forms' array halves (vectorized
 coefficients, lookups located in bulk), once per pass for the whole
-family.  The family's nodes are one (members x steps) array for x and
-one for x', so a block gathers each lookup for every member at once and
-combines the whole family in one array call per stage; each element
-takes the arithmetic it takes in a one-member block.  A block that
+family, as one row over both stage times: step j's mid stage at element
+2 j, its end stage at 2 j + 1, so a lookup or term the array form reads
+wherever any stage time needs it (see "forms" below) is decided for the
+mid and end stages together.  The family's nodes are one (members x
+steps) array for x and one for x', so a block gathers each lookup for
+every member and both stages at once and combines the whole family in
+one array call; each element takes the arithmetic it takes in a
+one-member block.  A block that
 raises is redone member by member.  Block boundaries are worked out
 from the grid and the located panels alone, never from the members, so
 a family member still takes exactly the arithmetic of its own run.  A
@@ -335,7 +339,8 @@ def _step_count(t0: float, T: float, h: float) -> int:
 
 
 class _Stage(NamedTuple):
-    """One stage time's array row over a pass of steps."""
+    """The array row of a pass's stage times: step k + j's mid stage at
+    element 2 j, its end stage at 2 j + 1."""
 
     co: tuple
     locs: tuple  # index into ``looks`` per lookup, None where not read
@@ -344,8 +349,7 @@ class _Stage(NamedTuple):
 
 class _Pass(NamedTuple):
     k: int  # the pass covers steps k, k + 1, ...
-    mid: _Stage
-    end: _Stage
+    stage: _Stage
     need: np.ndarray  # per step, the first step a block holding it may start at
 
 
@@ -607,20 +611,22 @@ class _Lockstep:
 
     # -------------------------------------------------------------- blocks
     def _pass(self, row, k, stop):
-        """The array rows of steps k..stop-1, or None (counted as abandoned)
-        when they cannot be evaluated; those steps then go one by one."""
-        grid = self.grid
+        """The array row of the mid and end stages of steps k..stop-1,
+        interleaved, or None (counted as abandoned) when it cannot be
+        evaluated; those steps then go one by one."""
+        t = np.empty(2 * (stop - k))
+        t[0::2] = self.grid[k:stop] + 0.5 * self.h
+        t[1::2] = self.grid[k + 1 : stop + 1]
         try:
-            mid, mid_need = self._stage_rows(row, grid[k:stop] + 0.5 * self.h)
-            end, end_need = self._stage_rows(row, grid[k + 1 : stop + 1])
+            stage, need = self._stage_rows(row, t)
         except _ARRAY_ERRORS:
             self.counts["abandoned"] += 1
             return None
-        return _Pass(k, mid, end, np.maximum(mid_need, end_need))
+        return _Pass(k, stage, need.reshape(-1, 2).max(axis=1))
 
     def _stage_rows(self, row, t):
-        """The array row at stage times t, and per step the first step a
-        block holding it may start at."""
+        """The array row at stage times t, and per stage time the first step
+        a block holding it may start at."""
         reads = []
 
         def X(u, at):
@@ -689,20 +695,18 @@ class _Lockstep:
         """Steps s..s+span-1 of the active members as one block: every
         stage's lookups are known, so k2 = k3 = f(mid), k4 = f(end) and the
         nodes are a running sum of the RK4 increments, in the step loop's
-        order.  The whole family takes one array call per stage; when that
-        raises, each member is redone alone.  A member's block is written
-        only when it raised nothing and every value is finite; returns the
-        members whose block failed."""
-        sl = slice(s - plan.k, s - plan.k + span)
-        stages = []
-        for stage in (plan.mid, plan.end):
-            co = tuple(c if c is None else c[sl] for c in stage.co)
-            stages.append((co, stage.locs, stage.looks))
-        single = self._advance(stages, rhs, s, sl, active)
+        order.  The whole family takes one array call for both stages; when
+        that raises, each member is redone alone.  A member's block is
+        written only when it raised nothing and every value is finite;
+        returns the members whose block failed."""
+        sl = slice(2 * (s - plan.k), 2 * (s - plan.k + span))
+        co = tuple(c if c is None else c[sl] for c in plan.stage.co)
+        stage = (co, plan.stage.locs, plan.stage.looks)
+        single = self._advance(stage, rhs, s, sl, active)
         if single is None:
             single = []
             for j in active:
-                alone = self._advance(stages, rhs, s, sl, [j]) if len(active) > 1 else None
+                alone = self._advance(stage, rhs, s, sl, [j]) if len(active) > 1 else None
                 single += [j] if alone is None else alone
         if len(single) < len(active):
             self.counts["blocks"] += 1
@@ -711,21 +715,19 @@ class _Lockstep:
             self.counts["abandoned"] += 1
         return single
 
-    def _advance(self, stages, rhs, s, sl, members):
-        """The block of the given members in one array call per stage;
-        writes the members whose values are all finite and returns the
-        others, or None when the calls raise."""
+    def _advance(self, stage, rhs, s, sl, members):
+        """The block of the given members in one array call for both
+        stages; writes the members whose values are all finite and returns
+        the others, or None when the call raises."""
         rows = np.array(members, dtype=np.intp)
         X, D = self._X, self._D
         # a block of the whole family gathers from the node arrays themselves
         nodes = (X, D) if len(rows) == len(X) else (X[rows], D[rows])
+        co, locs, looks = stage
         try:
             with np.errstate(all="ignore"):
-                k2, d = [
-                    rhs(co, [None if q is None else self._gather(looks[q], nodes, members, sl)
-                             for q in locs])
-                    for co, locs, looks in stages
-                ]
+                f = rhs(co, [None if q is None else self._gather(looks[q], nodes, members, sl) for q in locs])
+                k2, d = f[:, 0::2], f[:, 1::2]
                 k1 = np.concatenate((D[rows, s, None], d[:, :-1]), axis=1)
                 incr = self.h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k2 + d)
                 x = np.add.accumulate(np.concatenate((X[rows, s, None], incr), axis=1), axis=1)

@@ -32,19 +32,24 @@ The drift window W(x) = int^x (g - p'/p) z is, on a live panel, z's four
 Hermite coefficients times the K7 (and L4) moments of the drift against the
 Hermite basis, tabulated per query point; below t0 it reads psi and is
 computed once, from a cumulative table that also gives the history head's
-window.  Applying the tables to a candidate is a gather, one array
+window.  B reads W at its points s and at tau1(s) through one window over
+both.  The arrays are laid out by column: a candidate's coefficients are
+four rows over the mesh panels, a window's moments four rows over its
+points, so a gather takes whole rows and c . M is four contiguous products
+added in order.  Applying the tables to a candidate is a gather, one array
 call each of G(w z^gamma), Q and F, weighted sums, and the panel recurrence
 I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j.  B's point terms at a
 panel's right end come from the same node rows (the right end is one of the
 nodes), so one read of the rows gives the whole image.  The Picard result
 carries its node rows, so the residual reuses them and adds only the rows
 of the half panels that end at the panel midpoints.  A panel whose
-|K7 - L4| exceeds 1e-11 is refined by ``quadrature._refine``, on rows
-built at its sub-panels' nodes, which its panels keep by node for the
-next candidate.  A window point whose product estimate exceeds a quarter
-of that has its four drift moments refined once, for every later
-candidate; only a candidate too large for the refined moments' tolerance
-is refined by itself.  A non-finite sample raises.
+|K7 - L4| exceeds 1e-11 is refined by ``quadrature._refine``, A's panels
+and B's in one call, on rows built at its sub-panels' nodes, which its
+panels keep by node for the next candidate.  A window point whose product
+estimate exceeds a quarter of that has its four drift moments refined
+once, for every later candidate; only a candidate too large for the
+refined moments' tolerance is refined by itself.  A non-finite sample
+raises.
 
 Linear-neutral problems are re-encoded through :meth:`ProblemSpec.as_general`
 before iterating; the re-encoding preserves the dynamics exactly, so the
@@ -133,7 +138,7 @@ _SUB_ROWS = 64
 class _State(NamedTuple):
     """One candidate as the tables read it."""
 
-    coef: np.ndarray  # per mesh panel: z_i, z'_i, z_{i+1}, z'_{i+1}
+    coef: np.ndarray  # (4, panels): rows z_i, z'_i, z_{i+1}, z'_{i+1} of each mesh panel
     window: np.ndarray | None  # drift window W at the mesh nodes
 
 
@@ -153,7 +158,7 @@ class _Gather:
                 self.history = (below, tab.history(u[below]))
 
     def __call__(self, st: _State) -> np.ndarray:
-        out = hermite_eval(self.weights, *st.coef[self.panel].T)
+        out = hermite_eval(self.weights, *st.coef.take(self.panel, axis=1))
         if self.history is not None:
             below, values = self.history
             out[below] = values
@@ -167,7 +172,9 @@ class _Window:
     z_{i+1}, z'_{i+1}), so the K7 value of int_{t_i}^x drift z is M(x) . c,
     where M(x) holds the K7 moments of the drift against the four Hermite
     basis functions phi; the L4 moments ride along for the error estimate.
-    The first time a point's product estimate |K7 - L4| exceeds
+    ``k7``, ``l4`` and ``fine`` hold one row per basis function and one
+    column per live point, so M(x) . c is four contiguous products summed
+    in order.  The first time a point's product estimate |K7 - L4| exceeds
     ``_MOMENT_TOL``, its four moments are refined and kept (``fine``, each
     within ``fine_tol``, NaN until then); a candidate whose product fails
     there reads them.  Below t0, z is psi and W is read once from the
@@ -188,7 +195,7 @@ class _Window:
 
         # moments over [t_i, x] against the basis of the panel [t_i, t_{i+1}],
         # a chunk of points at a time to keep the temporaries small
-        b, mesh, k7, l4 = tab.bound, tab.mesh, [np.empty((0, 4))], [np.empty((0, 4))]
+        b, mesh, k7, l4 = tab.bound, tab.mesh, [np.empty((4, 0))], [np.empty((4, 0))]
         for lo in range(0, len(self.x), _CHUNK):
             panel, x = self.panel[lo : lo + _CHUNK], self.x[lo : lo + _CHUNK]
             left = mesh[panel]
@@ -196,9 +203,9 @@ class _Window:
             drift = _bulk(b.arrays.drift, b.drift, u)
             h = (mesh[panel + 1] - left)[:, None]
             basis = hermite_weights((u - left[:, None]) / h, h, False)
-            k7.append(np.stack([(drift * phi) @ _K7_W for phi in basis], axis=1) * half[:, None])
-            l4.append(np.stack([(drift * phi) @ _L4_W for phi in basis], axis=1) * half[:, None])
-        self.k7, self.l4 = np.concatenate(k7), np.concatenate(l4)
+            k7.append(np.stack([(drift * phi) @ _K7_W for phi in basis]) * half)
+            l4.append(np.stack([(drift * phi) @ _L4_W for phi in basis]) * half)
+        self.k7, self.l4 = np.concatenate(k7, axis=1), np.concatenate(l4, axis=1)
         self.fine = np.full_like(self.k7, np.nan)
         self.fine_tol = np.full(len(self.x), np.nan)
 
@@ -225,7 +232,7 @@ class _Window:
             return
         ok = np.ones(n, dtype=bool)
         ok[pieces.ids[pieces.floor] % n] = False
-        self.fine[rows[ok]] = pieces.totals().reshape(4, n).T[ok]
+        self.fine[:, rows[ok]] = pieces.totals().reshape(4, n)[:, ok]
         self.fine_tol[rows[ok]] = _MOMENT_TOL
 
     def partial(self, coef: np.ndarray) -> np.ndarray:
@@ -236,27 +243,27 @@ class _Window:
         tolerance; elsewhere z is the cubic c . phi of the point's panel
         for the shared refinement.
         """
-        c = coef[self.panel]
-        value = (self.k7 * c).sum(1)
-        error = np.abs(value - (self.l4 * c).sum(1))
+        c = coef.take(self.panel, axis=1)
+        value = (self.k7 * c).sum(0)
+        error = np.abs(value - (self.l4 * c).sum(0))
         new = np.flatnonzero(~(error <= _MOMENT_TOL) & np.isnan(self.fine_tol))  # NaN too
         if len(new):
             self._refine_moments(new)
         bad = np.flatnonzero(~(error <= _QUAD_TOL))
         if not len(bad):
             return value
-        c = c[bad]
-        fine = np.abs(c).sum(1) * self.fine_tol[bad] <= _QUAD_TOL
-        value[bad[fine]] = (self.fine[bad[fine]] * c[fine]).sum(1)
+        c = c.take(bad, axis=1)
+        fine = np.abs(c).sum(0) * self.fine_tol[bad] <= _QUAD_TOL
+        value[bad[fine]] = (self.fine.take(bad[fine], axis=1) * c[:, fine]).sum(0)
         if fine.all():
             return value
-        bad, c = bad[~fine], c[~fine]
+        bad, c = bad[~fine], c[:, ~fine]
         b, start = self.tab.bound, self.tab.mesh[self.panel[bad]]
         h = self.tab.mesh[self.panel[bad] + 1] - start
 
         def sample(u, ids):
             w = hermite_weights((u - start[ids]) / h[ids], h[ids], False)
-            return _bulk(b.arrays.drift, b.drift, u) * hermite_eval(w, *c[ids].T)
+            return _bulk(b.arrays.drift, b.drift, u) * hermite_eval(w, *c.take(ids, axis=1))
 
         value[bad] = _refine(sample, start, self.x[bad], _QUAD_TOL).totals()
         return value
@@ -283,7 +290,8 @@ class _ARows:
 
 class _BRows:
     """The B integrand at fixed points s and B's point terms there, from one
-    read of z(u1) and of each window.
+    read of z(u1) and one of the window, which holds the points s and then
+    the points u1.
 
     With u_k = tau_k(s), x1 = p(u1) z(u1) and the binding's ``bracket``:
 
@@ -302,8 +310,7 @@ class _BRows:
         self.bracket = _bulk(arr.bracket, b.bracket, s)
         self.g = _bulk(arr.g_of, b.g_of, s)
         self.damping = _bulk(arr.damping_rate, b.damping_rate, s)
-        self.window = _Window(tab, s)
-        self.window_u1 = _Window(tab, u1)
+        self.window = _Window(tab, np.concatenate((s, u1)))
         d = _bulk(arr.pair_scale, b.pair_scale, s)
         self.forced = np.flatnonzero(d != 0.0)
         self.d = d[self.forced]
@@ -318,7 +325,8 @@ class _BRows:
         z1 = self.z1(st)
         x1 = self.p1 * z1
         q = _bulk(*self.Q, self.s, x1)
-        window = self.window(st) - self.window_u1(st)
+        window = self.window(st)
+        window = window[: len(self.s)] - window[len(self.s) :]
         out = self.bracket * z1 - self.g * window - q * self.damping
         if len(self.forced):
             out[self.forced] += self.d * _bulk(*self.F, x1[self.forced], self.p2 * self.z2(st))
@@ -354,39 +362,48 @@ class _Panels:
             self.b = _BRows(tab, s.ravel())
             self.head = tab.head * np.exp(-self.G_right)
 
-    def _integrate(self, make, values: np.ndarray, st: _State, start) -> np.ndarray:
-        """The damped integrals up to each right end of the integrand whose
-        node ``values`` the rows gave: each panel's sum by the shared
-        refinement, deeper levels from ``make`` rows at the sub-panels'
-        nodes, carried over from ``start``, the integrals up to each left
-        end, or without it advanced panel by panel from 0."""
-        gexp = self.tab.bound.gexp
-
-        def sample(x, ids):
-            key = (make, x.tobytes(), ids.tobytes())
-            if key not in self.sub_rows:
-                if len(self.sub_rows) >= _SUB_ROWS:
-                    self.sub_rows.clear()
-                damping = np.exp(gexp.cumulative(x) - self.G_right[ids])
-                self.sub_rows[key] = make(self.tab, x.ravel()), damping
-            rows, damping = self.sub_rows[key]
-            return damping * rows.integrand(st).reshape(x.shape)
-
-        f = self.damping * values.reshape(self.damping.shape)
-        part = _refine(sample, self.left, self.right, _QUAD_TOL, f.T).totals()
-        return _advance(self.decay, part) if start is None else self.decay * start + part
-
     def integrals(self, st: _State, carry=(None, None)):
         """The damped A and B integrals up to each right end, and the damped
         history head plus B's point terms there (None where not tabulated);
-        ``carry`` holds the A and B integrals up to each left end, if known."""
-        a = b = point = None
+        ``carry`` holds the A and B integrals up to each left end, if known.
+
+        Each panel's sum comes from one shared refinement of A's panels,
+        then B's, from the node rows and, at deeper levels, from ``_ARows``
+        or ``_BRows`` at the sub-panels' nodes; an integral is carried over
+        from ``carry``, or without it advanced panel by panel from 0."""
+        n, gexp = len(self.left), self.tab.bound.gexp
+        parts, point = [], None  # (rows class, node values, integrals up to the left ends)
         if self.a is not None:
-            a = self._integrate(_ARows, self.a.integrand(st), st, carry[0])
+            parts.append((_ARows, self.a.integrand(st), carry[0]))
         if self.b is not None:
             f, terms = self.b.terms(st)
-            b = self._integrate(_BRows, f, st, carry[1])
+            parts.append((_BRows, f, carry[1]))
             point = self.head + terms.reshape(self.damping.shape)[:, 1]
+
+        def sample(x, ids):  # interval q n + j: panel j of part q
+            out, which = np.empty(len(x)), ids // n
+            for q, (make, _, _) in enumerate(parts):
+                k = np.flatnonzero(which == q)
+                if not len(k):
+                    continue
+                u, j = x[k], ids[k] - q * n
+                key = (make, u.tobytes(), j.tobytes())
+                if key not in self.sub_rows:
+                    if len(self.sub_rows) >= _SUB_ROWS:
+                        self.sub_rows.clear()
+                    damping = np.exp(gexp.cumulative(u) - self.G_right[j])
+                    self.sub_rows[key] = make(self.tab, u), damping
+                rows, damping = self.sub_rows[key]
+                out[k] = damping * rows.integrand(st)
+            return out
+
+        q = len(parts)
+        f = np.concatenate([(self.damping * v.reshape(self.damping.shape)).T for _, v, _ in parts], axis=1)
+        totals = _refine(sample, np.tile(self.left, q), np.tile(self.right, q), _QUAD_TOL, f).totals()
+        out = [_advance(self.decay, part) if start is None else self.decay * start + part
+               for (_, _, start), part in zip(parts, totals.reshape(q, n))]
+        a = out.pop(0) if self.a is not None else None
+        b = out.pop(0) if self.b is not None else None
         return a, b, point
 
 
@@ -453,7 +470,7 @@ class _Tables:
     def state(self, z: GridFunction) -> _State:
         """z's Hermite coefficients per panel and, with psi, W at the nodes."""
         v, d = z.values, z.derivs
-        coef = np.column_stack((v[:-1], d[:-1], v[1:], d[1:]))
+        coef = np.stack((v[:-1], d[:-1], v[1:], d[1:]))
         if self.psi is None:
             return _State(coef, None)
         window = self.node_window.copy()

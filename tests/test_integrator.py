@@ -611,6 +611,56 @@ def test_blocks_match_the_step_loop(monkeypatch, case):
     assert np.max(np.abs(blocks.derivatives - loop.derivatives)) <= tol
 
 
+@pytest.mark.parametrize("case", ["section4", "general_qf"])
+def test_a_pass_row_interleaves_the_mid_and_end_rows_bit_for_bit(case):
+    # one row over both stage times of each step equals the two stages'
+    # own rows: coefficients, located lookups, the first step a block may
+    # start at, and the right-hand side on the family's nodes
+    from ndde.config import loads
+    from ndde.model import horizon
+    from ndde.presets import preset_text
+
+    if case == "section4":
+        prob = loads(preset_text("section4")).problem  # the linear form
+    else:
+        prob = _general_qf()  # d F(x1, x2) with d != 0
+    T, h = 30.0, 0.02
+    family = [psi for _, psi in default_history_family(0.001, 0.0, horizon(prob, T).m)]
+    sweep = integrator._Lockstep(family, 0.0, T, h, integrator._INNER_TOL, horizon(prob, T).m)
+    _, (row, rhs) = integrator._form(prob)
+    assert all(run is not None for run in sweep.run(integrator._form(prob)))
+    k, stop = 0, 1000  # general_qf's lag 1 reads the history up to t = 1
+    plan = sweep._pass(row, k, stop)
+    mid, mid_need = sweep._stage_rows(row, sweep.grid[k:stop] + 0.5 * sweep.h)
+    end, end_need = sweep._stage_rows(row, sweep.grid[k + 1 : stop + 1])
+    assert plan.need.tobytes() == np.maximum(mid_need, end_need).tobytes()
+    both = plan.stage
+    assert both.locs == mid.locs == end.locs
+    for half, stage in ((slice(0, None, 2), mid), (slice(1, None, 2), end)):
+        for got, want in zip(both.co, stage.co, strict=True):
+            assert (got is None and want is None) or got[half].tobytes() == want.tobytes()
+        for got, want in zip(both.looks, stage.looks, strict=True):
+            u, slope, hist, i, w = got
+            assert slope == want[1] and u[half].tobytes() == want[0].tobytes()
+            assert i[half].tobytes() == want[3].tobytes()
+            assert (hist is None) == (want[2] is None)
+            if hist is not None:
+                assert hist[half].tobytes() == want[2].tobytes()
+            for a, b in zip(w, want[4]):
+                assert (a is None and b is None) or a[half].tobytes() == b.tobytes()
+    members = list(range(len(family)))
+    nodes = (sweep._X, sweep._D)
+
+    def image(stage):
+        return rhs(stage.co, [None if q is None else sweep._gather(stage.looks[q], nodes, members, slice(None))
+                              for q in stage.locs])
+
+    assert (case == "general_qf") == any(look[2] is not None for look in both.looks)
+    f = image(both)
+    assert f[:, 0::2].tobytes() == image(mid).tobytes()
+    assert f[:, 1::2].tobytes() == image(end).tobytes()
+
+
 @pytest.mark.parametrize("case", ["overflow", "coefficient", "rhs", "horizon"])
 def test_a_failing_block_raises_the_step_loop_error(monkeypatch, case):
     a, c, G, r1, T = "1 + 0*t", "0*t", "sin(x)", "1 + 0*t", 6.0

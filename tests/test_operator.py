@@ -563,9 +563,12 @@ def test_window_moments_are_refined_once_per_request(monkeypatch):
     # candidate after it is refined by itself
     assert windows and all(it == 1 for _, it in windows)
     assert ("partial", 1) not in windows
-    refined = [w for w in (res.nodes.b.window, res.nodes.b.window_u1, res.nodes.tab.full_window)
-               if np.isfinite(w.fine_tol).any()]
-    assert len(refined) == 3
+    # B's one window holds the points s, then tau1(s); both halves and the
+    # node window have refined moments
+    window, n = res.nodes.b.window, len(res.nodes.b.s)
+    refined = window.live[np.isfinite(window.fine_tol)]
+    assert (refined < n).any() and (refined >= n).any()
+    assert np.isfinite(res.nodes.tab.full_window.fine_tol).any()
 
 
 def test_panels_reuse_their_sub_panel_rows_bit_for_bit():
@@ -594,14 +597,100 @@ def test_window_refines_a_large_candidate_by_itself(monkeypatch):
     window, coef = res.nodes.tab.full_window, res.nodes.tab.state(res.z).coef
     fine = np.flatnonzero(np.isfinite(window.fine_tol))
     assert len(fine)
-    c = 1e3 * coef[window.panel[fine]]
-    assert (np.abs(c).sum(1) * window.fine_tol[fine] > 1e-11).any()
+    assert coef.shape == (4, len(res.z.mesh) - 1)  # a row per Hermite coefficient
+    c = 1e3 * coef[:, window.panel[fine]]
+    assert (np.abs(c).sum(0) * window.fine_tol[fine] > 1e-11).any()
     base = window.partial(coef)
     calls = _refine_callers(monkeypatch)
     big = window.partial(1e3 * coef)
     # (more points now fail K7/L4 and have their moments refined first)
     assert [caller for caller, _ in calls][-1] == "partial"
     assert np.max(np.abs(big - 1e3 * base)) < 1e-8
+
+
+def _partial_row_major(window, coef):
+    """``_Window.partial`` on the same tables in a row-major layout: a
+    point's four moments and four coefficients in one row each, summed by
+    ``sum(1)``; returns the values and the points refined by themselves."""
+    from ndde.hermite import hermite_eval, hermite_weights
+    from ndde.quadrature import _bulk, _refine
+
+    k7, l4, fine = (np.ascontiguousarray(m.T) for m in (window.k7, window.l4, window.fine))
+    c = np.ascontiguousarray(coef.T)[window.panel]
+    value = (k7 * c).sum(1)
+    error = np.abs(value - (l4 * c).sum(1))
+    bad = np.flatnonzero(~(error <= 1e-11))
+    c = c[bad]
+    ok = np.abs(c).sum(1) * window.fine_tol[bad] <= 1e-11
+    value[bad[ok]] = (fine[bad[ok]] * c[ok]).sum(1)
+    bad, c = bad[~ok], c[~ok]
+    if len(bad):
+        b, mesh = window.tab.bound, window.tab.mesh
+        start = mesh[window.panel[bad]]
+        h = mesh[window.panel[bad] + 1] - start
+
+        def sample(u, ids):
+            w = hermite_weights((u - start[ids]) / h[ids], h[ids], False)
+            return _bulk(b.arrays.drift, b.drift, u) * hermite_eval(w, *c[ids].T)
+
+        value[bad] = _refine(sample, start, window.x[bad], 1e-11).totals()
+    return value, bad
+
+
+def test_window_partial_equals_the_row_major_sums_bit_for_bit():
+    # random coefficients of size 1 read the refined moments where K7/L4
+    # fails; 1000 times larger ones are refined by themselves there
+    prob, aux = _showcase()
+    res = picard_solve(prob, aux, _const_history(0.001), T=20.0)
+    rng = np.random.default_rng(7)
+    for window, scale in ((res.nodes.b.window, 1.0), (res.nodes.tab.full_window, 1.0),
+                          (res.nodes.tab.full_window, 1e3)):
+        coef = scale * rng.uniform(-1.0, 1.0, res.nodes.tab.state(res.z).coef.shape)
+        got = window.partial(coef)  # first, so that the moments it refines are there
+        want, alone = _partial_row_major(window, coef)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(window.fine_tol).any()
+        assert (len(alone) > 0) == (scale > 1.0)
+
+
+def _fd_slopes_per_node(mesh, values, breaks=()):
+    """The slope rule with one ``math.isclose`` call a node, as a loop: the
+    reference of ``hermite._fd_slopes``."""
+    from ndde.hermite import _run_slopes
+
+    d = np.diff(mesh)
+    forced = {int(k) for k in breaks if 0 < int(k) < len(mesh) - 1}
+    out = np.empty(len(mesh))
+    start = 0
+    for i in range(1, len(d) + 1):
+        if i == len(d) or i in forced or not math.isclose(d[i], d[start], rel_tol=1e-9):
+            out[start : i + 1] = _run_slopes(values[start : i + 1], d[start])
+            start = i
+    return out
+
+
+def test_fd_slopes_find_the_runs_of_the_per_node_loop_bit_for_bit():
+    from ndde.hermite import _fd_slopes
+
+    rng = np.random.default_rng(3)
+    picard = make_mesh(-0.25, 0.0, 20.0, 0.05)  # a history run and a live run
+    stretch = np.concatenate((np.linspace(0.0, 1.0, 11), 1.0 + np.cumsum(0.1 * 1.07 ** np.arange(1, 30))))
+    stretch = np.concatenate((stretch, stretch[-1] + 0.3 * np.arange(1, 12)))
+    # widths within 1e-9 of the first stay one run, those just outside do not
+    near = 0.1 * (1.0 + rng.uniform(-0.99e-9, 0.99e-9, 40))
+    near[[10, 25]] = 0.1 * (1.0 + np.array([1.01e-9, -1.01e-9]))
+    cases = [
+        (picard, (int(np.searchsorted(picard, 0.0)),)),
+        (picard, ()),
+        (stretch, ()),
+        (stretch, (5, 5, 12, 40)),
+        (np.concatenate(([0.0], np.cumsum(near))), (0, 7, 40)),  # a break at either end is ignored
+        (make_mesh(-1.0, 0.0, 5.0, 0.05), (20, 21, 23, 26, 30)),  # runs of 1 to 4 panels
+        *((np.linspace(0.0, 1.0, n), ()) for n in (2, 3, 4, 5, 6)),
+    ]
+    for mesh, breaks in cases:
+        values = rng.uniform(-1.0, 1.0, len(mesh))
+        assert _fd_slopes(mesh, values, breaks).tobytes() == _fd_slopes_per_node(mesh, values, breaks).tobytes()
 
 
 def test_picard_reports_noncontraction_without_crash():

@@ -70,6 +70,26 @@ def test_diff_lists_a_key_held_on_one_side_once(tmp_path, capsys):
     assert "None" not in out  # no per-file "None -> value" lines
 
 
+def test_diff_sums_each_side_over_all_of_its_decision_lines(tmp_path, capsys):
+    # the same decisions made in fewer calls: A refines in 4 calls what B
+    # refines in 2, so the totals agree though no line does
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, lines in ((a, ["1 10", "2 20", "3 30", "0 4"]), (b, ["3 30", "3 34"])):
+        _write(root, "x.txt")
+        text = "".join(f"operator.refine.{n} = {line}\n" for n, line in enumerate(lines))
+        (root / "x.txt").write_text((root / "x.txt").read_text() + text)
+    assert compare_reports.main(["--diff", str(a), str(b)]) == 1  # a changed decision line
+    out = capsys.readouterr().out
+    assert "quadrature decisions changed: 1" in out
+    assert "x.txt: operator.refine failed 6 -> 6, pieces 64 -> 64 (lines 4 -> 2, 4 changed)" in out
+    assert "keys on one side only: 0" in out  # the 2 lines A alone holds are decisions
+
+    # equal decision lines are no change
+    (b / "x.txt").write_text((a / "x.txt").read_text())
+    assert compare_reports.main(["--diff", str(a), str(b)]) == 0
+    assert "quadrature decisions changed: 0" in capsys.readouterr().out
+
+
 def test_dump_writes_the_sweep_counts_of_each_request(tmp_path, monkeypatch, capsys):
     from ndde import criteria
     from ndde.presets import preset_text
@@ -102,7 +122,7 @@ def test_dump_writes_the_sweep_counts_of_each_request(tmp_path, monkeypatch, cap
     out = capsys.readouterr().out
     assert "non-numeric changes: 0" in out
     assert (f"cheap.txt: sweep counts accepted {before[0]} -> {after[0]}, refined {before[1]} -> {after[1]},"
-            f" floor {before[2]} -> {after[2]} (1 of 3 lines)") in out
+            f" floor {before[2]} -> {after[2]} (lines 3 -> 3, 1 changed)") in out
 
 
 def test_dump_writes_the_operator_refinements_of_each_picard_run(tmp_path, monkeypatch, capsys):
@@ -149,7 +169,7 @@ def test_dump_writes_the_operator_refinements_of_each_picard_run(tmp_path, monke
     out = capsys.readouterr().out
     assert "non-numeric changes: 0" in out and "quadrature decisions changed: 1" in out
     assert (f"fp.txt: operator.refine failed {failed} -> {failed}, pieces {total} -> {total + 9 * first}"
-            f" (1 of {len(counts)} lines)") in out
+            f" (lines {len(counts)} -> {len(counts)}, 1 changed)") in out
 
 
 def test_dump_writes_stability_reports_as_the_benchmark_runs_them(tmp_path, monkeypatch):

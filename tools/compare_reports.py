@@ -43,9 +43,11 @@ compared by dumping each from its own checkout.
 and B and the file where it occurs; then every change of a non-numeric
 value (verdicts, exit codes, convergence) but the quadrature decisions;
 then, per file whose ``sweep.*.counts`` or ``operator.refine.*`` lines
-changed, their sums before and after (accepted, refined and floor panels;
-failed intervals and pieces); then every key that only one side's files
-hold, once per key with the number of files; then, as a separate list,
+changed, each side's sums over all of its own lines (accepted, refined and
+floor panels; failed intervals and pieces) and both line counts, so that a
+change in the number of calls alone leaves the sums equal; then every other
+key that only one side's files hold, once per key with the number of
+files; then, as a separate list,
 every argsup that moved, with the sup it locates (an argsup of a sup at
 rounding level is arbitrary).  It exits 1 when a file is missing on one
 side, a key is held on one side only, a non-numeric value or a quadrature
@@ -316,17 +318,23 @@ _DECISIONS = (
 )
 
 
+def _is_decision(key: str) -> bool:
+    return any(pattern.fullmatch(key) for pattern, *_ in _DECISIONS)
+
+
 def _decisions(name: str, a: dict[str, str], b: dict[str, str]) -> list[str]:
     """One line per kind of quadrature decision whose lines differ in a
-    file: the sum of each field over its lines in A and in B."""
+    file (a line held on one side only differs too): the sum of each field
+    over all of A's lines and over all of B's, and both line counts."""
     out = []
     for pattern, label, fields in _DECISIONS:
-        keys = [key for key in a.keys() & b.keys() if pattern.fullmatch(key)]
-        changed = sum(a[key] != b[key] for key in keys)
+        keys = [[key for key in side if pattern.fullmatch(key)] for side in (a, b)]
+        changed = sum(a.get(key) != b.get(key) for key in set(keys[0]) | set(keys[1]))
         if changed:
-            sums = [[sum(int(side[key].split()[i]) for key in keys) for side in (a, b)] for i in range(len(fields))]
+            sums = [[sum(int(side[key].split()[i]) for key in own) for side, own in zip((a, b), keys)]
+                    for i in range(len(fields))]
             text = ", ".join(f"{field} {x} -> {y}" for field, (x, y) in zip(fields, sums))
-            out.append(f"{name}: {label} {text} ({changed} of {len(keys)} lines)")
+            out.append(f"{name}: {label} {text} (lines {len(keys[0])} -> {len(keys[1])}, {changed} changed)")
     return out
 
 
@@ -345,11 +353,13 @@ def diff(a_dir: Path, b_dir: Path, tol: float) -> int:
     one_sided: Counter[tuple[Path, str]] = Counter()  # (side, key): files holding it there only
     for name in sorted(a_files & b_files):
         a, b = _read(a_dir / name), _read(b_dir / name)
-        one_sided.update((a_dir if key in a else b_dir, key) for key in a.keys() ^ b.keys())
+        one_sided.update(
+            (a_dir if key in a else b_dir, key) for key in a.keys() ^ b.keys() if not _is_decision(key)
+        )
         decisions += _decisions(name, a, b)
         for key in sorted(a.keys() & b.keys()):
             va, vb = a[key], b[key]
-            if any(pattern.fullmatch(key) for pattern, *_ in _DECISIONS):
+            if _is_decision(key):
                 continue
             xa, xb = _number(va), _number(vb)
             if xa is None or xb is None or key.endswith(".sha256"):
