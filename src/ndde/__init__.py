@@ -45,7 +45,6 @@ from .integrator import (
     convergence_order,
     default_history_family,
     integrate,
-    integrate_transformed,
     stability_experiment,
 )
 from .model import (
@@ -102,7 +101,6 @@ __all__ = [
     "evaluate_criteria",
     "horizon",
     "integrate",
-    "integrate_transformed",
     "linear_coefficients",
     "load_config",
     "main",

@@ -12,19 +12,19 @@ and iterate to tolerance.  Sustained non-convergence halves the step and
 restarts, a bounded number of times.
 
 One stepper advances a family of M >= 1 histories in lockstep on one grid:
-:func:`integrate` and :func:`integrate_transformed` run it with one member,
-:func:`stability_experiment` with the whole family.  At each stage time the
-right-hand side splits into a t-only row (coefficients, delayed arguments,
-and where each delayed argument lands: the stage state, the history, a
-closed panel with its Hermite weights, or the open panel), evaluated once
-for the whole family, and a per-member combination of that row with the
-member's own state.  The members share only the coefficients and the
-located lookups: a step values each lookup where a stage reads it, by one
-rule for every kind of location.  Each member keeps its own inner
-iteration, its own junction bootstrap, and its own step halving (only the
-members that fail to settle rerun at h/2), and takes exactly the arithmetic
-of a one-member run, so a family member is bitwise equal to its own run.  A
-family that fails raises the error of the first failure in t.
+:func:`integrate` runs it with one member, :func:`stability_experiment` with
+the whole family.  At each stage time the right-hand side splits into a
+t-only row (coefficients, delayed arguments, and where each delayed argument
+lands: the stage state, the history, a closed panel with its Hermite
+weights, or the open panel), evaluated once for the whole family, and a
+per-member combination of that row with the member's own state.  The members
+share only the coefficients and the located lookups: a step values each
+lookup where a stage reads it, by one rule for every kind of location.  Each
+member keeps its own inner iteration, its own junction bootstrap, and its
+own step halving (only the members that fail to settle rerun at h/2), and
+takes exactly the arithmetic of a one-member run, so a family member is
+bitwise equal to its own run.  A family that fails raises the error of the
+first failure in t.
 
 Rows.  After the junction bootstrap, members whose (x(t0), x'(t0)) are
 bitwise equal (0.0 and -0.0 apart) share one row: the step loop and the
@@ -64,8 +64,7 @@ below the horizon) or the open panel ends a block.  A member's block is
 written only when it raised nothing on its own and every value is
 finite; otherwise, and where the array rows of a pass cannot be
 evaluated, its steps go through the step loop, which raises its own
-error at its own t.  The reshaped equation reads the current state, so
-it is always stepped one step at a time.
+error at its own t.
 
 The derivative at the junction t0 comes from the equation itself, solved
 by the same inner iteration (the history only supplies the predictor), so
@@ -85,15 +84,8 @@ import numpy as np
 from .errors import IntegrationError, NddeError, ValidationError
 from .expressions import parse_expression, signed_power, signed_power_array
 from .hermite import GridFunction, hermite_eval, hermite_weights
-from .model import (
-    AuxiliarySpec,
-    HistoryFunction,
-    ProblemSpec,
-    bind,
-    horizon,
-    require,
-    require_after_t0,
-)
+from .model import HistoryFunction, ProblemSpec, horizon, require, require_after_t0
+from .model import bind  # noqa: F401 -- unused here; bench/tracing.py wraps this attribute
 
 _INNER_TOL = 1e-12
 _INNER_MAX = 25
@@ -264,43 +256,6 @@ def _form(problem: ProblemSpec):
     """(scalar form, array form) of the equation as written."""
     build = _form_linear if problem.form == "linear-neutral" else _form_general
     return build(problem, _functions(problem, False)), build(problem, _functions(problem, True))
-
-
-def _form_transformed(bound):
-    """The reshaped equation z' (x = p z); the state y is read as a lookup,
-    so it has no array form."""
-    b = bound
-
-    def row(t, X, Xp):
-        u1 = b.tau1(t)
-        u2 = b.tau2(t)
-        l1 = X(u1, t)
-        l2 = X(u2, t)
-        p1 = b.p_of(u1)
-        pt = b.p_raw(t)
-        pp1 = b.pp_of(u1)
-        lp1 = Xp(u1)
-        s1 = 1.0 - b.r1_slope(t)
-        ky = -(b.pp_of(t) / pt)
-        ka = b.a(t) / pt
-        kd = b.pair_scale(t) or None  # the F term only where d != 0
-        p2 = None if kd is None else b.p_of(u2)
-        co = (t, p1, pp1, s1, pt, ky, ka, kd, p2, b.tail_scale(t), b.tail_weight(t))
-        return co, (X(t, t), l1, l2, lp1)
-
-    def rhs(co, v):
-        t, p1, pp1, s1, pt, ky, ka, kd, p2, kc, p2g = co
-        y, z1, z2, zp1 = v
-        w = p1 * z1
-        wp = (pp1 * z1 + p1 * zp1) * s1
-        out = ky * y - ka * w
-        out += (b.Qt_fn(t, w) + b.Qx_fn(t, w) * wp) / pt
-        if kd is not None:
-            out += kd * b.F_fn(w, p2 * z2)
-        out += kc * b.tail_coupling(p2g, z2)
-        return out
-
-    return (row, rhs), None
 
 
 # ------------------------------------------------------------------- stepper
@@ -487,7 +442,7 @@ class _Lockstep:
         """Step every member to T; returns (xs, ds) per member, or None for a
         member whose inner correction failed to settle at some step.
 
-        ``form`` is (scalar form, array form or None).  Each pass of up to
+        ``form`` is (scalar form, array form).  Each pass of up to
         _BLOCK steps evaluates the array rows once; a span of at least
         _MIN_BLOCK steps that reads only closed panels and the history is
         then stepped as one block for every row, and every other step, and
@@ -502,7 +457,7 @@ class _Lockstep:
         k = 0
         while k < self.n and self._active():
             stop = min(k + _BLOCK, self.n)
-            plan = self._pass(bulk[0], k, stop) if bulk is not None else None
+            plan = self._pass(bulk[0], k, stop)
             self._split(())  # the pass may have located the history first
             while k < stop and (active := self._active()):
                 span = self._span(plan, k) if plan is not None else 0
@@ -776,26 +731,6 @@ def integrate(
     require(**{"horizon T": T, "step h": h}, tol=tol)
     m = min(horizon(problem, T).m, problem.t0)
     return _drive(_form(problem), [psi], problem.t0, T, h, tol, m)[0]
-
-
-def integrate_transformed(
-    problem: ProblemSpec,
-    aux: AuxiliarySpec,
-    psi: HistoryFunction,
-    T: float,
-    h: float = 1e-3,
-    tol: float = _INNER_TOL,
-) -> Trajectory:
-    """Solve the reshaped equation for z (x = p z) from the z-history psi.
-
-    The coefficient path is disjoint from :func:`integrate` (weighted
-    extensions instead of the raw equation), which makes the pair a
-    cross-method consistency oracle.
-    """
-    require(**{"horizon T": T, "step h": h}, tol=tol)
-    prob = problem.as_general()
-    bound = bind(prob, aux, tmax=T)
-    return _drive(_form_transformed(bound), [psi], prob.t0, T, h, tol, bound.m)[0]
 
 
 @dataclass(frozen=True)

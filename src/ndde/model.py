@@ -580,8 +580,7 @@ class BoundProblem(_Derived):
         else:
             exprs.update(
                 q_bound=problem.q_bound, q_bound_prime=_piecewise_derivative(problem.q_bound),
-                Q_fn=problem.Q, Qt_fn=problem.Q_t, Qx_fn=problem.Q_x, d=problem.d,
-                F_fn=problem.F,
+                Q_fn=problem.Q, d=problem.d, F_fn=problem.F,
             )
             self.k2 = problem.k2
             self.k3 = problem.k3

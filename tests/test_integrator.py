@@ -1,5 +1,7 @@
-"""Direct integration: oracles, dense output, transform and stability runs."""
+"""Direct integration: oracles, the method-of-steps reference, dense output
+and stability runs."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -22,12 +24,12 @@ from ndde import (
     convergence_order,
     default_history_family,
     integrate,
-    integrate_transformed,
     parse_expression,
     stability_experiment,
     transformed_history,
 )
 from ndde import integrator
+from steps_reference import solve_checked
 
 _G = parse_expression("sin(x)", variables=("x",))
 _ZERO = parse_expression("0*t")
@@ -308,22 +310,106 @@ def test_convergence_order_degenerate_errors():
         convergence_order(prob, _hist("1 + 0*t"), T=1.0, steps=[0.2, 0.1, 0.05])
 
 
-# ---------------------------------------------------------------- transform
+# ---------------------------------------------------------------- reference
+#
+# The method-of-steps reference (tests/steps_reference.py) shares the parser
+# and differentiate with the program and no other code: each case states its
+# own error, degree 40 against 60, below 1e-11.
 
 
-def test_transform_route_agrees_with_direct_route():
+def _stability_member():
+    # member0 of the stability deck of seed 1, written out: r1 = 0.1644 t,
+    # b = 0.9993 sin(0.9482 t)/7 and a bracket residual 0.00824/(t + 0.1);
+    # the deck runs it to T = 250 with delta = 0.000984
+    prob, aux = _showcase()
+    r1 = DelaySpec(parse_expression("0.1644*t"))
+    b = parse_expression("0.9993*sin(0.9482*t)/7")
+    a = bracket_matching_a(b, r1, aux, residual=parse_expression("0.00824/(t + 0.1)"))
+    return dataclasses.replace(prob, r1=r1, a=a, b=b)
+
+
+@pytest.mark.parametrize(
+    "make, psi, T",
+    [
+        (_linear, "1 + 0*t", 2.0),
+        (lambda: _linear(r1="0.2*t"), "1 + 0*t", 2.0),
+        (lambda: _showcase()[0], "0.01 + 0*t", 3.0),
+        (_stability_member, "0.000984 + 0*t", 20.0),
+    ],
+    ids=["smooth_ode", "pantograph", "showcase", "stability_member"],
+)
+def test_direct_route_matches_the_reference(make, psi, T):
+    prob = make()
+    probes = np.linspace(prob.t0, T, 2001)
+    ref, own = solve_checked(prob, parse_expression(psi), T, probes)
+    assert own < 1e-11
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tr = integrate(prob, _hist(psi), T=T, h=1e-3)
+    assert np.max(np.abs(tr.eval_array(probes) - ref(probes))) < 1e-10
+
+
+def test_direct_route_from_a_transformed_start_matches_the_reference():
+    # p(t0) = 5 != 1: the run that matches the fixed-point route starts from
+    # x = p z, which transformed_history builds and the reference forms itself
     prob, aux = _showcase()
     psi_z = _hist("0.001 + 0*t")
     psi_x = transformed_history(prob, aux, psi_z, 0.0)
     assert psi_x.psi.evaluate(t=0.0) == pytest.approx(0.005)
+    probes = np.linspace(0.0, 50.0, 5001)
+    ref, own = solve_checked(prob, aux.p * psi_z.psi, 50.0, probes)
+    assert own < 1e-11
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tr_x = integrate(prob, psi_x, T=50.0, h=1e-3)
-        tr_z = integrate_transformed(prob, aux, psi_z, T=50.0, h=1e-3)
-    p = aux.p.compiled()
-    probes = np.linspace(0.0, 50.0, 501)
-    worst = max(abs(p(float(t)) * tr_z.eval(float(t)) - tr_x.eval(float(t))) for t in probes)
-    assert worst < 1e-4
+        tr = integrate(prob, psi_x, T=50.0, h=1e-3)
+    assert np.max(np.abs(tr.eval_array(probes) - ref(probes))) < 1e-10
+
+
+def _constant_lag_general():
+    # constant lags 1 and 0.5 reach back to m = -1: the history segment is
+    # read through d/dt Q(t, x(t - 1)), F and G
+    return ProblemSpec(
+        form="general",
+        t0=0.0,
+        gamma=Fraction(1, 3),
+        r1=DelaySpec(parse_expression("1")),
+        r2=DelaySpec(parse_expression("0.5")),
+        a=parse_expression("0.5/(t + 1)"),
+        c=parse_expression("0.01/(t + 1)"),
+        G=_G,
+        k4=1.0,
+        Q=parse_expression("0.05*sin(t)*sin(x)", variables=("t", "x")),
+        q_bound=parse_expression("0.05*abs(sin(t))"),
+        d=parse_expression("0.1 + 0*t"),
+        F=parse_expression("0.5*sin(x) - 0.3*y", variables=("x", "y")),
+        k2=0.5,
+        k3=0.3,
+    )
+
+
+@pytest.mark.parametrize("case", ["blocks", "step_loop"])
+def test_a_constant_lag_general_run_matches_the_reference(monkeypatch, case):
+    prob, psi, T, h = _constant_lag_general(), "0.2 + 0.1*sin(3*t)", 5.0, 1e-3
+    probes = np.linspace(0.0, T, 5001)
+    ref, own = solve_checked(prob, parse_expression(psi), T, probes)
+    assert own < 1e-11
+    made = _sweeps(monkeypatch)
+    if case == "step_loop":
+        _one_by_one(monkeypatch)
+    err = np.abs(integrate(prob, _hist(psi), T=T, h=h).eval_array(probes) - ref(probes))
+    # the history is read after the junction: by _gather in blocks, or by
+    # the step loop's _locate
+    sweep = made[0]
+    assert sweep._read_history
+    assert sweep.counts["steps" if case == "step_loop" else "block_steps"] == sweep.n
+    # before t0 + 1 the run is RK4-accurate (2.5e-15 measured).  The step
+    # that ends at the breaking point t0 + 1 values its end stage with x'(t0)
+    # from the equation (-0.073), where psi'(t0) = 0.3 holds on the step's
+    # side; times Q_x tau1' ~ 0.04, the jump costs h/6 of 0.015: 2.56e-6 at
+    # t = 1, and 2.64e-6 at most on [1, 5] (measured, first order in h)
+    early = probes < 1.0 - h
+    assert err[early].max() < 1e-10
+    assert err[~early].max() < 3e-6
 
 
 # ---------------------------------------------------------------- stability
@@ -725,19 +811,17 @@ def test_grid_is_t0_plus_h_times_i_bitwise(t0, T, h):
 
 
 def _run(run, **args):
-    prob, aux = _showcase()
+    prob, _ = _showcase()
     psi = _hist("0.001 + 0*t")
     if run == "integrate":
         return integrate(prob, psi, **args)
-    if run == "integrate_transformed":
-        return integrate_transformed(prob, aux, psi, **args)
     return stability_experiment(prob, **{"eps": 0.1, "delta": 0.001, **args})
 
 
 _NAN, _INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("run", ["integrate", "integrate_transformed", "stability_experiment"])
+@pytest.mark.parametrize("run", ["integrate", "stability_experiment"])
 @pytest.mark.parametrize(
     "name, value, message",
     [
