@@ -39,7 +39,8 @@ repeated subexpression once (see ``_codegen``).
 Compiled code is kept in one process-wide cache, as ``re`` keeps compiled
 patterns, so equal trees share code across bindings and requests.  Its key
 is the target, ``repr`` of the tree (each constant to the bit: -0.0 and 0.0
-never share code) and the variables, as ``Expression.same_code`` compares.
+never share code; a tree keeps it once printed, see ``_key``) and the
+variables, as ``Expression.same_code`` compares.
 It is cleared when it holds ``_CODE_LIMIT`` entries.  Under the GIL each
 lookup and store is atomic and no lock is taken: threads that miss together
 compile a tree twice, and may pass the bound by an entry each until a miss.
@@ -623,8 +624,35 @@ _CODE_LIMIT = 1024
 _codes: dict[tuple, Callable] = {}  # (target, *_code_key) -> code
 
 
+def _printed(node: Node) -> str:
+    """``repr(node)``, each constant to the bit (-0.0 and 0.0 differ),
+    without the recursion guard the dataclasses' own ``repr`` runs at
+    every node."""
+    kind = type(node)
+    if kind is BinOp:
+        return f"BinOp(op={node.op!r}, left={_printed(node.left)}, right={_printed(node.right)})"
+    if kind is Const:
+        return f"Const(value={node.value!r})"
+    if kind is Var:
+        return f"Var(name={node.name!r})"
+    if kind is Call:
+        return f"Call(func={node.func!r}, arg={_printed(node.arg)})"
+    if kind is Neg:
+        return f"Neg(arg={_printed(node.arg)})"
+    return f"SgnPow(arg={_printed(node.arg)}, exponent={node.exponent!r})"
+
+
+def _key(node: Node) -> str:
+    """``repr(node)``, kept on the node once printed (in its ``__dict__``,
+    outside the dataclass fields that equality and ``repr`` read)."""
+    key = node.__dict__.get("key")
+    if key is None:
+        key = node.__dict__["key"] = _printed(node)
+    return key
+
+
 def _code_key(node: Node, variables: tuple[str, ...]) -> tuple:
-    return repr(node), variables
+    return _key(node), variables
 
 
 def _code(target: str, node: Node, variables: tuple[str, ...]) -> Callable:

@@ -43,8 +43,9 @@ panel's right end come from the same node rows (the right end is one of the
 nodes), so one read of the rows gives the whole image.  The Picard result
 carries its node rows, so the residual reuses them and adds only the rows
 of the half panels that end at the panel midpoints.  A panel whose
-|K7 - L4| exceeds 1e-11 is refined by ``quadrature._refine``, A's panels
-and B's in one call, on rows built at its sub-panels' nodes, which its
+|K7 - L4| exceeds 1e-11, and whose K7 sum also fails K7's own null-rule
+estimate there, is refined by ``quadrature._refine``, A's panels and B's
+in one call, on rows built at its sub-panels' nodes, which its
 panels keep by node for the next candidate.  A window point whose product
 estimate exceeds a quarter of that has its four drift moments refined
 once, for every later candidate; only a candidate too large for the
@@ -370,7 +371,8 @@ class _Panels:
         Each panel's sum comes from one shared refinement of A's panels,
         then B's, from the node rows and, at deeper levels, from ``_ARows``
         or ``_BRows`` at the sub-panels' nodes; an integral is carried over
-        from ``carry``, or without it advanced panel by panel from 0."""
+        from ``carry``, or without it advanced panel by panel from 0, A and
+        B in one loop."""
         n, gexp = len(self.left), self.tab.bound.gexp
         parts, point = [], None  # (rows class, node values, integrals up to the left ends)
         if self.a is not None:
@@ -399,9 +401,11 @@ class _Panels:
 
         q = len(parts)
         f = np.concatenate([(self.damping * v.reshape(self.damping.shape)).T for _, v, _ in parts], axis=1)
-        totals = _refine(sample, np.tile(self.left, q), np.tile(self.right, q), _QUAD_TOL, f).totals()
-        out = [_advance(self.decay, part) if start is None else self.decay * start + part
-               for (_, _, start), part in zip(parts, totals.reshape(q, n))]
+        totals = _refine(sample, np.tile(self.left, q), np.tile(self.right, q), _QUAD_TOL, f).totals().reshape(q, n)
+        if carry[0] is None and carry[1] is None:  # A and B advanced from 0 in one loop
+            out = list(_advance(self.decay, totals if q == 2 else totals[0]).reshape(q, n))
+        else:
+            out = [self.decay * start + part for (_, _, start), part in zip(parts, totals)]
         a = out.pop(0) if self.a is not None else None
         b = out.pop(0) if self.b is not None else None
         return a, b, point

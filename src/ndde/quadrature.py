@@ -34,7 +34,11 @@ The pair (Gander & Gautschi's Lobatto 4 / Kronrod 7) and its fixed-node
 helpers are shared with the operator's tables, so the package has one
 fixed-node rule, and one refinement (``_refine``) where |K7 - L4| fails:
 level by level, each failing piece split into the 2^d pieces its estimate
-predicts, down to the depth floor.  Break points at kinks serve the
+predicts, down to the depth floor.  Where a caller hands over the first
+level's samples (the criterion sweep, the Picard panels), a first-level
+interval that fails |K7 - L4| is still accepted where K7's own estimate,
+from null rules on the same seven samples, is asymptotic and within its
+tolerance.  Break points at kinks serve the
 criterion sweep only; the cumulative tables and the operator's panels
 refine into their kinks.  Scalar panels go through
 ``_lk_nodes``, arrays of them through ``_lk_points``, both through ``_lk_sums``.
@@ -179,17 +183,66 @@ def window_integral(
 # The Gauss-Lobatto 4 / Kronrod 7 pair on [-1, 1] (Gander & Gautschi,
 # "Adaptive quadrature -- revisited", BIT 40, 2000): the Lobatto rule samples
 # +-1 and +-1/sqrt(5), its Kronrod extension adds +-sqrt(2/3) and 0.  K7 is
-# exact for degree 9, L4 for degree 5, and |K7 - L4| estimates the error of L4
-# (so, pessimistically, of K7).  Both rules sample the panel ends, so a kink
-# close to an end cannot hide between the nodes, and panels that share an end
-# share its sample.  Nodes and weights are listed ends first and the centre
-# last, the order of ``_lk_nodes``.
+# exact for degree 9, L4 for degree 5.  |K7 - L4| estimates the error of L4
+# and stands in for K7's: on a smooth panel it overstates it by orders of
+# magnitude (``_null_rule_passes`` estimates K7's own), and on a kink it can
+# understate it (break points serve there).  Both rules sample the panel
+# ends, so a kink close to an end cannot hide between the nodes, and panels
+# that share an end share its sample.  Nodes and weights are listed ends
+# first and the centre last, the order of ``_lk_nodes``.
 _LK_X = np.array([-1.0, 1.0, -math.sqrt(2.0 / 3.0), math.sqrt(2.0 / 3.0),
                   -1.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0), 0.0])
 _K7_W = np.array([77.0, 77.0, 432.0, 432.0, 625.0, 625.0, 672.0]) / 1470.0
 _L4_W = np.array([1.0, 1.0, 0.0, 0.0, 5.0, 5.0, 0.0]) / 6.0
 _LK_XS = _LK_X.tolist()
 _K7_WS = _K7_W[::2].tolist()
+
+
+def _null_rules() -> np.ndarray:
+    """The six null rules of the pair's nodes, highest degree first: row j
+    is w_i P_{6-j}(x_i), P_k the discrete orthogonal polynomials of degree k
+    under the K7 weights w (Gram-Schmidt on x P_{k-1}), each scaled to
+    sum w P_k^2 = sum w, the norm of K7 (P_0 = 1) in that product.  Row j
+    integrates every polynomial of degree below 6 - j to 0, and K7 - L4 is
+    -1.079 times row 0.  Elementwise: a first LAPACK call (a QR) would
+    cost the import 0.5 MB of resident memory."""
+    w, p = _K7_W, [np.ones(7)]
+    for _ in range(6):
+        v = _LK_X * p[-1]
+        for u in p:
+            v = v - (w * v * u).sum() / (w * u * u).sum() * u
+        p.append(v)
+    return np.array([w * v * math.sqrt(w.sum() / (w * v * v).sum()) for v in p[:0:-1]])
+
+
+# K7's own error estimate (Berntsen & Espelid, "Error estimation in
+# automatic quadrature routines", ACM TOMS 17, 1991; compared in Gonnet,
+# ACM Comput. Surv. 44, 2012): the null rules, applied in pairs of falling
+# degree, give E1 < E2 < E3 where f's expansion has settled into a
+# geometric decay, and their largest ratio r = max(E1/E2, E2/E3) says
+# whether it has.  Where r <= r_crit = 1/4 the regime is asymptotic, and
+# K7's error, which starts four degrees above E1's (K7 is exact to degree
+# 9, the top null rule sees degree 6), is estimated as
+# K r_crit^(1 - a) r^a E1, a = 4 / 2 (each pair spans two degrees), K = 10.
+# Above r_crit the estimate is K r E1 or more, at least 2.5 E1, while
+# |K7 - L4| <= 1.08 E1: it never accepts a piece the pair refused, so the
+# pair's estimate stands there.  (For the same reason the test r <= r_crit
+# never decides on such a piece: 40 r^2 E1 exceeds 2.5 E1 above r_crit.)
+_NULL = _null_rules()
+_R_CRIT = 0.25
+_NULL_GAIN = 10.0 * _R_CRIT ** (1 - 2)  # K r_crit^(1 - a), times r^2 E1
+
+
+def _null_rule_passes(h: np.ndarray, samples: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Where K7's own error estimate on the intervals of half-width h, from
+    their (7, m) samples at the ``_lk_nodes``, is asymptotic and within tol."""
+    with np.errstate(all="ignore"):
+        # einsum's own loop: a first BLAS call costs 0.4 MB of resident memory
+        nulls = h * np.einsum("ij,jk->ik", _NULL, samples)
+        e1, e2, e3 = np.hypot(*nulls.reshape(3, 2, -1).transpose(1, 0, 2))
+        r = np.maximum(e1 / e2, e2 / e3)  # NaN where a pair vanishes: refused
+        return (r <= _R_CRIT) & (_NULL_GAIN * r * r * e1 <= tol)
+
 
 # _refine halves an interval whose estimate fails at most this many times
 # (down to 2^-50 of it); the depth floor then decides.
@@ -311,7 +364,10 @@ def _refine(sample, a, b, tol, first=None) -> _Pieces:
     the intervals ``ids`` (one a point); ``first``, when given, holds the
     samples at the intervals' seven ``_lk_nodes``.  K7 is accepted where
     |K7 - L4| is within the interval's ``tol``, or within the piece's
-    rounding noise (``_ROUNDING`` times its K7 sum of |f|).  The rest are
+    rounding noise (``_ROUNDING`` times its K7 sum of |f|), or, at the first
+    level and only with ``first`` given, where K7's own estimate from its
+    null rules is asymptotic and within ``tol`` (``_null_rule_passes``;
+    such an interval counts as ``passed``).  The rest are
     split together into 2^d equal pieces each, the tolerance split by
     width.  L4's error falls like h^7 while each halving halves the
     tolerance, so a piece whose estimate is r times its tolerance takes
@@ -331,7 +387,8 @@ def _refine(sample, a, b, tol, first=None) -> _Pieces:
     """
     n = len(a)
     ids, lo, hi, depth = np.arange(n), a, b, np.zeros(n, dtype=np.int64)
-    if first is None:
+    given, tol = first is not None, np.full(n, tol, dtype=float)
+    if not given:
         first = _sampled(sample, _lk_points(a, b), ids)
     fa, fb, *inner = first
     done = []  # per level: ids, left, right, value, floor of the accepted pieces
@@ -349,12 +406,14 @@ def _refine(sample, a, b, tol, first=None) -> _Pieces:
                 noise = _lk_sums(0.5 * (hi[k] - lo[k]), *(np.abs(f[k]) for f in (fa, fb, *inner)))[0]
                 fails[k] = ~(error[k] <= _ROUNDING * noise)
         if level == 0:
+            if given and fails.any():  # K7's own estimate, from the given samples
+                k = np.flatnonzero(fails)
+                fails[k] = ~_null_rule_passes(0.5 * (b[k] - a[k]), first[:, k], tol[k])
             passed = ~fails
             if passed.all():
                 return _Pieces(ids, hi, value, passed, fails)
             if not np.isfinite(error).all():  # raises at a non-finite given sample
                 _sampled(lambda *_: first.ravel(), _lk_points(a, b), ids)
-            tol = np.full(n, tol, dtype=float)
         last = depth == _HALVINGS
         stuck = np.flatnonzero(last & ~(error <= _DEPTH_FLOOR))
         if len(stuck):  # a NaN estimate (overflow) fails the floor too
@@ -416,16 +475,24 @@ def _kronrod_panels(f, f_array, a: np.ndarray, b: np.ndarray, tol: float) -> _Pi
 
 
 def _advance(decay: np.ndarray, panels: np.ndarray) -> np.ndarray:
-    """I_j = decay_j I_{j-1} + panel_j from I_{-1} = 0, one panel at a time.
+    """I_j = decay_j I_{j-1} + panel_j from I_{-1} = 0, one panel at a time,
+    for one row of panels or, in the same loop, for each of two.
 
     A cumulative sum of exp(G) terms instead would overflow on long horizons.
     """
-    out = np.empty(len(panels))
-    total = 0.0
-    for j, (d, p) in enumerate(zip(decay.tolist(), panels.tolist())):
-        total = d * total + p
-        out[j] = total
-    return out
+    if panels.ndim == 1:
+        out, total = [], 0.0
+        for d, p in zip(decay.tolist(), panels.tolist()):
+            total = d * total + p
+            out.append(total)
+        return np.array(out)
+    first, second, u, v = [], [], 0.0, 0.0
+    for d, p, q in zip(decay.tolist(), *panels.tolist()):
+        u = d * u + p
+        v = d * v + q
+        first.append(u)
+        second.append(v)
+    return np.array([first, second])
 
 
 _MAX_TABLE_PANELS = 1 << 22  # checkpoint-long panels a cumulative table may span; the presets need 1e4
@@ -682,8 +749,9 @@ class WeightedSweep:
     intervals, each with the panel's tolerance split by width; the
     refinement stays the safety net for kinks the search misses.
 
-    An integrand's panel (or piece) sum is K7 when |K7 - L4| is within its
-    tolerance.  The (panel, integrand) pairs that fail are refined together
+    An integrand's panel (or piece) sum is K7 when |K7 - L4|, or K7's own
+    null-rule estimate, is within its tolerance (see ``_refine``).  The
+    (panel, integrand) pairs that fail are refined together
     by ``_refine`` (the tolerance split by width, G read once per distinct
     point).  ``at(t)`` evaluates between grid points by the same routine
     on the one interval [grid[i], t], broken at the sweep's break points in

@@ -445,6 +445,22 @@ def test_signed_zeros_do_not_share_code(compiles):
     assert len(compiles) == 4
 
 
+def test_a_tree_keeps_its_code_key_as_its_repr():
+    # the key a tree keeps is its repr: printed once, apart for -0.0 and
+    # 0.0, and unseen by equality and hashing
+    from ndde import expressions
+
+    f = parse_expression("sgnpow(-0*t - sin(t)^2, 5/3) + abs(exp(-t)/(1 + t)) - -3.25")
+    trees = [f.root, expressions._piecewise_derivative(f).root, f.substitute(t=parse_expression("2*t")).root]
+    trees += [parse_expression(text).root for text in ("0*t", "-0*t", "t", "-t", "3", "ln(t)^t")]
+    for root in trees:
+        assert expressions._key(root) == repr(root)
+        assert root.__dict__["key"] is expressions._key(root)
+    assert expressions._key(trees[3]) != expressions._key(trees[4])
+    again = parse_expression("sgnpow(-0*t - sin(t)^2, 5/3) + abs(exp(-t)/(1 + t)) - -3.25").root
+    assert "key" not in again.__dict__ and again == f.root and hash(again) == hash(f.root)
+
+
 def test_cached_code_raises_the_fresh_code_error(compiles):
     fresh, cached = parse_expression("ln(t - 1.875) * 3"), parse_expression("ln(t - 1.875) * 3")
     for t in (1.5, 0.25):

@@ -573,7 +573,9 @@ def test_window_moments_are_refined_once_per_request(monkeypatch):
 
 
 def test_panels_reuse_their_sub_panel_rows_bit_for_bit():
-    prob, aux = _showcase()
+    # sin(10 t)/7 keeps node panels whose K7 sums fail both the pair's and
+    # the null rules' estimates at the fixed point, so they are still refined
+    prob, aux = _showcase("sin(10*t)/7")
     res = picard_solve(prob, aux, _const_history(0.001), T=20.0)
     kept, tables = res.nodes, res.nodes.tab
     st = tables.state(res.z)
@@ -587,6 +589,33 @@ def test_panels_reuse_their_sub_panel_rows_bit_for_bit():
     assert fresh.sub_rows and set(fresh.sub_rows) <= built
     for x, y in zip(again, anew):
         assert x.tobytes() == y.tobytes()
+
+
+def test_panels_accepted_by_k7s_own_estimate_are_within_the_tolerance(monkeypatch):
+    # in every iteration of a showcase solve, a node panel whose K7 sum
+    # fails |K7 - L4| but passes K7's own estimate at the first level is
+    # within the operator's tolerance of the same panel refined to 1e-15.
+    # The integrands read z at delayed arguments, a C1 spline, so a panel
+    # can hold a jump of z'' that no 7-sample estimate sees
+    from ndde import operator, quadrature
+
+    refine, seen = quadrature._refine, []
+
+    def spy(sample, a, b, tol, first=None):
+        pieces = refine(sample, a, b, tol, first)
+        if first is not None:
+            pair = quadrature._lk_sums(0.5 * (b - a), *first)[1] > tol
+            k = np.flatnonzero(pair & pieces.passed)
+            if len(k):
+                fine = refine(lambda x, ids: sample(x, k[ids]), a[k], b[k], 1e-15).totals()
+                seen.append(np.abs(pieces.totals()[k] - fine))
+        return pieces
+
+    monkeypatch.setattr(operator, "_refine", spy)
+    prob, aux = _showcase()
+    picard_solve(prob, aux, _const_history(0.001), T=20.0)
+    errors = np.concatenate(seen)
+    assert len(errors) >= 15 and errors.max() <= operator._QUAD_TOL
 
 
 def test_window_refines_a_large_candidate_by_itself(monkeypatch):

@@ -269,9 +269,12 @@ def test_refinement_floor_depth_budget_and_non_finite_samples():
         panels(blow, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
 
 
-def _refined(monkeypatch, f, a, b, tol, split=quadrature._MAX_SPLIT):
+def _refined(monkeypatch, f, a, b, tol, split=quadrature._MAX_SPLIT, first=None):
     """``_refine`` of the array integrand f over [a_i, b_i] with at most
-    2^split pieces a split (1: plain halving), and its sampling calls."""
+    2^split pieces a split (1: plain halving), and its sampling calls;
+    ``first``, when given, is passed on as the first level's samples (as
+    the sweep and the Picard panels pass theirs), where K7's own estimate
+    acts."""
     monkeypatch.setattr(quadrature, "_MAX_SPLIT", split)
     calls = []
 
@@ -279,7 +282,7 @@ def _refined(monkeypatch, f, a, b, tol, split=quadrature._MAX_SPLIT):
         calls.append(len(x))
         return f(x)
 
-    return quadrature._refine(sample, np.asarray(a, float), np.asarray(b, float), tol), calls
+    return quadrature._refine(sample, np.asarray(a, float), np.asarray(b, float), tol, first), calls
 
 
 def _piece_lefts(pieces, a):
@@ -312,23 +315,98 @@ def test_refinement_splits_to_the_depth_its_estimate_predicts(monkeypatch):
     assert calls == halving and all(x.tobytes() == y.tobytes() for x, y in zip(pieces, halved))
 
 
-@pytest.mark.parametrize("case", ["pole", "exp", "kink"])
+def _damped(s, cbrt=np.cbrt):
+    """A Picard-like integrand: the showcase's c times its damping factor
+    exp(G(s) - G(1)), G = 0.1 ln((t + 0.1)/0.1)."""
+    return ((s + 0.1) / 1.1) ** 0.1 * 0.01 * cbrt(0.8 * s + 0.2) / ((s + 0.1) * (s + 0.2))
+
+
+def _damped_integral(lo, hi):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return float(mpmath.quad(lambda s: _damped(s, mpmath.cbrt), [mpmath.mpf(lo), mpmath.mpf(hi)]))
+
+
+# |t - c| on 0.8-wide panels that hold c at +-0.27 and +-0.7 half-widths
+# from their centres: close to the pair's blind spots (_NULL_KINKS), so its
+# estimate is small, yet far above the tolerance
+_NEAR_BLIND = np.array([-0.7, -0.27, 0.27, 0.7])
+
+
+@pytest.mark.parametrize("case", ["pole", "exp", "kink", "oscillation", "damped", "near_blind_kinks"])
 def test_every_accepted_piece_is_within_its_tolerance(monkeypatch, case):
-    # the true error of each accepted piece, against the closed form, is
-    # within its share of the tolerance (split by width)
-    c = 1.0 / 3.0
+    # the true error of each accepted piece, against the closed form (or
+    # mpmath), is within its share of the tolerance (split by width).  In
+    # the last three cases the first level's samples are given, so K7's own
+    # estimate acts there: it accepts smooth panels that fail |K7 - L4|
+    # (oscillation, damped) and refuses kinks the pair nearly misses
+    c, tol, first, width = 1.0 / 3.0, 1e-11, None, 0.8
+    a = np.arange(-0.5 if case == "kink" else 0.0, 6.0, width)
+    if case == "oscillation":
+        width, tol = 0.4, 1e-12
+        a = np.arange(0.0, 8.0, width)
+    elif case == "damped":
+        width = 0.05
+        a = np.arange(0.0, 1.0, width)
+    elif case == "near_blind_kinks":
+        a = c - 0.5 * width * (1.0 + _NEAR_BLIND)
+    b = a + width
     f, F = {
         "pole": (lambda t: 1.0 / (t + 0.1), lambda t: np.log(t + 0.1)),
         "exp": (np.exp, np.exp),
         "kink": (lambda t: np.abs(t - c), lambda t: 0.5 * (t - c) * np.abs(t - c)),
-    }[case]
-    a, tol = np.arange(-0.5 if case == "kink" else 0.0, 6.0, 0.8), 1e-11
-    b = a + 0.8
-    pieces, _ = _refined(monkeypatch, f, a, b, tol)
+        "oscillation": (lambda t: np.sin(0.75 * t), lambda t: -np.cos(0.75 * t) / 0.75),
+        "damped": (_damped, None),
+    }["kink" if case == "near_blind_kinks" else case]
+    if case in ("oscillation", "damped", "near_blind_kinks"):
+        first = f(quadrature._lk_points(a, b))
+    pieces, _ = _refined(monkeypatch, f, a, b, tol, first=first)
     left = _piece_lefts(pieces, a)
     share = tol * (pieces.right - left) / (b - a)[pieces.ids]
-    error = np.abs(pieces.value - (F(pieces.right) - F(left)))
-    assert len(pieces.ids) > len(a) and (error <= share + 1e-15).all()
+    if case == "damped":
+        exact = np.array([_damped_integral(lo, hi) for lo, hi in zip(left.tolist(), pieces.right.tolist())])
+    else:
+        exact = F(pieces.right) - F(left)
+    error = np.abs(pieces.value - exact)
+    assert (error <= share + 1e-15).all()
+    if first is None:
+        assert len(pieces.ids) > len(a)
+    else:  # the panels that fail the pair at the first level
+        pair = quadrature._lk_sums(0.5 * (b - a), *first)[1] > tol
+        if case == "near_blind_kinks":
+            assert pair.all() and not pieces.passed.any() and len(pieces.ids) > len(a)
+        else:
+            assert (pieces.passed & pair).sum() >= (4 if case == "damped" else len(a))
+    if case == "oscillation":  # without the given samples the pair alone decides
+        assert not _refined(monkeypatch, f, a, b, tol)[0].passed.any()
+
+
+def test_advance_carries_two_rows_as_two_one_row_loops():
+    # A and B advance in one loop, bit for bit as the one-row loop kept here
+    rng = np.random.default_rng(5)
+    decay, panels = rng.uniform(0.5, 1.0, 300), rng.normal(size=(2, 300))
+    both = quadrature._advance(decay, panels)
+    for row, got in zip(panels, both):
+        total, want = 0.0, []
+        for d, p in zip(decay.tolist(), row.tolist()):
+            total = d * total + p
+            want.append(total)
+        assert got.tobytes() == np.array(want).tobytes() == quadrature._advance(decay, row).tobytes()
+
+
+def test_k7_estimate_refuses_rounding_noise():
+    # the cancellation noise of (t + 1e8) - 1e8 - t, up to 7e-9, fails the
+    # pair at 1e-12 on 0.4-wide panels; its null rules do not fall, so K7's
+    # own estimate refuses every panel
+    a = np.arange(0.0, 400.0, 0.4)
+    b = a + 0.4
+    x = quadrature._lk_points(a, b)
+    noise = (x + 1e8) - 1e8 - x
+    tol = np.full(len(a), 1e-12)
+    assert (quadrature._lk_sums(0.2, *noise)[1] > tol).mean() > 0.75
+    assert not quadrature._null_rule_passes(0.5 * (b - a), noise, tol).any()
+    # on a smooth panel the same estimate passes
+    assert quadrature._null_rule_passes(0.5 * (b - a), np.sin(0.75 * x), 1e-12).all()
 
 
 def test_refinement_budget_on_an_oscillating_integrand():
