@@ -81,6 +81,7 @@ from .model import (
 from .quadrature import (
     _bulk,
     _kronrod_panels,
+    _tail_slope,
     sup_scan,
     weighted_integral,
     WeightedSweep,
@@ -397,7 +398,7 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int):
         form=bound.problem.form,
         alpha=scan.sup,
         argsup=scan.argsup,
-        tail_slope=scan.tail_slope,
+        tail_slope=_tail_slope(pointwise_sum, t0, tmax, float(total[-1])),
         tmax=tmax,
         grid=grid,
         terms=tuple(stats),

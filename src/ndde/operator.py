@@ -41,8 +41,11 @@ call each of G(w z^gamma), Q and F, weighted sums, and the panel recurrence
 I_j = exp(G(t_{j-1}) - G(t_j)) I_{j-1} + panel_j.  B's point terms at a
 panel's right end come from the same node rows (the right end is one of the
 nodes), so one read of the rows gives the whole image.  The Picard result
-carries its node rows, so the residual reuses them and adds only the rows
-of the half panels that end at the panel midpoints.  A panel whose
+carries its node rows, and the residual reads the image at the panel
+midpoints from them too: a midpoint is its panel's centre node, and the
+integral up to it is the half-panel rule H7 on the same samples, checked
+by |H7 - H5|; only a half panel that fails is refined, on rows at its
+sub-panels' nodes.  A panel whose
 |K7 - L4| exceeds 1e-11, and whose K7 sum also fails K7's own null-rule
 estimate there, is refined by ``quadrature._refine``, A's panels and B's
 in one call, on rows built at its sub-panels' nodes, which its
@@ -74,8 +77,11 @@ from .model import (
     AuxiliarySpec, HistoryFunction, ProblemSpec, bind, horizon, require, require_after_t0,
 )
 from .quadrature import (
+    _H5_W,
+    _H7_W,
     _K7_W,
     _L4_W,
+    _ROUNDING,
     CumulativeExponent,
     WeightedSweep,  # noqa: F401  -- unused here; bench/tracing.py wraps this attribute
     _advance,
@@ -343,17 +349,19 @@ class _Panels:
     Each panel's pair nodes carry the damping factor and the A (and, with
     psi, B) rows; ``decay`` is exp(G(left) - G(right)), which carries an
     integral that ends at left over to right.  The right end is the nodes'
-    column 1, so B's point terms there are read from the same rows.  Rows
-    built at refined sub-panels' nodes are kept, with their damping
-    factors, by their nodes (``sub_rows``): the candidates of one request
-    refine the same few panels alike.
+    column 1 and the midpoint their column 6, so B's point terms at both
+    are read from the same rows (and the integral up to the midpoint, by
+    :meth:`midpoints`).  Rows built at refined sub-panels' nodes are kept,
+    with their damping factors, by their nodes (``sub_rows``): the
+    candidates of one request refine the same few panels alike.
     """
 
     def __init__(self, tab: "_Tables", left: np.ndarray, right: np.ndarray):
         self.tab, self.left, self.right = tab, left, right
         self.sub_rows: dict = {}
         s = _lk_points(left, right).T
-        G = tab.bound.gexp.cumulative(s)  # the panel ends are columns 0 and 1
+        # the panel ends are columns 0 and 1, the midpoint column 6
+        self.G = G = tab.bound.gexp.cumulative(s)
         self.G_right = G[:, 1]
         self.damping = np.exp(G - self.G_right[:, None])
         self.decay = np.exp(G[:, 0] - self.G_right)
@@ -362,29 +370,33 @@ class _Panels:
         if tab.psi is not None:
             self.b = _BRows(tab, s.ravel())
             self.head = tab.head * np.exp(-self.G_right)
+        # the row classes of the tabulated parts, A then B
+        self.parts = [make for make, rows in ((_ARows, self.a), (_BRows, self.b)) if rows is not None]
 
-    def integrals(self, st: _State, carry=(None, None)):
-        """The damped A and B integrals up to each right end, and the damped
-        history head plus B's point terms there (None where not tabulated);
-        ``carry`` holds the A and B integrals up to each left end, if known.
-
-        Each panel's sum comes from one shared refinement of A's panels,
-        then B's, from the node rows and, at deeper levels, from ``_ARows``
-        or ``_BRows`` at the sub-panels' nodes; an integral is carried over
-        from ``carry``, or without it advanced panel by panel from 0, A and
-        B in one loop."""
-        n, gexp = len(self.left), self.tab.bound.gexp
-        parts, point = [], None  # (rows class, node values, integrals up to the left ends)
+    def samples(self, st: _State):
+        """One candidate's first-level samples: the tabulated parts' samples
+        at the nodes damped to the right ends, (7, q n) with column q n + j
+        for panel j of part q, and B's point terms at the nodes, (n, 7)
+        (None without B)."""
+        values, terms = [], None
         if self.a is not None:
-            parts.append((_ARows, self.a.integrand(st), carry[0]))
+            values.append(self.a.integrand(st))
         if self.b is not None:
             f, terms = self.b.terms(st)
-            parts.append((_BRows, f, carry[1]))
-            point = self.head + terms.reshape(self.damping.shape)[:, 1]
+            values.append(f)
+            terms = terms.reshape(self.damping.shape)
+        f = np.concatenate([(self.damping * v.reshape(self.damping.shape)).T for v in values], axis=1)
+        return f, terms
 
-        def sample(x, ids):  # interval q n + j: panel j of part q
+    def _sampler(self, st: _State):
+        """``_refine``'s sample(x, ids): interval q n + j is part q at
+        points x of panel j, damped to its right end, from rows at those
+        points, kept in ``sub_rows``."""
+        n, gexp = len(self.left), self.tab.bound.gexp
+
+        def sample(x, ids):
             out, which = np.empty(len(x)), ids // n
-            for q, (make, _, _) in enumerate(parts):
+            for q, make in enumerate(self.parts):
                 k = np.flatnonzero(which == q)
                 if not len(k):
                     continue
@@ -399,16 +411,63 @@ class _Panels:
                 out[k] = damping * rows.integrand(st)
             return out
 
-        q = len(parts)
-        f = np.concatenate([(self.damping * v.reshape(self.damping.shape)).T for _, v, _ in parts], axis=1)
-        totals = _refine(sample, np.tile(self.left, q), np.tile(self.right, q), _QUAD_TOL, f).totals().reshape(q, n)
-        if carry[0] is None and carry[1] is None:  # A and B advanced from 0 in one loop
-            out = list(_advance(self.decay, totals if q == 2 else totals[0]).reshape(q, n))
-        else:
-            out = [self.decay * start + part for (_, _, start), part in zip(parts, totals)]
+        return sample
+
+    def integrals(self, st: _State, samples=None):
+        """The damped A and B integrals from the first left end up to each
+        right end, and the damped history head plus B's point terms there
+        (None where not tabulated), from the candidate's ``samples`` (read
+        here when not given).
+
+        Each panel's sum comes from one shared refinement of A's panels,
+        then B's, from the node rows and, at deeper levels, from ``_ARows``
+        or ``_BRows`` at the sub-panels' nodes; the integrals are advanced
+        panel by panel from 0, A and B in one loop."""
+        f, terms = self.samples(st) if samples is None else samples
+        n, q = len(self.left), len(self.parts)
+        totals = _refine(self._sampler(st), np.tile(self.left, q), np.tile(self.right, q), _QUAD_TOL, f).totals()
+        out = list(_advance(self.decay, totals.reshape(q, n) if q == 2 else totals).reshape(q, n))
         a = out.pop(0) if self.a is not None else None
         b = out.pop(0) if self.b is not None else None
+        point = None if terms is None else self.head + terms[:, 1]
         return a, b, point
+
+    def midpoints(self, st: _State, samples, carry: np.ndarray) -> np.ndarray:
+        """The image A z + B z at the midpoint m_j of each panel j after the
+        first, from the candidate's ``samples`` and ``carry``, the A plus B
+        integral up to each right end (:meth:`integrals`):
+
+            exp(G(t_{j-1}) - G(m_j)) carry_{j-1} + exp(G(t_j) - G(m_j)) H_j
+
+        plus the damped head and B's point terms at m_j, the panel's centre
+        node.  H_j, int_{t_{j-1}}^{m_j} of the samples damped to t_j, is
+        their H7 sum where |H7 - H5|, damped to m_j, is within the
+        tolerance or the rounding noise (``_refine``'s rule); the failing
+        (panel, part) pairs are refined by ``_refine`` through the
+        sampler and sub-panel rows of :meth:`integrals`.  The first
+        panel, [t0, t0], has no midpoint.
+        """
+        f, terms = samples
+        n, q = len(self.left), len(self.parts)
+        j = np.tile(np.arange(1, n), q)
+        ids = j + np.repeat(np.arange(q) * n, n - 1)
+        x, h = f[:, ids], 0.5 * (self.right - self.left)[j]
+        up = np.exp(self.G_right[j] - self.G[j, 6])  # exp(G(t_j) - G(m_j))
+        with np.errstate(all="ignore"):
+            half = h * (_H7_W @ x)
+            error = up * np.abs(half - h * (_H5_W @ x))
+            noise = up * h * (np.abs(_H7_W) @ np.abs(x))
+        k = np.flatnonzero(~(error <= _QUAD_TOL) & ~(error <= _ROUNDING * noise))
+        if len(k):
+            sample, failing = self._sampler(st), ids[k]
+            centre = 0.5 * (self.left + self.right)[j[k]]
+            pieces = _refine(lambda u, i: sample(u, failing[i]), self.left[j[k]], centre, _QUAD_TOL / up[k])
+            half[k] = pieces.totals()
+        m = np.arange(1, n)
+        image = np.exp(self.G[m, 0] - self.G[m, 6]) * carry[:-1] + (up * half).reshape(q, n - 1).sum(0)
+        if terms is not None:
+            image += self.tab.head * np.exp(-self.G[m, 6]) + terms[m, 6]
+        return image
 
 
 def _history_drift(coef, psi, u):
@@ -518,7 +577,7 @@ class PicardResult:
     converged: bool
     cap_exceeded: bool
     final_step: float
-    # the node rows the iteration read, on its tables; residual reuses them
+    # the node rows the iteration read, on its tables; residual reads them
     nodes: _Panels = field(repr=False, compare=False)
 
 
@@ -542,7 +601,7 @@ def picard_solve(
     candidate-independent tables, the rows of the live mesh panels and
     of their refined sub-panels, and the refined drift moments are built
     once, read by every iteration and kept in the result for
-    :func:`residual`.
+    :func:`residual`, which builds rows only where a half panel fails.
     """
     require(**{"horizon T": T}, tol=tol, max_iter=max_iter, **({} if step is None else {"step": step}))
     t0 = problem.t0
@@ -604,20 +663,20 @@ def picard_solve(
 def residual(result: PicardResult) -> float:
     """max |z(t) - (A z + B z)(t)| over the live mesh nodes and panel midpoints.
 
-    z is the final iterate of ``result``; A and B at the nodes are read from
-    the node rows its iteration built.  Midpoints probe the interpolation
-    defect that node-only sampling cannot see (at a discrete fixed point the
-    node defect is just the iteration tolerance), so mesh refinement shows
-    the expected order there.
+    z is the final iterate of ``result``; A and B at the nodes and at the
+    midpoints, each a panel's centre node, are read from the samples of the
+    node rows its iteration built (:meth:`_Panels.midpoints`).  Midpoints
+    probe the interpolation defect that node-only sampling cannot see (at a
+    discrete fixed point the node defect is just the iteration tolerance),
+    so mesh refinement shows the expected order there.
     """
     nodes, tables = result.nodes, result.nodes.tab
     st = tables.state(result.z)
-    a, b, point = nodes.integrals(st)
+    samples = nodes.samples(st)
+    a, b, point = nodes.integrals(st, samples)
     live = tables.live
-    mids = 0.5 * (live[:-1] + live[1:])
-    a_mid, b_mid, point_mid = _Panels(tables, live[:-1], mids).integrals(st, (a[:-1], b[:-1]))
-    points = np.concatenate((live, mids))
-    image = np.concatenate((a + b + point, a_mid + b_mid + point_mid))
+    points = np.concatenate((live, 0.5 * (live[:-1] + live[1:])))
+    image = np.concatenate((a + b + point, nodes.midpoints(st, samples, a + b)))
     return float(np.max(np.abs(result.z.eval_array(points) - image)))
 
 

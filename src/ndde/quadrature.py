@@ -198,6 +198,30 @@ _LK_XS = _LK_X.tolist()
 _K7_WS = _K7_W[::2].tolist()
 
 
+def _half_rule(nodes: list[float]) -> list[float]:
+    """Weights of int_{-1}^0 of the polynomial interpolant through ``nodes``:
+    each Lagrange basis polynomial, built a factor at a time in rising
+    powers, integrated term by term.  Elementwise, as ``_null_rules``."""
+    weights = []
+    for k, xk in enumerate(nodes):
+        c = [1.0]
+        for xm in nodes[:k] + nodes[k + 1 :]:
+            c = [(lo - xm * hi) / (xk - xm) for lo, hi in zip([0.0, *c], [*c, 0.0])]
+        weights.append(math.fsum(ci * (-1) ** i / (i + 1) for i, ci in enumerate(c)))
+    return weights
+
+
+# The half-panel rules on the pair's nodes: H7 integrates over the left half
+# [-1, 0] the degree-6 interpolant through all seven nodes, H5 the degree-4
+# one through the ends, +-1/sqrt(5) and the centre (weight 0 at
+# +-sqrt(2/3)).  |H7 - H5| estimates H5's error and stands in for H7's, as
+# |K7 - L4| does for K7.  A symmetric pair's two H7 weights add up to its
+# K7 weight.
+_H7_W = np.array(_half_rule(_LK_XS))
+_H5_W = np.zeros(7)
+_H5_W[[0, 1, 4, 5, 6]] = _half_rule([_LK_XS[i] for i in (0, 1, 4, 5, 6)])
+
+
 def _null_rules() -> np.ndarray:
     """The six null rules of the pair's nodes, highest degree first: row j
     is w_i P_{6-j}(x_i), P_k the discrete orthogonal polynomials of degree k
@@ -971,7 +995,6 @@ class WeightedSweep:
 class SupScanResult:
     sup: float
     argsup: float
-    tail_slope: float
 
 
 def _golden_max(h, a: float, b: float, iters: int = 80) -> tuple[float, float]:
@@ -1075,16 +1098,14 @@ def sup_scan(
     instead; a cell whose slopes bracket nothing but whose cubic Hermite
     peaks inside above both ends, or whose slopes are non-finite or fail,
     gets the sub-scan and golden section.  The result never undercuts any
-    sample taken.  ``tail_slope`` is the secant slope of h over the last
-    tenth of the window, the growth witness used by the certification
-    verdicts.  With ``samples`` given, they are taken as h on
+    sample taken.  With ``samples`` given, they are taken as h on
     ``linspace(lo, hi, n)`` and not recomputed.
     """
     if hi < lo:
         raise ValueError("sup_scan needs lo <= hi")
     if hi == lo:
         v = _sample(h, lo)
-        return SupScanResult(v, lo, 0.0)
+        return SupScanResult(v, lo)
     if n < 64:
         raise ValueError("need at least 64 coarse samples")
     if (slopes is None) != (value_slope is None):
@@ -1126,9 +1147,14 @@ def sup_scan(
                 best = v
                 arg = x
 
+    return SupScanResult(best, arg)
+
+
+def _tail_slope(h: Callable[[float], float], lo: float, hi: float, last: float) -> float:
+    """The secant slope of h over the last tenth of [lo, hi], given
+    last = h(hi): the growth witness of the certification verdicts."""
     ta = hi - 0.1 * (hi - lo)
-    slope = (float(vals[-1]) - _sample(h, ta)) / (hi - ta)
-    return SupScanResult(best, arg, slope)
+    return (last - _sample(h, ta)) / (hi - ta)
 
 
 def _refine_cell(h, value_slope, cells: GridFunction, i: int):

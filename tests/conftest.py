@@ -30,6 +30,19 @@ def capped_python():
     return run
 
 
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's request decks, ``bench/workloads.py`` loaded by path
+    and only read."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(autouse=True)
 def _empty_code_cache(monkeypatch):
     """Each test starts from an empty process-wide expression code cache and

@@ -529,16 +529,7 @@ def test_picard_divergence_reported_not_raised(tmp_path):
     assert ratio > 1.0
 
 
-def _bench_module(name):
-    """A module of the benchmark's sources, loaded by path and only read."""
-    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_no_request_path_calls_adaptive_simpson(tmp_path, monkeypatch):
+def test_no_request_path_calls_adaptive_simpson(tmp_path, monkeypatch, workloads):
     # the criterion sweep, the cumulative tables and the operator refine
     # by halving alone: the certify twin whose kinked neutral_damping
     # panels, and the tenfold Picard run whose cusps, were once handed to
@@ -549,7 +540,7 @@ def test_no_request_path_calls_adaptive_simpson(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("adaptive Simpson called on a request path")
 
-    twin = next(r for r in _bench_module("workloads").certify_deck(1).requests if r.name == "twin0")
+    twin = next(r for r in workloads.certify_deck(1).requests if r.name == "twin0")
     monkeypatch.setattr(ndde.quadrature, "adaptive_simpson", refuse)
     for name, text in (("twin0", twin.text), ("section4", preset_text("section4"))):
         path = tmp_path / f"{name}.cfg"

@@ -687,6 +687,40 @@ def test_alpha_estimate_scans_every_term_before_it_returns(monkeypatch):
     assert est == alpha_estimate(prob, aux, tmax=50.0, grid=128)
 
 
+def test_a_certify_request_samples_one_tail_slope(monkeypatch, workloads):
+    # of the sweep's between-node queries outside the slope polish, only
+    # the term sum's tail-slope sample and the asymptotic check's query at
+    # 90% of the horizon remain: no per-term scan samples a tail slope
+    import sys
+
+    from ndde.config import loads
+    from ndde.quadrature import WeightedSweep
+
+    request = next(r for r in workloads.certify_deck(1).requests if r.name == "linear0")
+    cfg = loads(request.text)
+
+    at, queries = WeightedSweep.at, []
+
+    def spy(self, t, k=None):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        if "_polish" not in callers:
+            queries.append((t, k, "_tail_slope" in callers, "asymptotic_check" in callers))
+        return at(self, t, k)
+
+    monkeypatch.setattr(WeightedSweep, "at", spy)
+    tmax = request.params["tmax"]
+    report = evaluate_criteria(cfg.problem, cfg.aux, tmax=tmax, grid=cfg.grid, eps=cfg.eps)
+    t0 = cfg.problem.t0
+    tail = tmax - 0.1 * (tmax - t0)
+    assert queries[0] == (tail, None, True, False)  # every term at once
+    assert len(queries) <= 2
+    assert all(asym and k is not None for _, k, _, asym in queries[1:])
+    assert math.isfinite(report.alpha_tail_slope)
+
+
 @pytest.mark.parametrize("twin", [False, True], ids=["linear", "general-twin"])
 def test_scan_slopes_match_centred_differences(monkeypatch, twin):
     prob, aux = _certify_member()

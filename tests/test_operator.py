@@ -533,6 +533,106 @@ def test_residual_on_the_kept_rows_equals_fresh_rows():
     assert residual(res).hex() == residual(fresh).hex()
 
 
+def _midpoint_images(nodes, z, monkeypatch):
+    """(A z + B z) at the live panels' midpoints from the node rows, and
+    from a second row set: a _Panels over the half panels [t_i, m_i], each
+    half panel's own sum carried on from A and B at t_i."""
+    tables = nodes.tab
+    st = tables.state(z)
+    samples = nodes.samples(st)
+    a, b, _ = nodes.integrals(st, samples)
+    image = nodes.midpoints(st, samples, a + b)
+    live = tables.live
+    half = ndde.operator._Panels(tables, live[:-1], 0.5 * (live[:-1] + live[1:]))
+    with monkeypatch.context() as patch:
+        patch.setattr(ndde.operator, "_advance", lambda decay, panels: panels)
+        a_half, b_half, point = half.integrals(st)
+    return image, half.decay * a[:-1] + a_half + (half.decay * b[:-1] + b_half) + point
+
+
+def _midpoint_refinements(monkeypatch):
+    """Wrap ``ndde.operator._refine``: the (intervals, pieces) of each call
+    the midpoints make."""
+    calls, refine = [], ndde.operator._refine
+
+    def spy(*args, **kwargs):
+        pieces = refine(*args, **kwargs)
+        if sys._getframe(1).f_code.co_name == "midpoints":
+            calls.append((len(pieces.passed), len(pieces.ids)))
+        return pieces
+
+    monkeypatch.setattr(ndde.operator, "_refine", spy)
+    return calls
+
+
+def test_residual_midpoints_match_a_second_row_set(monkeypatch, workloads):
+    # the half-panel rule on the node rows against the rows the residual
+    # once built at the half panels' own nodes, at the fixed points of the
+    # showcase and of the benchmark's picard decks (seeds 1 and 1009); a
+    # few steep half panels near t0 fail |H7 - H5| and are refined
+    from ndde.config import loads
+
+    cases = [("showcase", *_showcase(), _const_history(0.001), 20.0, 1e-8)]
+    for seed in (1, 1009):
+        for request in workloads.picard_deck(seed).requests:
+            cfg = loads(request.text)
+            cases.append((f"s{seed}-{request.name}", cfg.problem, cfg.aux, cfg.history, cfg.T, cfg.tol))
+    assert len(cases) == 7
+    for name, prob, aux, psi, T, tol in cases:
+        res = picard_solve(prob, aux, psi, T=T, tol=tol)
+        calls = _midpoint_refinements(monkeypatch)
+        defect = residual(res)
+        assert calls and all(0 < n < len(res.nodes.left) for n, _ in calls), name
+        image, reference = _midpoint_images(res.nodes, res.z, monkeypatch)
+        assert np.max(np.abs(image - reference)) <= 1e-10, name
+        live = res.nodes.tab.live
+        mids = res.z.eval_array(0.5 * (live[:-1] + live[1:]))
+        a, b, point = res.nodes.integrals(res.nodes.tab.state(res.z))
+        before = max(np.max(np.abs(res.z.eval_array(live) - (a + b + point))), np.max(np.abs(mids - reference)))
+        assert abs(defect - before) <= 1e-10, name
+        monkeypatch.undo()
+
+
+def test_residual_midpoints_refine_kinked_half_panels_to_the_reference(monkeypatch):
+    # the kinks of test_kinks_inside_panels_fall_back_and_match_reference:
+    # half panels that hold a kink fail |H7 - H5| and are refined below
+    # their first level, on the node panels' sampler and sub-panel rows
+    prob, aux = _lagged()
+    aux = AuxiliarySpec(p=aux.p, g=parse_expression("0.2 + 0.3*abs(t - 0.55)"))
+    mesh = make_mesh(-0.6, 0.0, 2.0, 0.1)
+    psi = HistoryFunction(parse_expression("0.1 + abs(t + 0.25)"))
+    fn = psi.psi.compiled()
+    split = int(np.searchsorted(mesh, 0.0))
+    z = GridFunction.from_callable(
+        mesh, lambda t: fn(t) if t < 0.0 else fn(0.0) * math.cos(3.0 * t), breaks=(split,)
+    )
+    nodes = ndde.operator._Tables(prob, aux, mesh, psi).node_panels()
+    calls = _midpoint_refinements(monkeypatch)
+    image, reference = _midpoint_images(nodes, z, monkeypatch)
+    assert calls and any(pieces > n for n, pieces in calls)
+    assert np.max(np.abs(image - reference)) <= 1e-10
+
+
+def test_a_picard_request_builds_the_live_rows_once(monkeypatch):
+    # the solve's node rows serve the residual's midpoints too: one set of
+    # A and B rows, and one drift window, holds every panel midpoint
+    built = []
+    for cls in (ndde.operator._ARows, ndde.operator._BRows, ndde.operator._Window):
+        init = cls.__init__
+
+        def spy(self, tab, x, *args, init=init, name=cls.__name__):
+            built.append((name, x))
+            init(self, tab, x, *args)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    prob, aux = _showcase()
+    res = picard_solve(prob, aux, _const_history(0.001), T=5.0)
+    residual(res)
+    live = res.nodes.tab.live
+    mids = 0.5 * (live[:-1] + live[1:])
+    assert [name for name, x in built if np.isin(mids, x).all()] == ["_ARows", "_BRows", "_Window"]
+
+
 def _refine_callers(monkeypatch):
     """Wrap ``ndde.operator._refine``: each call's (caller, iteration), the
     iteration counted by the candidates the tables read."""

@@ -2,6 +2,7 @@
 
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -76,12 +77,12 @@ def test_diff_sums_each_side_over_all_of_its_decision_lines(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for root, lines in ((a, ["1 10", "2 20", "3 30", "0 4"]), (b, ["3 30", "3 34"])):
         _write(root, "x.txt")
-        text = "".join(f"operator.refine.{n} = {line}\n" for n, line in enumerate(lines))
+        text = "".join(f"operator.refine.iteration1.{n} = {line}\n" for n, line in enumerate(lines))
         (root / "x.txt").write_text((root / "x.txt").read_text() + text)
     assert compare_reports.main(["--diff", str(a), str(b)]) == 1  # a changed decision line
     out = capsys.readouterr().out
     assert "quadrature decisions changed: 1" in out
-    assert "x.txt: operator.refine failed 6 -> 6, pieces 64 -> 64 (lines 4 -> 2, 4 changed)" in out
+    assert "x.txt: operator.refine (solve) failed 6 -> 6, pieces 64 -> 64 (lines 4 -> 2, 4 changed)" in out
     assert "keys on one side only: 0" in out  # the 2 lines A alone holds are decisions
 
     # equal decision lines are no change
@@ -133,29 +134,46 @@ def test_dump_writes_the_operator_refinements_of_each_picard_run(tmp_path, monke
     # at T = 20 (mesh step 0.05) the panels and windows near t0 fail K7/L4
     text = preset_text("section4").replace('T = "50"', 'T = "20"')
     monkeypatch.setattr(compare_reports, "_requests", lambda root: iter([("fp", "picard", text)]))
-    refine = operator._refine
+    from ndde import cli
+
+    refine, state, residual = operator._refine, operator._Tables.__dict__["state"], cli.residual
     assert compare_reports.main(["--dump", str(tmp_path / "a")]) == 0
-    assert operator._refine is refine  # the wrapper is removed again
+    # the wrappers are removed again
+    assert operator._refine is refine and operator._Tables.__dict__["state"] is state and cli.residual is residual
     lines = (tmp_path / "a" / "fp.txt").read_text().splitlines()
     counts = [line for line in lines if line.startswith("operator.refine.")]
     assert lines[-1] == "exit = 0" and lines[-1 - len(counts) : -1] == counts  # after the sweeps
 
     # one line per call, in call order: intervals that failed the first
-    # level, and pieces accepted
-    calls = []
+    # level, and pieces accepted, labelled by the solve's iteration (the
+    # candidates the tables read) or the residual check, and numbered per label
+    calls, read = [], [0]
+
+    def reading(self, z):
+        read[0] += 1
+        return state(self, z)
 
     def recording(sample, a, b, tol, first=None):
         pieces = refine(sample, a, b, tol, first)
-        calls.append((len(a), int(np.count_nonzero(~pieces.passed)), len(pieces.ids)))
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        label = "residual" if "residual" in names else f"iteration{read[0]}"
+        calls.append((label, len(a), int(np.count_nonzero(~pieces.passed)), len(pieces.ids)))
         return pieces
 
+    monkeypatch.setattr(operator._Tables, "state", reading)
     monkeypatch.setattr(operator, "_refine", recording)
     cfg = tmp_path / "fp.cfg"
     cfg.write_text(text)
     assert run_picard(str(cfg), out=io.StringIO()) == 0
-    assert counts == [f"operator.refine.{n} = {failed} {pieces}" for n, (_, failed, pieces) in enumerate(calls)]
-    assert any(failed for _, failed, _ in calls)  # some panel or window was refined
-    assert all(failed <= n <= pieces for n, failed, pieces in calls)
+    labels = [label for label, *_ in calls]
+    assert labels[0] == "iteration1" and labels[-1] == "residual"
+    assert counts == [f"operator.refine.{label}.{labels[:k].count(label)} = {failed} {pieces}"
+                      for k, (label, _, failed, pieces) in enumerate(calls)]
+    assert any(failed for _, _, failed, _ in calls)  # some panel or window was refined
+    assert all(failed <= n <= pieces for _, n, failed, pieces in calls)
 
     # a changed refinement fails the diff at any tolerance
     b = tmp_path / "b"
@@ -163,13 +181,20 @@ def test_dump_writes_the_operator_refinements_of_each_picard_run(tmp_path, monke
     (b / "fp.txt").write_text("\n".join(line + ("0" if line == counts[0] else "") for line in lines))
     capsys.readouterr()
     assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b), "--tol", "1e300"]) == 1
-    # ...and is summed per file, apart from the other non-numeric changes
-    failed, total = (sum(int(line.split(" = ")[1].split()[i]) for line in counts) for i in (0, 1))
+    # ...and is summed per file and caller, apart from the other non-numeric changes
+    solve = [line for line in counts if line.startswith("operator.refine.iteration")]
+    failed, total = (sum(int(line.split(" = ")[1].split()[i]) for line in solve) for i in (0, 1))
     first = int(counts[0].split()[-1])  # the pieces of the changed line, 10 times over in B
     out = capsys.readouterr().out
     assert "non-numeric changes: 0" in out and "quadrature decisions changed: 1" in out
-    assert (f"fp.txt: operator.refine failed {failed} -> {failed}, pieces {total} -> {total + 9 * first}"
-            f" (lines {len(counts)} -> {len(counts)}, 1 changed)") in out
+    assert (f"fp.txt: operator.refine (solve) failed {failed} -> {failed}, pieces {total} -> {total + 9 * first}"
+            f" (lines {len(solve)} -> {len(solve)}, 1 changed)") in out
+
+    # a changed residual check lists the residual's decisions alone
+    (b / "fp.txt").write_text("\n".join(line + ("0" if line == counts[-1] else "") for line in lines))
+    assert compare_reports.main(["--diff", str(tmp_path / "a"), str(b), "--tol", "1e300"]) == 1
+    out = capsys.readouterr().out
+    assert "quadrature decisions changed: 1" in out and "fp.txt: operator.refine (residual)" in out
 
 
 def test_dump_writes_stability_reports_as_the_benchmark_runs_them(tmp_path, monkeypatch):

@@ -21,10 +21,15 @@ line per integrand K (panels accepted whole, panels refined, pieces
 accepted at the depth floor), caught by wrapping ``ndde.criteria.WeightedSweep``;
 ``--diff`` compares them as text, so a changed quadrature decision fails
 it.  Then come the quadrature decisions of the operator: one
-``operator.refine.N = failed pieces`` line per call of its shared
-refinement (intervals that failed the first level, pieces accepted),
-caught by wrapping ``ndde.operator._refine`` and compared as text, so a
-changed refinement of a panel or a drift window fails ``--diff``.  Each
+``operator.refine.CALLER.N = failed pieces`` line per call of its
+shared refinement (intervals that failed the first level, pieces
+accepted), caught by wrapping ``ndde.operator._refine`` and compared as
+text, so a changed refinement of a panel or a drift window fails
+``--diff``.  CALLER is ``iterationK`` for a call of the solve's K-th
+iteration (K counts the candidates its tables read, by wrapping
+``ndde.operator._Tables.state``) or ``residual`` for one of the residual
+check (by wrapping ``ndde.cli.residual``), and N numbers the calls of
+that caller.  Each
 file ends with an ``exit = N`` line.  A stability request also
 writes ``STEM.trajectories.txt``: one ``trajectory.LABEL.sha256 = HEX``
 line per family member, the SHA-256 of the bytes of its nodes, values
@@ -42,10 +47,13 @@ compared by dumping each from its own checkout.
 ``--diff`` prints, for every numeric key, the largest difference between A
 and B and the file where it occurs; then every change of a non-numeric
 value (verdicts, exit codes, convergence) but the quadrature decisions;
-then, per file whose ``sweep.*.counts`` or ``operator.refine.*`` lines
-changed, each side's sums over all of its own lines (accepted, refined and
-floor panels; failed intervals and pieces) and both line counts, so that a
-change in the number of calls alone leaves the sums equal; then every other
+then, per file whose ``sweep.*.counts`` lines, the solve's
+``operator.refine.iteration*`` lines or the residual's
+``operator.refine.residual.*`` lines changed, each side's sums over all of
+its own lines of that kind (accepted, refined and floor panels; failed
+intervals and pieces) and both line counts, so that a change in the
+number of calls alone leaves the sums equal, and a change of the residual
+leaves the solve's decisions unlisted; then every other
 key that only one side's files hold, once per key with the number of
 files; then, as a separate list,
 every argsup that moved, with the sup it locates (an argsup of a sup at
@@ -248,7 +256,8 @@ def dump(out_dir: Path, root: Path) -> int:
     from ndde import cli, criteria, operator
 
     sweeps, refines = [], []
-    made, refine = criteria.WeightedSweep, operator._refine
+    caller = ["iteration", 0]  # the refinements' caller, and the candidates read
+    made, refine, state, residual = criteria.WeightedSweep, operator._refine, operator._Tables.state, cli.residual
 
     def recording(*args, **kwargs):
         sweeps.append(made(*args, **kwargs))
@@ -256,8 +265,20 @@ def dump(out_dir: Path, root: Path) -> int:
 
     def refining(*args, **kwargs):
         pieces = refine(*args, **kwargs)
-        refines.append(f"{len(pieces.passed) - pieces.passed.sum()} {len(pieces.ids)}")
+        label = "residual" if caller[0] == "residual" else f"iteration{caller[1]}"
+        refines.append((label, f"{len(pieces.passed) - pieces.passed.sum()} {len(pieces.ids)}"))
         return pieces
+
+    def reading(self, z):
+        caller[1] += 1
+        return state(self, z)
+
+    def checking(result):
+        caller[0] = "residual"
+        try:
+            return residual(result)
+        finally:
+            caller[0] = "iteration"
 
     run = {
         "check": cli.run_check,
@@ -269,7 +290,9 @@ def dump(out_dir: Path, root: Path) -> int:
         "picard-csv": _with_csv(cli.run_picard),
         "refused": _refused,
     }
-    criteria.WeightedSweep, operator._refine = recording, refining
+    criteria.WeightedSweep, operator._refine, operator._Tables.state, cli.residual = (
+        recording, refining, reading, checking
+    )
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for stem, kind, text, *delta in requests:
@@ -278,6 +301,7 @@ def dump(out_dir: Path, root: Path) -> int:
                 buf = io.StringIO()
                 sweeps.clear()
                 refines.clear()
+                caller[1] = 0
                 with contextlib.redirect_stderr(io.StringIO()):
                     code = run[kind](str(path), *delta, out=buf)
                 # the config path is a temporary name; keep the request's own
@@ -285,12 +309,17 @@ def dump(out_dir: Path, root: Path) -> int:
                 for n, sweep in enumerate(sweeps):
                     for k, row in enumerate(sweep.counts.tolist()):
                         lines.append(f"sweep.{n}.counts.{k} = {' '.join(map(str, row))}")
-                lines += (f"operator.refine.{n} = {counts}" for n, counts in enumerate(refines))
+                calls = Counter()
+                for label, counts in refines:
+                    lines.append(f"operator.refine.{label}.{calls[label]} = {counts}")
+                    calls[label] += 1
                 lines.append(f"exit = {code}")
                 (out_dir / f"{stem}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
                 print(f"{stem}: exit {code}", flush=True)
     finally:
-        criteria.WeightedSweep, operator._refine = made, refine
+        criteria.WeightedSweep, operator._refine, operator._Tables.state, cli.residual = (
+            made, refine, state, residual
+        )
     return 0
 
 
@@ -314,7 +343,8 @@ def _number(text: str) -> float | None:
 # their fields, by the key pattern of their lines
 _DECISIONS = (
     (re.compile(r"sweep\.\d+\.counts\.\d+"), "sweep counts", ("accepted", "refined", "floor")),
-    (re.compile(r"operator\.refine\.\d+"), "operator.refine", ("failed", "pieces")),
+    (re.compile(r"operator\.refine\.iteration\d+\.\d+"), "operator.refine (solve)", ("failed", "pieces")),
+    (re.compile(r"operator\.refine\.residual\.\d+"), "operator.refine (residual)", ("failed", "pieces")),
 )
 
 
