@@ -52,7 +52,8 @@ A request is bound once: :func:`evaluate_criteria` hands its one
 constant (``window_lipschitz``, ``K_estimate``, ``asymptotic_check``,
 ``delta_bounds``), which read t0, tmax and the cumulative tables from it.
 The damped coupling integral of ``asymptotic_check`` is the sweep's
-``nonlinear_tail`` row over k4, and a damping window is two reads of the
+``nonlinear_tail`` row over k4, read at tmax and at the term sum's
+tail-slope sample, and a damping window is two reads of the
 table of g; the coupling windows are one array call of fixed-node panels.
 The text report prints the leaves of the dict report, so each report key is
 written once, in :meth:`CriteriaReport.to_dict`.
@@ -341,7 +342,8 @@ def _node_slopes(
 
 
 def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int):
-    """(estimate, the sweep of the weighted terms behind it)."""
+    """(estimate, the sweep of the weighted terms behind it, the sweep's
+    values at the tail-slope sample)."""
     t0 = bound.t0
     if not tmax > t0:
         raise ValidationError("alpha_estimate needs tmax > t0")
@@ -379,6 +381,13 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int):
     def pointwise_sum(t: float) -> float:
         return sum(fn(t) for fn in fns) + float(sweep.at(t).sum())
 
+    tail = None  # the swept terms at the tail-slope sample, which asymptotic_check reads
+
+    def tail_sum(t: float) -> float:
+        nonlocal tail
+        tail = sweep.at(t)
+        return sum(fn(t) for fn in fns) + float(tail.sum())
+
     def sum_and_slope(t: float) -> tuple[float, float]:
         values, swept = sweep.at_slope(t)
         value = sum(fn(t) for fn in fns) + float(values.sum())
@@ -398,11 +407,11 @@ def _alpha_from_bound(bound: BoundProblem, tmax: float, grid: int):
         form=bound.problem.form,
         alpha=scan.sup,
         argsup=scan.argsup,
-        tail_slope=_tail_slope(pointwise_sum, t0, tmax, float(total[-1])),
+        tail_slope=_tail_slope(tail_sum, t0, tmax, float(total[-1])),
         tmax=tmax,
         grid=grid,
         terms=tuple(stats),
-    ), sweep
+    ), sweep, tail
 
 
 def alpha_estimate(
@@ -517,7 +526,8 @@ class AsymptoticCheck:
 def asymptotic_check(bound: BoundProblem, sweep: WeightedSweep | None = None) -> AsymptoticCheck:
     """Decay diagnostics over [t0, tmax] of the binding, read off ``sweep``
     (a criterion sweep from t0 to tmax; by default a one-term sweep of the
-    ``nonlinear_tail`` row on 4096 nodes) at tmax and at 90% of the horizon.
+    ``nonlinear_tail`` row on 4096 nodes) at tmax and at the tail-slope
+    sample tmax - span / 10, where the term sum's tail slope reads it too.
     """
     b = bound
     t0, tmax, span = b.t0, b.tmax, b.tmax - b.t0
@@ -527,9 +537,16 @@ def asymptotic_check(bound: BoundProblem, sweep: WeightedSweep | None = None) ->
             arrays=[functools.partial(_TAIL.body, b.arrays)], labels=[_TAIL.label],
             kinks=[functools.partial(_TAIL.kinks, b.arrays)],
         )
+    return _asymptotic(b, sweep, sweep.at(tmax - 0.1 * span))
+
+
+def _asymptotic(b: BoundProblem, sweep: WeightedSweep, tail: np.ndarray) -> AsymptoticCheck:
+    """:func:`asymptotic_check` off ``sweep`` and ``tail``, its values at
+    the tail-slope sample tmax - span / 10."""
+    t0, tmax, span = b.t0, b.tmax, b.tmax - b.t0
     k = sweep.labels.index(_TAIL.label)
     a_end = float(sweep.values[k, -1]) / b.k4
-    a_slope = (a_end - sweep.at(t0 + 0.9 * span, k) / b.k4) / (0.1 * span)
+    a_slope = (a_end - float(tail[k]) / b.k4) / (0.1 * span)
 
     g_end, g_decade, g_two = map(b.gexp.cumulative, (tmax, t0 + span / 10, t0 + span / 100))
     inc_last = g_end - g_decade
@@ -801,11 +818,11 @@ def evaluate_criteria(
             " prices unit windows"
         )
     bound = bind(problem, aux, tmax)
-    est, sweep = _alpha_from_bound(bound, tmax, grid)
+    est, sweep, tail = _alpha_from_bound(bound, tmax, grid)
     lip_c = window_lipschitz(bound, "c-term")
     lip_g = window_lipschitz(bound, "g")
     K = K_estimate(bound)
-    asym = asymptotic_check(bound, sweep)
+    asym = _asymptotic(bound, sweep, tail)
 
     if est.alpha < 1.0:
         deltas = delta_bounds(est.alpha, K, eps, bound)

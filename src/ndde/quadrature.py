@@ -9,11 +9,11 @@ point by point, so errors and their texts are the scalar ones.  The recurring sh
 
 * running integrals from a fixed start (CumulativeExponent), tabulated at
   checkpoints that a Lobatto 4 / Kronrod 7 pair places (checkpoint-long
-  panels, in bulk, refined by ``_refine``); a query adds one Kronrod panel
-  from the last checkpoint, refined by the same rule, so exponential damping
-  weights over long horizons cost a lookup and 7 samples, not an adaptive
-  integration.  An array of queries is answered at once: one
-  ``searchsorted`` and one array call for all partial panels;
+  panels, in bulk, refined by ``_refine``); a query reads the running
+  integral of its piece's degree-6 interpolant through the piece's seven
+  samples (Q7), so exponential damping weights over long horizons cost a
+  lookup and a Horner evaluation, not a sample of the integrand.  An array
+  of queries is answered at once by one ``searchsorted``;
 * exponentially weighted integrals  int_a^t exp(G(s) - G(t)) f(s) ds,
   one-shot (weighted_integral) and, for several integrands at once, swept
   along a grid on the same pair's fixed nodes (WeightedSweep), in bulk:
@@ -40,8 +40,8 @@ interval that fails |K7 - L4| is still accepted where K7's own estimate,
 from null rules on the same seven samples, is asymptotic and within its
 tolerance.  Break points at kinks serve the
 criterion sweep only; the cumulative tables and the operator's panels
-refine into their kinks.  Scalar panels go through
-``_lk_nodes``, arrays of them through ``_lk_points``, both through ``_lk_sums``.
+refine into their kinks.  Panels go through ``_lk_points`` and
+``_lk_sums``.
 Adaptive Simpson serves the one-shot ``weighted_integral`` only, on no
 request path.
 """
@@ -50,8 +50,6 @@ from __future__ import annotations
 
 import math
 import threading
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -189,7 +187,7 @@ def window_integral(
 # understate it (break points serve there).  Both rules sample the panel
 # ends, so a kink close to an end cannot hide between the nodes, and panels
 # that share an end share its sample.  Nodes and weights are listed ends
-# first and the centre last, the order of ``_lk_nodes``.
+# first and the centre last, the order of ``_lk_points``.
 _LK_X = np.array([-1.0, 1.0, -math.sqrt(2.0 / 3.0), math.sqrt(2.0 / 3.0),
                   -1.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0), 0.0])
 _K7_W = np.array([77.0, 77.0, 432.0, 432.0, 625.0, 625.0, 672.0]) / 1470.0
@@ -198,28 +196,45 @@ _LK_XS = _LK_X.tolist()
 _K7_WS = _K7_W[::2].tolist()
 
 
-def _half_rule(nodes: list[float]) -> list[float]:
-    """Weights of int_{-1}^0 of the polynomial interpolant through ``nodes``:
-    each Lagrange basis polynomial, built a factor at a time in rising
-    powers, integrated term by term.  Elementwise, as ``_null_rules``."""
-    weights = []
+def _running_rule(nodes: list[float]) -> list[list[float]]:
+    """Q_k(x) = int_{-1}^x L_k for each Lagrange basis polynomial L_k of
+    ``nodes``, its coefficients in rising powers of x: L_k built a factor at
+    a time, integrated term by term.  Elementwise, as ``_null_rules``."""
+    rows = []
     for k, xk in enumerate(nodes):
         c = [1.0]
         for xm in nodes[:k] + nodes[k + 1 :]:
             c = [(lo - xm * hi) / (xk - xm) for lo, hi in zip([0.0, *c], [*c, 0.0])]
-        weights.append(math.fsum(ci * (-1) ** i / (i + 1) for i, ci in enumerate(c)))
-    return weights
+        q = [ci / (i + 1) for i, ci in enumerate(c)]  # of x^(i + 1)
+        rows.append([math.fsum(qi * (-1) ** i for i, qi in enumerate(q)), *q])
+    return rows
 
 
-# The half-panel rules on the pair's nodes: H7 integrates over the left half
-# [-1, 0] the degree-6 interpolant through all seven nodes, H5 the degree-4
-# one through the ends, +-1/sqrt(5) and the centre (weight 0 at
-# +-sqrt(2/3)).  |H7 - H5| estimates H5's error and stands in for H7's, as
-# |K7 - L4| does for K7.  A symmetric pair's two H7 weights add up to its
-# K7 weight.
-_H7_W = np.array(_half_rule(_LK_XS))
-_H5_W = np.zeros(7)
-_H5_W[[0, 1, 4, 5, 6]] = _half_rule([_LK_XS[i] for i in (0, 1, 4, 5, 6)])
+def _over_one_plus_x(q: list[float]) -> list[float]:
+    """The coefficients of Q(x) / (1 + x), rising powers, for a Q of rising
+    coefficients q with Q(-1) = 0: synthetic division at -1."""
+    r = [q[-1]]
+    for qj in q[-2:0:-1]:
+        r.append(qj - r[-1])
+    return r[::-1]
+
+
+# The running rules on the pair's nodes, one column a node, rows the rising
+# powers of x: Q7 integrates from -1 to x the degree-6 interpolant through
+# all seven nodes, Q5 the degree-4 one through the ends, +-1/sqrt(5) and the
+# centre (zero columns at +-sqrt(2/3)).  At x = 1 they are K7 and L4, at
+# x = 0 the half-panel rules H7 and H5: |H7 - H5| estimates H5's error and
+# stands in for H7's, as |K7 - L4| does for K7, and a symmetric pair's two
+# H7 weights add up to its K7 weight.  ``_R7`` is Q7 over 1 + x, which a
+# cumulative table keeps a piece (see CumulativeExponent).
+_Q7 = np.array(_running_rule(_LK_XS)).T
+_Q5 = np.zeros((8, 7))
+_Q5[:6, [0, 1, 4, 5, 6]] = np.array(_running_rule([_LK_XS[i] for i in (0, 1, 4, 5, 6)])).T
+_R7 = np.array([_over_one_plus_x(q) for q in _Q7.T.tolist()]).T
+_H7_W, _H5_W = _Q7[0], _Q5[0]
+# where d/dx of Q7 - Q5, the interpolants' difference, vanishes whatever the
+# samples: the nodes of the degree-4 one inside (-1, 1], and the end 1
+_Q_EXTREMA = np.array([-_LK_XS[5], 0.0, _LK_XS[5], 1.0])[:, None]
 
 
 def _null_rules() -> np.ndarray:
@@ -259,7 +274,7 @@ _NULL_GAIN = 10.0 * _R_CRIT ** (1 - 2)  # K r_crit^(1 - a), times r^2 E1
 
 def _null_rule_passes(h: np.ndarray, samples: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Where K7's own error estimate on the intervals of half-width h, from
-    their (7, m) samples at the ``_lk_nodes``, is asymptotic and within tol."""
+    their (7, m) samples at the ``_lk_points``, is asymptotic and within tol."""
     with np.errstate(all="ignore"):
         # einsum's own loop: a first BLAS call costs 0.4 MB of resident memory
         nulls = h * np.einsum("ij,jk->ik", _NULL, samples)
@@ -287,25 +302,16 @@ _CHUNK = 256
 _LEFT_TO_RIGHT = [0, 2, 4, 6, 5, 3, 1]
 
 
-def _lk_nodes(a, b):
-    """Half-width and the pair's nodes on [a, b], floats or arrays alike, in
-    the order a, b, c -+ sqrt(2/3) h, c -+ h/sqrt(5), c (the midpoint last)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x1 = h * _LK_XS[3]  # sqrt(2/3) half-widths
-    x2 = h * _LK_XS[5]  # 1/sqrt(5) half-widths
-    return h, (a, b, c - x1, c + x1, c - x2, c + x2, c)
-
-
 def _lk_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (7, n) ``_lk_nodes`` of the intervals [a, b], in one broadcast."""
+    """The pair's (7, n) nodes on the intervals [a, b], in one broadcast, in
+    the order a, b, c -+ sqrt(2/3) h, c -+ h/sqrt(5), c (the midpoint last)."""
     x = 0.5 * (a + b) + 0.5 * (b - a) * _LK_X[:, None]
     x[0], x[1] = a, b
     return x
 
 
 def _lk_sums(h, fa, fb, f1m, f1p, f2m, f2p, f0):
-    """K7 value and |K7 - L4| from the samples at the ``_lk_nodes``."""
+    """K7 value and |K7 - L4| from the samples at the ``_lk_points``."""
     ends = fa + fb
     f1 = f1m + f1p
     f2 = f2m + f2p
@@ -320,15 +326,15 @@ def _lk_sums(h, fa, fb, f1m, f1p, f2m, f2p, f0):
 _SMALL = 64
 
 
-def _bulk(fa: Callable[..., np.ndarray] | None, f: Callable[..., float], *columns: np.ndarray):
+def _bulk(fa: Callable[..., np.ndarray] | None, f: Callable[..., float], *columns: np.ndarray, small: int = _SMALL):
     """f over equally shaped arrays of arguments, by its array form fa in one call.
 
-    Where fa is None, the arrays have at most ``_SMALL`` elements, or fa
+    Where fa is None, the arrays have at most ``small`` elements, or fa
     raises or gives a non-finite value, f runs point by point in the
     arrays' order instead, so that the scalar form's error (or value) stands.
     """
     x = columns[0]
-    if fa is not None and x.size > _SMALL:
+    if fa is not None and x.size > small:
         try:
             with np.errstate(all="ignore"):
                 out = np.asarray(fa(*columns), dtype=float)
@@ -343,13 +349,16 @@ def _bulk(fa: Callable[..., np.ndarray] | None, f: Callable[..., float], *column
 
 class _Pieces(NamedTuple):
     """The pieces :func:`_refine` accepted, by interval ``ids`` and left to
-    right, which intervals ``passed`` whole, which pieces at the ``floor``."""
+    right, which intervals ``passed`` whole, which pieces at the ``floor``;
+    with a ``smooth`` test, each piece's ``samples`` at its ``_lk_points``
+    (a column a piece; none without)."""
 
     ids: np.ndarray
     right: np.ndarray
     value: np.ndarray
     passed: np.ndarray
     floor: np.ndarray
+    samples: np.ndarray = np.zeros((7, 0))
 
     def totals(self) -> np.ndarray:
         """Each interval's sum over its pieces, left to right from 0.0."""
@@ -381,17 +390,20 @@ def _sampled(sample, x, ids) -> np.ndarray:
     return y.reshape(x.shape)
 
 
-def _refine(sample, a, b, tol, first=None) -> _Pieces:
+def _refine(sample, a, b, tol, first=None, smooth=None) -> _Pieces:
     """int over each interval [a_i, b_i] by the Lobatto 4 / Kronrod 7 pair.
 
     ``sample(x, ids)`` gives the integrand at the points x, a 1-d array, of
     the intervals ``ids`` (one a point); ``first``, when given, holds the
-    samples at the intervals' seven ``_lk_nodes``.  K7 is accepted where
+    samples at the intervals' seven ``_lk_points``.  K7 is accepted where
     |K7 - L4| is within the interval's ``tol``, or within the piece's
     rounding noise (``_ROUNDING`` times its K7 sum of |f|), or, at the first
     level and only with ``first`` given, where K7's own estimate from its
     null rules is asymptotic and within ``tol`` (``_null_rule_passes``;
-    such an interval counts as ``passed``).  The rest are
+    such an interval counts as ``passed``).  With ``smooth``, a piece so
+    accepted must also pass ``smooth(h, samples)``, the caller's own test
+    on its half-width and (7, m) samples, and the accepted pieces carry
+    their samples out.  The rest are
     split together into 2^d equal pieces each, the tolerance split by
     width.  L4's error falls like h^7 while each halving halves the
     tolerance, so a piece whose estimate is r times its tolerance takes
@@ -402,7 +414,8 @@ def _refine(sample, a, b, tol, first=None) -> _Pieces:
     call as the pieces' inner nodes, one call a level.  A piece is halved
     at most ``_HALVINGS`` times (a split of 2^d counting d), and after the
     last accepted (as a ``floor`` piece) where |K7 - L4| is within
-    ``_DEPTH_FLOOR``.  Where a level's splits would make more than
+    ``_DEPTH_FLOOR``, whether it passes ``smooth`` or not.  Where a level's
+    splits would make more than
     ``_MAX_PANELS`` pieces, every failing piece is halved instead.  A
     non-finite sample, a piece over the floor, or more than ``_MAX_PANELS``
     pieces to halve raise a QuadratureError that carries the number of the
@@ -416,6 +429,7 @@ def _refine(sample, a, b, tol, first=None) -> _Pieces:
         first = _sampled(sample, _lk_points(a, b), ids)
     fa, fb, *inner = first
     done = []  # per level: ids, left, right, value, floor of the accepted pieces
+    kept = []  # per level, with ``smooth``: their samples
     for level in range(_HALVINGS + 1):
         if level:  # the pieces' inner nodes, then their new ends
             x = _lk_points(lo, hi)[2:]
@@ -429,13 +443,17 @@ def _refine(sample, a, b, tol, first=None) -> _Pieces:
                 k = np.flatnonzero(fails)
                 noise = _lk_sums(0.5 * (hi[k] - lo[k]), *(np.abs(f[k]) for f in (fa, fb, *inner)))[0]
                 fails[k] = ~(error[k] <= _ROUNDING * noise)
+        if level == 0 and given and fails.any():  # K7's own estimate, from the given samples
+            k = np.flatnonzero(fails)
+            fails[k] = ~_null_rule_passes(0.5 * (b[k] - a[k]), first[:, k], tol[k])
+        if smooth is not None:
+            rows = np.vstack((fa, fb, inner))
+            k = np.flatnonzero(~fails)
+            fails[k] = ~smooth(0.5 * (hi[k] - lo[k]), rows[:, k])
         if level == 0:
-            if given and fails.any():  # K7's own estimate, from the given samples
-                k = np.flatnonzero(fails)
-                fails[k] = ~_null_rule_passes(0.5 * (b[k] - a[k]), first[:, k], tol[k])
             passed = ~fails
             if passed.all():
-                return _Pieces(ids, hi, value, passed, fails)
+                return _Pieces(ids, hi, value, passed, fails, *([] if smooth is None else [rows]))
             if not np.isfinite(error).all():  # raises at a non-finite given sample
                 _sampled(lambda *_: first.ravel(), _lk_points(a, b), ids)
         last = depth == _HALVINGS
@@ -448,6 +466,8 @@ def _refine(sample, a, b, tol, first=None) -> _Pieces:
             )
         keep = ~fails | last  # at the last halving all passed the floor
         done.append((ids[keep], lo[keep], hi[keep], value[keep], fails[keep]))
+        if smooth is not None:
+            kept.append(rows[:, keep])
         if keep.all():
             break
         k = np.flatnonzero(~keep)
@@ -489,7 +509,8 @@ def _refine(sample, a, b, tol, first=None) -> _Pieces:
             tol[-2 * len(s) :] *= 0.5
     ids, left, right, value, floor = (np.concatenate(col) for col in zip(*done))
     order = np.lexsort((left, ids))
-    return _Pieces(ids[order], right[order], value[order], passed, floor[order])
+    rows = [] if smooth is None else [np.concatenate(kept, axis=1)[:, order]]
+    return _Pieces(ids[order], right[order], value[order], passed, floor[order], *rows)
 
 
 def _kronrod_panels(f, f_array, a: np.ndarray, b: np.ndarray, tol: float) -> _Pieces:
@@ -522,28 +543,61 @@ def _advance(decay: np.ndarray, panels: np.ndarray) -> np.ndarray:
 _MAX_TABLE_PANELS = 1 << 22  # checkpoint-long panels a cumulative table may span; the presets need 1e4
 
 
+def _running_error(h: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """h sup_x |int_{-1}^x (p6 - p4)| over [-1, 1] for the pieces of
+    half-width h with (7, m) samples at the ``_lk_points``, p6 and p4 the
+    interpolants that Q7 and Q5 integrate.  p6 - p4 vanishes at p4's five
+    nodes, so it is w(x) (7 e7 x + 6 e6), w their monic node polynomial and
+    e the running integral's coefficients: the integral peaks at p4's
+    nodes inside (-1, 1], at 1, or at the root of that linear factor."""
+    e = np.einsum("jk,km->jm", _Q7 - _Q5, samples)  # einsum's own loop, not BLAS
+    with np.errstate(all="ignore"):
+        root = -6.0 * e[6] / (7.0 * e[7])
+    x = np.vstack((np.broadcast_to(_Q_EXTREMA, (4, len(h))), np.where(np.abs(root) < 1.0, root, 1.0)))
+    acc = e[7] * x + e[6]
+    for j in range(5, -1, -1):
+        acc = acc * x + e[j]
+    return h * np.abs(acc).max(axis=0)
+
+
 class CumulativeExponent:
     """Running integral G(t) = int_start^t f, tabulated at checkpoints.
 
     The table covers [start, t] for the largest t queried so far, in batches
     of up to ``_CHUNK`` ``checkpoint``-long panels, sampled in one call of
-    ``f_array`` (f's array form; without it, f point by point).  A panel is
-    integrated by the Lobatto 4 / Kronrod 7 pair when the embedded error
-    estimate |K7 - L4| is at most ``tol_per_unit``, and refined by
-    ``_refine`` where it is not: split into the 2^d equal pieces its
-    estimate predicts, a level at a time, the tolerance split by width.  Every
-    accepted piece's end becomes a checkpoint, so the table is finest where
-    f is least smooth; a batch that fails is redone panel by panel.  A query
-    finds its checkpoint by bisection and integrates the partial panel from
-    it by the same rule, so it costs a lookup and 7 samples of f when f is
-    smooth there; a query at a checkpoint returns the table entry.
+    ``f_array`` (f's array form, whatever the number of points, so that a
+    point's sample does not depend on its batch; without it, f point by
+    point).  A panel is integrated by the Lobatto 4 / Kronrod 7 pair and
+    refined by ``_refine`` where its piece fails: split into the 2^d equal
+    pieces its estimate predicts, a level at a time, the tolerance split by
+    width.  A piece passes where |K7 - L4| is within its tolerance and where
+    the running integral of its interpolant is too (below).  Every accepted
+    piece's end becomes a checkpoint, so the table is finest where f is
+    least smooth; a batch that fails is redone panel by panel.  Each
+    checkpoint panel is refined on its own and the running sum adds left to
+    right, so the table does not depend on how its queries chunked it
+    (unless a level's splits of a batch pass ``_MAX_PANELS``, when
+    ``_refine`` halves them all).
 
-    ``cumulative`` also takes an array of queries.  It then finds every
-    checkpoint by ``searchsorted`` and samples the partial panels of all
-    queries in one call of ``f_array``, refining the failing ones together.
-    Up to ``_SMALL`` queries, or when the array call raises, or a query is
-    non-finite or below the start, the queries run one by one in order (so
-    an error is the scalar one).
+    Query rule: a piece [a, a + 2h] keeps the degree-6 interpolant p6
+    through its seven samples (K7 is the rule that integrates it), and a
+    query at t = a + h (1 + x) returns G(a) + h int_{-1}^x p6 from its
+    running rule Q7, stored as the seven coefficients of
+    h int_{-1}^x p6 / (1 + x) (``_R7``).  A query costs a bisection and a
+    Horner evaluation and takes no sample of f; a query at a checkpoint
+    returns the table entry.  The estimate: a piece is accepted only where
+    h sup_x |int_{-1}^x (p6 - p4)| (``_running_error``; p4 the degree-4
+    interpolant through the ends, +-1/sqrt(5) and the centre) is within
+    ``tol_per_unit`` or the rounding noise of its K7 sum of |f|, and split
+    otherwise.  A piece accepted at the depth floor that fails it keeps no
+    interpolant: a query in it integrates its partial panel from the
+    checkpoint by the pair, refined by the same rule, and counts in
+    ``_fallbacks``.
+
+    ``cumulative`` also takes an array of queries, answered at once by
+    ``searchsorted``, bit for bit as one by one.  Where the array call
+    raises, or a query is non-finite or below the start, the queries run
+    one by one in order (so an error is the scalar one).
     With a ``name``, an error of the table or of a query is re-raised as a
     QuadratureError that names it and the query t.  A query that would
     stretch the table past ``_MAX_TABLE_PANELS`` checkpoint panels is
@@ -572,13 +626,48 @@ class CumulativeExponent:
         self.start = float(start)
         self.checkpoint = float(checkpoint)
         self.tol_per_unit = float(tol_per_unit)
-        # checkpoints and G at them; values grow first, so a reader that
-        # finds a node always finds its value
-        self._nodes = array("d", [self.start])
-        self._values = array("d", [0.0])
+        # checkpoints, G at them and each piece's coefficients (a row a
+        # piece, by its left checkpoint), in arrays grown by doubling.  The
+        # first ``_size`` nodes are published; a node is published after its
+        # value and its piece, so a reader that finds a node finds both
+        self._node_buf = np.full(64, self.start)
+        self._value_buf = np.zeros(64)
+        self._coef_buf = np.zeros((64, 7))
+        self._size = 1
         self._panels = 0  # checkpoint-long panels tabulated
         self._end = self.start + _MAX_TABLE_PANELS * self.checkpoint  # the farthest it may reach
         self._lock = threading.Lock()
+        self._fallbacks = 0  # queries answered by the pair, not by an interpolant
+
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The published nodes, values and piece coefficients."""
+        n = self._size  # read first: every entry below it is written
+        return self._node_buf[:n], self._value_buf[:n], self._coef_buf[: n - 1]
+
+    @property
+    def _nodes(self) -> np.ndarray:
+        return self._table()[0]
+
+    @property
+    def _values(self) -> np.ndarray:
+        return self._table()[1]
+
+    def _sample(self, x: np.ndarray, ids=None) -> np.ndarray:
+        return _bulk(self.f_array, self.f, x, small=0)
+
+    def _smooth(self, h: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Where a piece's interpolant passes its estimate (see the class)."""
+        error = _running_error(h, samples)
+        ok = error <= self.tol_per_unit
+        k = np.flatnonzero(~ok)
+        if len(k):
+            noise = _lk_sums(h[k], *np.abs(samples[:, k]))[0]
+            ok[k] = error[k] <= _ROUNDING * noise
+        return ok
+
+    def _pair(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """int f over each [a_j, b_j] by the pair, refined (no interpolant)."""
+        return _refine(self._sample, a, b, self.tol_per_unit).totals()
 
     def _extend(self, t: float) -> None:
         if not t <= self._end:
@@ -587,7 +676,7 @@ class CumulativeExponent:
                 f" panels of width {self.checkpoint!r}"
             )
         with self._lock:
-            while self._nodes[-1] < t:
+            while self._node_buf[self._size - 1] < t:
                 i = self._panels
                 n = min(_CHUNK, max(1, math.ceil((t - self.start) / self.checkpoint) - i))
                 edges = self.start + np.arange(i, i + n + 1) * self.checkpoint
@@ -599,11 +688,26 @@ class CumulativeExponent:
 
     def _append(self, edges: np.ndarray) -> None:
         """Tabulate the panels between ``edges``, or raise and change nothing."""
-        pieces = _kronrod_panels(self.f, self.f_array, edges[:-1], edges[1:], self.tol_per_unit)
+        pieces = _refine(self._sample, edges[:-1], edges[1:], self.tol_per_unit, smooth=self._smooth)
+        h = 0.5 * (pieces.right - np.concatenate((edges[:1], pieces.right[:-1])))
+        coefs = (h * np.einsum("jk,km->jm", _R7, pieces.samples)).T
+        floor = np.flatnonzero(pieces.floor)
+        if len(floor):  # NaN marks a piece whose queries take the pair
+            coefs[floor[~self._smooth(h[floor], pieces.samples[:, floor])]] = math.nan
+        n, m = self._size, len(h)
         # a running sum left to right, as one piece at a time would give it
-        sums = np.cumsum(np.concatenate(([self._values[-1]], pieces.value)))[1:]
-        self._values.extend(sums.tolist())
-        self._nodes.extend(pieces.right.tolist())
+        sums = np.cumsum(np.concatenate((self._value_buf[n - 1 : n], pieces.value)))[1:]
+        if n + m > len(self._node_buf):  # readers keep the old arrays they hold
+            size = max(2 * len(self._node_buf), n + m)
+            for name in ("_value_buf", "_coef_buf", "_node_buf"):
+                old = getattr(self, name)
+                grown = np.empty((size, *old.shape[1:]))
+                grown[:n] = old[:n]
+                setattr(self, name, grown)
+        self._value_buf[n : n + m] = sums
+        self._coef_buf[n - 1 : n - 1 + m] = coefs
+        self._node_buf[n : n + m] = pieces.right
+        self._size = n + m
         self._panels += len(edges) - 1
 
     def cumulative(self, t):
@@ -611,26 +715,32 @@ class CumulativeExponent:
         if isinstance(t, np.ndarray):
             return self._cumulative_many(t)
         try:
-            if t < self.start:
+            if not t >= self.start:
+                if t != t:
+                    raise QuadratureError(f"cumulative query at t={t!r} is not a number")
                 if t < self.start - 1e-9 * max(1.0, abs(self.start)):
                     raise QuadratureError(
                         f"cumulative query at t={t!r} below start {self.start!r}"
                     )
                 t = self.start
-            nodes = self._nodes
-            if t > nodes[-1]:
+            if t > self._node_buf[self._size - 1]:
                 self._extend(t)
-            i = bisect_right(nodes, t) - 1
-            base = nodes[i]
+            nodes, values, coefs = self._table()
+            i = int(nodes.searchsorted(t, side="right")) - 1
+            base = float(nodes[i])
             if t == base:
-                return self._values[i]
-            h, xs = _lk_nodes(base, t)
-            value, error = _lk_sums(h, *map(self.f, xs))
-            if not error <= self.tol_per_unit:  # NaN too: the refinement raises
-                value = float(_kronrod_panels(
-                    self.f, self.f_array, np.array([base]), np.array([t]), self.tol_per_unit
-                ).totals()[0])
-            return self._values[i] + value
+                return float(values[i])
+            u = (t - base) / (0.5 * (float(nodes[i + 1]) - base))
+            x = u - 1.0
+            *rest, part = coefs[i].tolist()
+            for c in reversed(rest):  # Horner, as _queries runs it
+                part = part * x + c
+            part = u * part
+            if part != part:
+                with self._lock:
+                    self._fallbacks += 1
+                part = float(self._pair(nodes[i : i + 1], np.array([t]))[0])
+            return float(values[i] + part)
         except (NddeError, ArithmeticError) as err:
             if self.name is None:
                 raise
@@ -642,31 +752,37 @@ class CumulativeExponent:
         outside = (flat < low) | (flat > self._end)
         if outside.any() and flat[outside.argmax()] > self._end:  # refused before any is tabulated
             return self.cumulative(float(flat[outside.argmax()]))
-        if len(flat) > _SMALL and np.isfinite(flat).all() and not outside.any():
-            t = np.maximum(flat, self.start)
-            # in chunks (the interior nodes of one sweep chunk) to bound
-            # the size of the sample arrays
-            size = 5 * _CHUNK
+        if len(flat) and np.isfinite(flat).all() and not outside.any():
             try:
-                pieces = [self._queries(t[i : i + size]) for i in range(0, len(t), size)]
-                return np.concatenate(pieces).reshape(ts.shape)
+                return self._queries(np.maximum(flat, self.start)).reshape(ts.shape)
             except (NddeError, ArithmeticError):
                 pass  # the scalar queries below raise the first one's error
         return np.array([self.cumulative(t) for t in flat.tolist()]).reshape(ts.shape)
 
     def _queries(self, t: np.ndarray) -> np.ndarray:
         top = float(t.max())
-        if top > self._nodes[-1]:
+        if top > self._node_buf[self._size - 1]:
             self._extend(top)
-        # copies: the table may grow under another reader; values grow first
-        nodes, values = np.array(self._nodes), np.array(self._values)
-        i = np.searchsorted(nodes, t, side="right") - 1
+        nodes, values, coefs = self._table()
+        i = nodes.searchsorted(t, side="right") - 1
         out = values[i]
-        part = t > nodes[i]
-        if part.any():
-            out[part] += _kronrod_panels(
-                self.f, self.f_array, nodes[i[part]], t[part], self.tol_per_unit
-            ).totals()
+        k = np.flatnonzero(t > nodes[i])
+        if len(k):
+            j = i[k]
+            base = nodes[j]
+            u = (t[k] - base) / (0.5 * (nodes[j + 1] - base))
+            x = u - 1.0
+            c = coefs[j]
+            part = c[:, 6]
+            for r in range(5, -1, -1):
+                part = part * x + c[:, r]
+            part = u * part
+            slow = np.flatnonzero(np.isnan(part))
+            if len(slow):
+                with self._lock:
+                    self._fallbacks += len(slow)
+                part[slow] = self._pair(base[slow], t[k[slow]])
+            out[k] += part
         return out
 
     def weight(self, s: float, t: float) -> float:

@@ -338,3 +338,126 @@ def test_bulk_lipschitz_checks_fail_as_the_loop_would(G, F):
     with pytest.raises((ValidationError, DomainError)) as err:
         problem.validate(tmax=10.0)
     assert str(err.value) == expected
+
+
+def _section4():
+    from ndde.config import loads
+    from ndde.presets import preset_text
+
+    return loads(preset_text("section4"))
+
+
+def test_section4_tables_match_their_closed_forms():
+    # G = int_0^t g and D = int_0^t |g - p'/p| of section4's pair, at 10^4
+    # random points, as an array and one by one: within 1e-12 of the
+    # closed forms, and the two answers bit for bit the same
+    cfg = _section4()
+    b = bind(cfg.problem, cfg.aux, 1e4)
+    assert b.gexp.start == b.drift_cum.start == 0.0
+    ts = np.random.default_rng(43).uniform(0.0, 1e4, 10_000)
+    G = 0.1 * np.log((ts + 0.1) / 0.1)
+    for table, exact in ((b.gexp, G), (b.drift_cum, G + np.log((ts + 0.2) / 0.2))):
+        got = table.cumulative(ts)
+        assert np.abs(got - exact).max() <= 1e-12
+        assert got.tolist() == [table.cumulative(t) for t in ts.tolist()]
+        assert table._fallbacks == 0
+
+
+def test_bindings_of_one_pair_share_its_tables(monkeypatch):
+    # the tables are keyed by the code of the expressions they read and by
+    # start, t0 and checkpoint: another problem with the same (p, g) shares
+    # both, another checkpoint or g shares none
+    from ndde import model
+
+    cfg = _section4()
+    first = bind(cfg.problem, cfg.aux, 200.0)
+    again = bind(_linear_problem(), _aux(), 50.0)
+    assert again.gexp is first.gexp and again.drift_cum is first.drift_cum
+    assert bind(cfg.problem, cfg.aux, 200.0, checkpoint=0.5).gexp is not first.gexp
+    other = AuxiliarySpec(p=parse_expression("1/(t + 0.2)"), g=parse_expression("0.2/(t + 0.1)"))
+    fresh = bind(cfg.problem, other, 200.0)
+    assert fresh.gexp is not first.gexp and fresh.drift_cum is not first.drift_cum
+    assert len(model._tables) == 6
+
+    # a full cache starts over, and what it gives stays the same
+    from ndde.criteria import evaluate_criteria
+
+    expected = evaluate_criteria(cfg.problem, cfg.aux, tmax=50.0, grid=128).to_text()
+    monkeypatch.setattr(model, "_tables", {})
+    monkeypatch.setattr(model, "_TABLE_LIMIT", 2)
+    for _ in range(2):
+        assert evaluate_criteria(cfg.problem, cfg.aux, tmax=50.0, grid=128).to_text() == expected
+        assert len(model._tables) == 2
+        b = bind(cfg.problem, other, 30.0)
+        assert list(model._tables.values()) == [b.gexp, b.drift_cum]
+    # and so does one whose tables hold more than its pieces
+    monkeypatch.setattr(model, "_TABLE_LIMIT", 16)
+    monkeypatch.setattr(model, "_TABLE_PIECES", 100)
+    b.gexp.cumulative(300.0)
+    again = bind(cfg.problem, cfg.aux, 30.0)
+    assert list(model._tables.values()) == [again.gexp, again.drift_cum]
+
+
+def test_bindings_that_miss_together_share_one_table():
+    # more threads than cores bind one pair at once, switching often: the
+    # cache's lock hands them all the same two tables
+    import sys
+    import threading
+
+    cfg = _section4()
+    found = []
+
+    def binds():
+        b = bind(cfg.problem, cfg.aux, 20.0)
+        found.append((b.gexp, b.drift_cum))
+
+    threads = [threading.Thread(target=binds) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(found) == 6 and len({id(table) for pair in found for table in pair}) == 2
+
+
+def test_certify_reports_do_not_depend_on_the_order_of_requests(workloads):
+    # the seed-1 certify deck in two orders in one process, after the preset
+    # warm-up has stretched the shared tables to tmax 1e4, prints the
+    # reports that a fresh process prints for each request alone
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    deck = workloads.certify_deck(1).requests
+    code = """
+import sys
+from ndde.config import loads
+from ndde.criteria import evaluate_criteria
+from ndde.presets import preset_text
+texts = sys.stdin.read().split("\\f")
+for text in texts:
+    cfg = loads(text)
+    report = evaluate_criteria(cfg.problem, cfg.aux, tmax=cfg.tmax, grid=cfg.grid, eps=cfg.eps)
+    print(report.to_text(), end="\\f")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def run(texts):
+        done = subprocess.run([sys.executable, "-c", code], input="\f".join(texts), env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        return done.stdout.split("\f")[:-1]
+
+    texts = [request.text for request in deck]
+    from ndde.presets import preset_text
+
+    fresh = [run([text])[0] for text in texts]
+    both = run([preset_text("section4"), *texts, *texts[::-1]])
+    assert both[1 : 1 + len(texts)] == fresh and both[1 + len(texts) :] == fresh[::-1]

@@ -179,13 +179,13 @@ def test_cumulative_fallback_on_kinked_partial_panel():
         t = c + rng.uniform(0.2, 0.8) * (end - c)
         calls[0] = 0
         assert gexp.cumulative(t) == pytest.approx(exact(t), abs=1e-11)
-        # the table halved far below 1/1024 around the kink, so the partial
-        # panel across it is narrow enough for its 7 samples
-        assert base < c < end and end - base < 2.0**-20 and calls[0] == 7
+        # the table halved far below 1/1024 around the kink, so the piece
+        # across it is narrow enough for its interpolant: no query samples f
+        assert base < c < end and end - base < 2.0**-20 and calls[0] == 0
         calls[0] = 0
         smooth = c - rng.uniform(1.0, 2.5)
         assert gexp.cumulative(smooth) == pytest.approx(exact(smooth), abs=1e-11)
-        assert calls[0] == 7
+        assert calls[0] == 0
 
 
 def test_cumulative_sees_kinks_near_panel_ends():
@@ -307,7 +307,7 @@ def test_refinement_splits_to_the_depth_its_estimate_predicts(monkeypatch):
     # failing by less than 64 times, a piece is halved: the pieces are
     # those of halving, bit for bit, at the same calls
     a = np.array([0.0, 1.0])
-    errors = [quadrature._lk_sums(h, *np.exp(x))[1] for h, x in (quadrature._lk_nodes(u, u + 1.0) for u in a)]
+    errors = quadrature._lk_sums(0.5, *np.exp(quadrature._lk_points(a, a + 1.0)))[1]
     tol = max(errors) / 40.0
     pieces, calls = _refined(monkeypatch, np.exp, a, a + 1.0, tol)
     halved, halving = _refined(monkeypatch, np.exp, a, a + 1.0, tol, split=1)
@@ -948,3 +948,137 @@ print(time.perf_counter() - start < 5.0)
     assert named == f"cumulative g at t=3000000.0: the table over [0.0, 3000000.0] needs over {budget} panels of width 0.5"
     assert fast == "True"
     assert budget == 1 << 22
+
+
+def test_running_rules_are_the_pair_and_the_half_panel_rules():
+    # Q7 and Q5 at x = 1 are K7 and L4, at x = 0 the half-panel rules; a
+    # piece's coefficients R7 times 1 + x give Q7 back; and the running
+    # error is the sup of |int (p6 - p4)| that a dense scan finds
+    q7, q5 = quadrature._Q7, quadrature._Q5
+    assert np.abs(q7.sum(axis=0) - quadrature._K7_W).max() <= 1e-15
+    assert np.abs(q5.sum(axis=0) - quadrature._L4_W).max() <= 1e-15
+    assert (q7[0] == quadrature._H7_W).all() and (q5[0] == quadrature._H5_W).all()
+    x = np.linspace(-1.0, 1.0, 2001)
+    powers = x ** np.arange(8)[:, None]
+    r7 = (1.0 + x)[:, None] * ((x ** np.arange(7)[:, None]).T @ quadrature._R7)
+    assert np.abs(r7 - powers.T @ q7).max() <= 1e-15
+    rng = np.random.default_rng(5)
+    samples = rng.normal(size=(7, 50))
+    h = rng.uniform(0.1, 2.0, 50)
+    dense = h * np.abs(powers.T @ (q7 - q5) @ samples).max(axis=0)
+    got = quadrature._running_error(h, samples)
+    assert (got >= dense * (1.0 - 1e-14)).all() and (got <= dense * (1.0 + 1e-5)).all()
+
+
+def test_cumulative_tables_do_not_depend_on_their_chunking():
+    # one table tabulated by one query, one by scalar queries that step
+    # ahead a little at a time, one by array queries of random sizes:
+    # their nodes, values and piece coefficients are the same bytes, and
+    # so are their answers, scalar or array.  (math.exp and np.exp differ
+    # in the last bit at some points, so a point's sample must not depend
+    # on the size of its batch)
+    cases = [
+        (lambda t: 0.1 / (t + 0.1), lambda t: 0.1 / (t + 0.1)),
+        (lambda t: 0.5 + 0.4 * math.exp(-0.01 * t) * math.sin(t) + abs(t - 7.3),
+         lambda t: 0.5 + 0.4 * np.exp(-0.01 * t) * np.sin(t) + np.abs(t - 7.3)),
+    ]
+    rng = np.random.default_rng(17)
+    for f, f_array in cases:
+        tables = [CumulativeExponent(f, 0.0, f_array=f_array) for _ in range(3)]
+        tables[0].cumulative(300.0)
+        t = 0.0
+        while t < 300.0:
+            t = min(300.0, t + rng.uniform(0.0, 3.0))
+            tables[1].cumulative(t)
+        t = 0.0
+        while t < 300.0:
+            t = min(300.0, t + rng.uniform(0.0, 400.0))
+            tables[2].cumulative(rng.uniform(0.0, t, rng.integers(1, 3000)))
+            tables[2].cumulative(np.array([t]))
+        first = [a.tobytes() for a in tables[0]._table()]
+        for table in tables[1:]:
+            assert [a.tobytes() for a in table._table()] == first
+        queries = rng.uniform(0.0, 300.0, 2000)
+        bulk = tables[1].cumulative(queries)
+        assert bulk.tobytes() == tables[2].cumulative(queries).tobytes()
+        assert bulk.tolist() == [tables[0].cumulative(float(t)) for t in queries]
+
+
+def test_cumulative_readers_while_another_thread_extends():
+    # values and coefficients grow before nodes: when the table publishes
+    # its size, every entry below it is already the finished table's, and
+    # readers that query below the published end while another thread
+    # grows the table (more threads than cores, switching often) read what
+    # a finished table gives, bit for bit
+    import threading
+
+    rate = lambda t: 0.1 / (t + 0.1) + 0.05 * math.sin(t) ** 2  # noqa: E731
+    rate_array = lambda t: 0.1 / (t + 0.1) + 0.05 * np.sin(t) ** 2  # noqa: E731
+    reference = CumulativeExponent(rate, 0.0, f_array=rate_array)
+    reference.cumulative(900.0)
+    finished = reference._table()
+    done, wrong, reads = threading.Event(), [], [0] * 3
+
+    class Published(CumulativeExponent):
+        def __setattr__(self, name, value):
+            if name == "_size" and value > 1:  # the entries it publishes
+                n = self._size
+                held = (self._node_buf[n:value], self._value_buf[n:value], self._coef_buf[n - 1 : value - 1])
+                if any(a.tobytes() != f[n - d : value - d].tobytes() for a, f, d in zip(held, finished, (0, 0, 1))):
+                    wrong.append(("published before written", value))
+            super().__setattr__(name, value)
+
+    shared = Published(rate, 0.0, f_array=rate_array)
+
+    def extend():
+        for t in np.arange(1.0, 900.0, 1.5).tolist() + [900.0]:
+            shared.cumulative(t)
+        done.set()
+
+    def read(k):
+        rng = np.random.default_rng(k)
+        while not done.is_set() or reads[k] < 20:
+            end = float(shared._nodes[-1])
+            ts = rng.uniform(0.0, end, 200)
+            if shared.cumulative(ts).tobytes() != reference.cumulative(ts).tobytes():
+                wrong.append(ts)
+            t = float(ts[0])
+            if shared.cumulative(t) != reference.cumulative(t):
+                wrong.append(t)
+            reads[k] += 1
+
+    threads = [threading.Thread(target=extend)] + [threading.Thread(target=read, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong and min(reads) >= 20
+    assert [a.tobytes() for a in shared._table()] == [a.tobytes() for a in finished]
+
+
+def test_cumulative_floor_piece_without_interpolant_takes_the_pair():
+    # a jump of 1e5 in f: the table halves to the depth floor around it, and
+    # the piece across the jump, accepted there by |K7 - L4| <= 1e-9, fails
+    # the running estimate; a query in it integrates its partial panel by
+    # the pair and counts, scalar and array alike, and nowhere else does
+    c = 0.6180339887  # not a multiple of 2^-50, where the deepest piece ends lie
+    rate = lambda t: 1e5 if t > c else 1.0  # noqa: E731
+    gexp = CumulativeExponent(rate, 0.0)
+    gexp.cumulative(2.0)
+    nodes = gexp._nodes
+    i = bisect.bisect_right(nodes, c) - 1
+    base, end = float(nodes[i]), float(nodes[i + 1])
+    assert base < c < end and np.isnan(gexp._table()[2][i]).all()
+    assert np.isfinite(np.delete(gexp._table()[2], i, axis=0)).all()
+    ts = np.concatenate([np.linspace(base, end, 9)[1:-1], np.linspace(0.0, 2.0, 80)])
+    exact = ts + (1e5 - 1.0) * np.maximum(ts - c, 0.0)
+    got = gexp.cumulative(ts)
+    assert gexp._fallbacks == 7
+    assert np.abs(got - exact).max() <= 1e-9
+    assert got.tolist() == [gexp.cumulative(float(t)) for t in ts] and gexp._fallbacks == 14

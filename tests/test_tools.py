@@ -126,6 +126,40 @@ def test_dump_writes_the_sweep_counts_of_each_request(tmp_path, monkeypatch, cap
             f" floor {before[2]} -> {after[2]} (lines 3 -> 3, 1 changed)") in out
 
 
+def test_dump_writes_the_table_pieces_of_each_check_request(tmp_path, monkeypatch, capsys):
+    # the pieces of the binding's two tables that meet [start, tmax]: the
+    # same after a request that stretched the process's shared tables as in
+    # a fresh process, and a changed count fails the diff as a quadrature
+    # decision
+    from ndde import criteria, model
+    from ndde.presets import preset_text
+
+    text = preset_text("section4").replace('grid = "4096"', 'grid = "64"')
+    cheap, wide = (text.replace('tmax = "10000"', f'tmax = "{t}"') for t in (50, 300))
+    monkeypatch.setattr(compare_reports, "_requests", lambda root: iter([("wide", "check", wide), ("cheap", "check", cheap)]))
+    bind = criteria.bind
+    assert compare_reports.main(["--dump", str(tmp_path / "a")]) == 0
+    assert criteria.bind is bind  # the wrapper is removed again
+    monkeypatch.setattr(model, "_tables", {})
+    monkeypatch.setattr(compare_reports, "_requests", lambda root: iter([("cheap", "check", cheap)]))
+    assert compare_reports.main(["--dump", str(tmp_path / "b")]) == 0
+    lines = (tmp_path / "a" / "cheap.txt").read_text().splitlines()
+    assert lines == (tmp_path / "b" / "cheap.txt").read_text().splitlines()
+    tables = [line for line in lines if line.startswith("table.")]
+    assert [line.split(" = ")[0] for line in tables] == ["table.g.pieces", "table.drift.pieces"]
+    g, drift = (int(line.split(" = ")[1]) for line in tables)
+    wide_g = next(line for line in (tmp_path / "a" / "wide.txt").read_text().splitlines() if line.startswith("table.g."))
+    assert 50 <= g < 300 <= int(wide_g.split(" = ")[1]) and drift >= 50
+
+    # a changed count is listed with the quadrature decisions and fails the diff
+    (tmp_path / "b" / "cheap.txt").write_text("\n".join(line.replace(tables[0], "table.g.pieces = 7") for line in lines))
+    capsys.readouterr()
+    assert compare_reports.main(["--diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out
+    assert "non-numeric changes: 0" in out
+    assert f"cheap.txt: table pieces pieces {g + drift} -> {7 + drift} (lines 2 -> 2, 1 changed)" in out
+
+
 def test_dump_writes_the_operator_refinements_of_each_picard_run(tmp_path, monkeypatch, capsys):
     from ndde import operator
     from ndde.cli import run_picard

@@ -20,7 +20,12 @@ sweep the request made, one ``sweep.N.counts.K = accepted refined floor``
 line per integrand K (panels accepted whole, panels refined, pieces
 accepted at the depth floor), caught by wrapping ``ndde.criteria.WeightedSweep``;
 ``--diff`` compares them as text, so a changed quadrature decision fails
-it.  Then come the quadrature decisions of the operator: one
+it.  A check request then gives the size of its binding's two cumulative
+tables over [start, tmax]: ``table.g.pieces`` and ``table.drift.pieces``,
+the pieces that meet it (caught by wrapping ``ndde.criteria.bind``).  The
+tables are shared by the process, but each checkpoint panel is refined on
+its own, so these counts do not depend on earlier requests.  Then come the
+quadrature decisions of the operator: one
 ``operator.refine.CALLER.N = failed pieces`` line per call of its
 shared refinement (intervals that failed the first level, pieces
 accepted), caught by wrapping ``ndde.operator._refine`` and compared as
@@ -47,11 +52,11 @@ compared by dumping each from its own checkout.
 ``--diff`` prints, for every numeric key, the largest difference between A
 and B and the file where it occurs; then every change of a non-numeric
 value (verdicts, exit codes, convergence) but the quadrature decisions;
-then, per file whose ``sweep.*.counts`` lines, the solve's
-``operator.refine.iteration*`` lines or the residual's
+then, per file whose ``sweep.*.counts`` lines, ``table.*.pieces`` lines,
+the solve's ``operator.refine.iteration*`` lines or the residual's
 ``operator.refine.residual.*`` lines changed, each side's sums over all of
-its own lines of that kind (accepted, refined and floor panels; failed
-intervals and pieces) and both line counts, so that a change in the
+its own lines of that kind (accepted, refined and floor panels; table
+pieces; failed intervals and pieces) and both line counts, so that a change in the
 number of calls alone leaves the sums equal, and a change of the residual
 leaves the solve's decisions unlisted; then every other
 key that only one side's files hold, once per key with the number of
@@ -66,6 +71,7 @@ than ``--tol``.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import hashlib
 import io
@@ -255,13 +261,18 @@ def dump(out_dir: Path, root: Path) -> int:
     requests = list(_requests(root))
     from ndde import cli, criteria, operator
 
-    sweeps, refines = [], []
+    sweeps, refines, bound = [], [], []
     caller = ["iteration", 0]  # the refinements' caller, and the candidates read
     made, refine, state, residual = criteria.WeightedSweep, operator._refine, operator._Tables.state, cli.residual
+    binding = criteria.bind
 
     def recording(*args, **kwargs):
         sweeps.append(made(*args, **kwargs))
         return sweeps[-1]
+
+    def binding_of(*args, **kwargs):
+        bound.append(binding(*args, **kwargs))
+        return bound[-1]
 
     def refining(*args, **kwargs):
         pieces = refine(*args, **kwargs)
@@ -293,6 +304,7 @@ def dump(out_dir: Path, root: Path) -> int:
     criteria.WeightedSweep, operator._refine, operator._Tables.state, cli.residual = (
         recording, refining, reading, checking
     )
+    criteria.bind = binding_of
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for stem, kind, text, *delta in requests:
@@ -301,6 +313,7 @@ def dump(out_dir: Path, root: Path) -> int:
                 buf = io.StringIO()
                 sweeps.clear()
                 refines.clear()
+                bound.clear()
                 caller[1] = 0
                 with contextlib.redirect_stderr(io.StringIO()):
                     code = run[kind](str(path), *delta, out=buf)
@@ -309,6 +322,10 @@ def dump(out_dir: Path, root: Path) -> int:
                 for n, sweep in enumerate(sweeps):
                     for k, row in enumerate(sweep.counts.tolist()):
                         lines.append(f"sweep.{n}.counts.{k} = {' '.join(map(str, row))}")
+                for b in bound:  # the pieces that meet [start, tmax]
+                    for name, table in (("g", b.gexp), ("drift", b.drift_cum)):
+                        pieces = bisect.bisect_left(table._nodes, b.tmax)
+                        lines.append(f"table.{name}.pieces = {pieces}")
                 calls = Counter()
                 for label, counts in refines:
                     lines.append(f"operator.refine.{label}.{calls[label]} = {counts}")
@@ -320,6 +337,7 @@ def dump(out_dir: Path, root: Path) -> int:
         criteria.WeightedSweep, operator._refine, operator._Tables.state, cli.residual = (
             made, refine, state, residual
         )
+        criteria.bind = binding
     return 0
 
 
@@ -343,6 +361,7 @@ def _number(text: str) -> float | None:
 # their fields, by the key pattern of their lines
 _DECISIONS = (
     (re.compile(r"sweep\.\d+\.counts\.\d+"), "sweep counts", ("accepted", "refined", "floor")),
+    (re.compile(r"table\.(g|drift)\.pieces"), "table pieces", ("pieces",)),
     (re.compile(r"operator\.refine\.iteration\d+\.\d+"), "operator.refine (solve)", ("failed", "pieces")),
     (re.compile(r"operator\.refine\.residual\.\d+"), "operator.refine (residual)", ("failed", "pieces")),
 )
