@@ -16,8 +16,7 @@ The auxiliary pair (p, g) reshapes the equation into a damped integral form;
 p is specified for t >= t0 only and extended by the constant 1 to the left of
 t0 (a warning is issued when p(t0) != 1, and every consumer then uses the
 extended values at delayed arguments).  ``bind`` compiles a problem/auxiliary
-pair into fast closures with cumulative-integral tables that every binding
-of the same (p, g) shares; criteria,
+pair into fast closures with shared cumulative-integral caches; criteria,
 operator, and integrator all work off that binding.  A request binds once:
 a criterion check hands its binding to the sweep and to every companion
 constant, and a Picard run's residual reads the binding its iteration used.
@@ -28,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import threading
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonDifferentiableError, ValidationError
-from .expressions import Expression, _code_key, _piecewise_derivative, differentiate
+from .expressions import Expression, _piecewise_derivative, differentiate
 from .expressions import signed_power, signed_power_array
 from .quadrature import _MAX_TABLE_PANELS, CumulativeExponent, sup_scan
 
@@ -56,12 +54,6 @@ __all__ = [
 _T = Expression.variable("t")
 
 _TABLE_TOL = 1e-11  # the quadrature tolerance of a binding's cumulative tables
-# the cumulative tables the process keeps, and the pieces they may hold
-# together; a full cache starts over
-_TABLE_LIMIT = 16
-_TABLE_PIECES = 1 << 20
-_tables: dict[tuple, CumulativeExponent] = {}
-_tables_lock = threading.Lock()
 _VALIDATE_SEED = 0  # the seed of ProblemSpec.validate's sample points
 _INF_MEMO = 16  # scanned intervals a DelaySpec keeps; a full memo starts over
 # the config check's and the binding's one wording, for where a lag reaches
@@ -531,9 +523,8 @@ class BoundProblem(_Derived):
     ``p_of``/``pp_of`` are the left-extended weight and its slope (1 and 0
     strictly left of t0).  ``gexp`` accumulates the damping rate from t0;
     ``drift_cum`` accumulates |g - p'/p| from m, which prices every
-    drift-window term.  Both come from the process's table cache (see
-    :func:`bind`).  ``arrays`` holds the same coefficient functions over
-    numpy arrays, built on first use.
+    drift-window term.  ``arrays`` holds the same coefficient functions
+    over numpy arrays, built on first use.
     """
 
     _target = staticmethod(Expression.compiled)  # the form of inner_kinks' functions
@@ -612,24 +603,13 @@ class BoundProblem(_Derived):
 
         self.p_of = p_of
         self.pp_of = pp_of
-        # the tables read g, p and p' alone (and t0, where p is extended), so
-        # every binding of the pair shares them; their functions hold no binding
-        g, p, pp, g_of, m = aux.g, aux.p, aux.p_prime, self.g_of, self.m
-
-        def drift(u):
-            return abs(g_of(u) - pp_of(u) / p_of(u))
-
-        def drift_array(u):
-            slope = _extended(u, t0, 0.0, pp.vectorized())
-            return np.abs(g.vectorized()(u) - slope / _extended(u, t0, 1.0, p.vectorized()))
-
-        g_key, *p_keys = (_code_key(e.root, e.variables) for e in (g, p, pp))
-        self.gexp = _shared_table(("g", g_key, t0, t0, checkpoint), lambda: CumulativeExponent(
-            g_of, t0, checkpoint, _TABLE_TOL, f_array=g.vectorized(), name="g"
-        ))
-        self.drift_cum = _shared_table(("drift", g_key, *p_keys, m, t0, checkpoint), lambda: CumulativeExponent(
-            drift, m, checkpoint, _TABLE_TOL, f_array=drift_array, name="drift"
-        ))
+        self.gexp = CumulativeExponent(
+            self.g_of, t0, checkpoint, _TABLE_TOL, f_array=lambda u: self.arrays.g_of(u), name="g"
+        )
+        self.drift_cum = CumulativeExponent(
+            lambda u: abs(self.drift(u)), self.m, checkpoint, _TABLE_TOL,
+            f_array=lambda u: abs(self.arrays.drift(u)), name="drift",
+        )
 
     @functools.cached_property
     def arrays(self) -> "_ArrayCoefficients":
@@ -651,29 +631,16 @@ class _ArrayCoefficients(_Derived):
         self.signed_power = signed_power_array
 
     def p_of(self, u: np.ndarray) -> np.ndarray:
-        return _extended(u, self.t0, 1.0, self.p_raw)
+        return self._extended(u, 1.0, self.p_raw)
 
     def pp_of(self, u: np.ndarray) -> np.ndarray:
-        return _extended(u, self.t0, 0.0, self.p_slope)
+        return self._extended(u, 0.0, self.p_slope)
 
-
-def _extended(u: np.ndarray, t0: float, left: float, fn) -> np.ndarray:
-    """fn over the array u from t0 on, ``left`` strictly left of it."""
-    out = np.full(np.shape(u), left)
-    inside = ~(u < t0)  # NaN goes to fn, as in the scalar test
-    out[inside] = fn(u[inside])
-    return out
-
-
-def _shared_table(key: tuple, make: Callable[[], CumulativeExponent]) -> CumulativeExponent:
-    """The process's cumulative table under ``key``, made (empty) on a miss."""
-    with _tables_lock:
-        table = _tables.get(key)
-        if table is None:
-            if len(_tables) >= _TABLE_LIMIT or sum(t._size for t in _tables.values()) > _TABLE_PIECES:
-                _tables.clear()
-            table = _tables[key] = make()
-        return table
+    def _extended(self, u: np.ndarray, left: float, fn) -> np.ndarray:
+        out = np.full(np.shape(u), left)
+        inside = ~(u < self.t0)  # NaN goes to fn, as in the scalar test
+        out[inside] = fn(u[inside])
+        return out
 
 
 def bind(
@@ -685,17 +652,12 @@ def bind(
     """Compile a problem/auxiliary pair into a :class:`BoundProblem` over
     [t0, tmax].
 
-    Shared tables: the binding takes ``gexp`` and ``drift_cum`` from one
-    bounded, process-wide cache, as expressions take their code.  A table
-    is keyed by the code of the expressions it reads (g; g, p and p'), its
-    start, t0 and ``checkpoint``, so every binding of one (p, g) reads one
-    pair of tables, whatever its problem or tmax, and stretches it as far
-    as its queries reach.  A shared table is bit for bit the table a fresh
-    one would be (each checkpoint panel is refined on its own, and the
-    running sum adds left to right however its extensions chunked it), so
-    no number depends on the order of requests.  The cache is emptied when
-    it holds ``_TABLE_LIMIT`` tables or, on a miss, more than
-    ``_TABLE_PIECES`` pieces in all.
+    The binding owns its cumulative tables of g and of |g - p'/p|; every
+    consumer handed the binding reads them, and they are freed with it, so
+    no table outlives its request.  A table grows as far as its queries
+    reach, 72 bytes a piece (its checkpoint, the running integral there and
+    seven interpolant coefficients) in arrays of at most twice its pieces:
+    about 1e4 pieces each over section4's [0, 1e4].
     """
     require(tmax=tmax, checkpoint=checkpoint)
     return BoundProblem(problem, aux, tmax, checkpoint)

@@ -46,10 +46,8 @@ def workloads():
 @pytest.fixture(autouse=True)
 def _empty_code_cache(monkeypatch):
     """Each test starts from an empty process-wide expression code cache and
-    table cache and leaves the process's own untouched, so no count of
-    compiles or of samples, here or in ``bench/``, depends on which tests
-    ran before."""
-    from ndde import expressions, model
+    leaves the process's own untouched, so no count of compiles, here or in
+    ``bench/``, depends on which tests ran before."""
+    from ndde import expressions
 
     monkeypatch.setattr(expressions, "_codes", {})
-    monkeypatch.setattr(model, "_tables", {})

@@ -363,72 +363,28 @@ def test_section4_tables_match_their_closed_forms():
         assert table._fallbacks == 0
 
 
-def test_bindings_of_one_pair_share_its_tables(monkeypatch):
-    # the tables are keyed by the code of the expressions they read and by
-    # start, t0 and checkpoint: another problem with the same (p, g) shares
-    # both, another checkpoint or g shares none
-    from ndde import model
+def test_a_binding_owns_its_tables():
+    # two bindings of one pair build their own tables, equal bit for bit,
+    # and a binding's tables are freed with it
+    import gc
+    import weakref
 
     cfg = _section4()
-    first = bind(cfg.problem, cfg.aux, 200.0)
-    again = bind(_linear_problem(), _aux(), 50.0)
-    assert again.gexp is first.gexp and again.drift_cum is first.drift_cum
-    assert bind(cfg.problem, cfg.aux, 200.0, checkpoint=0.5).gexp is not first.gexp
-    other = AuxiliarySpec(p=parse_expression("1/(t + 0.2)"), g=parse_expression("0.2/(t + 0.1)"))
-    fresh = bind(cfg.problem, other, 200.0)
-    assert fresh.gexp is not first.gexp and fresh.drift_cum is not first.drift_cum
-    assert len(model._tables) == 6
-
-    # a full cache starts over, and what it gives stays the same
-    from ndde.criteria import evaluate_criteria
-
-    expected = evaluate_criteria(cfg.problem, cfg.aux, tmax=50.0, grid=128).to_text()
-    monkeypatch.setattr(model, "_tables", {})
-    monkeypatch.setattr(model, "_TABLE_LIMIT", 2)
-    for _ in range(2):
-        assert evaluate_criteria(cfg.problem, cfg.aux, tmax=50.0, grid=128).to_text() == expected
-        assert len(model._tables) == 2
-        b = bind(cfg.problem, other, 30.0)
-        assert list(model._tables.values()) == [b.gexp, b.drift_cum]
-    # and so does one whose tables hold more than its pieces
-    monkeypatch.setattr(model, "_TABLE_LIMIT", 16)
-    monkeypatch.setattr(model, "_TABLE_PIECES", 100)
-    b.gexp.cumulative(300.0)
-    again = bind(cfg.problem, cfg.aux, 30.0)
-    assert list(model._tables.values()) == [again.gexp, again.drift_cum]
-
-
-def test_bindings_that_miss_together_share_one_table():
-    # more threads than cores bind one pair at once, switching often: the
-    # cache's lock hands them all the same two tables
-    import sys
-    import threading
-
-    cfg = _section4()
-    found = []
-
-    def binds():
-        b = bind(cfg.problem, cfg.aux, 20.0)
-        found.append((b.gexp, b.drift_cum))
-
-    threads = [threading.Thread(target=binds) for _ in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(found) == 6 and len({id(table) for pair in found for table in pair}) == 2
+    first, again = (bind(cfg.problem, cfg.aux, 200.0) for _ in range(2))
+    assert first.gexp is not again.gexp and first.drift_cum is not again.drift_cum
+    ts = np.linspace(0.0, 200.0, 1001)
+    for name in ("gexp", "drift_cum"):
+        assert getattr(first, name).cumulative(ts).tolist() == getattr(again, name).cumulative(ts).tolist()
+    tables = [weakref.ref(t) for t in (first.gexp, first.drift_cum)]
+    del first
+    gc.collect()
+    assert [ref() for ref in tables] == [None, None]
 
 
 def test_certify_reports_do_not_depend_on_the_order_of_requests(workloads):
     # the seed-1 certify deck in two orders in one process, after the preset
-    # warm-up has stretched the shared tables to tmax 1e4, prints the
-    # reports that a fresh process prints for each request alone
+    # warm-up, prints the reports that a fresh process prints for each
+    # request alone
     import os
     import subprocess
     import sys

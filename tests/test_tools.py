@@ -128,10 +128,9 @@ def test_dump_writes_the_sweep_counts_of_each_request(tmp_path, monkeypatch, cap
 
 def test_dump_writes_the_table_pieces_of_each_check_request(tmp_path, monkeypatch, capsys):
     # the pieces of the binding's two tables that meet [start, tmax]: the
-    # same after a request that stretched the process's shared tables as in
-    # a fresh process, and a changed count fails the diff as a quadrature
-    # decision
-    from ndde import criteria, model
+    # same after a wider request as alone, and a changed count fails the
+    # diff as a quadrature decision
+    from ndde import criteria
     from ndde.presets import preset_text
 
     text = preset_text("section4").replace('grid = "4096"', 'grid = "64"')
@@ -140,7 +139,6 @@ def test_dump_writes_the_table_pieces_of_each_check_request(tmp_path, monkeypatc
     bind = criteria.bind
     assert compare_reports.main(["--dump", str(tmp_path / "a")]) == 0
     assert criteria.bind is bind  # the wrapper is removed again
-    monkeypatch.setattr(model, "_tables", {})
     monkeypatch.setattr(compare_reports, "_requests", lambda root: iter([("cheap", "check", cheap)]))
     assert compare_reports.main(["--dump", str(tmp_path / "b")]) == 0
     lines = (tmp_path / "a" / "cheap.txt").read_text().splitlines()

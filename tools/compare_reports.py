@@ -22,9 +22,7 @@ accepted at the depth floor), caught by wrapping ``ndde.criteria.WeightedSweep``
 ``--diff`` compares them as text, so a changed quadrature decision fails
 it.  A check request then gives the size of its binding's two cumulative
 tables over [start, tmax]: ``table.g.pieces`` and ``table.drift.pieces``,
-the pieces that meet it (caught by wrapping ``ndde.criteria.bind``).  The
-tables are shared by the process, but each checkpoint panel is refined on
-its own, so these counts do not depend on earlier requests.  Then come the
+the pieces that meet it (caught by wrapping ``ndde.criteria.bind``).  Then come the
 quadrature decisions of the operator: one
 ``operator.refine.CALLER.N = failed pieces`` line per call of its
 shared refinement (intervals that failed the first level, pieces
